@@ -128,10 +128,11 @@ typedef struct cgc_config {
    * default (64).  A collector with no registered threads runs the
    * paper's sequential single-mutator protocol bit-identically. */
   unsigned mutator_threads;
-  /* Per-size-class slots in each registered thread's allocation
-   * cache; 0 = default (32).  Caches are refilled in batches under
-   * the heap lock, popped lock-free, and flushed at every
-   * stop-the-world handshake. */
+  /* Thread-owned allocation blocks: 0 = default (enabled), and any
+   * nonzero value also enables them (the value sizes nothing).
+   * Registered threads check whole blocks out under the heap lock,
+   * allocate from and free into them lock-free, and return them at
+   * every stop-the-world handshake. */
   unsigned thread_cache_slots;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
   unsigned heap_growth_pages;            /* 0 = default (256)          */

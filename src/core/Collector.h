@@ -192,7 +192,7 @@ public:
 
   /// Registers the calling thread as a mutator: records its stack base
   /// (\p StackBaseHint, or the platform stack extent when null), gives
-  /// it a per-size-class allocation cache (GcConfig::ThreadCacheSlots;
+  /// it a cache of thread-owned blocks (GcConfig::ThreadCacheSlots;
   /// disabled in guarded mode), and — sticky, for the collector's
   /// lifetime — switches every public entry point onto the heap lock.
   /// During collections the thread's stack and registers join the
@@ -201,8 +201,8 @@ public:
   /// GcConfig::MutatorThreads registrations are already live.
   bool registerMutatorThread(const void *StackBaseHint = nullptr);
 
-  /// Unregisters the calling thread (must be registered): flushes its
-  /// cache back to the heap and removes it from the stop-the-world
+  /// Unregisters the calling thread (must be registered): returns its
+  /// owned blocks to the heap and removes it from the stop-the-world
   /// protocol.  Its stack is no longer scanned — drop or hand off GC
   /// pointers first.
   void unregisterMutatorThread();
@@ -531,11 +531,13 @@ private:
   /// Poison-checks one quarantine entry and releases its slot.
   void releaseQuarantined(const GuardLayer::QuarantineEntry &Entry);
 
-  /// Heap-lock protocol (threaded mode only).  lockHeap publishes the
-  /// calling thread's scan state and enters BlockedOnHeap before the
-  /// acquire, so a thread frozen on the collector's mutex counts as
-  /// stopped; the mutex is recursive because collect() runs from
-  /// allocation slow paths that already hold it.
+  /// Heap-lock protocol (threaded mode only).  lockHeap first tries the
+  /// lock; only when that fails does it publish the calling thread's
+  /// scan state and enter BlockedOnHeap before blocking, so a thread
+  /// frozen on the collector's mutex counts as stopped (a thread that
+  /// got the lock outright knows no stop is in flight).  The mutex is
+  /// recursive because collect() runs from allocation slow paths that
+  /// already hold it.
   void lockHeap();
   void unlockHeap();
   /// RAII heap lock that is a no-op until the first thread registers,
@@ -556,50 +558,47 @@ private:
     Collector &GC;
     bool Active;
   };
-  /// Threaded-mode allocate(): safepoint poll, lock-free cache pop,
-  /// then the locked refill / ordinary slow path.
+  /// Threaded-mode allocate(): safepoint poll, lock-free take from an
+  /// owned block, then the locked refill / ordinary slow path.
   void *allocateThreaded(size_t Bytes, ObjectKind Kind);
-  /// Refills \p Self's cache for \p Class under the heap lock and
-  /// serves one slot; falls back to the ordinary small-object ladder
-  /// when the class needs a new block.
+  /// Checks a block of \p Class out to \p Self's cache under the heap
+  /// lock and serves one slot; falls back to the ordinary small-object
+  /// ladder when the class needs a new block.
   void *refillAndAllocate(MutatorThread *Self, size_t Bytes,
                           ObjectKind Kind, unsigned Class);
-  /// Refills \p Self's typed stub for Precise descriptor \p Layout
-  /// under the heap lock and serves one slot; falls back to the typed
-  /// slow path when the layout needs a new block.
+  /// The same for Precise descriptor \p Layout.
   void *refillTypedAndAllocate(MutatorThread *Self, LayoutId Layout);
-  /// Counters + conditional clear for a slot handed out from a cache,
-  /// mirroring allocateRaw's tail (BytesSinceGc was charged at refill).
-  void *finishCachedAllocation(MutatorThread *Self, void *Result,
-                               unsigned Class);
-  /// Same, for a slot of known byte capacity (typed stubs record it).
-  void *finishCachedSlot(MutatorThread *Self, void *Result,
-                         size_t SlotBytes);
-  /// Accounting + observer event for a completed cache refill.
-  void noteCacheRefill(unsigned Class, unsigned Slots);
-  /// What flushThreadCaches did: slots returned to the heap, and
-  /// caches it had to leave populated because their owner is frozen by
-  /// the watchdog's suspend signal.
+  /// Folds \p Self's pending counts, then checks blocks of \p Class (or
+  /// of \p Layout when nonzero) out into its cache until the refill
+  /// holds ThreadCache::RefillSlots free slots, returning any block the
+  /// cache gives up.  \returns false when the heap has no block to
+  /// give.
+  bool checkoutToCache(MutatorThread *Self, unsigned Class, LayoutId Layout);
+  /// allocateRaw's tail for a slot taken from an owned block.
+  void *finishCachedSlot(void *Result, size_t SlotBytes);
+  /// Folds \p Cache's private deltas into the heap's lifetime stats,
+  /// charging the collection trigger by the bytes handed out.
+  void foldCacheCounts(ThreadCache &Cache);
+  /// Returns every block \p Cache owns to the heap with exact counts.
+  /// \returns their usable free slots.
+  uint64_t drainCache(ThreadCache &Cache);
+  /// drainCache at the end of a thread's registration (unregister, or
+  /// a thread lost to fork), retiring its lifetime totals.
+  void retireCache(MutatorThread &Thread);
+  /// What flushThreadCaches did: free slots in the blocks returned to
+  /// the heap, and caches it had to leave alone because their owner is
+  /// frozen by the watchdog's suspend signal.
   struct CacheFlushOutcome {
     uint64_t SlotsFlushed = 0;
     uint64_t CachesSkipped = 0;
   };
-  /// Flushes every registered thread's cache (world stopped or
-  /// quiesced) and cross-checks the reservation debt.  Caches owned by
-  /// signal-suspended threads are skipped untouched: the owner may be
-  /// frozen mid-take() inside the lock-free fast path, so mutating its
-  /// stub vectors (or trusting its CacheAllocs counter) from here
-  /// would race the instruction it resumes on — their slots are
-  /// instead pinned live for the cycle (pinSuspendedThreadCaches), and
-  /// the exact debt cross-check stands down until a handshake where
-  /// every cache could be drained.
+  /// Returns every registered thread's owned blocks (world stopped)
+  /// and, when every cache drained, checks the block ledger: no block
+  /// owned, and the heap's folded counts equal the threads' totals.
+  /// Caches of signal-suspended threads are left alone: the owner may
+  /// be frozen inside a lock-free take() or release(), so its blocks
+  /// stay owned and the sweep skips them this cycle.
   CacheFlushOutcome flushThreadCaches();
-  /// Sets the mark bit on every slot still cached by a signal-
-  /// suspended thread, after the Mark phase and before the sweep, so
-  /// the sweep keeps them (bdwgc's mark-the-free-lists treatment of
-  /// thread-local caches).  Allocation-free: the world may hold a
-  /// thread suspended inside libc malloc.  \returns slots pinned.
-  uint64_t pinSuspendedThreadCaches();
 
   /// Pins an object allocated while a collection is in flight (an
   /// observer or warn callback allocating mid-cycle): marks it live
@@ -638,8 +637,9 @@ private:
   /// Collector in construction order): prepare quiesces the worker pool
   /// and takes each collector's heap, pool, and registry locks in rank
   /// order; parent unwinds; the child rebuilds each registry around the
-  /// surviving thread, retires stale thread caches against the debt
-  /// ledger, resets the worker pool, and reinstalls the crash reporter.
+  /// surviving thread, retires the lost threads' caches (counts folded,
+  /// owned blocks returned), resets the worker pool, and reinstalls the
+  /// crash reporter.
   static void forkPrepare();
   static void forkParent();
   static void forkChild();
@@ -759,10 +759,14 @@ private:
   /// single-mutator configuration is instruction-identical to the
   /// sequential collector.
   std::atomic<bool> ThreadedMode{false};
-  /// Cache slots handed out by threads that have since unregistered;
-  /// with live threads' counters this reconciles the heap's
-  /// reservation debt.
+  /// The block ledger: objects allocated and freed on the lock-free
+  /// paths, as folded into the heap's stats, and the totals of threads
+  /// that have since unregistered.  After a fully drained flush the
+  /// folded counts equal the retired plus the live threads' totals.
+  uint64_t CacheAllocsFolded = 0;
+  uint64_t CacheFreesFolded = 0;
   uint64_t CacheAllocsRetired = 0;
+  uint64_t CacheFreesRetired = 0;
 
   LeakCallback OnLeak;
   std::vector<std::function<void()>> StackClearHooks;

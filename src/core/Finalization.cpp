@@ -35,6 +35,7 @@ size_t FinalizationQueue::processUnreachable(Marker &MarkerImpl,
     // reachable subgraph must survive the upcoming sweep.
     MarkerImpl.markFromCandidate(Offset, Stats);
   }
+  publishCount();
   Stats.FinalizersQueued += Unreachable.size();
   return Unreachable.size();
 }

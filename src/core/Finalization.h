@@ -31,6 +31,7 @@
 #include "core/GcStats.h"
 #include "core/Marker.h"
 #include "heap/ObjectHeap.h"
+#include <atomic>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -45,14 +46,23 @@ public:
   /// unreachable.  Re-registering replaces the previous finalizer.
   void registerFinalizer(WindowOffset Offset, Finalizer Fn) {
     Registered[Offset] = std::move(Fn);
+    publishCount();
   }
 
   /// Removes a registration; \returns true if one existed.
   bool unregister(WindowOffset Offset) {
-    return Registered.erase(Offset) != 0;
+    if (Registered.erase(Offset) == 0)
+      return false;
+    publishCount();
+    return true;
   }
 
   size_t registeredCount() const { return Registered.size(); }
+  /// Whether any finalizer is registered.  Lock-free: the owner free
+  /// path reads it without the heap lock that guards the queue.
+  bool anyRegistered() const {
+    return RegisteredMirror.load(std::memory_order_acquire) != 0;
+  }
   size_t readyCount() const { return Ready.size(); }
 
   /// Mark phase: stages unreachable registered objects and resurrects
@@ -69,7 +79,12 @@ public:
   size_t runReady(VirtualArena &Arena);
 
 private:
+  void publishCount() {
+    RegisteredMirror.store(Registered.size(), std::memory_order_release);
+  }
+
   std::unordered_map<WindowOffset, Finalizer> Registered;
+  std::atomic<size_t> RegisteredMirror{0};
   /// Queued this cycle, not yet published (Mark .. Finalize window).
   std::vector<std::pair<WindowOffset, Finalizer>> Staged;
   std::vector<std::pair<WindowOffset, Finalizer>> Ready;

@@ -189,12 +189,14 @@ struct GcConfig {
   /// identically: no heap lock, no safepoints, no handshake.
   unsigned MutatorThreads = 64;
 
-  /// Per-size-class capacity of each registered thread's allocation
-  /// cache (heap/ThreadCache.h).  Slots are reserved in batches under
-  /// the heap lock and handed out lock-free; every stop-the-world
-  /// handshake flushes unused slots back so retained sets stay exact.
-  /// 0 disables caching (every allocation takes the heap lock).
-  /// Guarded mode (DebugGuards) also disables caching.
+  /// Thread-owned blocks (heap/ThreadCache.h): 0 disables them, any
+  /// nonzero value enables them (the value sizes nothing; it is kept
+  /// for compatibility).  Registered threads check whole blocks out
+  /// under the heap lock, then allocate from and free into them
+  /// lock-free; every stop-the-world handshake returns the blocks so
+  /// retained sets stay exact.  Disabled, every allocation and free
+  /// takes the heap lock.  Guarded mode (DebugGuards) also disables
+  /// them.
   unsigned ThreadCacheSlots = 32;
 
   /// Stop-the-world handshake watchdog deadline in milliseconds

@@ -136,9 +136,9 @@ public:
     (void)Nanos;
   }
 
-  /// A registered thread's allocation cache was refilled with
-  /// \p Slots reservations of size class \p SizeClass (dispatched under
-  /// the heap lock, from the allocating thread).
+  /// A registered thread's cache checked out blocks of size class
+  /// \p SizeClass holding \p Slots free slots (dispatched under the
+  /// heap lock, from the allocating thread, once per refill).
   virtual void onThreadCacheRefill(unsigned SizeClass, unsigned Slots) {
     (void)SizeClass;
     (void)Slots;

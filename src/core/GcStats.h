@@ -92,14 +92,14 @@ struct CollectionStats {
   /// Nanoseconds from raising the stop request to the last mutator
   /// parking (0 when no handshake ran).
   uint64_t HandshakeNanos = 0;
-  /// Thread-cache slots flushed back to the heap at this cycle's
-  /// handshake (unused reservations returned before RootScan).
+  /// Usable free slots in the thread-owned blocks returned to the heap
+  /// at this cycle's handshake (before RootScan).
   uint64_t CacheSlotsFlushed = 0;
-  /// Thread-cache slots that could not be flushed — their owner was
+  /// Thread-owned blocks that could not be returned — their owner was
   /// frozen by the watchdog's suspend signal, possibly mid-fast-path —
-  /// and were instead marked live so the sweep keeps them (0 on every
-  /// cooperative handshake).
-  uint64_t CacheSlotsPinned = 0;
+  /// and were left unswept this cycle (0 on every cooperative
+  /// handshake).
+  uint64_t CacheBlocksKept = 0;
   /// Nanoseconds spent in each pipeline phase (indexed by GcPhase).
   uint64_t PhaseNanos[NumGcPhases] = {};
   /// Aggregate nanoseconds: MarkNanos covers RootScan + Mark +

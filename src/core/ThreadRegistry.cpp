@@ -149,9 +149,14 @@ void ThreadRegistry::parkAtSafepoint(MutatorThread *Self) {
   }
   Self->SafepointsTaken.fetch_add(1, std::memory_order_relaxed);
   SafepointParks.fetch_add(1, std::memory_order_relaxed);
+  // Only now, under the lock the collector's wait predicate holds, does
+  // the thread count as parked: every store this frame made above the
+  // published stack top happens-before the collector scans it.
+  Self->Parked = true;
   MutatorParked.notify_all();
   WorldResumed.wait(Guard,
                     [&] { return !StopFlag.load(std::memory_order_acquire); });
+  Self->Parked = false;
   Self->State.store(static_cast<uint32_t>(MutatorState::Running),
                     std::memory_order_release);
 }
@@ -161,8 +166,12 @@ void ThreadRegistry::beginBlocked(MutatorThread *Self) {
   // As in parkAtSafepoint: enter the stopped state before taking the
   // registry lock, so a suspend signal landing here finds a thread
   // that only needs an ack, never one to park while holding the lock.
+  // The seq_cst store/load pair against stopTheWorld's makes skipping
+  // the notify safe when no stop is pending (see the header).
   Self->State.store(static_cast<uint32_t>(MutatorState::BlockedOnHeap),
-                    std::memory_order_release);
+                    std::memory_order_seq_cst);
+  if (!StopFlag.load(std::memory_order_seq_cst))
+    return;
   std::lock_guard<std::mutex> Guard(Lock);
   MutatorParked.notify_all();
 }
@@ -188,12 +197,16 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
   // could deadlock the whole handshake.
   if (WatchdogDeadlineNanos != 0)
     Result.Trace.reserve(Threads.size());
-  StopFlag.store(true, std::memory_order_release);
+  // seq_cst: the collector's half of the Dekker pair with beginBlocked.
+  StopFlag.store(true, std::memory_order_seq_cst);
   auto AllParked = [&] {
     for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
       if (Thread.get() == Self)
         continue;
-      if (Thread->state() == MutatorState::Running)
+      uint32_t State = Thread->State.load(std::memory_order_seq_cst);
+      if (State == static_cast<uint32_t>(MutatorState::Running) ||
+          (State == static_cast<uint32_t>(MutatorState::AtSafepoint) &&
+           !Thread->Parked))
         return false;
     }
     return true;
@@ -359,6 +372,7 @@ void ThreadRegistry::rebuildAfterFork(
     if (Thread.get() == Survivor) {
       Thread->Suspend.Pending.store(false, std::memory_order_relaxed);
       Thread->Suspend.SignalAttempts.store(0, std::memory_order_relaxed);
+      Thread->Parked = false;
       Thread->State.store(static_cast<uint32_t>(MutatorState::Running),
                           std::memory_order_release);
       Kept.push_back(std::move(Thread));

@@ -28,12 +28,23 @@
 /// Deadlock freedom rests on two rules: StopRequested is only ever set
 /// and cleared while the collector holds the heap lock, and a mutator
 /// always publishes its scan state and leaves Running before it can
-/// block on that lock.  Once the wait predicate "every registered
-/// thread except the collector is not Running" becomes true it stays
-/// true until resume: parked threads only re-enter Running after
-/// observing StopRequested == false under the registry lock, and a
-/// blocked thread only wakes when the collector releases the heap lock
-/// after resuming the world.
+/// block on that lock (a mutator whose try_lock succeeds never blocks,
+/// and holding the lock proves no stop is in flight).  Once the wait
+/// predicate "every registered thread except the collector is not
+/// Running" becomes true it stays true until resume: parked threads
+/// only re-enter Running after observing StopRequested == false under
+/// the registry lock, and a blocked thread only wakes when the
+/// collector releases the heap lock after resuming the world.
+///
+/// No wakeup is lost although beginBlocked takes the registry lock and
+/// notifies only when it sees StopRequested set.  The two sides form a
+/// Dekker pair, every access seq_cst: the mutator stores BlockedOnHeap
+/// then loads StopRequested; the collector stores StopRequested then
+/// loads each thread's state in the wait predicate.  In the single
+/// total order at least one side sees the other's store: either the
+/// collector's predicate finds the thread stopped, or the mutator sees
+/// the stop and notifies under the registry lock, which cannot fall
+/// between the collector's predicate check and its sleep.
 ///
 /// A mutator that never reaches a poll — spinning in compute code,
 /// wedged in a syscall without beginBlocked, or simply buggy — would
@@ -118,13 +129,15 @@ struct MutatorThread {
   std::jmp_buf Registers;
   /// MutatorState, as its underlying integer.
   std::atomic<uint32_t> State{static_cast<uint32_t>(MutatorState::Running)};
-  /// Per-size-class allocation cache; null when ThreadCacheSlots == 0
-  /// or guarded mode is active.
+  /// Set under the registry lock once an AtSafepoint thread has taken
+  /// that lock on its way to waiting; the handshake counts a safepoint
+  /// park only then, so the park frame's own stores happen-before the
+  /// collector scans the stack.
+  bool Parked = false;
+  /// Thread-owned allocation blocks; null when ThreadCacheSlots == 0 or
+  /// guarded mode is active.  Its counters are owner-private; the
+  /// collector reads them only while the owner is parked (or gone).
   std::unique_ptr<ThreadCache> Cache;
-  /// Owner-thread counters for the lock-free fast path; read by the
-  /// collector only while the world is stopped (or after unregister).
-  std::atomic<uint64_t> CacheAllocs{0};
-  std::atomic<uint64_t> CacheAllocBytes{0};
   /// Times this thread parked at a safepoint (lifetime).
   std::atomic<uint64_t> SafepointsTaken{0};
   /// Preemptive-suspension slot for the watchdog's signal rung; its
@@ -290,8 +303,8 @@ public:
   /// Child-side fork cleanup: drops every record except \p Survivor
   /// (the forking thread's record; null when the forking thread was
   /// unregistered), invoking \p OnDrop on each dropped record first so
-  /// the collector can reverse its cache reservations against the debt
-  /// ledger.  Also clears any in-flight stop and stale suspension
+  /// the collector can fold its counts and return its owned blocks.
+  /// Also clears any in-flight stop and stale suspension
   /// state.  Call only from a freshly forked child, before it mutates.
   void rebuildAfterFork(MutatorThread *Survivor,
                         const std::function<void(MutatorThread &)> &OnDrop);

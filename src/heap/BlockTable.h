@@ -50,6 +50,13 @@ struct BlockDescriptor {
   /// interior-pointer policy.  Lets huge objects coexist with a
   /// blacklist-rich address space.
   bool IgnoreOffPage = false;
+  /// Checked out to one mutator thread's ThreadCache (heap/ThreadCache.h):
+  /// off every class list, allocated from and freed into by the owner
+  /// without the heap lock.  While set, AllocBits is the only live
+  /// record of slot state; AllocatedCount keeps its checkout-time value
+  /// and is refolded from the bitmap when ownership ends.  Written only
+  /// under the heap lock.
+  bool Owned = false;
   /// One mark bit per slot; rebuilt by every collection.  During the
   /// Mark phase these are the only descriptor bits written, and only
   /// through testAndSetMark, so N mark workers can share the table.

@@ -126,7 +126,9 @@ HeapVerifyReport HeapVerifier::run() {
         break; // One line per block is enough to localize it.
       }
     }
-    if (Block.AllocBits.count() != Block.AllocatedCount)
+    // An owned block's counter keeps its checkout value until the owner
+    // returns it; only its bitmap is current.
+    if (!Block.Owned && Block.AllocBits.count() != Block.AllocatedCount)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: alloc bitmap has %llu bits set, counter says %u",
                 Id, (unsigned long long)Block.AllocBits.count(),
@@ -160,8 +162,9 @@ HeapVerifyReport HeapVerifier::run() {
     // Every small block with usable space must be reachable by the
     // allocator: listed on its class list or queued for lazy sweep.
     // (The LIFO ablation prunes its stacks lazily, so only the
-    // address-ordered discipline supports this check.)
-    if (!Block.IsLarge && Block.usableFreeCount() > 0 &&
+    // address-ordered discipline supports this check.)  Owned blocks
+    // are their owner's to allocate from, never listed.
+    if (!Block.IsLarge && !Block.Owned && Block.usableFreeCount() > 0 &&
         Heap.Config.AddressOrderedAllocation) {
       ObjectHeap::ClassList &List = Heap.classListFor(Block);
       bool Listed = List.Partial.count(Block.StartPage) != 0;
@@ -451,7 +454,7 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
     }
     Heap.PendingSweeps = 0;
     Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &B) {
-      if (!B.IsLarge && B.usableFreeCount() > 0)
+      if (!B.IsLarge && !B.Owned && B.usableFreeCount() > 0)
         Heap.addToClassList(B, Id);
     });
     ++Stats.FreeListRebuilds;

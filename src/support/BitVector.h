@@ -76,6 +76,33 @@ public:
     return (Old & Mask) != 0;
   }
 
+  /// Atomic test: safe against concurrent *Atomic writers.  Allocation
+  /// bitmaps of thread-owned blocks are read this way by every thread
+  /// but the owner.
+  bool testAtomic(size_t Index) const {
+    CGC_ASSERT(Index < NumBits, "BitVector::testAtomic out of range");
+    return (__atomic_load_n(&Words[Index / BitsPerWord], __ATOMIC_ACQUIRE) >>
+            (Index % BitsPerWord)) &
+           1;
+  }
+
+  /// Atomically clears bit \p Index; \returns its previous value.  With
+  /// release order, so whoever next sets the bit (an owner thread
+  /// allocating the slot) sees every store made before the clear.
+  bool testAndResetAtomic(size_t Index) {
+    CGC_ASSERT(Index < NumBits, "BitVector::testAndResetAtomic out of range");
+    uint64_t Mask = uint64_t(1) << (Index % BitsPerWord);
+    uint64_t Old = __atomic_fetch_and(&Words[Index / BitsPerWord], ~Mask,
+                                      __ATOMIC_ACQ_REL);
+    return (Old & Mask) != 0;
+  }
+
+  /// The backing words (bit I lives in word I / 64), for scanners that
+  /// work a word at a time.  Stable until the next resize.
+  uint64_t *words() { return Words.data(); }
+  const uint64_t *words() const { return Words.data(); }
+  size_t numWords() const { return Words.size(); }
+
   /// Clears every bit (size unchanged).
   void clearAll();
 

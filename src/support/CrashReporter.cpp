@@ -256,14 +256,14 @@ void dump(int Fd, int Signal) {
     uint64_t Registered =
         State->RegisteredThreads.load(std::memory_order_relaxed);
     uint64_t Handshakes = State->Handshakes.load(std::memory_order_relaxed);
-    uint64_t CacheDebt = State->CacheSlotDebt.load(std::memory_order_relaxed);
-    if (Registered != 0 || Handshakes != 0 || CacheDebt != 0) {
+    uint64_t Owned = State->OwnedBlocks.load(std::memory_order_relaxed);
+    if (Registered != 0 || Handshakes != 0 || Owned != 0) {
       Line.append("  threads: registered=");
       Line.appendU64(Registered);
       Line.append(" handshakes=");
       Line.appendU64(Handshakes);
-      Line.append(" cache-slot-debt=");
-      Line.appendU64(CacheDebt);
+      Line.append(" owned-blocks=");
+      Line.appendU64(Owned);
       Line.append(" signal-suspends=");
       Line.appendU64(
           State->SignalSuspensions.load(std::memory_order_relaxed));

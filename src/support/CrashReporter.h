@@ -69,12 +69,11 @@ struct GcCrashState {
   std::atomic<uint64_t> GuardedMode{0};
   std::atomic<uint64_t> GuardViolations{0};
   /// Thread layer: registered mutators right now, stop-the-world
-  /// handshakes completed, and the heap's outstanding thread-cache
-  /// reservation debt (slots cached or handed out lock-free).  All zero
-  /// in single-mutator mode, and the dump omits the line.
+  /// handshakes completed, and the blocks checked out to thread caches.
+  /// All zero in single-mutator mode, and the dump omits the line.
   std::atomic<uint64_t> RegisteredThreads{0};
   std::atomic<uint64_t> Handshakes{0};
-  std::atomic<uint64_t> CacheSlotDebt{0};
+  std::atomic<uint64_t> OwnedBlocks{0};
   /// Stop-the-world hardening: threads preemptively suspended by the
   /// watchdog's reserved signal, handshakes that hit the final timeout
   /// (abandoned collections), and the slowest completed time-to-stop.

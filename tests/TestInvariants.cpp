@@ -234,11 +234,16 @@ TEST(HeapInvariants, ParallelSweepTotalsMatchSequentialResweep) {
 
 namespace {
 
+// Each mutator's window: random roots, then the objects it keeps until
+// an explicit free.
+constexpr size_t RandomRoots = 128;
+constexpr size_t FreeableRoots = 16;
+
 // One mutator's deterministic churn for the multi-mutator fuzz lane:
-// rooted allocations into its own window, garbage, pointer-free and
-// uncollectable objects, explicit frees, root drops, and occasional
-// explicit collections — the single-thread fuzz diet, minus the
-// planted stray (which is per-collector, not per-thread).
+// rooted allocations into its own window, garbage, explicitly freed
+// normal objects, pointer-free and uncollectable objects, root drops,
+// and occasional explicit collections — the single-thread fuzz diet,
+// minus the planted stray (which is per-collector, not per-thread).
 void mutatorChurn(Collector &GC, uint64_t Seed,
                   std::vector<uint64_t> &Window) {
   Rng R(Seed);
@@ -248,12 +253,17 @@ void mutatorChurn(Collector &GC, uint64_t Seed,
     case 0:
     case 1:
     case 2:
-      Window[R.pickIndex(Window.size())] = reinterpret_cast<uint64_t>(
+      Window[R.pickIndex(RandomRoots)] = reinterpret_cast<uint64_t>(
           GC.allocate(R.nextInRange(8, 512)));
       break;
-    case 3: // Garbage.
-      GC.allocate(R.nextInRange(8, 2000));
+    case 3: { // Garbage, or kept until a later explicit free.
+      void *P = GC.allocate(R.nextInRange(8, 2000));
+      uint64_t &Slot = Window[RandomRoots + R.pickIndex(FreeableRoots)];
+      if (Slot != 0 && R.nextBool(0.5))
+        GC.deallocate(reinterpret_cast<void *>(Slot));
+      Slot = reinterpret_cast<uint64_t>(P);
       break;
+    }
     case 4:
       GC.allocate(R.nextInRange(8, 256), ObjectKind::PointerFree);
       break;
@@ -268,7 +278,7 @@ void mutatorChurn(Collector &GC, uint64_t Seed,
       }
       break;
     case 6: // Drop a root.
-      Window[R.pickIndex(Window.size())] = 0;
+      Window[R.pickIndex(RandomRoots)] = 0;
       break;
     case 7:
       if (R.nextBool(0.05))
@@ -280,20 +290,33 @@ void mutatorChurn(Collector &GC, uint64_t Seed,
   }
   for (void *P : Explicit)
     GC.deallocate(P);
+  for (size_t I = RandomRoots; I != Window.size(); ++I)
+    if (Window[I] != 0) {
+      GC.deallocate(reinterpret_cast<void *>(Window[I]));
+      Window[I] = 0;
+    }
 }
+
+/// Lifetime counts a run of mutator streams leaves in the heap.
+struct StreamTotals {
+  uint64_t Allocated = 0;
+  uint64_t Freed = 0;
+};
 
 // Runs three mutatorChurn streams either as registered threads (any of
 // which may trigger a handshake-collect at any moment) or sequentially
 // on the same unthreaded collector, and returns the lifetime allocation
-// count after draining.  The streams are interleaving-independent, so
-// the totals must agree exactly — and both heaps must empty.
-uint64_t runMutatorStreams(bool Threaded, uint64_t HandshakeDeadlineMs = 0) {
+// and explicit-free counts after draining.  The streams are
+// interleaving-independent, so the totals must agree exactly — and
+// both heaps must empty.
+StreamTotals runMutatorStreams(bool Threaded,
+                               uint64_t HandshakeDeadlineMs = 0) {
   GcConfig Config = fuzzConfig(false, true);
   Config.HandshakeDeadlineMs = HandshakeDeadlineMs;
   Collector GC(Config);
   constexpr int NumMutators = 3;
   std::vector<std::vector<uint64_t>> Windows(
-      NumMutators, std::vector<uint64_t>(128, 0));
+      NumMutators, std::vector<uint64_t>(RandomRoots + FreeableRoots, 0));
   for (auto &W : Windows)
     GC.addRootRange(W.data(), W.data() + W.size(), RootEncoding::Native64,
                     RootSource::Client, "mutator-window");
@@ -322,20 +345,22 @@ uint64_t runMutatorStreams(bool Threaded, uint64_t HandshakeDeadlineMs = 0) {
   GC.verifyHeap();
   EXPECT_EQ(GC.allocatedBytes(), 0u)
       << "everything must drain once every mutator has left";
-  return GC.heapStats().ObjectsAllocated;
+  return {GC.heapStats().ObjectsAllocated, GC.heapStats().ExplicitFrees};
 }
 
 } // namespace
 
 // The multi-mutator fuzz lane, cross-checked against the sequential
 // collector: per-thread allocation streams are deterministic whatever
-// the interleaving, so the lifetime object count (cache reservations
-// are reversed at flush, leaving only real hand-outs) matches a
+// the interleaving, so the lifetime object and explicit-free counts
+// (folded from the owned blocks' private counters) match a
 // single-threaded replay of the same streams.
 TEST(HeapInvariants, FuzzMultiMutatorMatchesSequential) {
-  uint64_t Threaded = runMutatorStreams(true);
-  uint64_t Sequential = runMutatorStreams(false);
-  EXPECT_EQ(Threaded, Sequential);
+  StreamTotals Threaded = runMutatorStreams(true);
+  StreamTotals Sequential = runMutatorStreams(false);
+  EXPECT_EQ(Threaded.Allocated, Sequential.Allocated);
+  EXPECT_EQ(Threaded.Freed, Sequential.Freed);
+  EXPECT_GT(Threaded.Freed, 0u);
 }
 
 // The skipped-polls fuzz lane: the WedgedMutator fault randomly turns
@@ -348,10 +373,12 @@ TEST(HeapInvariants, FuzzMultiMutatorRandomSkippedPolls) {
   if (!FaultInjectionCompiled)
     GTEST_SKIP() << "fault hooks compiled out";
   FaultInjector::instance().armRandom(FaultSite::WedgedMutator, 0.7, 77);
-  uint64_t Threaded = runMutatorStreams(true, /*HandshakeDeadlineMs=*/500);
+  StreamTotals Threaded =
+      runMutatorStreams(true, /*HandshakeDeadlineMs=*/500);
   FaultInjector::instance().disarmAll();
-  uint64_t Sequential = runMutatorStreams(false);
-  EXPECT_EQ(Threaded, Sequential);
+  StreamTotals Sequential = runMutatorStreams(false);
+  EXPECT_EQ(Threaded.Allocated, Sequential.Allocated);
+  EXPECT_EQ(Threaded.Freed, Sequential.Freed);
 }
 
 TEST(HeapInvariants, VerifierPassesAfterEveryPhase) {
