@@ -16,6 +16,10 @@
 /// collectors take a fault (and a structured incident) instead of
 /// silent corruption when client code scribbles on it.
 ///
+/// Entries change only under the heap lock, but a mutator's lock-free
+/// free reads them (blockAtRelaxed), so every store is atomic.  The
+/// array is sized once and never moves.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CGC_HEAP_PAGEMAP_H
@@ -37,13 +41,22 @@ public:
     return Page < Entries.size() ? Entries[Page] : InvalidBlockId;
   }
 
+  /// blockAt for a reader that does not hold the heap lock.  The result
+  /// may be stale unless the caller owns the block on \p Page, whose
+  /// entry cannot change while it is owned.
+  BlockId blockAtRelaxed(PageIndex Page) const {
+    return Page < Entries.size()
+               ? __atomic_load_n(&Entries[Page], __ATOMIC_RELAXED)
+               : InvalidBlockId;
+  }
+
   void assignRun(PageIndex Start, uint32_t NumPages, BlockId Id) {
     CGC_ASSERT(uint64_t(Start) + NumPages <= Entries.size(),
                "page run outside the window");
     for (uint32_t I = 0; I != NumPages; ++I) {
       CGC_ASSERT(Entries[Start + I] == InvalidBlockId,
                  "assigning an occupied page");
-      Entries[Start + I] = Id;
+      store(Start + I, Id);
     }
   }
 
@@ -51,7 +64,7 @@ public:
     CGC_ASSERT(uint64_t(Start) + NumPages <= Entries.size(),
                "page run outside the window");
     for (uint32_t I = 0; I != NumPages; ++I)
-      Entries[Start + I] = InvalidBlockId;
+      store(Start + I, InvalidBlockId);
   }
 
   /// Overwrites one entry with no occupancy checking.  Repair code uses
@@ -60,7 +73,7 @@ public:
   /// "previously empty" contract.
   void setRaw(PageIndex Page, BlockId Id) {
     CGC_ASSERT(Page < Entries.size(), "page outside the window");
-    Entries[Page] = Id;
+    store(Page, Id);
   }
 
   /// Entry storage bounds, for attributing a wild metadata write to
@@ -76,6 +89,10 @@ public:
   }
 
 private:
+  void store(PageIndex Page, BlockId Id) {
+    __atomic_store_n(&Entries[Page], Id, __ATOMIC_RELAXED);
+  }
+
   std::vector<BlockId, MetadataAllocator<BlockId>> Entries;
 };
 

@@ -9,6 +9,7 @@
 #include "support/BitVector.h"
 #include <cstring>
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 #include <vector>
 
 using namespace cgc;
@@ -190,6 +191,46 @@ TEST_F(PageAllocFixture, FreeCoalescesAndReusesLowest) {
   auto D = Pages.allocateRun(2, PageConstraint::None);
   ASSERT_TRUE(D.has_value());
   EXPECT_EQ(*D, 256u);
+}
+
+namespace {
+bool pageResident(const void *Page) {
+  unsigned char Vec = 0;
+  EXPECT_EQ(::mincore(const_cast<void *>(Page), PageSize, &Vec), 0);
+  return (Vec & 1) != 0;
+}
+bool pageIsZero(const unsigned char *Page) {
+  for (size_t I = 0; I != PageSize; ++I)
+    if (Page[I] != 0)
+      return false;
+  return true;
+}
+} // namespace
+
+// A freed page is decommitted only once it has stayed free from one
+// ageDeferredDecommits call to the next.  Reused before that, it is
+// zeroed in place; reused after, it refaults as zero.  Either way a
+// fresh run reads as zero.
+TEST_F(PageAllocFixture, FreedPagesDecommitAfterAgingAndReadZero) {
+  auto A = Pages.allocateRun(1, PageConstraint::None);
+  ASSERT_TRUE(A.has_value());
+  auto *Mem = static_cast<unsigned char *>(Arena.pointerTo(offsetOfPage(*A)));
+  std::memset(Mem, 0xcd, PageSize);
+  Pages.freeRun(*A, 1);
+  Pages.ageDeferredDecommits();
+  EXPECT_TRUE(pageResident(Mem)) << "one aging call must not decommit";
+  auto B = Pages.allocateRun(1, PageConstraint::None);
+  ASSERT_EQ(B, A);
+  EXPECT_TRUE(pageIsZero(Mem)) << "reused before aging: zeroed in place";
+
+  std::memset(Mem, 0xcd, PageSize);
+  Pages.freeRun(*A, 1);
+  Pages.ageDeferredDecommits();
+  Pages.ageDeferredDecommits();
+  EXPECT_FALSE(pageResident(Mem)) << "a whole cycle free: decommitted";
+  auto C = Pages.allocateRun(1, PageConstraint::None);
+  ASSERT_EQ(C, A);
+  EXPECT_TRUE(pageIsZero(Mem));
 }
 
 TEST_F(PageAllocFixture, ArenaLimitRespected) {

@@ -2,7 +2,8 @@
 //
 // Randomized allocate/free of page runs cross-checked against a shadow
 // occupancy bitmap: no double handouts, no lost pages, coalescing and
-// blacklist constraints always honored.
+// blacklist constraints always honored, and every handed-out page reads
+// as zero whether its deferred decommit ran or not.
 //
 //===----------------------------------------------------------------------===//
 
@@ -82,6 +83,15 @@ void fuzzPageAllocator(bool WithBlacklist, uint64_t Seed) {
       // Bounds.
       ASSERT_GE(*Start, Base);
       ASSERT_LE(uint64_t(*Start) + Num, uint64_t(Base) + Max);
+      // Fresh pages read as zero; dirty the first and last word of each
+      // so a later reuse that skipped the zeroing would show.
+      for (uint32_t I = 0; I != Num; ++I) {
+        auto *Page = static_cast<uint64_t *>(
+            Arena.pointerTo(offsetOfPage(*Start + I)));
+        ASSERT_EQ(Page[0], 0u) << "page reused without zeroing: " << *Start + I;
+        ASSERT_EQ(Page[PageSize / 8 - 1], 0u);
+        Page[0] = Page[PageSize / 8 - 1] = ~uint64_t(0);
+      }
       Mirror.markAllocated(*Start, Num);
       Live[*Start] = Num;
       TotalAllocated += Num;
@@ -92,6 +102,9 @@ void fuzzPageAllocator(bool WithBlacklist, uint64_t Seed) {
       Pages.freeRun(It->first, It->second);
       Live.erase(It);
     }
+    // The collector ages deferred decommits once per collection.
+    if (Step % 97 == 96)
+      Pages.ageDeferredDecommits();
 
     if (Step % 500 == 499) {
       // Free-run accounting: free pages + live pages == committed.
