@@ -169,14 +169,8 @@ static GcConfig convertConfig(const cgc_config *C) {
     Config.HeapScanAlignment = C->heap_scan_alignment;
   if (C->mark_threads)
     Config.MarkThreads = C->mark_threads;
-  if (C->sweep_threads)
-    Config.SweepThreads = C->sweep_threads;
-  if (C->root_scan_threads)
-    Config.RootScanThreads = C->root_scan_threads;
   if (C->mutator_threads)
     Config.MutatorThreads = C->mutator_threads;
-  if (C->thread_cache_slots)
-    Config.ThreadCacheSlots = C->thread_cache_slots;
   Config.PreciseFreeSlotDetection = C->precise_free_slot_detection != 0;
   if (C->collect_before_growth_ratio > 0)
     Config.CollectBeforeGrowthRatio = C->collect_before_growth_ratio;
@@ -266,11 +260,7 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->root_scan_alignment = In.RootScanAlignment;
   Out->heap_scan_alignment = In.HeapScanAlignment;
   Out->mark_threads = In.MarkThreads;
-  Out->sweep_threads = In.SweepThreads;
-  Out->root_scan_threads = In.RootScanThreads;
   Out->mutator_threads = In.MutatorThreads;
-  Out->thread_cache_slots = In.ThreadCacheSlots;
-  Out->all_interior_pointers_avoid_spans = 0;
   Out->precise_free_slot_detection = In.PreciseFreeSlotDetection ? 1 : 0;
   Out->collect_before_growth_ratio = In.CollectBeforeGrowthRatio;
   Out->min_heap_bytes_before_gc = In.MinHeapBytesBeforeGc;
@@ -384,22 +374,6 @@ void cgc_set_mark_threads(cgc_collector *GC, unsigned Threads) {
 
 unsigned cgc_mark_threads(cgc_collector *GC) {
   return GC->GC.markThreads();
-}
-
-void cgc_set_sweep_threads(cgc_collector *GC, unsigned Threads) {
-  GC->GC.setSweepThreads(Threads);
-}
-
-unsigned cgc_sweep_threads(cgc_collector *GC) {
-  return GC->GC.sweepThreads();
-}
-
-void cgc_set_root_scan_threads(cgc_collector *GC, unsigned Threads) {
-  GC->GC.setRootScanThreads(Threads);
-}
-
-unsigned cgc_root_scan_threads(cgc_collector *GC) {
-  return GC->GC.rootScanThreads();
 }
 
 int cgc_register_thread(cgc_collector *GC) {

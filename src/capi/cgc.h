@@ -110,30 +110,14 @@ typedef struct cgc_config {
    * for any value; only mark wall-clock time changes.  Clamped to 64.
    */
   unsigned mark_threads;
-  int all_interior_pointers_avoid_spans; /* reserved; must be 0        */
-  /* Sweep-phase worker threads.  0 or 1 = the paper's sequential
-   * sweep (the default); N > 1 shards the block list across the same
-   * persistent worker pool the mark phase uses.  The retained set,
-   * free-list order, and every statistics counter are identical for
-   * any value; only sweep wall-clock time changes.  Clamped to 64.
-   */
-  unsigned sweep_threads;
-  /* Root-scan-phase worker threads.  0 or 1 = sequential (the
-   * default); N > 1 decodes root spans on N workers, then replays the
-   * candidates sequentially in registration order — the marked set,
-   * the blacklist, and every counter are identical for any value.
-   * Clamped to 64. */
-  unsigned root_scan_threads;
   /* Maximum registered mutator threads (cgc_register_thread); 0 =
    * default (64).  A collector with no registered threads runs the
-   * paper's sequential single-mutator protocol bit-identically. */
+   * paper's sequential single-mutator protocol bit-identically.
+   * Outside guarded mode, registered threads get thread-owned
+   * allocation blocks: checked out whole under the heap lock,
+   * allocated from and freed into lock-free, and returned at every
+   * stop-the-world handshake. */
   unsigned mutator_threads;
-  /* Thread-owned allocation blocks: 0 = default (enabled), and any
-   * nonzero value also enables them (the value sizes nothing).
-   * Registered threads check whole blocks out under the heap lock,
-   * allocate from and free into them lock-free, and return them at
-   * every stop-the-world handshake. */
-  unsigned thread_cache_slots;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
   unsigned heap_growth_pages;            /* 0 = default (256)          */
   int decommit_freed_pages;              /* boolean                    */
@@ -261,16 +245,6 @@ unsigned long long cgc_gcollect(cgc_collector *gc);
  * cgc_config.mark_threads; 0 is treated as 1). */
 void cgc_set_mark_threads(cgc_collector *gc, unsigned threads);
 unsigned cgc_mark_threads(cgc_collector *gc);
-
-/* Sets the sweep-phase worker count for future collections (see
- * cgc_config.sweep_threads; 0 is treated as 1). */
-void cgc_set_sweep_threads(cgc_collector *gc, unsigned threads);
-unsigned cgc_sweep_threads(cgc_collector *gc);
-
-/* Sets the root-scan-phase worker count for future collections (see
- * cgc_config.root_scan_threads; 0 is treated as 1). */
-void cgc_set_root_scan_threads(cgc_collector *gc, unsigned threads);
-unsigned cgc_root_scan_threads(cgc_collector *gc);
 
 /* --- mutator threads -------------------------------------------------- */
 

@@ -96,20 +96,19 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
     return BlacklistImpl->isBlacklisted(Page);
   });
 
-  // One persistent pool serves both parallel phases: threads are
+  // One persistent pool serves the parallel Mark phase: threads are
   // spawned lazily at the first collection that wants them and parked
   // between phases, never constructed per collection.
   Pool = std::make_unique<GcWorkerPool>();
-  MarkerImpl = std::make_unique<Marker>(*Arena, *Pages, *Map, *Blocks,
-                                        *Heap, *BlacklistImpl, *Pool,
-                                        Config);
-  SweepCtx = std::make_unique<SweepContext>(*Heap, *Pool, Config);
+  Marking = std::make_unique<MarkContext>(*Arena, *Pages, *Map, *Blocks,
+                                          *Heap, *BlacklistImpl, *Pool,
+                                          Config);
 
   // Guarded user pointers are slot base + HeaderBytes; under BaseOnly
   // interior recognition that displacement must be registered or no
   // guarded object would ever be retained.
   if (Guards && Config.Interior == InteriorPolicy::BaseOnly)
-    MarkerImpl->registerDisplacement(GuardLayer::HeaderBytes);
+    Marking->registerDisplacement(GuardLayer::HeaderBytes);
 
   // GcStats consumes the observer layer like any other client: the
   // timing sink is the first registered observer, so later observers
@@ -1262,7 +1261,7 @@ void *Collector::allocateRawIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
 
 void Collector::registerDisplacement(uint32_t Displacement) {
   HeapLockGuard Guard(*this);
-  MarkerImpl->registerDisplacement(Displacement);
+  Marking->registerDisplacement(Displacement);
 }
 
 void Collector::addRootExclusion(const void *Begin, const void *End) {
@@ -1450,20 +1449,20 @@ CollectionStats Collector::collect(const char *Reason) {
   // that failed verification.
   RepairPending = false;
   auto RunPipeline = [&](CollectionStats &C) {
-    // beginCycle is reset-safe: an abandoned attempt re-begins without
-    // an intervening endCycle.
-    BlacklistImpl->beginCycle();
-
     if (!RepairPending)
-      runPhase(GcPhase::RootScan, C,
-               [&] { MarkerImpl->runRootScan(Roots, C); });
+      runPhase(GcPhase::RootScan, C, [&] {
+        // beginCycle is reset-safe: an abandoned attempt re-begins
+        // without an intervening endCycle.
+        BlacklistImpl->beginCycle();
+        Marking->runRootScan(Roots, C);
+      });
 
     if (!RepairPending)
       runPhase(GcPhase::Mark, C, [&] {
-        MarkerImpl->runMarkPhase(C);
+        Marking->runMarkPhase(C);
         // Finalizer detection resurrects unreachable objects (marking
         // work), staging them for the Finalize phase.
-        Finalizers.processUnreachable(*MarkerImpl, *Heap, *Blocks, C);
+        Finalizers.processUnreachable(*Marking, *Heap, *Blocks, C);
       });
 
     // Begin-observer allocations were pinned before the Mark phase
@@ -1493,13 +1492,12 @@ CollectionStats Collector::collect(const char *Reason) {
 
     if (!RepairPending && !MidCyclePinOverflow)
       runPhase(GcPhase::Sweep, C, [&] {
-        SweepResult Swept = SweepCtx->run(C);
+        SweepResult Swept = Heap->sweep();
         if (Guards && !Swept.GuardViolations.empty()) {
-          // Workers found violations in whatever shard order; seqno
-          // (with base as tiebreaker for unreadable headers) restores
-          // the unique allocation order, so the report — and the
-          // aborting violation under GuardFatal — is identical for any
-          // SweepThreads value.
+          // The sweep finds violations in block order; report them in
+          // allocation order instead — seqno, with base as tiebreaker
+          // for unreadable headers — so the first report, and the
+          // aborting violation under GuardFatal, is the oldest smash.
           std::sort(Swept.GuardViolations.begin(),
                     Swept.GuardViolations.end(),
                     [](const GuardViolation &A, const GuardViolation &B) {
@@ -1689,7 +1687,7 @@ CollectionStats Collector::measureLiveness() {
             sizeof(std::jmp_buf),
         ThreadRootIds);
   }
-  MarkerImpl->runMark(Roots, Cycle);
+  Marking->runMark(Roots, Cycle);
   if (StackRoot != 0)
     Roots.removeRange(StackRoot);
   if (RegisterRoot != 0)
@@ -1928,7 +1926,7 @@ bool Collector::isHeapPointer(const void *Ptr) const {
 void *Collector::objectBase(const void *Ptr) const {
   if (!isHeapPointer(Ptr))
     return nullptr;
-  ObjectRef Ref = MarkerImpl->resolveCandidate(
+  ObjectRef Ref = Marking->resolveCandidate(
       Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
   if (!Ref.valid())
     return nullptr;
@@ -2057,10 +2055,9 @@ void Collector::printReport(std::FILE *Out) const {
                  gcPhaseName(static_cast<GcPhase>(I)),
                  Lifetime.TotalPhaseNanos[I] / 1e6,
                  I + 1 == NumGcPhases ? "\n" : ",");
-  std::fprintf(Out, "workers         : %u mark, %u sweep, %u root-scan "
-                    "configured; %u pool thread(s) spawned\n",
-               Config.MarkThreads, Config.SweepThreads,
-               Config.RootScanThreads, Pool->threadsSpawned());
+  std::fprintf(Out, "workers         : %u mark configured; %u pool "
+                    "thread(s) spawned\n",
+               Config.MarkThreads, Pool->threadsSpawned());
   if (Registry.lifetimeRegistrations() != 0) {
     std::fprintf(Out, "mutators        : %llu registered now, %llu over "
                       "lifetime; %llu handshakes, %llu safepoint parks\n",

@@ -36,8 +36,7 @@
 #include "core/GcObserver.h"
 #include "core/GcPhase.h"
 #include "core/GcStats.h"
-#include "core/Marker.h"
-#include "core/SweepContext.h"
+#include "core/MarkContext.h"
 #include "core/ThreadRegistry.h"
 #include "heap/ObjectHeap.h"
 #include "roots/MachineStack.h"
@@ -130,25 +129,6 @@ public:
     Config.MarkThreads = Threads == 0 ? 1 : Threads;
   }
   unsigned markThreads() const { return Config.MarkThreads; }
-
-  /// Sets the Sweep-phase worker count for future collections (clamped
-  /// to [1, SweepContext::MaxWorkers]).  1 = the paper's sequential
-  /// sweep; any value yields the identical retained set, free-list
-  /// order, and counters.
-  void setSweepThreads(unsigned Threads) {
-    Config.SweepThreads = Threads == 0 ? 1 : Threads;
-  }
-  unsigned sweepThreads() const { return Config.SweepThreads; }
-
-  /// Sets the RootScan-phase worker count for future collections
-  /// (clamped to [1, MarkContext::MaxWorkers]).  1 = the paper's
-  /// sequential scan; any value yields the identical seeded set and
-  /// counters (workers gather candidates read-only, then the candidates
-  /// replay sequentially in range-registration order).
-  void setRootScanThreads(unsigned Threads) {
-    Config.RootScanThreads = Threads == 0 ? 1 : Threads;
-  }
-  unsigned rootScanThreads() const { return Config.RootScanThreads; }
 
   /// Installs (or clears, with nullptr) the out-of-memory handler the
   /// allocation ladder invokes once per exhausted request.
@@ -444,10 +424,10 @@ public:
   /// Low-level access for tests and experiment harnesses.
   ObjectHeap &objectHeap() { return *Heap; }
   PageAllocator &pageAllocator() { return *Pages; }
-  Marker &marker() { return *MarkerImpl; }
+  MarkContext &marker() { return *Marking; }
   Blacklist &blacklist() { return *BlacklistImpl; }
   RootSet &roots() { return Roots; }
-  /// The persistent worker pool shared by the Mark and Sweep phases.
+  /// The persistent worker pool the Mark phase runs on.
   /// Threads are spawned lazily at the first parallel phase and parked
   /// between collections; tests assert on threadsSpawned().
   GcWorkerPool &workerPool() { return *Pool; }
@@ -740,11 +720,10 @@ private:
   std::unique_ptr<GuardLayer> Guards;
   std::unique_ptr<ObjectHeap> Heap;
   std::unique_ptr<Blacklist> BlacklistImpl;
-  /// Declared before the phase drivers that borrow it so it outlives
-  /// them on destruction.
+  /// Declared before the marker that borrows it so it outlives the
+  /// marker on destruction.
   std::unique_ptr<GcWorkerPool> Pool;
-  std::unique_ptr<Marker> MarkerImpl;
-  std::unique_ptr<SweepContext> SweepCtx;
+  std::unique_ptr<MarkContext> Marking;
   RootSet Roots;
   FinalizationQueue Finalizers;
   std::optional<MachineStack> MachineStackScanner;

@@ -4,7 +4,7 @@
 
 using namespace cgc;
 
-size_t FinalizationQueue::processUnreachable(Marker &MarkerImpl,
+size_t FinalizationQueue::processUnreachable(MarkContext &Marking,
                                              ObjectHeap &Heap,
                                              BlockTable &Blocks,
                                              CollectionStats &Stats) {
@@ -14,7 +14,7 @@ size_t FinalizationQueue::processUnreachable(Marker &MarkerImpl,
   // sweep reclaims objects a pending finalizer will read.  Empty —
   // and free — on every normally completed cycle.
   for (const auto &[Offset, Fn] : Staged)
-    MarkerImpl.markFromCandidate(Offset, Stats);
+    Marking.markFromCandidate(Offset, Stats);
   // Collect the unreachable set first: resurrecting one object may make
   // another registered object reachable again, and PCR semantics queue
   // everything that was unreachable at mark completion.
@@ -33,7 +33,7 @@ size_t FinalizationQueue::processUnreachable(Marker &MarkerImpl,
     Registered.erase(It);
     // Resurrect: the finalizer may read the object, so it and its
     // reachable subgraph must survive the upcoming sweep.
-    MarkerImpl.markFromCandidate(Offset, Stats);
+    Marking.markFromCandidate(Offset, Stats);
   }
   publishCount();
   Stats.FinalizersQueued += Unreachable.size();

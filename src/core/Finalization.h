@@ -29,7 +29,7 @@
 #define CGC_CORE_FINALIZATION_H
 
 #include "core/GcStats.h"
-#include "core/Marker.h"
+#include "core/MarkContext.h"
 #include "heap/ObjectHeap.h"
 #include <atomic>
 #include <functional>
@@ -66,9 +66,9 @@ public:
   size_t readyCount() const { return Ready.size(); }
 
   /// Mark phase: stages unreachable registered objects and resurrects
-  /// them through \p MarkerImpl so the sweep spares them.
+  /// them through \p Marking so the sweep spares them.
   /// \returns the number of objects staged.
-  size_t processUnreachable(Marker &MarkerImpl, ObjectHeap &Heap,
+  size_t processUnreachable(MarkContext &Marking, ObjectHeap &Heap,
                             BlockTable &Blocks, CollectionStats &Stats);
 
   /// Finalize phase: publishes the staged set to the ready queue.

@@ -163,25 +163,6 @@ struct GcConfig {
   /// phase's wall-clock time changes.  Clamped to [1, 64].
   unsigned MarkThreads = 1;
 
-  /// Workers sweeping small blocks in the Sweep phase.  1 (the default)
-  /// runs the paper's exact sequential sweep.  N > 1 shards the live
-  /// block list across persistent pool workers; block dispositions are
-  /// applied in sequential visit order afterwards, so the retained set,
-  /// free-list order, and all CollectionStats counters are identical
-  /// for any value.  Under LazySweep the collection-time Sweep phase
-  /// only queues blocks, so this knob has no effect there.  Clamped to
-  /// [1, 64].
-  unsigned SweepThreads = 1;
-
-  /// Workers gathering root-scan candidates in the RootScan phase.  1
-  /// (the default) runs the paper's exact sequential scan.  N > 1
-  /// shards the scannable spans across persistent pool workers, which
-  /// decode candidate words read-only; the candidates are then replayed
-  /// through the marker sequentially in span registration order, so the
-  /// seeded set, hit/near-miss counters, and blacklist feed are
-  /// identical for any value.  Clamped to [1, 64].
-  unsigned RootScanThreads = 1;
-
   /// Maximum simultaneously registered mutator threads
   /// (cgc_register_thread / GcThreadScope).  Registration beyond the
   /// cap fails cleanly.  With zero registered threads the collector

@@ -10,17 +10,18 @@
 /// presents one monolithic mark-sweep cycle; structuring it as named
 /// phases with per-phase timing gives every phase a checkable boundary
 /// (in the spirit of verified-GC work, where phase invariants are the
-/// proof obligations) and lets the Mark and Sweep phases run on the
-/// collector's persistent worker pool (core/GcWorkerPool.h) without
-/// touching the phases around them.
+/// proof obligations) and lets the Mark phase run on the collector's
+/// persistent worker pool (core/GcWorkerPool.h) without touching the
+/// phases around it.
 ///
 /// Pipeline order, fixed for every collection:
 ///
 ///   RootScan -> Mark -> BlacklistPromote -> Sweep -> Finalize
 ///
-///   * RootScan         — clear marks, mark uncollectable objects, scan
-///                        every root span; reachable objects found here
-///                        seed the mark work queue.
+///   * RootScan         — reset the blacklist's per-cycle candidate
+///                        set, clear marks, mark uncollectable objects,
+///                        scan every root span; reachable objects found
+///                        here seed the mark work queue.
 ///   * Mark             — transitively mark the heap from the seeds
 ///                        (1..N workers; see core/MarkContext.h).
 ///                        Finalizable objects found unreachable are
@@ -30,8 +31,8 @@
 ///                        this cycle's near-miss candidates into the
 ///                        active blacklist (aging happens here too).
 ///   * Sweep            — reclaim unmarked objects, pin marked-free
-///                        slots, release empty blocks (1..N pool
-///                        workers; see core/SweepContext.h).
+///                        slots, release empty blocks, in one
+///                        sequential pass (ObjectHeap::sweep).
 ///   * Finalize         — publish staged finalizers to the ready queue
 ///                        and emit object-retained observer events.
 ///

@@ -79,13 +79,6 @@ struct CollectionStats {
   /// Mark workers used by this cycle's Mark phase (GcConfig::MarkThreads
   /// at the time of collection; 1 = the paper's sequential marker).
   uint32_t MarkWorkers = 1;
-  /// Sweep workers used by this cycle's Sweep phase
-  /// (GcConfig::SweepThreads at the time of collection; 1 = the paper's
-  /// sequential sweep).
-  uint32_t SweepWorkers = 1;
-  /// Workers that gathered root candidates this cycle
-  /// (GcConfig::RootScanThreads; 1 = the paper's sequential scan).
-  uint32_t RootScanWorkers = 1;
   /// Registered mutator threads the stop-the-world handshake waited
   /// into a stopped state (0 in single-mutator mode: no handshake ran).
   uint64_t MutatorsStopped = 0;

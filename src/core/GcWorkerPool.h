@@ -6,9 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A persistent pool of collector worker threads shared by every
-/// parallel collection phase (Mark and Sweep today; RootScan is the
-/// natural next tenant).  The paper's collector is single-threaded;
+/// A persistent pool of collector worker threads for the parallel Mark
+/// phase.  The paper's collector is single-threaded;
 /// this is the post-paper scaling layer, and its design goal is that
 /// parallelism never perturbs the paper's measurements:
 ///
@@ -29,7 +28,7 @@
 /// full barrier.  Collection phases are stop-the-world, so nothing
 /// more general is needed, and the barrier is what lets the sequential
 /// merge steps that follow each parallel phase (stats folding,
-/// free-list application, blacklist replay) run without locks.
+/// blacklist replay) run without locks.
 ///
 //===----------------------------------------------------------------------===//
 

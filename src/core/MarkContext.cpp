@@ -1,4 +1,4 @@
-//===- core/MarkContext.cpp - Shared state for (parallel) marking ---------===//
+//===- core/MarkContext.cpp - Conservative marking ------------------------===//
 
 #include "core/MarkContext.h"
 #include "support/FaultInjection.h"
@@ -102,45 +102,6 @@ ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
   return {Id, SlotIdx};
 }
 
-void MarkContext::gatherRootSpan(const RootRange &Range,
-                                 const unsigned char *Begin,
-                                 const unsigned char *End,
-                                 RootSpanGather &Out) const {
-  // Mirror of MarkWorker::scanRootSpan's decode loops, minus every
-  // side effect: the membership test reads only the arena geometry, so
-  // N workers can gather N spans at once.
-  Out.BytesScanned += static_cast<uint64_t>(End - Begin);
-  unsigned Stride = Config.RootScanAlignment;
-  CGC_CHECK(Stride >= 1 && Stride <= 8, "bad root scan alignment");
-
-  if (Range.Encoding == RootEncoding::Native64) {
-    if (static_cast<size_t>(End - Begin) < sizeof(uint64_t))
-      return;
-    for (const unsigned char *P = Begin; P + sizeof(uint64_t) <= End;
-         P += Stride) {
-      ++Out.CandidatesExamined;
-      uint64_t Word = load64(P);
-      Address Addr = static_cast<Address>(Word);
-      if (!Arena.contains(Addr))
-        continue;
-      Out.Candidates.push_back(Arena.offsetOf(Addr));
-    }
-    return;
-  }
-
-  bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
-  if (static_cast<size_t>(End - Begin) < sizeof(uint32_t))
-    return;
-  for (const unsigned char *P = Begin; P + sizeof(uint32_t) <= End;
-       P += Stride) {
-    ++Out.CandidatesExamined;
-    WindowOffset Offset = load32(P, BigEndian);
-    if (!Arena.containsOffset(Offset))
-      continue;
-    Out.Candidates.push_back(Offset);
-  }
-}
-
 void MarkContext::registerDisplacement(uint32_t Displacement) {
   auto It = std::lower_bound(Displacements.begin(), Displacements.end(),
                              Displacement);
@@ -148,9 +109,54 @@ void MarkContext::registerDisplacement(uint32_t Displacement) {
     Displacements.insert(It, Displacement);
 }
 
-void MarkContext::mark(std::vector<MarkWorkItem> &Seeds, unsigned Workers,
-                       CollectionStats &Stats) {
-  Workers = std::clamp(Workers, 1u, MaxWorkers);
+void MarkContext::markUncollectableObjects(CollectionStats &Stats) {
+  Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
+    if (!kindIsUncollectable(Block.Kind))
+      return;
+    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
+      if (!Block.AllocBits.test(Slot))
+        continue;
+      if (Block.MarkBits.testAndSet(Slot))
+        continue;
+      ++Stats.ObjectsMarked;
+      Stats.BytesMarked += Block.ObjectSize;
+      // Pointer-free uncollectable payloads are live by definition but
+      // hold no pointers: nothing to trace through them.
+      if (kindIsPointerFree(Block.Kind))
+        continue;
+      Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
+                       Block.LayoutId});
+    }
+  });
+}
+
+void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
+  Heap.clearMarks();
+  Seeds.clear();
+  // Uncollectable objects are roots: live by definition, and their
+  // contents may hold the only pointer to collectable data.
+  markUncollectableObjects(Stats);
+  MarkWorker Scanner(*this, Stats, &Seeds);
+  for (const RootScanSpan &Span : Roots.scannableSpans())
+    Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);
+}
+
+void MarkContext::runMark(const RootSet &Roots, CollectionStats &Stats) {
+  runRootScan(Roots, Stats);
+  runMarkPhase(Stats);
+}
+
+void MarkContext::markFromCandidate(WindowOffset Candidate,
+                                    CollectionStats &Stats) {
+  std::vector<MarkWorkItem> Stack;
+  MarkWorker Worker(*this, Stats, &Stack);
+  Worker.considerCandidate(Candidate, ScanOrigin::Client);
+  Worker.drainSequential(Stack);
+  recoverFromOverflow(Stats);
+}
+
+void MarkContext::runMarkPhase(CollectionStats &Stats) {
+  unsigned Workers = std::clamp(Config.MarkThreads, 1u, MaxWorkers);
   // Negotiate the worker count only when the parallel path would
   // actually run: a failed spawn degrades the phase, never aborts it,
   // and the sequential configurations still never touch the pool.
@@ -243,8 +249,8 @@ MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats, unsigned Id,
 void MarkWorker::push(const MarkWorkItem &Item) {
   if (CGC_INJECT_FAULT(MarkStackOverflow)) {
     // Simulated mark-stack overflow: drop the item (its object is
-    // already marked) and flag the context so mark() rebuilds the
-    // closure from the mark bitmap afterwards.  Sits before the
+    // already marked) and flag the context so recoverFromOverflow
+    // rebuilds the closure from the mark bitmap afterwards.  Sits before the
     // InFlight bump so parallel termination detection stays balanced.
     ++Stats.MarkStackOverflows;
     Ctx.Overflowed.store(true, std::memory_order_release);
@@ -389,18 +395,6 @@ void MarkWorker::scanRootSpan(const RootRange &Range,
     WindowOffset Offset = load32(P, BigEndian);
     if (!Ctx.Arena.containsOffset(Offset))
       continue;
-    uint64_t Before = Stats.ObjectsMarked;
-    considerCandidate(Offset, originOf(Range.Source));
-    if (Stats.ObjectsMarked != Before)
-      ++Stats.RootHits;
-  }
-}
-
-void MarkWorker::replayRootCandidates(
-    const RootRange &Range, const MarkContext::RootSpanGather &Gather) {
-  Stats.RootBytesScanned += Gather.BytesScanned;
-  Stats.RootCandidatesExamined += Gather.CandidatesExamined;
-  for (WindowOffset Offset : Gather.Candidates) {
     uint64_t Before = Stats.ObjectsMarked;
     considerCandidate(Offset, originOf(Range.Source));
     if (Stats.ObjectsMarked != Before)

@@ -1,4 +1,4 @@
-//===- core/MarkContext.h - Shared state for (parallel) marking -*- C++ -*-===//
+//===- core/MarkContext.h - Conservative marking ---------------*- C++ -*-===//
 //
 // Part of the cgc project: a reproduction of Boehm, "Space Efficient
 // Conservative Garbage Collection", PLDI 1993.
@@ -6,14 +6,39 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The marking engine, split per the phase pipeline into:
+/// The conservative mark phase, structured exactly as the paper's
+/// Figure 2:
 ///
-///   * MarkContext — state shared by every mark worker: the heap views
-///     (page map, block table, object heap), the candidate-resolution
-///     policies (interior-pointer rules, displacements), the blacklist
-///     feed, and the work-stealing queues.  During the Mark phase all
-///     of this is read-only except the atomic mark bitmap and the
-///     per-worker queues.
+/// \code
+///   mark(p) {
+///     if p is not a valid object address
+///       if p is in the vicinity of the heap
+///         add p to blacklist            // the bold-face additions
+///       return
+///     if p is marked return
+///     set mark bit for p
+///     for each field q in the object referenced by p  mark(q)
+///   }
+/// \endcode
+///
+/// Recursion is replaced by explicit mark stacks.  Validity checking
+/// honors the configured interior-pointer policy and scan alignments;
+/// the "vicinity of the heap" test is membership in the potential heap
+/// arena, and as the paper notes it "overlaps substantially with the
+/// immediately preceding pointer validity check" — both start from the
+/// same page-map probe.  The engine is split into:
+///
+///   * MarkContext — what the collector's phase pipeline drives:
+///     runRootScan (the RootScan phase: clear marks, mark uncollectable
+///     objects, scan every root span, seeding — not draining — the
+///     objects reached) and runMarkPhase (the Mark phase: drain the
+///     seeds to the full reachability closure).  It holds the state
+///     shared by every mark worker: the heap views (page map, block
+///     table, object heap), the candidate-resolution policies
+///     (interior-pointer rules, displacements), the blacklist feed, and
+///     the work-stealing queues.  During the Mark phase all of this is
+///     read-only except the atomic mark bitmap and the per-worker
+///     queues.
 ///
 ///   * MarkWorker — one tracer.  Each worker owns a private LIFO stack
 ///     (the paper's mark stack) plus a mutex-guarded steal slot; when
@@ -82,43 +107,38 @@ public:
   /// Read-only; safe from any mark worker.
   ObjectRef resolveCandidate(WindowOffset Candidate) const;
 
-  /// One root span's decoded candidates, produced by gatherRootSpan on
-  /// any worker and consumed by MarkWorker::replayRootCandidates on the
-  /// collecting thread.  Splitting the root scan into a read-only
-  /// parallel gather and a sequential replay keeps the marked set, the
-  /// blacklist, and every counter bit-identical for any
-  /// GcConfig::RootScanThreads value.
-  struct RootSpanGather {
-    uint64_t BytesScanned = 0;
-    uint64_t CandidatesExamined = 0;
-    /// Arena offsets of words that passed the window-membership test,
-    /// in span scan order.
-    std::vector<WindowOffset> Candidates;
-  };
-
-  /// Decodes one root span per its encoding and scan alignment into
-  /// \p Out.  Touches no shared mutable state: safe to run on many
-  /// spans concurrently.
-  void gatherRootSpan(const RootRange &Range, const unsigned char *Begin,
-                      const unsigned char *End, RootSpanGather &Out) const;
-
   /// Registers an additional valid interior displacement for the
-  /// BaseOnly policy.  Displacement 0 is always valid.  Not legal
-  /// during a mark.
+  /// BaseOnly policy (tagged-pointer language implementations store
+  /// base + tag).  Displacement 0 is always valid.  Not legal during a
+  /// mark.
   void registerDisplacement(uint32_t Displacement);
 
-  /// Transitively marks the heap from \p Seeds, which is consumed.
-  /// \p Workers == 1 drains \p Seeds in place, LIFO — the paper's exact
-  /// sequential marker; \p Workers > 1 (clamped to MaxWorkers) seeds
-  /// that many MarkWorkers round-robin and runs them to quiescence on
-  /// the persistent worker pool, with the caller's thread as worker 0.
-  /// The count is negotiated down through GcWorkerPool::ensureWorkers
-  /// when thread spawning fails, so marking always completes (worst
-  /// case sequentially) with a bit-identical marked set.  Records the
-  /// worker count actually used in Stats.MarkWorkers and accumulates
-  /// scan counters into \p Stats.  Ends with recoverFromOverflow.
-  void mark(std::vector<MarkWorkItem> &Seeds, unsigned Workers,
-            CollectionStats &Stats);
+  /// RootScan phase: clears marks, marks uncollectable objects, scans
+  /// every span of \p Roots, and seeds the mark queue with everything
+  /// reached.  Phase statistics accumulate into \p Stats.
+  void runRootScan(const RootSet &Roots, CollectionStats &Stats);
+
+  /// Mark phase: transitively marks the heap from the seeds left by
+  /// runRootScan, which are consumed.  GcConfig::MarkThreads == 1
+  /// drains the seeds in place, LIFO — the paper's exact sequential
+  /// marker; N > 1 (clamped to MaxWorkers) seeds that many MarkWorkers
+  /// round-robin and runs them to quiescence on the persistent worker
+  /// pool, with the caller's thread as worker 0.  The count is
+  /// negotiated down through GcWorkerPool::ensureWorkers when thread
+  /// spawning fails, so marking always completes (worst case
+  /// sequentially) with a bit-identical marked set.  Records the worker
+  /// count actually used in Stats.MarkWorkers and accumulates scan
+  /// counters into \p Stats.  Ends with recoverFromOverflow.
+  void runMarkPhase(CollectionStats &Stats);
+
+  /// Runs a full mark (runRootScan + runMarkPhase), for callers outside
+  /// the phase pipeline (tests, measureLiveness).
+  void runMark(const RootSet &Roots, CollectionStats &Stats);
+
+  /// Marks a single candidate and drains the resulting work
+  /// sequentially, independent of the Mark phase's worker count (used
+  /// by finalization to resurrect objects, and by tests).
+  void markFromCandidate(WindowOffset Candidate, CollectionStats &Stats);
 
   /// Rebuilds the reachability closure after mark-stack pushes were
   /// dropped (MarkStackOverflow fault injection): rescans every marked
@@ -137,6 +157,8 @@ private:
     std::vector<MarkWorkItem> Items;
   };
 
+  void markUncollectableObjects(CollectionStats &Stats);
+
   VirtualArena &Arena;
   PageAllocator &Pages;
   PageMap &Map;
@@ -148,8 +170,11 @@ private:
   const GcConfig &Config;
   /// Sorted extra displacements valid under BaseOnly (0 is implicit).
   std::vector<uint32_t> Displacements;
+  /// Mark work seeded by the RootScan phase, consumed by the Mark
+  /// phase.  Doubles as the sequential drain stack.
+  std::vector<MarkWorkItem> Seeds;
 
-  /// One steal slot per worker; sized on demand by mark().
+  /// One steal slot per worker; sized on demand by runMarkPhase().
   std::vector<std::unique_ptr<StealSlot>> Slots;
   /// Items pushed but not yet fully scanned, across all workers.
   /// Reaches zero exactly when the closure is complete; workers use it
@@ -187,12 +212,6 @@ public:
   /// encoding and the configured scan alignment.
   void scanRootSpan(const RootRange &Range, const unsigned char *Begin,
                     const unsigned char *End);
-
-  /// Replays a gathered span through considerCandidate, folding the
-  /// gather's scan counters into this worker's stats.  Sequential; call
-  /// in span registration order for determinism.
-  void replayRootCandidates(const RootRange &Range,
-                            const MarkContext::RootSpanGather &Gather);
 
   /// Sequential: drains \p Stack (must be this worker's ExternalStack)
   /// to empty, scanning each popped object.

@@ -57,7 +57,7 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   RetentionTrace Result;
   if (!GC.isHeapPointer(Target))
     return Result;
-  Marker &M = GC.marker();
+  MarkContext &M = GC.marker();
   VirtualArena &Arena = GC.arena();
   ObjectHeap &Heap = GC.objectHeap();
   const GcConfig &Config = GC.config();

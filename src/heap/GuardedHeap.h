@@ -73,9 +73,9 @@ constexpr const char *guardViolationKindName(GuardViolationKind Kind) {
   return "?";
 }
 
-/// One detected violation.  Sweep workers accumulate these into their
-/// private SweepResult; the collector merges and sorts by Seqno so the
-/// report order is identical for any SweepThreads value.
+/// One detected violation.  The sweep accumulates these into its
+/// SweepResult in block order; the collector sorts them by Seqno so
+/// reports come in allocation order.
 struct GuardViolation {
   GuardViolationKind Kind = GuardViolationKind::HeaderSmash;
   /// Slot base (window offset of the debug header), 0 if unknown.
@@ -217,7 +217,7 @@ public:
   };
 
   /// Reads the header back and re-checks canaries and redzone.  Pure
-  /// reads: safe from concurrent sweep workers and the verifier.
+  /// reads: safe from the sweep and the verifier.
   static Decoded inspect(const void *SlotBase, uint64_t SlotBytes);
 
   //===--------------------------------------------------------------===//

@@ -406,16 +406,12 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   }
 }
 
-uint64_t ObjectHeap::sweepSmallBlockBody(BlockDescriptor &Block,
-                                         SweepResult &Result,
-                                         SweepDisposition &Disposition) {
+bool ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
+  BlockDescriptor &Block = Blocks.get(Id);
   CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
-             "sweepSmallBlockBody on wrong block kind");
+             "sweepSmallBlock on wrong block kind");
   validateGuardedBlock(Block, Result);
-  // Free unmarked allocated slots, pin marked free slots.  Everything
-  // written here is local to the block (its bitmaps, counts, and page
-  // contents) or to the caller's Result, so sweep workers can run this
-  // concurrently on disjoint blocks.
+  // Free unmarked allocated slots, pin marked free slots.
   Block.PinnedBits.clearAll();
   Block.PinnedCount = 0;
   uint64_t BytesFreed = 0;
@@ -436,46 +432,22 @@ uint64_t ObjectHeap::sweepSmallBlockBody(BlockDescriptor &Block,
       ++Block.PinnedCount;
     }
   }
+  AllocatedBytes -= BytesFreed;
   Result.ObjectsLive += Block.AllocatedCount;
   Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
   Result.SlotsPinned += Block.PinnedCount;
   if (Block.AllocatedCount == 0 && Block.PinnedCount == 0) {
     Result.PagesReleased += Block.NumPages;
-    Disposition = SweepDisposition::Release;
-  } else if (Block.usableFreeCount() > 0) {
-    Disposition = SweepDisposition::Relist;
-  } else {
-    Disposition = SweepDisposition::Keep;
-  }
-  return BytesFreed;
-}
-
-bool ObjectHeap::applySweepDisposition(BlockId Id,
-                                       SweepDisposition Disposition,
-                                       uint64_t BytesFreed) {
-  AllocatedBytes -= BytesFreed;
-  switch (Disposition) {
-  case SweepDisposition::Release:
     releaseBlock(Id);
     return false;
-  case SweepDisposition::Relist:
-    addToClassList(Blocks.get(Id), Id);
-    return true;
-  case SweepDisposition::Keep:
-    return true;
   }
-  CGC_UNREACHABLE("bad sweep disposition");
+  if (Block.usableFreeCount() > 0)
+    addToClassList(Block, Id);
+  return true;
 }
 
-bool ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
-  SweepDisposition Disposition;
-  uint64_t BytesFreed =
-      sweepSmallBlockBody(Blocks.get(Id), Result, Disposition);
-  return applySweepDisposition(Id, Disposition, BytesFreed);
-}
-
-ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
-  SweepPlan Plan;
+SweepResult ObjectHeap::sweep() {
+  SweepResult Result;
 
   // Empty the per-class lists: every small block is either re-listed by
   // its (eager or lazy) sweep or released.
@@ -491,6 +463,13 @@ ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
   }
   PendingSweeps = 0;
 
+  // Uncollectable and large blocks are handled in the walk (per-slot
+  // bit scans with no memory clearing).  Small collectable blocks are
+  // swept after it, in block-id order, and unmarked large blocks are
+  // released after those: releasing inside the walk would mutate the
+  // table being walked, and this release order fixes the free-page runs.
+  std::vector<BlockId> SmallBlocks;
+  std::vector<BlockId> LargeToRelease;
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
@@ -520,7 +499,7 @@ ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
         ++Result.ObjectsSweptFree;
         Result.PagesReleased += Block.NumPages;
         AllocatedBytes -= Block.ObjectSize;
-        Plan.LargeToRelease.push_back(Id);
+        LargeToRelease.push_back(Id);
       } else {
         ++Result.ObjectsLive;
         Result.BytesLive += Block.ObjectSize;
@@ -543,25 +522,14 @@ ObjectHeap::SweepPlan ObjectHeap::beginSweep(SweepResult &Result) {
       ++PendingSweeps;
       return;
     }
-    Plan.SmallBlocks.push_back(Id);
+    SmallBlocks.push_back(Id);
   });
 
-  return Plan;
-}
-
-void ObjectHeap::finishSweep(const SweepPlan &Plan,
-                             const SweepResult &Result) {
-  for (BlockId Id : Plan.LargeToRelease)
+  for (BlockId Id : SmallBlocks)
+    sweepSmallBlock(Id, Result);
+  for (BlockId Id : LargeToRelease)
     releaseBlock(Id);
   Stats.PinnedSlots = Result.SlotsPinned;
-}
-
-SweepResult ObjectHeap::sweep() {
-  SweepResult Result;
-  SweepPlan Plan = beginSweep(Result);
-  for (BlockId Id : Plan.SmallBlocks)
-    sweepSmallBlock(Id, Result);
-  finishSweep(Plan, Result);
   return Result;
 }
 

@@ -67,8 +67,7 @@ struct ObjectHeapConfig {
   bool LazySweep = false;
   /// Guarded-heap mode: every untyped (LayoutId 0) object carries a
   /// debug header + redzone that sweep and verify re-check through this
-  /// layer.  Owned by the Collector; const reads only from here, so
-  /// parallel sweep workers validate without synchronization.  The
+  /// layer.  Owned by the Collector; const reads only from here.  The
   /// collector guarantees the quarantine is empty whenever a sweep
   /// runs (every collection flushes it first), so sweep validates all
   /// allocated untyped slots unconditionally.
@@ -93,41 +92,9 @@ struct SweepResult {
   uint64_t ObjectsLive = 0;
   uint64_t PagesReleased = 0;
   uint64_t SlotsPinned = 0;
-  /// Guarded mode: canary/redzone violations found while sweeping.
-  /// Per-worker vectors are concatenated at the merge; the collector
-  /// sorts by seqno before reporting, so the order is deterministic
-  /// for any worker count.
+  /// Guarded mode: canary/redzone violations found while sweeping, in
+  /// block order; the collector sorts them by seqno before reporting.
   std::vector<GuardViolation> GuardViolations;
-
-  /// Folds another result into this one.  Parallel sweeping accumulates
-  /// per-worker results and merges them sequentially after the join;
-  /// every field is a sum over disjoint blocks, so the merged totals
-  /// are identical to a sequential sweep for any worker count.
-  void add(const SweepResult &Other) {
-    BytesSweptFree += Other.BytesSweptFree;
-    ObjectsSweptFree += Other.ObjectsSweptFree;
-    BytesLive += Other.BytesLive;
-    ObjectsLive += Other.ObjectsLive;
-    PagesReleased += Other.PagesReleased;
-    SlotsPinned += Other.SlotsPinned;
-    GuardViolations.insert(GuardViolations.end(),
-                           Other.GuardViolations.begin(),
-                           Other.GuardViolations.end());
-  }
-};
-
-/// What a per-block sweep body decided should happen to its block.
-/// The decision is computed in the (possibly parallel) body and applied
-/// in the sequential merge step, because releasing a block or re-listing
-/// it touches heap-wide structures (page map, page allocator, class
-/// lists) that sweep workers must not mutate concurrently.
-enum class SweepDisposition : unsigned char {
-  /// Block is empty (no allocated, no pinned slots): release its pages.
-  Release,
-  /// Block has usable free slots: put it back on its class list.
-  Relist,
-  /// Block is full (or fully pinned): keep it off the class lists.
-  Keep,
 };
 
 /// Identifies an object (or candidate) resolved by the heap.
@@ -287,70 +254,17 @@ public:
   /// next collection) sweep them on demand, and the returned counts
   /// cover the eagerly-swept blocks only.
   ///
-  /// This is the sequential entry point, equivalent to
-  /// beginSweep + sweepSmallBlock per plan entry + finishSweep; the
-  /// parallel Sweep phase (core/SweepContext.h) drives those pieces
-  /// directly, sharding the small-block list across pool workers.
+  /// One sequential pass in block-id order: class lists are emptied,
+  /// uncollectable and large blocks are handled first, then each small
+  /// collectable block goes through sweepSmallBlock, and unmarked large
+  /// blocks are released last, after the small-block loop.
   SweepResult sweep();
 
-  //===--------------------------------------------------------------===//
-  // Sweep, decomposed for (optionally parallel) execution.
-  //
-  // The sequential sweep() above and the parallel SweepContext both run
-  // exactly this pipeline; with one worker the sharded path degenerates
-  // to the sequential one instruction for instruction, which is what
-  // keeps SweepThreads a pure performance knob.
-  //===--------------------------------------------------------------===//
-
-  /// The sequential prologue's output: which blocks the (possibly
-  /// parallel) per-block stage must sweep, and which large blocks the
-  /// epilogue must release.
-  struct SweepPlan {
-    /// Small collectable blocks to sweep, in block-id order (empty
-    /// under LazySweep — those were queued instead).  Id order is the
-    /// order the sequential sweep visits blocks, and the merge step
-    /// applies dispositions in this order so LIFO free lists come out
-    /// identical for any worker count.
-    std::vector<BlockId> SmallBlocks;
-    /// Unmarked large blocks, released by finishSweep (the sequential
-    /// sweep has always deferred large releases to after the small
-    /// loop; keeping that order keeps free-page runs bit-identical).
-    std::vector<BlockId> LargeToRelease;
-  };
-
-  /// Sequential sweep prologue: empties every class list, queues small
-  /// blocks for lazy sweeping (LazySweep) or collects them into the
-  /// returned plan, and handles uncollectable and large blocks inline
-  /// (they are cheap: per-slot bit scans with no memory clearing).
-  /// Accumulates their counters into \p Result.
-  SweepPlan beginSweep(SweepResult &Result);
-
-  /// Re-entrant per-block sweep body: frees unmarked slots, pins
-  /// marked-free slots, and accumulates counters into \p Result —
-  /// touching ONLY \p Block's own metadata, the block's pages, and
-  /// \p Result.  Safe to run concurrently on disjoint blocks.  The
-  /// block's disposition is returned through \p Disposition; \returns
-  /// the freed bytes the sequential merge must subtract from the
-  /// heap-wide allocated-bytes counter.
-  uint64_t sweepSmallBlockBody(BlockDescriptor &Block, SweepResult &Result,
-                               SweepDisposition &Disposition);
-
-  /// Sequential merge step for one block: folds \p BytesFreed into the
-  /// heap totals and applies \p Disposition (release / re-list / keep).
-  /// Must be called in SweepPlan order.  \returns false if the block
-  /// was released.
-  bool applySweepDisposition(BlockId Id, SweepDisposition Disposition,
-                             uint64_t BytesFreed);
-
-  /// Sequential sweep epilogue: releases the plan's large blocks and
-  /// publishes \p Result's pinned-slot total into the heap stats.
-  void finishSweep(const SweepPlan &Plan, const SweepResult &Result);
-
-  /// Sweeps one small block against its current mark bits: body +
-  /// disposition in one sequential step.  Releases the block if empty,
-  /// re-lists it when usable.  \returns false if the block was
-  /// released.  (Lazy sweeping drives this from allocation; the
-  /// sequential Sweep phase drives it per plan entry.)
+  /// Sweeps one small block against its current mark bits: frees
+  /// unmarked slots, pins marked-free slots, accumulates counters into
+  /// \p Result, then releases the block if empty or re-lists it when
+  /// usable.  \returns false if the block was released.  (sweep() drives
+  /// this per small block; lazy sweeping drives it from allocation.)
   bool sweepSmallBlock(BlockId Id, SweepResult &Result);
 
   /// Sweeps every block still pending from the last collection.
@@ -429,8 +343,7 @@ private:
                            LayoutId Layout);
   /// Guarded mode: re-checks the header canaries and redzone of every
   /// allocated untyped slot in \p Block, appending violations to
-  /// \p Result.  Pure reads of the block's pages and bitmaps, so sweep
-  /// workers can run it concurrently on disjoint blocks.
+  /// \p Result.  Pure reads of the block's pages and bitmaps.
   void validateGuardedBlock(const BlockDescriptor &Block,
                             SweepResult &Result);
   /// Sweeps queued blocks of \p List until one offers a usable slot.

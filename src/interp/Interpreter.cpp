@@ -159,18 +159,30 @@ Value Interpreter::read(std::string_view Text, size_t &Cursor) {
 
   if (C == '(') {
     ++Cursor;
-    std::vector<Value> Items;
+    // Items are consed onto a reversed list as they are read rather than
+    // parked in malloc memory, which the collector never scans: the
+    // partial list is a stack-held temporary like every other, so items
+    // read so far survive collections triggered by later items.
+    Value Reversed = Value::nil();
     while (true) {
       skipSpace(Text, Cursor);
       if (Cursor >= Text.size())
         return fail("unterminated list");
       if (Text[Cursor] == ')') {
         ++Cursor;
-        return list(Items);
+        Value Result = Value::nil();
+        while (Reversed.isPair()) {
+          Value Next = cdr(Reversed);
+          Reversed.Object->Slots[1] = Result;
+          Result = Reversed;
+          Reversed = Next;
+        }
+        return Result;
       }
-      Items.push_back(read(Text, Cursor));
+      Value Item = read(Text, Cursor);
       if (Failed)
         return Value::nil();
+      Reversed = cons(Item, Reversed);
     }
   }
 

@@ -62,11 +62,7 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.root_scan_alignment, D.RootScanAlignment);
   EXPECT_EQ(C.heap_scan_alignment, D.HeapScanAlignment);
   EXPECT_EQ(C.mark_threads, D.MarkThreads);
-  EXPECT_EQ(C.sweep_threads, D.SweepThreads);
-  EXPECT_EQ(C.root_scan_threads, D.RootScanThreads);
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
-  EXPECT_EQ(C.thread_cache_slots, D.ThreadCacheSlots);
-  EXPECT_EQ(C.all_interior_pointers_avoid_spans, 0);
   EXPECT_EQ(C.precise_free_slot_detection,
             D.PreciseFreeSlotDetection ? 1 : 0);
   EXPECT_DOUBLE_EQ(C.collect_before_growth_ratio,
@@ -114,10 +110,7 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.root_scan_alignment = 8;
   In.heap_scan_alignment = 4;
   In.mark_threads = 3;
-  In.sweep_threads = 5;
-  In.root_scan_threads = 2;
   In.mutator_threads = 7;
-  In.thread_cache_slots = 16;
   In.precise_free_slot_detection = 1;
   In.collect_before_growth_ratio = 0.75;
   In.min_heap_bytes_before_gc = 2ULL << 20;
@@ -159,11 +152,7 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.root_scan_alignment, In.root_scan_alignment);
   EXPECT_EQ(Out.heap_scan_alignment, In.heap_scan_alignment);
   EXPECT_EQ(Out.mark_threads, In.mark_threads);
-  EXPECT_EQ(Out.sweep_threads, In.sweep_threads);
-  EXPECT_EQ(Out.root_scan_threads, In.root_scan_threads);
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
-  EXPECT_EQ(Out.thread_cache_slots, In.thread_cache_slots);
-  EXPECT_EQ(Out.all_interior_pointers_avoid_spans, 0);
   EXPECT_EQ(Out.precise_free_slot_detection, In.precise_free_slot_detection);
   EXPECT_DOUBLE_EQ(Out.collect_before_growth_ratio,
                    In.collect_before_growth_ratio);
@@ -187,26 +176,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.sentinel.calm_collections, In.sentinel.calm_collections);
   EXPECT_EQ(Out.seal_metadata, In.seal_metadata);
   EXPECT_EQ(Out.repair_fatal, In.repair_fatal);
-  cgc_destroy(GC);
-}
-
-TEST(CApi, SweepThreadsAccessors) {
-  cgc_config Config = testConfig();
-  cgc_collector *GC = cgc_create(&Config);
-  EXPECT_EQ(cgc_sweep_threads(GC), 1u);
-  cgc_set_sweep_threads(GC, 4);
-  EXPECT_EQ(cgc_sweep_threads(GC), 4u);
-  cgc_set_sweep_threads(GC, 0); // 0 means sequential.
-  EXPECT_EQ(cgc_sweep_threads(GC), 1u);
-
-  // A parallel-sweep collection through the C API behaves like the
-  // sequential one: the unrooted object is reclaimed.
-  cgc_set_sweep_threads(GC, 4);
-  void *P = cgc_malloc(GC, 64);
-  ASSERT_NE(P, nullptr);
-  unsigned long long Freed = cgc_gcollect(GC);
-  EXPECT_GE(Freed, 64u);
-  EXPECT_EQ(cgc_live_bytes(GC), 0u);
   cgc_destroy(GC);
 }
 

@@ -10,6 +10,7 @@
 #include "structures/FalseRef.h"
 #include "support/FaultInjection.h"
 #include "support/Random.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -18,7 +19,7 @@ using namespace cgc;
 namespace {
 
 GcConfig fuzzConfig(bool Lazy, bool AddressOrdered,
-                    unsigned SweepThreads = 1, bool VerifyEvery = false,
+                    unsigned MarkThreads = 1, bool VerifyEvery = false,
                     bool Guarded = false) {
   GcConfig Config;
   Config.MaxHeapBytes = 64 << 20;
@@ -27,16 +28,16 @@ GcConfig fuzzConfig(bool Lazy, bool AddressOrdered,
   Config.CollectBeforeGrowthRatio = 0.5;
   Config.LazySweep = Lazy;
   Config.AddressOrderedAllocation = AddressOrdered;
-  Config.SweepThreads = SweepThreads;
+  Config.MarkThreads = MarkThreads;
   Config.VerifyEveryCollection = VerifyEvery;
   Config.DebugGuards = Guarded;
   return Config;
 }
 
 void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
-              unsigned SweepThreads = 1, bool VerifyEvery = false,
+              unsigned MarkThreads = 1, bool VerifyEvery = false,
               bool Guarded = false) {
-  Collector GC(fuzzConfig(Lazy, AddressOrdered, SweepThreads, VerifyEvery,
+  Collector GC(fuzzConfig(Lazy, AddressOrdered, MarkThreads, VerifyEvery,
                           Guarded));
   Rng R(Seed);
   LayoutId Layout = GC.registerObjectLayout(
@@ -126,26 +127,26 @@ TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(false, true, 101); }
 TEST(HeapInvariants, FuzzEagerLifo) { fuzzOnce(false, false, 202); }
 TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(true, true, 303); }
 TEST(HeapInvariants, FuzzLazyLifo) { fuzzOnce(true, false, 404); }
-// The same fuzz loops with the Sweep phase sharded across 4 pool
-// workers: every verifyHeap checkpoint must still hold.
-TEST(HeapInvariants, FuzzEagerParallelSweep) {
-  fuzzOnce(false, true, 101, /*SweepThreads=*/4);
+// The same fuzz loops with the Mark phase on 4 pool workers: every
+// verifyHeap checkpoint must still hold.
+TEST(HeapInvariants, FuzzEagerParallelMark) {
+  fuzzOnce(false, true, 101, /*MarkThreads=*/4);
 }
-TEST(HeapInvariants, FuzzEagerLifoParallelSweep) {
-  fuzzOnce(false, false, 202, /*SweepThreads=*/4);
+TEST(HeapInvariants, FuzzEagerLifoParallelMark) {
+  fuzzOnce(false, false, 202, /*MarkThreads=*/4);
 }
-TEST(HeapInvariants, FuzzLazyParallelSweep) {
-  fuzzOnce(true, true, 303, /*SweepThreads=*/4);
+TEST(HeapInvariants, FuzzLazyParallelMark) {
+  fuzzOnce(true, true, 303, /*MarkThreads=*/4);
 }
 // The deep verifier lane: the same fuzz loop with
 // GcConfig::VerifyEveryCollection on, so every phase of every
 // collection re-verifies block table, page map, free lists, mark bits,
 // and blacklist — failures abort at the phase that corrupted the heap.
 TEST(HeapInvariants, FuzzEagerVerifyEveryCollection) {
-  fuzzOnce(false, true, 505, /*SweepThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(false, true, 505, /*MarkThreads=*/1, /*VerifyEvery=*/true);
 }
 TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
-  fuzzOnce(true, true, 606, /*SweepThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(true, true, 606, /*MarkThreads=*/1, /*VerifyEvery=*/true);
 }
 // Guarded-heap lanes: the identical workloads under DebugGuards, so
 // every explicit free climbs the validation ladder, every freed object
@@ -153,15 +154,15 @@ TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
 // checkpoint re-checks headers and redzones.  A clean run proves the
 // guard machinery itself never trips on a correct program.
 TEST(HeapInvariants, FuzzGuardedEager) {
-  fuzzOnce(false, true, 711, /*SweepThreads=*/1, /*VerifyEvery=*/false,
+  fuzzOnce(false, true, 711, /*MarkThreads=*/1, /*VerifyEvery=*/false,
            /*Guarded=*/true);
 }
-TEST(HeapInvariants, FuzzGuardedParallelSweep) {
-  fuzzOnce(false, true, 711, /*SweepThreads=*/4, /*VerifyEvery=*/false,
+TEST(HeapInvariants, FuzzGuardedParallelMark) {
+  fuzzOnce(false, true, 711, /*MarkThreads=*/4, /*VerifyEvery=*/false,
            /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
-  fuzzOnce(false, true, 808, /*SweepThreads=*/1, /*VerifyEvery=*/true,
+  fuzzOnce(false, true, 808, /*MarkThreads=*/1, /*VerifyEvery=*/true,
            /*Guarded=*/true);
 }
 
@@ -172,7 +173,7 @@ TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
 // same deterministic workload.
 TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
   auto runCensus = [](bool Guarded) {
-    Collector GC(fuzzConfig(false, true, /*SweepThreads=*/1,
+    Collector GC(fuzzConfig(false, true, /*MarkThreads=*/1,
                             /*VerifyEvery=*/false, Guarded));
     Rng R(9090);
     std::vector<uint64_t> Window(256, 0);
@@ -196,12 +197,11 @@ TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
   EXPECT_EQ(Guarded.ObjectsMarked, Plain.ObjectsMarked);
 }
 
-// Sweep-counter coherence: after a parallel sweep (per-worker counter
-// locals merged once at the join), an immediate sequential re-sweep of
-// the same marks must agree exactly — same live counts, same pins,
-// and nothing newly freed.
-TEST(HeapInvariants, ParallelSweepTotalsMatchSequentialResweep) {
-  Collector GC(fuzzConfig(false, true, /*SweepThreads=*/4));
+// Sweep-counter coherence: an immediate re-sweep of the same marks
+// must agree exactly with the collection's sweep — same live counts,
+// same pins, and nothing newly freed.
+TEST(HeapInvariants, SweepTotalsMatchResweep) {
+  Collector GC(fuzzConfig(false, true));
   Rng R(777);
   std::vector<uint64_t> Window(256, 0);
   GC.addRootRange(Window.data(), Window.data() + Window.size(),
@@ -214,21 +214,94 @@ TEST(HeapInvariants, ParallelSweepTotalsMatchSequentialResweep) {
       GC.allocate(R.nextInRange(8, 1024)); // Garbage.
   }
 
-  CollectionStats Cycle = GC.collect("parallel");
-  EXPECT_EQ(Cycle.SweepWorkers, 4u);
+  CollectionStats Cycle = GC.collect("sweep");
   GC.verifyHeap();
 
-  // The marks the parallel sweep ran against are still set; a
-  // sequential re-sweep over them is a full cross-check of the merged
-  // totals.  Everything unmarked is already gone, so it frees nothing
-  // and sees the identical live/pinned population.
+  // The marks the sweep ran against are still set.  Everything
+  // unmarked is already gone, so a re-sweep frees nothing and sees the
+  // identical live/pinned population.
   SweepResult Resweep = GC.objectHeap().sweep();
   EXPECT_EQ(Resweep.ObjectsSweptFree, 0u)
-      << "parallel sweep must have freed everything unmarked";
+      << "the sweep must have freed everything unmarked";
   EXPECT_EQ(Resweep.BytesSweptFree, 0u);
   EXPECT_EQ(Resweep.ObjectsLive, Cycle.ObjectsLive);
   EXPECT_EQ(Resweep.BytesLive, Cycle.BytesLive);
   EXPECT_EQ(Resweep.SlotsPinned, Cycle.SlotsPinned);
+  GC.verifyHeap();
+}
+
+namespace {
+
+GcConfig smallWindowConfig() {
+  GcConfig Config;
+  Config.WindowBytes = uint64_t(256) << 20;
+  Config.Placement = HeapPlacement::Custom;
+  Config.CustomHeapBaseOffset = 16 << 20;
+  Config.MaxHeapBytes = 64 << 20;
+  Config.GcAtStartup = false;
+  Config.MinHeapBytesBeforeGc = ~uint64_t(0);
+  return Config;
+}
+
+} // namespace
+
+// A rooted address of an explicitly freed slot marks the free slot,
+// and the sweep pins it rather than handing it out again.
+TEST(HeapInvariants, RootedAddressesOfFreedSlotsPin) {
+  Collector GC(smallWindowConfig());
+  void *Objects[64];
+  for (auto &P : Objects) {
+    P = GC.allocate(32);
+    ASSERT_NE(P, nullptr);
+  }
+  static void *Rooted[8];
+  for (unsigned I = 0; I != 8; ++I)
+    Rooted[I] = Objects[I * 8];
+  GC.addRootRange(Rooted, Rooted + 8, RootEncoding::Native64,
+                  RootSource::StaticData, "rooted");
+  // The 8 rooted objects stay live; the other 56 are freed.
+  CollectionStats First = GC.collect("pin-setup");
+  EXPECT_EQ(First.ObjectsLive, 8u);
+  for (unsigned I = 0; I != 8; ++I)
+    GC.deallocate(Rooted[I]);
+  CollectionStats Second = GC.collect("pin");
+  EXPECT_EQ(Second.SlotsPinned, 8u)
+      << "rooted addresses of freed slots pin them";
+  GC.verifyHeap();
+}
+
+// Lazy sweeping: a collection only queues small blocks, and the queue
+// drains to empty through allocation plus finishPendingSweeps, leaving
+// a heap the verifier accepts.
+TEST(HeapInvariants, LazySweepQueueDrainsThroughAllocation) {
+  GcConfig Config = smallWindowConfig();
+  Config.LazySweep = true;
+  Collector GC(Config);
+  static void *Live[8];
+  std::fill(std::begin(Live), std::end(Live), nullptr);
+  GC.addRootRange(Live, Live + 8, RootEncoding::Native64,
+                  RootSource::StaticData, "live-lists");
+  // Interleaved live and garbage lists over several size classes: one
+  // list in three stays reachable.
+  for (unsigned List = 0; List != 24; ++List) {
+    size_t Bytes = 16u << (List % 4);
+    void *Head = nullptr;
+    for (unsigned I = 0; I != 300; ++I) {
+      void **N = static_cast<void **>(GC.allocate(Bytes));
+      ASSERT_NE(N, nullptr);
+      N[0] = Head;
+      Head = N;
+    }
+    if (List % 3 == 0)
+      Live[List / 3] = Head;
+  }
+  GC.collect("lazy");
+  EXPECT_GT(GC.objectHeap().pendingSweepCount(), 0u)
+      << "lazy collection must queue blocks";
+  for (unsigned I = 0; I != 500; ++I)
+    ASSERT_NE(GC.allocate(16u << (I % 4)), nullptr);
+  GC.objectHeap().finishPendingSweeps();
+  EXPECT_EQ(GC.objectHeap().pendingSweepCount(), 0u);
   GC.verifyHeap();
 }
 

@@ -30,7 +30,7 @@ TEST(Marker, ResolveCandidateSmallObjects) {
   Collector GC(markerConfig());
   auto *A = static_cast<char *>(GC.allocate(32));
   WindowOffset Base = GC.windowOffsetOf(A);
-  Marker &M = GC.marker();
+  MarkContext &M = GC.marker();
 
   // Base and interior both resolve under the default All policy.
   EXPECT_TRUE(M.resolveCandidate(Base).valid());

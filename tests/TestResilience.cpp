@@ -119,7 +119,7 @@ TEST(Resilience, WorkerSpawnFaultDegradesToSequentialBitIdentical) {
   GC.addRootRange(Window.data(), Window.data() + Window.size(),
                   RootEncoding::Native64, RootSource::Client, "window");
   // Several independent rooted lists, so the root scan produces enough
-  // mark seeds for the phases to actually go parallel (a single seed
+  // mark seeds for the Mark phase to actually go parallel (a single seed
   // runs the sequential drain without negotiating workers).
   for (size_t Root = 0; Root != 4; ++Root) {
     void *Prev = nullptr;
@@ -137,17 +137,15 @@ TEST(Resilience, WorkerSpawnFaultDegradesToSequentialBitIdentical) {
   std::set<uint64_t> SequentialRetained = retainedOffsets(GC);
   ASSERT_EQ(GC.workerPool().threadsSpawned(), 0u);
 
-  // Ask for 8-way parallel phases while every thread spawn fails: the
+  // Ask for 8-way parallel marking while every thread spawn fails: the
   // collection must complete sequentially with identical results.
   FaultInjector::instance().arm(FaultSite::WorkerSpawn, 0, UINT64_MAX);
   GC.setMarkThreads(8);
-  GC.setSweepThreads(8);
   CollectionStats Degraded = GC.collect("degraded");
 
   EXPECT_EQ(GC.workerPool().threadsSpawned(), 0u);
   EXPECT_GT(GC.resilienceStats().WorkerSpawnFailures, 0u);
   EXPECT_EQ(Degraded.MarkWorkers, 1u);
-  EXPECT_EQ(Degraded.SweepWorkers, 1u);
   EXPECT_EQ(Degraded.ObjectsMarked, Sequential.ObjectsMarked);
   EXPECT_EQ(Degraded.BytesMarked, Sequential.BytesMarked);
   EXPECT_EQ(retainedOffsets(GC), SequentialRetained);

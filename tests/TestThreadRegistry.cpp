@@ -195,16 +195,16 @@ TEST(ThreadRegistry, ZeroRegisteredThreadsBitIdenticalToSequential) {
          "threads";
 }
 
-// Parallel root scanning is gather-then-replay: the marked set, the
-// root-scan counters, and the blacklist must be bit-identical for any
-// RootScanThreads value.
-TEST(ThreadRegistry, ParallelRootScanBitIdentical) {
+// Many root ranges seed the mark queue from many spans: the marked set,
+// the root-scan counters, and the blacklist must be bit-identical for
+// any MarkThreads value.
+TEST(ThreadRegistry, ManyRootRangesBitIdenticalAcrossMarkThreads) {
   auto census = [](unsigned Workers) {
     GcConfig Config = testConfig();
-    Config.RootScanThreads = Workers;
+    Config.MarkThreads = Workers;
     Collector GC(Config);
     Rng R(5555);
-    // Several root ranges so the gather has spans to distribute.
+    // Several root ranges, each holding roots and near misses.
     std::vector<std::vector<uint64_t>> Windows(
         6, std::vector<uint64_t>(64, 0));
     for (auto &W : Windows)
@@ -236,21 +236,6 @@ TEST(ThreadRegistry, ParallelRootScanBitIdentical) {
   std::vector<uint64_t> Par8 = census(8);
   EXPECT_EQ(Seq, Par4);
   EXPECT_EQ(Seq, Par8);
-}
-
-TEST(ThreadRegistry, RootScanWorkerCountRecorded) {
-  GcConfig Config = testConfig();
-  Config.RootScanThreads = 4;
-  Collector GC(Config);
-  std::vector<uint64_t> A(64, 0), B(64, 0);
-  GC.addRootRange(A.data(), A.data() + A.size(), RootEncoding::Native64,
-                  RootSource::Client, "a");
-  GC.addRootRange(B.data(), B.data() + B.size(), RootEncoding::Native64,
-                  RootSource::Client, "b");
-  A[0] = reinterpret_cast<uint64_t>(GC.allocate(64));
-  CollectionStats Cycle = GC.collect("workers");
-  EXPECT_EQ(Cycle.RootScanWorkers, 4u);
-  EXPECT_GE(Cycle.ObjectsLive, 1u);
 }
 
 // The async-signal-safe crash report gains a threads line exactly when

@@ -132,7 +132,7 @@ TEST(WorkerPool, DestructionWithoutJobsIsClean) {
 
 namespace {
 
-GcConfig poolConfig(unsigned MarkThreads, unsigned SweepThreads) {
+GcConfig poolConfig(unsigned MarkThreads) {
   GcConfig Config;
   Config.WindowBytes = uint64_t(256) << 20;
   Config.Placement = HeapPlacement::Custom;
@@ -141,7 +141,6 @@ GcConfig poolConfig(unsigned MarkThreads, unsigned SweepThreads) {
   Config.GcAtStartup = false;
   Config.MinHeapBytesBeforeGc = ~uint64_t(0);
   Config.MarkThreads = MarkThreads;
-  Config.SweepThreads = SweepThreads;
   return Config;
 }
 
@@ -150,8 +149,8 @@ struct PoolNode {
   uint64_t Payload[7];
 };
 
-/// Builds enough linked garbage + live data that both the Mark and
-/// Sweep phases have real parallel work (many seeds, many blocks).
+/// Builds enough linked garbage + live data that the Mark phase has
+/// real parallel work (many seeds).
 void churn(Collector &GC, PoolNode **Anchor) {
   for (unsigned List = 0; List != 16; ++List) {
     PoolNode *Head = nullptr;
@@ -170,7 +169,7 @@ void churn(Collector &GC, PoolNode **Anchor) {
 } // namespace
 
 TEST(WorkerPool, CollectorSpawnsThreadsOnceAcrossManyCollections) {
-  Collector GC(poolConfig(/*MarkThreads=*/4, /*SweepThreads=*/4));
+  Collector GC(poolConfig(/*MarkThreads=*/4));
   static PoolNode *Anchors[8];
   GC.addRootRange(Anchors, Anchors + 8, RootEncoding::Native64,
                   RootSource::StaticData, "anchors");
@@ -185,7 +184,6 @@ TEST(WorkerPool, CollectorSpawnsThreadsOnceAcrossManyCollections) {
     churn(GC, Anchors);
     CollectionStats Stats = GC.collect("pool-reuse");
     EXPECT_EQ(Stats.MarkWorkers, 4u);
-    EXPECT_EQ(Stats.SweepWorkers, 4u);
     unsigned Spawned = GC.workerPool().threadsSpawned();
     EXPECT_LE(Spawned, 3u);
     if (Cycle == 0)
@@ -199,7 +197,7 @@ TEST(WorkerPool, CollectorSpawnsThreadsOnceAcrossManyCollections) {
 }
 
 TEST(WorkerPool, SequentialCollectorNeverTouchesThePool) {
-  Collector GC(poolConfig(/*MarkThreads=*/1, /*SweepThreads=*/1));
+  Collector GC(poolConfig(/*MarkThreads=*/1));
   static PoolNode *Anchors[8];
   GC.addRootRange(Anchors, Anchors + 8, RootEncoding::Native64,
                   RootSource::StaticData, "anchors");
@@ -212,21 +210,4 @@ TEST(WorkerPool, SequentialCollectorNeverTouchesThePool) {
   EXPECT_EQ(GC.workerPool().threadsSpawned(), 0u)
       << "the paper's sequential configuration must not observe the pool";
   EXPECT_EQ(GC.workerPool().jobsDispatched(), 0u);
-}
-
-TEST(WorkerPool, MarkAndSweepShareOnePool) {
-  // Mark wants 2 workers, sweep wants 4: the pool grows to the larger
-  // demand and both phases run on the same threads.
-  Collector GC(poolConfig(/*MarkThreads=*/2, /*SweepThreads=*/4));
-  static PoolNode *Anchors[8];
-  GC.addRootRange(Anchors, Anchors + 8, RootEncoding::Native64,
-                  RootSource::StaticData, "anchors");
-  for (auto &A : Anchors)
-    A = nullptr;
-  churn(GC, Anchors);
-  CollectionStats Stats = GC.collect("shared-pool");
-  EXPECT_EQ(Stats.MarkWorkers, 2u);
-  EXPECT_EQ(Stats.SweepWorkers, 4u);
-  EXPECT_EQ(GC.workerPool().threadsSpawned(), 3u)
-      << "one pool sized to the widest phase, not one pool per phase";
 }
