@@ -1473,8 +1473,12 @@ CollectionStats Collector::collect(const char *Reason) {
         Heap->markAllocatedObjectLive(Pinned);
 
     if (!RepairPending)
-      runPhase(GcPhase::BlacklistPromote, C,
-               [&] { BlacklistImpl->endCycle(); });
+      runPhase(GcPhase::BlacklistPromote, C, [&] {
+        BlacklistImpl->endCycle();
+        // Nothing later in the cycle changes the blacklist, so this is
+        // also the count at cycle end.
+        C.BlacklistedPages = BlacklistImpl->entryCount();
+      });
 
     // A pin that overflowed the pre-reserved buffer was never recorded,
     // so Mark's bit reset erased it: reclaiming anything now could
@@ -1556,6 +1560,8 @@ CollectionStats Collector::collect(const char *Reason) {
       RepairPending = false;
       repairHeapLocked();
       RepairStatsInfo.DegradedMode = true;
+      // The abandoned retry may never have reached BlacklistPromote.
+      Cycle.BlacklistedPages = BlacklistImpl->entryCount();
       warn(WarnEvent::MetadataRepair,
            "cgc: heap verification failed again after repair; collector "
            "degraded to growth-only allocation",
@@ -1563,7 +1569,6 @@ CollectionStats Collector::collect(const char *Reason) {
     }
   }
 
-  Cycle.BlacklistedPages = BlacklistImpl->entryCount();
   // Aggregate views of the pipeline timings (see GcStats.h).
   Cycle.MarkNanos =
       Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::RootScan)] +

@@ -72,34 +72,10 @@ ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
   BlockId Id = Map.blockAt(pageOfOffset(Candidate));
   if (Id == InvalidBlockId)
     return {};
-  const BlockDescriptor &Block = Blocks.get(Id);
-  int32_t Slot = Block.slotContaining(Candidate);
+  int32_t Slot = slotFor(Blocks.get(Id), Candidate);
   if (Slot < 0)
     return {};
-  uint32_t SlotIdx = static_cast<uint32_t>(Slot);
-  WindowOffset Base = Block.slotOffset(SlotIdx);
-  // Per-object override first (observation 7's remedy): pointers past
-  // the first page never retain an ignore-off-page object.
-  if (Block.IgnoreOffPage && Candidate - Base >= PageSize)
-    return {};
-  switch (Config.Interior) {
-  case InteriorPolicy::All:
-    break;
-  case InteriorPolicy::BaseOnly: {
-    if (Candidate != Base &&
-        !std::binary_search(Displacements.begin(), Displacements.end(),
-                            static_cast<uint32_t>(Candidate - Base)))
-      return {};
-    break;
-  }
-  case InteriorPolicy::FirstPage:
-    if (Candidate - Base >= PageSize)
-      return {};
-    break;
-  }
-  if (Config.PreciseFreeSlotDetection && !Block.AllocBits.test(SlotIdx))
-    return {};
-  return {Id, SlotIdx};
+  return {Id, static_cast<uint32_t>(Slot)};
 }
 
 void MarkContext::registerDisplacement(uint32_t Displacement) {
@@ -139,6 +115,7 @@ void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
   MarkWorker Scanner(*this, Stats, &Seeds);
   for (const RootScanSpan &Span : Roots.scannableSpans())
     Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);
+  Scanner.flushNearMisses();
 }
 
 void MarkContext::runMark(const RootSet &Roots, CollectionStats &Stats) {
@@ -197,10 +174,8 @@ void MarkContext::runMarkPhase(CollectionStats &Stats) {
   Pool.runOn(Workers,
              [&WorkersVec](unsigned Id) { WorkersVec[Id]->runParallel(); });
 
-  // Sequential epilogue: replay buffered blacklist candidates in worker
-  // order, then fold the per-worker counters into the cycle record.
-  for (unsigned I = 0; I != Workers; ++I)
-    WorkersVec[I]->flushBlacklist();
+  // Sequential epilogue: fold the per-worker counters into the cycle
+  // record.
   for (unsigned I = 0; I != Workers; ++I)
     Stats.addScanCounters(WorkerStats[I]);
   recoverFromOverflow(Stats);
@@ -239,15 +214,23 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
 
 MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats,
                        std::vector<MarkWorkItem> *ExternalStack)
-    : Ctx(Ctx), Stats(Stats), ExternalStack(ExternalStack) {}
+    : Ctx(Ctx), Stats(Stats),
+      HeapBase(reinterpret_cast<const unsigned char *>(Ctx.Arena.base())),
+      ExternalStack(ExternalStack), FaultsArmed(FaultInjector::instance().anyArmed()) {}
 
 MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats, unsigned Id,
                        unsigned NumWorkers)
-    : Ctx(Ctx), Stats(Stats), Id(Id), NumWorkers(NumWorkers),
-      Parallel(true) {}
+    : Ctx(Ctx), Stats(Stats),
+      HeapBase(reinterpret_cast<const unsigned char *>(Ctx.Arena.base())),
+      Id(Id), NumWorkers(NumWorkers), Parallel(true),
+      FaultsArmed(FaultInjector::instance().anyArmed()) {}
+
+MarkWorker::~MarkWorker() {
+  CGC_ASSERT(NumNearMisses == 0, "mark worker dropped unflushed near misses");
+}
 
 void MarkWorker::push(const MarkWorkItem &Item) {
-  if (CGC_INJECT_FAULT(MarkStackOverflow)) {
+  if (FaultsArmed && CGC_INJECT_FAULT(MarkStackOverflow)) {
     // Simulated mark-stack overflow: drop the item (its object is
     // already marked) and flag the context so recoverFromOverflow
     // rebuilds the closure from the mark bitmap afterwards.  Sits before the
@@ -256,6 +239,9 @@ void MarkWorker::push(const MarkWorkItem &Item) {
     Ctx.Overflowed.store(true, std::memory_order_release);
     return;
   }
+  // Start pulling the object's first line in while the scan of its
+  // parent goes on (bdwgc's GC_mark_from does the same).
+  __builtin_prefetch(HeapBase + Item.Begin);
   if (!Parallel) {
     ExternalStack->push_back(Item);
     return;
@@ -268,94 +254,134 @@ void MarkWorker::push(const MarkWorkItem &Item) {
 
 void MarkWorker::seed(const MarkWorkItem &Item) { Local.push_back(Item); }
 
-void MarkWorker::considerCandidate(WindowOffset Candidate,
+void MarkWorker::noteNearMiss(PageIndex Page, ScanOrigin Origin) {
+  if (!Ctx.Pages.inPotentialHeap(Page))
+    return;
+  if (NumNearMisses == NearMissBatch)
+    flushNearMisses();
+  NearMisses[NumNearMisses++] = Page;
+  ++Stats.NearMisses;
+  ++Stats.NearMissesByOrigin[static_cast<unsigned>(Origin)];
+}
+
+void MarkWorker::flushNearMisses() {
+  if (NumNearMisses == 0)
+    return;
+  // Blacklisting is idempotent per page, so replaying a batch later
+  // and in any interleaving with other workers' batches yields the same
+  // blacklist.
+  std::lock_guard<std::mutex> Guard(Ctx.BlacklistLock);
+  uint64_t Start = nowNanos();
+  for (unsigned I = 0; I != NumNearMisses; ++I)
+    Ctx.BlacklistImpl.noteCandidate(NearMisses[I]);
+  Stats.BlacklistNanos += nowNanos() - Start;
+  NumNearMisses = 0;
+}
+
+bool MarkWorker::considerCandidate(WindowOffset Candidate,
                                    ScanOrigin Origin, bool PreciseWord) {
-  // Figure 2, line by line.  "if p is not a valid object address":
-  ObjectRef Ref = Ctx.resolveCandidate(Candidate);
-  if (!Ref.valid()) {
+  // Figure 2, line by line.  "if p is not a valid object address": one
+  // page-map probe and one descriptor fetch, shared with the marking
+  // below.
+  PageIndex Page = pageOfOffset(Candidate);
+  BlockId Id = Ctx.Map.blockAt(Page);
+  BlockDescriptor *Block = nullptr;
+  int32_t Slot = -1;
+  if (Id != InvalidBlockId) {
+    Block = &Ctx.Blocks.get(Id);
+    Slot = Ctx.slotFor(*Block, Candidate);
+  }
+  if (Slot < 0) {
     // "if p is in the vicinity of the heap, add p to blacklist".  The
     // proximity test shares its page probe with the validity check.
     // A word the descriptor declared to be a pointer can't be a
     // misidentified integer: its failed resolution is stale or foreign
     // data, so it neither blacklists the page nor counts as a near
     // miss.
-    if (PreciseWord)
-      return;
-    PageIndex Page = pageOfOffset(Candidate);
-    if (Ctx.Pages.inPotentialHeap(Page)) {
-      if (Parallel) {
-        // The blacklist is single-threaded; buffer for the post-join
-        // flush (timed there, preserving the footnote-3 measurement).
-        BlacklistBuffer.push_back(Page);
-      } else {
-        uint64_t Start = nowNanos();
-        Ctx.BlacklistImpl.noteCandidate(Page);
-        Stats.BlacklistNanos += nowNanos() - Start;
-      }
-      ++Stats.NearMisses;
-      ++Stats.NearMissesByOrigin[static_cast<unsigned>(Origin)];
-    }
-    return;
+    if (!PreciseWord)
+      noteNearMiss(Page, Origin);
+    return false;
   }
-  // "if p is marked return; set mark bit for p" — atomically, so N
-  // workers racing on one object mark (and push) it exactly once.
-  BlockDescriptor &Block = Ctx.Blocks.get(Ref.Block);
-  if (Block.testAndSetMark(Ref.Slot))
-    return;
+  // "if p is marked return; set mark bit for p".  Most candidates hit
+  // an object that is already marked, so a plain read comes first.  A
+  // lone worker then sets the bit with a plain store; parallel workers
+  // claim it atomically, so N workers racing on one object mark (and
+  // push) it exactly once, and read it with an atomic load so the
+  // pre-check is not a data race.
+  uint32_t SlotIdx = static_cast<uint32_t>(Slot);
+  if (Parallel) {
+    if (Block->MarkBits.testAtomic(SlotIdx) || Block->testAndSetMark(SlotIdx))
+      return false;
+  } else {
+    if (Block->MarkBits.test(SlotIdx))
+      return false;
+    Block->MarkBits.set(SlotIdx);
+  }
   ++Stats.ObjectsMarked;
-  Stats.BytesMarked += Block.ObjectSize;
+  Stats.BytesMarked += Block->ObjectSize;
   ++Stats.MarksByOrigin[static_cast<unsigned>(Origin)];
   // "for each field q ... mark(q)" — deferred to the mark stack, and
   // skipped entirely for objects declared pointer-free.
-  if (!kindIsPointerFree(Block.Kind))
-    push({Block.slotOffset(Ref.Slot), Block.ObjectSize, Block.LayoutId});
+  if (!kindIsPointerFree(Block->Kind))
+    push({Block->slotOffset(SlotIdx), Block->ObjectSize, Block->LayoutId});
+  return true;
 }
+
+// The scan loops keep their counters and the arena bounds in locals and
+// fold the counters into Stats once per object (or span): a store
+// through Stats per word would also force the bounds to be reloaded on
+// every iteration.
 
 void MarkWorker::scanTypedObject(WindowOffset Begin, uint32_t Bytes,
                                  uint32_t LayoutId) {
   const TypeDescriptor &D = Ctx.Heap.layout(LayoutId);
-  const unsigned char *Base =
-      static_cast<const unsigned char *>(Ctx.Arena.pointerTo(Begin));
+  const unsigned char *Base = HeapBase + Begin;
+  const Address ArenaBase = Ctx.Arena.base();
+  const uint64_t ArenaSize = Ctx.Arena.size();
   // The slot can be larger than the type (size-class rounding); the
   // tail past the descriptor is never traced.
   uint32_t Words = std::min<uint32_t>(
       D.NumWords, Bytes / static_cast<uint32_t>(sizeof(uint64_t)));
-  constexpr unsigned Precise =
-      static_cast<unsigned>(DescriptorClass::Precise);
+  uint64_t Scanned = 0, Candidates = 0;
   for (uint32_t Word = D.findPointerWord(0); Word < Words;
        Word = D.findPointerWord(Word + 1)) {
-    ++Stats.HeapWordsScanned;
-    ++Stats.ScanWordsByClass[Precise];
-    uint64_t Value = load64(Base + Word * sizeof(uint64_t));
-    Address Addr = static_cast<Address>(Value);
-    if (!Ctx.Arena.contains(Addr))
+    ++Scanned;
+    WindowOffset Offset = load64(Base + Word * sizeof(uint64_t)) - ArenaBase;
+    if (Offset >= ArenaSize)
       continue;
-    ++Stats.ScanCandidatesByClass[Precise];
-    considerCandidate(Ctx.Arena.offsetOf(Addr), ScanOrigin::Heap,
-                      /*PreciseWord=*/true);
+    ++Candidates;
+    considerCandidate(Offset, ScanOrigin::Heap, /*PreciseWord=*/true);
   }
+  constexpr unsigned Precise =
+      static_cast<unsigned>(DescriptorClass::Precise);
+  Stats.HeapWordsScanned += Scanned;
+  Stats.ScanWordsByClass[Precise] += Scanned;
+  Stats.ScanCandidatesByClass[Precise] += Candidates;
 }
 
 void MarkWorker::scanHeapRange(WindowOffset Begin, uint32_t Bytes) {
   if (Bytes < sizeof(uint64_t))
     return;
-  const unsigned char *P =
-      static_cast<const unsigned char *>(Ctx.Arena.pointerTo(Begin));
-  const unsigned char *End = P + Bytes;
   unsigned Stride = Ctx.Config.HeapScanAlignment;
   CGC_CHECK(Stride >= 1 && Stride <= 8, "bad heap scan alignment");
+  const unsigned char *P = HeapBase + Begin;
+  const unsigned char *Last = P + (Bytes - sizeof(uint64_t));
+  const Address ArenaBase = Ctx.Arena.base();
+  const uint64_t ArenaSize = Ctx.Arena.size();
+  uint64_t Candidates = 0;
+  for (; P <= Last; P += Stride) {
+    WindowOffset Offset = load64(P) - ArenaBase;
+    if (Offset >= ArenaSize)
+      continue;
+    ++Candidates;
+    considerCandidate(Offset, ScanOrigin::Heap);
+  }
   constexpr unsigned Cons =
       static_cast<unsigned>(DescriptorClass::Conservative);
-  for (; P + sizeof(uint64_t) <= End; P += Stride) {
-    ++Stats.HeapWordsScanned;
-    ++Stats.ScanWordsByClass[Cons];
-    uint64_t Word = load64(P);
-    Address Addr = static_cast<Address>(Word);
-    if (!Ctx.Arena.contains(Addr))
-      continue;
-    ++Stats.ScanCandidatesByClass[Cons];
-    considerCandidate(Ctx.Arena.offsetOf(Addr), ScanOrigin::Heap);
-  }
+  uint64_t Scanned = (Bytes - sizeof(uint64_t)) / Stride + 1;
+  Stats.HeapWordsScanned += Scanned;
+  Stats.ScanWordsByClass[Cons] += Scanned;
+  Stats.ScanCandidatesByClass[Cons] += Candidates;
 }
 
 void MarkWorker::scanRootSpan(const RootRange &Range,
@@ -364,42 +390,35 @@ void MarkWorker::scanRootSpan(const RootRange &Range,
   Stats.RootBytesScanned += static_cast<uint64_t>(End - Begin);
   unsigned Stride = Ctx.Config.RootScanAlignment;
   CGC_CHECK(Stride >= 1 && Stride <= 8, "bad root scan alignment");
+  ScanOrigin Origin = originOf(Range.Source);
+  uint64_t Examined = 0, Hits = 0;
 
   if (Range.Encoding == RootEncoding::Native64) {
-    if (static_cast<size_t>(End - Begin) < sizeof(uint64_t))
-      return;
-    for (const unsigned char *P = Begin; P + sizeof(uint64_t) <= End;
-         P += Stride) {
-      ++Stats.RootCandidatesExamined;
-      uint64_t Word = load64(P);
-      Address Addr = static_cast<Address>(Word);
-      if (!Ctx.Arena.contains(Addr))
+    const Address ArenaBase = Ctx.Arena.base();
+    const uint64_t ArenaSize = Ctx.Arena.size();
+    for (const unsigned char *P = Begin;
+         End - P >= static_cast<ptrdiff_t>(sizeof(uint64_t)); P += Stride) {
+      ++Examined;
+      WindowOffset Offset = load64(P) - ArenaBase;
+      if (Offset >= ArenaSize)
         continue;
-      WindowOffset Offset = Ctx.Arena.offsetOf(Addr);
-      uint64_t Before = Stats.ObjectsMarked;
-      considerCandidate(Offset, originOf(Range.Source));
-      if (Stats.ObjectsMarked != Before)
-        ++Stats.RootHits;
+      Hits += considerCandidate(Offset, Origin);
     }
-    return;
+  } else {
+    // Window32: every 32-bit value is an offset into the window, exactly
+    // as every 32-bit integer was an address on the paper's machines.
+    bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
+    for (const unsigned char *P = Begin;
+         End - P >= static_cast<ptrdiff_t>(sizeof(uint32_t)); P += Stride) {
+      ++Examined;
+      WindowOffset Offset = load32(P, BigEndian);
+      if (!Ctx.Arena.containsOffset(Offset))
+        continue;
+      Hits += considerCandidate(Offset, Origin);
+    }
   }
-
-  // Window32: every 32-bit value is an offset into the window, exactly
-  // as every 32-bit integer was an address on the paper's machines.
-  bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
-  if (static_cast<size_t>(End - Begin) < sizeof(uint32_t))
-    return;
-  for (const unsigned char *P = Begin; P + sizeof(uint32_t) <= End;
-       P += Stride) {
-    ++Stats.RootCandidatesExamined;
-    WindowOffset Offset = load32(P, BigEndian);
-    if (!Ctx.Arena.containsOffset(Offset))
-      continue;
-    uint64_t Before = Stats.ObjectsMarked;
-    considerCandidate(Offset, originOf(Range.Source));
-    if (Stats.ObjectsMarked != Before)
-      ++Stats.RootHits;
-  }
+  Stats.RootCandidatesExamined += Examined;
+  Stats.RootHits += Hits;
 }
 
 void MarkWorker::scanObject(const MarkWorkItem &Item) {
@@ -416,6 +435,7 @@ void MarkWorker::drainSequential(std::vector<MarkWorkItem> &Stack) {
     Stack.pop_back();
     scanObject(Item);
   }
+  flushNearMisses();
 }
 
 void MarkWorker::exposeForStealing() {
@@ -466,17 +486,8 @@ void MarkWorker::runParallel() {
     if (takeSharedWork())
       continue;
     if (Ctx.InFlight.load(std::memory_order_acquire) == 0)
-      return;
+      break;
     std::this_thread::yield();
   }
-}
-
-void MarkWorker::flushBlacklist() {
-  if (BlacklistBuffer.empty())
-    return;
-  uint64_t Start = nowNanos();
-  for (PageIndex Page : BlacklistBuffer)
-    Ctx.BlacklistImpl.noteCandidate(Page);
-  Stats.BlacklistNanos += nowNanos() - Start;
-  BlacklistBuffer.clear();
+  flushNearMisses();
 }

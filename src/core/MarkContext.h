@@ -46,18 +46,21 @@
 ///     oldest half for stealing, and when it runs dry it reclaims its
 ///     own slot or steals a batch from a victim's.  Oldest-first
 ///     stealing hands thieves the widest subtrees, the classic
-///     breadth-steal/depth-run discipline.  Near-miss blacklist
-///     candidates are buffered per worker and flushed sequentially
-///     after the workers join (the Blacklist is single-threaded).
+///     breadth-steal/depth-run discipline.  Every worker, sequential
+///     or parallel, buffers near-miss blacklist candidates in a
+///     fixed-size array and flushes it when full and when its scan or
+///     drain ends, under one lock (the Blacklist is single-threaded),
+///     timing each flush for the footnote-3 measurement.
 ///
 /// MarkContext is a pure marking algorithm: it owns no threads.  The
 /// parallel path borrows the collector's persistent GcWorkerPool
 /// (spawn-once, parked between phases), so short collection cycles pay
 /// no thread-spawn cost.
 ///
-/// Sequential marking (MarkThreads == 1) bypasses all of the above: the
+/// Sequential marking (MarkThreads == 1) bypasses the queues: the
 /// single worker drains one external LIFO vector exactly as the seed
-/// collector's drainMarkStack did, so paper experiments are untouched.
+/// collector's drainMarkStack did, so paper experiments are untouched,
+/// and it sets mark bits with plain stores instead of atomics.
 /// Either way the marked set is the reachability closure and every
 /// CollectionStats counter is a sum over scanned words, so results are
 /// identical for any worker count.
@@ -73,6 +76,7 @@
 #include "core/GcWorkerPool.h"
 #include "heap/ObjectHeap.h"
 #include "roots/RootSet.h"
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -157,6 +161,40 @@ private:
     std::vector<MarkWorkItem> Items;
   };
 
+  /// The validity test proper, on the block the page map already
+  /// named: \returns the slot of \p Block that \p Candidate validly
+  /// references under the configured policies (interior-pointer rule,
+  /// IgnoreOffPage, displacements, PreciseFreeSlotDetection), or -1.
+  int32_t slotFor(const BlockDescriptor &Block,
+                  WindowOffset Candidate) const {
+    int32_t Slot = Block.slotContaining(Candidate);
+    if (Slot < 0)
+      return -1;
+    uint32_t SlotIdx = static_cast<uint32_t>(Slot);
+    uint64_t Displacement = Candidate - Block.slotOffset(SlotIdx);
+    // Per-object override first (observation 7's remedy): pointers past
+    // the first page never retain an ignore-off-page object.
+    if (Block.IgnoreOffPage && Displacement >= PageSize)
+      return -1;
+    switch (Config.Interior) {
+    case InteriorPolicy::All:
+      break;
+    case InteriorPolicy::BaseOnly:
+      if (Displacement != 0 &&
+          !std::binary_search(Displacements.begin(), Displacements.end(),
+                              static_cast<uint32_t>(Displacement)))
+        return -1;
+      break;
+    case InteriorPolicy::FirstPage:
+      if (Displacement >= PageSize)
+        return -1;
+      break;
+    }
+    if (Config.PreciseFreeSlotDetection && !Block.AllocBits.test(SlotIdx))
+      return -1;
+    return Slot;
+  }
+
   void markUncollectableObjects(CollectionStats &Stats);
 
   VirtualArena &Arena;
@@ -165,6 +203,9 @@ private:
   BlockTable &Blocks;
   ObjectHeap &Heap;
   Blacklist &BlacklistImpl;
+  /// Serializes near-miss flushes into BlacklistImpl (parallel workers
+  /// flush while others still mark).
+  std::mutex BlacklistLock;
   /// The collector-wide persistent worker pool; borrowed, never owned.
   GcWorkerPool &Pool;
   const GcConfig &Config;
@@ -189,23 +230,25 @@ private:
 /// finalization resurrection); holds no state that outlives a phase.
 class MarkWorker {
 public:
-  /// Sequential worker: pushes go to \p ExternalStack, blacklist notes
-  /// go straight to the blacklist (with the paper's footnote-3 timing).
+  /// Sequential worker: pushes go to \p ExternalStack, mark bits are
+  /// set with plain stores.
   MarkWorker(MarkContext &Ctx, CollectionStats &Stats,
              std::vector<MarkWorkItem> *ExternalStack);
 
   /// Parallel worker \p Id of \p NumWorkers; pushes go to the private
-  /// stack with periodic exposure, near misses are buffered.
+  /// stack with periodic exposure, mark bits are claimed atomically.
   MarkWorker(MarkContext &Ctx, CollectionStats &Stats, unsigned Id,
              unsigned NumWorkers);
+
+  ~MarkWorker();
 
   /// Figure 2's mark(p): validity test, blacklist note, mark, push.
   /// \p PreciseWord marks candidates read from a precisely-traced word:
   /// a failed resolution is then a stale or foreign pointer, not a near
   /// miss, so it never feeds the blacklist or the near-miss counters
   /// (BlacklistPromote treats such words as incapable of pinning
-  /// pages).
-  void considerCandidate(WindowOffset Candidate, ScanOrigin Origin,
+  /// pages).  \returns true when this call marked a new object.
+  bool considerCandidate(WindowOffset Candidate, ScanOrigin Origin,
                          bool PreciseWord = false);
 
   /// Scans one root span for candidate words, honoring the range's
@@ -214,7 +257,7 @@ public:
                     const unsigned char *End);
 
   /// Sequential: drains \p Stack (must be this worker's ExternalStack)
-  /// to empty, scanning each popped object.
+  /// to empty, scanning each popped object, then flushes near misses.
   void drainSequential(std::vector<MarkWorkItem> &Stack);
 
   /// Parallel: preloads one item onto the private stack before the
@@ -222,14 +265,22 @@ public:
   void seed(const MarkWorkItem &Item);
 
   /// Parallel: drains the private stack, reclaiming/stealing shared
-  /// work, until the context-wide closure completes.
+  /// work, until the context-wide closure completes, then flushes near
+  /// misses.
   void runParallel();
 
-  /// Parallel: replays buffered near misses into the blacklist.  Call
-  /// after every worker has joined; single-threaded.
-  void flushBlacklist();
+  /// Replays the buffered near-miss pages into the blacklist and times
+  /// the replay into Stats.BlacklistNanos.  Runs when the buffer fills
+  /// and at the end of every drain; a root scan calls it after its
+  /// last span.
+  void flushNearMisses();
 
 private:
+  /// Near-miss pages buffered between blacklist flushes.  Fixed size,
+  /// so the stopped world never allocates for them.
+  static constexpr unsigned NearMissBatch = 256;
+
+  void noteNearMiss(PageIndex Page, ScanOrigin Origin);
   void scanObject(const MarkWorkItem &Item);
   void scanHeapRange(WindowOffset Begin, uint32_t Bytes);
   void scanTypedObject(WindowOffset Begin, uint32_t Bytes,
@@ -241,15 +292,20 @@ private:
 
   MarkContext &Ctx;
   CollectionStats &Stats;
+  /// The heap arena's first byte; window offsets index from here.
+  const unsigned char *const HeapBase;
   /// Sequential mode: the shared LIFO (seed list or drain stack).
   std::vector<MarkWorkItem> *ExternalStack = nullptr;
   /// Parallel mode: the private mark stack.
   std::vector<MarkWorkItem> Local;
-  /// Parallel mode: near-miss pages awaiting the sequential flush.
-  std::vector<PageIndex> BlacklistBuffer;
+  PageIndex NearMisses[NearMissBatch];
+  unsigned NumNearMisses = 0;
   unsigned Id = 0;
   unsigned NumWorkers = 1;
   bool Parallel = false;
+  /// Snapshot of FaultInjector::anyArmed() taken at construction: push
+  /// evaluates its MarkStackOverflow site only when this is set.
+  const bool FaultsArmed;
 };
 
 } // namespace cgc

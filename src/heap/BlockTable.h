@@ -28,8 +28,10 @@
 namespace cgc {
 
 struct BlockDescriptor {
+  // The fields the mark loop reads for every candidate come first and
+  // fill the first 40 bytes, through MarkBits' word pointer, so a
+  // candidate's descriptor probe rarely spans two cache lines.
   PageIndex StartPage = 0;
-  uint32_t NumPages = 0;
   /// Slot size for small blocks; exact requested size for large blocks.
   uint32_t ObjectSize = 0;
   /// Number of slots (1 for large blocks).
@@ -38,18 +40,22 @@ struct BlockDescriptor {
   /// the heap avoids giving objects addresses with many trailing zeros
   /// (the paper's Figure-1 countermeasure).
   uint32_t FirstObjectOffset = 0;
-  ObjectKind Kind = ObjectKind::Normal;
-  bool IsLarge = false;
+  /// reciprocalOf(ObjectSize), so slotContaining divides by multiplying
+  /// (bdwgc keeps the same per-block inverse, hb_inv_sz).  Set with the
+  /// rest of the geometry by setSlotGeometry.
+  uint64_t SlotReciprocal = 0;
   /// Nonzero: objects carry a registered layout (see ObjectHeap's
   /// layout registry); the marker scans only the words the layout marks
   /// as pointers.  This is the paper's "less conservative" end of the
   /// spectrum — exact heap information, conservative roots.
   uint32_t LayoutId = 0;
+  ObjectKind Kind = ObjectKind::Normal;
   /// Large-object option (paper, observation 7): pointers beyond the
   /// first page do not retain this object, regardless of the global
   /// interior-pointer policy.  Lets huge objects coexist with a
   /// blacklist-rich address space.
   bool IgnoreOffPage = false;
+  bool IsLarge = false;
   /// Checked out to one mutator thread's ThreadCache (heap/ThreadCache.h):
   /// off every class list, allocated from and freed into by the owner
   /// without the heap lock.  While set, AllocBits is the only live
@@ -58,8 +64,9 @@ struct BlockDescriptor {
   /// under the heap lock.
   bool Owned = false;
   /// One mark bit per slot; rebuilt by every collection.  During the
-  /// Mark phase these are the only descriptor bits written, and only
-  /// through testAndSetMark, so N mark workers can share the table.
+  /// Mark phase these are the only descriptor bits written.  A lone
+  /// mark worker sets them with plain stores; parallel workers go
+  /// through testAndSetMark, so N of them can share the table.
   BitVector MarkBits;
   /// One bit per slot: the slot holds a client-allocated object.  Kept
   /// off-heap so the allocator never writes link words into client
@@ -72,10 +79,27 @@ struct BlockDescriptor {
   /// paper's "false references render a section of memory unusable ...
   /// some blacklisting occurs implicitly, after the fact".
   BitVector PinnedBits;
+  uint32_t NumPages = 0;
   /// Number of set bits in AllocBits, maintained incrementally.
   uint32_t AllocatedCount = 0;
   /// Number of set bits in PinnedBits.
   uint32_t PinnedCount = 0;
+
+  /// ceil(2^64 / \p Size): for any 32-bit N, N / Size is the high half
+  /// of the 128-bit product N * reciprocalOf(Size) (Lemire, Kaser and
+  /// Kurz, "Faster remainder by direct computation", 2019).  Size >= 2.
+  static uint64_t reciprocalOf(uint32_t Size) {
+    return ~uint64_t(0) / Size + 1;
+  }
+
+  /// Sets the slot geometry: \p Count slots of \p Size bytes starting
+  /// \p FirstOffset bytes into the block.
+  void setSlotGeometry(uint32_t Size, uint32_t Count, uint32_t FirstOffset) {
+    ObjectSize = Size;
+    ObjectCount = Count;
+    FirstObjectOffset = FirstOffset;
+    SlotReciprocal = reciprocalOf(Size);
+  }
 
   uint32_t usableFreeCount() const {
     return ObjectCount - AllocatedCount - PinnedCount;
@@ -97,15 +121,25 @@ struct BlockDescriptor {
 
   /// \returns the slot index containing window offset \p Offset, or -1
   /// if \p Offset is not inside any slot (header gap or tail waste).
+  /// The mark loop calls this for every candidate, so it never divides:
+  /// once \p Offset is known to lie inside the slot run (ObjectCount *
+  /// ObjectSize bytes, at most one block), the delta fits in 32 bits
+  /// and the quotient is a multiply by SlotReciprocal, and a one-slot
+  /// block needs neither.
   int32_t slotContaining(WindowOffset Offset) const {
     WindowOffset First = firstSlotOffset();
     if (Offset < First)
       return -1;
     uint64_t Delta = Offset - First;
-    uint64_t Slot = Delta / ObjectSize;
-    if (Slot >= ObjectCount)
+    if (Delta >= uint64_t(ObjectCount) * ObjectSize)
       return -1;
-    return static_cast<int32_t>(Slot);
+    if (ObjectCount == 1)
+      return 0;
+    CGC_ASSERT(Delta <= UINT32_MAX, "multi-slot block larger than 4 GiB");
+    CGC_ASSERT(SlotReciprocal == reciprocalOf(ObjectSize),
+               "slot geometry set without setSlotGeometry");
+    return static_cast<int32_t>(
+        (static_cast<unsigned __int128>(SlotReciprocal) * Delta) >> 64);
   }
 
   WindowOffset slotOffset(uint32_t Slot) const {

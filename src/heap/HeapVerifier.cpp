@@ -118,6 +118,13 @@ HeapVerifyReport HeapVerifier::run() {
       R.notefAt(K::BlockGeometry, Id, Block.StartPage,
                 "block %u: %u slots of %u bytes overflow %u pages", Id,
                 Block.ObjectCount, Block.ObjectSize, Block.NumPages);
+    if (Block.ObjectSize >= 2 &&
+        Block.SlotReciprocal != BlockDescriptor::reciprocalOf(Block.ObjectSize))
+      R.notefAt(K::CounterMismatch, Id, Block.StartPage,
+                "block %u: slot reciprocal %#llx does not match %u-byte "
+                "slots",
+                Id, (unsigned long long)Block.SlotReciprocal,
+                Block.ObjectSize);
     for (uint32_t P = 0; P != Block.NumPages; ++P) {
       if (Map.blockAt(Block.StartPage + P) != Id) {
         R.notefAt(K::PageMapStale, Id, Block.StartPage + P,
@@ -367,6 +374,12 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
   // "allocated" (freeing a live object is the one unrecoverable move).
   Heap.Blocks.forEach([&](BlockId, BlockDescriptor &B) {
     bool Resynced = false;
+    // The reciprocal is derived from ObjectSize, which survived (a).
+    uint64_t Reciprocal = BlockDescriptor::reciprocalOf(B.ObjectSize);
+    if (B.SlotReciprocal != Reciprocal) {
+      B.SlotReciprocal = Reciprocal;
+      Resynced = true;
+    }
     for (uint32_t Slot = 0; Slot != B.ObjectCount; ++Slot)
       if (B.AllocBits.test(Slot) && B.PinnedBits.test(Slot)) {
         B.PinnedBits.reset(Slot);

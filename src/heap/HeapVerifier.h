@@ -55,8 +55,8 @@ enum class VerifyFindingKind : unsigned char {
   BlockGeometry,
   /// A page-map entry disagrees with the block table: re-derived.
   PageMapStale,
-  /// A counter disagrees with its bitmap (alloc/pinned/mark):
-  /// resynced from the bitmap.
+  /// A counter disagrees with its bitmap (alloc/pinned/mark), or the
+  /// slot reciprocal with the slot size: resynced from its source.
   CounterMismatch,
   /// A class (free) list entry is dead, mismatched, or a block with
   /// usable slots is invisible to the allocator: lists rebuilt.

@@ -190,9 +190,7 @@ BlockId ObjectHeap::createSmallBlock(size_t SlotSize, ObjectKind Kind,
   BlockDescriptor &Block = Blocks.get(Id);
   Block.StartPage = *Run;
   Block.NumPages = 1;
-  Block.ObjectSize = static_cast<uint32_t>(SlotSize);
-  Block.ObjectCount = Count;
-  Block.FirstObjectOffset = FirstOffset;
+  Block.setSlotGeometry(static_cast<uint32_t>(SlotSize), Count, FirstOffset);
   Block.Kind = Kind;
   Block.IsLarge = false;
   Block.LayoutId = Layout;
@@ -279,9 +277,7 @@ void *ObjectHeap::allocateLarge(size_t Bytes, ObjectKind Kind,
   BlockDescriptor &Block = Blocks.get(Id);
   Block.StartPage = *Run;
   Block.NumPages = NumPages;
-  Block.ObjectSize = static_cast<uint32_t>(Bytes);
-  Block.ObjectCount = 1;
-  Block.FirstObjectOffset = FirstOffset;
+  Block.setSlotGeometry(static_cast<uint32_t>(Bytes), 1, FirstOffset);
   Block.Kind = Kind;
   Block.IsLarge = true;
   Block.IgnoreOffPage = IgnoreOffPage;

@@ -160,15 +160,25 @@ Value builtinLength(Interpreter &In, Value Args) {
 }
 
 Value builtinAppend(Interpreter &In, Value Args) {
-  // (append a b): copy a's spine, share b.
-  Value A = Interpreter::car(Args);
+  // (append a b): copy a's spine, share b.  The copy is consed in
+  // reverse onto a stack-held head, never parked in malloc memory the
+  // collector does not scan, so a's items stay reachable through it
+  // while later conses collect; then the copy is reversed in place
+  // onto b.
   Value B = Interpreter::car(Interpreter::cdr(Args));
-  std::vector<Value> Items;
-  for (Value P = A; P.isPair(); P = Interpreter::cdr(P))
-    Items.push_back(Interpreter::car(P));
+  Value Reversed = Value::nil();
+  for (Value P = Interpreter::car(Args); P.isPair(); P = Interpreter::cdr(P)) {
+    Reversed = In.cons(Interpreter::car(P), Reversed);
+    if (In.failed())
+      return Value::nil();
+  }
   Value Result = B;
-  for (size_t I = Items.size(); I-- > 0;)
-    Result = In.cons(Items[I], Result);
+  while (Reversed.isPair()) {
+    Value Next = Interpreter::cdr(Reversed);
+    Reversed.Object->Slots[1] = Result;
+    Result = Reversed;
+    Reversed = Next;
+  }
   return Result;
 }
 

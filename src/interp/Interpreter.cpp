@@ -75,10 +75,10 @@ Value Interpreter::symbol(std::string_view Name) {
   return Value::symbol(Symbols.size() - 1);
 }
 
-Value Interpreter::list(const std::vector<Value> &Items) {
+Value Interpreter::list(std::initializer_list<Value> Items) {
   Value Result = Value::nil();
-  for (size_t I = Items.size(); I-- > 0;)
-    Result = cons(Items[I], Result);
+  for (const Value *I = Items.end(); I != Items.begin();)
+    Result = cons(*--I, Result);
   return Result;
 }
 

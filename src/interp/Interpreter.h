@@ -26,6 +26,7 @@
 
 #include "core/Collector.h"
 #include "interp/Value.h"
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -94,8 +95,11 @@ public:
     return Symbols[Index];
   }
 
-  /// Builds a proper list from \p Items.
-  Value list(const std::vector<Value> &Items);
+  /// Builds a proper list from \p Items.  An initializer list's items
+  /// live in the caller's frame, which conservative stack scanning
+  /// covers, so they survive the collections that consing may trigger;
+  /// a std::vector's malloc buffer would not be scanned.
+  Value list(std::initializer_list<Value> Items);
 
   //===--------------------------------------------------------------===//
   // Errors and introspection

@@ -16,9 +16,13 @@
 /// Injection points are expressed as `CGC_INJECT_FAULT(Site)` checks.
 /// When the build disables `CGC_FAULT_INJECTION` the macro folds to
 /// constant `false` and the sites compile to nothing; when enabled, a
-/// disarmed injector costs a single relaxed atomic load on a path that
-/// is never hot (every site sits on a slow path that already touches a
-/// mutex or spawns a thread).
+/// disarmed injector costs a single relaxed atomic load.  Every site
+/// but one sits on a slow path that already touches a mutex or spawns
+/// a thread.  The exception is MarkStackOverflow in MarkWorker::push,
+/// which runs once per marked pointer-bearing object: each mark worker
+/// reads FaultInjector::anyArmed() once, when it is constructed, and
+/// only a worker built while some site was armed evaluates the site.
+/// An armed injector therefore still sees one hit per push.
 ///
 /// Two arming modes, both deterministic:
 ///  - arm(Site, SkipHits, FailCount): let SkipHits calls through, then
@@ -133,6 +137,12 @@ public:
     if (ArmedCount.load(std::memory_order_relaxed) == 0)
       return false;
     return shouldFailSlow(Site);
+  }
+
+  /// \returns true when any site is armed.  One relaxed load; the
+  /// hot-path gate for sites that snapshot it (see MarkWorker).
+  bool anyArmed() const {
+    return ArmedCount.load(std::memory_order_relaxed) != 0;
   }
 
   /// Lock-free mirrors of per-site state, readable from a signal

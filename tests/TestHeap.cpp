@@ -108,9 +108,7 @@ TEST(BlockTable, SlotGeometry) {
   BlockDescriptor Block;
   Block.StartPage = 10;
   Block.NumPages = 1;
-  Block.ObjectSize = 8;
-  Block.FirstObjectOffset = 16;
-  Block.ObjectCount = 510;
+  Block.setSlotGeometry(/*Size=*/8, /*Count=*/510, /*FirstOffset=*/16);
   WindowOffset Start = offsetOfPage(10);
   EXPECT_EQ(Block.firstSlotOffset(), Start + 16);
   EXPECT_EQ(Block.slotOffset(0), Start + 16);
@@ -120,6 +118,87 @@ TEST(BlockTable, SlotGeometry) {
   EXPECT_EQ(Block.slotContaining(Start + 24), 1);
   EXPECT_EQ(Block.slotContaining(Start + 15), -1); // Header gap.
   EXPECT_EQ(Block.slotContaining(Start + 16 + 510 * 8), -1); // Tail.
+}
+
+namespace {
+
+/// slotContaining as first written: a 64-bit divide, then a range check.
+int32_t referenceSlotContaining(const BlockDescriptor &Block,
+                                WindowOffset Offset) {
+  WindowOffset First = Block.firstSlotOffset();
+  if (Offset < First)
+    return -1;
+  uint64_t Slot = (Offset - First) / Block.ObjectSize;
+  return Slot >= Block.ObjectCount ? -1 : static_cast<int32_t>(Slot);
+}
+
+} // namespace
+
+TEST(BlockTable, SlotContainingMatchesReferenceDivision) {
+  // Small blocks: every size class, every byte of its one-page block
+  // and of the page after it, with and without a header gap.  The
+  // reciprocal multiply must agree with the divide everywhere.
+  SizeClassTable Classes;
+  for (unsigned Class = 0; Class != Classes.numClasses(); ++Class) {
+    for (uint32_t FirstOffset : {0u, 16u}) {
+      BlockDescriptor Block;
+      Block.StartPage = 37;
+      Block.NumPages = 1;
+      uint32_t Size = static_cast<uint32_t>(Classes.classSize(Class));
+      uint32_t Count = static_cast<uint32_t>((PageSize - FirstOffset) / Size);
+      if (Count == 0)
+        continue;
+      Block.setSlotGeometry(Size, Count, FirstOffset);
+      WindowOffset Start = Block.startOffset();
+      for (WindowOffset Offset = Start; Offset != Start + 2 * PageSize;
+           ++Offset)
+        ASSERT_EQ(Block.slotContaining(Offset),
+                  referenceSlotContaining(Block, Offset))
+            << "slot size " << Block.ObjectSize << ", first offset "
+            << FirstOffset << ", byte " << Offset - Start;
+    }
+  }
+
+  // Every multi-slot size, class or not, over the bytes of its block.
+  for (uint32_t Size = 2; Size <= PageSize / 2; ++Size) {
+    BlockDescriptor Block;
+    Block.StartPage = 41;
+    Block.NumPages = 1;
+    Block.setSlotGeometry(Size, static_cast<uint32_t>(PageSize / Size), 0);
+    uint64_t Mismatches = 0;
+    WindowOffset Start = Block.startOffset();
+    for (WindowOffset Offset = Start; Offset != Start + PageSize; ++Offset)
+      Mismatches += Block.slotContaining(Offset) !=
+                    referenceSlotContaining(Block, Offset);
+    ASSERT_EQ(Mismatches, 0u) << "slot size " << Size;
+  }
+
+  // Large blocks: one slot, no divide.  Probe the header gap, the first
+  // and last byte of the object, one past its end, and the block's
+  // tail page.
+  for (uint32_t FirstOffset : {0u, 16u}) {
+    for (uint32_t Bytes : {uint32_t(PageSize) + 1, uint32_t(5 * PageSize),
+                           uint32_t(3 << 20) - 7}) {
+      BlockDescriptor Block;
+      Block.StartPage = 300;
+      Block.NumPages =
+          static_cast<uint32_t>((Bytes + FirstOffset + PageSize - 1) /
+                                PageSize);
+      Block.setSlotGeometry(Bytes, 1, FirstOffset);
+      Block.IsLarge = true;
+      WindowOffset First = Block.firstSlotOffset();
+      for (WindowOffset Offset :
+           {Block.startOffset(), First, First + 1, First + Bytes - 1,
+            First + Bytes, Block.endOffset() - 1, Block.endOffset()})
+        EXPECT_EQ(Block.slotContaining(Offset),
+                  referenceSlotContaining(Block, Offset))
+            << "large object of " << Bytes << " bytes, byte "
+            << Offset - Block.startOffset();
+      EXPECT_EQ(Block.slotContaining(First), 0);
+      EXPECT_EQ(Block.slotContaining(First + Bytes - 1), 0);
+      EXPECT_EQ(Block.slotContaining(First + Bytes), -1);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -235,3 +235,49 @@ TEST(InterpOom, ExhaustedHeapReportsOutOfMemoryError) {
   EXPECT_FALSE(In.failed());
   EXPECT_EQ(In.toString(Ok), "3");
 }
+
+TEST(InterpTemporaries, AppendKeepsItemsAliveWhileCopying) {
+  // append copies its first list, a fresh temporary nothing else
+  // references, and the copy conses enough to trigger collections
+  // part-way through.  Every item must survive them: the copied items
+  // may be reachable only from the half-built copy, never from malloc
+  // memory the collector does not scan.  A collected item's slot is
+  // reused by a later pair of the same size, so ordered? then sees a
+  // wrong car.  Stack clearing wipes the dead frames that could
+  // otherwise keep the original list alive by accident.
+  GcConfig Config;
+  Config.MaxHeapBytes = 64 << 20;
+  Config.MinHeapBytesBeforeGc = 16 << 10; // Collect every few KiB.
+  Config.StackClearing = StackClearMode::Cheap;
+  Collector GC(Config);
+  Interpreter In(GC);
+  GC.enableMachineStackScanning();
+
+  In.clearError();
+  Value Defined = In.evalString(
+      "(define pairs (lambda (n acc)"
+      "  (if (= n 0) acc (pairs (- n 1) (cons (cons n n) acc)))))"
+      "(define ordered? (lambda (l i)"
+      "  (if (null? l) #t"
+      "      (if (= (car (car l)) i)"
+      "          (if (= (cdr (car l)) i) (ordered? (cdr l) (+ i 1)) #f)"
+      "          #f))))"
+      "(define check (lambda (k n)"
+      "  (if (= k 0) #t"
+      "      (if (ordered? (append (pairs n '()) (list (cons (+ n 1) (+ n 1))))"
+      "                    1)"
+      "          (check (- k 1) n)"
+      "          #f))))");
+  (void)Defined;
+  ASSERT_FALSE(In.failed()) << In.errorMessage();
+  for (const char *Round : {"(check 10 2000)", "(check 5 8000)",
+                            "(check 3 16000)"}) {
+    uint64_t Before = GC.lifetimeStats().Collections;
+    In.clearError();
+    Value Result = In.evalString(Round);
+    ASSERT_FALSE(In.failed()) << Round << ": " << In.errorMessage();
+    EXPECT_EQ(In.toString(Result), "#t") << Round;
+    EXPECT_GE(GC.lifetimeStats().Collections - Before, 4u)
+        << Round << ": the trigger must collect during the appends";
+  }
+}

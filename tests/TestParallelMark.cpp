@@ -179,6 +179,58 @@ TEST(ParallelMark, MeasureLivenessMatchesAcrossThreadCounts) {
   }
 }
 
+TEST(ParallelMark, NearMissBatchesIdenticalAcrossThreadCounts) {
+  // Every node carries three false pointers into distinct unused pages
+  // of the potential heap: thousands of near misses, many times each
+  // worker's batch, so parallel workers flush batches into the
+  // blacklist while others still mark.  The blacklist and every
+  // near-miss counter must match the sequential marker's.
+  constexpr unsigned Lists = 32, Nodes = 40, FalsePerNode = 3;
+  CollectionStats ReferenceCycle;
+  std::vector<WindowOffset> ReferenceRetained;
+  uint64_t ReferencePages = 0, ReferenceNoted = 0;
+  for (unsigned Threads : {1u, 4u}) {
+    Collector GC(parallelConfig(Threads));
+    std::vector<uint64_t> Window(Lists, 0);
+    GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                    RootEncoding::Native64, RootSource::Client, "lists");
+    // Unused pages far above anything these lists commit.
+    WindowOffset FalseBase = (16 << 20) + (40 << 20);
+    uint64_t NextFalsePage = 0;
+    for (unsigned L = 0; L != Lists; ++L) {
+      uint64_t *Prev = nullptr;
+      for (unsigned N = 0; N != Nodes; ++N) {
+        auto *Node = static_cast<uint64_t *>(
+            GC.allocate((1 + FalsePerNode) * sizeof(uint64_t)));
+        ASSERT_NE(Node, nullptr);
+        Node[0] = reinterpret_cast<uint64_t>(Prev);
+        for (unsigned F = 1; F <= FalsePerNode; ++F)
+          Node[F] = reinterpret_cast<uint64_t>(GC.pointerAtOffset(
+              FalseBase + NextFalsePage++ * PageSize));
+        Prev = Node;
+      }
+      Window[L] = reinterpret_cast<uint64_t>(Prev);
+    }
+    CollectionStats Cycle = GC.collect("near-misses");
+    EXPECT_EQ(Cycle.MarkWorkers, Threads);
+    EXPECT_EQ(Cycle.NearMisses, uint64_t(Lists) * Nodes * FalsePerNode);
+    std::vector<WindowOffset> Retained = retainedSet(GC);
+    if (Threads == 1) {
+      ReferenceCycle = Cycle;
+      ReferenceRetained = std::move(Retained);
+      ReferencePages = GC.blacklistedPageCount();
+      ReferenceNoted = GC.blacklistStats().CandidatesNoted;
+      EXPECT_EQ(ReferencePages, Cycle.NearMisses);
+      continue;
+    }
+    expectSameLiveness(Cycle, ReferenceCycle, "near misses");
+    EXPECT_EQ(Retained, ReferenceRetained);
+    EXPECT_EQ(GC.blacklistedPageCount(), ReferencePages);
+    EXPECT_EQ(GC.blacklistStats().CandidatesNoted, ReferenceNoted);
+    EXPECT_EQ(Cycle.BlacklistedPages, ReferencePages);
+  }
+}
+
 TEST(ParallelMark, ThreadCountClampsAndReports) {
   Collector GC(parallelConfig(1));
   EXPECT_EQ(GC.markThreads(), 1u);

@@ -227,6 +227,39 @@ TEST(Resilience, MarkStackOverflowRecoverySequential) {
   EXPECT_EQ(Nodes, 800u);
 }
 
+TEST(Resilience, ArmedInjectorSeesEveryMarkPush) {
+  if (!FaultInjectionCompiled)
+    GTEST_SKIP() << "built without CGC_FAULT_INJECTION";
+  FaultGuard Guard;
+
+  Collector GC(smallHeapConfig(64 << 20));
+  std::vector<uint64_t> Window(8, 0);
+  GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                  RootEncoding::Native64, RootSource::Client, "window");
+  buildRootedList(GC, Window, 800);
+
+  // Mark workers evaluate the MarkStackOverflow site only while some
+  // site is armed.  Arming an unrelated site that never fires must
+  // still make the mark push site count one hit per push: one per
+  // marked object, since every node holds pointers.
+  FaultInjector::instance().arm(FaultSite::ArenaGrow, UINT64_MAX / 2, 1);
+  FaultInjector::instance().resetStats();
+  CollectionStats Cycle = GC.collect("armed-elsewhere");
+  EXPECT_EQ(Cycle.ObjectsMarked, 800u);
+  EXPECT_EQ(Cycle.MarkStackOverflows, 0u);
+  FaultSiteStats Push = FaultInjector::instance().stats(
+      FaultSite::MarkStackOverflow);
+  EXPECT_EQ(Push.Hits, Cycle.ObjectsMarked);
+  EXPECT_EQ(Push.Fired, 0u);
+
+  // Disarmed, the site is not evaluated at all.
+  FaultInjector::instance().disarmAll();
+  FaultInjector::instance().resetStats();
+  GC.collect("disarmed");
+  EXPECT_EQ(FaultInjector::instance().stats(FaultSite::MarkStackOverflow).Hits,
+            0u);
+}
+
 TEST(Resilience, MarkStackOverflowRecoveryParallel) {
   if (!FaultInjectionCompiled)
     GTEST_SKIP() << "built without CGC_FAULT_INJECTION";
@@ -412,6 +445,37 @@ TEST(Resilience, VerifierCatchesCorruptedBlockHeader) {
 
   // Restored, the heap verifies clean again.
   Victim->AllocatedCount = Saved;
+  EXPECT_TRUE(GC.verifyHeapReport().clean());
+  for (void *Ptr : Kept)
+    GC.deallocate(Ptr);
+}
+
+TEST(Resilience, RepairRederivesStaleSlotReciprocal) {
+  Collector GC(smallHeapConfig(16 << 20));
+  std::vector<void *> Kept;
+  for (int I = 0; I != 64; ++I) {
+    void *P = GC.allocate(48, ObjectKind::Uncollectable);
+    ASSERT_NE(P, nullptr);
+    Kept.push_back(P);
+  }
+  BlockDescriptor *Victim = nullptr;
+  GC.objectHeap().blockTable().forEach([&](BlockId, BlockDescriptor &Block) {
+    if (!Victim && Block.ObjectCount > 1 && Block.AllocatedCount > 0)
+      Victim = &Block;
+  });
+  ASSERT_NE(Victim, nullptr);
+  uint64_t Good = Victim->SlotReciprocal;
+  Victim->SlotReciprocal = Good ^ 0x100; // The mark loop would misplace slots.
+
+  HeapVerifyReport Report = GC.verifyAndRepair();
+  ASSERT_FALSE(Report.clean());
+  bool SawMismatch = false;
+  for (const VerifyFinding &F : Report.Findings)
+    SawMismatch |= F.Kind == VerifyFindingKind::CounterMismatch &&
+                   F.Outcome == VerifyRepairOutcome::Repaired;
+  EXPECT_TRUE(SawMismatch) << Report.str();
+  EXPECT_EQ(Victim->SlotReciprocal, Good)
+      << "repair re-derives the reciprocal from the slot size";
   EXPECT_TRUE(GC.verifyHeapReport().clean());
   for (void *Ptr : Kept)
     GC.deallocate(Ptr);
