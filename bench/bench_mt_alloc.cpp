@@ -2,9 +2,9 @@
 //
 // Measures small-object allocation throughput from 1, 2, 4, and 8
 // registered mutator threads, with thread-owned blocks on
-// (GcConfig::ThreadCacheSlots != 0: lock-free allocation from blocks
-// checked out under the heap lock) and off (0: every allocation
-// serializes on the shared heap lock).  A third column runs the cached
+// (GcConfig::ThreadCaches: lock-free allocation from blocks checked out
+// under the heap lock) and off (every allocation serializes on the
+// shared heap lock).  A third column runs the cached
 // configuration on the mt-churn shape: mixed sizes through a 256-slot
 // window per thread, half of the evicted objects freed explicitly, so
 // the owner's lock-free frees are measured too.  The interesting
@@ -42,7 +42,7 @@ uint64_t nowNanos() {
           .count());
 }
 
-GcConfig benchConfig(unsigned CacheSlots) {
+GcConfig benchConfig(bool ThreadCaches) {
   GcConfig Config;
   Config.WindowBytes = uint64_t(1) << 30;
   Config.Placement = HeapPlacement::Custom;
@@ -50,7 +50,7 @@ GcConfig benchConfig(unsigned CacheSlots) {
   Config.MaxHeapBytes = uint64_t(256) << 20;
   Config.GcAtStartup = false;
   Config.MinHeapBytesBeforeGc = ~uint64_t(0); // Pure allocation, no GC.
-  Config.ThreadCacheSlots = CacheSlots;
+  Config.ThreadCaches = ThreadCaches;
   return Config;
 }
 
@@ -105,9 +105,9 @@ uint64_t mutate(Collector &GC, size_t PerThread, bool Churn, unsigned Tid) {
 /// One timed run of \p Threads registered mutators started together
 /// off a shared flag.  \returns wall nanoseconds from release to last
 /// completion.
-uint64_t runOnce(unsigned Threads, unsigned CacheSlots, size_t PerThread,
+uint64_t runOnce(unsigned Threads, bool ThreadCaches, size_t PerThread,
                  bool Churn) {
-  Collector GC(benchConfig(CacheSlots));
+  Collector GC(benchConfig(ThreadCaches));
   std::atomic<unsigned> Ready{0};
   std::atomic<bool> Go{false};
   std::atomic<uint64_t> Frees{0};
@@ -184,12 +184,14 @@ int main(int Argc, char **Argv) {
     uint64_t BestUncached = ~uint64_t(0), BestCached = ~uint64_t(0),
              BestChurn = ~uint64_t(0);
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      BestUncached = std::min(
-          BestUncached, runOnce(Threads, /*CacheSlots=*/0, PerThread, false));
-      BestCached = std::min(
-          BestCached, runOnce(Threads, /*CacheSlots=*/32, PerThread, false));
+      BestUncached =
+          std::min(BestUncached,
+                   runOnce(Threads, /*ThreadCaches=*/false, PerThread, false));
+      BestCached =
+          std::min(BestCached,
+                   runOnce(Threads, /*ThreadCaches=*/true, PerThread, false));
       BestChurn = std::min(
-          BestChurn, runOnce(Threads, /*CacheSlots=*/32, PerThread, true));
+          BestChurn, runOnce(Threads, /*ThreadCaches=*/true, PerThread, true));
     }
     double Total = double(Threads) * double(PerThread);
     double UncachedRate = Total / (double(BestUncached) / 1e9);

@@ -6,74 +6,44 @@
 
 using namespace cgc;
 
-FlatBitmapBlacklist::FlatBitmapBlacklist(PageIndex NumPages, bool Aging)
-    : Current(NumPages), SeenThisCycle(NumPages), Aging(Aging) {}
-
-void FlatBitmapBlacklist::noteCandidate(PageIndex Page) {
-  ++Stats.CandidatesNoted;
-  if (Page >= Current.size())
-    return;
-  Current.set(Page);
-  if (InCycle)
-    SeenThisCycle.set(Page);
+BitmapBlacklist BitmapBlacklist::hashed(unsigned BitsLog2, bool Aging) {
+  CGC_CHECK(BitsLog2 >= 4 && BitsLog2 <= 28,
+            "hashed blacklist size out of range");
+  return BitmapBlacklist(size_t(1) << BitsLog2, BitsLog2, Aging);
 }
 
-void FlatBitmapBlacklist::beginCycle() {
+void BitmapBlacklist::noteCandidate(PageIndex Page) {
+  ++Stats.CandidatesNoted;
+  size_t Bit = bitFor(Page);
+  if (Bit == NoBit)
+    return;
+  if (!Current.testAndSet(Bit))
+    ++CurrentCount;
+  if (InCycle && !SeenThisCycle.testAndSet(Bit))
+    ++SeenCount;
+}
+
+void BitmapBlacklist::beginCycle() {
   SeenThisCycle.clearAll();
+  SeenCount = 0;
   InCycle = true;
 }
 
-void FlatBitmapBlacklist::endCycle() {
+void BitmapBlacklist::endCycle() {
   ++Stats.Cycles;
   InCycle = false;
-  if (!Aging)
-    return;
   // Entries the just-finished collection did not re-observe are dropped:
   // the stale value that produced them has been overwritten.
-  Current = SeenThisCycle;
+  if (Aging)
+    adoptSeenSet();
 }
 
-void FlatBitmapBlacklist::refresh() {
+void BitmapBlacklist::refresh() {
   // SeenThisCycle is a subset of Current (noteCandidate sets both), so
   // the intersection the sentinel wants is the seen set itself.  Only
   // meaningful between cycles; mid-cycle the seen set is still filling.
-  if (InCycle)
-    return;
-  Current = SeenThisCycle;
-}
-
-HashedBlacklist::HashedBlacklist(unsigned BitsLog2, bool Aging)
-    : BitsLog2(BitsLog2), Current(size_t(1) << BitsLog2),
-      SeenThisCycle(size_t(1) << BitsLog2), Aging(Aging) {
-  CGC_CHECK(BitsLog2 >= 4 && BitsLog2 <= 28,
-            "hashed blacklist size out of range");
-}
-
-void HashedBlacklist::noteCandidate(PageIndex Page) {
-  ++Stats.CandidatesNoted;
-  size_t Bit = hashPage(Page);
-  Current.set(Bit);
-  if (InCycle)
-    SeenThisCycle.set(Bit);
-}
-
-void HashedBlacklist::beginCycle() {
-  SeenThisCycle.clearAll();
-  InCycle = true;
-}
-
-void HashedBlacklist::endCycle() {
-  ++Stats.Cycles;
-  InCycle = false;
-  if (!Aging)
-    return;
-  Current = SeenThisCycle;
-}
-
-void HashedBlacklist::refresh() {
-  if (InCycle)
-    return;
-  Current = SeenThisCycle;
+  if (!InCycle)
+    adoptSeenSet();
 }
 
 std::unique_ptr<Blacklist> cgc::createBlacklist(BlacklistMode Mode,
@@ -84,9 +54,11 @@ std::unique_ptr<Blacklist> cgc::createBlacklist(BlacklistMode Mode,
   case BlacklistMode::Off:
     return std::make_unique<NullBlacklist>();
   case BlacklistMode::FlatBitmap:
-    return std::make_unique<FlatBitmapBlacklist>(NumPages, Aging);
+    return std::make_unique<BitmapBlacklist>(
+        BitmapBlacklist::flat(NumPages, Aging));
   case BlacklistMode::Hashed:
-    return std::make_unique<HashedBlacklist>(HashedBitsLog2, Aging);
+    return std::make_unique<BitmapBlacklist>(
+        BitmapBlacklist::hashed(HashedBitsLog2, Aging));
   }
   CGC_UNREACHABLE("bad blacklist mode");
 }

@@ -13,12 +13,13 @@
 /// blacklist addresses that correspond to long-lived data values before
 /// these values become false references."
 ///
-/// Two representations, both page-granular as in the paper:
-///   * FlatBitmapBlacklist — a bit array indexed by page number.
-///   * HashedBlacklist — a hash table with one bit per entry; a false
-///     reference to any page in a hash class blacklists the whole
-///     class.  "Since collisions can easily be made rare, this does not
-///     result in much lost precision."
+/// Two representations, both page-granular as in the paper, and both
+/// one BitmapBlacklist that differs only in how a page maps to a bit:
+///   * flat — a bit array indexed by page number.
+///   * hashed — a hash table with one bit per entry; a false reference
+///     to any page in a hash class blacklists the whole class.  "Since
+///     collisions can easily be made rare, this does not result in much
+///     lost precision."
 ///
 /// Aging implements "blacklisted values that are no longer found by a
 /// later collection may be removed from the list": each collection
@@ -86,54 +87,60 @@ public:
   uint64_t entryCount() const override { return 0; }
 };
 
-/// Bit-array blacklist indexed by window page number.
-class FlatBitmapBlacklist final : public Blacklist {
+/// Bit-array blacklist.  Flat mode keeps one bit per window page;
+/// hashed mode one bit per multiplicative hash class of pages, so a
+/// note on any page of a class blacklists the whole class.  The number
+/// of set bits is kept as a running count, so entryCount() is O(1).
+class BitmapBlacklist final : public Blacklist {
 public:
-  /// \param NumPages window page count.
-  /// \param Aging    drop entries a later collection no longer sees.
-  FlatBitmapBlacklist(PageIndex NumPages, bool Aging);
+  /// One bit per page of a \p NumPages window; later pages are ignored.
+  static BitmapBlacklist flat(PageIndex NumPages, bool Aging) {
+    return BitmapBlacklist(NumPages, /*HashBitsLog2=*/0, Aging);
+  }
+  /// A table of 2^\p BitsLog2 hash-class bits.
+  static BitmapBlacklist hashed(unsigned BitsLog2, bool Aging);
 
   void noteCandidate(PageIndex Page) override;
   bool isBlacklisted(PageIndex Page) const override {
-    return Page < Current.size() && Current.test(Page);
+    size_t Bit = bitFor(Page);
+    return Bit != NoBit && Current.test(Bit);
   }
   void beginCycle() override;
   void endCycle() override;
   void refresh() override;
-  uint64_t entryCount() const override { return Current.count(); }
+  /// Set bits: pages in flat mode, hash classes in hashed mode.
+  uint64_t entryCount() const override { return CurrentCount; }
+  /// The live bitmap, for cross-checks against the running count.
+  const BitVector &bits() const { return Current; }
 
 private:
-  BitVector Current;
-  BitVector SeenThisCycle;
-  bool Aging;
-  bool InCycle = false;
-};
+  BitmapBlacklist(size_t NumBits, unsigned HashBitsLog2, bool Aging)
+      : HashBitsLog2(HashBitsLog2), Current(NumBits), SeenThisCycle(NumBits),
+        Aging(Aging) {}
 
-/// Hash-table blacklist: page -> bit index; collisions blacklist the
-/// whole hash class.
-class HashedBlacklist final : public Blacklist {
-public:
-  HashedBlacklist(unsigned BitsLog2, bool Aging);
+  static constexpr size_t NoBit = ~size_t(0);
 
-  void noteCandidate(PageIndex Page) override;
-  bool isBlacklisted(PageIndex Page) const override {
-    return Current.test(hashPage(Page));
-  }
-  void beginCycle() override;
-  void endCycle() override;
-  void refresh() override;
-  uint64_t entryCount() const override { return Current.count(); }
-
-private:
-  size_t hashPage(PageIndex Page) const {
-    // Multiplicative hashing; high bits select the bucket.
-    return static_cast<size_t>((uint64_t(Page) * 0x9e3779b97f4a7c15ULL) >>
-                               (64 - BitsLog2));
+  /// The bit standing for \p Page, or NoBit past a flat map's end.
+  size_t bitFor(PageIndex Page) const {
+    if (HashBitsLog2 != 0)
+      // Multiplicative hashing; high bits select the bucket.
+      return static_cast<size_t>((uint64_t(Page) * 0x9e3779b97f4a7c15ULL) >>
+                                 (64 - HashBitsLog2));
+    return Page < Current.size() ? Page : NoBit;
   }
 
-  unsigned BitsLog2;
+  /// Aging: the live set becomes the just-seen set.
+  void adoptSeenSet() {
+    Current = SeenThisCycle;
+    CurrentCount = SeenCount;
+  }
+
+  /// 0 in flat mode.
+  unsigned HashBitsLog2;
   BitVector Current;
   BitVector SeenThisCycle;
+  uint64_t CurrentCount = 0;
+  uint64_t SeenCount = 0;
   bool Aging;
   bool InCycle = false;
 };

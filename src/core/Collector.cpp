@@ -288,25 +288,170 @@ void Collector::publishHandshakeCrashState() {
                                std::memory_order_relaxed);
 }
 
-void Collector::abandonStoppedWorld(
-    ThreadRegistry::HandshakeResult &Handshake, const char *Reason) {
-  (void)Reason;
-  ++Resilience.HandshakeTimeouts;
-  ++Resilience.AbandonedCollections;
-  publishHandshakeCrashState();
-  GcIncident Incident;
-  Incident.Cause = GcIncidentCause::HandshakeTimeout;
-  Incident.CollectionIndex = Lifetime.Collections;
-  Incident.HandshakeTrace = std::move(Handshake.Trace);
-  Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-  warn(WarnEvent::HandshakeStall,
-       "cgc: stop-the-world handshake timed out; abandoning collection",
-       Handshake.Nanos);
-  if (Config.HandshakeFatal)
-    fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
-  // The world resumes un-collected; the caller returns an empty cycle
-  // and the allocation ladder degrades to heap growth.
-  Registry.resumeTheWorld();
+bool Collector::refuseReentrantCollection() {
+  // A callback collecting mid-collection (observer, warn proc, OOM
+  // handler) gets a refused empty cycle, not an abort: the documented
+  // contract is "must not collect", and the robust reading of a
+  // violation is a no-op.
+  if (!InCollection)
+    return false;
+  warn(WarnEvent::ReentrantCollection,
+       "cgc: refused re-entrant collection from a callback",
+       Lifetime.Collections);
+  return true;
+}
+
+Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
+    : GC(GC) {
+  // Threaded mode: rendezvous every registered mutator at a safepoint
+  // before any phase touches shared heap state.  With zero registered
+  // threads this whole block is dead and the cycle is bit-identical to
+  // sequential mode.
+  if (!GC.ThreadedMode.load(std::memory_order_relaxed) ||
+      GC.Registry.registeredCount() == 0)
+    return;
+  Self = ThreadRegistry::current();
+  // Reserve every vector the stopped-world window appends to before
+  // any mutator can be frozen: the watchdog's signal rung may park a
+  // thread inside libc malloc with an arena lock held, after which a
+  // collector-side system allocation can deadlock (the bdwgc
+  // no-malloc-between-suspend-and-resume rule).  Two ranges per thread
+  // (stack + registers), plus two for the machine-stack pair an
+  // unregistered collecting thread adds.
+  const size_t RangeBudget = 2 * GC.Registry.registeredCount() + 2;
+  RootIds.reserve(RangeBudget);
+  GC.Roots.reserveAdditional(RangeBudget);
+  // Mid-cycle callback allocations append to MidCyclePins while the
+  // world is stopped; pre-grow it here for the same reason.
+  if (GC.MidCyclePins.capacity() < MidCyclePinReserve)
+    GC.MidCyclePins.reserve(MidCyclePinReserve);
+  Handshake = GC.Registry.stopTheWorld(Self);
+  Stopped = true;
+  GC.StopInitiator.store(Self, std::memory_order_release);
+  if (Handshake.TimedOut) {
+    // Watchdog final rung: some mutator could not be stopped.  Raise
+    // the structured incident and abandon the attempt — no phase may
+    // run against a world that is still mutating.  The allocation
+    // ladder treats the empty cycle as "reclaimed nothing" and
+    // degrades to heap growth.
+    GC.StopInitiator.store(nullptr, std::memory_order_release);
+    Abandoned = true;
+    ++GC.Resilience.HandshakeTimeouts;
+    ++GC.Resilience.AbandonedCollections;
+    GC.publishHandshakeCrashState();
+    GcIncident Incident;
+    Incident.Cause = GcIncidentCause::HandshakeTimeout;
+    Incident.CollectionIndex = GC.Lifetime.Collections;
+    Incident.HandshakeTrace = std::move(Handshake.Trace);
+    GC.Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
+    GC.warn(WarnEvent::HandshakeStall,
+            "cgc: stop-the-world handshake timed out; abandoning collection",
+            Handshake.Nanos);
+    if (GC.Config.HandshakeFatal)
+      fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
+    resume();
+    return;
+  }
+  // Return every thread-owned block so mark/sweep see ordinary blocks
+  // with exact counts.
+  if (FlushCaches)
+    CacheFlush = GC.flushThreadCaches();
+  GC.publishHandshakeCrashState();
+  if (FlushCaches)
+    GC.CrashInfo.OwnedBlocks.store(GC.Heap->ownedBlockCount(),
+                                   std::memory_order_relaxed);
+  GC.Observers.dispatch([&](GcObserver &O) {
+    O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
+  });
+}
+
+Collector::StoppedWorld::~StoppedWorld() {
+  removeRoots();
+  resume();
+}
+
+void Collector::StoppedWorld::addRoots(std::jmp_buf &MachineRegisters,
+                                       const std::jmp_buf &SelfRegisters,
+                                       const volatile char *Probe) {
+  // If real-stack scanning is on, snapshot the stack and registers and
+  // expose them as temporary root ranges.  A registered collecting
+  // thread is covered by the mutator root ranges below instead — the
+  // MachineStack base belongs to whichever thread enabled scanning,
+  // which need not be this one.
+  if (GC.MachineStackScanner && Self == nullptr) {
+    MachineStack::Snapshot Snap =
+        GC.MachineStackScanner->capture(MachineRegisters);
+    RootIds.push_back(GC.Roots.addRange(Snap.HotEnd, Snap.Base,
+                                        RootEncoding::Native64,
+                                        RootSource::Stack, "machine-stack"));
+    RootIds.push_back(GC.Roots.addRange(
+        Snap.RegistersBegin, Snap.RegistersEnd, RootEncoding::Native64,
+        RootSource::Registers, "machine-regs"));
+  }
+  if (!Stopped)
+    return;
+  // Stopped mutators published their stack top and registers at the
+  // safepoint.  Published tops are probe-local addresses with no
+  // particular alignment; round them down to pointer alignment so the
+  // strided root scan lands exactly on the frame's pointer slots.  The
+  // extra few bytes below the probe are dead stack — harmless to scan.
+  auto AlignDownToPointer = [](const volatile void *P) {
+    return reinterpret_cast<const void *>(
+        reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
+  };
+  GC.Registry.forEachThread([&](MutatorThread &Thread) {
+    bool IsSelf = &Thread == Self;
+    const void *Top = AlignDownToPointer(
+        IsSelf ? Probe : Thread.StackTop.load(std::memory_order_acquire));
+    const void *RegsBegin;
+    const void *RegsEnd;
+    if (IsSelf) {
+      RegsBegin = static_cast<const void *>(&SelfRegisters);
+      RegsEnd = static_cast<const void *>(
+          reinterpret_cast<const unsigned char *>(&SelfRegisters) +
+          sizeof(std::jmp_buf));
+    } else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire)) {
+      // Preemptively suspended: the cooperative jmp_buf is stale; the
+      // handler's sigsetjmp capture is the live register snapshot.
+      RegsBegin = static_cast<const void *>(&Thread.Suspend.Registers);
+      RegsEnd = static_cast<const void *>(
+          reinterpret_cast<const unsigned char *>(
+              &Thread.Suspend.Registers) +
+          sizeof(sigjmp_buf));
+    } else {
+      RegsBegin = static_cast<const void *>(&Thread.Registers);
+      RegsEnd = static_cast<const void *>(
+          reinterpret_cast<const unsigned char *>(&Thread.Registers) +
+          sizeof(std::jmp_buf));
+    }
+    if (Top != nullptr && Thread.StackBase != nullptr &&
+        Top < Thread.StackBase)
+      RootIds.push_back(GC.Roots.addRange(Top, Thread.StackBase,
+                                          RootEncoding::Native64,
+                                          RootSource::Stack, "mutator-stack"));
+    // Labels here must fit the small-string buffer: these ranges are
+    // registered while the world is stopped, when a heap-allocating
+    // std::string could deadlock against a signal-suspended thread's
+    // malloc arena lock.
+    RootIds.push_back(GC.Roots.addRange(RegsBegin, RegsEnd,
+                                        RootEncoding::Native64,
+                                        RootSource::Registers,
+                                        "mutator-regs"));
+  });
+}
+
+void Collector::StoppedWorld::removeRoots() {
+  for (RootId Id : RootIds)
+    GC.Roots.removeRange(Id);
+  RootIds.clear();
+}
+
+void Collector::StoppedWorld::resume() {
+  if (!Stopped)
+    return;
+  Stopped = false;
+  GC.StopInitiator.store(nullptr, std::memory_order_release);
+  GC.Registry.resumeTheWorld();
 }
 
 void Collector::configureSentinel(const SentinelPolicy &Policy) {
@@ -335,11 +480,35 @@ void Collector::maybeStartupCollect() {
 }
 
 void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
-  if (ThreadedMode.load(std::memory_order_relaxed))
-    return allocateThreaded(Bytes, Kind);
+  MutatorThread *Self = nullptr;
+  if (ThreadedMode.load(std::memory_order_relaxed)) {
+    Self = ThreadRegistry::current();
+    // Mid-collection re-entrant allocation (callback context): no
+    // safepoint (self-park) and no cache refill (a refilled slot would
+    // be allocated-but-uncharted under the already-flushed caches);
+    // take the locked slow path, which pins the object.
+    if (Self == StopInitiator.load(std::memory_order_relaxed))
+      Self = nullptr;
+  }
+  if (Self != nullptr) {
+    // The allocation-time safepoint: the flag check is the documented
+    // "flag-checked slow path"; parking happens only under a stop.
+    Registry.safepoint(Self);
+    if (Self->Cache && Kind == ObjectKind::Normal &&
+        SizeClassTable::isSmall(Bytes)) {
+      unsigned Class = Heap->sizeClassFor(Bytes == 0 ? 1 : Bytes);
+      // Lock-free fast path: the next free slot of an owned block.
+      // Size-class geometry is immutable, so reading it is safe.
+      if (void *Cached = Self->Cache->take(Class))
+        return finishCachedSlot(Cached, Heap->sizeClassBytes(Class));
+      HeapLockGuard Guard(*this);
+      return allocateLocked({Bytes, Kind}, Self);
+    }
+  }
+  HeapLockGuard Guard(*this);
   if (Guards)
     return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/false);
-  return allocateRaw(Bytes, Kind);
+  return allocateLocked({Bytes, Kind}, /*Owner=*/nullptr);
 }
 
 //===----------------------------------------------------------------------===//
@@ -376,7 +545,7 @@ bool Collector::registerMutatorThread(const void *StackBaseHint) {
       Registry.registerThread(Base, Config.MutatorThreads);
   if (!Thread)
     return false;
-  if (Config.ThreadCacheSlots != 0 && !Guards)
+  if (Config.ThreadCaches && !Guards)
     Thread->Cache = std::make_unique<ThreadCache>(Heap->numSizeClasses());
   ThreadedMode.store(true, std::memory_order_release);
   CrashInfo.RegisteredThreads.store(Registry.registeredCount(),
@@ -435,38 +604,8 @@ void Collector::safepoint() {
     Registry.safepoint(Self);
 }
 
-void *Collector::allocateThreaded(size_t Bytes, ObjectKind Kind) {
-  MutatorThread *Self = ThreadRegistry::current();
-  if (Self != nullptr &&
-      Self == StopInitiator.load(std::memory_order_relaxed))
-    // Mid-collection re-entrant allocation (callback context): no
-    // safepoint (self-park) and no cache refill (a refilled slot would
-    // be allocated-but-uncharted under the already-flushed caches);
-    // take the locked slow path, which pins the object (allocateRaw).
-    Self = nullptr;
-  if (Self != nullptr) {
-    // The allocation-time safepoint: the flag check is the documented
-    // "flag-checked slow path"; parking happens only under a stop.
-    Registry.safepoint(Self);
-    if (Self->Cache && Kind == ObjectKind::Normal &&
-        SizeClassTable::isSmall(Bytes)) {
-      unsigned Class = Heap->sizeClassFor(Bytes == 0 ? 1 : Bytes);
-      // Lock-free fast path: the next free slot of an owned block.
-      // Size-class geometry is immutable, so reading it is safe.
-      if (void *Cached = Self->Cache->take(Class))
-        return finishCachedSlot(Cached, Heap->sizeClassBytes(Class));
-      HeapLockGuard Guard(*this);
-      return refillAndAllocate(Self, Bytes, Kind, Class);
-    }
-  }
-  HeapLockGuard Guard(*this);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/false);
-  return allocateRaw(Bytes, Kind);
-}
-
 void *Collector::finishCachedSlot(void *Result, size_t SlotBytes) {
-  // Always zeroed, unlike allocateRaw's tail: a remote free into an
+  // Always zeroed, unlike allocateLocked's tail: a remote free into an
   // owned block leaves the slot's contents for the owner to clear (see
   // ObjectHeap::deallocateExplicit).
   std::memset(Result, 0, SlotBytes);
@@ -502,25 +641,6 @@ bool Collector::checkoutToCache(MutatorThread *Self, unsigned Class,
   Observers.dispatch(
       [&](GcObserver &O) { O.onThreadCacheRefill(Class, Slots); });
   return true;
-}
-
-void *Collector::refillAndAllocate(MutatorThread *Self, size_t Bytes,
-                                   ObjectKind Kind, unsigned Class) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  maybeRunStackClearHooks();
-  if (checkoutToCache(Self, Class, /*Layout=*/0)) {
-    void *Cached = Self->Cache->take(Class);
-    CGC_ASSERT(Cached != nullptr, "checked-out block has no slot");
-    return finishCachedSlot(Cached, Heap->sizeClassBytes(Class));
-  }
-  // No block of this class has a free slot: let the ordinary slow path
-  // collect/grow/climb the ladder for one object, then check out the
-  // block that produced.
-  void *Result = allocateRaw(Bytes, Kind);
-  if (Result != nullptr)
-    checkoutToCache(Self, Class, /*Layout=*/0);
-  return Result;
 }
 
 Collector::CacheFlushOutcome Collector::flushThreadCaches() {
@@ -582,57 +702,6 @@ bool Collector::anyMutatorSignalSuspended() const {
   return Any;
 }
 
-void Collector::addMutatorRootRanges(const MutatorThread *SelfThread,
-                                     const void *SelfStackTop,
-                                     const void *SelfRegsBegin,
-                                     const void *SelfRegsEnd,
-                                     std::vector<RootId> &Ids) {
-  // Published tops are probe-local addresses with no particular
-  // alignment; round them down to pointer alignment so the strided
-  // root scan lands exactly on the frame's pointer slots.  The extra
-  // few bytes below the probe are dead stack — harmless to scan.
-  auto AlignDownToPointer = [](const void *P) {
-    return reinterpret_cast<const void *>(
-        reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
-  };
-  Registry.forEachThread([&](MutatorThread &Thread) {
-    bool IsSelf = &Thread == SelfThread;
-    const void *Top = AlignDownToPointer(
-        IsSelf ? SelfStackTop
-               : Thread.StackTop.load(std::memory_order_acquire));
-    const void *RegsBegin;
-    const void *RegsEnd;
-    if (IsSelf) {
-      RegsBegin = SelfRegsBegin;
-      RegsEnd = SelfRegsEnd;
-    } else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire)) {
-      // Preemptively suspended: the cooperative jmp_buf is stale; the
-      // handler's sigsetjmp capture is the live register snapshot.
-      RegsBegin = static_cast<const void *>(&Thread.Suspend.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(
-              &Thread.Suspend.Registers) +
-          sizeof(sigjmp_buf));
-    } else {
-      RegsBegin = static_cast<const void *>(&Thread.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(&Thread.Registers) +
-          sizeof(std::jmp_buf));
-    }
-    if (Top != nullptr && Thread.StackBase != nullptr &&
-        Top < Thread.StackBase)
-      Ids.push_back(Roots.addRange(Top, Thread.StackBase,
-                                   RootEncoding::Native64, RootSource::Stack,
-                                   "mutator-stack"));
-    // Labels here must fit the small-string buffer: these ranges are
-    // registered while the world is stopped, when a heap-allocating
-    // std::string could deadlock against a signal-suspended thread's
-    // malloc arena lock.
-    Ids.push_back(Roots.addRange(RegsBegin, RegsEnd, RootEncoding::Native64,
-                                 RootSource::Registers, "mutator-regs"));
-  });
-}
-
 void *Collector::allocateTagged(size_t Bytes, const char *Site,
                                 ObjectKind Kind) {
   if (!Guards)
@@ -650,8 +719,8 @@ void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
   CGC_CHECK(Bytes <= GuardLayer::MaxUserBytes,
             "guarded allocation too large");
   size_t Padded = static_cast<size_t>(GuardLayer::paddedSize(Bytes));
-  void *Slot = IgnoreOffPage ? allocateRawIgnoreOffPage(Padded, Kind)
-                             : allocateRaw(Padded, Kind);
+  void *Slot = allocateLocked({Padded, Kind, /*Layout=*/0, IgnoreOffPage},
+                              /*Owner=*/nullptr);
   if (!Slot)
     return nullptr;
   // An installed OOM handler's result is returned verbatim; it is not
@@ -667,23 +736,35 @@ void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
   return GuardLayer::userPointer(Slot);
 }
 
-void *Collector::allocateRaw(size_t Bytes, ObjectKind Kind) {
+void *Collector::allocateLocked(const AllocRequest &Req,
+                                MutatorThread *Owner) {
   MetadataScope MetaScope(*this);
   maybeStartupCollect();
   maybeRunStackClearHooks();
 
-  void *Result;
-  if (SizeClassTable::isSmall(Bytes)) {
-    Result = Heap->allocateFromExisting(Bytes, Kind);
-    if (!Result)
-      Result = allocateSmallSlow(Bytes, Kind);
-  } else {
-    Result = allocateLargeSlow(Bytes, Kind, /*IgnoreOffPage=*/false);
+  unsigned Class = 0;
+  if (Owner) {
+    Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
+    if (checkoutToCache(Owner, Class, Req.Layout)) {
+      size_t SlotBytes = Heap->sizeClassBytes(Class);
+      void *Cached = Req.Layout != 0
+                         ? Owner->Cache->takeTyped(Req.Layout, SlotBytes)
+                         : Owner->Cache->take(Class);
+      CGC_ASSERT(Cached != nullptr, "checked-out block has no slot");
+      return finishCachedSlot(Cached, SlotBytes);
+    }
+    // No block of this class or layout has a free slot: the path below
+    // collects/grows/climbs the ladder for one object, and the block
+    // that produced it is checked out afterwards.
   }
-  if (!Result)
-    return reportOutOfMemory(Bytes);
 
-  BytesSinceGc += Bytes;
+  void *Result = takeExisting(Req);
+  if (!Result)
+    Result = allocateSlow(Req);
+  if (!Result)
+    return reportOutOfMemory(Req.Bytes);
+
+  BytesSinceGc += Req.Bytes;
   // A callback allocating mid-collection gets an object with a clear
   // mark bit that the cycle's own sweep would reclaim before the
   // callback even returns; pin it for this cycle.
@@ -693,70 +774,62 @@ void *Collector::allocateRaw(size_t Bytes, ObjectKind Kind) {
   // at free time when ClearFreedObjects is on.  Clear here otherwise
   // so clients always see zeroed memory.
   if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Bytes);
+    std::memset(Result, 0, Req.Bytes);
+  if (Owner)
+    checkoutToCache(Owner, Class, Req.Layout);
   return Result;
 }
 
-void *Collector::allocateSmallSlow(size_t Bytes, ObjectKind Kind) {
-  // Out of cached slots: decide whether to collect before taking more
+void *Collector::takeExisting(const AllocRequest &Req) {
+  if (Req.Layout != 0)
+    return Heap->allocateTypedFromExisting(Req.Layout);
+  if (SizeClassTable::isSmall(Req.Bytes))
+    return Heap->allocateFromExisting(Req.Bytes, Req.Kind);
+  return nullptr; // Every large object takes a fresh page run.
+}
+
+void *Collector::takeFresh(const AllocRequest &Req) {
+  if (Req.Layout != 0)
+    return Heap->addBlockForLayout(Req.Layout)
+               ? Heap->allocateTypedFromExisting(Req.Layout)
+               : nullptr;
+  if (SizeClassTable::isSmall(Req.Bytes))
+    return Heap->addBlockForClass(Req.Bytes, Req.Kind)
+               ? Heap->allocateFromExisting(Req.Bytes, Req.Kind)
+               : nullptr;
+  return Heap->allocateLarge(Req.Bytes, Req.Kind, Req.IgnoreOffPage);
+}
+
+void *Collector::allocateSlow(const AllocRequest &Req) {
+  // Out of free slots: decide whether to collect before taking more
   // pages.  (Never mid-collection: a callback's allocation must not
   // recurse into collect.)
   if (!InCollection && shouldCollectBeforeGrowth()) {
     collect("allocation-threshold");
-    if (void *Result = Heap->allocateFromExisting(Bytes, Kind))
+    if (void *Result = takeExisting(Req))
       return Result;
   }
-  // Grow: a fresh block for this class (commits pages as needed).
-  if (Heap->addBlockForClass(Bytes, Kind))
-    return Heap->allocateFromExisting(Bytes, Kind);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    if (void *Result = Heap->allocateFromExisting(Bytes, Kind))
-      return Result;
-    if (Heap->addBlockForClass(Bytes, Kind))
-      return Heap->allocateFromExisting(Bytes, Kind);
-    return nullptr;
-  });
-}
-
-void *Collector::allocateLargeSlow(size_t Bytes, ObjectKind Kind,
-                                   bool IgnoreOffPage) {
-  if (!InCollection && shouldCollectBeforeGrowth())
-    collect("allocation-threshold");
-  if (void *Result = Heap->allocateLarge(Bytes, Kind, IgnoreOffPage))
+  // Grow: a fresh block (commits pages as needed) or page run.
+  if (void *Result = takeFresh(Req))
     return Result;
   // A blacklist that has eaten a sizable share of the committed heap is
   // the paper's worst case for large objects: every candidate run must
   // dodge it.  Tell the client (rate-limited) before fighting on.
-  uint64_t Blacklisted = BlacklistImpl->entryCount();
-  if (Blacklisted * 4 >= Pages->stats().CommittedPages &&
+  if (Req.Layout == 0 && !SizeClassTable::isSmall(Req.Bytes) &&
+      BlacklistImpl->entryCount() * 4 >= Pages->stats().CommittedPages &&
       Pages->stats().CommittedPages > 0)
     warn(WarnEvent::LargeAllocOnBlacklistedHeap,
-         "cgc: large allocation on a blacklist-saturated heap", Bytes);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    return Heap->allocateLarge(Bytes, Kind, IgnoreOffPage);
-  });
+         "cgc: large allocation on a blacklist-saturated heap", Req.Bytes);
+  return runExhaustionLadder(Req);
 }
 
-void *Collector::allocateTypedSlow(LayoutId Layout) {
-  uint64_t Bytes = Heap->layout(Layout).SizeBytes;
-  if (!InCollection && shouldCollectBeforeGrowth()) {
-    collect("allocation-threshold");
-    if (void *Result = Heap->allocateTypedFromExisting(Layout))
+void *Collector::runExhaustionLadder(const AllocRequest &Req) {
+  auto Retry = [&]() -> void * {
+    if (void *Result = takeExisting(Req))
       return Result;
-  }
-  if (Heap->addBlockForLayout(Layout))
-    return Heap->allocateTypedFromExisting(Layout);
-  return runExhaustionLadder(Bytes, [&]() -> void * {
-    if (void *Result = Heap->allocateTypedFromExisting(Layout))
-      return Result;
-    if (Heap->addBlockForLayout(Layout))
-      return Heap->allocateTypedFromExisting(Layout);
-    return nullptr;
-  });
-}
-
-void *Collector::runExhaustionLadder(uint64_t Bytes,
-                                     const std::function<void *()> &Retry) {
+    return takeFresh(Req);
+  };
+  uint64_t Bytes = Req.Bytes;
   // Rung 1: finish pending lazy sweeps.  Queued blocks of *other*
   // classes may sweep empty and release whole page runs.
   if (Heap->pendingSweepCount() > 0) {
@@ -1160,7 +1233,7 @@ void *Collector::allocateTyped(LayoutId Layout) {
   if (ThreadedMode.load(std::memory_order_relaxed)) {
     Self = ThreadRegistry::current();
     // Mid-collection callback: bypass the cache paths entirely (see
-    // allocateThreaded) and let the locked tail pin the object.
+    // allocate) and let the locked tail pin the object.
     if (Self == StopInitiator.load(std::memory_order_relaxed))
       Self = nullptr;
     if (Self && Self->Cache && !Config.AllConservativeDescriptors) {
@@ -1176,23 +1249,9 @@ void *Collector::allocateTyped(LayoutId Layout) {
     MetadataScope MetaScope(*this);
     const TypeDescriptor &D = Heap->layout(Layout);
     if (!Config.AllConservativeDescriptors &&
-        D.Class == DescriptorClass::Precise) {
-      if (Self && Self->Cache)
-        return refillTypedAndAllocate(Self, Layout);
-      maybeStartupCollect();
-      maybeRunStackClearHooks();
-      void *Result = Heap->allocateTypedFromExisting(Layout);
-      if (!Result)
-        Result = allocateTypedSlow(Layout);
-      if (!Result)
-        return reportOutOfMemory(D.SizeBytes);
-      BytesSinceGc += D.SizeBytes;
-      if (InCollection)
-        pinMidCycleAllocation(Result);
-      if (!Config.ClearFreedObjects)
-        std::memset(Result, 0, D.SizeBytes);
-      return Result;
-    }
+        D.Class == DescriptorClass::Precise)
+      return allocateLocked({D.SizeBytes, ObjectKind::Normal, Layout},
+                            Self && Self->Cache ? Self : nullptr);
     // Degenerate bitmaps collapse onto the ordinary kinds, and the
     // all-conservative ablation ignores descriptors outright: route
     // through allocate() so guarded mode, thread caches, and the
@@ -1208,55 +1267,13 @@ void *Collector::allocateTyped(LayoutId Layout) {
   return allocate(RouteBytes, RouteKind);
 }
 
-void *Collector::refillTypedAndAllocate(MutatorThread *Self,
-                                        LayoutId Layout) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  maybeRunStackClearHooks();
-  unsigned Class = Heap->sizeClassFor(Heap->layout(Layout).SizeBytes);
-  if (checkoutToCache(Self, Class, Layout)) {
-    size_t SlotBytes = 0;
-    void *Cached = Self->Cache->takeTyped(Layout, SlotBytes);
-    CGC_ASSERT(Cached != nullptr, "checked-out typed block has no slot");
-    return finishCachedSlot(Cached, SlotBytes);
-  }
-  // No block of this layout has a free slot: drive the typed ladder for
-  // one object, then check out the block that produced.
-  void *Result = Heap->allocateTypedFromExisting(Layout);
-  if (!Result)
-    Result = allocateTypedSlow(Layout);
-  if (!Result)
-    return reportOutOfMemory(Heap->layout(Layout).SizeBytes);
-  BytesSinceGc += Heap->layout(Layout).SizeBytes;
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Heap->layout(Layout).SizeBytes);
-  checkoutToCache(Self, Class, Layout);
-  return Result;
-}
-
 void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
   safepoint();
   HeapLockGuard Guard(*this);
   if (Guards)
     return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/true);
-  return allocateRawIgnoreOffPage(Bytes, Kind);
-}
-
-void *Collector::allocateRawIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
-  MetadataScope MetaScope(*this);
-  maybeStartupCollect();
-  if (SizeClassTable::isSmall(Bytes))
-    return allocateRaw(Bytes, Kind); // Small objects fit one page anyway.
-  maybeRunStackClearHooks();
-  void *Result = allocateLargeSlow(Bytes, Kind, /*IgnoreOffPage=*/true);
-  if (!Result)
-    return reportOutOfMemory(Bytes);
-  BytesSinceGc += Bytes;
-  if (InCollection)
-    pinMidCycleAllocation(Result);
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Bytes);
-  return Result;
+  return allocateLocked({Bytes, Kind, /*Layout=*/0, /*IgnoreOffPage=*/true},
+                        /*Owner=*/nullptr);
 }
 
 void Collector::registerDisplacement(uint32_t Displacement) {
@@ -1312,16 +1329,8 @@ void Collector::emitRetainedObjects() {
 
 CollectionStats Collector::collect(const char *Reason) {
   HeapLockGuard HeapGuard(*this);
-  // A callback collecting mid-collection (observer, warn proc, OOM
-  // handler) gets a refused empty cycle, not an abort: the documented
-  // contract is "must not collect", and the robust reading of a
-  // violation is a no-op.
-  if (InCollection) {
-    warn(WarnEvent::ReentrantCollection,
-         "cgc: refused re-entrant collection from a callback",
-         Lifetime.Collections);
+  if (refuseReentrantCollection())
     return CollectionStats();
-  }
   // Degraded mode: repeated post-repair verification failures mean the
   // metadata cannot be trusted to survive a pipeline.  Every further
   // cycle is refused (an empty cycle reads as "reclaimed nothing"), so
@@ -1330,54 +1339,9 @@ CollectionStats Collector::collect(const char *Reason) {
     return CollectionStats();
   MetadataScope MetaScope(*this);
 
-  // Threaded mode: rendezvous every registered mutator at a safepoint
-  // before any phase touches shared heap state, and return every
-  // thread-owned block so mark/sweep see ordinary blocks with exact
-  // counts.  With zero registered threads this whole
-  // block is dead and the cycle is bit-identical to sequential mode.
-  MutatorThread *SelfThread = nullptr;
-  bool WorldStopped = false;
-  ThreadRegistry::HandshakeResult Handshake;
-  CacheFlushOutcome CacheFlush;
-  std::vector<RootId> ThreadRootIds;
-  if (ThreadedMode.load(std::memory_order_relaxed) &&
-      Registry.registeredCount() != 0) {
-    SelfThread = ThreadRegistry::current();
-    // Reserve every vector the stopped-world window appends to before
-    // any mutator can be frozen: the watchdog's signal rung may park a
-    // thread inside libc malloc with an arena lock held, after which a
-    // collector-side system allocation can deadlock (the bdwgc
-    // no-malloc-between-suspend-and-resume rule).  Two ranges per
-    // thread (stack + registers), plus two for the machine-stack pair
-    // an unregistered collecting thread adds.
-    const size_t RangeBudget = 2 * Registry.registeredCount() + 2;
-    ThreadRootIds.reserve(RangeBudget);
-    Roots.reserveAdditional(RangeBudget);
-    // Mid-cycle callback allocations append to MidCyclePins while the
-    // world is stopped; pre-grow it here for the same reason.
-    if (MidCyclePins.capacity() < MidCyclePinReserve)
-      MidCyclePins.reserve(MidCyclePinReserve);
-    Handshake = Registry.stopTheWorld(SelfThread);
-    WorldStopped = true;
-    StopInitiator.store(SelfThread, std::memory_order_release);
-    // Watchdog final rung: some mutator could not be stopped.  Raise
-    // the structured incident and abandon the attempt — no phase may
-    // run against a world that is still mutating.  The caller's
-    // allocation ladder treats the empty cycle as "reclaimed nothing"
-    // and degrades to heap growth.
-    if (Handshake.TimedOut) {
-      StopInitiator.store(nullptr, std::memory_order_release);
-      abandonStoppedWorld(Handshake, Reason);
-      return CollectionStats();
-    }
-    CacheFlush = flushThreadCaches();
-    publishHandshakeCrashState();
-    CrashInfo.OwnedBlocks.store(Heap->ownedBlockCount(),
-                                std::memory_order_relaxed);
-    Observers.dispatch([&](GcObserver &O) {
-      O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
-    });
-  }
+  StoppedWorld World(*this, /*FlushCaches=*/true);
+  if (World.abandoned())
+    return CollectionStats();
 
   // Guarded mode: release every quarantined slot (poison-checked)
   // before any phase runs, so the sweep only ever sees armed headers
@@ -1394,9 +1358,9 @@ CollectionStats Collector::collect(const char *Reason) {
     Hook();
 
   CollectionStats Cycle;
-  Cycle.MutatorsStopped = Handshake.MutatorsStopped;
-  Cycle.HandshakeNanos = Handshake.Nanos;
-  Cycle.CacheSlotsFlushed = CacheFlush.SlotsFlushed;
+  Cycle.MutatorsStopped = World.Handshake.MutatorsStopped;
+  Cycle.HandshakeNanos = World.Handshake.Nanos;
+  Cycle.CacheSlotsFlushed = World.CacheFlush.SlotsFlushed;
   Cycle.CacheBlocksKept = Heap->ownedBlockCount();
   TimingSink.attach(&Cycle);
   uint64_t CollectionIndex = Lifetime.Collections;
@@ -1406,41 +1370,17 @@ CollectionStats Collector::collect(const char *Reason) {
   Observers.dispatch(
       [&](GcObserver &O) { O.onCollectionBegin(CollectionIndex, Reason); });
 
-  // If real-stack scanning is on, snapshot the stack and registers and
-  // expose them as temporary root ranges.  A registered collecting
-  // thread is covered by the mutator root ranges below instead — the
-  // MachineStack base belongs to whichever thread enabled scanning,
-  // which need not be this one.
-  std::jmp_buf RegisterBuffer;
-  RootId StackRoot = 0, RegisterRoot = 0;
-  if (MachineStackScanner && SelfThread == nullptr) {
-    MachineStack::Snapshot Snap =
-        MachineStackScanner->capture(RegisterBuffer);
-    StackRoot = Roots.addRange(Snap.HotEnd, Snap.Base,
-                               RootEncoding::Native64, RootSource::Stack,
-                               "machine-stack");
-    RegisterRoot = Roots.addRange(Snap.RegistersBegin, Snap.RegistersEnd,
-                                  RootEncoding::Native64,
-                                  RootSource::Registers,
-                                  "machine-regs");
-  }
-
-  // Stopped mutators published their stack top and registers at the
-  // safepoint; the collecting thread snapshots its own here.  Probe and
-  // jmp_buf are function-scope so the ranges stay valid through every
-  // phase; deeper collector frames sit below the probe and are
-  // (correctly) excluded.
+  // The probe and both jmp_bufs are function-scope so the root ranges
+  // stay valid through every phase; deeper collector frames sit below
+  // the probe and are (correctly) excluded.  setjmp runs in this frame
+  // too: in a callee it would snapshot the callee's registers and leave
+  // values it spilled in its own frame, below the probe, unscanned.
+  std::jmp_buf MachineRegisters;
   std::jmp_buf SelfRegisters;
   volatile char SelfProbe = 0;
-  if (WorldStopped) {
-    if (SelfThread)
-      setjmp(SelfRegisters);
-    addMutatorRootRanges(
-        SelfThread, const_cast<const char *>(&SelfProbe), &SelfRegisters,
-        reinterpret_cast<const unsigned char *>(&SelfRegisters) +
-            sizeof(std::jmp_buf),
-        ThreadRootIds);
-  }
+  if (World.self())
+    setjmp(SelfRegisters);
+  World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
 
   // The phase pipeline, transactional under the repair ladder: the
   // verify sink (VerifyEveryCollection, !RepairFatal) sets
@@ -1576,12 +1516,7 @@ CollectionStats Collector::collect(const char *Reason) {
       Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::BlacklistPromote)];
   Cycle.SweepNanos = Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::Sweep)];
 
-  if (StackRoot != 0)
-    Roots.removeRange(StackRoot);
-  if (RegisterRoot != 0)
-    Roots.removeRange(RegisterRoot);
-  for (RootId Id : ThreadRootIds)
-    Roots.removeRange(Id);
+  World.removeRoots();
 
   LastCycle = Cycle;
   Lifetime.accumulate(Cycle);
@@ -1606,10 +1541,7 @@ CollectionStats Collector::collect(const char *Reason) {
   Observers.dispatch(
       [&](GcObserver &O) { O.onCollectionEnd(CollectionIndex, Cycle); });
   TimingSink.attach(nullptr);
-  if (WorldStopped) {
-    StopInitiator.store(nullptr, std::memory_order_release);
-    Registry.resumeTheWorld();
-  }
+  World.resume();
   // Decommit the pages free since before the previous cycle, after the
   // resume so the madvise calls stay out of the pause.
   Pages->ageDeferredDecommits();
@@ -1625,84 +1557,28 @@ CollectionStats Collector::collect(const char *Reason) {
 
 CollectionStats Collector::measureLiveness() {
   HeapLockGuard HeapGuard(*this);
-  // Same graceful refusal as collect(): a mid-collection callback
-  // asking for a census gets an empty one.
-  if (InCollection) {
-    warn(WarnEvent::ReentrantCollection,
-         "cgc: refused re-entrant collection from a callback",
-         Lifetime.Collections);
+  if (refuseReentrantCollection())
     return CollectionStats();
-  }
   MetadataScope MetaScope(*this);
-  // Same rendezvous as collect(), minus the cache flush: a liveness
-  // census must not perturb the caches it is measuring, and slots an
-  // owned block has not handed out are clear in its bitmap anyway.
-  MutatorThread *SelfThread = nullptr;
-  bool WorldStopped = false;
-  std::vector<RootId> ThreadRootIds;
-  if (ThreadedMode.load(std::memory_order_relaxed) &&
-      Registry.registeredCount() != 0) {
-    SelfThread = ThreadRegistry::current();
-    // As in collect(): reserve root-range storage before any mutator
-    // can be frozen inside libc malloc by the watchdog's signal rung.
-    const size_t RangeBudget = 2 * Registry.registeredCount() + 2;
-    ThreadRootIds.reserve(RangeBudget);
-    Roots.reserveAdditional(RangeBudget);
-    if (MidCyclePins.capacity() < MidCyclePinReserve)
-      MidCyclePins.reserve(MidCyclePinReserve);
-    ThreadRegistry::HandshakeResult Handshake =
-        Registry.stopTheWorld(SelfThread);
-    WorldStopped = true;
-    StopInitiator.store(SelfThread, std::memory_order_release);
-    if (Handshake.TimedOut) {
-      StopInitiator.store(nullptr, std::memory_order_release);
-      abandonStoppedWorld(Handshake, "measure-liveness");
-      return CollectionStats();
-    }
-    publishHandshakeCrashState();
-    Observers.dispatch([&](GcObserver &O) {
-      O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
-    });
-  }
-  InCollection = true;
-  for (const auto &Hook : PreCollectionHooks)
-    Hook();
   CollectionStats Cycle;
-  std::jmp_buf RegisterBuffer;
-  RootId StackRoot = 0, RegisterRoot = 0;
-  if (MachineStackScanner && SelfThread == nullptr) {
-    MachineStack::Snapshot Snap =
-        MachineStackScanner->capture(RegisterBuffer);
-    StackRoot = Roots.addRange(Snap.HotEnd, Snap.Base,
-                               RootEncoding::Native64, RootSource::Stack,
-                               "machine-stack");
-    RegisterRoot = Roots.addRange(Snap.RegistersBegin, Snap.RegistersEnd,
-                                  RootEncoding::Native64,
-                                  RootSource::Registers,
-                                  "machine-regs");
-  }
-  std::jmp_buf SelfRegisters;
-  volatile char SelfProbe = 0;
-  if (WorldStopped) {
-    if (SelfThread)
+  {
+    // Same rendezvous as collect(), minus the cache flush: a liveness
+    // census must not perturb the caches it is measuring, and slots an
+    // owned block has not handed out are clear in its bitmap anyway.
+    StoppedWorld World(*this, /*FlushCaches=*/false);
+    if (World.abandoned())
+      return Cycle;
+    InCollection = true;
+    for (const auto &Hook : PreCollectionHooks)
+      Hook();
+    std::jmp_buf MachineRegisters;
+    std::jmp_buf SelfRegisters;
+    volatile char SelfProbe = 0;
+    if (World.self())
       setjmp(SelfRegisters);
-    addMutatorRootRanges(
-        SelfThread, const_cast<const char *>(&SelfProbe), &SelfRegisters,
-        reinterpret_cast<const unsigned char *>(&SelfRegisters) +
-            sizeof(std::jmp_buf),
-        ThreadRootIds);
-  }
-  Marking->runMark(Roots, Cycle);
-  if (StackRoot != 0)
-    Roots.removeRange(StackRoot);
-  if (RegisterRoot != 0)
-    Roots.removeRange(RegisterRoot);
-  for (RootId Id : ThreadRootIds)
-    Roots.removeRange(Id);
-  if (WorldStopped) {
-    StopInitiator.store(nullptr, std::memory_order_release);
-    Registry.resumeTheWorld();
-  }
+    World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
+    Marking->runMark(Roots, Cycle);
+  } // Removes the root ranges and resumes the world.
   InCollection = false;
   MidCyclePins.clear();
   MidCyclePinOverflow = false;

@@ -172,7 +172,7 @@ public:
 
   /// Registers the calling thread as a mutator: records its stack base
   /// (\p StackBaseHint, or the platform stack extent when null), gives
-  /// it a cache of thread-owned blocks (GcConfig::ThreadCacheSlots;
+  /// it a cache of thread-owned blocks (GcConfig::ThreadCaches;
   /// disabled in guarded mode), and — sticky, for the collector's
   /// lifetime — switches every public entry point onto the heap lock.
   /// During collections the thread's stack and registers join the
@@ -480,11 +480,33 @@ private:
   };
   static constexpr unsigned NumWarnEvents = 10;
 
-  /// The unguarded allocation paths (the historical allocate /
-  /// allocateIgnoreOffPage bodies); the public entry points route
-  /// through the guard layer first when DebugGuards is on.
-  void *allocateRaw(size_t Bytes, ObjectKind Kind);
-  void *allocateRawIgnoreOffPage(size_t Bytes, ObjectKind Kind);
+  /// One allocation request: \p Bytes of \p Kind, or, with a nonzero
+  /// \p Layout, one object of that Precise descriptor (\p Bytes is its
+  /// size; \p Kind is unused).  \p IgnoreOffPage places a large object
+  /// so that only first-page pointers retain it.
+  struct AllocRequest {
+    size_t Bytes;
+    ObjectKind Kind = ObjectKind::Normal;
+    LayoutId Layout = 0;
+    bool IgnoreOffPage = false;
+  };
+  /// The locked allocation tail every unguarded request ends in (the
+  /// public entry points route through the guard layer first when
+  /// DebugGuards is on): startup collection, stack-clear tick, then —
+  /// with an \p Owner thread — a block checkout into its cache.  When
+  /// that finds no block, or without an owner, one object comes from
+  /// an existing block or the slow path; it is charged to the trigger,
+  /// pinned if a collection is in flight, and zeroed, and the owner
+  /// then checks out the block that produced it.  Exhaustion returns
+  /// the OOM handler's result.
+  void *allocateLocked(const AllocRequest &Req, MutatorThread *Owner);
+  /// A free slot of an existing block (never for large objects).
+  void *takeExisting(const AllocRequest &Req);
+  /// Grows the heap for one object: a fresh block for the class or
+  /// layout, or a fresh page run for a large object.
+  void *takeFresh(const AllocRequest &Req);
+  /// Threshold collect, grow, then the exhaustion ladder.
+  void *allocateSlow(const AllocRequest &Req);
   /// Guarded allocation: pads the request for header + redzone, takes a
   /// raw slot, arms the guard metadata, and returns the interior user
   /// pointer (slot base + GuardLayer::HeaderBytes).
@@ -538,23 +560,13 @@ private:
     Collector &GC;
     bool Active;
   };
-  /// Threaded-mode allocate(): safepoint poll, lock-free take from an
-  /// owned block, then the locked refill / ordinary slow path.
-  void *allocateThreaded(size_t Bytes, ObjectKind Kind);
-  /// Checks a block of \p Class out to \p Self's cache under the heap
-  /// lock and serves one slot; falls back to the ordinary small-object
-  /// ladder when the class needs a new block.
-  void *refillAndAllocate(MutatorThread *Self, size_t Bytes,
-                          ObjectKind Kind, unsigned Class);
-  /// The same for Precise descriptor \p Layout.
-  void *refillTypedAndAllocate(MutatorThread *Self, LayoutId Layout);
   /// Folds \p Self's pending counts, then checks blocks of \p Class (or
   /// of \p Layout when nonzero) out into its cache until the refill
   /// holds ThreadCache::RefillSlots free slots, returning any block the
   /// cache gives up.  \returns false when the heap has no block to
   /// give.
   bool checkoutToCache(MutatorThread *Self, unsigned Class, LayoutId Layout);
-  /// allocateRaw's tail for a slot taken from an owned block.
+  /// The tail for a slot taken from an owned block.
   void *finishCachedSlot(void *Result, size_t SlotBytes);
   /// Folds \p Cache's private deltas into the heap's lifetime stats,
   /// charging the collection trigger by the bytes handed out.
@@ -589,30 +601,67 @@ private:
   /// watchdog's suspend signal (frozen at an arbitrary instruction,
   /// possibly inside libc malloc with an arena lock held).
   bool anyMutatorSignalSuspended() const;
-  /// Adds [StackTop, StackBase) + register-snapshot root ranges for
-  /// every registered thread, in registration order; the collecting
-  /// thread's bounds are the caller's (fresh) probe and jmp_buf.
-  void addMutatorRootRanges(const MutatorThread *SelfThread,
-                            const void *SelfStackTop,
-                            const void *SelfRegsBegin,
-                            const void *SelfRegsEnd,
-                            std::vector<RootId> &Ids);
+
+  /// One stop-the-world window, shared by collect() and
+  /// measureLiveness().  With no registered mutator nothing stops, and
+  /// only the machine-stack roots of addRoots() remain: the paper's
+  /// sequential cycle.  Otherwise the constructor reserves what the
+  /// stopped window appends to (root ranges, mid-cycle pins) while the
+  /// mutators still run free, stops the world, and then either abandons
+  /// it — the watchdog's final rung: a HandshakeTimeout incident, fatal
+  /// under GcConfig::HandshakeFatal, else an immediate resume — or
+  /// returns every thread-owned block (with \p FlushCaches), publishes
+  /// the handshake counters, and dispatches onStopTheWorld.
+  class StoppedWorld {
+  public:
+    StoppedWorld(Collector &GC, bool FlushCaches);
+    /// removeRoots() and resume(), where the caller has not.
+    ~StoppedWorld();
+    StoppedWorld(const StoppedWorld &) = delete;
+    StoppedWorld &operator=(const StoppedWorld &) = delete;
+
+    /// The handshake timed out and the world has already resumed: the
+    /// caller returns an empty cycle.
+    bool abandoned() const { return Abandoned; }
+    /// The collecting thread's registry record; null when unregistered.
+    MutatorThread *self() const { return Self; }
+    /// Adds the stack and register roots: the machine stack (captured
+    /// into \p MachineRegisters) when scanning is on and the collecting
+    /// thread is unregistered, then [StackTop, StackBase) plus the
+    /// register snapshot of every registered thread, in registration
+    /// order.  The collecting thread's bounds are \p Probe and
+    /// \p SelfRegisters (filled by setjmp when self() is set): both
+    /// live in the caller's frame, so its scanned stack starts there.
+    void addRoots(std::jmp_buf &MachineRegisters,
+                  const std::jmp_buf &SelfRegisters,
+                  const volatile char *Probe);
+    /// Removes the ranges addRoots() added.
+    void removeRoots();
+    /// Ends the window: clears the stop initiator and resumes.
+    void resume();
+
+    ThreadRegistry::HandshakeResult Handshake;
+    CacheFlushOutcome CacheFlush;
+
+  private:
+    Collector &GC;
+    MutatorThread *Self = nullptr;
+    bool Stopped = false;
+    bool Abandoned = false;
+    std::vector<RootId> RootIds;
+  };
 
   /// ThreadRegistry::StallWarnFn target: routes a watchdog stall report
   /// for one still-running mutator through the rate-limited warn path
   /// (WarnEvent::HandshakeStall), naming the thread and its state.
   static void stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
                              uint64_t StalledNanos);
-  /// Raises the HandshakeTimeout incident (per-thread trace attached),
-  /// updates resilience/crash counters, and either fatals
-  /// (GcConfig::HandshakeFatal) or resumes the stopped threads so the
-  /// caller can abandon the collection attempt.  \p Reason names the
-  /// abandoned collection for the event ring.
-  void abandonStoppedWorld(ThreadRegistry::HandshakeResult &Handshake,
-                           const char *Reason);
   /// Publishes the registry's lifetime handshake counters into the
   /// crash-visible state after every stop-the-world.
   void publishHandshakeCrashState();
+  /// Refuses a collection or census requested from a callback while
+  /// one is in flight (warns; the caller returns an empty cycle).
+  bool refuseReentrantCollection();
   /// pthread_atfork handlers (process-wide, covering every live
   /// Collector in construction order): prepare quiesces the worker pool
   /// and takes each collector's heap, pool, and registry locks in rank
@@ -632,20 +681,12 @@ private:
   void maybeRunStackClearHooks();
   /// Runs the startup collection once, before the first allocation.
   void maybeStartupCollect();
-  /// Small-object slow path: threshold collect, grow, then the ladder.
-  void *allocateSmallSlow(size_t Bytes, ObjectKind Kind);
-  /// Large-object slow path: threshold collect, direct attempt (grows
-  /// internally), then the ladder.
-  void *allocateLargeSlow(size_t Bytes, ObjectKind Kind,
-                          bool IgnoreOffPage);
-  /// Typed-object slow path, mirroring allocateSmallSlow.
-  void *allocateTypedSlow(LayoutId Layout);
-  /// The shared exhaustion tail: flush lazy sweeps, collect, emergency
-  /// collect — retrying \p Retry between rungs.  \returns the
-  /// allocation or nullptr with the ladder exhausted (the OOM handler
-  /// is the caller's last step, via reportOutOfMemory).
-  void *runExhaustionLadder(uint64_t Bytes,
-                            const std::function<void *()> &Retry);
+  /// The exhaustion tail: flush lazy sweeps, collect, emergency
+  /// collect — retrying \p Req from existing blocks, then fresh ones,
+  /// between rungs.  \returns the allocation or nullptr with the ladder
+  /// exhausted (the OOM handler is the caller's last step, via
+  /// reportOutOfMemory).
+  void *runExhaustionLadder(const AllocRequest &Req);
   /// Emits the out-of-memory observer event and invokes the installed
   /// handler (once); \returns the handler's result verbatim.
   void *reportOutOfMemory(uint64_t Bytes);

@@ -170,15 +170,13 @@ struct GcConfig {
   /// identically: no heap lock, no safepoints, no handshake.
   unsigned MutatorThreads = 64;
 
-  /// Thread-owned blocks (heap/ThreadCache.h): 0 disables them, any
-  /// nonzero value enables them (the value sizes nothing; it is kept
-  /// for compatibility).  Registered threads check whole blocks out
-  /// under the heap lock, then allocate from and free into them
-  /// lock-free; every stop-the-world handshake returns the blocks so
-  /// retained sets stay exact.  Disabled, every allocation and free
-  /// takes the heap lock.  Guarded mode (DebugGuards) also disables
-  /// them.
-  unsigned ThreadCacheSlots = 32;
+  /// Thread-owned blocks (heap/ThreadCache.h).  Registered threads
+  /// check whole blocks out under the heap lock, then allocate from and
+  /// free into them lock-free; every stop-the-world handshake returns
+  /// the blocks so retained sets stay exact.  Disabled, every
+  /// allocation and free takes the heap lock.  Guarded mode
+  /// (DebugGuards) also disables them.
+  bool ThreadCaches = true;
 
   /// Stop-the-world handshake watchdog deadline in milliseconds
   /// (monotonic clock).  0 — the default — disables the watchdog:

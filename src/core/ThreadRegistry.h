@@ -134,8 +134,8 @@ struct MutatorThread {
   /// park only then, so the park frame's own stores happen-before the
   /// collector scans the stack.
   bool Parked = false;
-  /// Thread-owned allocation blocks; null when ThreadCacheSlots == 0 or
-  /// guarded mode is active.  Its counters are owner-private; the
+  /// Thread-owned allocation blocks; null when GcConfig::ThreadCaches is
+  /// off or guarded mode is active.  Its counters are owner-private; the
   /// collector reads them only while the owner is parked (or gone).
   std::unique_ptr<ThreadCache> Cache;
   /// Times this thread parked at a safepoint (lifetime).

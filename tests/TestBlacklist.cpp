@@ -3,16 +3,17 @@
 #include "core/Blacklist.h"
 #include "core/Collector.h"
 #include "core/GcConfig.h"
+#include "support/Random.h"
 #include <gtest/gtest.h>
 
 using namespace cgc;
 
 //===----------------------------------------------------------------------===//
-// FlatBitmapBlacklist
+// BitmapBlacklist, flat mode
 //===----------------------------------------------------------------------===//
 
 TEST(FlatBitmapBlacklist, BasicNoteAndQuery) {
-  FlatBitmapBlacklist BL(1024, /*Aging=*/false);
+  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/false);
   EXPECT_FALSE(BL.isBlacklisted(5));
   BL.noteCandidate(5);
   EXPECT_TRUE(BL.isBlacklisted(5));
@@ -25,7 +26,7 @@ TEST(FlatBitmapBlacklist, BasicNoteAndQuery) {
 }
 
 TEST(FlatBitmapBlacklist, WithoutAgingMonotonic) {
-  FlatBitmapBlacklist BL(1024, /*Aging=*/false);
+  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/false);
   BL.beginCycle();
   BL.noteCandidate(1);
   BL.endCycle();
@@ -38,7 +39,7 @@ TEST(FlatBitmapBlacklist, WithoutAgingMonotonic) {
 }
 
 TEST(FlatBitmapBlacklist, AgingDropsUnseenEntries) {
-  FlatBitmapBlacklist BL(1024, /*Aging=*/true);
+  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/true);
   BL.beginCycle();
   BL.noteCandidate(1);
   BL.noteCandidate(2);
@@ -53,7 +54,7 @@ TEST(FlatBitmapBlacklist, AgingDropsUnseenEntries) {
 }
 
 TEST(FlatBitmapBlacklist, MidCycleNotesVisibleImmediately) {
-  FlatBitmapBlacklist BL(1024, true);
+  auto BL = BitmapBlacklist::flat(1024, true);
   BL.beginCycle();
   BL.noteCandidate(7);
   // Allocation decisions during the same collection already see it.
@@ -63,11 +64,11 @@ TEST(FlatBitmapBlacklist, MidCycleNotesVisibleImmediately) {
 }
 
 //===----------------------------------------------------------------------===//
-// HashedBlacklist
+// BitmapBlacklist, hashed mode
 //===----------------------------------------------------------------------===//
 
 TEST(HashedBlacklist, NoteAndQuery) {
-  HashedBlacklist BL(/*BitsLog2=*/12, /*Aging=*/false);
+  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/12, /*Aging=*/false);
   BL.noteCandidate(123);
   EXPECT_TRUE(BL.isBlacklisted(123));
   EXPECT_EQ(BL.entryCount(), 1u);
@@ -77,7 +78,7 @@ TEST(HashedBlacklist, CollisionsBlacklistHashClass) {
   // With a tiny table, distinct pages collide: "If a false reference is
   // seen to any of the pages with a given hash address, all of them are
   // effectively blacklisted."
-  HashedBlacklist BL(/*BitsLog2=*/4, /*Aging=*/false);
+  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/4, /*Aging=*/false);
   for (PageIndex P = 0; P != 64; ++P)
     BL.noteCandidate(P);
   // All 16 buckets are set, so every page everywhere reads blacklisted.
@@ -86,7 +87,7 @@ TEST(HashedBlacklist, CollisionsBlacklistHashClass) {
 }
 
 TEST(HashedBlacklist, LargeTableRarelyCollides) {
-  HashedBlacklist BL(/*BitsLog2=*/20, /*Aging=*/false);
+  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/20, /*Aging=*/false);
   for (PageIndex P = 0; P != 1000; ++P)
     BL.noteCandidate(P * 7);
   // ~1000 distinct buckets out of a million: collisions are rare.
@@ -99,13 +100,40 @@ TEST(HashedBlacklist, LargeTableRarelyCollides) {
 }
 
 TEST(HashedBlacklist, AgingWorks) {
-  HashedBlacklist BL(12, /*Aging=*/true);
+  auto BL = BitmapBlacklist::hashed(12, /*Aging=*/true);
   BL.beginCycle();
   BL.noteCandidate(50);
   BL.endCycle();
   BL.beginCycle();
   BL.endCycle();
   EXPECT_FALSE(BL.isBlacklisted(50));
+}
+
+// The running entry count never drifts from the bitmap it summarizes:
+// after every note, cycle end and refresh it equals a fresh popcount,
+// in both modes, with aging on and off.
+TEST(BitmapBlacklist, RunningCountMatchesPopcount) {
+  for (bool Hashed : {false, true}) {
+    for (bool Aging : {false, true}) {
+      SCOPED_TRACE(std::string(Hashed ? "hashed" : "flat") +
+                   (Aging ? ", aging" : ", no aging"));
+      auto BL = Hashed ? BitmapBlacklist::hashed(/*BitsLog2=*/6, Aging)
+                       : BitmapBlacklist::flat(/*NumPages=*/96, Aging);
+      Rng Random(0x5eed + 2 * Hashed + Aging);
+      for (int Step = 0; Step != 2000; ++Step) {
+        uint64_t Op = Random.nextBelow(100);
+        if (Op < 80)
+          BL.noteCandidate(static_cast<PageIndex>(Random.nextBelow(128)));
+        else if (Op < 88)
+          BL.beginCycle();
+        else if (Op < 96)
+          BL.endCycle();
+        else
+          BL.refresh();
+        ASSERT_EQ(BL.entryCount(), BL.bits().count()) << "step " << Step;
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -345,7 +345,7 @@ TEST(SignalSuspend, SuspendedThreadCacheIsPinnedNotFlushed) {
 // stalled handshake.  Finishing is the assertion.
 TEST(StopWorld, LockedPathsUnderCollectLoopLoseNoWakeup) {
   GcConfig Config = testConfig();
-  Config.ThreadCacheSlots = 0; // Every allocation takes the heap lock.
+  Config.ThreadCaches = false; // Every allocation takes the heap lock.
   Config.HandshakeDeadlineMs = 0;
   Collector GC(Config);
   constexpr int Workers = 4;
@@ -415,13 +415,25 @@ TEST(StopWorld, FinalTimeoutRaisesIncidentAndDegrades) {
   void *P = GC.allocate(128);
   EXPECT_NE(P, nullptr);
 
+  // A liveness census meets the same wedge and is abandoned the same
+  // way: an empty census, its own incident, and a resumed world.
+  CollectionStats Census = GC.measureLiveness();
+  EXPECT_EQ(Census.ObjectsMarked, 0u);
+  EXPECT_EQ(Census.MutatorsStopped, 0u);
+  ASSERT_EQ(Recorder.Causes.size(), 2u);
+  EXPECT_EQ(Recorder.Causes[1], GcIncidentCause::HandshakeTimeout);
+  EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 2u);
+  EXPECT_EQ(GC.resilienceStats().AbandonedCollections, 2u);
+  EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 2u);
+  EXPECT_NE(GC.allocate(128), nullptr);
+
   Resume.store(true, std::memory_order_release);
   Worker.join();
   GC.removeObserver(Id);
   // With the wedge gone, the next handshake completes normally.
   CollectionStats Healthy = GC.collect("recovered");
   EXPECT_EQ(Healthy.MutatorsStopped, 0u);
-  EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 1u);
+  EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 2u);
 }
 
 // Under HandshakeFatal the final rung aborts instead of degrading.

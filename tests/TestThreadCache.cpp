@@ -155,13 +155,34 @@ TEST(ThreadCache, FastPathHitsAndBatchRefills) {
   GC.removeObserver(Obs);
 }
 
+// StackClearEveryNAllocs counts allocations.  The first allocation of
+// a size class finds no block to check out and takes the locked
+// fallback; that is still one allocation, so it ticks the counter once
+// and a clearing interval of two does not run the hook.
+TEST(ThreadCache, RefillFallbackTicksStackClearOnce) {
+  GcConfig Config = testConfig();
+  Config.StackClearing = StackClearMode::Cheap;
+  Config.StackClearEveryNAllocs = 2;
+  Collector GC(Config);
+  std::atomic<unsigned> Clears{0};
+  GC.addStackClearHook([&Clears] { Clears.fetch_add(1); });
+  std::thread Worker([&GC] {
+    GcThreadScope Scope(GC);
+    ASSERT_TRUE(Scope.registered());
+    ASSERT_NE(GC.allocate(64), nullptr);
+  });
+  Worker.join();
+  EXPECT_EQ(Clears.load(), 0u)
+      << "the refill fallback ticked the stack-clear counter twice";
+}
+
 // Ownership ends at the handshake: a collection sees exactly the
 // objects clients really hold.  100 rooted allocations through owned
 // blocks census as exactly 100 live objects, and the returned blocks'
 // free slots are reported as flushed.
 TEST(ThreadCache, FlushPreservesRetainedSet) {
   GcConfig Config = testConfig();
-  Config.ThreadCacheSlots = 32;
+  Config.ThreadCaches = true;
   Collector GC(Config);
   std::vector<uint64_t> Window(128, 0);
   GC.addRootRange(Window.data(), Window.data() + Window.size(),
@@ -196,7 +217,7 @@ TEST(ThreadCache, FlushPreservesRetainedSet) {
 // the bitmap: only client-held objects remain in the lifetime stats.
 TEST(ThreadCache, UnregisterFlushesAndReversesReservations) {
   GcConfig Config = testConfig();
-  Config.ThreadCacheSlots = 16;
+  Config.ThreadCaches = true;
   Collector GC(Config);
   std::atomic<uint64_t> SlotBytes{0};
   std::thread Worker([&GC, &SlotBytes] {
@@ -222,7 +243,7 @@ TEST(ThreadCache, UnregisterFlushesAndReversesReservations) {
 // folded counts against the threads' totals.
 TEST(ThreadCache, DebtReconcilesInVerifier) {
   GcConfig Config = testConfig();
-  Config.ThreadCacheSlots = 16;
+  Config.ThreadCaches = true;
   Collector GC(Config);
   std::thread Worker([&GC] {
     GcThreadScope Scope(GC);
@@ -463,7 +484,7 @@ TEST(ThreadCache, OwnerFreeUnregistersFinalizer) {
 TEST(ThreadCache, GuardedModeDisablesCachesButThreadsWork) {
   GcConfig Config = testConfig();
   Config.DebugGuards = true;
-  Config.ThreadCacheSlots = 32; // Requested, but guards win.
+  Config.ThreadCaches = true; // Requested, but guards win.
   Collector GC(Config);
   std::atomic<bool> Stop{false};
   std::atomic<unsigned> Ready{0};
