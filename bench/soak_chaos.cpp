@@ -677,7 +677,6 @@ void SoakRun::runMutatorPhase() {
     std::fill(W.begin(), W.end(), 0);
   GC.collect("soak-mutator-drain");
   ++Outcome.Collections;
-  GC.objectHeap().finishPendingSweeps();
   if (GC.allocatedBytes() != 0)
     fail("multi-mutator heap failed to drain",
          "  allocatedBytes=" + std::to_string(GC.allocatedBytes()));

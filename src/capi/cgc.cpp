@@ -131,9 +131,6 @@ static GcConfig convertConfig(const cgc_config *C) {
     Config.Placement = HeapPlacement::Custom;
     Config.CustomHeapBaseOffset = C->heap_base_offset;
   }
-  if (C->heap_growth_pages)
-    Config.HeapGrowthPages = C->heap_growth_pages;
-  Config.DecommitFreedPages = C->decommit_freed_pages != 0;
   switch (C->interior_policy) {
   case CGC_INTERIOR_BASE_ONLY:
     Config.Interior = InteriorPolicy::BaseOnly;
@@ -160,7 +157,6 @@ static GcConfig convertConfig(const cgc_config *C) {
   if (C->hashed_blacklist_bits_log2)
     Config.HashedBlacklistBitsLog2 = C->hashed_blacklist_bits_log2;
   Config.GcAtStartup = C->gc_at_startup != 0;
-  Config.LazySweep = C->lazy_sweep != 0;
   if (C->root_scan_alignment == 1 || C->root_scan_alignment == 2 ||
       C->root_scan_alignment == 4 || C->root_scan_alignment == 8)
     Config.RootScanAlignment = C->root_scan_alignment;
@@ -184,8 +180,6 @@ static GcConfig convertConfig(const cgc_config *C) {
   if (C->stack_clear_every_n_allocs)
     Config.StackClearEveryNAllocs = C->stack_clear_every_n_allocs;
   Config.AvoidTrailingZeroAddresses = C->avoid_trailing_zero_addresses != 0;
-  Config.ClearFreedObjects = C->clear_freed_objects != 0;
-  Config.AddressOrderedAllocation = C->address_ordered_allocation != 0;
   Config.VerifyEveryCollection = C->verify_every_collection != 0;
   Config.Sentinel = convertSentinelPolicy(&C->sentinel);
   Config.DebugGuards = C->debug_guards != 0;
@@ -229,8 +223,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
     Out->heap_placement = CGC_PLACEMENT_CUSTOM;
     break;
   }
-  Out->heap_growth_pages = In.HeapGrowthPages;
-  Out->decommit_freed_pages = In.DecommitFreedPages ? 1 : 0;
   switch (In.Interior) {
   case InteriorPolicy::BaseOnly:
     Out->interior_policy = CGC_INTERIOR_BASE_ONLY;
@@ -256,7 +248,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->blacklist_aging = In.BlacklistAging ? 1 : 0;
   Out->hashed_blacklist_bits_log2 = In.HashedBlacklistBitsLog2;
   Out->gc_at_startup = In.GcAtStartup ? 1 : 0;
-  Out->lazy_sweep = In.LazySweep ? 1 : 0;
   Out->root_scan_alignment = In.RootScanAlignment;
   Out->heap_scan_alignment = In.HeapScanAlignment;
   Out->mark_threads = In.MarkThreads;
@@ -271,8 +262,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->stack_clear_every_n_allocs = In.StackClearEveryNAllocs;
   Out->avoid_trailing_zero_addresses =
       In.AvoidTrailingZeroAddresses ? 1 : 0;
-  Out->clear_freed_objects = In.ClearFreedObjects ? 1 : 0;
-  Out->address_ordered_allocation = In.AddressOrderedAllocation ? 1 : 0;
   Out->verify_every_collection = In.VerifyEveryCollection ? 1 : 0;
   Out->sentinel.enabled = In.Sentinel.Enabled ? 1 : 0;
   Out->sentinel.window_collections = In.Sentinel.WindowCollections;

@@ -101,7 +101,6 @@ typedef struct cgc_config {
   int blacklist_mode;                    /* CGC_BLACKLIST_*            */
   int blacklist_aging;                   /* boolean                    */
   int gc_at_startup;                     /* boolean                    */
-  int lazy_sweep;                        /* boolean                    */
   unsigned root_scan_alignment;          /* 1, 2, 4, or 8              */
   /* Mark-phase worker threads.  0 or 1 = the paper's sequential
    * marker (the default, and bit-for-bit the paper's experiment
@@ -119,8 +118,6 @@ typedef struct cgc_config {
    * stop-the-world handshake. */
   unsigned mutator_threads;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
-  unsigned heap_growth_pages;            /* 0 = default (256)          */
-  int decommit_freed_pages;              /* boolean                    */
   unsigned heap_scan_alignment;          /* 1, 2, 4, or 8; 0 = default */
   unsigned hashed_blacklist_bits_log2;   /* 0 = default (16)           */
   int precise_free_slot_detection;       /* boolean                    */
@@ -130,8 +127,6 @@ typedef struct cgc_config {
   unsigned stack_clear_chunk_bytes;      /* 0 = default (4096)         */
   unsigned stack_clear_every_n_allocs;   /* 0 = default (64)           */
   int avoid_trailing_zero_addresses;     /* boolean                    */
-  int clear_freed_objects;               /* boolean                    */
-  int address_ordered_allocation;        /* boolean                    */
   /* Run the deep heap verifier after every collection phase and abort
    * with a full diagnostic report on any inconsistency.  Expensive
    * (O(heap) per phase); meant for fuzzing and debugging.  Also
@@ -145,8 +140,8 @@ typedef struct cgc_config {
    * and a trailing redzone, validated at every sweep and by the heap
    * verifier; explicit frees are fully validated and freed objects are
    * poisoned and parked in a bounded quarantine that detects
-   * use-after-free writes.  Forces lazy_sweep off.  Retained sets are
-   * bit-identical to an unguarded collector on the same workload. */
+   * use-after-free writes.  Retained sets are bit-identical to an
+   * unguarded collector on the same workload. */
   int debug_guards;                      /* boolean; default off       */
   /* Abort with a diagnostic on the first guard violation (default).
    * Zero records the violation as an incident (cgc_incident_fn,
@@ -279,7 +274,7 @@ void cgc_current_config(cgc_collector *gc, cgc_config *out);
 /* --- memory-pressure resilience -------------------------------------- */
 
 /* Out-of-memory handler, invoked exactly once per exhausted request
- * after the allocation ladder (collect, flush lazy sweeps, grow,
+ * after the allocation ladder (collect, grow, collect again,
  * emergency collect with relaxed interior-pointer recognition) has
  * failed.  bytes is the requested size.  Whatever it returns is
  * returned from the failed allocation verbatim — return NULL to

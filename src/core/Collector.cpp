@@ -18,6 +18,9 @@ using namespace cgc;
 
 namespace {
 
+/// Pages committed per heap growth step ("heap expansion increment").
+constexpr uint32_t GrowthIncrementPages = 256;
+
 uint64_t nowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -62,26 +65,16 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
   // metadata faults (and is contained) instead of silently corrupting.
   if (Config.SealMetadata)
     MetaArena = std::make_unique<MetadataArena>();
-  Pages = std::make_unique<PageAllocator>(*Arena, BasePage, MaxPages,
-                                          Config.HeapGrowthPages,
-                                          Config.DecommitFreedPages,
-                                          MetaArena.get());
+  Pages = std::make_unique<PageAllocator>(
+      *Arena, BasePage, MaxPages, GrowthIncrementPages, MetaArena.get());
   Map = std::make_unique<PageMap>(Arena->numPages(), MetaArena.get());
   Blocks = std::make_unique<BlockTable>(MetaArena.get());
 
-  if (Config.DebugGuards) {
-    // Guarded sweeps validate every slot against its header, and the
-    // quarantine-flush-before-sweep invariant needs sweeps to happen
-    // inside collections — so lazy sweeping is forced off.
-    Config.LazySweep = false;
+  if (Config.DebugGuards)
     Guards = std::make_unique<GuardLayer>(Config.QuarantineSlots);
-  }
 
   ObjectHeapConfig HeapConfig;
   HeapConfig.AvoidTrailingZeroAddresses = Config.AvoidTrailingZeroAddresses;
-  HeapConfig.ClearFreedObjects = Config.ClearFreedObjects;
-  HeapConfig.AddressOrderedAllocation = Config.AddressOrderedAllocation;
-  HeapConfig.LazySweep = Config.LazySweep;
   HeapConfig.Guards = Guards.get();
   HeapConfig.PointerPageConstraint = Config.Interior == InteriorPolicy::All
                                          ? PageConstraint::AllPagesClean
@@ -605,8 +598,9 @@ void Collector::safepoint() {
 }
 
 void *Collector::finishCachedSlot(void *Result, size_t SlotBytes) {
-  // Always zeroed, unlike allocateLocked's tail: a remote free into an
-  // owned block leaves the slot's contents for the owner to clear (see
+  // Always zeroed, unlike allocateLocked's tail, which relies on slots
+  // being zeroed when freed: a remote free into an owned block leaves
+  // the slot's contents for the owner to clear (see
   // ObjectHeap::deallocateExplicit).
   std::memset(Result, 0, SlotBytes);
   return Result;
@@ -770,11 +764,6 @@ void *Collector::allocateLocked(const AllocRequest &Req,
   // callback even returns; pin it for this cycle.
   if (InCollection)
     pinMidCycleAllocation(Result);
-  // Fresh pages are zero-filled by the OS; reused slots were cleared
-  // at free time when ClearFreedObjects is on.  Clear here otherwise
-  // so clients always see zeroed memory.
-  if (!Config.ClearFreedObjects)
-    std::memset(Result, 0, Req.Bytes);
   if (Owner)
     checkoutToCache(Owner, Class, Req.Layout);
   return Result;
@@ -830,27 +819,19 @@ void *Collector::runExhaustionLadder(const AllocRequest &Req) {
     return takeFresh(Req);
   };
   uint64_t Bytes = Req.Bytes;
-  // Rung 1: finish pending lazy sweeps.  Queued blocks of *other*
-  // classes may sweep empty and release whole page runs.
-  if (Heap->pendingSweepCount() > 0) {
-    ++Resilience.LazySweepFlushes;
-    Heap->finishPendingSweeps();
-    if (void *Result = Retry())
-      return Result;
-  }
-  // Re-entrant allocation from a mid-collection callback: the
-  // remaining rungs all collect, which would recurse.  Sweep-flush was
-  // the last safe resort; report exhaustion to the callback instead.
+  // Re-entrant allocation from a mid-collection callback: every rung
+  // collects, which would recurse; report exhaustion to the callback
+  // instead.
   if (InCollection)
     return nullptr;
-  // Rung 2: a full collection.
+  // Rung 1: a full collection.
   ++Resilience.HeapExhaustedCollections;
   CrashInfo.HeapExhaustedCollections.store(
       Resilience.HeapExhaustedCollections, std::memory_order_relaxed);
   noteLadderCollection(collect("heap-exhausted"));
   if (void *Result = Retry())
     return Result;
-  // Rung 3: emergency collection.  Interior-pointer recognition drops
+  // Rung 2: emergency collection.  Interior-pointer recognition drops
   // from All to FirstPage (objects kept alive only by deep interior
   // pointers are reclaimed) and page runs accept blacklisted interior
   // pages — survival over blacklist hygiene, right before reporting
@@ -887,10 +868,7 @@ void *Collector::reportOutOfMemory(uint64_t Bytes) {
 }
 
 void Collector::noteLadderCollection(const CollectionStats &Cycle) {
-  // With lazy sweeping the cycle itself frees nothing — the queued
-  // blocks are the progress; only count cycles that left nothing to
-  // sweep either.
-  if (Cycle.BytesSweptFree != 0 || Heap->pendingSweepCount() != 0)
+  if (Cycle.BytesSweptFree != 0)
     return;
   ++Resilience.NoProgressCollections;
   warn(WarnEvent::CollectionNoProgress,
@@ -927,7 +905,7 @@ void Collector::deallocate(void *Ptr) {
       BlockId Id = InvalidBlockId;
       if (Arena->contains(Addr))
         Id = Map->blockAtRelaxed(pageOfOffset(Arena->offsetOf(Addr)));
-      if (Self->Cache->release(Ptr, Id, Config.ClearFreedObjects))
+      if (Self->Cache->release(Ptr, Id))
         return;
     }
   }
@@ -1461,11 +1439,6 @@ CollectionStats Collector::collect(const char *Reason) {
         C.BytesSweptFree = Swept.BytesSweptFree;
         C.ObjectsLive = Swept.ObjectsLive;
         C.BytesLive = Swept.BytesLive;
-        if (Config.LazySweep) {
-          // Small blocks are swept later; report liveness from marks.
-          C.ObjectsLive = C.ObjectsMarked;
-          C.BytesLive = C.BytesMarked;
-        }
         C.SlotsPinned = Swept.SlotsPinned;
         C.PagesReleased = Swept.PagesReleased;
       });

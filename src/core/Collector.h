@@ -68,10 +68,10 @@ public:
   /// the heap per policy.  Memory is zero-initialized.
   ///
   /// On exhaustion the slow path climbs a policy ladder before giving
-  /// up: collect, flush pending lazy sweeps, grow the arena, run an
-  /// emergency collection with interior-pointer recognition and
-  /// blacklist page constraints relaxed, and finally invoke the
-  /// installed GcOomHandler (whose result is returned verbatim).
+  /// up: collect, grow the arena, collect again, run an emergency
+  /// collection with interior-pointer recognition and blacklist page
+  /// constraints relaxed, and finally invoke the installed GcOomHandler
+  /// (whose result is returned verbatim).
   /// \returns nullptr only when the ladder is exhausted and no handler
   /// is installed (or the handler returned nullptr).
   void *allocate(size_t Bytes, ObjectKind Kind = ObjectKind::Normal);
@@ -681,11 +681,10 @@ private:
   void maybeRunStackClearHooks();
   /// Runs the startup collection once, before the first allocation.
   void maybeStartupCollect();
-  /// The exhaustion tail: flush lazy sweeps, collect, emergency
-  /// collect — retrying \p Req from existing blocks, then fresh ones,
-  /// between rungs.  \returns the allocation or nullptr with the ladder
-  /// exhausted (the OOM handler is the caller's last step, via
-  /// reportOutOfMemory).
+  /// The exhaustion tail: collect, then emergency collect — retrying
+  /// \p Req from existing blocks, then fresh ones, between rungs.
+  /// \returns the allocation or nullptr with the ladder exhausted (the
+  /// OOM handler is the caller's last step, via reportOutOfMemory).
   void *runExhaustionLadder(const AllocRequest &Req);
   /// Emits the out-of-memory observer event and invokes the installed
   /// handler (once); \returns the handler's result verbatim.

@@ -74,7 +74,7 @@ enum class StackClearMode : unsigned char {
 };
 
 /// Called when the allocation slow-path ladder is exhausted (collect,
-/// lazy-sweep flush, grow, emergency collect all failed).  \p Bytes is
+/// grow, heap-exhausted collect, emergency collect all failed).  \p Bytes is
 /// the requested size.  Whatever the handler returns is returned to the
 /// allocating caller verbatim — a handler may free reserves and return
 /// nullptr to make the caller retry, longjmp away, or abort.  With no
@@ -130,10 +130,6 @@ struct GcConfig {
   uint64_t CustomHeapBaseOffset = 0;
   /// Arena capacity: the heap never grows beyond this.
   uint64_t MaxHeapBytes = uint64_t(256) << 20;
-  /// Pages committed per growth step ("heap expansion increment").
-  uint32_t HeapGrowthPages = 256;
-  /// Return freed page runs to the OS (reads as zeros afterwards).
-  bool DecommitFreedPages = true;
 
   InteriorPolicy Interior = InteriorPolicy::All;
 
@@ -237,12 +233,6 @@ struct GcConfig {
 
   // Object-heap policies (see ObjectHeapConfig).
   bool AvoidTrailingZeroAddresses = true;
-  bool ClearFreedObjects = true;
-  bool AddressOrderedAllocation = true;
-  /// Defer small-block sweeping to allocation time (shorter collection
-  /// pauses, same total work).  CollectionStats' live counts then come
-  /// from the mark phase.
-  bool LazySweep = false;
 
   /// Out-of-memory handler invoked once per exhausted allocation, after
   /// every ladder rung failed.  See GcOomHandler.  Also settable at
@@ -290,8 +280,7 @@ struct GcConfig {
   /// quarantine whose flush detects use-after-free writes.  Guard
   /// metadata words all read >= 2^63, so the conservative scan never
   /// mistakes them for pointers and retained sets are bit-identical
-  /// with guards on or off.  Forces LazySweep off.  See
-  /// heap/GuardedHeap.h and DESIGN.md §7.
+  /// with guards on or off.  See heap/GuardedHeap.h and DESIGN.md §7.
   bool DebugGuards = false;
   /// Abort (via the fatal-error path, after reporting the incident)
   /// on any guard violation.  false keeps running so incidents and

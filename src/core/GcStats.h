@@ -148,8 +148,6 @@ struct CollectionStats {
 struct GcResilienceStats {
   /// "heap-exhausted" collections forced by the allocation ladder.
   uint64_t HeapExhaustedCollections = 0;
-  /// Times the ladder flushed pending lazy sweeps to reclaim pages.
-  uint64_t LazySweepFlushes = 0;
   /// Last-resort collections run with interior-pointer recognition and
   /// page-placement constraints relaxed.
   uint64_t EmergencyCollections = 0;

@@ -19,17 +19,32 @@ uint64_t nowNanos() {
           .count());
 }
 
-uint32_t load32(const unsigned char *P, bool BigEndian) {
-  uint32_t Value;
+uint64_t load64(const unsigned char *P) {
+  uint64_t Value;
   std::memcpy(&Value, P, sizeof(Value));
+  return Value;
+}
+
+// Root spans are scanned whole: a thread stack's dead slots and the
+// compiler's redzones between live locals are exactly what a
+// conservative collector must read.  Root loads therefore opt out of
+// AddressSanitizer, as bdwgc's GC_ATTR_NO_SANITIZE_ADDR does; heap
+// scans keep their checks.  __builtin_memcpy keeps each load inline
+// rather than a call into the sanitizer's checked memcpy.
+#define CGC_NO_SANITIZE_ADDRESS __attribute__((no_sanitize("address")))
+
+CGC_NO_SANITIZE_ADDRESS uint32_t loadRoot32(const unsigned char *P,
+                                            bool BigEndian) {
+  uint32_t Value;
+  __builtin_memcpy(&Value, P, sizeof(Value));
   if (BigEndian)
     Value = __builtin_bswap32(Value);
   return Value;
 }
 
-uint64_t load64(const unsigned char *P) {
+CGC_NO_SANITIZE_ADDRESS uint64_t loadRoot64(const unsigned char *P) {
   uint64_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
+  __builtin_memcpy(&Value, P, sizeof(Value));
   return Value;
 }
 
@@ -384,9 +399,9 @@ void MarkWorker::scanHeapRange(WindowOffset Begin, uint32_t Bytes) {
   Stats.ScanCandidatesByClass[Cons] += Candidates;
 }
 
-void MarkWorker::scanRootSpan(const RootRange &Range,
-                              const unsigned char *Begin,
-                              const unsigned char *End) {
+CGC_NO_SANITIZE_ADDRESS void
+MarkWorker::scanRootSpan(const RootRange &Range, const unsigned char *Begin,
+                         const unsigned char *End) {
   Stats.RootBytesScanned += static_cast<uint64_t>(End - Begin);
   unsigned Stride = Ctx.Config.RootScanAlignment;
   CGC_CHECK(Stride >= 1 && Stride <= 8, "bad root scan alignment");
@@ -399,7 +414,7 @@ void MarkWorker::scanRootSpan(const RootRange &Range,
     for (const unsigned char *P = Begin;
          End - P >= static_cast<ptrdiff_t>(sizeof(uint64_t)); P += Stride) {
       ++Examined;
-      WindowOffset Offset = load64(P) - ArenaBase;
+      WindowOffset Offset = loadRoot64(P) - ArenaBase;
       if (Offset >= ArenaSize)
         continue;
       Hits += considerCandidate(Offset, Origin);
@@ -411,7 +426,7 @@ void MarkWorker::scanRootSpan(const RootRange &Range,
     for (const unsigned char *P = Begin;
          End - P >= static_cast<ptrdiff_t>(sizeof(uint32_t)); P += Stride) {
       ++Examined;
-      WindowOffset Offset = load32(P, BigEndian);
+      WindowOffset Offset = loadRoot32(P, BigEndian);
       if (!Ctx.Arena.containsOffset(Offset))
         continue;
       Hits += considerCandidate(Offset, Origin);

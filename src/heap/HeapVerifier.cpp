@@ -167,23 +167,14 @@ HeapVerifyReport HeapVerifier::run() {
                 "(%u slots, %u allocated)",
                 Id, Block.ObjectCount, Block.AllocatedCount);
     // Every small block with usable space must be reachable by the
-    // allocator: listed on its class list or queued for lazy sweep.
-    // (The LIFO ablation prunes its stacks lazily, so only the
-    // address-ordered discipline supports this check.)  Owned blocks
-    // are their owner's to allocate from, never listed.
+    // allocator: listed on its class list.  Owned blocks are their
+    // owner's to allocate from, never listed.
     if (!Block.IsLarge && !Block.Owned && Block.usableFreeCount() > 0 &&
-        Heap.Config.AddressOrderedAllocation) {
-      ObjectHeap::ClassList &List = Heap.classListFor(Block);
-      bool Listed = List.Partial.count(Block.StartPage) != 0;
-      bool Queued = false;
-      for (BlockId Q : List.Unswept)
-        Queued |= Q == Id;
-      if (!Listed && !Queued)
-        R.notefAt(K::FreeListBroken, Id, Block.StartPage,
-                  "block %u: has %u usable free slots but is invisible to "
-                  "the allocator",
-                  Id, Block.usableFreeCount());
-    }
+        Heap.classListFor(Block).count(Block.StartPage) == 0)
+      R.notefAt(K::FreeListBroken, Id, Block.StartPage,
+                "block %u: has %u usable free slots but is invisible to "
+                "the allocator",
+                Id, Block.usableFreeCount());
     // Guarded mode: every allocated untyped slot must carry an intact
     // header and redzone — unless it is parked in the quarantine, where
     // the whole slot is poison instead (checked at flush time, not
@@ -221,9 +212,8 @@ HeapVerifyReport HeapVerifier::run() {
               (unsigned long long)Heap.AllocatedBytes);
 
   // --- Class lists point at live, matching blocks. ---
-  size_t QueuedBlocks = 0;
   auto CheckList = [&](const ObjectHeap::ClassList &List, const char *What) {
-    for (const auto &[StartPage, Id] : List.Partial) {
+    for (const auto &[StartPage, Id] : List) {
       if (!Heap.Blocks.isLive(Id)) {
         R.notefAt(K::FreeListBroken, Id, StartPage,
                   "%s class list: entry for page %llu names dead block %u",
@@ -244,9 +234,6 @@ HeapVerifyReport HeapVerifier::run() {
                   "%s class list: block %u listed with no usable slot", What,
                   Id);
     }
-    // Unswept entries may name blocks released meanwhile (the queue is
-    // pruned lazily); only count them against the pending total.
-    QueuedBlocks += List.Unswept.size();
   };
   for (const ObjectHeap::ClassList &List : Heap.ClassLists)
     CheckList(List, "untyped");
@@ -254,11 +241,6 @@ HeapVerifyReport HeapVerifier::run() {
     (void)LayoutId;
     CheckList(List, "typed");
   }
-  if (QueuedBlocks != Heap.PendingSweeps)
-    R.notefAt(K::Accounting, InvalidBlockId, 0,
-              "lazy-sweep queue holds %llu entries, counter says %llu",
-              (unsigned long long)QueuedBlocks,
-              (unsigned long long)Heap.PendingSweeps);
 
   // --- Free runs ↔ page map ↔ committed-page partition. ---
   uint64_t FreePages = 0;
@@ -451,21 +433,14 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
   }
 
   // (d) Rebuild the class lists from scratch: every small block with a
-  // usable slot gets re-listed; the lazy-sweep queue is dropped (the
-  // queued blocks' garbage is simply collected next cycle instead).
+  // usable slot gets re-listed.
   {
-    for (ObjectHeap::ClassList &List : Heap.ClassLists) {
-      List.Partial.clear();
-      List.Stack.clear();
-      List.Unswept.clear();
-    }
+    for (ObjectHeap::ClassList &List : Heap.ClassLists)
+      List.clear();
     for (auto &[Id, List] : Heap.TypedClassLists) {
       (void)Id;
-      List.Partial.clear();
-      List.Stack.clear();
-      List.Unswept.clear();
+      List.clear();
     }
-    Heap.PendingSweeps = 0;
     Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &B) {
       if (!B.IsLarge && !B.Owned && B.usableFreeCount() > 0)
         Heap.addToClassList(B, Id);

@@ -67,8 +67,8 @@ enum class VerifyFindingKind : unsigned char {
   /// A guarded object's header or redzone is smashed: client memory,
   /// not repairable from metadata.
   GuardSmash,
-  /// Heap-wide accounting mismatch (allocated bytes, pending sweeps,
-  /// committed-page partition): recomputed.
+  /// Heap-wide accounting mismatch (allocated bytes, committed-page
+  /// partition): recomputed.
   Accounting,
 };
 

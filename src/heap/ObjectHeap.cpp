@@ -47,36 +47,6 @@ PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
   CGC_UNREACHABLE("bad object kind");
 }
 
-BlockId ObjectHeap::pickAllocationBlock(ClassList &List, ObjectKind Kind,
-                                        size_t SlotSize, LayoutId Layout) {
-  BlockId Id = InvalidBlockId;
-  if (Config.AddressOrderedAllocation) {
-    if (!List.Partial.empty())
-      Id = List.Partial.begin()->second;
-  } else {
-    // Prune stale stack entries (released blocks, reused ids, filled
-    // blocks) until a usable one surfaces.
-    while (!List.Stack.empty()) {
-      BlockId Top = List.Stack.back();
-      if (Blocks.isLive(Top)) {
-        BlockDescriptor &Candidate = Blocks.get(Top);
-        bool Matches = Layout != 0
-                           ? Candidate.LayoutId == Layout
-                           : (!Candidate.IsLarge && Candidate.Kind == Kind &&
-                              Candidate.ObjectSize == SlotSize);
-        if (Matches && !Candidate.Owned && Candidate.usableFreeCount() > 0) {
-          Id = Top;
-          break;
-        }
-      }
-      List.Stack.pop_back();
-    }
-  }
-  if (Id == InvalidBlockId)
-    Id = sweepUnsweptForAllocation(List);
-  return Id;
-}
-
 void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind) {
   CGC_ASSERT(SizeClassTable::isSmall(Bytes), "small-object path only");
   if (Bytes == 0)
@@ -84,26 +54,20 @@ void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind) {
   unsigned Class = SizeClasses.classForSize(Bytes);
   ClassList &List =
       ClassLists[size_t(Kind) * SizeClasses.numClasses() + Class];
-  size_t SlotSize = SizeClasses.classSize(Class);
-
-  BlockId Id = pickAllocationBlock(List, Kind, SlotSize, /*Layout=*/0);
+  BlockId Id = pickAllocationBlock(List);
   if (Id == InvalidBlockId)
     return nullptr;
 
-  BlockDescriptor &Block = Blocks.get(Id);
-  void *Result = takeSlot(Id, Block);
+  void *Result = takeSlot(Blocks.get(Id));
   Stats.BytesRequested += Bytes;
   return Result;
 }
 
-BlockId ObjectHeap::checkoutFrom(ClassList &List, size_t SlotSize,
-                                 LayoutId Layout) {
-  BlockId Id =
-      pickAllocationBlock(List, ObjectKind::Normal, SlotSize, Layout);
+BlockId ObjectHeap::checkoutFrom(ClassList &List) {
+  BlockId Id = pickAllocationBlock(List);
   if (Id != InvalidBlockId) {
-    BlockDescriptor &Block = Blocks.get(Id);
-    removeFromClassList(Block, Id);
-    Block.Owned = true;
+    List.erase(List.begin());
+    Blocks.get(Id).Owned = true;
     ++OwnedBlocks;
   }
   return Id;
@@ -112,15 +76,13 @@ BlockId ObjectHeap::checkoutFrom(ClassList &List, size_t SlotSize,
 BlockId ObjectHeap::checkoutBlock(unsigned Class) {
   return checkoutFrom(
       ClassLists[size_t(ObjectKind::Normal) * SizeClasses.numClasses() +
-                 Class],
-      SizeClasses.classSize(Class), /*Layout=*/0);
+                 Class]);
 }
 
 BlockId ObjectHeap::checkoutTypedBlock(LayoutId Layout) {
-  const TypeDescriptor &D = layout(Layout);
-  CGC_ASSERT(D.Class == DescriptorClass::Precise,
+  CGC_ASSERT(layout(Layout).Class == DescriptorClass::Precise,
              "typed blocks are checked out for Precise descriptors only");
-  return checkoutFrom(TypedClassLists[Layout], D.SizeBytes, Layout);
+  return checkoutFrom(TypedClassLists[Layout]);
 }
 
 uint32_t ObjectHeap::returnBlock(BlockId Id) {
@@ -154,7 +116,7 @@ void ObjectHeap::markAllocatedObjectLive(const void *Ptr) {
   Block.MarkBits.set(Ref.Slot);
 }
 
-void *ObjectHeap::takeSlot(BlockId Id, BlockDescriptor &Block) {
+void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
   // Lowest-index usable slot: address order within the block.
   size_t Slot = 0;
   while (true) {
@@ -169,7 +131,7 @@ void *ObjectHeap::takeSlot(BlockId Id, BlockDescriptor &Block) {
   AllocatedBytes += Block.ObjectSize;
   ++Stats.ObjectsAllocated;
   if (Block.usableFreeCount() == 0)
-    removeFromClassList(Block, Id);
+    removeFromClassList(Block);
   WindowOffset Offset = Block.slotOffset(static_cast<uint32_t>(Slot));
   return Arena.pointerTo(Offset);
 }
@@ -237,13 +199,11 @@ void *ObjectHeap::allocateTypedFromExisting(LayoutId Id) {
   const TypeDescriptor &D = layout(Id);
   if (D.Class != DescriptorClass::Precise)
     return allocateFromExisting(D.SizeBytes, kindForDegenerate(D.Class));
-  ClassList &List = TypedClassLists[Id];
-  BlockId Block = pickAllocationBlock(List, ObjectKind::Normal, D.SizeBytes,
-                                      /*Layout=*/Id);
+  BlockId Block = pickAllocationBlock(TypedClassLists[Id]);
   if (Block == InvalidBlockId)
     return nullptr;
   Stats.BytesRequested += D.SizeBytes;
-  return takeSlot(Block, Blocks.get(Block));
+  return takeSlot(Blocks.get(Block));
 }
 
 bool ObjectHeap::addBlockForLayout(LayoutId Id) {
@@ -339,9 +299,8 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
   bool WasFull = Block.usableFreeCount() == 0;
   Block.AllocBits.reset(Ref.Slot);
   --Block.AllocatedCount;
-  if (Config.ClearFreedObjects)
-    std::memset(Arena.pointerTo(Block.slotOffset(Ref.Slot)), 0,
-                Block.ObjectSize);
+  std::memset(Arena.pointerTo(Block.slotOffset(Ref.Slot)), 0,
+              Block.ObjectSize);
   if (WasFull)
     addToClassList(Block, Ref.Block);
   return true;
@@ -367,9 +326,6 @@ size_t ObjectHeap::objectSize(ObjectRef Ref) const {
 }
 
 void ObjectHeap::clearMarks() {
-  // Pending lazily-swept blocks still encode reclaimable garbage in
-  // their mark bits; finish them before invalidating the bits.
-  finishPendingSweeps();
   Blocks.forEach([](BlockId, BlockDescriptor &Block) {
     Block.MarkBits.clearAll();
   });
@@ -402,7 +358,7 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   }
 }
 
-bool ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
+void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   BlockDescriptor &Block = Blocks.get(Id);
   CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
              "sweepSmallBlock on wrong block kind");
@@ -420,9 +376,8 @@ bool ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
       BytesFreed += Block.ObjectSize;
       Result.BytesSweptFree += Block.ObjectSize;
       ++Result.ObjectsSweptFree;
-      if (Config.ClearFreedObjects)
-        std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
-                    Block.ObjectSize);
+      std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
+                  Block.ObjectSize);
     } else if (!Allocated && Marked) {
       Block.PinnedBits.set(Slot);
       ++Block.PinnedCount;
@@ -435,37 +390,29 @@ bool ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   if (Block.AllocatedCount == 0 && Block.PinnedCount == 0) {
     Result.PagesReleased += Block.NumPages;
     releaseBlock(Id);
-    return false;
+    return;
   }
   if (Block.usableFreeCount() > 0)
     addToClassList(Block, Id);
-  return true;
 }
 
 SweepResult ObjectHeap::sweep() {
   SweepResult Result;
 
   // Empty the per-class lists: every small block is either re-listed by
-  // its (eager or lazy) sweep or released.
-  for (ClassList &List : ClassLists) {
-    List.Partial.clear();
-    List.Stack.clear();
-    List.Unswept.clear();
-  }
-  for (auto &[Id, List] : TypedClassLists) {
-    List.Partial.clear();
-    List.Stack.clear();
-    List.Unswept.clear();
-  }
-  PendingSweeps = 0;
+  // its sweep or released.
+  for (ClassList &List : ClassLists)
+    List.clear();
+  for (auto &[Id, List] : TypedClassLists)
+    List.clear();
 
   // Uncollectable and large blocks are handled in the walk (per-slot
   // bit scans with no memory clearing).  Small collectable blocks are
   // swept after it, in block-id order, and unmarked large blocks are
   // released after those: releasing inside the walk would mutate the
   // table being walked, and this release order fixes the free-page runs.
-  std::vector<BlockId> SmallBlocks;
-  std::vector<BlockId> LargeToRelease;
+  SmallToSweep.clear();
+  LargeToRelease.clear();
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
@@ -512,58 +459,15 @@ SweepResult ObjectHeap::sweep() {
       Result.BytesLive += Live * Block.ObjectSize;
       return;
     }
-
-    if (Config.LazySweep) {
-      classListFor(Block).Unswept.push_back(Id);
-      ++PendingSweeps;
-      return;
-    }
-    SmallBlocks.push_back(Id);
+    SmallToSweep.push_back(Id);
   });
 
-  for (BlockId Id : SmallBlocks)
+  for (BlockId Id : SmallToSweep)
     sweepSmallBlock(Id, Result);
   for (BlockId Id : LargeToRelease)
     releaseBlock(Id);
   Stats.PinnedSlots = Result.SlotsPinned;
   return Result;
-}
-
-BlockId ObjectHeap::sweepUnsweptForAllocation(ClassList &List) {
-  while (!List.Unswept.empty()) {
-    BlockId Id = List.Unswept.back();
-    List.Unswept.pop_back();
-    CGC_ASSERT(PendingSweeps > 0, "pending-sweep underflow");
-    --PendingSweeps;
-    if (!Blocks.isLive(Id))
-      continue;
-    SweepResult Scratch;
-    if (sweepSmallBlock(Id, Scratch) &&
-        Blocks.get(Id).usableFreeCount() > 0)
-      return Id;
-  }
-  return InvalidBlockId;
-}
-
-void ObjectHeap::finishPendingSweeps() {
-  if (PendingSweeps == 0)
-    return;
-  auto Drain = [&](ClassList &List) {
-    while (!List.Unswept.empty()) {
-      BlockId Id = List.Unswept.back();
-      List.Unswept.pop_back();
-      --PendingSweeps;
-      if (!Blocks.isLive(Id))
-        continue;
-      SweepResult Scratch;
-      sweepSmallBlock(Id, Scratch);
-    }
-  };
-  for (ClassList &List : ClassLists)
-    Drain(List);
-  for (auto &[Id, List] : TypedClassLists)
-    Drain(List);
-  CGC_ASSERT(PendingSweeps == 0, "pending sweeps unaccounted for");
 }
 
 HeapVerifyReport ObjectHeap::verify() { return HeapVerifier(*this).run(); }
@@ -607,9 +511,9 @@ void ObjectHeap::injectMetadataFaults() {
     // Erase the first partial-list entry found: a block with usable
     // slots goes invisible to the allocator.
     auto Smash = [](ClassList &List) {
-      if (List.Partial.empty())
+      if (List.empty())
         return false;
-      List.Partial.erase(List.Partial.begin());
+      List.erase(List.begin());
       return true;
     };
     bool Done = false;
@@ -673,7 +577,7 @@ void ObjectHeap::verifyHeap() {
 void ObjectHeap::releaseBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
   if (!Block.IsLarge)
-    removeFromClassList(Block, Id);
+    removeFromClassList(Block);
   Map.clearRun(Block.StartPage, Block.NumPages);
   Pages.freeRun(Block.StartPage, Block.NumPages);
   ++Stats.BlocksReleased;
@@ -681,19 +585,9 @@ void ObjectHeap::releaseBlock(BlockId Id) {
 }
 
 void ObjectHeap::addToClassList(BlockDescriptor &Block, BlockId Id) {
-  ClassList &List = classListFor(Block);
-  if (Config.AddressOrderedAllocation)
-    List.Partial.emplace(Block.StartPage, Id);
-  else
-    List.Stack.push_back(Id);
+  classListFor(Block).emplace(Block.StartPage, Id);
 }
 
-void ObjectHeap::removeFromClassList(BlockDescriptor &Block, BlockId Id) {
-  ClassList &List = classListFor(Block);
-  if (Config.AddressOrderedAllocation) {
-    List.Partial.erase(Block.StartPage);
-  } else {
-    // Stack entries are pruned lazily at allocation time.
-    (void)Id;
-  }
+void ObjectHeap::removeFromClassList(const BlockDescriptor &Block) {
+  classListFor(Block).erase(Block.StartPage);
 }

@@ -24,7 +24,9 @@
 ///     (the Figure-1 integer-concatenation hazard).
 ///   * Per-class block selection is address-ordered (lowest block
 ///     first), the fragmentation-reducing discipline the paper's
-///     conclusions recommend; a LIFO mode exists for the ablation.
+///     conclusions recommend.
+///   * Sweeping is eager: each collection sweeps every block no thread
+///     owns, and zeroes the slots it frees.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,21 +52,9 @@ struct ObjectHeapConfig {
   /// Offset the first slot of each small block by two granules so that
   /// no object lands on an address with ~12 trailing zero bits.
   bool AvoidTrailingZeroAddresses = true;
-  /// Zero an object's memory when it is freed (sweep or explicit free).
-  /// A free into a block another thread owns is the exception: that
-  /// slot is zeroed when its owner hands it out again.
-  bool ClearFreedObjects = true;
-  /// Pick the lowest-address block with space when allocating (true)
-  /// versus the most recently freed-into block (false, LIFO ablation).
-  bool AddressOrderedAllocation = true;
   /// Page-run constraint for pointer-containing allocations; set from
   /// the collector's interior-pointer policy.
   PageConstraint PointerPageConstraint = PageConstraint::AllPagesClean;
-  /// Defer small-block sweeping to allocation time: collections queue
-  /// blocks and allocations sweep them on demand, trading a long
-  /// collection pause for amortized per-allocation work.  Large and
-  /// uncollectable blocks are always swept eagerly.
-  bool LazySweep = false;
   /// Guarded-heap mode: every untyped (LayoutId 0) object carries a
   /// debug header + redzone that sweep and verify re-check through this
   /// layer.  Owned by the Collector; const reads only from here.  The
@@ -123,9 +113,8 @@ public:
   //===--------------------------------------------------------------===//
 
   /// Checks out the block the next untyped Normal-kind slot of size
-  /// class \p Class would come from (the ordinary address-ordered or
-  /// LIFO discipline, lazy sweeping included).  InvalidBlockId when the
-  /// class needs a new block.
+  /// class \p Class would come from: its lowest-address listed block.
+  /// InvalidBlockId when the class needs a new block.
   BlockId checkoutBlock(unsigned Class);
 
   /// Checks out the next block of Precise descriptor \p Id, from the
@@ -244,34 +233,16 @@ public:
   }
 
   /// Clears every mark bit; called at the start of a collection.
-  /// With lazy sweeping, any still-pending blocks are swept first —
-  /// their mark bits are about to be invalidated.
   void clearMarks();
 
   /// Reclaims unmarked objects, pins marked-free slots, releases empty
-  /// blocks.  Uncollectable blocks are exempt from reclamation.  With
-  /// LazySweep, small blocks are only *queued*: allocations (or the
-  /// next collection) sweep them on demand, and the returned counts
-  /// cover the eagerly-swept blocks only.
+  /// blocks.  Uncollectable blocks are exempt from reclamation.
   ///
   /// One sequential pass in block-id order: class lists are emptied,
   /// uncollectable and large blocks are handled first, then each small
   /// collectable block goes through sweepSmallBlock, and unmarked large
   /// blocks are released last, after the small-block loop.
   SweepResult sweep();
-
-  /// Sweeps one small block against its current mark bits: frees
-  /// unmarked slots, pins marked-free slots, accumulates counters into
-  /// \p Result, then releases the block if empty or re-lists it when
-  /// usable.  \returns false if the block was released.  (sweep() drives
-  /// this per small block; lazy sweeping drives it from allocation.)
-  bool sweepSmallBlock(BlockId Id, SweepResult &Result);
-
-  /// Sweeps every block still pending from the last collection.
-  void finishPendingSweeps();
-
-  /// Number of blocks queued and not yet swept.
-  size_t pendingSweepCount() const { return PendingSweeps; }
 
   /// Runs the deep heap verifier (heap/HeapVerifier.h): block table ↔
   /// page map ↔ free runs ↔ class lists ↔ bitmaps/byte accounting.
@@ -317,28 +288,19 @@ public:
 
 private:
   friend class HeapVerifier;
-  struct ClassList {
-    /// Blocks of this (kind, class) with at least one usable slot,
-    /// keyed by start page: begin() is the lowest-address block.
-    std::map<PageIndex, BlockId> Partial;
-    /// LIFO stack used instead of Partial when address-ordered
-    /// allocation is disabled.
-    std::vector<BlockId> Stack;
-    /// Lazy sweeping: blocks of this class queued by the last
-    /// collection, swept on demand when Partial/Stack run dry.
-    std::vector<BlockId> Unswept;
-  };
+  /// Blocks of one (kind, class) or one layout with at least one usable
+  /// slot, keyed by start page: begin() is the lowest-address block.
+  using ClassList = std::map<PageIndex, BlockId>;
 
-  void *takeSlot(BlockId Id, BlockDescriptor &Block);
-  /// Picks the block the next slot of \p List should come from (address
-  /// order or pruned LIFO, then lazily-swept blocks); InvalidBlockId
-  /// when the class needs a fresh block.  \p Kind/\p SlotSize validate
-  /// stale LIFO stack entries; pass layout blocks through unchanged.
-  BlockId pickAllocationBlock(ClassList &List, ObjectKind Kind,
-                              size_t SlotSize, LayoutId Layout);
-  /// pickAllocationBlock for a Normal-kind block, then takes the block
-  /// off \p List and marks it owned.
-  BlockId checkoutFrom(ClassList &List, size_t SlotSize, LayoutId Layout);
+  void *takeSlot(BlockDescriptor &Block);
+  /// The block the next slot of \p List comes from, its lowest-address
+  /// one; InvalidBlockId when the class needs a fresh block.
+  static BlockId pickAllocationBlock(const ClassList &List) {
+    return List.empty() ? InvalidBlockId : List.begin()->second;
+  }
+  /// Takes \p List's lowest-address block off the list and marks it
+  /// owned; InvalidBlockId when the list is empty.
+  BlockId checkoutFrom(ClassList &List);
   BlockId createSmallBlock(size_t SlotSize, ObjectKind Kind,
                            LayoutId Layout);
   /// Guarded mode: re-checks the header canaries and redzone of every
@@ -346,11 +308,13 @@ private:
   /// \p Result.  Pure reads of the block's pages and bitmaps.
   void validateGuardedBlock(const BlockDescriptor &Block,
                             SweepResult &Result);
-  /// Sweeps queued blocks of \p List until one offers a usable slot.
-  /// \returns that block id, or InvalidBlockId.
-  BlockId sweepUnsweptForAllocation(ClassList &List);
+  /// Sweeps one small block against its current mark bits: frees
+  /// unmarked slots, pins marked-free slots, accumulates counters into
+  /// \p Result, then releases the block if empty or re-lists it when
+  /// usable.
+  void sweepSmallBlock(BlockId Id, SweepResult &Result);
   void releaseBlock(BlockId Id);
-  void removeFromClassList(BlockDescriptor &Block, BlockId Id);
+  void removeFromClassList(const BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);
   ClassList &classListFor(const BlockDescriptor &Block);
   PageConstraint constraintFor(ObjectKind Kind, bool Large) const;
@@ -370,8 +334,11 @@ private:
   ObjectHeapStats Stats;
   uint64_t AllocatedBytes = 0;
   size_t OwnedBlocks = 0;
-  size_t PendingSweeps = 0;
   bool EmergencyRelaxation = false;
+  /// sweep()'s scratch lists, cleared each cycle and kept at capacity
+  /// so that a warmed sweep does not allocate them again.
+  std::vector<BlockId> SmallToSweep;
+  std::vector<BlockId> LargeToRelease;
 };
 
 } // namespace cgc

@@ -10,10 +10,9 @@ using namespace cgc;
 
 PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
                              PageIndex MaxPages, uint32_t GrowthPages,
-                             bool DecommitFreed, MetadataArena *MetaArena)
+                             MetadataArena *MetaArena)
     : Arena(Arena), BasePage(BasePage), MaxPages(MaxPages),
-      GrowthPages(GrowthPages), DecommitFreed(DecommitFreed),
-      CommitLimit(BasePage),
+      GrowthPages(GrowthPages), CommitLimit(BasePage),
       FreeRuns(RunMap::key_compare(),
                MetadataAllocator<std::pair<const PageIndex, uint32_t>>(
                    MetaArena)),
@@ -23,10 +22,8 @@ PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
   CGC_CHECK(GrowthPages > 0, "growth increment must be positive");
   CGC_CHECK(uint64_t(BasePage) + MaxPages <= Arena.numPages(),
             "heap arena exceeds the window");
-  if (DecommitFreed) {
-    Resident.resize(MaxPages);
-    Aged.resize(MaxPages);
-  }
+  Resident.resize(MaxPages);
+  Aged.resize(MaxPages);
 }
 
 std::optional<PageIndex>
@@ -38,13 +35,12 @@ PageAllocator::allocateRun(uint32_t NumPages, PageConstraint Constraint) {
       Stats.AllocatedPages += NumPages;
       // A page whose decommit is still pending holds its old contents;
       // zero it here, as the OS would have on the refault.
-      if (DecommitFreed)
-        for (PageIndex P = *Start; P != *Start + NumPages; ++P)
-          if (Resident.test(P - BasePage)) {
-            Resident.reset(P - BasePage);
-            Aged.reset(P - BasePage);
-            std::memset(Arena.pointerTo(offsetOfPage(P)), 0, PageSize);
-          }
+      for (PageIndex P = *Start; P != *Start + NumPages; ++P)
+        if (Resident.test(P - BasePage)) {
+          Resident.reset(P - BasePage);
+          Aged.reset(P - BasePage);
+          std::memset(Arena.pointerTo(offsetOfPage(P)), 0, PageSize);
+        }
       return Start;
     }
     ++Stats.GrowEvents;
@@ -132,7 +128,7 @@ void PageAllocator::freeRun(PageIndex Start, uint32_t NumPages) {
             "freeing pages outside the heap arena");
 
   // The decommit itself waits for ageDeferredDecommits.
-  if (DecommitFreed && Start < CommitLimit)
+  if (Start < CommitLimit)
     Resident.setRange(Start - BasePage, Start - BasePage + NumPages);
 
   PageIndex End = Start + NumPages;
@@ -161,8 +157,6 @@ void PageAllocator::freeRun(PageIndex Start, uint32_t NumPages) {
 }
 
 void PageAllocator::ageDeferredDecommits() {
-  if (!DecommitFreed)
-    return;
   // Pages resident at the previous call and still resident now have
   // gone a whole cycle unused: return them, coalescing neighbors.
   size_t Limit = CommitLimit - BasePage;

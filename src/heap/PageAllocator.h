@@ -71,13 +71,13 @@ public:
   /// \param BasePage     first page of the heap arena within the window.
   /// \param MaxPages     arena capacity; the heap never extends past it.
   /// \param GrowthPages  commit increment when the heap grows.
-  /// \param DecommitFreed return freed pages to the OS once they have
-  ///                      stayed free for a whole collection cycle (see
-  ///                      ageDeferredDecommits); zero-filled on reuse.
   /// \param MetaArena    optional sealable arena for free-run nodes.
+  ///
+  /// Freed pages go back to the OS once they have stayed free for a
+  /// whole collection cycle (see ageDeferredDecommits) and read as zero
+  /// when handed out again.
   PageAllocator(VirtualArena &Arena, PageIndex BasePage, PageIndex MaxPages,
-                uint32_t GrowthPages, bool DecommitFreed,
-                MetadataArena *MetaArena = nullptr);
+                uint32_t GrowthPages, MetadataArena *MetaArena = nullptr);
 
   /// Installs the per-page blacklist predicate (may be empty).
   void setBlacklistQuery(std::function<bool(PageIndex)> Query) {
@@ -93,12 +93,12 @@ public:
   /// Returns a run to the free pool, coalescing with neighbors.
   void freeRun(PageIndex Start, uint32_t NumPages);
 
-  /// With DecommitFreed, decommits the pages that were already free at
-  /// the previous call and are still free; the collector calls this
-  /// once per collection.  Until then a freed page stays resident and
-  /// is zeroed if it is handed out again: blocks released by one sweep
-  /// are mostly recreated before the next, and with several mutator
-  /// threads every decommit costs a TLB shootdown.
+  /// Decommits the pages that were already free at the previous call
+  /// and are still free; the collector calls this once per collection.
+  /// Until then a freed page stays resident and is zeroed if it is
+  /// handed out again: blocks released by one sweep are mostly
+  /// recreated before the next, and with several mutator threads every
+  /// decommit costs a TLB shootdown.
   void ageDeferredDecommits();
 
   /// First page of the heap arena (potential heap start).
@@ -146,7 +146,7 @@ public:
   /// Repair entry point: discards the (possibly corrupt) free-run set
   /// and re-adds \p Runs, which must be disjoint, ascending, and inside
   /// [arenaBasePage(), committedLimitPage()).  Freed pages are
-  /// decommitted per policy, exactly as an ordinary freeRun would.
+  /// marked for deferred decommit, exactly as an ordinary freeRun would.
   void rebuildFreeRuns(
       const std::vector<std::pair<PageIndex, uint32_t>> &Runs);
 
@@ -175,7 +175,6 @@ private:
   PageIndex BasePage;
   PageIndex MaxPages;
   uint32_t GrowthPages;
-  bool DecommitFreed;
   PageIndex CommitLimit; ///< One past the last committed page.
   /// Free and quarantined runs live in the sealable arena (when one is
   /// configured) — their link structure is exactly the metadata a wild
@@ -187,7 +186,7 @@ private:
   RunMap Quarantined;
   std::function<bool(PageIndex)> IsBlacklisted;
   PageAllocatorStats Stats;
-  /// With DecommitFreed: Resident[P - BasePage] marks a free page that
+  /// Resident[P - BasePage] marks a free page that
   /// still holds its old contents, Aged the pages already resident at
   /// the last ageDeferredDecommits call.  Sized at construction, so the
   /// sweep's frees never allocate while the world is stopped.

@@ -78,15 +78,14 @@ public:
 
   /// Lock-free owner free: clears the AllocBit of \p Ptr when it is the
   /// base of an allocated slot in block \p Id and this thread owns that
-  /// block (zeroing the slot first when \p ClearMemory).  \p Id is the
-  /// page map's entry for \p Ptr's page, read without the heap lock; it
-  /// cannot change while this thread owns the block, and a stale entry
-  /// for any other page only fails the range check.  \returns false,
-  /// changing nothing, for anything else — a foreign pointer, an
-  /// interior pointer, a slot that is already free — so the caller can
-  /// take the locked path, which classifies and reports it.  Owner
-  /// thread only.
-  bool release(void *Ptr, BlockId Id, bool ClearMemory) {
+  /// block, zeroing the slot first.  \p Id is the page map's entry for
+  /// \p Ptr's page, read without the heap lock; it cannot change while
+  /// this thread owns the block, and a stale entry for any other page
+  /// only fails the range check.  \returns false, changing nothing, for
+  /// anything else — a foreign pointer, an interior pointer, a slot that
+  /// is already free — so the caller can take the locked path, which
+  /// classifies and reports it.  Owner thread only.
+  bool release(void *Ptr, BlockId Id) {
     OwnedBlock *B = Id < ById.size() ? ById[Id] : nullptr;
     if (B == nullptr)
       return false;
@@ -102,8 +101,7 @@ public:
       return false;
     // Only this thread allocates from the block, and a remote free never
     // writes slot memory, so zeroing before the bit clears races nothing.
-    if (ClearMemory)
-      std::memset(Ptr, 0, B->SlotBytes);
+    std::memset(Ptr, 0, B->SlotBytes);
     if ((__atomic_fetch_and(&B->AllocWords[Word], ~Mask, __ATOMIC_RELEASE) &
          Mask) == 0)
       return false; // Another thread freed it first: a double free.

@@ -51,14 +51,11 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.max_heap_bytes, D.MaxHeapBytes);
   EXPECT_EQ(C.heap_base_offset, 0u) << "default placement is not Custom";
   EXPECT_EQ(C.heap_placement, CGC_PLACEMENT_HIGH_BITS_MIXED);
-  EXPECT_EQ(C.heap_growth_pages, D.HeapGrowthPages);
-  EXPECT_EQ(C.decommit_freed_pages, D.DecommitFreedPages ? 1 : 0);
   EXPECT_EQ(C.interior_policy, CGC_INTERIOR_ALL);
   EXPECT_EQ(C.blacklist_mode, CGC_BLACKLIST_FLAT);
   EXPECT_EQ(C.blacklist_aging, D.BlacklistAging ? 1 : 0);
   EXPECT_EQ(C.hashed_blacklist_bits_log2, D.HashedBlacklistBitsLog2);
   EXPECT_EQ(C.gc_at_startup, D.GcAtStartup ? 1 : 0);
-  EXPECT_EQ(C.lazy_sweep, D.LazySweep ? 1 : 0);
   EXPECT_EQ(C.root_scan_alignment, D.RootScanAlignment);
   EXPECT_EQ(C.heap_scan_alignment, D.HeapScanAlignment);
   EXPECT_EQ(C.mark_threads, D.MarkThreads);
@@ -73,9 +70,6 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.stack_clear_every_n_allocs, D.StackClearEveryNAllocs);
   EXPECT_EQ(C.avoid_trailing_zero_addresses,
             D.AvoidTrailingZeroAddresses ? 1 : 0);
-  EXPECT_EQ(C.clear_freed_objects, D.ClearFreedObjects ? 1 : 0);
-  EXPECT_EQ(C.address_ordered_allocation,
-            D.AddressOrderedAllocation ? 1 : 0);
   EXPECT_EQ(C.verify_every_collection, D.VerifyEveryCollection ? 1 : 0);
   EXPECT_EQ(C.sentinel.enabled, D.Sentinel.Enabled ? 1 : 0);
   EXPECT_EQ(C.sentinel.window_collections, D.Sentinel.WindowCollections);
@@ -99,14 +93,11 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.max_heap_bytes = 64ULL << 20;
   In.heap_placement = CGC_PLACEMENT_CUSTOM;
   In.heap_base_offset = 32ULL << 20;
-  In.heap_growth_pages = 128;
-  In.decommit_freed_pages = 0;
   In.interior_policy = CGC_INTERIOR_FIRST_PAGE;
   In.blacklist_mode = CGC_BLACKLIST_HASHED;
   In.blacklist_aging = 0;
   In.hashed_blacklist_bits_log2 = 12;
   In.gc_at_startup = 0;
-  In.lazy_sweep = 1;
   In.root_scan_alignment = 8;
   In.heap_scan_alignment = 4;
   In.mark_threads = 3;
@@ -118,8 +109,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.stack_clear_chunk_bytes = 8192;
   In.stack_clear_every_n_allocs = 32;
   In.avoid_trailing_zero_addresses = 0;
-  In.clear_freed_objects = 0;
-  In.address_ordered_allocation = 0;
   In.verify_every_collection = 1;
   In.sentinel.enabled = 1;
   In.sentinel.window_collections = 6;
@@ -141,14 +130,11 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.max_heap_bytes, In.max_heap_bytes);
   EXPECT_EQ(Out.heap_placement, CGC_PLACEMENT_CUSTOM);
   EXPECT_EQ(Out.heap_base_offset, In.heap_base_offset);
-  EXPECT_EQ(Out.heap_growth_pages, In.heap_growth_pages);
-  EXPECT_EQ(Out.decommit_freed_pages, In.decommit_freed_pages);
   EXPECT_EQ(Out.interior_policy, In.interior_policy);
   EXPECT_EQ(Out.blacklist_mode, In.blacklist_mode);
   EXPECT_EQ(Out.blacklist_aging, In.blacklist_aging);
   EXPECT_EQ(Out.hashed_blacklist_bits_log2, In.hashed_blacklist_bits_log2);
   EXPECT_EQ(Out.gc_at_startup, In.gc_at_startup);
-  EXPECT_EQ(Out.lazy_sweep, In.lazy_sweep);
   EXPECT_EQ(Out.root_scan_alignment, In.root_scan_alignment);
   EXPECT_EQ(Out.heap_scan_alignment, In.heap_scan_alignment);
   EXPECT_EQ(Out.mark_threads, In.mark_threads);
@@ -162,8 +148,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.stack_clear_every_n_allocs, In.stack_clear_every_n_allocs);
   EXPECT_EQ(Out.avoid_trailing_zero_addresses,
             In.avoid_trailing_zero_addresses);
-  EXPECT_EQ(Out.clear_freed_objects, In.clear_freed_objects);
-  EXPECT_EQ(Out.address_ordered_allocation, In.address_ordered_allocation);
   EXPECT_EQ(Out.verify_every_collection, In.verify_every_collection);
   EXPECT_EQ(Out.sentinel.enabled, In.sentinel.enabled);
   EXPECT_EQ(Out.sentinel.window_collections, In.sentinel.window_collections);

@@ -380,8 +380,6 @@ TEST(GuardedHeap, CApiRoundTripAndDebugCalls) {
   EXPECT_EQ(Resolved.debug_guards, 1);
   EXPECT_EQ(Resolved.guard_fatal, 0);
   EXPECT_EQ(Resolved.quarantine_slots, 16u);
-  EXPECT_EQ(Resolved.lazy_sweep, 0)
-      << "guarded mode must force lazy sweep off";
 
   void *Tagged = CGC_MALLOC_SITE(GC, 40);
   ASSERT_NE(Tagged, nullptr);

@@ -229,7 +229,7 @@ struct PageAllocFixture : public ::testing::Test {
   PageAllocFixture()
       : Arena(64 << 20),
         Pages(Arena, /*BasePage=*/256, /*MaxPages=*/2048,
-              /*GrowthPages=*/64, /*DecommitFreed=*/true) {}
+              /*GrowthPages=*/64) {}
   VirtualArena Arena;
   PageAllocator Pages;
 };
@@ -377,7 +377,7 @@ namespace {
 struct ObjectHeapFixture : public ::testing::Test {
   ObjectHeapFixture()
       : Arena(64 << 20),
-        Pages(Arena, 256, 2048, 64, true),
+        Pages(Arena, 256, 2048, 64),
         Map(Arena.numPages()) {
     ObjectHeapConfig Config;
     Heap = std::make_unique<ObjectHeap>(Arena, Pages, Map, Blocks, Config);
@@ -498,7 +498,7 @@ TEST_F(ObjectHeapFixture, FreedMemoryIsCleared) {
   auto *A = static_cast<uint64_t *>(allocSmall(8));
   *A = 0xDEADBEEFDEADBEEFULL;
   Heap->deallocateExplicit(A);
-  EXPECT_EQ(*A, 0u) << "ClearFreedObjects must zero freed slots";
+  EXPECT_EQ(*A, 0u) << "explicit frees zero the freed slot";
 }
 
 TEST_F(ObjectHeapFixture, LargeObjectLifecycle) {
@@ -597,21 +597,6 @@ TEST_F(ObjectHeapFixture, KindsUseSeparateBlocks) {
       << "different kinds never share a block";
   EXPECT_EQ(blockOf(N).Kind, ObjectKind::Normal);
   EXPECT_EQ(blockOf(P).Kind, ObjectKind::PointerFree);
-}
-
-TEST_F(ObjectHeapFixture, LifoAblationUsesRecentBlock) {
-  ObjectHeapConfig Config;
-  Config.AddressOrderedAllocation = false;
-  BlockTable Blocks2;
-  PageMap Map2(Arena.numPages());
-  PageAllocator Pages2(Arena, 4096, 2048, 64, true);
-  ObjectHeap Lifo(Arena, Pages2, Map2, Blocks2, Config);
-  ASSERT_TRUE(Lifo.addBlockForClass(8, ObjectKind::Normal));
-  void *A = Lifo.allocateFromExisting(8, ObjectKind::Normal);
-  ASSERT_NE(A, nullptr);
-  Lifo.deallocateExplicit(A);
-  void *B = Lifo.allocateFromExisting(8, ObjectKind::Normal);
-  EXPECT_EQ(B, A) << "LIFO reuses the most recently freed-into block";
 }
 
 TEST_F(ObjectHeapFixture, LargeAllocationFailsAtArenaLimitAndRecovers) {

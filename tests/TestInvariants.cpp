@@ -1,8 +1,8 @@
 //===- tests/TestInvariants.cpp - Heap verifier and fuzzing ---------------===//
 //
 // Randomized workloads with the full heap verifier run at checkpoints:
-// allocation of every kind and size, explicit frees, collections, lazy
-// sweeps, typed layouts, and planted false references all interleaved.
+// allocation of every kind and size, explicit frees, collections, typed
+// layouts, and planted false references all interleaved.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,27 +18,22 @@ using namespace cgc;
 
 namespace {
 
-GcConfig fuzzConfig(bool Lazy, bool AddressOrdered,
-                    unsigned MarkThreads = 1, bool VerifyEvery = false,
+GcConfig fuzzConfig(unsigned MarkThreads = 1, bool VerifyEvery = false,
                     bool Guarded = false) {
   GcConfig Config;
   Config.MaxHeapBytes = 64 << 20;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = 1 << 20;
   Config.CollectBeforeGrowthRatio = 0.5;
-  Config.LazySweep = Lazy;
-  Config.AddressOrderedAllocation = AddressOrdered;
   Config.MarkThreads = MarkThreads;
   Config.VerifyEveryCollection = VerifyEvery;
   Config.DebugGuards = Guarded;
   return Config;
 }
 
-void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
-              unsigned MarkThreads = 1, bool VerifyEvery = false,
-              bool Guarded = false) {
-  Collector GC(fuzzConfig(Lazy, AddressOrdered, MarkThreads, VerifyEvery,
-                          Guarded));
+void fuzzOnce(uint64_t Seed, unsigned MarkThreads = 1,
+              bool VerifyEvery = false, bool Guarded = false) {
+  Collector GC(fuzzConfig(MarkThreads, VerifyEvery, Guarded));
   Rng R(Seed);
   LayoutId Layout = GC.registerObjectLayout(
       {true, false, true, false}, 4 * sizeof(uint64_t));
@@ -107,7 +102,6 @@ void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
       GC.verifyHeap();
   }
   GC.collect("final");
-  GC.objectHeap().finishPendingSweeps();
   GC.verifyHeap();
   for (void *P : Explicit)
     GC.deallocate(P);
@@ -115,7 +109,6 @@ void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
   for (uint64_t &Slot : Window)
     Slot = 0;
   GC.collect("drain");
-  GC.objectHeap().finishPendingSweeps();
   GC.verifyHeap();
   EXPECT_EQ(GC.allocatedBytes(), 0u)
       << "everything must drain once all roots are gone";
@@ -123,30 +116,34 @@ void fuzzOnce(bool Lazy, bool AddressOrdered, uint64_t Seed,
 
 } // namespace
 
-TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(false, true, 101); }
-TEST(HeapInvariants, FuzzEagerLifo) { fuzzOnce(false, false, 202); }
-TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(true, true, 303); }
-TEST(HeapInvariants, FuzzLazyLifo) { fuzzOnce(true, false, 404); }
+// Every seed runs the collector's one sweep (eager) and one block order
+// (address-ordered).  The Lazy and Lifo test names record what their
+// seeds ran under before the lazy sweep and the LIFO order were
+// deleted; they are kept so test ids stay stable.
+TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(101); }
+TEST(HeapInvariants, FuzzEagerLifo) { fuzzOnce(202); }
+TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(303); }
+TEST(HeapInvariants, FuzzLazyLifo) { fuzzOnce(404); }
 // The same fuzz loops with the Mark phase on 4 pool workers: every
 // verifyHeap checkpoint must still hold.
 TEST(HeapInvariants, FuzzEagerParallelMark) {
-  fuzzOnce(false, true, 101, /*MarkThreads=*/4);
+  fuzzOnce(101, /*MarkThreads=*/4);
 }
 TEST(HeapInvariants, FuzzEagerLifoParallelMark) {
-  fuzzOnce(false, false, 202, /*MarkThreads=*/4);
+  fuzzOnce(202, /*MarkThreads=*/4);
 }
 TEST(HeapInvariants, FuzzLazyParallelMark) {
-  fuzzOnce(true, true, 303, /*MarkThreads=*/4);
+  fuzzOnce(303, /*MarkThreads=*/4);
 }
 // The deep verifier lane: the same fuzz loop with
 // GcConfig::VerifyEveryCollection on, so every phase of every
 // collection re-verifies block table, page map, free lists, mark bits,
 // and blacklist — failures abort at the phase that corrupted the heap.
 TEST(HeapInvariants, FuzzEagerVerifyEveryCollection) {
-  fuzzOnce(false, true, 505, /*MarkThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(505, /*MarkThreads=*/1, /*VerifyEvery=*/true);
 }
 TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
-  fuzzOnce(true, true, 606, /*MarkThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(606, /*MarkThreads=*/1, /*VerifyEvery=*/true);
 }
 // Guarded-heap lanes: the identical workloads under DebugGuards, so
 // every explicit free climbs the validation ladder, every freed object
@@ -154,16 +151,13 @@ TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
 // checkpoint re-checks headers and redzones.  A clean run proves the
 // guard machinery itself never trips on a correct program.
 TEST(HeapInvariants, FuzzGuardedEager) {
-  fuzzOnce(false, true, 711, /*MarkThreads=*/1, /*VerifyEvery=*/false,
-           /*Guarded=*/true);
+  fuzzOnce(711, /*MarkThreads=*/1, /*VerifyEvery=*/false, /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedParallelMark) {
-  fuzzOnce(false, true, 711, /*MarkThreads=*/4, /*VerifyEvery=*/false,
-           /*Guarded=*/true);
+  fuzzOnce(711, /*MarkThreads=*/4, /*VerifyEvery=*/false, /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
-  fuzzOnce(false, true, 808, /*MarkThreads=*/1, /*VerifyEvery=*/true,
-           /*Guarded=*/true);
+  fuzzOnce(808, /*MarkThreads=*/1, /*VerifyEvery=*/true, /*Guarded=*/true);
 }
 
 // Guard metadata must be invisible to conservative marking: the canary
@@ -173,8 +167,8 @@ TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
 // same deterministic workload.
 TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
   auto runCensus = [](bool Guarded) {
-    Collector GC(fuzzConfig(false, true, /*MarkThreads=*/1,
-                            /*VerifyEvery=*/false, Guarded));
+    Collector GC(fuzzConfig(/*MarkThreads=*/1, /*VerifyEvery=*/false,
+                            Guarded));
     Rng R(9090);
     std::vector<uint64_t> Window(256, 0);
     GC.addRootRange(Window.data(), Window.data() + Window.size(),
@@ -201,7 +195,7 @@ TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
 // must agree exactly with the collection's sweep — same live counts,
 // same pins, and nothing newly freed.
 TEST(HeapInvariants, SweepTotalsMatchResweep) {
-  Collector GC(fuzzConfig(false, true));
+  Collector GC(fuzzConfig());
   Rng R(777);
   std::vector<uint64_t> Window(256, 0);
   GC.addRootRange(Window.data(), Window.data() + Window.size(),
@@ -267,41 +261,6 @@ TEST(HeapInvariants, RootedAddressesOfFreedSlotsPin) {
   CollectionStats Second = GC.collect("pin");
   EXPECT_EQ(Second.SlotsPinned, 8u)
       << "rooted addresses of freed slots pin them";
-  GC.verifyHeap();
-}
-
-// Lazy sweeping: a collection only queues small blocks, and the queue
-// drains to empty through allocation plus finishPendingSweeps, leaving
-// a heap the verifier accepts.
-TEST(HeapInvariants, LazySweepQueueDrainsThroughAllocation) {
-  GcConfig Config = smallWindowConfig();
-  Config.LazySweep = true;
-  Collector GC(Config);
-  static void *Live[8];
-  std::fill(std::begin(Live), std::end(Live), nullptr);
-  GC.addRootRange(Live, Live + 8, RootEncoding::Native64,
-                  RootSource::StaticData, "live-lists");
-  // Interleaved live and garbage lists over several size classes: one
-  // list in three stays reachable.
-  for (unsigned List = 0; List != 24; ++List) {
-    size_t Bytes = 16u << (List % 4);
-    void *Head = nullptr;
-    for (unsigned I = 0; I != 300; ++I) {
-      void **N = static_cast<void **>(GC.allocate(Bytes));
-      ASSERT_NE(N, nullptr);
-      N[0] = Head;
-      Head = N;
-    }
-    if (List % 3 == 0)
-      Live[List / 3] = Head;
-  }
-  GC.collect("lazy");
-  EXPECT_GT(GC.objectHeap().pendingSweepCount(), 0u)
-      << "lazy collection must queue blocks";
-  for (unsigned I = 0; I != 500; ++I)
-    ASSERT_NE(GC.allocate(16u << (I % 4)), nullptr);
-  GC.objectHeap().finishPendingSweeps();
-  EXPECT_EQ(GC.objectHeap().pendingSweepCount(), 0u);
   GC.verifyHeap();
 }
 
@@ -384,7 +343,7 @@ struct StreamTotals {
 // both heaps must empty.
 StreamTotals runMutatorStreams(bool Threaded,
                                uint64_t HandshakeDeadlineMs = 0) {
-  GcConfig Config = fuzzConfig(false, true);
+  GcConfig Config = fuzzConfig();
   Config.HandshakeDeadlineMs = HandshakeDeadlineMs;
   Collector GC(Config);
   constexpr int NumMutators = 3;
@@ -409,12 +368,10 @@ StreamTotals runMutatorStreams(bool Threaded,
       mutatorChurn(GC, 1000 + uint64_t(T), Windows[size_t(T)]);
   }
   GC.collect("final");
-  GC.objectHeap().finishPendingSweeps();
   GC.verifyHeap();
   for (auto &W : Windows)
     std::fill(W.begin(), W.end(), 0);
   GC.collect("drain");
-  GC.objectHeap().finishPendingSweeps();
   GC.verifyHeap();
   EXPECT_EQ(GC.allocatedBytes(), 0u)
       << "everything must drain once every mutator has left";
@@ -455,7 +412,7 @@ TEST(HeapInvariants, FuzzMultiMutatorRandomSkippedPolls) {
 }
 
 TEST(HeapInvariants, VerifierPassesAfterEveryPhase) {
-  Collector GC(fuzzConfig(false, true));
+  Collector GC(fuzzConfig());
   GC.verifyHeap(); // Empty heap.
   void *A = GC.allocate(100);
   GC.verifyHeap(); // After allocation.
@@ -469,7 +426,7 @@ TEST(HeapInvariants, VerifierPassesAfterEveryPhase) {
 }
 
 TEST(CollectorReport, PrintsWithoutCrashing) {
-  Collector GC(fuzzConfig(false, true));
+  Collector GC(fuzzConfig());
   for (int I = 0; I != 1000; ++I)
     GC.allocate(32);
   GC.collect();

@@ -44,8 +44,7 @@ struct Shadow {
 void fuzzPageAllocator(bool WithBlacklist, uint64_t Seed) {
   VirtualArena Arena(64 << 20);
   constexpr PageIndex Base = 64, Max = 4096;
-  PageAllocator Pages(Arena, Base, Max, /*GrowthPages=*/32,
-                      /*DecommitFreed=*/true);
+  PageAllocator Pages(Arena, Base, Max, /*GrowthPages=*/32);
   BitVector Blacklisted(Arena.numPages());
   Rng R(Seed);
   if (WithBlacklist) {

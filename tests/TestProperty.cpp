@@ -5,7 +5,7 @@
 // conservative collection behaves *exactly* like a precise one — the
 // set of surviving objects equals the pointer-reachability closure
 // computed by a shadow oracle, under every combination of interior
-// policy, blacklist mode, allocation order, and page-layout option.
+// policy, blacklist mode, and page-layout option.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,9 @@ struct ConfigPoint {
   InteriorPolicy Interior;
   BlacklistMode Blacklist;
   bool AvoidTrailingZeros;
+  /// Always true: the collector has one block order, lowest address
+  /// first.  The field stays so that each point's printed parameter,
+  /// and so its test id, is unchanged.
   bool AddressOrdered;
   bool PreciseFreeSlots;
 };
@@ -55,7 +58,7 @@ std::string configName(const ::testing::TestParamInfo<ConfigPoint> &Info) {
     break;
   }
   Name += P.AvoidTrailingZeros ? "_Tz" : "_NoTz";
-  Name += P.AddressOrdered ? "_Ao" : "_Lifo";
+  Name += "_Ao";
   Name += P.PreciseFreeSlots ? "_Precise" : "_Lax";
   return Name;
 }
@@ -69,7 +72,6 @@ GcConfig makeConfig(const ConfigPoint &P) {
   Config.Interior = P.Interior;
   Config.Blacklist = P.Blacklist;
   Config.AvoidTrailingZeroAddresses = P.AvoidTrailingZeros;
-  Config.AddressOrderedAllocation = P.AddressOrdered;
   Config.PreciseFreeSlotDetection = P.PreciseFreeSlots;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = ~uint64_t(0);
@@ -261,11 +263,7 @@ INSTANTIATE_TEST_SUITE_P(
         ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap,
                     false, true, false},
         ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true,
-                    false, false},
-        ConfigPoint{InteriorPolicy::All, BlacklistMode::FlatBitmap, true,
-                    true, true},
-        ConfigPoint{InteriorPolicy::BaseOnly, BlacklistMode::Off, false,
-                    false, true}),
+                    true, true}),
     configName);
 
 //===----------------------------------------------------------------------===//

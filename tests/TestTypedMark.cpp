@@ -44,7 +44,6 @@ GcConfig typedConfig() {
   Config.MaxHeapBytes = 64 << 20;
   Config.GcAtStartup = false;
   Config.MinHeapBytesBeforeGc = ~uint64_t(0);
-  Config.LazySweep = false;
   return Config;
 }
 
@@ -644,6 +643,5 @@ TEST(TypedMark, PointerFreeUncollectableLeakReport) {
   EXPECT_EQ(Clean.TotalObjects, 0u);
   GC.deallocate(Slab);
   GC.collect("drain");
-  GC.objectHeap().finishPendingSweeps();
   EXPECT_EQ(GC.findLeaks().TotalObjects, 0u);
 }
