@@ -9,7 +9,9 @@
 //
 // Workload: steady-state list churn (allocate, retain a window, drop),
 // periodic explicit collections; we record every collect() pause and
-// report its median, interquartile range and maximum.
+// report its median, interquartile range and maximum, plus the median
+// of each layer under it — root scan, mark, blacklist promote and
+// sweep — from the cycle's own phase timings.
 //
 // The threaded rows additionally measure time-to-stop — the handshake
 // nanoseconds from raising the stop request to the last mutator
@@ -31,6 +33,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -45,8 +49,20 @@ uint64_t nowNanos() {
           .count());
 }
 
+/// The phases the table breaks each pause into, read from every
+/// cycle's CollectionStats::PhaseNanos.
+constexpr GcPhase ReportedPhases[] = {GcPhase::RootScan, GcPhase::Mark,
+                                      GcPhase::BlacklistPromote,
+                                      GcPhase::Sweep};
+constexpr size_t NumReportedPhases = std::size(ReportedPhases);
+constexpr const char *PhaseJsonKeys[NumReportedPhases] = {
+    "root_scan_p50_us", "mark_p50_us", "blacklist_promote_p50_us",
+    "sweep_p50_us"};
+
 struct PauseProfile {
   std::vector<double> PauseMicros;
+  /// Per-cycle microseconds of each of ReportedPhases.
+  std::vector<double> PhaseMicros[NumReportedPhases];
   double ThroughputOpsPerUs = 0;
   uint64_t Collections = 0;
   /// Per-cycle handshake time-to-stop; empty for single-mutator rows.
@@ -56,6 +72,19 @@ struct PauseProfile {
   uint64_t SealTransitions = 0;
   double SealMicrosPerCollection = 0;
 };
+
+/// Records one finished collection's pause and its phase times.
+void recordCycle(PauseProfile &Profile, const Collector &GC,
+                 uint64_t PauseNanos) {
+  Profile.PauseMicros.push_back(static_cast<double>(PauseNanos) / 1000.0);
+  const CollectionStats &Cycle = GC.lastCollection();
+  for (size_t I = 0; I != NumReportedPhases; ++I)
+    Profile.PhaseMicros[I].push_back(
+        static_cast<double>(
+            Cycle.PhaseNanos[static_cast<unsigned>(ReportedPhases[I])]) /
+        1000.0);
+  ++Profile.Collections;
+}
 
 double percentile(std::vector<double> Samples, double Fraction) {
   if (Samples.empty())
@@ -97,9 +126,7 @@ PauseProfile run(bool Sealed) {
     if (Op % 100000 == 99999) { // ~3 MiB between collections.
       uint64_t T0 = nowNanos();
       GC.collect("periodic");
-      Profile.PauseMicros.push_back(
-          static_cast<double>(nowNanos() - T0) / 1000.0);
-      ++Profile.Collections;
+      recordCycle(Profile, GC, nowNanos() - T0);
     }
   }
   uint64_t Elapsed = nowNanos() - Start;
@@ -171,12 +198,10 @@ PauseProfile runThreaded(bool SignalFallback) {
     Window[Slot] = reinterpret_cast<uint64_t>(N);
     if (Op % OpsPerCycle == OpsPerCycle - 1) {
       uint64_t T0 = nowNanos();
-      CollectionStats Cycle = GC.collect("periodic");
-      Profile.PauseMicros.push_back(
-          static_cast<double>(nowNanos() - T0) / 1000.0);
+      GC.collect("periodic");
+      recordCycle(Profile, GC, nowNanos() - T0);
       Profile.StopMicros.push_back(
-          static_cast<double>(Cycle.HandshakeNanos) / 1000.0);
-      ++Profile.Collections;
+          static_cast<double>(GC.lastCollection().HandshakeNanos) / 1000.0);
     }
   }
   uint64_t Elapsed = nowNanos() - Start;
@@ -203,14 +228,25 @@ void addProfileRow(TablePrinter &Table, cgcbench::JsonReport &Report,
   std::snprintf(P99, sizeof(P99), "%.0f", StopP99);
   std::snprintf(Thr, sizeof(Thr), "%.1f", P.ThroughputOpsPerUs);
   std::snprintf(Seal, sizeof(Seal), "%.1f", P.SealMicrosPerCollection);
-  Table.addRow({Mode, std::to_string(P.Collections), Median, Iqr, Max, P50,
-                P99, P.Sealed ? Seal : "-", Thr});
+  std::vector<std::string> Row = {Mode, std::to_string(P.Collections), Median,
+                                  Iqr, Max};
+  double PhaseP50[NumReportedPhases];
+  for (size_t I = 0; I != NumReportedPhases; ++I) {
+    PhaseP50[I] = percentile(P.PhaseMicros[I], 0.50);
+    char Cell[32];
+    std::snprintf(Cell, sizeof(Cell), "%.1f", PhaseP50[I]);
+    Row.push_back(Cell);
+  }
+  Row.insert(Row.end(), {P50, P99, P.Sealed ? Seal : "-", Thr});
+  Table.addRow(Row);
   Report.beginRow();
   Report.rowSet("mode", std::string(Mode));
   Report.rowSet("collections", P.Collections);
   Report.rowSet("pause_p50_us", PauseP50);
   Report.rowSet("pause_iqr_us", PauseIqr);
   Report.rowSet("max_pause_us", PauseMax);
+  for (size_t I = 0; I != NumReportedPhases; ++I)
+    Report.rowSet(PhaseJsonKeys[I], PhaseP50[I]);
   Report.rowSet("stop_p50_us", StopP50);
   Report.rowSet("stop_p99_us", StopP99);
   Report.rowSet("sealed", uint64_t(P.Sealed ? 1 : 0));
@@ -235,8 +271,9 @@ int main(int Argc, char **Argv) {
 
   cgcbench::JsonReport Report("pause times");
   TablePrinter Table({"mode", "collections", "pause p50 (us)",
-                      "pause iqr (us)", "max pause (us)", "stop p50 (us)",
-                      "stop p99 (us)", "seal (us/gc)",
+                      "pause iqr (us)", "max pause (us)", "roots p50 (us)",
+                      "mark p50 (us)", "promote p50 (us)", "sweep p50 (us)",
+                      "stop p50 (us)", "stop p99 (us)", "seal (us/gc)",
                       "throughput (ops/us)"});
   addProfileRow(Table, Report, "eager", run(/*Sealed=*/false));
   addProfileRow(Table, Report, "eager sealed", run(/*Sealed=*/true));

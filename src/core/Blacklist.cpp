@@ -17,16 +17,32 @@ void BitmapBlacklist::noteCandidate(PageIndex Page) {
   size_t Bit = bitFor(Page);
   if (Bit == NoBit)
     return;
-  if (!Current.testAndSet(Bit))
+  if (!Current.testAndSet(Bit)) {
     ++CurrentCount;
-  if (InCycle && !SeenThisCycle.testAndSet(Bit))
+    CurrentWords.widen(Bit);
+  }
+  if (InCycle && !SeenThisCycle.testAndSet(Bit)) {
     ++SeenCount;
+    SeenWords.widen(Bit);
+  }
 }
 
 void BitmapBlacklist::beginCycle() {
-  SeenThisCycle.clearAll();
+  // Only the words the last cycle wrote can hold a set bit.
+  std::fill(SeenThisCycle.words() + SeenWords.Lo,
+            SeenThisCycle.words() + SeenWords.Hi, 0);
+  SeenWords = {};
   SeenCount = 0;
   InCycle = true;
+}
+
+void BitmapBlacklist::adoptSeenSet() {
+  uint64_t *Live = Current.words();
+  const uint64_t *Seen = SeenThisCycle.words();
+  std::fill(Live + CurrentWords.Lo, Live + CurrentWords.Hi, 0);
+  std::copy(Seen + SeenWords.Lo, Seen + SeenWords.Hi, Live + SeenWords.Lo);
+  CurrentWords = SeenWords;
+  CurrentCount = SeenCount;
 }
 
 void BitmapBlacklist::endCycle() {

@@ -33,6 +33,7 @@
 
 #include "heap/HeapUnits.h"
 #include "support/BitVector.h"
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 
@@ -90,7 +91,9 @@ public:
 /// Bit-array blacklist.  Flat mode keeps one bit per window page;
 /// hashed mode one bit per multiplicative hash class of pages, so a
 /// note on any page of a class blacklists the whole class.  The number
-/// of set bits is kept as a running count, so entryCount() is O(1).
+/// of set bits is kept as a running count, so entryCount() is O(1), and
+/// each bitmap keeps the word range its set bits lie in, so a cycle
+/// clears and copies only the words it set, not the whole window.
 class BitmapBlacklist final : public Blacklist {
 public:
   /// One bit per page of a \p NumPages window; later pages are ignored.
@@ -129,16 +132,33 @@ private:
     return Page < Current.size() ? Page : NoBit;
   }
 
-  /// Aging: the live set becomes the just-seen set.
-  void adoptSeenSet() {
-    Current = SeenThisCycle;
-    CurrentCount = SeenCount;
-  }
+  /// A half-open range of bitmap words that holds every set bit of one
+  /// bitmap, so a cycle clears and copies only the words it wrote.
+  struct WordRange {
+    size_t Lo = 0, Hi = 0;
+    void widen(size_t Bit) {
+      size_t W = Bit / 64;
+      if (Lo == Hi) {
+        Lo = W;
+        Hi = W + 1;
+      } else {
+        Lo = std::min(Lo, W);
+        Hi = std::max(Hi, W + 1);
+      }
+    }
+  };
+
+  /// Aging: the live set becomes the just-seen set.  A copy, not a
+  /// swap: refresh() may adopt twice between cycles, and the second
+  /// adopt must still read this cycle's seen set.
+  void adoptSeenSet();
 
   /// 0 in flat mode.
   unsigned HashBitsLog2;
   BitVector Current;
   BitVector SeenThisCycle;
+  WordRange CurrentWords;
+  WordRange SeenWords;
   uint64_t CurrentCount = 0;
   uint64_t SeenCount = 0;
   bool Aging;

@@ -4,6 +4,7 @@
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -100,33 +101,41 @@ void MarkContext::registerDisplacement(uint32_t Displacement) {
     Displacements.insert(It, Displacement);
 }
 
-void MarkContext::markUncollectableObjects(CollectionStats &Stats) {
+void MarkContext::resetMarks(CollectionStats &Stats) {
+  // One walk of the block table: every block's marks are cleared, and
+  // uncollectable blocks — roots, live by definition, whose contents may
+  // hold the only pointer to collectable data — are marked whole, a
+  // word at a time.
   Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
-    if (!kindIsUncollectable(Block.Kind))
+    if (!kindIsUncollectable(Block.Kind)) {
+      Block.MarkBits.clearAll();
       return;
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot))
+    }
+    const uint64_t *Alloc = Block.AllocBits.words();
+    uint64_t *Mark = Block.MarkBits.words();
+    // Pointer-free uncollectable payloads are live by definition but
+    // hold no pointers: nothing to trace through them.
+    bool Trace = !kindIsPointerFree(Block.Kind);
+    for (size_t W = 0, E = Block.MarkBits.numWords(); W != E; ++W) {
+      uint64_t Live = Alloc[W] & Block.slotWordMask(W);
+      Mark[W] = Live;
+      unsigned Count = static_cast<unsigned>(std::popcount(Live));
+      Stats.ObjectsMarked += Count;
+      Stats.BytesMarked += uint64_t(Count) * Block.ObjectSize;
+      if (!Trace)
         continue;
-      if (Block.MarkBits.testAndSet(Slot))
-        continue;
-      ++Stats.ObjectsMarked;
-      Stats.BytesMarked += Block.ObjectSize;
-      // Pointer-free uncollectable payloads are live by definition but
-      // hold no pointers: nothing to trace through them.
-      if (kindIsPointerFree(Block.Kind))
-        continue;
-      Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
-                       Block.LayoutId});
+      for (; Live != 0; Live &= Live - 1) {
+        uint32_t Slot = static_cast<uint32_t>(W * 64 + std::countr_zero(Live));
+        Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
+                         Block.LayoutId});
+      }
     }
   });
 }
 
 void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
-  Heap.clearMarks();
   Seeds.clear();
-  // Uncollectable objects are roots: live by definition, and their
-  // contents may hold the only pointer to collectable data.
-  markUncollectableObjects(Stats);
+  resetMarks(Stats);
   MarkWorker Scanner(*this, Stats, &Seeds);
   for (const RootScanSpan &Span : Roots.scannableSpans())
     Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);

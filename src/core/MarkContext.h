@@ -195,7 +195,10 @@ private:
     return Slot;
   }
 
-  void markUncollectableObjects(CollectionStats &Stats);
+  /// The RootScan phase's one block-table walk: clears every mark bit,
+  /// then marks each uncollectable block's allocated slots and seeds
+  /// the pointer-bearing ones in slot order.
+  void resetMarks(CollectionStats &Stats);
 
   VirtualArena &Arena;
   PageAllocator &Pages;

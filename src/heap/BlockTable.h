@@ -105,6 +105,14 @@ struct BlockDescriptor {
     return ObjectCount - AllocatedCount - PinnedCount;
   }
 
+  /// The bits of bitmap word \p Word that stand for slots: all ones
+  /// except in a partial last word.  Word-wise passes mask with this so
+  /// a stray bit at or past ObjectCount never reads as a slot.
+  uint64_t slotWordMask(size_t Word) const {
+    size_t Left = ObjectCount - Word * 64;
+    return Left >= 64 ? ~uint64_t(0) : (uint64_t(1) << Left) - 1;
+  }
+
   /// Atomically marks \p Slot; \returns true if it was already marked.
   /// The one mark-bitmap mutation mark workers may perform in parallel.
   bool testAndSetMark(uint32_t Slot) {

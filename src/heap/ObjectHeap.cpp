@@ -3,6 +3,7 @@
 #include "heap/ObjectHeap.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
+#include <bit>
 #include <cstring>
 
 using namespace cgc;
@@ -358,32 +359,63 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   }
 }
 
+void ObjectHeap::pinMarkedFreeSlots(BlockDescriptor &Block) {
+  const uint64_t *Alloc = Block.AllocBits.words();
+  const uint64_t *Mark = Block.MarkBits.words();
+  uint64_t *Pinned = Block.PinnedBits.words();
+  uint32_t PinnedCount = 0;
+  for (size_t W = 0, E = Block.PinnedBits.numWords(); W != E; ++W) {
+    uint64_t Pin = Mark[W] & ~Alloc[W] & Block.slotWordMask(W);
+    Pinned[W] = Pin;
+    PinnedCount += static_cast<uint32_t>(std::popcount(Pin));
+  }
+  Block.PinnedCount = PinnedCount;
+}
+
 void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   BlockDescriptor &Block = Blocks.get(Id);
   CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
              "sweepSmallBlock on wrong block kind");
   validateGuardedBlock(Block, Result);
-  // Free unmarked allocated slots, pin marked free slots.
-  Block.PinnedBits.clearAll();
-  Block.PinnedCount = 0;
-  uint64_t BytesFreed = 0;
-  for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-    bool Marked = Block.MarkBits.test(Slot);
-    bool Allocated = Block.AllocBits.test(Slot);
-    if (Allocated && !Marked) {
-      Block.AllocBits.reset(Slot);
-      --Block.AllocatedCount;
-      BytesFreed += Block.ObjectSize;
-      Result.BytesSweptFree += Block.ObjectSize;
-      ++Result.ObjectsSweptFree;
-      std::memset(Arena.pointerTo(Block.slotOffset(Slot)), 0,
-                  Block.ObjectSize);
-    } else if (!Allocated && Marked) {
-      Block.PinnedBits.set(Slot);
-      ++Block.PinnedCount;
+  // A word of slots at a time: free unmarked allocated slots, pin
+  // marked free slots, and zero each run of adjacent freed slots with
+  // one memset (a run may span words).
+  pinMarkedFreeSlots(Block);
+  uint64_t *Alloc = Block.AllocBits.words();
+  const uint64_t *Mark = Block.MarkBits.words();
+  uint32_t Freed = 0;
+  size_t RunBegin = 0, RunEnd = 0;
+  auto ZeroRun = [&] {
+    if (RunEnd != RunBegin)
+      std::memset(Arena.pointerTo(Block.slotOffset(
+                      static_cast<uint32_t>(RunBegin))),
+                  0, (RunEnd - RunBegin) * Block.ObjectSize);
+  };
+  for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
+    uint64_t Free = Alloc[W] & ~Mark[W] & Block.slotWordMask(W);
+    if (Free == 0)
+      continue;
+    Alloc[W] &= ~Free;
+    Freed += static_cast<uint32_t>(std::popcount(Free));
+    while (Free != 0) {
+      unsigned Begin = static_cast<unsigned>(std::countr_zero(Free));
+      size_t Slot = W * 64 + Begin;
+      if (Slot != RunEnd) {
+        ZeroRun();
+        RunBegin = Slot;
+      }
+      RunEnd = Slot + static_cast<size_t>(std::countr_one(Free >> Begin));
+      // Adding the lowest set bit carries through, and so clears, the
+      // lowest run.
+      Free &= Free + (Free & -Free);
     }
   }
+  ZeroRun();
+  uint64_t BytesFreed = uint64_t(Freed) * Block.ObjectSize;
+  Block.AllocatedCount -= Freed;
   AllocatedBytes -= BytesFreed;
+  Result.BytesSweptFree += BytesFreed;
+  Result.ObjectsSweptFree += Freed;
   Result.ObjectsLive += Block.AllocatedCount;
   Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
   Result.SlotsPinned += Block.PinnedCount;
@@ -392,44 +424,38 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
     releaseBlock(Id);
     return;
   }
+  relistAfterSweep(Block, Id);
+}
+
+void ObjectHeap::relistAfterSweep(BlockDescriptor &Block, BlockId Id) {
   if (Block.usableFreeCount() > 0)
     addToClassList(Block, Id);
+  else
+    removeFromClassList(Block);
 }
 
 SweepResult ObjectHeap::sweep() {
   SweepResult Result;
 
-  // Empty the per-class lists: every small block is either re-listed by
-  // its sweep or released.
-  for (ClassList &List : ClassLists)
-    List.clear();
-  for (auto &[Id, List] : TypedClassLists)
-    List.clear();
-
-  // Uncollectable and large blocks are handled in the walk (per-slot
-  // bit scans with no memory clearing).  Small collectable blocks are
+  // Uncollectable and large blocks are handled in the walk (word-wise
+  // pin scans with no memory clearing).  Small collectable blocks are
   // swept after it, in block-id order, and unmarked large blocks are
   // released after those: releasing inside the walk would mutate the
   // table being walked, and this release order fixes the free-page runs.
+  // The class lists are not emptied: each swept block is relisted or
+  // delisted in place, so a block that stays listed costs no map node.
   SmallToSweep.clear();
   LargeToRelease.clear();
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
       // Never reclaimed; free slots may still be pinned by marks.
-      Block.PinnedBits.clearAll();
-      Block.PinnedCount = 0;
-      for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-        if (Block.MarkBits.test(Slot) && !Block.AllocBits.test(Slot)) {
-          Block.PinnedBits.set(Slot);
-          ++Block.PinnedCount;
-        }
-      }
+      pinMarkedFreeSlots(Block);
       Result.ObjectsLive += Block.AllocatedCount;
       Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
       Result.SlotsPinned += Block.PinnedCount;
-      if (Block.usableFreeCount() > 0)
-        addToClassList(Block, Id);
+      if (!Block.IsLarge)
+        relistAfterSweep(Block, Id);
       return;
     }
 
@@ -585,7 +611,7 @@ void ObjectHeap::releaseBlock(BlockId Id) {
 }
 
 void ObjectHeap::addToClassList(BlockDescriptor &Block, BlockId Id) {
-  classListFor(Block).emplace(Block.StartPage, Id);
+  classListFor(Block).try_emplace(Block.StartPage, Id);
 }
 
 void ObjectHeap::removeFromClassList(const BlockDescriptor &Block) {

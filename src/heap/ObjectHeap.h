@@ -26,7 +26,8 @@
 ///     first), the fragmentation-reducing discipline the paper's
 ///     conclusions recommend.
 ///   * Sweeping is eager: each collection sweeps every block no thread
-///     owns, and zeroes the slots it frees.
+///     owns, a word of the off-heap bitmaps at a time, and zeroes the
+///     slots it frees.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -232,16 +233,19 @@ public:
     return Blocks.get(Ref.Block).AllocBits.testAtomic(Ref.Slot);
   }
 
-  /// Clears every mark bit; called at the start of a collection.
+  /// Clears every mark bit.  The collector clears marks in its own
+  /// root-scan walk (MarkContext::resetMarks); this is for callers that
+  /// drive the heap without one.
   void clearMarks();
 
   /// Reclaims unmarked objects, pins marked-free slots, releases empty
   /// blocks.  Uncollectable blocks are exempt from reclamation.
   ///
-  /// One sequential pass in block-id order: class lists are emptied,
-  /// uncollectable and large blocks are handled first, then each small
-  /// collectable block goes through sweepSmallBlock, and unmarked large
-  /// blocks are released last, after the small-block loop.
+  /// One sequential pass in block-id order: uncollectable and large
+  /// blocks are handled first, then each small collectable block goes
+  /// through sweepSmallBlock, and unmarked large blocks are released
+  /// last, after the small-block loop.  Every small block it visits is
+  /// relisted or delisted in place; the class lists are never emptied.
   SweepResult sweep();
 
   /// Runs the deep heap verifier (heap/HeapVerifier.h): block table ↔
@@ -308,11 +312,17 @@ private:
   /// \p Result.  Pure reads of the block's pages and bitmaps.
   void validateGuardedBlock(const BlockDescriptor &Block,
                             SweepResult &Result);
-  /// Sweeps one small block against its current mark bits: frees
-  /// unmarked slots, pins marked-free slots, accumulates counters into
-  /// \p Result, then releases the block if empty or re-lists it when
-  /// usable.
+  /// Sweeps one small block against its current mark bits, a 64-slot
+  /// word at a time: frees unmarked slots, pins marked-free slots,
+  /// accumulates counters into \p Result, then releases the block if
+  /// empty or relists it (relistAfterSweep).
   void sweepSmallBlock(BlockId Id, SweepResult &Result);
+  /// Rebuilds \p Block's PinnedBits and PinnedCount word-wise: a slot
+  /// is pinned when it is marked but not allocated.
+  static void pinMarkedFreeSlots(BlockDescriptor &Block);
+  /// Keeps a swept small block on its class list when it has a usable
+  /// slot and takes it off otherwise.
+  void relistAfterSweep(BlockDescriptor &Block, BlockId Id);
   void releaseBlock(BlockId Id);
   void removeFromClassList(const BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);

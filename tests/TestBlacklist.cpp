@@ -136,6 +136,112 @@ TEST(BitmapBlacklist, RunningCountMatchesPopcount) {
   }
 }
 
+namespace {
+
+/// The blacklist cycle as a plain model: every cycle clears and copies
+/// whole bitmaps, with no word ranges.  The page-to-bit mapping repeats
+/// BitmapBlacklist's.
+struct WholeBitmapModel {
+  WholeBitmapModel(size_t NumBits, unsigned HashBitsLog2, bool Aging)
+      : Current(NumBits), Seen(NumBits), HashBitsLog2(HashBitsLog2),
+        Aging(Aging) {}
+
+  size_t bitFor(PageIndex Page) const {
+    if (HashBitsLog2 != 0)
+      return static_cast<size_t>((uint64_t(Page) * 0x9e3779b97f4a7c15ULL) >>
+                                 (64 - HashBitsLog2));
+    return Page < Current.size() ? Page : Current.size();
+  }
+  void note(PageIndex Page) {
+    size_t Bit = bitFor(Page);
+    if (Bit == Current.size())
+      return;
+    Current.set(Bit);
+    if (InCycle)
+      Seen.set(Bit);
+  }
+  void beginCycle() {
+    Seen.clearAll();
+    InCycle = true;
+  }
+  void endCycle() {
+    InCycle = false;
+    if (Aging)
+      Current = Seen;
+  }
+  void refresh() {
+    if (!InCycle)
+      Current = Seen;
+  }
+
+  BitVector Current, Seen;
+  unsigned HashBitsLog2;
+  bool Aging;
+  bool InCycle = false;
+};
+
+} // namespace
+
+// The word-range blacklist ends every operation with the same bitmap
+// and count as a model that clears and copies whole bitmaps: random
+// notes (first and last bit included), cycles, abandoned cycles that
+// re-begin, and back-to-back refreshes, in both modes, aging on and off.
+TEST(BitmapBlacklist, WordRangesMatchWholeBitmapModel) {
+  constexpr PageIndex FlatPages = 1000; // Not a multiple of 64.
+  constexpr unsigned HashLog2 = 10;
+  for (bool Hashed : {false, true}) {
+    for (bool Aging : {false, true}) {
+      SCOPED_TRACE(std::string(Hashed ? "hashed" : "flat") +
+                   (Aging ? ", aging" : ", no aging"));
+      auto BL = Hashed ? BitmapBlacklist::hashed(HashLog2, Aging)
+                       : BitmapBlacklist::flat(FlatPages, Aging);
+      WholeBitmapModel Model(Hashed ? size_t(1) << HashLog2 : FlatPages,
+                             Hashed ? HashLog2 : 0, Aging);
+      // Pages standing for the first and the last bit.
+      PageIndex LastBitPage = FlatPages - 1;
+      if (Hashed)
+        for (LastBitPage = 1;
+             Model.bitFor(LastBitPage) != (size_t(1) << HashLog2) - 1;
+             ++LastBitPage) {
+        }
+      Rng Random(0xb1ac + 2 * Hashed + Aging);
+      for (int Step = 0; Step != 4000; ++Step) {
+        uint64_t Op = Random.nextBelow(100);
+        auto Note = [&](PageIndex Page) {
+          BL.noteCandidate(Page);
+          Model.note(Page);
+        };
+        if (Op < 5) {
+          Note(0);
+        } else if (Op < 10) {
+          Note(LastBitPage);
+        } else if (Op < 60) {
+          // Clustered notes, so the touched word range moves about.
+          PageIndex Center = static_cast<PageIndex>(
+              Random.nextBelow(FlatPages + 16));
+          Note(Center + static_cast<PageIndex>(Random.nextBelow(8)));
+        } else if (Op < 75) {
+          BL.beginCycle(); // Re-begins when the last cycle was abandoned.
+          Model.beginCycle();
+        } else if (Op < 90) {
+          BL.endCycle();
+          Model.endCycle();
+        } else if (Op < 95) {
+          BL.refresh();
+          Model.refresh();
+        } else {
+          BL.refresh();
+          BL.refresh();
+          Model.refresh();
+          Model.refresh();
+        }
+        ASSERT_EQ(BL.bits(), Model.Current) << "step " << Step;
+        ASSERT_EQ(BL.entryCount(), Model.Current.count()) << "step " << Step;
+      }
+    }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // NullBlacklist and factory
 //===----------------------------------------------------------------------===//

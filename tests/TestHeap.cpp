@@ -7,6 +7,7 @@
 #include "heap/SizeClassTable.h"
 #include "heap/VirtualArena.h"
 #include "support/BitVector.h"
+#include "support/Random.h"
 #include <cstring>
 #include <gtest/gtest.h>
 #include <sys/mman.h>
@@ -620,4 +621,238 @@ TEST_F(ObjectHeapFixture, LargeAllocationFailsAtArenaLimitAndRecovers) {
   void *After = Heap->allocateLarge(LargeBytes, ObjectKind::Normal);
   EXPECT_NE(After, nullptr);
   Heap->verifyHeap();
+}
+
+//===----------------------------------------------------------------------===//
+// Sweep differential test: the word-at-a-time sweep against a per-slot
+// reference model of the same cycle.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One slot's state going into the sweep.
+struct SlotState {
+  bool Allocated;
+  bool Marked;
+};
+
+struct SweepPattern {
+  const char *Name;
+  SlotState (*At)(uint32_t Slot, uint32_t Count);
+};
+
+/// A freed run [Begin, End) over an otherwise live, fully allocated
+/// block.
+template <uint32_t Begin, uint32_t End>
+SlotState freedRun(uint32_t Slot, uint32_t) {
+  return {true, Slot < Begin || Slot >= End};
+}
+
+const SweepPattern SweepPatterns[] = {
+    {"all-free", [](uint32_t, uint32_t) { return SlotState{true, false}; }},
+    {"all-live", [](uint32_t, uint32_t) { return SlotState{true, true}; }},
+    {"none-allocated",
+     [](uint32_t, uint32_t) { return SlotState{false, false}; }},
+    {"alternating",
+     [](uint32_t Slot, uint32_t) { return SlotState{true, Slot % 2 == 1}; }},
+    {"alternating-with-pins",
+     [](uint32_t Slot, uint32_t) {
+       return SlotState{Slot % 2 == 0, Slot % 3 == 0};
+     }},
+    {"run-across-word-boundary", freedRun<60, 70>},
+    {"full-64-slot-run", freedRun<64, 128>},
+    {"two-word-run", freedRun<0, 128>},
+    {"run-to-last-slot",
+     [](uint32_t Slot, uint32_t Count) {
+       return SlotState{true, Slot + 5 < Count};
+     }},
+    {"pins-to-last-slot",
+     [](uint32_t Slot, uint32_t Count) {
+       return SlotState{Slot + 3 < Count, Slot + 7 >= Count};
+     }},
+};
+
+/// A fresh heap holding exactly one full block of \p SlotBytes slots of
+/// \p Kind, which the test then shapes into a sweep pattern.
+struct SweepHarness {
+  SweepHarness(bool AvoidTrailingZeros, size_t SlotBytes, ObjectKind Kind)
+      : Arena(64 << 20), Pages(Arena, 256, 2048, 64), Map(Arena.numPages()),
+        SlotBytes(SlotBytes), Kind(Kind) {
+    ObjectHeapConfig Config;
+    Config.AvoidTrailingZeroAddresses = AvoidTrailingZeros;
+    Heap = std::make_unique<ObjectHeap>(Arena, Pages, Map, Blocks, Config);
+    EXPECT_TRUE(Heap->addBlockForClass(SlotBytes, Kind));
+    Blocks.forEach([this](BlockId Only, BlockDescriptor &) { Id = Only; });
+    BlockDescriptor &Block = Blocks.get(Id);
+    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot)
+      EXPECT_EQ(Heap->allocateFromExisting(SlotBytes, Kind), slot(Slot));
+  }
+
+  void *slot(uint32_t Slot) {
+    return Arena.pointerTo(Blocks.get(Id).slotOffset(Slot));
+  }
+
+  VirtualArena Arena;
+  PageAllocator Pages;
+  PageMap Map;
+  BlockTable Blocks;
+  std::unique_ptr<ObjectHeap> Heap;
+  size_t SlotBytes;
+  ObjectKind Kind;
+  BlockId Id = InvalidBlockId;
+};
+
+/// Shapes the harness block into \p States, sweeps it, and checks every
+/// bitmap, counter, result field and byte against a per-slot model.
+void checkSweepAgainstModel(SweepHarness &H,
+                            const std::vector<SlotState> &States) {
+  BlockDescriptor &Block = H.Blocks.get(H.Id);
+  const uint32_t Count = Block.ObjectCount;
+  const uint64_t Size = Block.ObjectSize;
+  const bool Collectable = !kindIsUncollectable(H.Kind);
+  for (uint32_t Slot = 0; Slot != Count; ++Slot)
+    if (!States[Slot].Allocated)
+      H.Heap->deallocateExplicit(H.slot(Slot));
+
+  // Every byte of the page — header gap, slots, tail waste — gets a
+  // nonzero, position-dependent value.
+  auto *Page = static_cast<unsigned char *>(
+      H.Arena.pointerTo(Block.startOffset()));
+  for (size_t I = 0; I != PageSize; ++I)
+    Page[I] = static_cast<unsigned char>(I * 131 + 17) | 1;
+  std::vector<unsigned char> Before(Page, Page + PageSize);
+  const size_t SlotsBegin = Block.FirstObjectOffset;
+
+  H.Heap->clearMarks();
+  for (uint32_t Slot = 0; Slot != Count; ++Slot)
+    if (States[Slot].Marked)
+      Block.MarkBits.set(Slot);
+
+  // The reference: one slot at a time.
+  std::vector<bool> Freed(Count), WantAlloc(Count), WantPinned(Count);
+  uint64_t NumFreed = 0, NumLive = 0, NumPinned = 0;
+  for (uint32_t Slot = 0; Slot != Count; ++Slot) {
+    auto [A, M] = States[Slot];
+    Freed[Slot] = Collectable && A && !M;
+    WantAlloc[Slot] = A && !Freed[Slot];
+    WantPinned[Slot] = !A && M;
+    NumFreed += Freed[Slot];
+    NumLive += WantAlloc[Slot];
+    NumPinned += WantPinned[Slot];
+  }
+  bool WantReleased = Collectable && NumLive == 0 && NumPinned == 0;
+  uint64_t BytesBefore = H.Heap->allocatedBytes();
+
+  SweepResult R = H.Heap->sweep();
+  EXPECT_EQ(R.ObjectsSweptFree, NumFreed);
+  EXPECT_EQ(R.BytesSweptFree, NumFreed * Size);
+  EXPECT_EQ(R.ObjectsLive, NumLive);
+  EXPECT_EQ(R.BytesLive, NumLive * Size);
+  EXPECT_EQ(R.SlotsPinned, NumPinned);
+  EXPECT_EQ(R.PagesReleased, WantReleased ? 1u : 0u);
+  EXPECT_EQ(BytesBefore - H.Heap->allocatedBytes(), NumFreed * Size);
+
+  // Freed slots read zero whether or not the block survived.
+  for (size_t I = SlotsBegin; I != SlotsBegin + Count * Size; ++I) {
+    if (Freed[(I - SlotsBegin) / Size]) {
+      ASSERT_EQ(Page[I], 0) << "freed byte " << I;
+    }
+  }
+  if (WantReleased) {
+    EXPECT_EQ(H.Blocks.liveCount(), 0u);
+    return;
+  }
+
+  for (uint32_t Slot = 0; Slot != Count; ++Slot) {
+    EXPECT_EQ(Block.AllocBits.test(Slot), bool(WantAlloc[Slot])) << Slot;
+    EXPECT_EQ(Block.PinnedBits.test(Slot), bool(WantPinned[Slot])) << Slot;
+  }
+  EXPECT_EQ(Block.AllocBits.count(), NumLive);
+  EXPECT_EQ(Block.PinnedBits.count(), NumPinned);
+  EXPECT_EQ(Block.AllocatedCount, NumLive);
+  EXPECT_EQ(Block.PinnedCount, NumPinned);
+
+  // Everything the sweep did not free is byte-identical: live and
+  // pinned slots, the header gap and the tail waste.
+  for (size_t I = 0; I != PageSize; ++I) {
+    bool InSlots = I >= SlotsBegin && I < SlotsBegin + Count * Size;
+    if (InSlots && Freed[(I - SlotsBegin) / Size])
+      continue;
+    ASSERT_EQ(Page[I], Before[I]) << "byte " << I << " changed";
+  }
+
+  // The block stays listed exactly when it has a usable slot, and the
+  // next allocation takes the lowest one.
+  uint32_t FirstUsable = Count;
+  for (uint32_t Slot = 0; Slot != Count && FirstUsable == Count; ++Slot)
+    if (!WantAlloc[Slot] && !WantPinned[Slot])
+      FirstUsable = Slot;
+  void *Next = H.Heap->allocateFromExisting(H.SlotBytes, H.Kind);
+  if (FirstUsable == Count)
+    EXPECT_EQ(Next, nullptr);
+  else
+    EXPECT_EQ(Next, H.slot(FirstUsable));
+}
+
+} // namespace
+
+TEST(SweepDifferential, WordSweepMatchesPerSlotModel) {
+  // 8-byte slots: 510 per block behind the two-granule header, 512
+  // without; 24: 170; 56: 72 or 73; 1152: 3 (no header either way).
+  const size_t SlotSizes[] = {8, 24, 56, 1152};
+  const ObjectKind Kinds[] = {ObjectKind::Normal, ObjectKind::Uncollectable};
+  for (bool Offset : {true, false})
+    for (size_t Size : SlotSizes)
+      for (ObjectKind Kind : Kinds)
+        for (const SweepPattern &P : SweepPatterns) {
+          SCOPED_TRACE(testing::Message()
+                       << P.Name << " size " << Size << " offset " << Offset
+                       << " kind " << unsigned(Kind));
+          SweepHarness H(Offset, Size, Kind);
+          uint32_t Count = H.Blocks.get(H.Id).ObjectCount;
+          std::vector<SlotState> States;
+          for (uint32_t Slot = 0; Slot != Count; ++Slot)
+            States.push_back(P.At(Slot, Count));
+          checkSweepAgainstModel(H, States);
+        }
+}
+
+TEST(SweepDifferential, RandomPatternsMatchPerSlotModel) {
+  Rng Random(0x5eeb);
+  for (int Round = 0; Round != 40; ++Round) {
+    bool Offset = Random.nextBool(0.5);
+    size_t Size = 8 * Random.nextInRange(1, 16);
+    ObjectKind Kind = Random.nextBool(0.25) ? ObjectKind::Uncollectable
+                                            : ObjectKind::Normal;
+    SCOPED_TRACE(testing::Message() << "round " << Round << " size " << Size);
+    SweepHarness H(Offset, Size, Kind);
+    uint32_t Count = H.Blocks.get(H.Id).ObjectCount;
+    // Dense and sparse mixes, so runs of every length turn up.
+    double PAlloc = Random.nextDouble(), PMark = Random.nextDouble();
+    std::vector<SlotState> States;
+    for (uint32_t Slot = 0; Slot != Count; ++Slot)
+      States.push_back({Random.nextBool(PAlloc), Random.nextBool(PMark)});
+    checkSweepAgainstModel(H, States);
+  }
+}
+
+TEST(SweepDifferential, StrayBitPastLastSlotIsNeverFreed) {
+  // 104-byte slots: 39 of them behind the two-granule header, then 24
+  // bytes of tail waste.  A stray allocation bit for "slot 39" must not
+  // become a freed run, or its memset would zero the tail and run on
+  // into the next page.
+  SweepHarness H(/*AvoidTrailingZeros=*/true, 104, ObjectKind::Normal);
+  BlockDescriptor &Block = H.Blocks.get(H.Id);
+  ASSERT_EQ(Block.ObjectCount, 39u);
+  auto *Page =
+      static_cast<unsigned char *>(H.Arena.pointerTo(Block.startOffset()));
+  std::memset(Page, 0xA5, 2 * PageSize);
+  H.Heap->clearMarks();
+  Block.MarkBits.set(0);
+  Block.AllocBits.words()[0] |= uint64_t(1) << 39;
+  SweepResult R = H.Heap->sweep();
+  EXPECT_EQ(R.ObjectsSweptFree, 38u);
+  EXPECT_EQ(Block.AllocatedCount, 1u);
+  for (size_t I = 16 + 39 * 104; I != 2 * PageSize; ++I)
+    ASSERT_EQ(Page[I], 0xA5) << "byte " << I << " past the slots changed";
 }

@@ -4,6 +4,7 @@
 #include "structures/FalseRef.h"
 #include <cstring>
 #include <gtest/gtest.h>
+#include <vector>
 
 using namespace cgc;
 
@@ -133,6 +134,29 @@ TEST(Marker, SharedSubgraphMarkedOnce) {
   CollectionStats Cycle = GC.collect();
   EXPECT_EQ(Cycle.ObjectsLive, 3u);
   EXPECT_EQ(Cycle.ObjectsMarked, 3u) << "no double counting";
+}
+
+TEST(Marker, UncollectableObjectsMarkedWholeEveryCycle) {
+  // The root scan marks every allocated uncollectable slot, a bitmap
+  // word at a time: 150 16-byte slots span three words, and explicit
+  // frees leave holes that must stay unmarked.  With no collectable
+  // object in the heap, the marked counts are exactly those slots.
+  Collector GC(markerConfig());
+  std::vector<void *> Objects;
+  for (int I = 0; I != 150; ++I)
+    Objects.push_back(GC.allocate(16, ObjectKind::Uncollectable));
+  for (int I = 0; I != 150; I += 3)
+    GC.deallocate(Objects[I]);
+  for (int I = 0; I != 70; ++I)
+    GC.allocate(32, ObjectKind::PointerFreeUncollectable);
+  constexpr uint64_t Live = 100 + 70;
+  constexpr uint64_t LiveBytes = 100 * 16 + 70 * 32;
+  for (int Cycle = 0; Cycle != 2; ++Cycle) {
+    CollectionStats Stats = GC.collect();
+    EXPECT_EQ(Stats.ObjectsMarked, Live) << "cycle " << Cycle;
+    EXPECT_EQ(Stats.BytesMarked, LiveBytes) << "cycle " << Cycle;
+    EXPECT_EQ(Stats.ObjectsLive, Live) << "cycle " << Cycle;
+  }
 }
 
 TEST(Marker, HeapScanAlignmentControlsInHeapPointers) {
