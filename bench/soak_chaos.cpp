@@ -305,17 +305,22 @@ void SoakRun::stepChurn(Collector &GC, std::vector<uint64_t> &Slots) {
                       NumChaosFaultSites,
                   "allocation-path fault sites must stay contiguous below "
                   "the thread faults");
+    // A drawn RetiredFaultSite arms nothing but still folds, so the
+    // schedule and the digest keep their historical values.
     FaultSite Site =
         static_cast<FaultSite>(Schedule.nextBelow(NumChaosFaultSites));
     uint64_t Skip = Schedule.nextBelow(16);
     uint64_t Fails = Schedule.nextInRange(1, 8);
-    FaultInjector::instance().arm(Site, Skip, Fails);
-    ++Outcome.FaultsArmed;
+    if (static_cast<unsigned>(Site) != RetiredFaultSite) {
+      FaultInjector::instance().arm(Site, Skip, Fails);
+      ++Outcome.FaultsArmed;
+    }
     fold(static_cast<uint64_t>(Site) ^ (Skip << 8) ^ (Fails << 16));
   }
+  // Formerly the mark-thread count; the draw is kept (and discarded)
+  // so every later draw, and the digest, is unchanged.
   if (Schedule.nextBool(0.25))
-    GC.setMarkThreads(
-        static_cast<unsigned>(Schedule.nextInRange(1, 4)));
+    Schedule.nextInRange(1, 4);
 
   // A surge leaves slots populated (live bytes climb, feeding the
   // sentinel window); a purge clears most of them.

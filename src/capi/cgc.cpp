@@ -163,8 +163,6 @@ static GcConfig convertConfig(const cgc_config *C) {
   if (C->heap_scan_alignment == 1 || C->heap_scan_alignment == 2 ||
       C->heap_scan_alignment == 4 || C->heap_scan_alignment == 8)
     Config.HeapScanAlignment = C->heap_scan_alignment;
-  if (C->mark_threads)
-    Config.MarkThreads = C->mark_threads;
   if (C->mutator_threads)
     Config.MutatorThreads = C->mutator_threads;
   Config.PreciseFreeSlotDetection = C->precise_free_slot_detection != 0;
@@ -250,7 +248,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->gc_at_startup = In.GcAtStartup ? 1 : 0;
   Out->root_scan_alignment = In.RootScanAlignment;
   Out->heap_scan_alignment = In.HeapScanAlignment;
-  Out->mark_threads = In.MarkThreads;
   Out->mutator_threads = In.MutatorThreads;
   Out->precise_free_slot_detection = In.PreciseFreeSlotDetection ? 1 : 0;
   Out->collect_before_growth_ratio = In.CollectBeforeGrowthRatio;
@@ -355,14 +352,6 @@ void cgc_free(cgc_collector *GC, void *Ptr) {
 
 unsigned long long cgc_gcollect(cgc_collector *GC) {
   return GC->GC.collect("cgc_gcollect").BytesSweptFree;
-}
-
-void cgc_set_mark_threads(cgc_collector *GC, unsigned Threads) {
-  GC->GC.setMarkThreads(Threads);
-}
-
-unsigned cgc_mark_threads(cgc_collector *GC) {
-  return GC->GC.markThreads();
 }
 
 int cgc_register_thread(cgc_collector *GC) {
@@ -521,9 +510,11 @@ int cgc_fault_injection_available(void) {
 }
 
 /// Maps a CGC_FAULT_* constant onto the C++ enum; returns false for
-/// out-of-range sites so bad input is a no-op rather than UB.
+/// out-of-range and retired sites so bad input is a no-op rather than
+/// UB.
 static bool convertFaultSite(int Site, FaultSite &Out) {
-  if (Site < 0 || static_cast<unsigned>(Site) >= NumFaultSites)
+  if (Site < 0 || static_cast<unsigned>(Site) >= NumFaultSites ||
+      static_cast<unsigned>(Site) == RetiredFaultSite)
     return false;
   Out = static_cast<FaultSite>(Site);
   return true;

@@ -102,13 +102,6 @@ typedef struct cgc_config {
   int blacklist_aging;                   /* boolean                    */
   int gc_at_startup;                     /* boolean                    */
   unsigned root_scan_alignment;          /* 1, 2, 4, or 8              */
-  /* Mark-phase worker threads.  0 or 1 = the paper's sequential
-   * marker (the default, and bit-for-bit the paper's experiment
-   * behavior); N > 1 traces the heap on N work-stealing workers.  The
-   * retained-object set and every statistics counter are identical
-   * for any value; only mark wall-clock time changes.  Clamped to 64.
-   */
-  unsigned mark_threads;
   /* Maximum registered mutator threads (cgc_register_thread); 0 =
    * default (64).  A collector with no registered threads runs the
    * paper's sequential single-mutator protocol bit-identically.
@@ -235,11 +228,6 @@ void *cgc_malloc_explicitly_typed(cgc_collector *gc, unsigned descriptor);
 
 /* Runs a full collection; returns the number of bytes reclaimed. */
 unsigned long long cgc_gcollect(cgc_collector *gc);
-
-/* Sets the mark-phase worker count for future collections (see
- * cgc_config.mark_threads; 0 is treated as 1). */
-void cgc_set_mark_threads(cgc_collector *gc, unsigned threads);
-unsigned cgc_mark_threads(cgc_collector *gc);
 
 /* --- mutator threads -------------------------------------------------- */
 
@@ -516,7 +504,8 @@ unsigned long long cgc_debug_find_leaks(cgc_collector *gc, cgc_leak_fn fn,
 enum {
   CGC_FAULT_ARENA_GROW = 0,         /* page commit/grow fails          */
   CGC_FAULT_PAGE_RUN_SEARCH = 1,    /* free-run search reports no fit  */
-  CGC_FAULT_WORKER_SPAWN = 2,       /* GC worker thread spawn fails    */
+  /* 2 is retired (it was CGC_FAULT_WORKER_SPAWN, the GC worker thread
+   * spawn); arming it is a no-op. */
   CGC_FAULT_MARK_STACK_OVERFLOW = 3,/* mark-stack push drops its item  */
   CGC_FAULT_WEDGED_MUTATOR = 4,     /* safepoint park behaves as missed */
   /* Deterministic metadata-corruption classes (collection entry picks

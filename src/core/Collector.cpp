@@ -89,13 +89,8 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
     return BlacklistImpl->isBlacklisted(Page);
   });
 
-  // One persistent pool serves the parallel Mark phase: threads are
-  // spawned lazily at the first collection that wants them and parked
-  // between phases, never constructed per collection.
-  Pool = std::make_unique<GcWorkerPool>();
   Marking = std::make_unique<MarkContext>(*Arena, *Pages, *Map, *Blocks,
-                                          *Heap, *BlacklistImpl, *Pool,
-                                          Config);
+                                          *Heap, *BlacklistImpl, Config);
 
   // Guarded user pointers are slot base + HeaderBytes; under BaseOnly
   // interior recognition that displacement must be registered or no
@@ -118,16 +113,6 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
   CrashInfo.CollectorId.store(UniqueId, std::memory_order_relaxed);
   CrashInfo.GuardedMode.store(Guards ? 1 : 0, std::memory_order_relaxed);
   CrashRegistered = crash::registerState(&CrashInfo);
-
-  // Repeated spawn failures go through the same exponential-backoff
-  // limiter as the OOM ladder's warnings, so a soak run that can never
-  // spawn reports occurrences 1, 2, 4, 8, ... instead of spamming.
-  Pool->setSpawnFailureCallback([this](uint64_t Failures) {
-    warn(WarnEvent::WorkerSpawnFailure,
-         "cgc: worker thread spawn failed; collection degraded to fewer "
-         "workers",
-         Failures);
-  });
 
   // Handshake watchdog: resolve and install the reserved suspend signal
   // up front, so the first stalled handshake can escalate without doing
@@ -210,28 +195,22 @@ void Collector::forkPrepareOne() {
   // Rank order: the heap lock first (waits out any in-flight collection
   // and quiesces allocation; lockHeap publishes a registered forking
   // thread's scan state before blocking so the handshake stays
-  // deadlock-free), then the worker pool (no job dispatch straddles the
-  // fork), then the registry (no registration straddles it).
+  // deadlock-free), then the registry (no registration straddles it).
   lockHeap();
-  Pool->lockForFork();
   Registry.lockForFork();
 }
 
 void Collector::forkParentOne() {
   Registry.unlockForFork();
-  Pool->unlockForFork();
   unlockHeap();
 }
 
 void Collector::forkChildOne() {
   Registry.unlockForFork();
-  Pool->unlockForFork();
-  // Only the forking thread survived the fork: the pool workers and
-  // every other mutator are gone.  Detach the stale pool records so the
-  // next parallel phase respawns, and drop the dead mutators' records —
-  // folding their counts and returning their owned blocks first,
-  // exactly as unregisterMutatorThread would have.
-  Pool->resetAfterFork();
+  // Only the forking thread survived the fork: every other mutator is
+  // gone.  Drop the dead mutators' records — folding their counts and
+  // returning their owned blocks first, exactly as
+  // unregisterMutatorThread would have.
   {
     MetadataScope MetaScope(*this);
     Registry.rebuildAfterFork(
@@ -1909,9 +1888,6 @@ void Collector::printReport(std::FILE *Out) const {
                  gcPhaseName(static_cast<GcPhase>(I)),
                  Lifetime.TotalPhaseNanos[I] / 1e6,
                  I + 1 == NumGcPhases ? "\n" : ",");
-  std::fprintf(Out, "workers         : %u mark configured; %u pool "
-                    "thread(s) spawned\n",
-               Config.MarkThreads, Pool->threadsSpawned());
   if (Registry.lifetimeRegistrations() != 0) {
     std::fprintf(Out, "mutators        : %llu registered now, %llu over "
                       "lifetime; %llu handshakes, %llu safepoint parks\n",

@@ -122,14 +122,6 @@ public:
   /// \returns the cycle's statistics.
   CollectionStats collect(const char *Reason = "explicit");
 
-  /// Sets the Mark-phase worker count for future collections (clamped
-  /// to [1, MarkContext::MaxWorkers]).  1 = the paper's sequential
-  /// marker; any value yields the identical marked set and counters.
-  void setMarkThreads(unsigned Threads) {
-    Config.MarkThreads = Threads == 0 ? 1 : Threads;
-  }
-  unsigned markThreads() const { return Config.MarkThreads; }
-
   /// Installs (or clears, with nullptr) the out-of-memory handler the
   /// allocation ladder invokes once per exhausted request.
   void setOomHandler(GcOomHandler Fn, void *UserData = nullptr) {
@@ -363,13 +355,8 @@ public:
   const GcConfig &config() const { return Config; }
   const CollectionStats &lastCollection() const { return LastCycle; }
   const GcLifetimeStats &lifetimeStats() const { return Lifetime; }
-  /// Snapshot of the resilience counters (OOM ladder rungs, warnings,
-  /// worker spawn failures).
-  GcResilienceStats resilienceStats() const {
-    GcResilienceStats Snapshot = Resilience;
-    Snapshot.WorkerSpawnFailures = Pool->spawnFailures();
-    return Snapshot;
-  }
+  /// Snapshot of the resilience counters (OOM ladder rungs, warnings).
+  GcResilienceStats resilienceStats() const { return Resilience; }
   uint64_t allocatedBytes() const { return Heap->allocatedBytes(); }
   uint64_t committedHeapBytes() const {
     return Pages->stats().CommittedPages * PageSize;
@@ -427,10 +414,6 @@ public:
   MarkContext &marker() { return *Marking; }
   Blacklist &blacklist() { return *BlacklistImpl; }
   RootSet &roots() { return Roots; }
-  /// The persistent worker pool the Mark phase runs on.
-  /// Threads are spawned lazily at the first parallel phase and parked
-  /// between collections; tests assert on threadsSpawned().
-  GcWorkerPool &workerPool() { return *Pool; }
 
 private:
   /// Feeds the observer layer's phase-end events back into the current
@@ -469,16 +452,15 @@ private:
   enum class WarnEvent : unsigned {
     CollectionNoProgress = 0,
     LargeAllocOnBlacklistedHeap = 1,
-    WorkerSpawnFailure = 2,
-    SentinelIncident = 3,
-    InvalidFree = 4,
-    GuardViolation = 5,
-    HandshakeStall = 6,
-    MetadataRepair = 7,
-    ReentrantCollection = 8,
-    MidCyclePinOverflow = 9,
+    SentinelIncident = 2,
+    InvalidFree = 3,
+    GuardViolation = 4,
+    HandshakeStall = 5,
+    MetadataRepair = 6,
+    ReentrantCollection = 7,
+    MidCyclePinOverflow = 8,
   };
-  static constexpr unsigned NumWarnEvents = 10;
+  static constexpr unsigned NumWarnEvents = 9;
 
   /// One allocation request: \p Bytes of \p Kind, or, with a nonzero
   /// \p Layout, one object of that Precise descriptor (\p Bytes is its
@@ -663,12 +645,11 @@ private:
   /// one is in flight (warns; the caller returns an empty cycle).
   bool refuseReentrantCollection();
   /// pthread_atfork handlers (process-wide, covering every live
-  /// Collector in construction order): prepare quiesces the worker pool
-  /// and takes each collector's heap, pool, and registry locks in rank
-  /// order; parent unwinds; the child rebuilds each registry around the
-  /// surviving thread, retires the lost threads' caches (counts folded,
-  /// owned blocks returned), resets the worker pool, and reinstalls the
-  /// crash reporter.
+  /// Collector in construction order): prepare takes each collector's
+  /// heap and registry locks in rank order; parent unwinds; the child
+  /// rebuilds each registry around the surviving thread, retires the
+  /// lost threads' caches (counts folded, owned blocks returned), and
+  /// reinstalls the crash reporter.
   static void forkPrepare();
   static void forkParent();
   static void forkChild();
@@ -760,9 +741,6 @@ private:
   std::unique_ptr<GuardLayer> Guards;
   std::unique_ptr<ObjectHeap> Heap;
   std::unique_ptr<Blacklist> BlacklistImpl;
-  /// Declared before the marker that borrows it so it outlives the
-  /// marker on destruction.
-  std::unique_ptr<GcWorkerPool> Pool;
   std::unique_ptr<MarkContext> Marking;
   RootSet Roots;
   FinalizationQueue Finalizers;

@@ -151,14 +151,6 @@ struct GcConfig {
   /// references are blacklisted before pages can land on them.
   bool GcAtStartup = true;
 
-  /// Workers draining the Mark phase's work-stealing queues.  1 (the
-  /// default) runs the paper's exact sequential marker, so every paper
-  /// experiment stays deterministic; N > 1 traces the heap in parallel.
-  /// The marked set and all CollectionStats counters are identical for
-  /// any value — marking computes a transitive closure, so only the
-  /// phase's wall-clock time changes.  Clamped to [1, 64].
-  unsigned MarkThreads = 1;
-
   /// Maximum simultaneously registered mutator threads
   /// (cgc_register_thread / GcThreadScope).  Registration beyond the
   /// cap fails cleanly.  With zero registered threads the collector

@@ -20,9 +20,9 @@
 /// heap-exhausted, the startup collection) emit exactly the same
 /// sequence, so consecutive collections never interleave events.
 ///
-/// GcStats' per-phase timing, the collector report, and the parallel-
-/// mark benchmark all consume this layer; clients register their own
-/// observers through Collector::addObserver or the C API.
+/// GcStats' per-phase timing and the collector report both consume
+/// this layer; clients register their own observers through
+/// Collector::addObserver or the C API.
 ///
 /// Re-entrancy rules: callbacks may register and unregister observers
 /// (including the running observer unregistering itself); an observer

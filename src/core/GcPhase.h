@@ -10,9 +10,7 @@
 /// presents one monolithic mark-sweep cycle; structuring it as named
 /// phases with per-phase timing gives every phase a checkable boundary
 /// (in the spirit of verified-GC work, where phase invariants are the
-/// proof obligations) and lets the Mark phase run on the collector's
-/// persistent worker pool (core/GcWorkerPool.h) without touching the
-/// phases around it.
+/// proof obligations).
 ///
 /// Pipeline order, fixed for every collection:
 ///
@@ -21,14 +19,14 @@
 ///   * RootScan         — reset the blacklist's per-cycle candidate
 ///                        set, clear marks, mark uncollectable objects,
 ///                        scan every root span; reachable objects found
-///                        here seed the mark work queue.
+///                        here seed the mark stack.
 ///   * Mark             — transitively mark the heap from the seeds
-///                        (1..N workers; see core/MarkContext.h).
+///                        (one LIFO drain; see core/MarkContext.h).
 ///                        Finalizable objects found unreachable are
 ///                        resurrected here (resurrection is marking
 ///                        work) and staged for the Finalize phase.
-///   * BlacklistPromote — flush worker blacklist buffers and promote
-///                        this cycle's near-miss candidates into the
+///   * BlacklistPromote — promote this cycle's near-miss candidates
+///                        (flushed by the marker as it goes) into the
 ///                        active blacklist (aging happens here too).
 ///   * Sweep            — reclaim unmarked objects, pin marked-free
 ///                        slots, release empty blocks, in one

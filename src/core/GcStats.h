@@ -76,9 +76,6 @@ struct CollectionStats {
   /// one dropped a work item; the marker recovered by rescanning marked
   /// objects to a fixpoint, so the marked set is unaffected.
   uint64_t MarkStackOverflows = 0;
-  /// Mark workers used by this cycle's Mark phase (GcConfig::MarkThreads
-  /// at the time of collection; 1 = the paper's sequential marker).
-  uint32_t MarkWorkers = 1;
   /// Registered mutator threads the stop-the-world handshake waited
   /// into a stopped state (0 in single-mutator mode: no handshake ran).
   uint64_t MutatorsStopped = 0;
@@ -116,30 +113,6 @@ struct CollectionStats {
   /// and were therefore considered as candidate pointers (indexed by
   /// DescriptorClass).
   uint64_t ScanCandidatesByClass[NumDescriptorClasses] = {};
-
-  /// Folds another stats record's scanning counters into this one.
-  /// Parallel marking accumulates per-worker records and merges them
-  /// here; every counter is a sum, so the merged result is identical
-  /// to a sequential mark regardless of worker interleaving.
-  void addScanCounters(const CollectionStats &Other) {
-    RootBytesScanned += Other.RootBytesScanned;
-    RootCandidatesExamined += Other.RootCandidatesExamined;
-    RootHits += Other.RootHits;
-    NearMisses += Other.NearMisses;
-    HeapWordsScanned += Other.HeapWordsScanned;
-    ObjectsMarked += Other.ObjectsMarked;
-    BytesMarked += Other.BytesMarked;
-    BlacklistNanos += Other.BlacklistNanos;
-    MarkStackOverflows += Other.MarkStackOverflows;
-    for (unsigned I = 0; I != NumScanOrigins; ++I) {
-      MarksByOrigin[I] += Other.MarksByOrigin[I];
-      NearMissesByOrigin[I] += Other.NearMissesByOrigin[I];
-    }
-    for (unsigned I = 0; I != NumDescriptorClasses; ++I) {
-      ScanWordsByClass[I] += Other.ScanWordsByClass[I];
-      ScanCandidatesByClass[I] += Other.ScanCandidatesByClass[I];
-    }
-  }
 };
 
 /// Lifetime counters for the memory-pressure resilience layer: how
@@ -161,9 +134,6 @@ struct GcResilienceStats {
   uint64_t WarningsIssued = 0;
   /// Warnings swallowed by the exponential-backoff rate limiter.
   uint64_t WarningsSuppressed = 0;
-  /// Pool worker threads that failed to spawn (collection degraded to
-  /// fewer workers; results are unchanged).
-  uint64_t WorkerSpawnFailures = 0;
   /// Stop-the-world handshakes that exhausted the watchdog deadline.
   /// Each one abandoned a collection attempt (HandshakeTimeout
   /// incident raised; allocation degraded to heap growth).

@@ -7,7 +7,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <thread>
 
 using namespace cgc;
 
@@ -63,12 +62,6 @@ ScanOrigin originOf(RootSource Source) {
   return ScanOrigin::Client;
 }
 
-/// Private-stack size at which a parallel worker exposes work, and the
-/// batch size it exposes/steals.  Exposing the oldest half keeps the
-/// hot (deepest) end private while thieves receive the widest subtrees.
-constexpr size_t ExposeThreshold = 64;
-constexpr size_t ExposeBatch = ExposeThreshold / 2;
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -77,12 +70,9 @@ constexpr size_t ExposeBatch = ExposeThreshold / 2;
 
 MarkContext::MarkContext(VirtualArena &Arena, PageAllocator &Pages,
                          PageMap &Map, BlockTable &Blocks, ObjectHeap &Heap,
-                         Blacklist &BlacklistImpl, GcWorkerPool &Pool,
-                         const GcConfig &Config)
+                         Blacklist &BlacklistImpl, const GcConfig &Config)
     : Arena(Arena), Pages(Pages), Map(Map), Blocks(Blocks), Heap(Heap),
-      BlacklistImpl(BlacklistImpl), Pool(Pool), Config(Config) {}
-
-MarkContext::~MarkContext() = default;
+      BlacklistImpl(BlacklistImpl), Config(Config) {}
 
 ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
   BlockId Id = Map.blockAt(pageOfOffset(Candidate));
@@ -136,7 +126,7 @@ void MarkContext::resetMarks(CollectionStats &Stats) {
 void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
   Seeds.clear();
   resetMarks(Stats);
-  MarkWorker Scanner(*this, Stats, &Seeds);
+  MarkWorker Scanner(*this, Stats);
   for (const RootScanSpan &Span : Roots.scannableSpans())
     Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);
   Scanner.flushNearMisses();
@@ -149,64 +139,22 @@ void MarkContext::runMark(const RootSet &Roots, CollectionStats &Stats) {
 
 void MarkContext::markFromCandidate(WindowOffset Candidate,
                                     CollectionStats &Stats) {
-  std::vector<MarkWorkItem> Stack;
-  MarkWorker Worker(*this, Stats, &Stack);
+  CGC_ASSERT(Seeds.empty(), "resurrection mark with seeds pending");
+  MarkWorker Worker(*this, Stats);
   Worker.considerCandidate(Candidate, ScanOrigin::Client);
-  Worker.drainSequential(Stack);
+  Worker.drain();
   recoverFromOverflow(Stats);
 }
 
 void MarkContext::runMarkPhase(CollectionStats &Stats) {
-  unsigned Workers = std::clamp(Config.MarkThreads, 1u, MaxWorkers);
-  // Negotiate the worker count only when the parallel path would
-  // actually run: a failed spawn degrades the phase, never aborts it,
-  // and the sequential configurations still never touch the pool.
-  if (Workers > 1 && Seeds.size() >= 2)
-    Workers = Pool.ensureWorkers(Workers);
-  Stats.MarkWorkers = Workers;
-  if (Workers == 1 || Seeds.size() < 2) {
-    // The paper's marker: one LIFO stack, drained in place.
-    MarkWorker Worker(*this, Stats, &Seeds);
-    Worker.drainSequential(Seeds);
-    recoverFromOverflow(Stats);
-    return;
-  }
-
-  while (Slots.size() < Workers)
-    Slots.push_back(std::make_unique<StealSlot>());
-  for (unsigned I = 0; I != Workers; ++I)
-    Slots[I]->Items.clear();
-
-  // Per-worker scan counters; merged below so the shared record is
-  // never written concurrently.
-  std::vector<CollectionStats> WorkerStats(Workers);
-  std::vector<std::unique_ptr<MarkWorker>> WorkersVec;
-  WorkersVec.reserve(Workers);
-  for (unsigned I = 0; I != Workers; ++I)
-    WorkersVec.push_back(
-        std::make_unique<MarkWorker>(*this, WorkerStats[I], I, Workers));
-
-  // Round-robin seeding: root-scan candidates arrive in scan order, so
-  // neighboring seeds (often the same structure) spread across workers.
-  for (size_t I = 0; I != Seeds.size(); ++I)
-    WorkersVec[I % Workers]->seed(Seeds[I]);
-  InFlight.store(Seeds.size(), std::memory_order_relaxed);
-  Seeds.clear();
-
-  // Hand the drain to the persistent pool: worker 0 is this thread,
-  // the rest are parked pool threads (spawned once, ever).
-  Pool.runOn(Workers,
-             [&WorkersVec](unsigned Id) { WorkersVec[Id]->runParallel(); });
-
-  // Sequential epilogue: fold the per-worker counters into the cycle
-  // record.
-  for (unsigned I = 0; I != Workers; ++I)
-    Stats.addScanCounters(WorkerStats[I]);
+  // The paper's marker: one LIFO stack, drained in place.
+  MarkWorker Worker(*this, Stats);
+  Worker.drain();
   recoverFromOverflow(Stats);
 }
 
 void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
-  if (!Overflowed.load(std::memory_order_acquire))
+  if (!Overflowed)
     return;
   // A dropped push always targets an object whose mark bit was just
   // set, so the lost work is recoverable from the mark bitmap: rescan
@@ -216,19 +164,18 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
   // nothing new also pushes (and therefore drops) nothing.
   uint64_t Before;
   do {
-    Overflowed.store(false, std::memory_order_relaxed);
+    Overflowed = false;
     Before = Stats.ObjectsMarked;
-    std::vector<MarkWorkItem> Stack;
     Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
       if (kindIsPointerFree(Block.Kind))
         return;
       for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot)
         if (Block.MarkBits.test(Slot))
-          Stack.push_back({Block.slotOffset(Slot), Block.ObjectSize,
+          Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
                            Block.LayoutId});
     });
-    MarkWorker Worker(*this, Stats, &Stack);
-    Worker.drainSequential(Stack);
+    MarkWorker Worker(*this, Stats);
+    Worker.drain();
   } while (Stats.ObjectsMarked != Before);
 }
 
@@ -236,18 +183,10 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
 // MarkWorker
 //===----------------------------------------------------------------------===//
 
-MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats,
-                       std::vector<MarkWorkItem> *ExternalStack)
+MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats)
     : Ctx(Ctx), Stats(Stats),
       HeapBase(reinterpret_cast<const unsigned char *>(Ctx.Arena.base())),
-      ExternalStack(ExternalStack), FaultsArmed(FaultInjector::instance().anyArmed()) {}
-
-MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats, unsigned Id,
-                       unsigned NumWorkers)
-    : Ctx(Ctx), Stats(Stats),
-      HeapBase(reinterpret_cast<const unsigned char *>(Ctx.Arena.base())),
-      Id(Id), NumWorkers(NumWorkers), Parallel(true),
-      FaultsArmed(FaultInjector::instance().anyArmed()) {}
+      Stack(Ctx.Seeds), FaultsArmed(FaultInjector::instance().anyArmed()) {}
 
 MarkWorker::~MarkWorker() {
   CGC_ASSERT(NumNearMisses == 0, "mark worker dropped unflushed near misses");
@@ -257,26 +196,16 @@ void MarkWorker::push(const MarkWorkItem &Item) {
   if (FaultsArmed && CGC_INJECT_FAULT(MarkStackOverflow)) {
     // Simulated mark-stack overflow: drop the item (its object is
     // already marked) and flag the context so recoverFromOverflow
-    // rebuilds the closure from the mark bitmap afterwards.  Sits before the
-    // InFlight bump so parallel termination detection stays balanced.
+    // rebuilds the closure from the mark bitmap afterwards.
     ++Stats.MarkStackOverflows;
-    Ctx.Overflowed.store(true, std::memory_order_release);
+    Ctx.Overflowed = true;
     return;
   }
   // Start pulling the object's first line in while the scan of its
   // parent goes on (bdwgc's GC_mark_from does the same).
   __builtin_prefetch(HeapBase + Item.Begin);
-  if (!Parallel) {
-    ExternalStack->push_back(Item);
-    return;
-  }
-  Ctx.InFlight.fetch_add(1, std::memory_order_acq_rel);
-  Local.push_back(Item);
-  if (Local.size() >= ExposeThreshold)
-    exposeForStealing();
+  Stack.push_back(Item);
 }
-
-void MarkWorker::seed(const MarkWorkItem &Item) { Local.push_back(Item); }
 
 void MarkWorker::noteNearMiss(PageIndex Page, ScanOrigin Origin) {
   if (!Ctx.Pages.inPotentialHeap(Page))
@@ -292,9 +221,7 @@ void MarkWorker::flushNearMisses() {
   if (NumNearMisses == 0)
     return;
   // Blacklisting is idempotent per page, so replaying a batch later
-  // and in any interleaving with other workers' batches yields the same
-  // blacklist.
-  std::lock_guard<std::mutex> Guard(Ctx.BlacklistLock);
+  // yields the same blacklist.
   uint64_t Start = nowNanos();
   for (unsigned I = 0; I != NumNearMisses; ++I)
     Ctx.BlacklistImpl.noteCandidate(NearMisses[I]);
@@ -327,20 +254,11 @@ bool MarkWorker::considerCandidate(WindowOffset Candidate,
     return false;
   }
   // "if p is marked return; set mark bit for p".  Most candidates hit
-  // an object that is already marked, so a plain read comes first.  A
-  // lone worker then sets the bit with a plain store; parallel workers
-  // claim it atomically, so N workers racing on one object mark (and
-  // push) it exactly once, and read it with an atomic load so the
-  // pre-check is not a data race.
+  // an object that is already marked, so a plain read comes first.
   uint32_t SlotIdx = static_cast<uint32_t>(Slot);
-  if (Parallel) {
-    if (Block->MarkBits.testAtomic(SlotIdx) || Block->testAndSetMark(SlotIdx))
-      return false;
-  } else {
-    if (Block->MarkBits.test(SlotIdx))
-      return false;
-    Block->MarkBits.set(SlotIdx);
-  }
+  if (Block->MarkBits.test(SlotIdx))
+    return false;
+  Block->MarkBits.set(SlotIdx);
   ++Stats.ObjectsMarked;
   Stats.BytesMarked += Block->ObjectSize;
   ++Stats.MarksByOrigin[static_cast<unsigned>(Origin)];
@@ -452,66 +370,11 @@ void MarkWorker::scanObject(const MarkWorkItem &Item) {
     scanHeapRange(Item.Begin, Item.Bytes);
 }
 
-void MarkWorker::drainSequential(std::vector<MarkWorkItem> &Stack) {
-  CGC_ASSERT(&Stack == ExternalStack, "draining a foreign stack");
+void MarkWorker::drain() {
   while (!Stack.empty()) {
     MarkWorkItem Item = Stack.back();
     Stack.pop_back();
     scanObject(Item);
-  }
-  flushNearMisses();
-}
-
-void MarkWorker::exposeForStealing() {
-  MarkContext::StealSlot &Slot = *Ctx.Slots[Id];
-  std::lock_guard<std::mutex> Guard(Slot.Lock);
-  // Donate the oldest (widest) half; keep the hot end private.
-  Slot.Items.insert(Slot.Items.end(), Local.begin(),
-                    Local.begin() + ExposeBatch);
-  Local.erase(Local.begin(), Local.begin() + ExposeBatch);
-}
-
-bool MarkWorker::takeSharedWork() {
-  // Reclaim our own slot first (no contention in the common case)...
-  {
-    MarkContext::StealSlot &Own = *Ctx.Slots[Id];
-    std::lock_guard<std::mutex> Guard(Own.Lock);
-    if (!Own.Items.empty()) {
-      Local.swap(Own.Items);
-      return true;
-    }
-  }
-  // ...then steal a batch from a victim, scanning the ring from our
-  // right neighbor so thieves spread over victims.
-  for (unsigned Step = 1; Step != NumWorkers; ++Step) {
-    unsigned Victim = (Id + Step) % NumWorkers;
-    MarkContext::StealSlot &Slot = *Ctx.Slots[Victim];
-    std::unique_lock<std::mutex> Guard(Slot.Lock, std::try_to_lock);
-    if (!Guard.owns_lock() || Slot.Items.empty())
-      continue;
-    size_t Take = std::min(Slot.Items.size(), ExposeBatch);
-    Local.insert(Local.end(), Slot.Items.begin(),
-                 Slot.Items.begin() + Take);
-    Slot.Items.erase(Slot.Items.begin(), Slot.Items.begin() + Take);
-    return true;
-  }
-  return false;
-}
-
-void MarkWorker::runParallel() {
-  CGC_ASSERT(Parallel, "runParallel on a sequential worker");
-  for (;;) {
-    while (!Local.empty()) {
-      MarkWorkItem Item = Local.back();
-      Local.pop_back();
-      scanObject(Item);
-      Ctx.InFlight.fetch_sub(1, std::memory_order_acq_rel);
-    }
-    if (takeSharedWork())
-      continue;
-    if (Ctx.InFlight.load(std::memory_order_acquire) == 0)
-      break;
-    std::this_thread::yield();
   }
   flushNearMisses();
 }

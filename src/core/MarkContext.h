@@ -32,38 +32,22 @@
 ///     runRootScan (the RootScan phase: clear marks, mark uncollectable
 ///     objects, scan every root span, seeding — not draining — the
 ///     objects reached) and runMarkPhase (the Mark phase: drain the
-///     seeds to the full reachability closure).  It holds the state
-///     shared by every mark worker: the heap views (page map, block
-///     table, object heap), the candidate-resolution policies
-///     (interior-pointer rules, displacements), the blacklist feed, and
-///     the work-stealing queues.  During the Mark phase all of this is
-///     read-only except the atomic mark bitmap and the per-worker
-///     queues.
+///     seeds to the full reachability closure).  It holds the heap
+///     views (page map, block table, object heap), the
+///     candidate-resolution policies (interior-pointer rules,
+///     displacements), the blacklist feed, and the one mark stack.
 ///
-///   * MarkWorker — one tracer.  Each worker owns a private LIFO stack
-///     (the paper's mark stack) plus a mutex-guarded steal slot; when
-///     the private stack grows past a threshold the worker exposes its
-///     oldest half for stealing, and when it runs dry it reclaims its
-///     own slot or steals a batch from a victim's.  Oldest-first
-///     stealing hands thieves the widest subtrees, the classic
-///     breadth-steal/depth-run discipline.  Every worker, sequential
-///     or parallel, buffers near-miss blacklist candidates in a
-///     fixed-size array and flushes it when full and when its scan or
-///     drain ends, under one lock (the Blacklist is single-threaded),
-///     timing each flush for the footnote-3 measurement.
+///   * MarkWorker — the tracer.  It pushes onto and drains the
+///     context's LIFO mark stack (the paper's mark stack) and sets mark
+///     bits with plain stores.  It buffers near-miss blacklist
+///     candidates in a fixed-size array and flushes it when full and
+///     when its scan or drain ends, timing each flush for the
+///     footnote-3 measurement.
 ///
-/// MarkContext is a pure marking algorithm: it owns no threads.  The
-/// parallel path borrows the collector's persistent GcWorkerPool
-/// (spawn-once, parked between phases), so short collection cycles pay
-/// no thread-spawn cost.
-///
-/// Sequential marking (MarkThreads == 1) bypasses the queues: the
-/// single worker drains one external LIFO vector exactly as the seed
-/// collector's drainMarkStack did, so paper experiments are untouched,
-/// and it sets mark bits with plain stores instead of atomics.
-/// Either way the marked set is the reachability closure and every
-/// CollectionStats counter is a sum over scanned words, so results are
-/// identical for any worker count.
+/// There is one marker and no thread: the Mark phase is the paper's
+/// sequential mark loop.  The mark stack keeps its capacity across
+/// cycles, so a stopped world allocates for it only when a cycle needs
+/// more entries than any before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -73,13 +57,9 @@
 #include "core/Blacklist.h"
 #include "core/GcConfig.h"
 #include "core/GcStats.h"
-#include "core/GcWorkerPool.h"
 #include "heap/ObjectHeap.h"
 #include "roots/RootSet.h"
 #include <algorithm>
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 namespace cgc {
@@ -96,19 +76,13 @@ class MarkWorker;
 
 class MarkContext {
 public:
-  /// Hard cap on mark workers (queue slots are preallocated lazily up
-  /// to this).
-  static constexpr unsigned MaxWorkers = GcWorkerPool::MaxWorkers;
-
   MarkContext(VirtualArena &Arena, PageAllocator &Pages, PageMap &Map,
               BlockTable &Blocks, ObjectHeap &Heap,
-              Blacklist &BlacklistImpl, GcWorkerPool &Pool,
-              const GcConfig &Config);
-  ~MarkContext();
+              Blacklist &BlacklistImpl, const GcConfig &Config);
 
   /// Resolves \p Candidate under the configured policies without
   /// marking.  Exposed for the misidentification-rate experiments.
-  /// Read-only; safe from any mark worker.
+  /// Read-only.
   ObjectRef resolveCandidate(WindowOffset Candidate) const;
 
   /// Registers an additional valid interior displacement for the
@@ -118,35 +92,28 @@ public:
   void registerDisplacement(uint32_t Displacement);
 
   /// RootScan phase: clears marks, marks uncollectable objects, scans
-  /// every span of \p Roots, and seeds the mark queue with everything
+  /// every span of \p Roots, and seeds the mark stack with everything
   /// reached.  Phase statistics accumulate into \p Stats.
   void runRootScan(const RootSet &Roots, CollectionStats &Stats);
 
   /// Mark phase: transitively marks the heap from the seeds left by
-  /// runRootScan, which are consumed.  GcConfig::MarkThreads == 1
-  /// drains the seeds in place, LIFO — the paper's exact sequential
-  /// marker; N > 1 (clamped to MaxWorkers) seeds that many MarkWorkers
-  /// round-robin and runs them to quiescence on the persistent worker
-  /// pool, with the caller's thread as worker 0.  The count is
-  /// negotiated down through GcWorkerPool::ensureWorkers when thread
-  /// spawning fails, so marking always completes (worst case
-  /// sequentially) with a bit-identical marked set.  Records the worker
-  /// count actually used in Stats.MarkWorkers and accumulates scan
-  /// counters into \p Stats.  Ends with recoverFromOverflow.
+  /// runRootScan, draining them in place, LIFO — the paper's sequential
+  /// marker.  Accumulates scan counters into \p Stats.  Ends with
+  /// recoverFromOverflow.
   void runMarkPhase(CollectionStats &Stats);
 
   /// Runs a full mark (runRootScan + runMarkPhase), for callers outside
   /// the phase pipeline (tests, measureLiveness).
   void runMark(const RootSet &Roots, CollectionStats &Stats);
 
-  /// Marks a single candidate and drains the resulting work
-  /// sequentially, independent of the Mark phase's worker count (used
-  /// by finalization to resurrect objects, and by tests).
+  /// Marks a single candidate and drains the resulting work on the
+  /// (empty) mark stack (used by finalization to resurrect objects,
+  /// and by tests).
   void markFromCandidate(WindowOffset Candidate, CollectionStats &Stats);
 
   /// Rebuilds the reachability closure after mark-stack pushes were
   /// dropped (MarkStackOverflow fault injection): rescans every marked
-  /// object in pointer-bearing blocks, sequentially, until no new
+  /// object in pointer-bearing blocks, on the mark stack, until no new
   /// objects get marked.  Dropped items always reference objects whose
   /// mark bit is already set, so the fixpoint converges even while the
   /// fault stays armed.  No-op when nothing was dropped.
@@ -154,12 +121,6 @@ public:
 
 private:
   friend class MarkWorker;
-
-  /// A worker's stealable overflow: oldest exposed items first.
-  struct StealSlot {
-    std::mutex Lock;
-    std::vector<MarkWorkItem> Items;
-  };
 
   /// The validity test proper, on the block the page map already
   /// named: \returns the slot of \p Block that \p Candidate validly
@@ -206,42 +167,25 @@ private:
   BlockTable &Blocks;
   ObjectHeap &Heap;
   Blacklist &BlacklistImpl;
-  /// Serializes near-miss flushes into BlacklistImpl (parallel workers
-  /// flush while others still mark).
-  std::mutex BlacklistLock;
-  /// The collector-wide persistent worker pool; borrowed, never owned.
-  GcWorkerPool &Pool;
   const GcConfig &Config;
   /// Sorted extra displacements valid under BaseOnly (0 is implicit).
   std::vector<uint32_t> Displacements;
-  /// Mark work seeded by the RootScan phase, consumed by the Mark
-  /// phase.  Doubles as the sequential drain stack.
+  /// The one mark stack.  The RootScan phase seeds it and the Mark
+  /// phase drains it; markFromCandidate and recoverFromOverflow reuse
+  /// it, empty, after the drain.  Cleared, never shrunk, so its
+  /// capacity carries over from cycle to cycle.
   std::vector<MarkWorkItem> Seeds;
-
-  /// One steal slot per worker; sized on demand by runMarkPhase().
-  std::vector<std::unique_ptr<StealSlot>> Slots;
-  /// Items pushed but not yet fully scanned, across all workers.
-  /// Reaches zero exactly when the closure is complete; workers use it
-  /// for termination detection.
-  std::atomic<uint64_t> InFlight{0};
-  /// Set by any worker that dropped a push (injected mark-stack
-  /// overflow); read by recoverFromOverflow after the workers join.
-  std::atomic<bool> Overflowed{false};
+  /// Set when a push was dropped (injected mark-stack overflow); read
+  /// and cleared by recoverFromOverflow.
+  bool Overflowed = false;
 };
 
-/// One mark tracer.  Constructed per phase (root scan, mark drain,
+/// The mark tracer.  Constructed per phase (root scan, mark drain,
 /// finalization resurrection); holds no state that outlives a phase.
+/// Pushes go to the context's mark stack.
 class MarkWorker {
 public:
-  /// Sequential worker: pushes go to \p ExternalStack, mark bits are
-  /// set with plain stores.
-  MarkWorker(MarkContext &Ctx, CollectionStats &Stats,
-             std::vector<MarkWorkItem> *ExternalStack);
-
-  /// Parallel worker \p Id of \p NumWorkers; pushes go to the private
-  /// stack with periodic exposure, mark bits are claimed atomically.
-  MarkWorker(MarkContext &Ctx, CollectionStats &Stats, unsigned Id,
-             unsigned NumWorkers);
+  MarkWorker(MarkContext &Ctx, CollectionStats &Stats);
 
   ~MarkWorker();
 
@@ -259,18 +203,9 @@ public:
   void scanRootSpan(const RootRange &Range, const unsigned char *Begin,
                     const unsigned char *End);
 
-  /// Sequential: drains \p Stack (must be this worker's ExternalStack)
-  /// to empty, scanning each popped object, then flushes near misses.
-  void drainSequential(std::vector<MarkWorkItem> &Stack);
-
-  /// Parallel: preloads one item onto the private stack before the
-  /// workers start (seeding only; no InFlight bookkeeping).
-  void seed(const MarkWorkItem &Item);
-
-  /// Parallel: drains the private stack, reclaiming/stealing shared
-  /// work, until the context-wide closure completes, then flushes near
-  /// misses.
-  void runParallel();
+  /// Drains the mark stack to empty, LIFO, scanning each popped
+  /// object, then flushes near misses.
+  void drain();
 
   /// Replays the buffered near-miss pages into the blacklist and times
   /// the replay into Stats.BlacklistNanos.  Runs when the buffer fills
@@ -279,8 +214,9 @@ public:
   void flushNearMisses();
 
 private:
-  /// Near-miss pages buffered between blacklist flushes.  Fixed size,
-  /// so the stopped world never allocates for them.
+  /// Near-miss pages buffered between blacklist flushes, so the
+  /// footnote-3 timing reads the clock twice per batch, not per page.
+  /// Fixed size, so the stopped world never allocates for them.
   static constexpr unsigned NearMissBatch = 256;
 
   void noteNearMiss(PageIndex Page, ScanOrigin Origin);
@@ -289,23 +225,15 @@ private:
   void scanTypedObject(WindowOffset Begin, uint32_t Bytes,
                        uint32_t LayoutId);
   void push(const MarkWorkItem &Item);
-  void exposeForStealing();
-  /// Refills the private stack from this worker's slot or a victim's.
-  bool takeSharedWork();
 
   MarkContext &Ctx;
   CollectionStats &Stats;
   /// The heap arena's first byte; window offsets index from here.
   const unsigned char *const HeapBase;
-  /// Sequential mode: the shared LIFO (seed list or drain stack).
-  std::vector<MarkWorkItem> *ExternalStack = nullptr;
-  /// Parallel mode: the private mark stack.
-  std::vector<MarkWorkItem> Local;
+  /// The context's mark stack.
+  std::vector<MarkWorkItem> &Stack;
   PageIndex NearMisses[NearMissBatch];
   unsigned NumNearMisses = 0;
-  unsigned Id = 0;
-  unsigned NumWorkers = 1;
-  bool Parallel = false;
   /// Snapshot of FaultInjector::anyArmed() taken at construction: push
   /// evaluates its MarkStackOverflow site only when this is set.
   const bool FaultsArmed;

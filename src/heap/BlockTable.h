@@ -64,9 +64,8 @@ struct BlockDescriptor {
   /// under the heap lock.
   bool Owned = false;
   /// One mark bit per slot; rebuilt by every collection.  During the
-  /// Mark phase these are the only descriptor bits written.  A lone
-  /// mark worker sets them with plain stores; parallel workers go
-  /// through testAndSetMark, so N of them can share the table.
+  /// Mark phase these are the only descriptor bits written, with plain
+  /// stores by the one marker.
   BitVector MarkBits;
   /// One bit per slot: the slot holds a client-allocated object.  Kept
   /// off-heap so the allocator never writes link words into client
@@ -111,12 +110,6 @@ struct BlockDescriptor {
   uint64_t slotWordMask(size_t Word) const {
     size_t Left = ObjectCount - Word * 64;
     return Left >= 64 ? ~uint64_t(0) : (uint64_t(1) << Left) - 1;
-  }
-
-  /// Atomically marks \p Slot; \returns true if it was already marked.
-  /// The one mark-bitmap mutation mark workers may perform in parallel.
-  bool testAndSetMark(uint32_t Slot) {
-    return MarkBits.testAndSetAtomic(Slot);
   }
 
   WindowOffset startOffset() const { return offsetOfPage(StartPage); }

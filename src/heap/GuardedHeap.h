@@ -20,7 +20,7 @@
 /// addresses on every supported platform — mmap can never place the
 /// arena there — so canaries, redzone fill, and quarantine poison are
 /// never misidentified as pointers and the retained set is bit-identical
-/// with guards on or off, across runs, and for any worker count.  The
+/// with guards on or off and across runs.  The
 /// seqno counter is the only ordering source (no wall clock), so
 /// violation reports replay exactly under soak_chaos --replay-check.
 ///

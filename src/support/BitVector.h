@@ -64,18 +64,6 @@ public:
     return Old;
   }
 
-  /// Atomic testAndSet: safe against concurrent testAndSetAtomic calls
-  /// on any bit of this vector.  Parallel mark workers race to claim
-  /// objects through this; exactly one caller sees false per bit.  Must
-  /// not run concurrently with the non-atomic mutators.
-  bool testAndSetAtomic(size_t Index) {
-    CGC_ASSERT(Index < NumBits, "BitVector::testAndSetAtomic out of range");
-    uint64_t Mask = uint64_t(1) << (Index % BitsPerWord);
-    uint64_t Old = __atomic_fetch_or(&Words[Index / BitsPerWord], Mask,
-                                     __ATOMIC_ACQ_REL);
-    return (Old & Mask) != 0;
-  }
-
   /// Atomic test: safe against concurrent *Atomic writers.  Allocation
   /// bitmaps of thread-owned blocks are read this way by every thread
   /// but the owner.

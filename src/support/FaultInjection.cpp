@@ -17,8 +17,6 @@ const char *faultSiteName(FaultSite Site) {
     return "arena-grow";
   case FaultSite::PageRunSearch:
     return "page-run-search";
-  case FaultSite::WorkerSpawn:
-    return "worker-spawn";
   case FaultSite::MarkStackOverflow:
     return "mark-stack-overflow";
   case FaultSite::WedgedMutator:
@@ -32,6 +30,8 @@ const char *faultSiteName(FaultSite Site) {
   case FaultSite::MetadataAllocBitFlip:
     return "metadata-alloc-bit-flip";
   }
+  if (static_cast<unsigned>(Site) == RetiredFaultSite)
+    return "retired";
   CGC_UNREACHABLE("unknown fault site");
 }
 

@@ -10,18 +10,18 @@
 /// resource-acquisition sites.  The paper's collector has to stay alive
 /// inside a fixed address range under adversarial conditions; this
 /// harness lets tests *manufacture* those conditions on demand: a page
-/// commit that fails, a free-run search that comes up empty, a worker
-/// thread that cannot be spawned, a mark stack that overflows.
+/// commit that fails, a free-run search that comes up empty, a mark
+/// stack that overflows.
 ///
 /// Injection points are expressed as `CGC_INJECT_FAULT(Site)` checks.
 /// When the build disables `CGC_FAULT_INJECTION` the macro folds to
 /// constant `false` and the sites compile to nothing; when enabled, a
 /// disarmed injector costs a single relaxed atomic load.  Every site
-/// but one sits on a slow path that already touches a mutex or spawns
-/// a thread.  The exception is MarkStackOverflow in MarkWorker::push,
-/// which runs once per marked pointer-bearing object: each mark worker
-/// reads FaultInjector::anyArmed() once, when it is constructed, and
-/// only a worker built while some site was armed evaluates the site.
+/// but one sits on a slow path that already touches a mutex.  The
+/// exception is MarkStackOverflow in MarkWorker::push, which runs once
+/// per marked pointer-bearing object: each MarkWorker reads
+/// FaultInjector::anyArmed() once, when it is constructed, and only a
+/// worker built while some site was armed evaluates the site.
 /// An armed injector therefore still sees one hit per push.
 ///
 /// Two arming modes, both deterministic:
@@ -51,9 +51,9 @@ enum class FaultSite : unsigned {
   /// PageAllocator free-run search — pretends no run satisfies the
   /// request even if one exists, forcing the grow/collect paths.
   PageRunSearch = 1,
-  /// GcWorkerPool thread spawn — std::thread construction fails; the
-  /// pool must degrade to fewer workers (ultimately sequential).
-  WorkerSpawn = 2,
+  // 2 is retired (it was WorkerSpawn, the deleted parallel marker's
+  // thread spawn).  It stays unused so the sites above and below, and
+  // CGC_FAULT_*, keep their numbers; see RetiredFaultSite.
   /// MarkWorker::push — the mark stack "overflows" and drops the item;
   /// marking must recover by rescanning marked objects to a fixpoint.
   MarkStackOverflow = 3,
@@ -85,6 +85,10 @@ enum class FaultSite : unsigned {
 };
 
 inline constexpr unsigned NumFaultSites = 9;
+
+/// The one number below NumFaultSites that names no site.  Arming it
+/// through the C API is a no-op.
+inline constexpr unsigned RetiredFaultSite = 2;
 
 /// \returns a stable human-readable name for \p Site.
 const char *faultSiteName(FaultSite Site);

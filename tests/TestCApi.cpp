@@ -2,6 +2,7 @@
 
 #include "capi/cgc.h"
 #include "core/GcConfig.h"
+#include "support/FaultInjection.h"
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -58,7 +59,6 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.gc_at_startup, D.GcAtStartup ? 1 : 0);
   EXPECT_EQ(C.root_scan_alignment, D.RootScanAlignment);
   EXPECT_EQ(C.heap_scan_alignment, D.HeapScanAlignment);
-  EXPECT_EQ(C.mark_threads, D.MarkThreads);
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
   EXPECT_EQ(C.precise_free_slot_detection,
             D.PreciseFreeSlotDetection ? 1 : 0);
@@ -100,7 +100,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.gc_at_startup = 0;
   In.root_scan_alignment = 8;
   In.heap_scan_alignment = 4;
-  In.mark_threads = 3;
   In.mutator_threads = 7;
   In.precise_free_slot_detection = 1;
   In.collect_before_growth_ratio = 0.75;
@@ -137,7 +136,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.gc_at_startup, In.gc_at_startup);
   EXPECT_EQ(Out.root_scan_alignment, In.root_scan_alignment);
   EXPECT_EQ(Out.heap_scan_alignment, In.heap_scan_alignment);
-  EXPECT_EQ(Out.mark_threads, In.mark_threads);
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
   EXPECT_EQ(Out.precise_free_slot_detection, In.precise_free_slot_detection);
   EXPECT_DOUBLE_EQ(Out.collect_before_growth_ratio,
@@ -515,9 +513,14 @@ TEST(CApi, FaultInjectionControls) {
   cgc_fault_disarm_all();
   EXPECT_EQ(cgc_fault_fired(CGC_FAULT_ARENA_GROW), FiredBefore + 1);
 
-  // Out-of-range sites are ignored, not UB.
+  // Out-of-range sites are ignored, not UB, and so is the retired one.
   cgc_fault_arm(99, 0, 1);
   EXPECT_EQ(cgc_fault_fired(99), 0u);
+  cgc_fault_arm(static_cast<int>(cgc::RetiredFaultSite), 0, 1);
+  EXPECT_FALSE(cgc::FaultInjector::instance().anyArmed());
+  EXPECT_STREQ(cgc::faultSiteName(
+                   static_cast<cgc::FaultSite>(cgc::RetiredFaultSite)),
+               "retired");
   cgc_fault_disarm_all();
   cgc_destroy(GC);
 }

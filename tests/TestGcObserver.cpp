@@ -282,10 +282,5 @@ TEST(GcObserver, CApiObserverBridge) {
   (void)cgc_gcollect(GC);
   EXPECT_EQ(Log.Events.size(), EventsBefore)
       << "removed observer receives nothing";
-
-  // mark_threads flows through the C config and setter.
-  EXPECT_EQ(cgc_mark_threads(GC), 1u);
-  cgc_set_mark_threads(GC, 3);
-  EXPECT_EQ(cgc_mark_threads(GC), 3u);
   cgc_destroy(GC);
 }

@@ -18,22 +18,20 @@ using namespace cgc;
 
 namespace {
 
-GcConfig fuzzConfig(unsigned MarkThreads = 1, bool VerifyEvery = false,
-                    bool Guarded = false) {
+GcConfig fuzzConfig(bool VerifyEvery = false, bool Guarded = false) {
   GcConfig Config;
   Config.MaxHeapBytes = 64 << 20;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = 1 << 20;
   Config.CollectBeforeGrowthRatio = 0.5;
-  Config.MarkThreads = MarkThreads;
   Config.VerifyEveryCollection = VerifyEvery;
   Config.DebugGuards = Guarded;
   return Config;
 }
 
-void fuzzOnce(uint64_t Seed, unsigned MarkThreads = 1,
-              bool VerifyEvery = false, bool Guarded = false) {
-  Collector GC(fuzzConfig(MarkThreads, VerifyEvery, Guarded));
+void fuzzOnce(uint64_t Seed, bool VerifyEvery = false,
+              bool Guarded = false) {
+  Collector GC(fuzzConfig(VerifyEvery, Guarded));
   Rng R(Seed);
   LayoutId Layout = GC.registerObjectLayout(
       {true, false, true, false}, 4 * sizeof(uint64_t));
@@ -124,26 +122,15 @@ TEST(HeapInvariants, FuzzEagerAddressOrdered) { fuzzOnce(101); }
 TEST(HeapInvariants, FuzzEagerLifo) { fuzzOnce(202); }
 TEST(HeapInvariants, FuzzLazyAddressOrdered) { fuzzOnce(303); }
 TEST(HeapInvariants, FuzzLazyLifo) { fuzzOnce(404); }
-// The same fuzz loops with the Mark phase on 4 pool workers: every
-// verifyHeap checkpoint must still hold.
-TEST(HeapInvariants, FuzzEagerParallelMark) {
-  fuzzOnce(101, /*MarkThreads=*/4);
-}
-TEST(HeapInvariants, FuzzEagerLifoParallelMark) {
-  fuzzOnce(202, /*MarkThreads=*/4);
-}
-TEST(HeapInvariants, FuzzLazyParallelMark) {
-  fuzzOnce(303, /*MarkThreads=*/4);
-}
 // The deep verifier lane: the same fuzz loop with
 // GcConfig::VerifyEveryCollection on, so every phase of every
 // collection re-verifies block table, page map, free lists, mark bits,
 // and blacklist — failures abort at the phase that corrupted the heap.
 TEST(HeapInvariants, FuzzEagerVerifyEveryCollection) {
-  fuzzOnce(505, /*MarkThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(505, /*VerifyEvery=*/true);
 }
 TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
-  fuzzOnce(606, /*MarkThreads=*/1, /*VerifyEvery=*/true);
+  fuzzOnce(606, /*VerifyEvery=*/true);
 }
 // Guarded-heap lanes: the identical workloads under DebugGuards, so
 // every explicit free climbs the validation ladder, every freed object
@@ -151,13 +138,10 @@ TEST(HeapInvariants, FuzzLazyVerifyEveryCollection) {
 // checkpoint re-checks headers and redzones.  A clean run proves the
 // guard machinery itself never trips on a correct program.
 TEST(HeapInvariants, FuzzGuardedEager) {
-  fuzzOnce(711, /*MarkThreads=*/1, /*VerifyEvery=*/false, /*Guarded=*/true);
-}
-TEST(HeapInvariants, FuzzGuardedParallelMark) {
-  fuzzOnce(711, /*MarkThreads=*/4, /*VerifyEvery=*/false, /*Guarded=*/true);
+  fuzzOnce(711, /*VerifyEvery=*/false, /*Guarded=*/true);
 }
 TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
-  fuzzOnce(808, /*MarkThreads=*/1, /*VerifyEvery=*/true, /*Guarded=*/true);
+  fuzzOnce(808, /*VerifyEvery=*/true, /*Guarded=*/true);
 }
 
 // Guard metadata must be invisible to conservative marking: the canary
@@ -167,8 +151,7 @@ TEST(HeapInvariants, FuzzGuardedVerifyEveryCollection) {
 // same deterministic workload.
 TEST(HeapInvariants, GuardsDoNotChangeRetainedSet) {
   auto runCensus = [](bool Guarded) {
-    Collector GC(fuzzConfig(/*MarkThreads=*/1, /*VerifyEvery=*/false,
-                            Guarded));
+    Collector GC(fuzzConfig(/*VerifyEvery=*/false, Guarded));
     Rng R(9090);
     std::vector<uint64_t> Window(256, 0);
     GC.addRootRange(Window.data(), Window.data() + Window.size(),

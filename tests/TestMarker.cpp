@@ -2,6 +2,7 @@
 
 #include "core/Collector.h"
 #include "structures/FalseRef.h"
+#include "structures/Grid.h"
 #include <cstring>
 #include <gtest/gtest.h>
 #include <vector>
@@ -80,6 +81,70 @@ TEST(Marker, NearMissCountingAndBlacklistFeed) {
       pageOfOffset(GC.windowOffsetOf(
           reinterpret_cast<void *>(Roots[0])))))
       << "valid pointers are never blacklisted (Figure 2)";
+}
+
+TEST(Marker, NearMissBatchesFlushIntoTheBlacklist) {
+  // Every node carries three false pointers into distinct unused pages
+  // of the potential heap: 3,840 near misses, many times the marker's
+  // fixed near-miss batch, so the batch fills and flushes mid-drain.
+  // Every buffered page must still reach the blacklist, once.
+  GcConfig Config = markerConfig();
+  Config.MaxHeapBytes = 64 << 20;
+  Collector GC(Config);
+  constexpr unsigned Lists = 32, Nodes = 40, FalsePerNode = 3;
+  constexpr uint64_t Expected = uint64_t(Lists) * Nodes * FalsePerNode;
+  std::vector<uint64_t> Window(Lists, 0);
+  GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                  RootEncoding::Native64, RootSource::Client, "lists");
+  // Unused pages far above anything these lists commit.
+  WindowOffset FalseBase = (16 << 20) + (40 << 20);
+  uint64_t NextFalsePage = 0;
+  for (unsigned L = 0; L != Lists; ++L) {
+    uint64_t *Prev = nullptr;
+    for (unsigned N = 0; N != Nodes; ++N) {
+      auto *Node = static_cast<uint64_t *>(
+          GC.allocate((1 + FalsePerNode) * sizeof(uint64_t)));
+      ASSERT_NE(Node, nullptr);
+      Node[0] = reinterpret_cast<uint64_t>(Prev);
+      for (unsigned F = 1; F <= FalsePerNode; ++F)
+        Node[F] = reinterpret_cast<uint64_t>(
+            GC.pointerAtOffset(FalseBase + NextFalsePage++ * PageSize));
+      Prev = Node;
+    }
+    Window[L] = reinterpret_cast<uint64_t>(Prev);
+  }
+  CollectionStats Cycle = GC.collect("near-misses");
+  EXPECT_EQ(Cycle.ObjectsLive, uint64_t(Lists) * Nodes);
+  EXPECT_EQ(Cycle.NearMisses, Expected);
+  EXPECT_EQ(Cycle.NearMissesByOrigin[static_cast<unsigned>(ScanOrigin::Heap)],
+            Expected);
+  EXPECT_EQ(GC.blacklistStats().CandidatesNoted, Expected);
+  EXPECT_EQ(GC.blacklistedPageCount(), Expected);
+  EXPECT_EQ(Cycle.BlacklistedPages, Expected);
+  EXPECT_TRUE(GC.blacklist().isBlacklisted(pageOfOffset(FalseBase)));
+  EXPECT_TRUE(GC.blacklist().isBlacklisted(
+      pageOfOffset(FalseBase + (Expected - 1) * PageSize)));
+}
+
+TEST(Marker, MeasureLivenessMarksTheReachableQuadrant) {
+  // measureLiveness marks without sweeping: from a planted reference
+  // to (10, 20) the embedded links reach exactly {(r, c) : r >= 10,
+  // c >= 20}, and those are the only vertices whose mark bit is set.
+  constexpr unsigned Rows = 32, Cols = 32;
+  Collector GC(markerConfig());
+  EmbeddedGrid Grid(GC, Rows, Cols);
+  uint64_t Planted = reinterpret_cast<uint64_t>(
+      GC.pointerAtOffset(Grid.vertexOffset(10, 20)));
+  GC.addRootRange(&Planted, &Planted + 1, RootEncoding::Native64,
+                  RootSource::Client, "planted");
+  Grid.dropRoots();
+  CollectionStats Stats = GC.measureLiveness();
+  EXPECT_EQ(Stats.ObjectsMarked, uint64_t(Rows - 10) * (Cols - 20));
+  for (unsigned R = 0; R != Rows; ++R)
+    for (unsigned C = 0; C != Cols; ++C)
+      EXPECT_EQ(GC.wasMarkedLive(GC.pointerAtOffset(Grid.vertexOffset(R, C))),
+                R >= 10 && C >= 20)
+          << "vertex (" << R << ", " << C << ")";
 }
 
 TEST(Marker, DeepStructureDoesNotOverflowStack) {

@@ -195,47 +195,44 @@ TEST(ThreadRegistry, ZeroRegisteredThreadsBitIdenticalToSequential) {
          "threads";
 }
 
-// Many root ranges seed the mark queue from many spans: the marked set,
-// the root-scan counters, and the blacklist must be bit-identical for
-// any MarkThreads value.
+// Many root ranges seed the mark stack from many spans: every span is
+// scanned whole, and a repeat collection of the unchanged heap marks,
+// counts and blacklists exactly the same.  The test id predates the
+// deletion of the parallel marker, when the census also ran at 4 and 8
+// mark workers; it is kept so ids stay stable.
 TEST(ThreadRegistry, ManyRootRangesBitIdenticalAcrossMarkThreads) {
-  auto census = [](unsigned Workers) {
-    GcConfig Config = testConfig();
-    Config.MarkThreads = Workers;
-    Collector GC(Config);
-    Rng R(5555);
-    // Several root ranges, each holding roots and near misses.
-    std::vector<std::vector<uint64_t>> Windows(
-        6, std::vector<uint64_t>(64, 0));
-    for (auto &W : Windows)
-      GC.addRootRange(W.data(), W.data() + W.size(),
-                      RootEncoding::Native64, RootSource::Client,
-                      "window");
-    for (int Step = 0; Step != 3000; ++Step) {
-      void *P = GC.allocate(R.nextInRange(8, 512));
-      if (R.nextBool(0.6)) {
-        auto &W = Windows[R.pickIndex(Windows.size())];
-        W[R.pickIndex(W.size())] = reinterpret_cast<uint64_t>(P);
-      } else if (R.nextBool(0.3)) {
-        // Plant a near miss: one byte past the object.
-        auto &W = Windows[R.pickIndex(Windows.size())];
-        W[R.pickIndex(W.size())] =
-            reinterpret_cast<uint64_t>(P) + R.nextInRange(513, 4096);
-      }
+  Collector GC(testConfig());
+  Rng R(5555);
+  // Several root ranges, each holding roots and near misses.
+  std::vector<std::vector<uint64_t>> Windows(6, std::vector<uint64_t>(64, 0));
+  for (auto &W : Windows)
+    GC.addRootRange(W.data(), W.data() + W.size(), RootEncoding::Native64,
+                    RootSource::Client, "window");
+  for (int Step = 0; Step != 3000; ++Step) {
+    void *P = GC.allocate(R.nextInRange(8, 512));
+    if (R.nextBool(0.6)) {
+      auto &W = Windows[R.pickIndex(Windows.size())];
+      W[R.pickIndex(W.size())] = reinterpret_cast<uint64_t>(P);
+    } else if (R.nextBool(0.3)) {
+      // Plant a near miss: one byte past the object.
+      auto &W = Windows[R.pickIndex(Windows.size())];
+      W[R.pickIndex(W.size())] =
+          reinterpret_cast<uint64_t>(P) + R.nextInRange(513, 4096);
     }
+  }
+  auto census = [&GC] {
     CollectionStats Cycle = GC.collect("census");
     return std::vector<uint64_t>{
-        Cycle.ObjectsMarked,   Cycle.BytesMarked,
-        Cycle.RootHits,        Cycle.RootCandidatesExamined,
+        Cycle.ObjectsMarked,    Cycle.BytesMarked,
+        Cycle.RootHits,         Cycle.RootCandidatesExamined,
         Cycle.RootBytesScanned, Cycle.NearMisses,
-        Cycle.BlacklistedPages, Cycle.ObjectsSweptFree,
-        Cycle.BytesLive};
+        Cycle.BlacklistedPages, Cycle.BytesLive};
   };
-  std::vector<uint64_t> Seq = census(1);
-  std::vector<uint64_t> Par4 = census(4);
-  std::vector<uint64_t> Par8 = census(8);
-  EXPECT_EQ(Seq, Par4);
-  EXPECT_EQ(Seq, Par8);
+  std::vector<uint64_t> First = census();
+  EXPECT_EQ(First[4], 6u * 64 * sizeof(uint64_t)) << "every span scanned";
+  EXPECT_GT(First[2], 0u) << "roots hit";
+  EXPECT_GT(First[5], 0u) << "planted near misses seen";
+  EXPECT_EQ(census(), First);
 }
 
 // The async-signal-safe crash report gains a threads line exactly when

@@ -13,8 +13,7 @@
 //   * Bit-identity: with GcConfig::AllConservativeDescriptors the
 //     collector must be indistinguishable from an untyped collector
 //     running the same allocation stream — retained sets, liveness
-//     counters, blacklist, and free-list order — at every MarkThreads
-//     value.
+//     counters, blacklist, and free-list order.
 //   * The C API round-trip (cgc_register_descriptor /
 //     cgc_malloc_explicitly_typed) and the fourth object kind
 //     (cgc_malloc_atomic_uncollectable) behave like their C++
@@ -418,49 +417,40 @@ void expectIdentical(const FuzzResult &A, const FuzzResult &B,
 
 } // namespace
 
+// The test id predates the deletion of the parallel marker, when the
+// twins also ran at four mark workers; it is kept so ids stay stable.
 TEST(TypedMark, AllConservativeIsBitIdenticalAtAnyWorkerCombination) {
   for (uint64_t Seed : {11ull, 77ull}) {
-    FuzzResult Reference; // Untyped, single-threaded: the ground truth.
-    bool HaveReference = false;
-    for (unsigned Mark : {1u, 4u}) {
-      GcConfig Untyped = typedConfig();
-      Untyped.MarkThreads = Mark;
-      GcConfig Demoted = Untyped;
-      Demoted.AllConservativeDescriptors = true;
+    GcConfig Untyped = typedConfig();
+    GcConfig Demoted = Untyped;
+    Demoted.AllConservativeDescriptors = true;
 
-      // The untyped baseline calls allocate(); the demoted collector
-      // registers genuinely mixed descriptors and calls allocateTyped()
-      // — the knob must erase every trace of the difference.
-      Collector BaselineGC(Untyped);
-      FuzzResult Baseline =
-          runIdentityFuzz(BaselineGC, Seed, [&](unsigned SizeIdx) {
-            return BaselineGC.allocate(FuzzSizes[SizeIdx]);
-          });
+    // The untyped baseline calls allocate(); the demoted collector
+    // registers genuinely mixed descriptors and calls allocateTyped()
+    // — the knob must erase every trace of the difference.
+    Collector BaselineGC(Untyped);
+    FuzzResult Baseline =
+        runIdentityFuzz(BaselineGC, Seed, [&](unsigned SizeIdx) {
+          return BaselineGC.allocate(FuzzSizes[SizeIdx]);
+        });
 
-      Collector DemotedGC(Demoted);
-      std::vector<LayoutId> Layouts;
-      for (size_t Bytes : FuzzSizes) {
-        std::vector<bool> Bitmap(Bytes / sizeof(uint64_t), false);
-        for (size_t W = 1; W < Bitmap.size(); W += 2)
-          Bitmap[W] = true;
-        Layouts.push_back(DemotedGC.registerObjectLayout(Bitmap, Bytes));
-      }
-      FuzzResult Twin =
-          runIdentityFuzz(DemotedGC, Seed, [&](unsigned SizeIdx) {
-            return DemotedGC.allocateTyped(Layouts[SizeIdx]);
-          });
-
-      char What[128];
-      std::snprintf(What, sizeof(What), "seed %llu mark=%u",
-                    (unsigned long long)Seed, Mark);
-      expectIdentical(Baseline, Twin, What);
-      if (!HaveReference) {
-        Reference = Baseline;
-        HaveReference = true;
-      } else {
-        expectIdentical(Reference, Baseline, What);
-      }
+    Collector DemotedGC(Demoted);
+    std::vector<LayoutId> Layouts;
+    for (size_t Bytes : FuzzSizes) {
+      std::vector<bool> Bitmap(Bytes / sizeof(uint64_t), false);
+      for (size_t W = 1; W < Bitmap.size(); W += 2)
+        Bitmap[W] = true;
+      Layouts.push_back(DemotedGC.registerObjectLayout(Bitmap, Bytes));
     }
+    FuzzResult Twin =
+        runIdentityFuzz(DemotedGC, Seed, [&](unsigned SizeIdx) {
+          return DemotedGC.allocateTyped(Layouts[SizeIdx]);
+        });
+
+    char What[64];
+    std::snprintf(What, sizeof(What), "seed %llu",
+                  (unsigned long long)Seed);
+    expectIdentical(Baseline, Twin, What);
   }
 }
 
