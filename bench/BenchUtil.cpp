@@ -1,6 +1,7 @@
 //===- bench/BenchUtil.cpp - Shared experiment-harness helpers ------------===//
 
 #include "BenchUtil.h"
+#include <algorithm>
 #include <cinttypes>
 #include <cstring>
 
@@ -24,6 +25,16 @@ std::string percentRange(double Lo, double Hi) {
     std::snprintf(Buffer, sizeof(Buffer), "%.1f-%.1f%%", Lo * 100.0,
                   Hi * 100.0);
   return Buffer;
+}
+
+double percentile(std::vector<double> Samples, double Fraction) {
+  if (Samples.empty())
+    return 0.0;
+  std::sort(Samples.begin(), Samples.end());
+  size_t Index =
+      static_cast<size_t>(Fraction * static_cast<double>(Samples.size() - 1) +
+                          0.5);
+  return Samples[std::min(Index, Samples.size() - 1)];
 }
 
 bool consumeJsonFlag(int &Argc, char **Argv) {

@@ -29,6 +29,10 @@ void printBanner(const char *ExperimentId, const char *Description,
 /// Formats "lo-hi%" range strings like the paper's Table 1 cells.
 std::string percentRange(double Lo, double Hi);
 
+/// The \p Fraction quantile of \p Samples (nearest rank; 0 when
+/// empty): 0.5 is the median, 0.75 minus 0.25 the interquartile range.
+double percentile(std::vector<double> Samples, double Fraction);
+
 /// Removes a "--json" flag from (Argc, Argv) if present, so positional
 /// argument parsing stays index-based.  \returns true if it was there.
 bool consumeJsonFlag(int &Argc, char **Argv);

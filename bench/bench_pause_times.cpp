@@ -39,6 +39,7 @@
 #include <vector>
 
 using namespace cgc;
+using cgcbench::percentile;
 
 namespace {
 
@@ -84,16 +85,6 @@ void recordCycle(PauseProfile &Profile, const Collector &GC,
             Cycle.PhaseNanos[static_cast<unsigned>(ReportedPhases[I])]) /
         1000.0);
   ++Profile.Collections;
-}
-
-double percentile(std::vector<double> Samples, double Fraction) {
-  if (Samples.empty())
-    return 0.0;
-  std::sort(Samples.begin(), Samples.end());
-  size_t Index =
-      static_cast<size_t>(Fraction * static_cast<double>(Samples.size() - 1) +
-                          0.5);
-  return Samples[std::min(Index, Samples.size() - 1)];
 }
 
 PauseProfile run(bool Sealed) {

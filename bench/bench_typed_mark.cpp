@@ -73,7 +73,8 @@ constexpr unsigned MarkReps = 12;
 struct ListOutcome {
   uint64_t GarbageBytesRetained = 0;
   uint64_t HeapWordsScanned = 0;
-  uint64_t BestMarkNanos = ~uint64_t(0);
+  /// Mark-phase time of each of the MarkReps collections.
+  std::vector<double> MarkNanos;
 };
 
 ListOutcome runRecordList(bool AllConservative, uint64_t Seed) {
@@ -106,8 +107,7 @@ ListOutcome runRecordList(bool AllConservative, uint64_t Seed) {
   CollectionStats After;
   for (unsigned Rep = 0; Rep != MarkReps; ++Rep) {
     After = GC.collect("after-drop");
-    Result.BestMarkNanos = std::min(Result.BestMarkNanos,
-                                    Timer.LastMarkNanos);
+    Result.MarkNanos.push_back(static_cast<double>(Timer.LastMarkNanos));
   }
   uint64_t ExpectedLive = Before.BytesLive / 2;
   Result.GarbageBytesRetained =
@@ -203,16 +203,19 @@ int main(int Argc, char **Argv) {
   Report.set("grid_samples", uint64_t(GridSamples));
 
   TablePrinter Table({"workload", "declaration", "garbage retained",
-                      "words scanned", "mark best"});
+                      "words scanned", "mark median (IQR)"});
 
   ListOutcome TypedList = runRecordList(/*AllConservative=*/false, 17);
   ListOutcome ConsList = runRecordList(/*AllConservative=*/true, 17);
   for (bool Conservative : {false, true}) {
     const ListOutcome &O = Conservative ? ConsList : TypedList;
     const char *Decl = Conservative ? "all-conservative" : "typed";
-    char Nanos[32];
-    std::snprintf(Nanos, sizeof(Nanos), "%.2f ms",
-                  double(O.BestMarkNanos) / 1e6);
+    double Median = cgcbench::percentile(O.MarkNanos, 0.50);
+    double Iqr = cgcbench::percentile(O.MarkNanos, 0.75) -
+                 cgcbench::percentile(O.MarkNanos, 0.25);
+    char Nanos[48];
+    std::snprintf(Nanos, sizeof(Nanos), "%.2f ms (%.2f)", Median / 1e6,
+                  Iqr / 1e6);
     Table.addRow({"record list", Decl,
                   TablePrinter::bytes(O.GarbageBytesRetained),
                   std::to_string(O.HeapWordsScanned), Nanos});
@@ -221,7 +224,8 @@ int main(int Argc, char **Argv) {
     Report.rowSet("declaration", std::string(Decl));
     Report.rowSet("garbage_bytes_retained", O.GarbageBytesRetained);
     Report.rowSet("heap_words_scanned", O.HeapWordsScanned);
-    Report.rowSet("mark_best_nanos", O.BestMarkNanos);
+    Report.rowSet("mark_median_nanos", Median);
+    Report.rowSet("mark_iqr_nanos", Iqr);
   }
 
   GridOutcome TypedGrid = runGrid(/*AllConservative=*/false, 29);

@@ -1142,11 +1142,12 @@ GcLeakReport Collector::findLeaks() {
   // guarded objects are unreachable, and the heap is left unchanged.
   measureLiveness();
   std::vector<GcLeakSite> BySite(Guards->siteCount());
+  const MarkTable &Marks = Heap->markTable();
   Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
     if (Block.LayoutId != 0)
       return;
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || Block.MarkBits.test(Slot))
+      if (!Block.AllocBits.test(Slot) || Marks.isMarked(Block, Slot))
         continue;
       WindowOffset Base = Block.slotOffset(Slot);
       GuardLayer::Decoded Info =
@@ -1271,9 +1272,10 @@ void Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
 void Collector::emitRetainedObjects() {
   if (!Observers.anyWantsRetainedObjects())
     return;
+  const MarkTable &Marks = Heap->markTable();
   Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || !Block.MarkBits.test(Slot))
+      if (!Block.AllocBits.test(Slot) || !Marks.isMarked(Block, Slot))
         continue;
       void *Ptr = Arena->pointerTo(Block.slotOffset(Slot));
       Observers.dispatch([&](GcObserver &O) {
@@ -1359,7 +1361,7 @@ CollectionStats Collector::collect(const char *Reason) {
         Marking->runMarkPhase(C);
         // Finalizer detection resurrects unreachable objects (marking
         // work), staging them for the Finalize phase.
-        Finalizers.processUnreachable(*Marking, *Heap, *Blocks, C);
+        Finalizers.processUnreachable(*Marking, *Heap, C);
       });
 
     // Begin-observer allocations were pinned before the Mark phase
@@ -1708,9 +1710,10 @@ void Collector::serviceMetadataWildWrites() {
 }
 
 void Collector::reportLeaks() {
+  const MarkTable &Marks = Heap->markTable();
   Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || Block.MarkBits.test(Slot))
+      if (!Block.AllocBits.test(Slot) || Marks.isMarked(Block, Slot))
         continue;
       void *Base = Arena->pointerTo(Block.slotOffset(Slot));
       if (Guards && Block.LayoutId == 0) {
@@ -1808,7 +1811,7 @@ bool Collector::wasMarkedLive(const void *Ptr) const {
     Ref = Heap->refForBase(Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
   if (!Ref.valid())
     return false;
-  return Blocks->get(Ref.Block).MarkBits.test(Ref.Slot);
+  return Heap->isMarked(Ref);
 }
 
 WindowOffset Collector::windowOffsetOf(const void *Ptr) const {

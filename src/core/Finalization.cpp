@@ -6,7 +6,6 @@ using namespace cgc;
 
 size_t FinalizationQueue::processUnreachable(MarkContext &Marking,
                                              ObjectHeap &Heap,
-                                             BlockTable &Blocks,
                                              CollectionStats &Stats) {
   // Entries staged by an abandoned (repair-retried) cycle left the
   // Registered map but were never published; their resurrection marks
@@ -23,8 +22,7 @@ size_t FinalizationQueue::processUnreachable(MarkContext &Marking,
     ObjectRef Ref = Heap.refForBase(Offset);
     if (!Ref.valid())
       continue; // Object was explicitly freed; registration is stale.
-    const BlockDescriptor &Block = Blocks.get(Ref.Block);
-    if (!Block.MarkBits.test(Ref.Slot))
+    if (!Heap.isMarked(Ref))
       Unreachable.push_back(Offset);
   }
   for (WindowOffset Offset : Unreachable) {

@@ -69,7 +69,7 @@ public:
   /// them through \p Marking so the sweep spares them.
   /// \returns the number of objects staged.
   size_t processUnreachable(MarkContext &Marking, ObjectHeap &Heap,
-                            BlockTable &Blocks, CollectionStats &Stats);
+                            CollectionStats &Stats);
 
   /// Finalize phase: publishes the staged set to the ready queue.
   /// \returns how many finalizers became ready.

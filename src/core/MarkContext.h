@@ -21,12 +21,17 @@
 ///   }
 /// \endcode
 ///
-/// Recursion is replaced by explicit mark stacks.  Validity checking
-/// honors the configured interior-pointer policy and scan alignments;
-/// the "vicinity of the heap" test is membership in the potential heap
-/// arena, and as the paper notes it "overlaps substantially with the
-/// immediately preceding pointer validity check" — both start from the
-/// same page-map probe.  The engine is split into:
+/// Recursion is replaced by explicit mark stacks.  "if p is marked
+/// return" is also asked once before the validity test: the heap's
+/// address-indexed MarkTable (heap/MarkTable.h) sets a bit only at a
+/// marked slot's base, and a base passes every validity policy, so a
+/// candidate whose bit is set is settled with one load.  Validity
+/// checking honors the configured interior-pointer policy and scan
+/// alignments; the "vicinity of the heap" test is membership in the
+/// potential heap arena, and as the paper notes it "overlaps
+/// substantially with the immediately preceding pointer validity
+/// check" — both start from the same page-map probe.  The engine is
+/// split into:
 ///
 ///   * MarkContext — what the collector's phase pipeline drives:
 ///     runRootScan (the RootScan phase: clear marks, mark uncollectable
@@ -38,8 +43,8 @@
 ///     displacements), the blacklist feed, and the one mark stack.
 ///
 ///   * MarkWorker — the tracer.  It pushes onto and drains the
-///     context's LIFO mark stack (the paper's mark stack) and sets mark
-///     bits with plain stores.  It buffers near-miss blacklist
+///     context's LIFO mark stack (the paper's mark stack) and sets the
+///     mark table's bits with plain stores.  It buffers near-miss blacklist
 ///     candidates in a fixed-size array and flushes it when full and
 ///     when its scan or drain ends, timing each flush for the
 ///     footnote-3 measurement.
@@ -230,6 +235,8 @@ private:
   CollectionStats &Stats;
   /// The heap arena's first byte; window offsets index from here.
   const unsigned char *const HeapBase;
+  /// The heap's mark bits.
+  MarkTable &Marks;
   /// The context's mark stack.
   std::vector<MarkWorkItem> &Stack;
   PageIndex NearMisses[NearMissBatch];

@@ -8,9 +8,11 @@
 /// \file
 /// Per-block metadata.  A *block* is a run of pages holding either many
 /// identical small-object slots (small block, one page) or one large
-/// object (large block, >= one page).  All metadata — including mark
-/// bits — lives off-page in the descriptor, so the collector never scans
-/// its own bookkeeping and client objects need no headers.
+/// object (large block, >= one page).  Slot metadata — allocation and
+/// pin bits — lives off-page in the descriptor, so the collector never
+/// scans its own bookkeeping and client objects need no headers.  Mark
+/// bits live off-page too, in the heap's address-indexed MarkTable
+/// (heap/MarkTable.h), not here.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,9 +30,10 @@
 namespace cgc {
 
 struct BlockDescriptor {
-  // The fields the mark loop reads for every candidate come first and
-  // fill the first 40 bytes, through MarkBits' word pointer, so a
-  // candidate's descriptor probe rarely spans two cache lines.
+  // The fields the mark loop's validity test reads come first and fill
+  // the first 32 bytes, with AllocBits' word pointer (read only under
+  // PreciseFreeSlotDetection) right after, so a candidate's descriptor
+  // probe rarely spans two cache lines.
   PageIndex StartPage = 0;
   /// Slot size for small blocks; exact requested size for large blocks.
   uint32_t ObjectSize = 0;
@@ -63,10 +66,6 @@ struct BlockDescriptor {
   /// and is refolded from the bitmap when ownership ends.  Written only
   /// under the heap lock.
   bool Owned = false;
-  /// One mark bit per slot; rebuilt by every collection.  During the
-  /// Mark phase these are the only descriptor bits written, with plain
-  /// stores by the one marker.
-  BitVector MarkBits;
   /// One bit per slot: the slot holds a client-allocated object.  Kept
   /// off-heap so the allocator never writes link words into client
   /// memory — the collector must not manufacture stale heap pointers

@@ -7,9 +7,66 @@
 
 #include "heap/HeapVerifier.h"
 #include "heap/ObjectHeap.h"
+#include <algorithm>
+#include <bit>
 #include <cstdio>
 
 namespace cgc {
+
+namespace {
+
+/// Calls \p Fn(Offset, Word, Bit) for every set mark-table bit on the
+/// pages of \p Block that the table covers: the bit's window offset
+/// and its place in the table.  The page range is clamped to the
+/// table, so a corrupt page count costs no more than the table.
+template <typename FnT>
+void forEachMark(MarkTable &Marks, const BlockDescriptor &Block, FnT Fn) {
+  uint64_t Begin = std::max<uint64_t>(Block.StartPage, Marks.basePage());
+  uint64_t End = std::min<uint64_t>(uint64_t(Block.StartPage) + Block.NumPages,
+                                    Marks.limitPage());
+  for (uint64_t P = Begin; P < End; ++P) {
+    uint64_t *Words = Marks.pageWords(static_cast<PageIndex>(P));
+    for (size_t W = 0; W != MarkTable::WordsPerPage; ++W)
+      for (uint64_t Bits = Words[W]; Bits != 0; Bits &= Bits - 1) {
+        unsigned Bit = static_cast<unsigned>(std::countr_zero(Bits));
+        Fn(offsetOfPage(static_cast<PageIndex>(P)) +
+               (W * 64 + Bit) * GranuleBytes,
+           Words[W], Bit);
+      }
+  }
+}
+
+/// Whether \p Offset is the base of one of \p Block's slots.  Divides
+/// rather than trusting the slot reciprocal, which may be the very
+/// field that is corrupt.
+bool isSlotBase(const BlockDescriptor &Block, WindowOffset Offset) {
+  if (Block.ObjectSize == 0 || Offset < Block.firstSlotOffset())
+    return false;
+  uint64_t Delta = Offset - Block.firstSlotOffset();
+  return Delta % Block.ObjectSize == 0 &&
+         Delta / Block.ObjectSize < Block.ObjectCount;
+}
+
+/// Set mark-table bits over the committed heap pages.
+uint64_t countCommittedMarks(const MarkTable &Marks,
+                             const PageAllocator &Pages) {
+  uint64_t Count = 0;
+  for (PageIndex P = Pages.arenaBasePage(); P < Pages.committedLimitPage();
+       ++P) {
+    const uint64_t *Words = Marks.pageWords(P);
+    for (size_t W = 0; W != MarkTable::WordsPerPage; ++W)
+      Count += static_cast<uint64_t>(std::popcount(Words[W]));
+  }
+  return Count;
+}
+
+bool pageHasMarks(const MarkTable &Marks, PageIndex Page) {
+  const uint64_t *Words = Marks.pageWords(Page);
+  return std::any_of(Words, Words + MarkTable::WordsPerPage,
+                     [](uint64_t W) { return W != 0; });
+}
+
+} // namespace
 
 const char *verifyFindingKindName(VerifyFindingKind Kind) {
   switch (Kind) {
@@ -94,6 +151,7 @@ HeapVerifyReport HeapVerifier::run() {
 
   // --- Block table ↔ page map ↔ bitmaps ↔ byte accounting. ---
   uint64_t BytesSeen = 0;
+  uint64_t MarksInBlocks = 0;
   uint64_t BlockOwnedPages = 0;
   Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (Block.NumPages == 0 || Block.ObjectCount == 0) {
@@ -149,17 +207,30 @@ HeapVerifyReport HeapVerifier::run() {
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: %u allocated + %u pinned exceed %u slots", Id,
                 Block.AllocatedCount, Block.PinnedCount, Block.ObjectCount);
-    BitVector Overlap = Block.AllocBits;
-    Overlap.andWith(Block.PinnedBits);
-    if (Overlap.count() != 0)
+    // A word loop, not a BitVector temporary: the verifier also runs
+    // with the world stopped, where it must not allocate.
+    const uint64_t *Alloc = Block.AllocBits.words();
+    const uint64_t *Pinned = Block.PinnedBits.words();
+    uint64_t Overlap = 0;
+    for (size_t W = 0, E = std::min(Block.AllocBits.numWords(),
+                                    Block.PinnedBits.numWords());
+         W != E; ++W)
+      Overlap += static_cast<uint64_t>(std::popcount(Alloc[W] & Pinned[W]));
+    if (Overlap != 0)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: %llu slots both allocated and pinned", Id,
-                (unsigned long long)Overlap.count());
-    if (Block.MarkBits.count() > Block.ObjectCount)
+                (unsigned long long)Overlap);
+    // Every set mark bit on the block's pages is one of its slot bases.
+    uint64_t OffBase = 0;
+    forEachMark(Heap.Marks, Block,
+                [&](WindowOffset Offset, uint64_t &, unsigned) {
+                  ++MarksInBlocks;
+                  OffBase += !isSlotBase(Block, Offset);
+                });
+    if (OffBase != 0)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
-                "block %u: mark bitmap has %llu bits set for %u slots", Id,
-                (unsigned long long)Block.MarkBits.count(),
-                Block.ObjectCount);
+                "block %u: %llu mark bits set off its slot bases", Id,
+                (unsigned long long)OffBase);
     if (Block.IsLarge &&
         (Block.ObjectCount != 1 || Block.AllocatedCount != 1))
       R.notefAt(K::BlockGeometry, Id, Block.StartPage,
@@ -204,6 +275,23 @@ HeapVerifyReport HeapVerifier::run() {
     BytesSeen += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
     BlockOwnedPages += Block.NumPages;
   });
+  // No mark bit is set on a page that no live block covers: every set
+  // bit of the committed range was counted inside some block above.
+  // Comparing counts needs no per-page coverage map, so a page-map
+  // entry clobbered on a live block does not read as a stray bit.
+  uint64_t MarksCommitted = countCommittedMarks(Heap.Marks, Pages);
+  if (MarksCommitted > MarksInBlocks) {
+    PageIndex Stray = 0;
+    for (PageIndex P = Pages.arenaBasePage();
+         P < Pages.committedLimitPage() && Stray == 0; ++P)
+      if (Map.blockAt(P) == InvalidBlockId && pageHasMarks(Heap.Marks, P))
+        Stray = P;
+    R.notefAt(K::CounterMismatch, InvalidBlockId, Stray,
+              "mark table: %llu bits set on pages no live block covers "
+              "(first at page %llu)",
+              (unsigned long long)(MarksCommitted - MarksInBlocks),
+              (unsigned long long)Stray);
+  }
   if (BytesSeen != Heap.AllocatedBytes)
     R.notefAt(K::Accounting, InvalidBlockId, 0,
               "allocated-bytes accounting: blocks hold %llu bytes, counter "
@@ -367,12 +455,16 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
         B.PinnedBits.reset(Slot);
         Resynced = true;
       }
-    if (B.MarkBits.count() > B.ObjectCount) {
-      // Marks are rebuilt every cycle; clearing is always safe here
-      // (repair runs with the cycle abandoned and marks invalidated).
-      B.MarkBits.clearAll();
-      Resynced = true;
-    }
+    // Marks are rebuilt every cycle, so dropping a mark bit that is no
+    // slot base is always safe (repair runs with the cycle abandoned
+    // and marks invalidated).
+    forEachMark(Heap.Marks, B,
+                   [&](WindowOffset Offset, uint64_t &Word, unsigned Bit) {
+                     if (isSlotBase(B, Offset))
+                       return;
+                     Word &= ~(uint64_t(1) << Bit);
+                     Resynced = true;
+                   });
     if (B.IsLarge && B.AllocBits.count() == 0) {
       // A large block exists only to hold its object; resurrect the
       // bit rather than leave a phantom empty block.
@@ -430,6 +522,12 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
       QuarantinedBlocks.push_back(Id);
     }
     ++Stats.PageMapRederivations;
+    // Quarantined and colliding blocks left the table with their marks:
+    // clear every committed page the re-derived map gives no block.
+    for (PageIndex P = Base; P < Limit; ++P)
+      if (Map.blockAt(P) == InvalidBlockId &&
+          pageHasMarks(Heap.Marks, P))
+        Heap.Marks.clearPages(P, 1);
   }
 
   // (d) Rebuild the class lists from scratch: every small block with a

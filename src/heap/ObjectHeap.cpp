@@ -11,7 +11,8 @@ using namespace cgc;
 ObjectHeap::ObjectHeap(VirtualArena &Arena, PageAllocator &Pages,
                        PageMap &Map, BlockTable &Blocks,
                        const ObjectHeapConfig &Config)
-    : Arena(Arena), Pages(Pages), Map(Map), Blocks(Blocks), Config(Config) {
+    : Arena(Arena), Pages(Pages), Map(Map), Blocks(Blocks),
+      Marks(Pages.arenaBasePage(), Pages.arenaLimitPage()), Config(Config) {
   ClassLists.resize(size_t(NumObjectKinds) * SizeClasses.numClasses());
 }
 
@@ -114,7 +115,7 @@ void ObjectHeap::markAllocatedObjectLive(const void *Ptr) {
     return;
   BlockDescriptor &Block = Blocks.get(Ref.Block);
   CGC_CHECK(Block.AllocBits.test(Ref.Slot), "pin of an unallocated slot");
-  Block.MarkBits.set(Ref.Slot);
+  Marks.set(Block.slotOffset(Ref.Slot));
 }
 
 void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
@@ -157,7 +158,6 @@ BlockId ObjectHeap::createSmallBlock(size_t SlotSize, ObjectKind Kind,
   Block.Kind = Kind;
   Block.IsLarge = false;
   Block.LayoutId = Layout;
-  Block.MarkBits.resize(Count);
   Block.AllocBits.resize(Count);
   Block.PinnedBits.resize(Count);
   Map.assignRun(*Run, 1, Id);
@@ -242,7 +242,6 @@ void *ObjectHeap::allocateLarge(size_t Bytes, ObjectKind Kind,
   Block.Kind = Kind;
   Block.IsLarge = true;
   Block.IgnoreOffPage = IgnoreOffPage;
-  Block.MarkBits.resize(1);
   Block.AllocBits.resize(1);
   Block.PinnedBits.resize(1);
   Block.AllocBits.set(0);
@@ -327,9 +326,8 @@ size_t ObjectHeap::objectSize(ObjectRef Ref) const {
 }
 
 void ObjectHeap::clearMarks() {
-  Blocks.forEach([](BlockId, BlockDescriptor &Block) {
-    Block.MarkBits.clearAll();
-  });
+  Blocks.forEach(
+      [&](BlockId, BlockDescriptor &Block) { Marks.clearBlock(Block); });
 }
 
 void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
@@ -359,9 +357,9 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   }
 }
 
-void ObjectHeap::pinMarkedFreeSlots(BlockDescriptor &Block) {
+void ObjectHeap::pinMarkedFreeSlots(BlockDescriptor &Block,
+                                    const uint64_t *Mark) {
   const uint64_t *Alloc = Block.AllocBits.words();
-  const uint64_t *Mark = Block.MarkBits.words();
   uint64_t *Pinned = Block.PinnedBits.words();
   uint32_t PinnedCount = 0;
   for (size_t W = 0, E = Block.PinnedBits.numWords(); W != E; ++W) {
@@ -380,9 +378,10 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   // A word of slots at a time: free unmarked allocated slots, pin
   // marked free slots, and zero each run of adjacent freed slots with
   // one memset (a run may span words).
-  pinMarkedFreeSlots(Block);
+  uint64_t Mark[MarkTable::MaxSlotWords];
+  Marks.gather(Block, Mark);
+  pinMarkedFreeSlots(Block, Mark);
   uint64_t *Alloc = Block.AllocBits.words();
-  const uint64_t *Mark = Block.MarkBits.words();
   uint32_t Freed = 0;
   size_t RunBegin = 0, RunEnd = 0;
   auto ZeroRun = [&] {
@@ -450,7 +449,9 @@ SweepResult ObjectHeap::sweep() {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
       // Never reclaimed; free slots may still be pinned by marks.
-      pinMarkedFreeSlots(Block);
+      uint64_t Mark[MarkTable::MaxSlotWords];
+      Marks.gather(Block, Mark);
+      pinMarkedFreeSlots(Block, Mark);
       Result.ObjectsLive += Block.AllocatedCount;
       Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
       Result.SlotsPinned += Block.PinnedCount;
@@ -463,7 +464,7 @@ SweepResult ObjectHeap::sweep() {
       CGC_ASSERT(Block.AllocatedCount == 1,
                  "live large block must hold its object");
       validateGuardedBlock(Block, Result);
-      if (!Block.MarkBits.test(0)) {
+      if (!Marks.isMarked(Block, 0)) {
         Result.BytesSweptFree += Block.ObjectSize;
         ++Result.ObjectsSweptFree;
         Result.PagesReleased += Block.NumPages;
@@ -604,6 +605,9 @@ void ObjectHeap::releaseBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
   if (!Block.IsLarge)
     removeFromClassList(Block);
+  // A stale bit would let the mark loop's first test accept a base on
+  // a free page, skipping that page's near-miss note.
+  Marks.clearBlock(Block);
   Map.clearRun(Block.StartPage, Block.NumPages);
   Pages.freeRun(Block.StartPage, Block.NumPages);
   ++Stats.BlocksReleased;

@@ -10,11 +10,12 @@
 /// of equal-size slots, large objects on dedicated page runs.  Design
 /// points that come straight from the paper:
 ///
-///   * No object headers, no in-object free-list links.  All metadata —
-///     mark bits, allocation bits, pin bits — lives off-heap in the
-///     block descriptors, so the allocator never plants heap addresses
-///     in reusable memory (§3.1: the allocator and collector should
-///     "carefully clean up after themselves").
+///   * No object headers, no in-object free-list links.  All metadata
+///     lives off-heap — allocation and pin bits in the block
+///     descriptors, mark bits in one address-indexed MarkTable — so the
+///     allocator never plants heap addresses in reusable memory (§3.1:
+///     the allocator and collector should "carefully clean up after
+///     themselves").
 ///   * Slots that a collection finds marked-but-free (a false reference
 ///     points at them) are *pinned*: unusable until a later collection
 ///     no longer sees the reference.  This models the paper's implicit
@@ -38,6 +39,7 @@
 #include "heap/GuardedHeap.h"
 #include "heap/HeapUnits.h"
 #include "heap/HeapVerifier.h"
+#include "heap/MarkTable.h"
 #include "heap/ObjectKind.h"
 #include "heap/PageAllocator.h"
 #include "heap/PageMap.h"
@@ -233,6 +235,15 @@ public:
     return Blocks.get(Ref.Block).AllocBits.testAtomic(Ref.Slot);
   }
 
+  /// Whether the last mark set \p Ref's mark bit.
+  bool isMarked(ObjectRef Ref) const {
+    return Marks.isMarked(Blocks.get(Ref.Block), Ref.Slot);
+  }
+
+  /// The heap's mark bits (heap/MarkTable.h).
+  MarkTable &markTable() { return Marks; }
+  const MarkTable &markTable() const { return Marks; }
+
   /// Clears every mark bit.  The collector clears marks in its own
   /// root-scan walk (MarkContext::resetMarks); this is for callers that
   /// drive the heap without one.
@@ -317,9 +328,11 @@ private:
   /// accumulates counters into \p Result, then releases the block if
   /// empty or relists it (relistAfterSweep).
   void sweepSmallBlock(BlockId Id, SweepResult &Result);
-  /// Rebuilds \p Block's PinnedBits and PinnedCount word-wise: a slot
-  /// is pinned when it is marked but not allocated.
-  static void pinMarkedFreeSlots(BlockDescriptor &Block);
+  /// Rebuilds \p Block's PinnedBits and PinnedCount word-wise from its
+  /// gathered slot marks \p Mark: a slot is pinned when it is marked
+  /// but not allocated.
+  static void pinMarkedFreeSlots(BlockDescriptor &Block,
+                                 const uint64_t *Mark);
   /// Keeps a swept small block on its class list when it has a usable
   /// slot and takes it off otherwise.
   void relistAfterSweep(BlockDescriptor &Block, BlockId Id);
@@ -333,6 +346,10 @@ private:
   PageAllocator &Pages;
   PageMap &Map;
   BlockTable &Blocks;
+  /// One mark bit per granule of the heap arena: the only record of
+  /// marks.  The root scan clears each live block's bits and
+  /// releaseBlock clears a released block's.
+  MarkTable Marks;
   ObjectHeapConfig Config;
   SizeClassTable SizeClasses;
   /// One class list per (kind, size class).

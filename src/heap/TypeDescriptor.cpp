@@ -5,40 +5,6 @@
 
 using namespace cgc;
 
-namespace {
-
-/// Index of the lowest set bit at or after \p From within \p Bits,
-/// or 64 when none.
-uint32_t firstSetFrom(uint64_t Bits, uint32_t From) {
-  if (From >= 64)
-    return 64;
-  uint64_t Masked = Bits & (~uint64_t(0) << From);
-  if (Masked == 0)
-    return 64;
-  return static_cast<uint32_t>(__builtin_ctzll(Masked));
-}
-
-} // namespace
-
-uint32_t TypeDescriptor::findPointerWord(uint32_t From) const {
-  if (From >= NumWords)
-    return NumWords;
-  if (usesInlineBitmap()) {
-    uint32_t Bit = firstSetFrom(InlineBits, From);
-    return Bit >= NumWords ? NumWords : Bit;
-  }
-  uint32_t WordIdx = From / 64;
-  uint32_t BitIdx = From % 64;
-  for (; WordIdx != OutOfLineBits.size(); ++WordIdx, BitIdx = 0) {
-    uint32_t Bit = firstSetFrom(OutOfLineBits[WordIdx], BitIdx);
-    if (Bit != 64) {
-      uint32_t Index = WordIdx * 64 + Bit;
-      return Index >= NumWords ? NumWords : Index;
-    }
-  }
-  return NumWords;
-}
-
 uint32_t TypeDescriptor::pointerWordCount() const {
   if (usesInlineBitmap())
     return static_cast<uint32_t>(__builtin_popcountll(InlineBits));

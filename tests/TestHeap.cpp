@@ -487,8 +487,8 @@ TEST_F(ObjectHeapFixture, MarkAllocatedObjectLivePinsAcrossSweep) {
       Arena.offsetOf(reinterpret_cast<Address>(B)));
   ASSERT_TRUE(RefA.valid());
   ASSERT_TRUE(RefB.valid());
-  EXPECT_TRUE(Blocks.get(RefA.Block).MarkBits.test(RefA.Slot));
-  EXPECT_FALSE(Blocks.get(RefB.Block).MarkBits.test(RefB.Slot));
+  EXPECT_TRUE(Heap->isMarked(RefA));
+  EXPECT_FALSE(Heap->isMarked(RefB));
 
   // Pointers outside the arena are ignored, not fatal.
   int Local = 0;
@@ -522,11 +522,8 @@ TEST_F(ObjectHeapFixture, SweepFreesUnmarked) {
   void *A = allocSmall(8);
   void *B = allocSmall(8);
   // Mark only B.
-  BlockDescriptor &Block = blockOf(B);
   Heap->clearMarks();
-  Block.MarkBits.set(
-      static_cast<uint32_t>(Block.slotContaining(Arena.offsetOf(
-          reinterpret_cast<Address>(B)))));
+  Heap->markTable().set(Arena.offsetOf(reinterpret_cast<Address>(B)));
   SweepResult Swept = Heap->sweep();
   EXPECT_EQ(Swept.ObjectsSweptFree, 1u);
   EXPECT_EQ(Swept.ObjectsLive, 1u);
@@ -560,8 +557,9 @@ TEST_F(ObjectHeapFixture, PinnedSlotNotReused) {
       Block.slotContaining(Arena.offsetOf(reinterpret_cast<Address>(A))));
   uint32_t SlotB = static_cast<uint32_t>(
       Block.slotContaining(Arena.offsetOf(reinterpret_cast<Address>(B))));
-  Block.MarkBits.set(SlotA);
-  Block.MarkBits.set(SlotB);
+  MarkTable &Marks = Heap->markTable();
+  Marks.set(Block.slotOffset(SlotA));
+  Marks.set(Block.slotOffset(SlotB));
   SweepResult Swept = Heap->sweep();
   EXPECT_EQ(Swept.SlotsPinned, 1u);
   // The pinned slot must be skipped: the next allocation goes above it.
@@ -571,9 +569,8 @@ TEST_F(ObjectHeapFixture, PinnedSlotNotReused) {
   // usable again ("some blacklisting occurs implicitly, after the
   // fact" — and recovers).
   Heap->clearMarks();
-  Block.MarkBits.set(SlotB);
-  Block.MarkBits.set(static_cast<uint32_t>(Block.slotContaining(
-      Arena.offsetOf(reinterpret_cast<Address>(C)))));
+  Marks.set(Block.slotOffset(SlotB));
+  Marks.set(Arena.offsetOf(reinterpret_cast<Address>(C)));
   Heap->sweep();
   void *D = allocSmall(8);
   EXPECT_EQ(D, A) << "unpinned slot becomes usable again";
@@ -726,7 +723,7 @@ void checkSweepAgainstModel(SweepHarness &H,
   H.Heap->clearMarks();
   for (uint32_t Slot = 0; Slot != Count; ++Slot)
     if (States[Slot].Marked)
-      Block.MarkBits.set(Slot);
+      H.Heap->markTable().set(Block.slotOffset(Slot));
 
   // The reference: one slot at a time.
   std::vector<bool> Freed(Count), WantAlloc(Count), WantPinned(Count);
@@ -848,7 +845,7 @@ TEST(SweepDifferential, StrayBitPastLastSlotIsNeverFreed) {
       static_cast<unsigned char *>(H.Arena.pointerTo(Block.startOffset()));
   std::memset(Page, 0xA5, 2 * PageSize);
   H.Heap->clearMarks();
-  Block.MarkBits.set(0);
+  H.Heap->markTable().set(Block.slotOffset(0));
   Block.AllocBits.words()[0] |= uint64_t(1) << 39;
   SweepResult R = H.Heap->sweep();
   EXPECT_EQ(R.ObjectsSweptFree, 38u);
