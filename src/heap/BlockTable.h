@@ -148,11 +148,14 @@ struct BlockDescriptor {
   }
 };
 
-/// Owns every live block descriptor and recycles identifiers.  With a
-/// MetadataArena, descriptors are placement-constructed in sealable
-/// pages so wild stores into them fault instead of corrupting silently
-/// (their BitVector word arrays still live on the ordinary heap — a
-/// documented gap; the verifier cross-checks catch those).
+/// Owns every block descriptor and recycles identifiers.  A destroyed
+/// id keeps its descriptor, bitmap capacity included, and create hands
+/// both out again, so the sweep's block releases and the allocator's
+/// block creations call no system allocator.  With a MetadataArena,
+/// descriptors are placement-constructed in sealable pages so wild
+/// stores into them fault instead of corrupting silently (their
+/// BitVector word arrays still live on the ordinary heap — a documented
+/// gap; the verifier cross-checks catch those).
 class BlockTable {
 public:
   explicit BlockTable(MetadataArena *Arena = nullptr) : Arena(Arena) {}
@@ -161,10 +164,13 @@ public:
   BlockTable(const BlockTable &) = delete;
   BlockTable &operator=(const BlockTable &) = delete;
 
-  /// Creates a descriptor and returns its id (never InvalidBlockId).
+  /// Creates a descriptor with every field at its default and returns
+  /// its id (never InvalidBlockId).  The most recently destroyed id is
+  /// reused first.
   BlockId create();
 
-  /// Destroys descriptor \p Id; the id may be reused later.
+  /// Destroys descriptor \p Id; the id and its descriptor may be reused
+  /// later.  Never allocates.
   void destroy(BlockId Id);
 
   BlockDescriptor &get(BlockId Id) {
@@ -183,10 +189,9 @@ public:
   BlockId descriptorContaining(const void *Addr) const {
     uintptr_t A = reinterpret_cast<uintptr_t>(Addr);
     for (BlockId Id = 1; Id <= Blocks.size(); ++Id) {
-      const BlockDescriptor *D = Blocks[Id - 1];
-      if (!D)
+      if (!Live.test(Id - 1))
         continue;
-      uintptr_t Base = reinterpret_cast<uintptr_t>(D);
+      uintptr_t Base = reinterpret_cast<uintptr_t>(Blocks[Id - 1]);
       if (A >= Base && A < Base + sizeof(BlockDescriptor))
         return Id;
     }
@@ -194,8 +199,7 @@ public:
   }
 
   bool isLive(BlockId Id) const {
-    return Id != InvalidBlockId && Id <= Blocks.size() &&
-           Blocks[Id - 1] != nullptr;
+    return Id != InvalidBlockId && Id <= Blocks.size() && Live.test(Id - 1);
   }
 
   size_t liveCount() const { return NumLive; }
@@ -205,7 +209,7 @@ public:
   /// across the callback (the callback may destroy the current block).
   template <typename FnT> void forEach(FnT Fn) {
     for (BlockId Id = 1; Id <= Blocks.size(); ++Id)
-      if (Blocks[Id - 1])
+      if (Live.test(Id - 1))
         Fn(Id, *Blocks[Id - 1]);
   }
 
@@ -214,7 +218,12 @@ private:
   void deleteDescriptor(BlockDescriptor *D);
 
   MetadataArena *Arena;
+  /// Blocks[Id - 1] is id Id's descriptor, live or dead.
   std::vector<BlockDescriptor *> Blocks;
+  /// Bit Id - 1 is set while id Id is live.
+  BitVector Live;
+  /// Dead ids, most recently destroyed last.  Its capacity never falls
+  /// below Blocks.size(), so destroy's push never allocates.
   std::vector<BlockId> FreeIds;
   size_t NumLive = 0;
 };

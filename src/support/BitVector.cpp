@@ -6,7 +6,8 @@
 
 using namespace cgc;
 
-void BitVector::resize(size_t NewSize, bool Value) {
+template <typename AllocT>
+void BasicBitVector<AllocT>::resize(size_t NewSize, bool Value) {
   size_t OldSize = NumBits;
   size_t NewWords = divideCeil(NewSize, BitsPerWord);
   if (Value && NewSize > OldSize && OldSize % BitsPerWord != 0) {
@@ -20,32 +21,37 @@ void BitVector::resize(size_t NewSize, bool Value) {
   clearUnusedBits();
 }
 
-void BitVector::clearUnusedBits() {
+template <typename AllocT>
+void BasicBitVector<AllocT>::clearUnusedBits() {
   if (NumBits % BitsPerWord == 0 || Words.empty())
     return;
   uint64_t Mask = (uint64_t(1) << (NumBits % BitsPerWord)) - 1;
   Words.back() &= Mask;
 }
 
-void BitVector::clearAll() {
+template <typename AllocT>
+void BasicBitVector<AllocT>::clearAll() {
   for (uint64_t &Word : Words)
     Word = 0;
 }
 
-void BitVector::setAll() {
+template <typename AllocT>
+void BasicBitVector<AllocT>::setAll() {
   for (uint64_t &Word : Words)
     Word = ~uint64_t(0);
   clearUnusedBits();
 }
 
-size_t BitVector::count() const {
+template <typename AllocT>
+size_t BasicBitVector<AllocT>::count() const {
   size_t Total = 0;
   for (uint64_t Word : Words)
     Total += static_cast<size_t>(std::popcount(Word));
   return Total;
 }
 
-size_t BitVector::countInRange(size_t Begin, size_t End) const {
+template <typename AllocT>
+size_t BasicBitVector<AllocT>::countInRange(size_t Begin, size_t End) const {
   CGC_ASSERT(Begin <= End && End <= NumBits, "countInRange out of range");
   size_t Total = 0;
   for (size_t I = Begin; I < End;) {
@@ -61,47 +67,48 @@ size_t BitVector::countInRange(size_t Begin, size_t End) const {
   return Total;
 }
 
-size_t BitVector::findFirstSet(size_t From) const {
-  if (From >= NumBits)
+template <typename AllocT>
+size_t BasicBitVector<AllocT>::findFirst(size_t From, size_t Limit,
+                                         uint64_t Flip) const {
+  Limit = std::min(Limit, NumBits);
+  if (From >= Limit)
     return Npos;
   size_t WordIdx = From / BitsPerWord;
-  uint64_t Word = Words[WordIdx] & (~uint64_t(0) << (From % BitsPerWord));
+  size_t LastWord = (Limit - 1) / BitsPerWord;
+  // Flip turns a search for clear bits into one for set bits; mask off
+  // the bits below From.
+  uint64_t Word =
+      (Words[WordIdx] ^ Flip) & (~uint64_t(0) << (From % BitsPerWord));
   while (true) {
     if (Word != 0) {
       size_t Bit = WordIdx * BitsPerWord +
                    static_cast<size_t>(std::countr_zero(Word));
-      return Bit < NumBits ? Bit : Npos;
+      return Bit < Limit ? Bit : Npos;
     }
-    if (++WordIdx >= Words.size())
+    if (WordIdx == LastWord)
       return Npos;
-    Word = Words[WordIdx];
+    Word = Words[++WordIdx] ^ Flip;
   }
 }
 
-size_t BitVector::findFirstUnset(size_t From) const {
-  if (From >= NumBits)
-    return Npos;
-  size_t WordIdx = From / BitsPerWord;
-  // Invert and mask off bits below From, then search for a set bit.
-  uint64_t Word = ~Words[WordIdx] & (~uint64_t(0) << (From % BitsPerWord));
-  while (true) {
-    if (Word != 0) {
-      size_t Bit = WordIdx * BitsPerWord +
-                   static_cast<size_t>(std::countr_zero(Word));
-      return Bit < NumBits ? Bit : Npos;
-    }
-    if (++WordIdx >= Words.size())
-      return Npos;
-    Word = ~Words[WordIdx];
-  }
+template <typename AllocT>
+size_t BasicBitVector<AllocT>::findFirstSet(size_t From, size_t Limit) const {
+  return findFirst(From, Limit, 0);
 }
 
-bool BitVector::anyInRange(size_t Begin, size_t End) const {
-  size_t First = findFirstSet(Begin);
-  return First != Npos && First < End;
+template <typename AllocT>
+size_t BasicBitVector<AllocT>::findFirstUnset(size_t From,
+                                              size_t Limit) const {
+  return findFirst(From, Limit, ~uint64_t(0));
 }
 
-void BitVector::setRange(size_t Begin, size_t End) {
+template <typename AllocT>
+bool BasicBitVector<AllocT>::anyInRange(size_t Begin, size_t End) const {
+  return findFirstSet(Begin, End) != Npos;
+}
+
+template <typename AllocT>
+void BasicBitVector<AllocT>::setRange(size_t Begin, size_t End) {
   CGC_ASSERT(Begin <= End && End <= NumBits, "setRange out of range");
   for (size_t I = Begin; I < End;) {
     size_t WordIdx = I / BitsPerWord;
@@ -114,7 +121,8 @@ void BitVector::setRange(size_t Begin, size_t End) {
   }
 }
 
-void BitVector::resetRange(size_t Begin, size_t End) {
+template <typename AllocT>
+void BasicBitVector<AllocT>::resetRange(size_t Begin, size_t End) {
   CGC_ASSERT(Begin <= End && End <= NumBits, "resetRange out of range");
   for (size_t I = Begin; I < End;) {
     size_t WordIdx = I / BitsPerWord;
@@ -127,14 +135,19 @@ void BitVector::resetRange(size_t Begin, size_t End) {
   }
 }
 
-void BitVector::andWith(const BitVector &Other) {
+template <typename AllocT>
+void BasicBitVector<AllocT>::andWith(const BasicBitVector &Other) {
   CGC_CHECK(NumBits == Other.NumBits, "BitVector size mismatch in andWith");
   for (size_t I = 0, E = Words.size(); I != E; ++I)
     Words[I] &= Other.Words[I];
 }
 
-void BitVector::orWith(const BitVector &Other) {
+template <typename AllocT>
+void BasicBitVector<AllocT>::orWith(const BasicBitVector &Other) {
   CGC_CHECK(NumBits == Other.NumBits, "BitVector size mismatch in orWith");
   for (size_t I = 0, E = Words.size(); I != E; ++I)
     Words[I] |= Other.Words[I];
 }
+
+template class cgc::BasicBitVector<std::allocator<uint64_t>>;
+template class cgc::BasicBitVector<MetadataAllocator<uint64_t>>;

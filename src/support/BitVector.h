@@ -10,6 +10,10 @@
 /// maps are all bit vectors indexed by object or page number, so this
 /// class provides the scan primitives those clients need: population
 /// count, find-first-set/unset in a range, and whole-range clear.
+/// The word array takes an allocator, so metadata that must live in a
+/// sealable MetadataArena (the page allocator's free-page bitmap) can
+/// use the same class; everything else uses BitVector, the
+/// std::allocator instance.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,20 +21,24 @@
 #define CGC_SUPPORT_BITVECTOR_H
 
 #include "support/Assert.h"
+#include "support/MetadataArena.h"
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace cgc {
 
-class BitVector {
+template <typename AllocT = std::allocator<uint64_t>> class BasicBitVector {
 public:
   static constexpr size_t Npos = static_cast<size_t>(-1);
 
-  BitVector() = default;
-  explicit BitVector(size_t NumBits, bool Initial = false) {
+  BasicBitVector() = default;
+  explicit BasicBitVector(size_t NumBits, bool Initial = false) {
     resize(NumBits, Initial);
   }
+  /// An empty vector whose words come from \p Alloc.
+  explicit BasicBitVector(const AllocT &Alloc) : Words(Alloc) {}
 
   size_t size() const { return NumBits; }
   bool empty() const { return NumBits == 0; }
@@ -103,13 +111,13 @@ public:
   /// \returns the number of set bits in [Begin, End).
   size_t countInRange(size_t Begin, size_t End) const;
 
-  /// \returns the index of the first set bit at or after \p From,
-  /// or Npos if none.
-  size_t findFirstSet(size_t From = 0) const;
+  /// \returns the index of the first set bit in [From, Limit), or Npos
+  /// if none.  The search stops at the word holding Limit.
+  size_t findFirstSet(size_t From = 0, size_t Limit = Npos) const;
 
-  /// \returns the index of the first clear bit at or after \p From,
-  /// or Npos if none.
-  size_t findFirstUnset(size_t From = 0) const;
+  /// \returns the index of the first clear bit in [From, Limit), or
+  /// Npos if none.
+  size_t findFirstUnset(size_t From = 0, size_t Limit = Npos) const;
 
   /// \returns true if any bit in [Begin, End) is set.  Page allocation
   /// uses this to reject runs that overlap blacklisted pages.
@@ -123,25 +131,35 @@ public:
 
   /// Bitwise AND with \p Other (sizes must match).  Blacklist aging
   /// intersects "blacklisted" with "seen this collection".
-  void andWith(const BitVector &Other);
+  void andWith(const BasicBitVector &Other);
 
   /// Bitwise OR with \p Other (sizes must match).
-  void orWith(const BitVector &Other);
+  void orWith(const BasicBitVector &Other);
 
-  bool operator==(const BitVector &Other) const {
+  bool operator==(const BasicBitVector &Other) const {
     return NumBits == Other.NumBits && Words == Other.Words;
   }
 
 private:
   static constexpr size_t BitsPerWord = 64;
 
+  /// The first bit in [From, min(Limit, size())) whose value XOR the
+  /// matching bit of \p Flip is set, or Npos.
+  size_t findFirst(size_t From, size_t Limit, uint64_t Flip) const;
+
   /// Zeroes the unused high bits of the last word so count() and the
   /// find operations never see stale bits.
   void clearUnusedBits();
 
-  std::vector<uint64_t> Words;
+  std::vector<uint64_t, AllocT> Words;
   size_t NumBits = 0;
 };
+
+using BitVector = BasicBitVector<>;
+
+// Both instances are compiled once, in BitVector.cpp.
+extern template class BasicBitVector<std::allocator<uint64_t>>;
+extern template class BasicBitVector<MetadataAllocator<uint64_t>>;
 
 } // namespace cgc
 

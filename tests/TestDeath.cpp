@@ -8,6 +8,7 @@
 
 #include "baseline/ExplicitHeap.h"
 #include "core/Collector.h"
+#include "heap/PageAllocator.h"
 #include "support/CrashReporter.h"
 #include <cstdlib>
 #include <cstring>
@@ -196,4 +197,20 @@ TEST(DeathTest, BaselineDoubleFreeAborts) {
   (void)Hold;
   Heap.free(P);
   EXPECT_DEATH(Heap.free(P), "double free");
+}
+
+TEST(DeathTest, PageRunDoubleFreeAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  VirtualArena Arena(16 << 20);
+  PageAllocator Pages(Arena, /*BasePage=*/16, /*MaxPages=*/256,
+                      /*GrowthPages=*/32);
+  auto A = Pages.allocateRun(4, PageConstraint::None);
+  auto B = Pages.allocateRun(4, PageConstraint::None);
+  ASSERT_TRUE(A && B);
+  Pages.freeRun(*B, 4);
+  EXPECT_DEATH(Pages.freeRun(*B, 4), "double free of a page run");
+  // A run that only overlaps a free run's first page is a double free
+  // too.
+  EXPECT_DEATH(Pages.freeRun(*A + 1, 4), "double free of a page run");
+  EXPECT_DEATH(Pages.freeRun(*A, 300), "outside the heap arena");
 }

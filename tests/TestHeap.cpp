@@ -103,6 +103,56 @@ TEST(BlockTable, CreateDestroyReuse) {
   BlockId C = Table.create();
   EXPECT_EQ(C, A); // Id recycled.
   EXPECT_TRUE(Table.isLive(C));
+
+  // A recycled descriptor comes back with every field at its default.
+  BlockDescriptor &Used = Table.get(B);
+  Used.StartPage = 7;
+  Used.NumPages = 3;
+  Used.setSlotGeometry(/*Size=*/32, /*Count=*/100, /*FirstOffset=*/16);
+  Used.LayoutId = 5;
+  Used.Kind = ObjectKind::Uncollectable;
+  Used.IgnoreOffPage = true;
+  Used.IsLarge = true;
+  Used.Owned = true;
+  Used.AllocBits.resize(100);
+  Used.PinnedBits.resize(100);
+  Used.AllocBits.setAll();
+  Used.PinnedBits.set(99);
+  Used.AllocatedCount = 100;
+  Used.PinnedCount = 1;
+  const BlockDescriptor *Address = &Used;
+  Table.destroy(B);
+  EXPECT_EQ(Table.descriptorContaining(Address), InvalidBlockId)
+      << "a dead id's descriptor must not be attributed";
+  BlockId D = Table.create();
+  ASSERT_EQ(D, B);
+  const BlockDescriptor &Fresh = Table.get(D);
+  EXPECT_EQ(Fresh.StartPage, 0u);
+  EXPECT_EQ(Fresh.NumPages, 0u);
+  EXPECT_EQ(Fresh.ObjectSize, 0u);
+  EXPECT_EQ(Fresh.ObjectCount, 0u);
+  EXPECT_EQ(Fresh.FirstObjectOffset, 0u);
+  EXPECT_EQ(Fresh.SlotReciprocal, 0u);
+  EXPECT_EQ(Fresh.LayoutId, 0u);
+  EXPECT_EQ(Fresh.Kind, ObjectKind::Normal);
+  EXPECT_FALSE(Fresh.IgnoreOffPage);
+  EXPECT_FALSE(Fresh.IsLarge);
+  EXPECT_FALSE(Fresh.Owned);
+  EXPECT_EQ(Fresh.AllocatedCount, 0u);
+  EXPECT_EQ(Fresh.PinnedCount, 0u);
+  EXPECT_TRUE(Fresh.AllocBits.empty());
+  EXPECT_TRUE(Fresh.PinnedBits.empty());
+  EXPECT_EQ(Table.descriptorContaining(&Fresh), D);
+
+  // Re-created with fewer slots, the block starts with no alloc or pin
+  // bit set, even where the old, longer bitmaps had them.
+  BlockDescriptor &Smaller = Table.get(D);
+  Smaller.AllocBits.resize(70);
+  Smaller.PinnedBits.resize(70);
+  EXPECT_EQ(Smaller.AllocBits.count(), 0u);
+  EXPECT_EQ(Smaller.PinnedBits.count(), 0u);
+  EXPECT_EQ(Smaller.AllocBits.findFirstSet(), BitVector::Npos);
+  EXPECT_EQ(Table.liveCount(), 2u);
 }
 
 TEST(BlockTable, SlotGeometry) {

@@ -2,8 +2,9 @@
 //
 // Randomized allocate/free of page runs cross-checked against a shadow
 // occupancy bitmap: no double handouts, no lost pages, coalescing and
-// blacklist constraints always honored, and every handed-out page reads
-// as zero whether its deferred decommit ran or not.
+// blacklist constraints always honored, every handed-out page reads as
+// zero whether its deferred decommit ran or not, and every request
+// lands at the lowest feasible start (address-ordered first fit).
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 #include "support/Random.h"
 #include <gtest/gtest.h>
 #include <map>
+#include <optional>
 
 using namespace cgc;
 
@@ -35,6 +37,30 @@ struct Shadow {
           << "freeing an unallocated page: " << Start + I;
       InUse.reset(Start - Base + I);
     }
+  }
+
+  /// The lowest start at which \p Num pages are free below \p Limit
+  /// and satisfy \p Constraint, or nullopt.  Pages at or past Limit are
+  /// not committed, so never free.
+  std::optional<PageIndex> lowestFeasible(uint32_t Num,
+                                          PageConstraint Constraint,
+                                          PageIndex Limit,
+                                          const BitVector *Blacklisted) const {
+    auto Bad = [&](PageIndex P) {
+      return Blacklisted && Blacklisted->test(P);
+    };
+    for (PageIndex Start = Base; Start + Num <= Limit; ++Start) {
+      bool Fits = true;
+      for (uint32_t I = 0; I != Num && Fits; ++I)
+        Fits = !InUse.test(Start - Base + I) &&
+               (Constraint != PageConstraint::AllPagesClean ||
+                !Bad(Start + I));
+      if (Fits && Constraint == PageConstraint::FirstPageClean)
+        Fits = !Bad(Start);
+      if (Fits)
+        return Start;
+    }
+    return std::nullopt;
   }
 
   PageIndex Base;
@@ -68,6 +94,14 @@ void fuzzPageAllocator(bool WithBlacklist, uint64_t Seed) {
                                  : PageConstraint::FirstPageClean)
               : PageConstraint::None;
       auto Start = Pages.allocateRun(Num, Constraint);
+      // First fit: the run starts at the lowest feasible page below the
+      // commit limit.  A request that had to grow the heap found no
+      // feasible start below the old limit, and growth only adds free
+      // pages above it, so the final limit gives the same answer.
+      auto Expected =
+          Mirror.lowestFeasible(Num, Constraint, Pages.committedLimitPage(),
+                                WithBlacklist ? &Blacklisted : nullptr);
+      ASSERT_EQ(Start, Expected) << "request for " << Num << " pages";
       if (!Start)
         continue; // Arena pressure; acceptable.
       // Constraint honored?

@@ -87,11 +87,23 @@ TEST(BitVector, FindFirstSetAndUnset) {
   EXPECT_EQ(Bits.findFirstSet(), 77u);
   EXPECT_EQ(Bits.findFirstSet(78), 190u);
   EXPECT_EQ(Bits.findFirstSet(191), BitVector::Npos);
+  // A limit excludes its own bit, inside a word and at a word edge.
+  EXPECT_EQ(Bits.findFirstSet(0, 77), BitVector::Npos);
+  EXPECT_EQ(Bits.findFirstSet(0, 78), 77u);
+  EXPECT_EQ(Bits.findFirstSet(78, 128), BitVector::Npos);
+  EXPECT_EQ(Bits.findFirstSet(78, 191), 190u);
+  EXPECT_EQ(Bits.findFirstSet(78, 1000), 190u);
+  EXPECT_EQ(Bits.findFirstSet(77, 77), BitVector::Npos);
+  EXPECT_FALSE(Bits.anyInRange(78, 190));
+  EXPECT_TRUE(Bits.anyInRange(78, 191));
   Bits.setAll();
   EXPECT_EQ(Bits.findFirstUnset(), BitVector::Npos);
   Bits.reset(130);
   EXPECT_EQ(Bits.findFirstUnset(), 130u);
   EXPECT_EQ(Bits.findFirstUnset(131), BitVector::Npos);
+  EXPECT_EQ(Bits.findFirstUnset(0, 130), BitVector::Npos);
+  EXPECT_EQ(Bits.findFirstUnset(64, 131), 130u);
+  EXPECT_EQ(Bits.findFirstUnset(131, 200), BitVector::Npos);
 }
 
 TEST(BitVector, RangeOperations) {
