@@ -451,7 +451,7 @@ void Collector::maybeStartupCollect() {
     collect("startup");
 }
 
-void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
+void *Collector::allocateRequest(const AllocRequest &Req) {
   MutatorThread *Self = nullptr;
   if (ThreadedMode.load(std::memory_order_relaxed)) {
     Self = ThreadRegistry::current();
@@ -462,25 +462,58 @@ void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
     if (Self == StopInitiator.load(std::memory_order_relaxed))
       Self = nullptr;
   }
+  MutatorThread *Owner = nullptr;
   if (Self != nullptr) {
     // The allocation-time safepoint: the flag check is the documented
     // "flag-checked slow path"; parking happens only under a stop.
     Registry.safepoint(Self);
-    if (Self->Cache && Kind == ObjectKind::Normal &&
-        SizeClassTable::isSmall(Bytes)) {
-      unsigned Class = Heap->sizeClassFor(Bytes == 0 ? 1 : Bytes);
-      // Lock-free fast path: the next free slot of an owned block.
-      // Size-class geometry is immutable, so reading it is safe.
-      if (void *Cached = Self->Cache->take(Class))
-        return finishCachedSlot(Cached, Heap->sizeClassBytes(Class));
-      HeapLockGuard Guard(*this);
-      return allocateLocked({Bytes, Kind}, Self);
+    if (Self->Cache && Req.cacheable()) {
+      // Lock-free fast path: the next free slot of an owned block.  The
+      // lane id and the owned blocks' geometry are all it reads.
+      size_t SlotBytes = 0;
+      if (void *Cached = Self->Cache->take(Req.Lane, SlotBytes))
+        return finishCachedSlot(Cached, SlotBytes);
+      Owner = Self;
     }
   }
-  HeapLockGuard Guard(*this);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/false);
-  return allocateLocked({Bytes, Kind}, /*Owner=*/nullptr);
+  size_t Bytes;
+  ObjectKind Kind;
+  {
+    HeapLockGuard Guard(*this);
+    if (Req.Layout == 0) {
+      // Guarded mode has no thread caches, so Owner is null here.
+      if (Guards)
+        return allocateGuarded(Req.Bytes, Req.Kind, /*Site=*/0,
+                               /*IgnoreOffPage=*/false);
+      return allocateLocked(Req, Owner);
+    }
+    MetadataScope MetaScope(*this);
+    Bytes = Heap->layout(Req.Layout).SizeBytes;
+    // The all-conservative ablation ignores descriptors outright.
+    unsigned Lane = Config.AllConservativeDescriptors
+                        ? Heap->laneFor(Bytes, ObjectKind::Normal)
+                        : Heap->laneFor(Req.Layout);
+    Kind = Heap->laneKind(Lane);
+    // A Precise descriptor allocates from its own lane, unguarded.
+    if (Lane == Req.Lane)
+      return allocateLocked({Bytes, Kind, Lane}, Owner);
+  }
+  // A degenerate descriptor stands for an untyped request of its kind
+  // (registered sizes are granule-aligned, so the size class is the
+  // same), and takes exactly the untyped path: its lane's fast path,
+  // guarded mode, the allocation stream.
+  return allocate(Bytes, Kind);
+}
+
+void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
+  return allocateRequest(untypedRequest(Bytes, Kind));
+}
+
+void *Collector::allocateTyped(LayoutId Layout) {
+  AllocRequest Req;
+  Req.Lane = Heap->typedLane(Layout);
+  Req.Layout = Layout;
+  return allocateRequest(Req);
 }
 
 //===----------------------------------------------------------------------===//
@@ -518,7 +551,7 @@ bool Collector::registerMutatorThread(const void *StackBaseHint) {
   if (!Thread)
     return false;
   if (Config.ThreadCaches && !Guards)
-    Thread->Cache = std::make_unique<ThreadCache>(Heap->numSizeClasses());
+    Thread->Cache = std::make_unique<ThreadCache>();
   ThreadedMode.store(true, std::memory_order_release);
   CrashInfo.RegisteredThreads.store(Registry.registeredCount(),
                                     std::memory_order_relaxed);
@@ -585,25 +618,22 @@ void *Collector::finishCachedSlot(void *Result, size_t SlotBytes) {
   return Result;
 }
 
-bool Collector::checkoutToCache(MutatorThread *Self, unsigned Class,
-                                LayoutId Layout) {
+bool Collector::checkoutToCache(MutatorThread *Self,
+                                const AllocRequest &Req) {
   // Charge the trigger with what the cache actually handed out since
   // its last checkout, never with slots it has not given away.
   foldCacheCounts(*Self->Cache);
   unsigned Slots = 0, Taken = 0;
   while (Slots < ThreadCache::RefillSlots &&
          Taken != ThreadCache::BlocksPerRefill) {
-    BlockId Id = Layout != 0 ? Heap->checkoutTypedBlock(Layout)
-                             : Heap->checkoutBlock(Class);
+    BlockId Id = Heap->checkoutBlock(Req.Lane);
     if (Id == InvalidBlockId)
       break;
     BlockDescriptor &Block = Blocks->get(Id);
     Slots += Block.usableFreeCount();
     ++Taken;
     void *First = Arena->pointerTo(Block.firstSlotOffset());
-    BlockId GivenUp = Layout != 0
-                          ? Self->Cache->installTyped(Layout, Id, Block, First)
-                          : Self->Cache->install(Class, Id, Block, First);
+    BlockId GivenUp = Self->Cache->install(Req.Lane, Id, Block, First);
     if (GivenUp != InvalidBlockId)
       Heap->returnBlock(GivenUp);
   }
@@ -611,6 +641,7 @@ bool Collector::checkoutToCache(MutatorThread *Self, unsigned Class,
     return false;
   CrashInfo.OwnedBlocks.store(Heap->ownedBlockCount(),
                               std::memory_order_relaxed);
+  unsigned Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
   Observers.dispatch(
       [&](GcObserver &O) { O.onThreadCacheRefill(Class, Slots); });
   return true;
@@ -692,7 +723,7 @@ void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
   CGC_CHECK(Bytes <= GuardLayer::MaxUserBytes,
             "guarded allocation too large");
   size_t Padded = static_cast<size_t>(GuardLayer::paddedSize(Bytes));
-  void *Slot = allocateLocked({Padded, Kind, /*Layout=*/0, IgnoreOffPage},
+  void *Slot = allocateLocked(untypedRequest(Padded, Kind, IgnoreOffPage),
                               /*Owner=*/nullptr);
   if (!Slot)
     return nullptr;
@@ -715,18 +746,14 @@ void *Collector::allocateLocked(const AllocRequest &Req,
   maybeStartupCollect();
   maybeRunStackClearHooks();
 
-  unsigned Class = 0;
   if (Owner) {
-    Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
-    if (checkoutToCache(Owner, Class, Req.Layout)) {
-      size_t SlotBytes = Heap->sizeClassBytes(Class);
-      void *Cached = Req.Layout != 0
-                         ? Owner->Cache->takeTyped(Req.Layout, SlotBytes)
-                         : Owner->Cache->take(Class);
+    if (checkoutToCache(Owner, Req)) {
+      size_t SlotBytes = 0;
+      void *Cached = Owner->Cache->take(Req.Lane, SlotBytes);
       CGC_ASSERT(Cached != nullptr, "checked-out block has no slot");
       return finishCachedSlot(Cached, SlotBytes);
     }
-    // No block of this class or layout has a free slot: the path below
+    // No block of this lane has a free slot: the path below
     // collects/grows/climbs the ladder for one object, and the block
     // that produced it is checked out afterwards.
   }
@@ -744,28 +771,22 @@ void *Collector::allocateLocked(const AllocRequest &Req,
   if (InCollection)
     pinMidCycleAllocation(Result);
   if (Owner)
-    checkoutToCache(Owner, Class, Req.Layout);
+    checkoutToCache(Owner, Req);
   return Result;
 }
 
 void *Collector::takeExisting(const AllocRequest &Req) {
-  if (Req.Layout != 0)
-    return Heap->allocateTypedFromExisting(Req.Layout);
-  if (SizeClassTable::isSmall(Req.Bytes))
-    return Heap->allocateFromExisting(Req.Bytes, Req.Kind);
-  return nullptr; // Every large object takes a fresh page run.
+  if (Req.Lane == ObjectHeap::NoLane)
+    return nullptr; // Every large object takes a fresh page run.
+  return Heap->allocateFromExisting(Req.Lane, Req.Bytes);
 }
 
 void *Collector::takeFresh(const AllocRequest &Req) {
-  if (Req.Layout != 0)
-    return Heap->addBlockForLayout(Req.Layout)
-               ? Heap->allocateTypedFromExisting(Req.Layout)
-               : nullptr;
-  if (SizeClassTable::isSmall(Req.Bytes))
-    return Heap->addBlockForClass(Req.Bytes, Req.Kind)
-               ? Heap->allocateFromExisting(Req.Bytes, Req.Kind)
-               : nullptr;
-  return Heap->allocateLarge(Req.Bytes, Req.Kind, Req.IgnoreOffPage);
+  if (Req.Lane == ObjectHeap::NoLane)
+    return Heap->allocateLarge(Req.Bytes, Req.Kind, Req.IgnoreOffPage);
+  return Heap->addBlock(Req.Lane)
+             ? Heap->allocateFromExisting(Req.Lane, Req.Bytes)
+             : nullptr;
 }
 
 void *Collector::allocateSlow(const AllocRequest &Req) {
@@ -783,7 +804,7 @@ void *Collector::allocateSlow(const AllocRequest &Req) {
   // A blacklist that has eaten a sizable share of the committed heap is
   // the paper's worst case for large objects: every candidate run must
   // dodge it.  Tell the client (rate-limited) before fighting on.
-  if (Req.Layout == 0 && !SizeClassTable::isSmall(Req.Bytes) &&
+  if (Req.Lane == ObjectHeap::NoLane &&
       BlacklistImpl->entryCount() * 4 >= Pages->stats().CommittedPages &&
       Pages->stats().CommittedPages > 0)
     warn(WarnEvent::LargeAllocOnBlacklistedHeap,
@@ -1182,55 +1203,12 @@ Collector::registerObjectLayout(const std::vector<bool> &PointerWords,
   return Heap->registerLayout(PointerWords, SizeBytes);
 }
 
-void *Collector::allocateTyped(LayoutId Layout) {
-  safepoint();
-  // Lock-free typed fast path: a layout's lane only ever owns blocks of
-  // that descriptor and records their slot size, so no descriptor-table
-  // read happens outside the lock.
-  MutatorThread *Self = nullptr;
-  if (ThreadedMode.load(std::memory_order_relaxed)) {
-    Self = ThreadRegistry::current();
-    // Mid-collection callback: bypass the cache paths entirely (see
-    // allocate) and let the locked tail pin the object.
-    if (Self == StopInitiator.load(std::memory_order_relaxed))
-      Self = nullptr;
-    if (Self && Self->Cache && !Config.AllConservativeDescriptors) {
-      size_t SlotBytes = 0;
-      if (void *Cached = Self->Cache->takeTyped(Layout, SlotBytes))
-        return finishCachedSlot(Cached, SlotBytes);
-    }
-  }
-  size_t RouteBytes;
-  ObjectKind RouteKind;
-  {
-    HeapLockGuard Guard(*this);
-    MetadataScope MetaScope(*this);
-    const TypeDescriptor &D = Heap->layout(Layout);
-    if (!Config.AllConservativeDescriptors &&
-        D.Class == DescriptorClass::Precise)
-      return allocateLocked({D.SizeBytes, ObjectKind::Normal, Layout},
-                            Self && Self->Cache ? Self : nullptr);
-    // Degenerate bitmaps collapse onto the ordinary kinds, and the
-    // all-conservative ablation ignores descriptors outright: route
-    // through allocate() so guarded mode, thread caches, and the
-    // allocation stream are exactly the untyped collector's.
-    // Registered sizes are granule-aligned, so the size class — and
-    // with it every downstream decision — is unchanged.
-    RouteBytes = D.SizeBytes;
-    RouteKind = !Config.AllConservativeDescriptors &&
-                        D.Class == DescriptorClass::PointerFree
-                    ? ObjectKind::PointerFree
-                    : ObjectKind::Normal;
-  }
-  return allocate(RouteBytes, RouteKind);
-}
-
 void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
   safepoint();
   HeapLockGuard Guard(*this);
   if (Guards)
     return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/true);
-  return allocateLocked({Bytes, Kind, /*Layout=*/0, /*IgnoreOffPage=*/true},
+  return allocateLocked(untypedRequest(Bytes, Kind, /*IgnoreOffPage=*/true),
                         /*Owner=*/nullptr);
 }
 

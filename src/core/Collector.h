@@ -462,16 +462,36 @@ private:
   };
   static constexpr unsigned NumWarnEvents = 9;
 
-  /// One allocation request: \p Bytes of \p Kind, or, with a nonzero
-  /// \p Layout, one object of that Precise descriptor (\p Bytes is its
-  /// size; \p Kind is unused).  \p IgnoreOffPage places a large object
-  /// so that only first-page pointers retain it.
+  /// One allocation request: \p Bytes of \p Kind from block list
+  /// \p Lane (ObjectHeap::NoLane for a large object).  \p IgnoreOffPage
+  /// places a large object so that only first-page pointers retain it.
+  /// A typed request starts with only its \p Layout and that layout's
+  /// own lane, which is all the lock-free take needs; allocateRequest
+  /// fills in the rest from the descriptor under the heap lock.
   struct AllocRequest {
-    size_t Bytes;
+    size_t Bytes = 0;
     ObjectKind Kind = ObjectKind::Normal;
-    LayoutId Layout = 0;
+    unsigned Lane = ObjectHeap::NoLane;
     bool IgnoreOffPage = false;
+    LayoutId Layout = 0;
+    /// Whether a thread cache serves the lane: Normal-kind small lanes,
+    /// typed ones included.
+    bool cacheable() const {
+      return Kind == ObjectKind::Normal && Lane != ObjectHeap::NoLane;
+    }
   };
+  /// An untyped request for \p Bytes of \p Kind.
+  AllocRequest untypedRequest(size_t Bytes, ObjectKind Kind,
+                              bool IgnoreOffPage = false) const {
+    return {Bytes, Kind, Heap->laneFor(Bytes, Kind), IgnoreOffPage};
+  }
+  /// The front end of allocate and allocateTyped: the allocation-time
+  /// safepoint, the owner's lock-free take from the request's lane, and
+  /// otherwise the locked path (guarded for untyped requests when
+  /// DebugGuards is on).  A typed request is resolved under the lock; a
+  /// degenerate or demoted descriptor then goes through allocate() as
+  /// the untyped request it stands for.
+  void *allocateRequest(const AllocRequest &Req);
   /// The locked allocation tail every unguarded request ends in (the
   /// public entry points route through the guard layer first when
   /// DebugGuards is on): startup collection, stack-clear tick, then —
@@ -542,12 +562,11 @@ private:
     Collector &GC;
     bool Active;
   };
-  /// Folds \p Self's pending counts, then checks blocks of \p Class (or
-  /// of \p Layout when nonzero) out into its cache until the refill
-  /// holds ThreadCache::RefillSlots free slots, returning any block the
-  /// cache gives up.  \returns false when the heap has no block to
-  /// give.
-  bool checkoutToCache(MutatorThread *Self, unsigned Class, LayoutId Layout);
+  /// Folds \p Self's pending counts, then checks blocks of \p Req's lane
+  /// out into its cache until the refill holds ThreadCache::RefillSlots
+  /// free slots, returning any block the cache gives up.  \returns false
+  /// when the heap has no block to give.
+  bool checkoutToCache(MutatorThread *Self, const AllocRequest &Req);
   /// The tail for a slot taken from an owned block.
   void *finishCachedSlot(void *Result, size_t SlotBytes);
   /// Folds \p Cache's private deltas into the heap's lifetime stats,

@@ -299,35 +299,35 @@ HeapVerifyReport HeapVerifier::run() {
               (unsigned long long)BytesSeen,
               (unsigned long long)Heap.AllocatedBytes);
 
-  // --- Class lists point at live, matching blocks. ---
-  auto CheckList = [&](const ObjectHeap::ClassList &List, const char *What) {
-    for (const auto &[StartPage, Id] : List) {
+  // --- Class lists point at live blocks of their own lane. ---
+  for (unsigned Lane = 0; Lane != Heap.ClassLists.size(); ++Lane) {
+    for (const auto &[StartPage, Id] : Heap.ClassLists[Lane]) {
       if (!Heap.Blocks.isLive(Id)) {
         R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "%s class list: entry for page %llu names dead block %u",
-                  What, (unsigned long long)StartPage, Id);
+                  "lane %u class list: entry for page %llu names dead "
+                  "block %u",
+                  Lane, (unsigned long long)StartPage, Id);
         continue;
       }
       const BlockDescriptor &Block = Heap.Blocks.get(Id);
       if (Block.StartPage != StartPage)
         R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "%s class list: key page %llu but block %u starts at %llu",
-                  What, (unsigned long long)StartPage, Id,
+                  "lane %u class list: key page %llu but block %u starts "
+                  "at %llu",
+                  Lane, (unsigned long long)StartPage, Id,
                   (unsigned long long)Block.StartPage);
       if (Block.IsLarge)
         R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "%s class list: large block %u listed", What, Id);
+                  "lane %u class list: large block %u listed", Lane, Id);
+      else if (Heap.laneOf(Block) != Lane)
+        R.notefAt(K::FreeListBroken, Id, StartPage,
+                  "lane %u class list: block %u belongs to lane %u", Lane,
+                  Id, Heap.laneOf(Block));
       if (Block.usableFreeCount() == 0)
         R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "%s class list: block %u listed with no usable slot", What,
-                  Id);
+                  "lane %u class list: block %u listed with no usable slot",
+                  Lane, Id);
     }
-  };
-  for (const ObjectHeap::ClassList &List : Heap.ClassLists)
-    CheckList(List, "untyped");
-  for (const auto &[LayoutId, List] : Heap.TypedClassLists) {
-    (void)LayoutId;
-    CheckList(List, "typed");
   }
 
   // --- Free runs ↔ page map ↔ committed-page partition.  The runs
@@ -522,10 +522,6 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
   {
     for (ObjectHeap::ClassList &List : Heap.ClassLists)
       List.clear();
-    for (auto &[Id, List] : Heap.TypedClassLists) {
-      (void)Id;
-      List.clear();
-    }
     Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &B) {
       if (!B.IsLarge && !B.Owned && B.usableFreeCount() > 0)
         Heap.addToClassList(B, Id);

@@ -3,6 +3,7 @@
 #include "heap/ObjectHeap.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -13,15 +14,20 @@ ObjectHeap::ObjectHeap(VirtualArena &Arena, PageAllocator &Pages,
                        const ObjectHeapConfig &Config)
     : Arena(Arena), Pages(Pages), Map(Map), Blocks(Blocks),
       Marks(Pages.arenaBasePage(), Pages.arenaLimitPage()), Config(Config) {
-  ClassLists.resize(size_t(NumObjectKinds) * SizeClasses.numClasses());
+  ClassLists.resize(typedLane(0));
 }
 
-ObjectHeap::ClassList &
-ObjectHeap::classListFor(const BlockDescriptor &Block) {
-  if (Block.LayoutId != 0)
-    return TypedClassLists[Block.LayoutId];
-  unsigned Class = SizeClasses.classForSize(Block.ObjectSize);
-  return ClassLists[size_t(Block.Kind) * SizeClasses.numClasses() + Class];
+unsigned ObjectHeap::laneFor(LayoutId Id) const {
+  const TypeDescriptor &D = layout(Id);
+  switch (D.Class) {
+  case DescriptorClass::Precise:
+    return typedLane(Id);
+  case DescriptorClass::PointerFree:
+    return laneFor(D.SizeBytes, ObjectKind::PointerFree);
+  case DescriptorClass::Conservative:
+    return laneFor(D.SizeBytes, ObjectKind::Normal);
+  }
+  CGC_UNREACHABLE("bad descriptor class");
 }
 
 PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
@@ -49,23 +55,16 @@ PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
   CGC_UNREACHABLE("bad object kind");
 }
 
-void *ObjectHeap::allocateFromExisting(size_t Bytes, ObjectKind Kind) {
-  CGC_ASSERT(SizeClassTable::isSmall(Bytes), "small-object path only");
-  if (Bytes == 0)
-    Bytes = 1;
-  unsigned Class = SizeClasses.classForSize(Bytes);
-  ClassList &List =
-      ClassLists[size_t(Kind) * SizeClasses.numClasses() + Class];
-  BlockId Id = pickAllocationBlock(List);
+void *ObjectHeap::allocateFromExisting(unsigned Lane, size_t Bytes) {
+  BlockId Id = pickAllocationBlock(ClassLists[Lane]);
   if (Id == InvalidBlockId)
     return nullptr;
-
-  void *Result = takeSlot(Blocks.get(Id));
-  Stats.BytesRequested += Bytes;
-  return Result;
+  Stats.BytesRequested += std::max<size_t>(Bytes, 1);
+  return takeSlot(Blocks.get(Id));
 }
 
-BlockId ObjectHeap::checkoutFrom(ClassList &List) {
+BlockId ObjectHeap::checkoutBlock(unsigned Lane) {
+  ClassList &List = ClassLists[Lane];
   BlockId Id = pickAllocationBlock(List);
   if (Id != InvalidBlockId) {
     List.erase(List.begin());
@@ -75,17 +74,46 @@ BlockId ObjectHeap::checkoutFrom(ClassList &List) {
   return Id;
 }
 
-BlockId ObjectHeap::checkoutBlock(unsigned Class) {
-  return checkoutFrom(
-      ClassLists[size_t(ObjectKind::Normal) * SizeClasses.numClasses() +
-                 Class]);
-}
+namespace {
+/// Zeroes runs of adjacent slots of one block, one memset per run.  The
+/// slots arrive a bitmap word at a time, in order, and a run may span
+/// words.  The sweep and returnBlock share it.
+class SlotRunZeroer {
+public:
+  SlotRunZeroer(VirtualArena &Arena, const BlockDescriptor &Block)
+      : Arena(Arena), Block(Block) {}
 
-BlockId ObjectHeap::checkoutTypedBlock(LayoutId Layout) {
-  CGC_ASSERT(layout(Layout).Class == DescriptorClass::Precise,
-             "typed blocks are checked out for Precise descriptors only");
-  return checkoutFrom(TypedClassLists[Layout]);
-}
+  /// Adds the slots set in \p Slots, bitmap word \p Word.
+  void add(size_t Word, uint64_t Slots) {
+    while (Slots != 0) {
+      unsigned Begin = static_cast<unsigned>(std::countr_zero(Slots));
+      size_t Slot = Word * 64 + Begin;
+      if (Slot != RunEnd) {
+        finish();
+        RunBegin = Slot;
+      }
+      RunEnd = Slot + static_cast<size_t>(std::countr_one(Slots >> Begin));
+      // Adding the lowest set bit carries through, and so clears, the
+      // lowest run.
+      Slots &= Slots + (Slots & -Slots);
+    }
+  }
+
+  /// Zeroes the run in progress.
+  void finish() {
+    if (RunEnd != RunBegin)
+      std::memset(Arena.pointerTo(Block.slotOffset(
+                      static_cast<uint32_t>(RunBegin))),
+                  0, (RunEnd - RunBegin) * Block.ObjectSize);
+    RunBegin = RunEnd;
+  }
+
+private:
+  VirtualArena &Arena;
+  const BlockDescriptor &Block;
+  size_t RunBegin = 0, RunEnd = 0;
+};
+} // namespace
 
 uint32_t ObjectHeap::returnBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
@@ -97,6 +125,16 @@ uint32_t ObjectHeap::returnBlock(BlockId Id) {
   Block.AllocatedCount = Live;
   Block.Owned = false;
   --OwnedBlocks;
+  // A remote free left its slot's bytes for the owner, which zeroes only
+  // the slots it hands out itself; once the block is listed again,
+  // takeSlot hands slots out without zeroing them.
+  SlotRunZeroer Zero(Arena, Block);
+  const uint64_t *Alloc = Block.AllocBits.words();
+  for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
+    Zero.add(W, Block.RemoteFreed[W] & ~Alloc[W]);
+    Block.RemoteFreed[W] = 0;
+  }
+  Zero.finish();
   uint32_t Free = Block.usableFreeCount();
   if (Free != 0)
     addToClassList(Block, Id);
@@ -138,11 +176,17 @@ void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
   return Arena.pointerTo(Offset);
 }
 
-BlockId ObjectHeap::createSmallBlock(size_t SlotSize, ObjectKind Kind,
-                                     LayoutId Layout) {
+bool ObjectHeap::addBlock(unsigned Lane) {
+  ObjectKind Kind = laneKind(Lane);
+  LayoutId Layout = Lane < typedLane(0) ? 0 : Lane - typedLane(0);
+  CGC_ASSERT(Layout == 0 || layout(Layout).Class == DescriptorClass::Precise,
+             "only a Precise descriptor's own lane holds blocks");
+  size_t SlotSize = SizeClasses.classSize(
+      Layout != 0 ? SizeClasses.classForSize(layout(Layout).SizeBytes)
+                  : Lane % SizeClasses.numClasses());
   auto Run = Pages.allocateRun(1, constraintFor(Kind, /*Large=*/false));
   if (!Run)
-    return InvalidBlockId;
+    return false;
 
   uint32_t FirstOffset = 0;
   if (Config.AvoidTrailingZeroAddresses && SlotSize <= PageSize / 4)
@@ -163,15 +207,7 @@ BlockId ObjectHeap::createSmallBlock(size_t SlotSize, ObjectKind Kind,
   Map.assignRun(*Run, 1, Id);
   addToClassList(Block, Id);
   ++Stats.SmallBlocksCreated;
-  return Id;
-}
-
-bool ObjectHeap::addBlockForClass(size_t Bytes, ObjectKind Kind) {
-  CGC_ASSERT(SizeClassTable::isSmall(Bytes), "small-object path only");
-  if (Bytes == 0)
-    Bytes = 1;
-  size_t SlotSize = SizeClasses.classSize(SizeClasses.classForSize(Bytes));
-  return createSmallBlock(SlotSize, Kind, /*Layout=*/0) != InvalidBlockId;
+  return true;
 }
 
 LayoutId ObjectHeap::registerLayout(const std::vector<bool> &PointerWords,
@@ -184,37 +220,11 @@ LayoutId ObjectHeap::registerLayout(const std::vector<bool> &PointerWords,
             "layout word count must cover the object");
   uint32_t Aligned =
       static_cast<uint32_t>(alignTo(SizeBytes, GranuleBytes));
-  return Descriptors.intern(PointerWords, Aligned);
-}
-
-/// The degenerate descriptor classes collapse onto the ordinary kind
-/// paths: Conservative is an untyped Normal allocation, PointerFree an
-/// untyped PointerFree one.  Only Precise descriptors mint typed
-/// blocks.
-static ObjectKind kindForDegenerate(DescriptorClass Class) {
-  return Class == DescriptorClass::PointerFree ? ObjectKind::PointerFree
-                                               : ObjectKind::Normal;
-}
-
-void *ObjectHeap::allocateTypedFromExisting(LayoutId Id) {
-  const TypeDescriptor &D = layout(Id);
-  if (D.Class != DescriptorClass::Precise)
-    return allocateFromExisting(D.SizeBytes, kindForDegenerate(D.Class));
-  BlockId Block = pickAllocationBlock(TypedClassLists[Id]);
-  if (Block == InvalidBlockId)
-    return nullptr;
-  Stats.BytesRequested += D.SizeBytes;
-  return takeSlot(Blocks.get(Block));
-}
-
-bool ObjectHeap::addBlockForLayout(LayoutId Id) {
-  const TypeDescriptor &D = layout(Id);
-  if (D.Class != DescriptorClass::Precise)
-    return addBlockForClass(D.SizeBytes, kindForDegenerate(D.Class));
-  size_t SlotSize =
-      SizeClasses.classSize(SizeClasses.classForSize(D.SizeBytes));
-  return createSmallBlock(SlotSize, ObjectKind::Normal, Id) !=
-         InvalidBlockId;
+  LayoutId Id = Descriptors.intern(PointerWords, Aligned);
+  // Every id gets a lane, so lanes stay indexed by id; only a Precise
+  // descriptor's lane is ever used.
+  ClassLists.resize(typedLane(LayoutId(Descriptors.size())) + 1);
+  return Id;
 }
 
 void *ObjectHeap::allocateLarge(size_t Bytes, ObjectKind Kind,
@@ -281,11 +291,14 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
     // classification, and may even have handed it out again: only the
     // atomic clear decides, and the loser is a double free.  The slot's
     // memory is not touched, because the owner may be using it the
-    // moment the bit clears; the owner zeroes every slot it hands out.
-    // Its counts are refolded from the bitmap when ownership ends, and
-    // only the owner may relist the block.
+    // moment the bit clears; the owner zeroes every slot it hands out,
+    // and returnBlock zeroes the slots recorded below that are still
+    // free.  Its
+    // counts are refolded from the bitmap when ownership ends, and only
+    // the owner may relist the block.
     if (!Block.AllocBits.testAndResetAtomic(Ref.Slot))
       return false;
+    Block.RemoteFreed[Ref.Slot / 64] |= uint64_t(1) << (Ref.Slot % 64);
     ++Stats.ExplicitFrees;
     return true;
   }
@@ -383,33 +396,16 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   pinMarkedFreeSlots(Block, Mark);
   uint64_t *Alloc = Block.AllocBits.words();
   uint32_t Freed = 0;
-  size_t RunBegin = 0, RunEnd = 0;
-  auto ZeroRun = [&] {
-    if (RunEnd != RunBegin)
-      std::memset(Arena.pointerTo(Block.slotOffset(
-                      static_cast<uint32_t>(RunBegin))),
-                  0, (RunEnd - RunBegin) * Block.ObjectSize);
-  };
+  SlotRunZeroer Zero(Arena, Block);
   for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
     uint64_t Free = Alloc[W] & ~Mark[W] & Block.slotWordMask(W);
     if (Free == 0)
       continue;
     Alloc[W] &= ~Free;
     Freed += static_cast<uint32_t>(std::popcount(Free));
-    while (Free != 0) {
-      unsigned Begin = static_cast<unsigned>(std::countr_zero(Free));
-      size_t Slot = W * 64 + Begin;
-      if (Slot != RunEnd) {
-        ZeroRun();
-        RunBegin = Slot;
-      }
-      RunEnd = Slot + static_cast<size_t>(std::countr_one(Free >> Begin));
-      // Adding the lowest set bit carries through, and so clears, the
-      // lowest run.
-      Free &= Free + (Free & -Free);
-    }
+    Zero.add(W, Free);
   }
-  ZeroRun();
+  Zero.finish();
   uint64_t BytesFreed = uint64_t(Freed) * Block.ObjectSize;
   Block.AllocatedCount -= Freed;
   AllocatedBytes -= BytesFreed;
@@ -537,21 +533,10 @@ void ObjectHeap::injectMetadataFaults() {
   if (CGC_INJECT_FAULT(MetadataFreeListSmash)) {
     // Erase the first partial-list entry found: a block with usable
     // slots goes invisible to the allocator.
-    auto Smash = [](ClassList &List) {
-      if (List.empty())
-        return false;
-      List.erase(List.begin());
-      return true;
-    };
-    bool Done = false;
     for (ClassList &List : ClassLists)
-      if ((Done = Smash(List)))
+      if (!List.empty()) {
+        List.erase(List.begin());
         break;
-    if (!Done)
-      for (auto &[Layout, List] : TypedClassLists) {
-        (void)Layout;
-        if ((Done = Smash(List)))
-          break;
       }
   }
 

@@ -102,32 +102,71 @@ public:
   ObjectHeap(VirtualArena &Arena, PageAllocator &Pages, PageMap &Map,
              BlockTable &Blocks, const ObjectHeapConfig &Config);
 
-  /// Allocates from existing blocks/free slots only; nullptr when a new
-  /// block (and possibly a collection) is needed.  Small sizes only.
-  void *allocateFromExisting(size_t Bytes, ObjectKind Kind);
+  //===--------------------------------------------------------------===//
+  // Lanes.  Every small block sits on one block list, its lane: one per
+  // (kind, size class) of untyped blocks, numbered
+  // Kind * NumClasses + Class, then one per Precise descriptor,
+  // numbered NumObjectKinds * NumClasses + LayoutId.  Allocation,
+  // checkout and the thread caches all address blocks by lane.
+  //===--------------------------------------------------------------===//
+
+  /// The lane of a large request: it has none.
+  static constexpr unsigned NoLane = ~0u;
+
+  /// The lane untyped \p Kind objects of \p Bytes come from; NoLane for
+  /// a large size.  Reads only the immutable size-class table, so the
+  /// lock-free fast path may call it.
+  unsigned laneFor(size_t Bytes, ObjectKind Kind) const {
+    if (!SizeClassTable::isSmall(Bytes))
+      return NoLane;
+    return unsigned(Kind) * numSizeClasses() +
+           sizeClassFor(Bytes == 0 ? 1 : Bytes);
+  }
+
+  /// The lane objects of descriptor \p Id come from: its own lane for a
+  /// Precise descriptor, and its kind's untyped lane for a degenerate
+  /// one (Conservative is Normal, PointerFree is PointerFree).
+  unsigned laneFor(LayoutId Id) const;
+
+  /// Descriptor \p Id's own lane.  Arithmetic only, so the lock-free
+  /// fast path may call it without reading the descriptor table; only a
+  /// Precise descriptor's own lane ever holds blocks.
+  unsigned typedLane(LayoutId Id) const {
+    return NumObjectKinds * numSizeClasses() + Id;
+  }
+
+  /// The kind of the objects in \p Lane.
+  ObjectKind laneKind(unsigned Lane) const {
+    return Lane < typedLane(0) ? ObjectKind(Lane / numSizeClasses())
+                               : ObjectKind::Normal;
+  }
+
+  /// Allocates one object from \p Lane's existing blocks, \p Bytes being
+  /// its requested size; nullptr when the lane needs a new block.
+  void *allocateFromExisting(unsigned Lane, size_t Bytes);
+
+  /// Acquires a fresh page for \p Lane; false on OOM.
+  bool addBlock(unsigned Lane);
 
   //===--------------------------------------------------------------===//
   // Thread-owned blocks (heap/ThreadCache.h).  Callers hold the heap
-  // lock.  A checked-out block leaves its class list and belongs to one
+  // lock.  A checked-out block leaves its lane and belongs to one
   // mutator thread until it is returned; the owner sets and clears its
   // AllocBits with atomic word operations and keeps the counter deltas
   // privately, and returnBlock refolds the block's counts from the
   // bitmap, so the ledger is kept per block, not per slot.
   //===--------------------------------------------------------------===//
 
-  /// Checks out the block the next untyped Normal-kind slot of size
-  /// class \p Class would come from: its lowest-address listed block.
-  /// InvalidBlockId when the class needs a new block.
-  BlockId checkoutBlock(unsigned Class);
-
-  /// Checks out the next block of Precise descriptor \p Id, from the
-  /// descriptor's own block list.  InvalidBlockId when it needs a new
-  /// block.
-  BlockId checkoutTypedBlock(LayoutId Id);
+  /// Checks out the block the next slot of \p Lane would come from: its
+  /// lowest-address listed block.  InvalidBlockId when the lane needs a
+  /// new block.
+  BlockId checkoutBlock(unsigned Lane);
 
   /// Ends ownership of \p Id: AllocatedCount and the heap's allocated
-  /// bytes are refolded from the bitmap, and the block is relisted when
-  /// it has a usable slot.  \returns the block's usable free slots.
+  /// bytes are refolded from the bitmap, the slots other threads freed
+  /// into the block while it was owned are zeroed if still free, and
+  /// the block is relisted when it has a usable slot.  \returns the block's
+  /// usable free slots.
   uint32_t returnBlock(BlockId Id);
 
   /// Folds an owner's private deltas into the lifetime stats: objects
@@ -147,7 +186,7 @@ public:
   /// Allocation-free.
   void markAllocatedObjectLive(const void *Ptr);
 
-  /// Size-class geometry, exposed for the thread caches.
+  /// Size-class geometry (immutable, so lock-free readers may use it).
   unsigned numSizeClasses() const { return SizeClasses.numClasses(); }
   unsigned sizeClassFor(size_t Bytes) const {
     return SizeClasses.classForSize(Bytes);
@@ -155,9 +194,6 @@ public:
   size_t sizeClassBytes(unsigned Class) const {
     return SizeClasses.classSize(Class);
   }
-
-  /// Acquires a fresh page for \p Bytes's size class; false on OOM.
-  bool addBlockForClass(size_t Bytes, ObjectKind Kind);
 
   /// Allocates a large object on its own page run; nullptr on OOM.
   /// With \p IgnoreOffPage, only first-page pointers retain the object
@@ -168,9 +204,9 @@ public:
   /// Registers (interning) a type descriptor; \returns its id.
   /// \p PointerWords[I] true means word I may hold a pointer.  All-true
   /// and all-false bitmaps classify as degenerate Conservative /
-  /// PointerFree descriptors whose allocations route onto the ordinary
-  /// kind paths (see heap/TypeDescriptor.h); only mixed bitmaps mint
-  /// Precise descriptors with typed blocks.
+  /// PointerFree descriptors whose allocations use their kind's lane
+  /// (see heap/TypeDescriptor.h); only mixed bitmaps mint Precise
+  /// descriptors, and each of those gets a lane of typed blocks.
   LayoutId registerLayout(const std::vector<bool> &PointerWords,
                           size_t SizeBytes);
 
@@ -181,15 +217,6 @@ public:
 
   /// The descriptor registry (for reports and tests).
   const TypeDescriptorTable &descriptorTable() const { return Descriptors; }
-
-  /// Allocates an object with a registered descriptor.  Precise
-  /// descriptors use typed (LayoutId != 0) Normal-kind blocks and are
-  /// scanned precisely; degenerate descriptors route onto the untyped
-  /// Normal / PointerFree paths.  Small sizes only; nullptr when a new
-  /// block is needed (drive with addBlockForLayout, as with the untyped
-  /// path).
-  void *allocateTypedFromExisting(LayoutId Id);
-  bool addBlockForLayout(LayoutId Id);
 
   /// How an explicit-free candidate pointer classifies, computed
   /// without mutating anything; the collector's free-path validation
@@ -214,9 +241,9 @@ public:
   /// objects; legal for others (leak-detector workloads free manually).
   /// Aborts on invalid frees; callers wanting graceful handling must
   /// classifyExplicitFree first (the Collector's free path does).  A
-  /// free into a block another thread owns only clears the bit: the
-  /// slot is not zeroed, the block stays off the class lists and its
-  /// counts are refolded when ownership ends.  \returns false, changing
+  /// free into a block another thread owns only clears the bit and
+  /// records the slot: it is zeroed when ownership ends, the block stays
+  /// off its lane and its counts are refolded then.  \returns false, changing
   /// nothing, when that owner freed the slot after the classification
   /// (a double free the caller reports); true otherwise.
   bool deallocateExplicit(void *Ptr);
@@ -303,21 +330,21 @@ public:
 
 private:
   friend class HeapVerifier;
-  /// Blocks of one (kind, class) or one layout with at least one usable
-  /// slot, keyed by start page: begin() is the lowest-address block.
+  /// A lane's blocks with at least one usable slot, keyed by start
+  /// page: begin() is the lowest-address block.
   using ClassList = std::map<PageIndex, BlockId>;
 
   void *takeSlot(BlockDescriptor &Block);
   /// The block the next slot of \p List comes from, its lowest-address
-  /// one; InvalidBlockId when the class needs a fresh block.
+  /// one; InvalidBlockId when the lane needs a fresh block.
   static BlockId pickAllocationBlock(const ClassList &List) {
     return List.empty() ? InvalidBlockId : List.begin()->second;
   }
-  /// Takes \p List's lowest-address block off the list and marks it
-  /// owned; InvalidBlockId when the list is empty.
-  BlockId checkoutFrom(ClassList &List);
-  BlockId createSmallBlock(size_t SlotSize, ObjectKind Kind,
-                           LayoutId Layout);
+  /// The lane small block \p Block belongs to.
+  unsigned laneOf(const BlockDescriptor &Block) const {
+    return Block.LayoutId != 0 ? typedLane(Block.LayoutId)
+                               : laneFor(Block.ObjectSize, Block.Kind);
+  }
   /// Guarded mode: re-checks the header canaries and redzone of every
   /// allocated untyped slot in \p Block, appending violations to
   /// \p Result.  Pure reads of the block's pages and bitmaps.
@@ -339,7 +366,9 @@ private:
   void releaseBlock(BlockId Id);
   void removeFromClassList(const BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);
-  ClassList &classListFor(const BlockDescriptor &Block);
+  ClassList &classListFor(const BlockDescriptor &Block) {
+    return ClassLists[laneOf(Block)];
+  }
   PageConstraint constraintFor(ObjectKind Kind, bool Large) const;
 
   VirtualArena &Arena;
@@ -352,11 +381,9 @@ private:
   MarkTable Marks;
   ObjectHeapConfig Config;
   SizeClassTable SizeClasses;
-  /// One class list per (kind, size class).
+  /// One class list per lane, so untyped lists come first and typed
+  /// lists follow in descriptor-id order.  registerLayout grows it.
   std::vector<ClassList> ClassLists;
-  /// Class lists for typed blocks, keyed by descriptor id (each
-  /// descriptor has one slot size, hence one list).
-  std::map<LayoutId, ClassList> TypedClassLists;
   TypeDescriptorTable Descriptors;
   ObjectHeapStats Stats;
   uint64_t AllocatedBytes = 0;

@@ -5,8 +5,6 @@
 
 using namespace cgc;
 
-ThreadCache::ThreadCache(unsigned NumClasses) : Lanes(NumClasses) {}
-
 void *ThreadCache::takeFromOtherBlocks(Lane &L) {
   for (unsigned I = 0; I != L.Used; ++I) {
     OwnedBlock &B = L.Blocks[I];
@@ -14,16 +12,19 @@ void *ThreadCache::takeFromOtherBlocks(Lane &L) {
       continue;
     if (void *Result = B.take()) {
       L.Current = I;
-      ++Allocs;
-      Bytes += B.SlotBytes;
       return Result;
     }
   }
   return nullptr;
 }
 
-BlockId ThreadCache::installIn(Lane &L, BlockId Id, BlockDescriptor &Block,
-                               void *FirstSlot) {
+BlockId ThreadCache::install(unsigned LaneId, BlockId Id,
+                             BlockDescriptor &Block, void *FirstSlot) {
+  if (LaneId >= Lanes.size())
+    Lanes.resize(LaneId + 1);
+  if (!Lanes[LaneId])
+    Lanes[LaneId] = std::make_unique<Lane>();
+  Lane &L = *Lanes[LaneId];
   BlockId Evicted = InvalidBlockId;
   unsigned Index;
   if (L.Used != BlocksPerLane) {
@@ -51,13 +52,4 @@ BlockId ThreadCache::installIn(Lane &L, BlockId Id, BlockDescriptor &Block,
     ById.resize(Id + 1);
   ById[Id] = &B;
   return Evicted;
-}
-
-BlockId ThreadCache::installTyped(LayoutId Layout, BlockId Id,
-                                  BlockDescriptor &Block, void *FirstSlot) {
-  if (Layout >= TypedLanes.size())
-    TypedLanes.resize(Layout + 1);
-  if (!TypedLanes[Layout])
-    TypedLanes[Layout] = std::make_unique<Lane>();
-  return installIn(*TypedLanes[Layout], Id, Block, FirstSlot);
 }

@@ -10,9 +10,10 @@
 /// checked out of the shared heap (Nofl/Immix-style block handoff):
 ///
 ///   * A refill runs under the heap lock and checks out whole blocks of
-///     one size class (or one Precise layout) through the heap's
-///     ordinary address-ordered discipline.  A checked-out block leaves
-///     its class list and belongs to this thread alone.
+///     one lane (a Normal-kind size class or a Precise layout, see
+///     ObjectHeap) through the heap's ordinary address-ordered
+///     discipline.  A checked-out block leaves its lane's list and
+///     belongs to this thread alone.
 ///   * take() allocates by setting the lowest clear, unpinned AllocBit
 ///     of the lane's current block; release() frees a pointer into any
 ///     owned block by atomically clearing its bit.  Neither takes a
@@ -36,7 +37,6 @@
 #define CGC_HEAP_THREADCACHE_H
 
 #include "heap/HeapUnits.h"
-#include "heap/TypeDescriptor.h"
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -48,7 +48,7 @@ struct BlockDescriptor;
 
 class ThreadCache {
 public:
-  /// Blocks one lane (a size class or a Precise layout) owns at most.
+  /// Blocks one lane owns at most.
   static constexpr unsigned BlocksPerLane = 8;
   /// One refill checks out blocks until it has gained this many free
   /// slots, at most BlocksPerRefill of them: a large-slot class whose
@@ -57,22 +57,19 @@ public:
   static constexpr unsigned RefillSlots = 128;
   static constexpr unsigned BlocksPerRefill = 6;
 
-  explicit ThreadCache(unsigned NumClasses);
-
-  /// Lock-free fast path: a fresh slot of size class \p Class from an
-  /// owned block, or null when the lane's blocks are exhausted.  Owner
-  /// thread only.
-  void *take(unsigned Class) { return takeFrom(Lanes[Class]); }
-
-  /// Lock-free fast path for Precise descriptor \p Layout; on success
-  /// \p SlotBytes receives the slot size.  Owner thread only.
-  void *takeTyped(LayoutId Layout, size_t &SlotBytes) {
-    if (Layout >= TypedLanes.size() || !TypedLanes[Layout])
+  /// Lock-free fast path: a fresh slot of lane \p LaneId from an owned
+  /// block, with its size in \p SlotBytes, or null when the lane's
+  /// blocks are exhausted or it has none.  Owner thread only.
+  void *take(unsigned LaneId, size_t &SlotBytes) {
+    if (LaneId >= Lanes.size() || !Lanes[LaneId])
       return nullptr;
-    Lane &L = *TypedLanes[Layout];
-    void *Result = takeFrom(L);
-    if (Result)
-      SlotBytes = L.Blocks[L.Current].SlotBytes;
+    Lane &L = *Lanes[LaneId];
+    void *Result = L.Used != 0 ? L.Blocks[L.Current].take() : nullptr;
+    if (!Result && !(Result = takeFromOtherBlocks(L)))
+      return nullptr;
+    SlotBytes = L.Blocks[L.Current].SlotBytes;
+    ++Allocs;
+    Bytes += SlotBytes;
     return Result;
   }
 
@@ -111,27 +108,26 @@ public:
     return true;
   }
 
-  /// Installs block \p Id, just checked out for size class \p Class, as
-  /// the lane's current block.  \returns the block the lane gave up to
-  /// make room (the caller returns it to the heap), or InvalidBlockId.
-  /// Owner thread, under the heap lock.
-  BlockId install(unsigned Class, BlockId Id, BlockDescriptor &Block,
-                  void *FirstSlot) {
-    return installIn(Lanes[Class], Id, Block, FirstSlot);
-  }
-  /// install() for a block of Precise descriptor \p Layout.
-  BlockId installTyped(LayoutId Layout, BlockId Id, BlockDescriptor &Block,
-                       void *FirstSlot);
+  /// Installs block \p Id, just checked out of lane \p LaneId, as the
+  /// lane's current block.  \returns the block the lane gave up to make
+  /// room (the caller returns it to the heap), or InvalidBlockId.  Owner
+  /// thread, under the heap lock.
+  BlockId install(unsigned LaneId, BlockId Id, BlockDescriptor &Block,
+                  void *FirstSlot);
 
   /// Forgets every owned block, calling \p Fn(BlockId) on each so the
   /// caller can return it to the heap.  The owner is parked (or is the
   /// caller), under the heap lock.
   template <typename FnT> void releaseAll(FnT Fn) {
-    for (Lane &L : Lanes)
-      releaseLane(L, Fn);
-    for (std::unique_ptr<Lane> &L : TypedLanes)
-      if (L)
-        releaseLane(*L, Fn);
+    for (std::unique_ptr<Lane> &L : Lanes) {
+      if (!L)
+        continue;
+      for (unsigned I = 0; I != L->Used; ++I) {
+        ById[L->Blocks[I].Id] = nullptr;
+        Fn(L->Blocks[I].Id);
+      }
+      *L = Lane();
+    }
     NumOwned = 0;
   }
 
@@ -193,8 +189,8 @@ private:
     }
   };
 
-  /// A size class's (or layout's) owned blocks; Blocks[Current] is the
-  /// one allocated from, Blocks[Victim] the next to give up.
+  /// A lane's owned blocks; Blocks[Current] is the one allocated from,
+  /// Blocks[Victim] the next to give up.
   struct Lane {
     OwnedBlock Blocks[BlocksPerLane];
     unsigned Used = 0;
@@ -202,33 +198,14 @@ private:
     unsigned Victim = 0;
   };
 
-  void *takeFrom(Lane &L) {
-    if (L.Used != 0) {
-      OwnedBlock &B = L.Blocks[L.Current];
-      if (void *Result = B.take()) {
-        ++Allocs;
-        Bytes += B.SlotBytes;
-        return Result;
-      }
-    }
-    return takeFromOtherBlocks(L);
-  }
   /// The lane's current block is dry: switch to another owned block
   /// that the owner has freed into since it went dry.
   void *takeFromOtherBlocks(Lane &L);
-  BlockId installIn(Lane &L, BlockId Id, BlockDescriptor &Block,
-                    void *FirstSlot);
-  template <typename FnT> void releaseLane(Lane &L, FnT &Fn) {
-    for (unsigned I = 0; I != L.Used; ++I) {
-      ById[L.Blocks[I].Id] = nullptr;
-      Fn(L.Blocks[I].Id);
-    }
-    L = Lane();
-  }
 
-  std::vector<Lane> Lanes;
-  /// Precise-layout lanes, indexed by descriptor id (ids are dense).
-  std::vector<std::unique_ptr<Lane>> TypedLanes;
+  /// Indexed by lane id and created at a lane's first install; a lane
+  /// never moves, so ById may point into it.  Only the lanes a thread
+  /// has refilled exist.
+  std::vector<std::unique_ptr<Lane>> Lanes;
   /// The owned block with a given BlockId, or null; block ids are dense,
   /// so this grows only to the heap's block high-water mark.
   std::vector<OwnedBlock *> ById;

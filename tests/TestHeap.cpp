@@ -435,10 +435,11 @@ struct ObjectHeapFixture : public ::testing::Test {
   }
 
   void *allocSmall(size_t Bytes, ObjectKind Kind = ObjectKind::Normal) {
-    void *P = Heap->allocateFromExisting(Bytes, Kind);
+    unsigned Lane = Heap->laneFor(Bytes, Kind);
+    void *P = Heap->allocateFromExisting(Lane, Bytes);
     if (!P) {
-      EXPECT_TRUE(Heap->addBlockForClass(Bytes, Kind));
-      P = Heap->allocateFromExisting(Bytes, Kind);
+      EXPECT_TRUE(Heap->addBlock(Lane));
+      P = Heap->allocateFromExisting(Lane, Bytes);
     }
     return P;
   }
@@ -728,11 +729,13 @@ struct SweepHarness {
     ObjectHeapConfig Config;
     Config.AvoidTrailingZeroAddresses = AvoidTrailingZeros;
     Heap = std::make_unique<ObjectHeap>(Arena, Pages, Map, Blocks, Config);
-    EXPECT_TRUE(Heap->addBlockForClass(SlotBytes, Kind));
+    EXPECT_TRUE(Heap->addBlock(Heap->laneFor(SlotBytes, Kind)));
     Blocks.forEach([this](BlockId Only, BlockDescriptor &) { Id = Only; });
     BlockDescriptor &Block = Blocks.get(Id);
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot)
-      EXPECT_EQ(Heap->allocateFromExisting(SlotBytes, Kind), slot(Slot));
+      EXPECT_EQ(Heap->allocateFromExisting(Heap->laneFor(SlotBytes, Kind),
+                                           SlotBytes),
+                slot(Slot));
   }
 
   void *slot(uint32_t Slot) {
@@ -834,7 +837,8 @@ void checkSweepAgainstModel(SweepHarness &H,
   for (uint32_t Slot = 0; Slot != Count && FirstUsable == Count; ++Slot)
     if (!WantAlloc[Slot] && !WantPinned[Slot])
       FirstUsable = Slot;
-  void *Next = H.Heap->allocateFromExisting(H.SlotBytes, H.Kind);
+  void *Next = H.Heap->allocateFromExisting(
+      H.Heap->laneFor(H.SlotBytes, H.Kind), H.SlotBytes);
   if (FirstUsable == Count)
     EXPECT_EQ(Next, nullptr);
   else

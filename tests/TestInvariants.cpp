@@ -256,15 +256,18 @@ constexpr size_t FreeableRoots = 16;
 
 // One mutator's deterministic churn for the multi-mutator fuzz lane:
 // rooted allocations into its own window, garbage, explicitly freed
-// normal objects, pointer-free and uncollectable objects, root drops,
-// and occasional explicit collections — the single-thread fuzz diet,
-// minus the planted stray (which is per-collector, not per-thread).
+// normal and Precise-layout objects, pointer-free and uncollectable
+// objects, root drops, and occasional explicit collections — the
+// single-thread fuzz diet, minus the planted stray (which is
+// per-collector, not per-thread).
 void mutatorChurn(Collector &GC, uint64_t Seed,
                   std::vector<uint64_t> &Window) {
   Rng R(Seed);
   std::vector<void *> Explicit;
+  LayoutId Layout = GC.registerObjectLayout(
+      {true, false, true, false}, 4 * sizeof(uint64_t));
   for (int Step = 0; Step != 1500; ++Step) {
-    switch (R.pickIndex(8)) {
+    switch (R.pickIndex(9)) {
     case 0:
     case 1:
     case 2:
@@ -301,6 +304,19 @@ void mutatorChurn(Collector &GC, uint64_t Seed,
       else
         GC.safepoint();
       break;
+    case 8: { // Typed: half kept until an explicit free, half garbage.
+      auto *T = static_cast<uint64_t *>(GC.allocateTyped(Layout));
+      for (int W = 0; W != 4; ++W)
+        EXPECT_EQ(T[W], 0u) << "typed slots are handed out zeroed";
+      T[1] = T[3] = 0xabababababababab;
+      if (R.nextBool(0.5)) {
+        uint64_t &Slot = Window[RandomRoots + R.pickIndex(FreeableRoots)];
+        if (Slot != 0)
+          GC.deallocate(reinterpret_cast<void *>(Slot));
+        Slot = reinterpret_cast<uint64_t>(T);
+      }
+      break;
+    }
     }
   }
   for (void *P : Explicit)

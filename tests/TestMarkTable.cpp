@@ -37,10 +37,10 @@ struct HeapHarness {
 
   /// Fills a fresh block of \p SlotBytes slots; \returns its id.
   BlockId fullBlock(size_t SlotBytes) {
-    EXPECT_TRUE(Heap->addBlockForClass(SlotBytes, ObjectKind::Normal));
+    unsigned Lane = Heap->laneFor(SlotBytes, ObjectKind::Normal);
+    EXPECT_TRUE(Heap->addBlock(Lane));
     BlockId Id = InvalidBlockId;
-    while (void *P =
-               Heap->allocateFromExisting(SlotBytes, ObjectKind::Normal))
+    while (void *P = Heap->allocateFromExisting(Lane, SlotBytes))
       Id = Map.blockAt(
           pageOfOffset(Arena.offsetOf(reinterpret_cast<Address>(P))));
     return Id;

@@ -376,6 +376,39 @@ TEST(ThreadCache, RemoteFreeIntoOwnedBlockStaysWithOwner) {
   EXPECT_TRUE(GC.verifyHeapReport().clean());
 }
 
+// The remote free leaves the slot's bytes for the owner, which zeroes
+// only the slots it hands out itself.  Once the block is returned, the
+// locked path hands its free slots out without zeroing them, so the
+// return must zero what the remote free left.  X's address is kept off
+// every scanned stack (stored inverted, and the collections run after
+// both threads have left), so no conservative pin keeps X from reuse.
+TEST(ThreadCache, RemoteFreedSlotIsZeroedBeforeReuse) {
+  Collector GC(testConfig());
+  std::vector<uint64_t> Window(1, 0);
+  GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                  RootEncoding::Native64, RootSource::Client, "neighbour");
+  uintptr_t HiddenX = 0;
+  {
+    StepThread Owner(GC), Other(GC);
+    Owner.run([&] {
+      void *X = GC.allocate(48);
+      Window[0] = reinterpret_cast<uint64_t>(GC.allocate(48));
+      std::memset(X, 0xab, 48);
+      HiddenX = ~reinterpret_cast<uintptr_t>(X);
+    });
+    Other.run([&] { GC.deallocate(reinterpret_cast<void *>(~HiddenX)); });
+  }
+  GC.collect("after-remote-free");
+  GC.collect("again");
+  // An unregistered thread allocates through the locked path.
+  auto *Reused = static_cast<unsigned char *>(GC.allocate(48));
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(Reused), ~HiddenX)
+      << "X is the lowest free slot of the only block";
+  for (int I = 0; I != 48; ++I)
+    ASSERT_EQ(Reused[I], 0) << "byte " << I << " of the reused slot";
+  EXPECT_TRUE(GC.verifyHeapReport().clean());
+}
+
 // The owner's lock-free free and another thread's locked free of the
 // same pointer race: the locked path classifies the pointer as
 // allocated, and the owner may clear the bit before the locked path
