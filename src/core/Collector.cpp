@@ -470,9 +470,8 @@ void *Collector::allocateRequest(const AllocRequest &Req) {
     if (Self->Cache && Req.cacheable()) {
       // Lock-free fast path: the next free slot of an owned block.  The
       // lane id and the owned blocks' geometry are all it reads.
-      size_t SlotBytes = 0;
-      if (void *Cached = Self->Cache->take(Req.Lane, SlotBytes))
-        return finishCachedSlot(Cached, SlotBytes);
+      if (void *Cached = Self->Cache->take(Req.Lane))
+        return Cached;
       Owner = Self;
     }
   }
@@ -609,15 +608,6 @@ void Collector::safepoint() {
     Registry.safepoint(Self);
 }
 
-void *Collector::finishCachedSlot(void *Result, size_t SlotBytes) {
-  // Always zeroed, unlike allocateLocked's tail, which relies on slots
-  // being zeroed when freed: a remote free into an owned block leaves
-  // the slot's contents for the owner to clear (see
-  // ObjectHeap::deallocateExplicit).
-  std::memset(Result, 0, SlotBytes);
-  return Result;
-}
-
 bool Collector::checkoutToCache(MutatorThread *Self,
                                 const AllocRequest &Req) {
   // Charge the trigger with what the cache actually handed out since
@@ -656,8 +646,8 @@ Collector::CacheFlushOutcome Collector::flushThreadCaches() {
       return;
     // A thread the watchdog suspended preemptively can be frozen at
     // any instruction of a lock-free take() or release(): between
-    // setting a bit and counting it, or between zeroing a slot and
-    // clearing its bit.  Returning its blocks would hand slots it is
+    // zeroing a slot and setting its bit, or between setting a bit and
+    // counting it.  Returning its blocks would hand slots it is
     // about to use to other threads, so its cache is left alone; the
     // sweep skips its still-owned blocks this cycle.
     if (Thread.state() == MutatorState::SignalSuspended) {
@@ -748,10 +738,9 @@ void *Collector::allocateLocked(const AllocRequest &Req,
 
   if (Owner) {
     if (checkoutToCache(Owner, Req)) {
-      size_t SlotBytes = 0;
-      void *Cached = Owner->Cache->take(Req.Lane, SlotBytes);
+      void *Cached = Owner->Cache->take(Req.Lane);
       CGC_ASSERT(Cached != nullptr, "checked-out block has no slot");
-      return finishCachedSlot(Cached, SlotBytes);
+      return Cached;
     }
     // No block of this lane has a free slot: the path below
     // collects/grows/climbs the ladder for one object, and the block

@@ -567,8 +567,6 @@ private:
   /// free slots, returning any block the cache gives up.  \returns false
   /// when the heap has no block to give.
   bool checkoutToCache(MutatorThread *Self, const AllocRequest &Req);
-  /// The tail for a slot taken from an owned block.
-  void *finishCachedSlot(void *Result, size_t SlotBytes);
   /// Folds \p Cache's private deltas into the heap's lifetime stats,
   /// charging the collection trigger by the bytes handed out.
   void foldCacheCounts(ThreadCache &Cache);

@@ -156,10 +156,11 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
     return;
   // A dropped push always targets an object whose mark bit was just
   // set, so the lost work is recoverable from the mark bitmap: rescan
-  // every marked pointer-bearing object and repeat until no pass marks
-  // anything new.  This is the classic overflow recovery; it converges
-  // even while the fault stays armed, because a pass that marks
-  // nothing new also pushes (and therefore drops) nothing.
+  // every marked, allocated, pointer-bearing object (the marker never
+  // scans a free slot) and repeat until no pass marks anything new.
+  // This is the classic overflow recovery; it converges even while the
+  // fault stays armed, because a pass that marks nothing new also
+  // pushes (and therefore drops) nothing.
   uint64_t Before;
   do {
     Overflowed = false;
@@ -169,8 +170,10 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
         return;
       uint64_t Mark[MarkTable::MaxSlotWords];
       Heap.markTable().gather(Block, Mark);
-      for (size_t W = 0; W != MarkTable::MaxSlotWords; ++W)
-        for (uint64_t Bits = Mark[W]; Bits != 0; Bits &= Bits - 1) {
+      const uint64_t *Alloc = Block.AllocBits.words();
+      for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W)
+        for (uint64_t Bits = Mark[W] & Alloc[W]; Bits != 0;
+             Bits &= Bits - 1) {
           uint32_t Slot =
               static_cast<uint32_t>(W * 64 + std::countr_zero(Bits));
           Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
@@ -273,8 +276,11 @@ bool MarkWorker::considerCandidate(WindowOffset Candidate,
   Stats.BytesMarked += Block->ObjectSize;
   ++Stats.MarksByOrigin[static_cast<unsigned>(Origin)];
   // "for each field q ... mark(q)" — deferred to the mark stack, and
-  // skipped entirely for objects declared pointer-free.
-  if (!kindIsPointerFree(Block->Kind))
+  // skipped entirely for objects declared pointer-free.  A marked free
+  // slot (a false reference; the sweep pins it) is never scanned: its
+  // bytes are a dead object's, which nothing zeroed.
+  if (!kindIsPointerFree(Block->Kind) &&
+      Block->AllocBits.test(static_cast<uint32_t>(Slot)))
     push({Base, Block->ObjectSize, Block->LayoutId});
   return true;
 }

@@ -157,7 +157,8 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
                   static_cast<uint32_t>(Key)};
     const BlockDescriptor &Block =
         Heap.blockTable().get(Ref.Block);
-    if (kindIsPointerFree(Block.Kind))
+    // Like the marker, reach a free slot but never trace through it.
+    if (kindIsPointerFree(Block.Kind) || !Block.AllocBits.test(Ref.Slot))
       continue;
     WindowOffset Base = Heap.baseOffset(Ref);
     const unsigned char *P =

@@ -50,7 +50,7 @@ uint64_t nowNanos() {
 
 MutatorThread *ThreadRegistry::current() { return CurrentMutator; }
 
-const void *ThreadRegistry::currentStackBase() {
+const void *ThreadRegistry::pthreadStackBase() {
 #if defined(__linux__)
   pthread_attr_t Attr;
   if (pthread_getattr_np(pthread_self(), &Attr) == 0) {
@@ -62,11 +62,7 @@ const void *ThreadRegistry::currentStackBase() {
       return static_cast<const unsigned char *>(Addr) + Size;
   }
 #endif
-  // Fallback: an address in the caller's frame.  Frames entered after
-  // registration sit below it on a downward-growing stack, so the
-  // scannable range still covers every later local.
-  volatile char Probe = 0;
-  return const_cast<const char *>(&Probe);
+  return nullptr;
 }
 
 MutatorThread *ThreadRegistry::registerThread(const void *StackBase,

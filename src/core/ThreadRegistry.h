@@ -186,10 +186,28 @@ public:
   static MutatorThread *current();
 
   /// Best-effort high end of the calling thread's stack: the pthread
-  /// stack extent where the platform exposes it, else an address in the
-  /// caller's frame (in that case register near the thread's entry
-  /// point, since shallower frames are invisible to the collector).
-  static const void *currentStackBase();
+  /// stack extent where the platform exposes it, else callerFrameBase()
+  /// of the function this is inlined into (in that case register near
+  /// the thread's entry point, since that function's caller and every
+  /// shallower frame are invisible to the collector).
+  [[gnu::always_inline]] static const void *currentStackBase() {
+    const void *Base = pthreadStackBase();
+    return Base ? Base : callerFrameBase();
+  }
+
+  /// The high end of the pthread stack extent of the calling thread, or
+  /// null where the platform does not expose it.
+  static const void *pthreadStackBase();
+
+  /// The canonical frame address of the function this is inlined into:
+  /// the stack pointer its caller had at the call, so on a
+  /// downward-growing stack it lies above every local of that function
+  /// and of every frame it enters later.  (The address of a local
+  /// cannot serve: it is dead once returned, and compilers fold such a
+  /// return to null.)
+  [[gnu::always_inline]] static const void *callerFrameBase() {
+    return __builtin_dwarf_cfa();
+  }
 
   /// True while a stop-the-world is in flight.  Mutators poll this on
   /// the allocation fast path and in cgc_safepoint().

@@ -82,11 +82,6 @@ struct BlockDescriptor {
   uint32_t AllocatedCount = 0;
   /// Number of set bits in PinnedBits.
   uint32_t PinnedCount = 0;
-  /// One bit per slot another thread freed while the block was Owned,
-  /// leaving the slot's bytes in place; returnBlock zeroes the ones still
-  /// free and clears the set.  Sized for the slot count of one-granule
-  /// slots.  Written only under the heap lock.
-  uint64_t RemoteFreed[PageSize / GranuleBytes / 64] = {};
 
   /// ceil(2^64 / \p Size): for any 32-bit N, N / Size is the high half
   /// of the 128-bit product N * reciprocalOf(Size) (Lemire, Kaser and

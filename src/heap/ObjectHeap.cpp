@@ -74,47 +74,6 @@ BlockId ObjectHeap::checkoutBlock(unsigned Lane) {
   return Id;
 }
 
-namespace {
-/// Zeroes runs of adjacent slots of one block, one memset per run.  The
-/// slots arrive a bitmap word at a time, in order, and a run may span
-/// words.  The sweep and returnBlock share it.
-class SlotRunZeroer {
-public:
-  SlotRunZeroer(VirtualArena &Arena, const BlockDescriptor &Block)
-      : Arena(Arena), Block(Block) {}
-
-  /// Adds the slots set in \p Slots, bitmap word \p Word.
-  void add(size_t Word, uint64_t Slots) {
-    while (Slots != 0) {
-      unsigned Begin = static_cast<unsigned>(std::countr_zero(Slots));
-      size_t Slot = Word * 64 + Begin;
-      if (Slot != RunEnd) {
-        finish();
-        RunBegin = Slot;
-      }
-      RunEnd = Slot + static_cast<size_t>(std::countr_one(Slots >> Begin));
-      // Adding the lowest set bit carries through, and so clears, the
-      // lowest run.
-      Slots &= Slots + (Slots & -Slots);
-    }
-  }
-
-  /// Zeroes the run in progress.
-  void finish() {
-    if (RunEnd != RunBegin)
-      std::memset(Arena.pointerTo(Block.slotOffset(
-                      static_cast<uint32_t>(RunBegin))),
-                  0, (RunEnd - RunBegin) * Block.ObjectSize);
-    RunBegin = RunEnd;
-  }
-
-private:
-  VirtualArena &Arena;
-  const BlockDescriptor &Block;
-  size_t RunBegin = 0, RunEnd = 0;
-};
-} // namespace
-
 uint32_t ObjectHeap::returnBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
   CGC_CHECK(Block.Owned, "returning a block that is not checked out");
@@ -125,16 +84,6 @@ uint32_t ObjectHeap::returnBlock(BlockId Id) {
   Block.AllocatedCount = Live;
   Block.Owned = false;
   --OwnedBlocks;
-  // A remote free left its slot's bytes for the owner, which zeroes only
-  // the slots it hands out itself; once the block is listed again,
-  // takeSlot hands slots out without zeroing them.
-  SlotRunZeroer Zero(Arena, Block);
-  const uint64_t *Alloc = Block.AllocBits.words();
-  for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
-    Zero.add(W, Block.RemoteFreed[W] & ~Alloc[W]);
-    Block.RemoteFreed[W] = 0;
-  }
-  Zero.finish();
   uint32_t Free = Block.usableFreeCount();
   if (Free != 0)
     addToClassList(Block, Id);
@@ -166,14 +115,18 @@ void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
       break;
     ++Slot;
   }
+  // Zeroed here, once: no free path clears a slot, so it may still hold
+  // its last object's bytes.
+  void *Result =
+      Arena.pointerTo(Block.slotOffset(static_cast<uint32_t>(Slot)));
+  std::memset(Result, 0, Block.ObjectSize);
   Block.AllocBits.set(Slot);
   ++Block.AllocatedCount;
   AllocatedBytes += Block.ObjectSize;
   ++Stats.ObjectsAllocated;
   if (Block.usableFreeCount() == 0)
     removeFromClassList(Block);
-  WindowOffset Offset = Block.slotOffset(static_cast<uint32_t>(Slot));
-  return Arena.pointerTo(Offset);
+  return Result;
 }
 
 bool ObjectHeap::addBlock(unsigned Lane) {
@@ -289,16 +242,12 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
     // A free into another thread's owned block.  Its owner frees without
     // the lock, so it may have freed this slot since the caller's
     // classification, and may even have handed it out again: only the
-    // atomic clear decides, and the loser is a double free.  The slot's
-    // memory is not touched, because the owner may be using it the
-    // moment the bit clears; the owner zeroes every slot it hands out,
-    // and returnBlock zeroes the slots recorded below that are still
-    // free.  Its
-    // counts are refolded from the bitmap when ownership ends, and only
-    // the owner may relist the block.
+    // atomic clear decides, and the loser is a double free.  Like every
+    // free, this one leaves the slot's bytes: the next take zeroes them.
+    // The block's counts are refolded from the bitmap when ownership
+    // ends, and only the owner may relist the block.
     if (!Block.AllocBits.testAndResetAtomic(Ref.Slot))
       return false;
-    Block.RemoteFreed[Ref.Slot / 64] |= uint64_t(1) << (Ref.Slot % 64);
     ++Stats.ExplicitFrees;
     return true;
   }
@@ -312,8 +261,6 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
   bool WasFull = Block.usableFreeCount() == 0;
   Block.AllocBits.reset(Ref.Slot);
   --Block.AllocatedCount;
-  std::memset(Arena.pointerTo(Block.slotOffset(Ref.Slot)), 0,
-              Block.ObjectSize);
   if (WasFull)
     addToClassList(Block, Ref.Block);
   return true;
@@ -388,24 +335,20 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
   CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
              "sweepSmallBlock on wrong block kind");
   validateGuardedBlock(Block, Result);
-  // A word of slots at a time: free unmarked allocated slots, pin
-  // marked free slots, and zero each run of adjacent freed slots with
-  // one memset (a run may span words).
+  // A word of slots at a time: free unmarked allocated slots and pin
+  // marked free slots.  Freed slots keep their bytes; the marker never
+  // scans a free slot, and the allocator zeroes a slot when it hands
+  // it out.
   uint64_t Mark[MarkTable::MaxSlotWords];
   Marks.gather(Block, Mark);
   pinMarkedFreeSlots(Block, Mark);
   uint64_t *Alloc = Block.AllocBits.words();
   uint32_t Freed = 0;
-  SlotRunZeroer Zero(Arena, Block);
   for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
     uint64_t Free = Alloc[W] & ~Mark[W] & Block.slotWordMask(W);
-    if (Free == 0)
-      continue;
     Alloc[W] &= ~Free;
     Freed += static_cast<uint32_t>(std::popcount(Free));
-    Zero.add(W, Free);
   }
-  Zero.finish();
   uint64_t BytesFreed = uint64_t(Freed) * Block.ObjectSize;
   Block.AllocatedCount -= Freed;
   AllocatedBytes -= BytesFreed;
@@ -433,10 +376,10 @@ SweepResult ObjectHeap::sweep() {
   SweepResult Result;
 
   // Uncollectable and large blocks are handled in the walk (word-wise
-  // pin scans with no memory clearing).  Small collectable blocks are
-  // swept after it, in block-id order, and unmarked large blocks are
-  // released after those: releasing inside the walk would mutate the
-  // table being walked, and this release order fixes the free-page runs.
+  // pin scans).  Small collectable blocks are swept after it, in
+  // block-id order, and unmarked large blocks are released after those:
+  // releasing inside the walk would mutate the table being walked, and
+  // this release order fixes the free-page runs.
   // The class lists are not emptied: each swept block is relisted or
   // delisted in place, so a block that stays listed costs no map node.
   SmallToSweep.clear();

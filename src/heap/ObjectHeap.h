@@ -27,8 +27,10 @@
 ///     first), the fragmentation-reducing discipline the paper's
 ///     conclusions recommend.
 ///   * Sweeping is eager: each collection sweeps every block no thread
-///     owns, a word of the off-heap bitmaps at a time, and zeroes the
-///     slots it frees.
+///     owns, a word of the off-heap bitmaps at a time.  It writes no
+///     slot memory, and neither does an explicit free: a slot is zeroed
+///     once, when it is handed out, and the marker never scans a free
+///     slot, so the bytes a dead object leaves behind retain nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,10 +165,8 @@ public:
   BlockId checkoutBlock(unsigned Lane);
 
   /// Ends ownership of \p Id: AllocatedCount and the heap's allocated
-  /// bytes are refolded from the bitmap, the slots other threads freed
-  /// into the block while it was owned are zeroed if still free, and
-  /// the block is relisted when it has a usable slot.  \returns the block's
-  /// usable free slots.
+  /// bytes are refolded from the bitmap, and the block is relisted when
+  /// it has a usable slot.  \returns the block's usable free slots.
   uint32_t returnBlock(BlockId Id);
 
   /// Folds an owner's private deltas into the lifetime stats: objects
@@ -241,9 +241,9 @@ public:
   /// objects; legal for others (leak-detector workloads free manually).
   /// Aborts on invalid frees; callers wanting graceful handling must
   /// classifyExplicitFree first (the Collector's free path does).  A
-  /// free into a block another thread owns only clears the bit and
-  /// records the slot: it is zeroed when ownership ends, the block stays
-  /// off its lane and its counts are refolded then.  \returns false, changing
+  /// free writes no slot memory.  A free into a block another thread
+  /// owns only clears the bit: the block stays off its lane and its
+  /// counts are refolded when ownership ends.  \returns false, changing
   /// nothing, when that owner freed the slot after the classification
   /// (a double free the caller reports); true otherwise.
   bool deallocateExplicit(void *Ptr);
@@ -334,6 +334,7 @@ private:
   /// page: begin() is the lowest-address block.
   using ClassList = std::map<PageIndex, BlockId>;
 
+  /// Hands out \p Block's lowest usable slot, zeroed.
   void *takeSlot(BlockDescriptor &Block);
   /// The block the next slot of \p List comes from, its lowest-address
   /// one; InvalidBlockId when the lane needs a fresh block.

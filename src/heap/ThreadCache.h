@@ -14,12 +14,13 @@
 ///     ObjectHeap) through the heap's ordinary address-ordered
 ///     discipline.  A checked-out block leaves its lane's list and
 ///     belongs to this thread alone.
-///   * take() allocates by setting the lowest clear, unpinned AllocBit
-///     of the lane's current block; release() frees a pointer into any
-///     owned block by atomically clearing its bit.  Neither takes a
-///     lock or touches shared counters: the owner keeps its deltas
-///     privately, and they are folded into the heap under the lock at
-///     each checkout and when ownership ends.
+///   * take() allocates the lowest clear, unpinned slot of the lane's
+///     current block: it zeroes the slot, then sets its AllocBit.
+///     release() frees a pointer into any owned block by atomically
+///     clearing its bit and writes nothing else.  Neither takes a lock
+///     or touches shared counters: the owner keeps its deltas privately,
+///     and they are folded into the heap under the lock at each
+///     checkout and when ownership ends.
 ///   * Slots not handed out keep clear AllocBits, so the bitmap is the
 ///     only record of slot state and nothing has to be reserved or
 ///     given back slot by slot.
@@ -57,31 +58,31 @@ public:
   static constexpr unsigned RefillSlots = 128;
   static constexpr unsigned BlocksPerRefill = 6;
 
-  /// Lock-free fast path: a fresh slot of lane \p LaneId from an owned
-  /// block, with its size in \p SlotBytes, or null when the lane's
-  /// blocks are exhausted or it has none.  Owner thread only.
-  void *take(unsigned LaneId, size_t &SlotBytes) {
+  /// Lock-free fast path: a fresh, zeroed slot of lane \p LaneId from an
+  /// owned block, or null when the lane's blocks are exhausted or it has
+  /// none.  Owner thread only.
+  void *take(unsigned LaneId) {
     if (LaneId >= Lanes.size() || !Lanes[LaneId])
       return nullptr;
     Lane &L = *Lanes[LaneId];
     void *Result = L.Used != 0 ? L.Blocks[L.Current].take() : nullptr;
     if (!Result && !(Result = takeFromOtherBlocks(L)))
       return nullptr;
-    SlotBytes = L.Blocks[L.Current].SlotBytes;
     ++Allocs;
-    Bytes += SlotBytes;
+    Bytes += L.Blocks[L.Current].SlotBytes;
     return Result;
   }
 
   /// Lock-free owner free: clears the AllocBit of \p Ptr when it is the
   /// base of an allocated slot in block \p Id and this thread owns that
-  /// block, zeroing the slot first.  \p Id is the page map's entry for
-  /// \p Ptr's page, read without the heap lock; it cannot change while
-  /// this thread owns the block, and a stale entry for any other page
-  /// only fails the range check.  \returns false, changing nothing, for
-  /// anything else — a foreign pointer, an interior pointer, a slot that
-  /// is already free — so the caller can take the locked path, which
-  /// classifies and reports it.  Owner thread only.
+  /// block; the slot keeps its bytes until a take hands it out again.
+  /// \p Id is the page map's entry for \p Ptr's page, read without the
+  /// heap lock; it cannot change while this thread owns the block, and a
+  /// stale entry for any other page only fails the range check.
+  /// \returns false, changing nothing, for anything else — a foreign
+  /// pointer, an interior pointer, a slot that is already free — so the
+  /// caller can take the locked path, which classifies and reports it.
+  /// Owner thread only.
   bool release(void *Ptr, BlockId Id) {
     OwnedBlock *B = Id < ById.size() ? ById[Id] : nullptr;
     if (B == nullptr)
@@ -96,9 +97,6 @@ public:
     uint64_t Mask = uint64_t(1) << (Slot % 64);
     if ((__atomic_load_n(&B->AllocWords[Word], __ATOMIC_ACQUIRE) & Mask) == 0)
       return false;
-    // Only this thread allocates from the block, and a remote free never
-    // writes slot memory, so zeroing before the bit clears races nothing.
-    std::memset(Ptr, 0, B->SlotBytes);
     if ((__atomic_fetch_and(&B->AllocWords[Word], ~Mask, __ATOMIC_RELEASE) &
          Mask) == 0)
       return false; // Another thread freed it first: a double free.
@@ -177,12 +175,17 @@ private:
         uint32_t Slot = W * 64 + Bit;
         if (Slot >= Count)
           break;
-        // Only the owner sets bits; remote frees may clear others in
-        // the same word concurrently, hence the atomic OR.
+        // Zeroed before the bit is published, so an allocated slot
+        // never holds a dead object's bytes, even while an owner stopped
+        // between the two is scanned.  No other thread writes a free
+        // slot.  Only the owner sets bits; remote frees may clear others
+        // in the same word concurrently, hence the atomic OR.
+        char *Result = First + size_t(Slot) * SlotBytes;
+        std::memset(Result, 0, SlotBytes);
         __atomic_fetch_or(&AllocWords[W], uint64_t(1) << Bit,
                           __ATOMIC_RELAXED);
         Hint = W;
-        return First + size_t(Slot) * SlotBytes;
+        return Result;
       }
       Hint = NumWords;
       return nullptr;

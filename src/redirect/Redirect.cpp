@@ -619,7 +619,7 @@ void *cgc_redirect_calloc(size_t Nmemb, size_t Bytes) {
   void *Ptr = gcAllocate(Total, /*Atomic=*/false);
   if (Ptr) {
     // Collector memory is zeroed by contract; re-zero anyway so that
-    // calloc does not depend on where the collector zeroes freed slots.
+    // calloc does not depend on where the collector zeroes slots.
     std::memset(Ptr, 0, Total);
     traceAllocEvent(TraceOp::Calloc, Ptr, Nmemb, Bytes, nullptr);
   }

@@ -5,6 +5,7 @@
 #include "heap/PageAllocator.h"
 #include "heap/PageMap.h"
 #include "heap/SizeClassTable.h"
+#include "heap/ThreadCache.h"
 #include "heap/VirtualArena.h"
 #include "support/BitVector.h"
 #include "support/Random.h"
@@ -546,11 +547,66 @@ TEST_F(ObjectHeapFixture, MarkAllocatedObjectLivePinsAcrossSweep) {
   Heap->markAllocatedObjectLive(&Local);
 }
 
-TEST_F(ObjectHeapFixture, FreedMemoryIsCleared) {
-  auto *A = static_cast<uint64_t *>(allocSmall(8));
-  *A = 0xDEADBEEFDEADBEEFULL;
+namespace {
+/// Fills \p Bytes at \p P with a nonzero pattern.
+void dirty(void *P, size_t Bytes) { std::memset(P, 0xAB, Bytes); }
+/// \returns true if every byte at \p P reads \p Value.
+bool allBytesAre(const void *P, size_t Bytes, unsigned char Value) {
+  const auto *B = static_cast<const unsigned char *>(P);
+  for (size_t I = 0; I != Bytes; ++I)
+    if (B[I] != Value)
+      return false;
+  return true;
+}
+} // namespace
+
+// Frees and the sweep leave a slot's bytes; every path that hands the
+// slot out again zeroes it first.
+TEST_F(ObjectHeapFixture, EveryHandOutPathZeroesTheSlot) {
+  const size_t Size = 48;
+  const unsigned Lane = Heap->laneFor(Size, ObjectKind::Normal);
+
+  // Locked take after an explicit free.
+  void *A = allocSmall(Size);
+  void *Keep = allocSmall(Size); // Keeps the block alive below.
+  dirty(A, Size);
   Heap->deallocateExplicit(A);
-  EXPECT_EQ(*A, 0u) << "explicit frees zero the freed slot";
+  EXPECT_TRUE(allBytesAre(A, Size, 0xAB)) << "a free writes no slot memory";
+  ASSERT_EQ(allocSmall(Size), A);
+  EXPECT_TRUE(allBytesAre(A, Size, 0)) << "locked take after a free";
+
+  // Locked take after a sweep.
+  dirty(A, Size);
+  Heap->clearMarks();
+  Heap->markTable().set(Arena.offsetOf(reinterpret_cast<Address>(Keep)));
+  ASSERT_EQ(Heap->sweep().ObjectsSweptFree, 1u);
+  EXPECT_TRUE(allBytesAre(A, Size, 0xAB)) << "the sweep writes no slot memory";
+  ASSERT_EQ(allocSmall(Size), A);
+  EXPECT_TRUE(allBytesAre(A, Size, 0)) << "locked take after a sweep";
+  Heap->deallocateExplicit(A);
+
+  // Cached takes from an owned block, after the owner's free and after
+  // a free from another thread (the locked path into an owned block).
+  BlockId Id = Heap->checkoutBlock(Lane);
+  ASSERT_NE(Id, InvalidBlockId);
+  BlockDescriptor &Block = Blocks.get(Id);
+  ThreadCache Cache;
+  Cache.install(Lane, Id, Block, Arena.pointerTo(Block.firstSlotOffset()));
+  void *B = Cache.take(Lane);
+  ASSERT_EQ(B, A) << "the block's lowest free slot";
+  EXPECT_TRUE(allBytesAre(B, Size, 0)) << "cached take of a dirty slot";
+  dirty(B, Size);
+  ASSERT_TRUE(Cache.release(B, Id));
+  EXPECT_TRUE(allBytesAre(B, Size, 0xAB)) << "an owner free writes nothing";
+  ASSERT_EQ(Cache.take(Lane), B);
+  EXPECT_TRUE(allBytesAre(B, Size, 0)) << "cached take after an owner free";
+  dirty(B, Size);
+  ASSERT_TRUE(Heap->deallocateExplicit(B));
+  EXPECT_TRUE(allBytesAre(B, Size, 0xAB)) << "a remote free writes nothing";
+  ASSERT_EQ(Cache.take(Lane), B);
+  EXPECT_TRUE(allBytesAre(B, Size, 0)) << "cached take after a remote free";
+  Cache.releaseAll([&](BlockId Owned) { Heap->returnBlock(Owned); });
+  EXPECT_TRUE(Heap->verify().clean());
 }
 
 TEST_F(ObjectHeapFixture, LargeObjectLifecycle) {
@@ -771,7 +827,6 @@ void checkSweepAgainstModel(SweepHarness &H,
   for (size_t I = 0; I != PageSize; ++I)
     Page[I] = static_cast<unsigned char>(I * 131 + 17) | 1;
   std::vector<unsigned char> Before(Page, Page + PageSize);
-  const size_t SlotsBegin = Block.FirstObjectOffset;
 
   H.Heap->clearMarks();
   for (uint32_t Slot = 0; Slot != Count; ++Slot)
@@ -802,12 +857,6 @@ void checkSweepAgainstModel(SweepHarness &H,
   EXPECT_EQ(R.PagesReleased, WantReleased ? 1u : 0u);
   EXPECT_EQ(BytesBefore - H.Heap->allocatedBytes(), NumFreed * Size);
 
-  // Freed slots read zero whether or not the block survived.
-  for (size_t I = SlotsBegin; I != SlotsBegin + Count * Size; ++I) {
-    if (Freed[(I - SlotsBegin) / Size]) {
-      ASSERT_EQ(Page[I], 0) << "freed byte " << I;
-    }
-  }
   if (WantReleased) {
     EXPECT_EQ(H.Blocks.liveCount(), 0u);
     return;
@@ -822,27 +871,27 @@ void checkSweepAgainstModel(SweepHarness &H,
   EXPECT_EQ(Block.AllocatedCount, NumLive);
   EXPECT_EQ(Block.PinnedCount, NumPinned);
 
-  // Everything the sweep did not free is byte-identical: live and
-  // pinned slots, the header gap and the tail waste.
-  for (size_t I = 0; I != PageSize; ++I) {
-    bool InSlots = I >= SlotsBegin && I < SlotsBegin + Count * Size;
-    if (InSlots && Freed[(I - SlotsBegin) / Size])
-      continue;
+  // The sweep writes no slot memory: freed, live and pinned slots, the
+  // header gap and the tail waste are all byte-identical.  (A freed
+  // slot is zeroed when it is handed out again.)
+  for (size_t I = 0; I != PageSize; ++I)
     ASSERT_EQ(Page[I], Before[I]) << "byte " << I << " changed";
-  }
 
   // The block stays listed exactly when it has a usable slot, and the
-  // next allocation takes the lowest one.
+  // next allocation takes the lowest one, zeroed.
   uint32_t FirstUsable = Count;
   for (uint32_t Slot = 0; Slot != Count && FirstUsable == Count; ++Slot)
     if (!WantAlloc[Slot] && !WantPinned[Slot])
       FirstUsable = Slot;
   void *Next = H.Heap->allocateFromExisting(
       H.Heap->laneFor(H.SlotBytes, H.Kind), H.SlotBytes);
-  if (FirstUsable == Count)
+  if (FirstUsable == Count) {
     EXPECT_EQ(Next, nullptr);
-  else
-    EXPECT_EQ(Next, H.slot(FirstUsable));
+    return;
+  }
+  ASSERT_EQ(Next, H.slot(FirstUsable));
+  for (size_t I = 0; I != Size; ++I)
+    ASSERT_EQ(static_cast<unsigned char *>(Next)[I], 0) << "byte " << I;
 }
 
 } // namespace

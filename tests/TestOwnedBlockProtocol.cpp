@@ -1,17 +1,18 @@
 //===- tests/TestOwnedBlockProtocol.cpp - Exhaustive slot protocol check --===//
 //
 // The owned-block protocol (heap/ThreadCache.h, ObjectHeap's checkout,
-// returnBlock and deallocateExplicit), checked the way Hawblitzel and
-// Petrank check a collector against its invariants ("Automated
-// Verification of Practical Garbage Collectors"), scaled down to an
-// exhaustive enumeration with no solver.
+// takeSlot, returnBlock and deallocateExplicit), checked the way
+// Hawblitzel and Petrank check a collector against its invariants
+// ("Automated Verification of Practical Garbage Collectors"), scaled
+// down to an exhaustive enumeration with no solver.
 //
-// The model is one slot of one block: its AllocWords bit, whether its
-// bytes are dirty, the block's Owned flag, whether the block's
-// RemoteFreed bitmap records the slot, and the ledger.  Each actor's
-// operation is a list of atomic steps, written as one step function.
-// The test runs every interleaving of every sequence of two or three
-// operations from four starting states and checks, on each:
+// The model is one slot of one block: its AllocWords bit, which
+// object's bytes it holds, the block's Owned flag, and the ledger.  Each
+// actor's operation is a list of atomic steps, written as one step
+// function.  No free and no sweep writes the slot; both takes zero it
+// before its bit is set.  The test runs every interleaving of every
+// sequence of two or three operations from four starting states (a
+// free slot starts dirty) and checks, on each:
 //
 //   * a contested free has exactly one winner, and every other free of
 //     the same object reports DoubleFree (none aborts);
@@ -19,12 +20,17 @@
 //     that object;
 //   * no slot is handed out dirty;
 //   * the counts balance: allocations minus frees is the bit, and a
-//     block no thread owns has the bit's AllocatedCount.
+//     block no thread owns has the bit's AllocatedCount;
 //
-// Two earlier rule sets run through the same checker and must each be
-// caught: a return that left remotely freed bytes in place (the locked
-// path then handed them out), and a remote free that wrote the slot and
-// then CHECKed the bit (it aborted when the owner won the race).
+// and, after every step, that an allocated slot never holds an earlier
+// object's bytes: the marker scans allocated slots only, so this is
+// what keeps a dead object's bytes from retaining anything.
+//
+// Rule sets that break the protocol run through the same checker and
+// must each be caught: a take that skips its zeroing, an owner take
+// that sets its bit before zeroing, and a remote free that wrote the
+// slot and then CHECKed the bit (it aborted when the owner won the
+// race).
 //
 // The client is assumed not to free a pointer after its slot has been
 // handed out again: such a free is indistinguishable from a free of the
@@ -34,6 +40,8 @@
 //===----------------------------------------------------------------------===//
 
 #include <gtest/gtest.h>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -41,20 +49,24 @@ namespace {
 
 enum class Rules {
   Current,
-  /// returnBlock refolded the counts but zeroed nothing.
-  ReturnKeepsRemoteBytes,
+  /// ThreadCache's take handed the slot out without zeroing it.
+  OwnerTakeSkipsZeroing,
+  /// ObjectHeap::takeSlot handed the slot out without zeroing it.
+  LockedTakeSkipsZeroing,
+  /// The owner's take set the bit, then zeroed the slot.
+  OwnerTakePublishesFirst,
   /// The remote free zeroed the slot, then CHECKed that its atomic clear
   /// found the bit set.
   RemoteFreeWritesSlot,
 };
 
 enum class OpKind {
-  OwnerTake,  // Lock-free: set the bit, zero the slot, hand it out.
-  OwnerFree,  // Lock-free: test the bit, zero the slot, clear the bit.
+  OwnerTake,  // Lock-free: zero the slot, set the bit, hand it out.
+  OwnerFree,  // Lock-free: test the bit, then clear it.
   RemoteFree, // Locked: classify, then clear the bit of an owned block.
   Return,     // Locked, owner parked: end ownership.
   Sweep,      // Locked, owner parked: skips owned blocks.
-  LockedTake, // Locked: takeSlot from a listed (not owned) block.
+  LockedTake, // Locked: zero and take a slot of a listed block.
 };
 constexpr OpKind AllOps[] = {OpKind::OwnerTake, OpKind::OwnerFree,
                              OpKind::RemoteFree, OpKind::Return,
@@ -94,7 +106,7 @@ struct Op {
   OpKind Kind;
   int Pc = 0;
   bool Done = false;
-  /// Frees: the handout this free is of, and whether it was still held
+  /// Frees: the object this free is of, and whether it was still held
   /// when the free began.
   int Target = 0;
   bool TargetHeld = false;
@@ -104,13 +116,14 @@ struct Op {
 
 struct State {
   bool Alloc = false;
-  bool Dirty = false;
   bool Owned = false;
-  bool RemoteFreed = false;
-  /// The latest handout (0: none) and whether a client still holds it.
+  /// The latest object (0: none), made when a take sets the bit; a
+  /// client holds it from its handout until its free.
   int Gen = 0;
   bool Held = false;
   int NextGen = 1;
+  /// The object whose bytes the slot holds; 0 once zeroed.
+  int Bytes = 0;
   /// The ledger: the descriptor's AllocatedCount (frozen while owned),
   /// and slots handed out, freed explicitly and swept since the start.
   int Count = 0;
@@ -118,27 +131,30 @@ struct State {
   int Frees = 0;
   int Swept = 0;
   bool InitialAlloc = false;
-  std::string Violation;
+  /// Every invariant this run broke.
+  std::set<std::string> Violations;
 };
 
-void violate(State &S, const std::string &What) {
-  if (S.Violation.empty())
-    S.Violation = What;
-}
+void violate(State &S, const std::string &What) { S.Violations.insert(What); }
 
 /// A write of zeroes to the slot by \p By (a free names its target).
-void zeroSlot(State &S, const Op *By) {
-  if (S.Held && !(By && isFree(By->Kind) && By->Target == S.Gen))
+void zeroSlot(State &S, const Op &By) {
+  if (S.Held && !(isFree(By.Kind) && By.Target == S.Gen))
     violate(S, "a slot holding an object was zeroed");
-  S.Dirty = false;
+  S.Bytes = 0;
+}
+
+/// A take sets the bit: the slot holds a new object from here on.
+void claim(State &S) {
+  S.Alloc = true;
+  S.Gen = S.NextGen++;
 }
 
 void handOut(State &S) {
-  if (S.Dirty)
+  if (S.Bytes != 0)
     violate(S, "a slot was handed out dirty");
-  S.Gen = S.NextGen++;
   S.Held = true;
-  S.Dirty = true; // The client writes its object.
+  S.Bytes = S.Gen; // The client writes its object.
   ++S.Allocs;
 }
 
@@ -163,7 +179,6 @@ void lockedFree(State &S, Op &O) {
     return finish(O, Outcome::DoubleFree);
   S.Alloc = false;
   --S.Count;
-  zeroSlot(S, &O);
   won(S, O);
 }
 
@@ -194,9 +209,15 @@ void step(State &S, Op &O, Rules R) {
       // outside this model.  Bit set: the block is dry.
       if (!S.Owned || S.Alloc)
         return finish(O, Outcome::NoOp);
-      S.Alloc = true;
+      if (R == Rules::OwnerTakePublishesFirst)
+        claim(S);
+      else if (R != Rules::OwnerTakeSkipsZeroing)
+        zeroSlot(S, O);
     } else if (O.Pc == 1) {
-      zeroSlot(S, &O); // finishCachedSlot.
+      if (R == Rules::OwnerTakePublishesFirst)
+        zeroSlot(S, O);
+      else
+        claim(S); // The atomic OR.
     } else {
       handOut(S);
       return finish(O, Outcome::NoOp);
@@ -209,8 +230,6 @@ void step(State &S, Op &O, Rules R) {
         return lockedFree(S, O); // release() fails over to the lock.
       if (!S.Alloc)
         return finish(O, Outcome::DoubleFree);
-    } else if (O.Pc == 1) {
-      zeroSlot(S, &O);
     } else {
       if (!S.Alloc) // The atomic AND found the bit clear.
         return finish(O, Outcome::DoubleFree);
@@ -226,14 +245,13 @@ void step(State &S, Op &O, Rules R) {
       if (!S.Owned)
         return lockedFree(S, O);
     } else if (R == Rules::RemoteFreeWritesSlot && O.Pc == 1) {
-      zeroSlot(S, &O);
+      zeroSlot(S, O);
     } else {
       if (!S.Alloc)
         return finish(O, R == Rules::RemoteFreeWritesSlot
                              ? Outcome::Aborted
                              : Outcome::DoubleFree);
       S.Alloc = false;
-      S.RemoteFreed = true;
       return won(S, O);
     }
     break;
@@ -241,9 +259,6 @@ void step(State &S, Op &O, Rules R) {
     if (S.Owned) {
       S.Count = S.Alloc; // Refolded from the bitmap.
       S.Owned = false;
-      if (R != Rules::ReturnKeepsRemoteBytes && S.RemoteFreed && !S.Alloc)
-        zeroSlot(S, nullptr);
-      S.RemoteFreed = false;
     }
     return finish(O, Outcome::NoOp);
   case OpKind::Sweep:
@@ -252,18 +267,25 @@ void step(State &S, Op &O, Rules R) {
       S.Alloc = false;
       --S.Count;
       ++S.Swept;
-      zeroSlot(S, nullptr);
     }
     return finish(O, Outcome::NoOp);
   case OpKind::LockedTake:
     if (!S.Owned && !S.Alloc) {
-      S.Alloc = true;
+      if (R != Rules::LockedTakeSkipsZeroing)
+        zeroSlot(S, O);
+      claim(S);
       ++S.Count;
       handOut(S);
     }
     return finish(O, Outcome::NoOp);
   }
   ++O.Pc;
+}
+
+/// The invariant checked after every step.
+void checkStep(State &S) {
+  if (S.Alloc && S.Bytes != 0 && S.Bytes != S.Gen)
+    violate(S, "an allocated slot holds an earlier object's bytes");
 }
 
 bool enabled(const State &S, const std::vector<Op> &Ops, size_t I) {
@@ -320,7 +342,16 @@ void checkEnd(State &S, const std::vector<Op> &Ops) {
 struct Result {
   uint64_t Runs = 0;
   uint64_t Violations = 0;
-  std::string First;
+  /// Each invariant broken, with the steps of the first run that broke
+  /// it.
+  std::map<std::string, std::string> Broken;
+
+  std::string str() const {
+    std::string Text;
+    for (const auto &[What, Steps] : Broken)
+      Text += What + " after steps:" + Steps + "\n";
+    return Text;
+  }
 };
 
 void explore(State S, std::vector<Op> Ops, Rules R, std::string Trace,
@@ -333,6 +364,7 @@ void explore(State S, std::vector<Op> Ops, Rules R, std::string Trace,
     State NextS = S;
     std::vector<Op> NextOps = Ops;
     step(NextS, NextOps[I], R);
+    checkStep(NextS);
     explore(NextS, NextOps, R, Trace + " " + opName(Ops[I].Kind), Out);
   }
   if (Any)
@@ -342,8 +374,11 @@ void explore(State S, std::vector<Op> Ops, Rules R, std::string Trace,
       violate(S, "no operation can run: deadlock");
   checkEnd(S, Ops);
   ++Out.Runs;
-  if (!S.Violation.empty() && Out.Violations++ == 0)
-    Out.First = S.Violation + " after steps:" + Trace;
+  if (S.Violations.empty())
+    return;
+  ++Out.Violations;
+  for (const std::string &What : S.Violations)
+    Out.Broken.try_emplace(What, Trace);
 }
 
 /// Every interleaving of every sequence of two or three operations,
@@ -354,12 +389,13 @@ Result checkProtocol(Rules R) {
     for (bool Alloc : {true, false}) {
       State S;
       S.Owned = Owned;
-      S.Alloc = S.InitialAlloc = Alloc;
+      S.InitialAlloc = Alloc;
       S.Count = Owned ? 0 : Alloc;
-      if (Alloc) {
-        S.Gen = S.NextGen++;
-        S.Held = S.Dirty = true;
-      }
+      // A free slot keeps the bytes of the object freed from it.
+      claim(S);
+      S.Alloc = Alloc;
+      S.Held = Alloc;
+      S.Bytes = S.Gen;
       Starts.push_back(S);
     }
   Result Out;
@@ -380,23 +416,37 @@ Result checkProtocol(Rules R) {
   return Out;
 }
 
+bool broke(const Result &Out, const std::string &What) {
+  return Out.Broken.count(What) != 0;
+}
+
 } // namespace
 
 TEST(OwnedBlockProtocol, EveryInterleavingKeepsTheInvariants) {
   Result Out = checkProtocol(Rules::Current);
   EXPECT_GT(Out.Runs, 5000u);
-  EXPECT_EQ(Out.Violations, 0u) << Out.First;
+  EXPECT_EQ(Out.Violations, 0u) << Out.str();
 }
 
-TEST(OwnedBlockProtocol, CatchesReturnThatKeepsRemotelyFreedBytes) {
-  Result Out = checkProtocol(Rules::ReturnKeepsRemoteBytes);
-  EXPECT_GT(Out.Violations, 0u);
-  EXPECT_NE(Out.First.find("handed out dirty"), std::string::npos)
-      << Out.First;
+TEST(OwnedBlockProtocol, CatchesTakeThatSkipsZeroing) {
+  for (Rules R :
+       {Rules::OwnerTakeSkipsZeroing, Rules::LockedTakeSkipsZeroing}) {
+    SCOPED_TRACE(R == Rules::OwnerTakeSkipsZeroing ? "owner" : "locked");
+    Result Out = checkProtocol(R);
+    EXPECT_TRUE(broke(Out, "a slot was handed out dirty")) << Out.str();
+  }
+}
+
+TEST(OwnedBlockProtocol, CatchesOwnerTakeThatPublishesBeforeZeroing) {
+  Result Out = checkProtocol(Rules::OwnerTakePublishesFirst);
+  EXPECT_TRUE(broke(Out, "an allocated slot holds an earlier object's bytes"))
+      << Out.str();
+  EXPECT_FALSE(broke(Out, "a slot was handed out dirty")) << Out.str();
 }
 
 TEST(OwnedBlockProtocol, CatchesRemoteFreeThatWritesTheSlot) {
   Result Out = checkProtocol(Rules::RemoteFreeWritesSlot);
-  EXPECT_GT(Out.Violations, 0u);
-  EXPECT_NE(Out.First.find("aborted"), std::string::npos) << Out.First;
+  EXPECT_TRUE(broke(Out,
+                    "the losing free aborted instead of reporting DoubleFree"))
+      << Out.str();
 }

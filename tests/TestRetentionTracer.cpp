@@ -2,6 +2,7 @@
 
 #include "core/RetentionTracer.h"
 #include "structures/FalseRef.h"
+#include "support/FaultInjection.h"
 #include <gtest/gtest.h>
 
 using namespace cgc;
@@ -166,4 +167,72 @@ TEST(RetentionTracer, DoesNotDisturbMarkBits) {
   RetentionTracer Tracer(GC);
   (void)Tracer.explain(Obj);
   EXPECT_TRUE(GC.wasMarkedLive(Obj)) << "tracing must not clear marks";
+}
+
+namespace {
+
+/// A freed slot whose dead bytes, which the free leaves in place, hold
+/// the only pointer to X, and a root range that falsely references the
+/// slot beside a live rooted object.
+struct FreedSlotScene {
+  Collector GC{tracerConfig()};
+  Node *X = nullptr;
+  Node *Slot = nullptr;
+  Node *Live = nullptr;
+  uint64_t Roots[2] = {};
+
+  FreedSlotScene() {
+    X = static_cast<Node *>(GC.allocate(sizeof(Node)));
+    Slot = static_cast<Node *>(GC.allocate(sizeof(Node)));
+    Live = static_cast<Node *>(GC.allocate(sizeof(Node)));
+    Slot->Next = X;
+    GC.deallocate(Slot);
+    Roots[0] = reinterpret_cast<uint64_t>(Slot);
+    Roots[1] = reinterpret_cast<uint64_t>(Live);
+    GC.addRootRange(Roots, Roots + 2, RootEncoding::Native64,
+                    RootSource::Client, "false-ref");
+  }
+
+  /// Collects and checks that the free slot was marked, and so pinned,
+  /// but that nothing was traced through it.
+  void collectAndCheck(bool ExpectOverflow) {
+    ASSERT_EQ(Slot->Next, X) << "a free leaves the slot's bytes";
+    CollectionStats Stats = GC.collect("freed-slot");
+    EXPECT_EQ(Stats.MarkStackOverflows > 0, ExpectOverflow);
+    EXPECT_TRUE(GC.wasMarkedLive(Slot));
+    EXPECT_FALSE(GC.isAllocated(Slot));
+    EXPECT_EQ(Stats.SlotsPinned, 1u) << "the false reference pins the slot";
+    EXPECT_TRUE(GC.isAllocated(Live));
+    EXPECT_FALSE(GC.wasMarkedLive(X));
+    EXPECT_FALSE(GC.isAllocated(X)) << "retained through a free slot's bytes";
+  }
+};
+
+} // namespace
+
+TEST(FreeSlotRetention, MarkerNeverScansAFreeSlot) {
+  FreedSlotScene Scene;
+  Scene.collectAndCheck(/*ExpectOverflow=*/false);
+}
+
+TEST(FreeSlotRetention, OverflowRecoveryNeverScansAFreeSlot) {
+  if (!FaultInjectionCompiled)
+    GTEST_SKIP() << "built without CGC_FAULT_INJECTION";
+  FaultInjector::instance().disarmAll();
+  FreedSlotScene Scene;
+  // Every push drops its item, so Live's push sets the overflow flag and
+  // recovery rebuilds the closure from the mark table, which holds the
+  // free slot's mark too.
+  FaultInjector::instance().arm(FaultSite::MarkStackOverflow, 0, UINT64_MAX);
+  Scene.collectAndCheck(/*ExpectOverflow=*/true);
+  FaultInjector::instance().disarmAll();
+}
+
+TEST(FreeSlotRetention, TracerNeverTracesThroughAFreeSlot) {
+  FreedSlotScene Scene;
+  RetentionTracer Tracer(Scene.GC);
+  EXPECT_TRUE(Tracer.explain(Scene.Slot).Reached)
+      << "the false reference reaches the free slot, as the marker does";
+  EXPECT_FALSE(Tracer.explain(Scene.X).Reached) << Tracer.explain(Scene.X)
+                                                       .describe();
 }

@@ -376,10 +376,9 @@ TEST(ThreadCache, RemoteFreeIntoOwnedBlockStaysWithOwner) {
   EXPECT_TRUE(GC.verifyHeapReport().clean());
 }
 
-// The remote free leaves the slot's bytes for the owner, which zeroes
-// only the slots it hands out itself.  Once the block is returned, the
-// locked path hands its free slots out without zeroing them, so the
-// return must zero what the remote free left.  X's address is kept off
+// The remote free leaves the slot's bytes, as every free does.  Once
+// the block is returned, the locked path hands the slot out again, and
+// its take must zero what the remote free left.  X's address is kept off
 // every scanned stack (stored inverted, and the collections run after
 // both threads have left), so no conservative pin keeps X from reuse.
 TEST(ThreadCache, RemoteFreedSlotIsZeroedBeforeReuse) {

@@ -55,6 +55,30 @@ TEST(ThreadRegistry, RegisterUnregisterChurn) {
   EXPECT_EQ(Cycle.MutatorsStopped, 0u);
 }
 
+namespace {
+/// Checks, in the calling frame, the stack base registration falls back
+/// to when the platform exposes no stack extent.
+void expectFallbackBoundsThisFrame() {
+  volatile char Local = 0;
+  const void *Base = ThreadRegistry::callerFrameBase();
+  ASSERT_NE(Base, nullptr);
+  EXPECT_GT(reinterpret_cast<uintptr_t>(Base),
+            reinterpret_cast<uintptr_t>(&Local))
+      << "a local of the registering frame lies above the stack base";
+  // A real address on this thread's stack, not a stale or folded one.
+  if (const void *Top = ThreadRegistry::pthreadStackBase()) {
+    EXPECT_LE(reinterpret_cast<uintptr_t>(Base),
+              reinterpret_cast<uintptr_t>(Top));
+  }
+}
+} // namespace
+
+TEST(ThreadRegistry, FallbackStackBaseBoundsTheCallersFrame) {
+  expectFallbackBoundsThisFrame();
+  std::thread Worker(expectFallbackBoundsThisFrame);
+  Worker.join();
+}
+
 TEST(ThreadRegistry, RegistrationHonorsMutatorThreadsCap) {
   GcConfig Config = testConfig();
   Config.MutatorThreads = 2;
