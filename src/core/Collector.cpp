@@ -1157,7 +1157,7 @@ GcLeakReport Collector::findLeaks() {
     if (Block.LayoutId != 0)
       return;
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || Marks.isMarked(Block, Slot))
+      if (!Heap->slotAllocated(Block, Slot) || Marks.isMarked(Block, Slot))
         continue;
       WindowOffset Base = Block.slotOffset(Slot);
       GuardLayer::Decoded Info =
@@ -1242,7 +1242,7 @@ void Collector::emitRetainedObjects() {
   const MarkTable &Marks = Heap->markTable();
   Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || !Marks.isMarked(Block, Slot))
+      if (!Heap->slotAllocated(Block, Slot) || !Marks.isMarked(Block, Slot))
         continue;
       void *Ptr = Arena->pointerTo(Block.slotOffset(Slot));
       Observers.dispatch([&](GcObserver &O) {
@@ -1275,11 +1275,6 @@ CollectionStats Collector::collect(const char *Reason) {
   flushQuarantine();
   InCollection = true;
 
-  // Deterministic corruption drills: any armed Metadata* fault site
-  // fires here — after unsealing, before any phase — so corrupt-soak
-  // runs replay bit-for-bit.  No-op without armed sites.
-  Heap->injectMetadataFaults();
-
   for (const auto &Hook : PreCollectionHooks)
     Hook();
 
@@ -1295,6 +1290,16 @@ CollectionStats Collector::collect(const char *Reason) {
   noteCrashEvent(GcEventKind::CollectionBegin, /*Phase=*/-1, 0);
   Observers.dispatch(
       [&](GcObserver &O) { O.onCollectionBegin(CollectionIndex, Reason); });
+
+  // The last cycle's pending blocks are swept and every mark cleared
+  // before anything reads the heap.  This is pause time, so it runs
+  // after the begin event that observers time the pause from.
+  Heap->clearMarks();
+
+  // Deterministic corruption drills: any armed Metadata* fault site
+  // fires here — after unsealing, before any phase — so corrupt-soak
+  // runs replay bit-for-bit.  No-op without armed sites.
+  Heap->injectMetadataFaults();
 
   // The probe and both jmp_bufs are function-scope so the root ranges
   // stay valid through every phase; deeper collector frames sit below
@@ -1402,14 +1407,15 @@ CollectionStats Collector::collect(const char *Reason) {
 
   // Transactional retry: a mid-phase verification failure abandoned
   // the pipeline above.  Repair in place — world still stopped, heap
-  // lock held — and retry the cycle once under the already-paid
-  // handshake (the root-scan clears the partial mark state).  A second
-  // failure parks the collector in degraded mode rather than ever
-  // sweeping over metadata that cannot be made consistent.
+  // lock held — clear the partial mark state, and retry the cycle once
+  // under the already-paid handshake.  A second failure parks the
+  // collector in degraded mode rather than ever sweeping over metadata
+  // that cannot be made consistent.
   if (RepairPending) {
     RepairPending = false;
     ++RepairStatsInfo.CollectionsRetried;
     repairHeapLocked();
+    Heap->clearMarks();
     CollectionStats Retry;
     Retry.MutatorsStopped = Cycle.MutatorsStopped;
     Retry.HandshakeNanos = Cycle.HandshakeNanos;
@@ -1498,6 +1504,9 @@ CollectionStats Collector::measureLiveness() {
     if (World.self())
       setjmp(SelfRegisters);
     World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
+    // Pending blocks are swept first, with the marks they were left
+    // with, so a census never leaves a block pending.
+    Heap->clearMarks();
     Marking->runMark(Roots, Cycle);
   } // Removes the root ranges and resumes the world.
   InCollection = false;
@@ -1558,6 +1567,21 @@ void Collector::verifyHeap() {
   std::fprintf(stderr, "cgc heap verification failed (%zu issues):\n%s",
                Report.Issues.size(), Report.str().c_str());
   fatalError("heap verification failed", __FILE__, __LINE__);
+}
+
+void Collector::VerifySink::onPhaseBegin(GcPhase Phase) {
+  // The root scan begins from clear marks: a mark left set would settle
+  // its object as already traced, and the objects only it reaches would
+  // be swept while live.
+  if (!GC.Config.VerifyEveryCollection || Phase != GcPhase::RootScan)
+    return;
+  HeapVerifyReport Report = GC.Heap->verifyMarksClear();
+  if (Report.clean())
+    return;
+  std::fprintf(stderr, "cgc heap verification failed before the root "
+                       "scan:\n%s",
+               Report.str().c_str());
+  fatalError("mark bits set when the root scan began", __FILE__, __LINE__);
 }
 
 void Collector::VerifySink::onPhaseEnd(GcPhase Phase, uint64_t,
@@ -1680,7 +1704,7 @@ void Collector::reportLeaks() {
   const MarkTable &Marks = Heap->markTable();
   Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Block.AllocBits.test(Slot) || Marks.isMarked(Block, Slot))
+      if (!Heap->slotAllocated(Block, Slot) || Marks.isMarked(Block, Slot))
         continue;
       void *Base = Arena->pointerTo(Block.slotOffset(Slot));
       if (Guards && Block.LayoutId == 0) {
@@ -1847,11 +1871,17 @@ void Collector::printReport(std::FILE *Out) const {
                     "%llu explicit frees\n",
                (unsigned long long)Heap->stats().ObjectsAllocated,
                (unsigned long long)Heap->stats().ExplicitFrees);
+  const ObjectHeapStats &HS = Heap->stats();
   std::fprintf(Out, "collections     : %llu (mark %.2f ms, sweep %.2f "
-                    "ms total)\n",
+                    "ms total); blocks swept at hand-out %llu (%.2f ms), "
+                    "at cycle start %llu (%.2f ms)\n",
                (unsigned long long)Lifetime.Collections,
                Lifetime.TotalMarkNanos / 1e6,
-               Lifetime.TotalSweepNanos / 1e6);
+               Lifetime.TotalSweepNanos / 1e6,
+               (unsigned long long)HS.HandOutSweeps,
+               HS.HandOutSweepNanos / 1e6,
+               (unsigned long long)HS.CycleStartSweeps,
+               HS.CycleStartSweepNanos / 1e6);
   std::fprintf(Out, "pipeline        :");
   for (unsigned I = 0; I != NumGcPhases; ++I)
     std::fprintf(Out, " %s %.2f ms%s",
@@ -1996,7 +2026,7 @@ void Collector::forEachObject(
             });
   for (const BlockDescriptor *Block : Sorted) {
     for (uint32_t Slot = 0; Slot != Block->ObjectCount; ++Slot) {
-      if (!Block->AllocBits.test(Slot))
+      if (!Heap->slotAllocated(*Block, Slot))
         continue;
       WindowOffset Base = Block->slotOffset(Slot);
       if (Guards && Block->LayoutId == 0) {

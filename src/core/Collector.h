@@ -435,10 +435,12 @@ private:
   /// Runs the deep verifier after every pipeline phase when
   /// GcConfig::VerifyEveryCollection is on; aborts with the report on
   /// any inconsistency so fuzz runs fail at the phase that corrupted
-  /// the heap, not collections later.
+  /// the heap, not collections later.  Before the root scan it checks
+  /// that no mark bit is set.
   class VerifySink final : public GcObserver {
   public:
     explicit VerifySink(Collector &GC) : GC(GC) {}
+    void onPhaseBegin(GcPhase Phase) override;
     void onPhaseEnd(GcPhase Phase, uint64_t Nanos,
                     const CollectionStats &SoFar) override;
 

@@ -64,6 +64,9 @@ struct CollectionStats {
   uint64_t HeapWordsScanned = 0;
   uint64_t ObjectsMarked = 0;
   uint64_t BytesMarked = 0;
+  /// The sweep's counts, as if every block were swept in the pause: a
+  /// block left pending is counted here, and its bitmaps catch up when
+  /// allocation reaches it (ObjectHeap::sweep).
   uint64_t ObjectsSweptFree = 0;
   uint64_t BytesSweptFree = 0;
   uint64_t ObjectsLive = 0;

@@ -78,8 +78,14 @@ ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
   BlockId Id = Map.blockAt(pageOfOffset(Candidate));
   if (Id == InvalidBlockId)
     return {};
-  int32_t Slot = slotFor(Blocks.get(Id), Candidate);
+  const BlockDescriptor &Block = Blocks.get(Id);
+  int32_t Slot = slotFor(Block, Candidate);
   if (Slot < 0)
+    return {};
+  // Outside a mark a block may be pending, and then a dead object's
+  // alloc bit is still set: slotFor's bitmap test alone would accept it.
+  if (Config.PreciseFreeSlotDetection &&
+      !Heap.slotAllocated(Block, static_cast<uint32_t>(Slot)))
     return {};
   return {Id, static_cast<uint32_t>(Slot)};
 }
@@ -91,14 +97,14 @@ void MarkContext::registerDisplacement(uint32_t Displacement) {
     Displacements.insert(It, Displacement);
 }
 
-void MarkContext::resetMarks(CollectionStats &Stats) {
-  // One walk of the block table: every block's marks are cleared, and
-  // uncollectable blocks — roots, live by definition, whose contents may
-  // hold the only pointer to collectable data — are marked at each
+void MarkContext::markUncollectables(CollectionStats &Stats) {
+  // Uncollectable blocks — roots, live by definition, whose contents
+  // may hold the only pointer to collectable data — are marked at each
   // allocated slot's base.
+  if (Heap.uncollectableBlockCount() == 0)
+    return;
   MarkTable &Marks = Heap.markTable();
   Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
-    Marks.clearBlock(Block);
     if (!kindIsUncollectable(Block.Kind))
       return;
     const uint64_t *Alloc = Block.AllocBits.words();
@@ -123,7 +129,7 @@ void MarkContext::resetMarks(CollectionStats &Stats) {
 
 void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
   Seeds.clear();
-  resetMarks(Stats);
+  markUncollectables(Stats);
   MarkWorker Scanner(*this, Stats);
   for (const RootScanSpan &Span : Roots.scannableSpans())
     Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);
@@ -193,6 +199,7 @@ MarkWorker::MarkWorker(MarkContext &Ctx, CollectionStats &Stats)
     : Ctx(Ctx), Stats(Stats),
       HeapBase(reinterpret_cast<const unsigned char *>(Ctx.Arena.base())),
       Marks(Ctx.Heap.markTable()), Stack(Ctx.Seeds),
+      Epoch(Ctx.Heap.markEpoch()),
       FaultsArmed(FaultInjector::instance().anyArmed()) {}
 
 MarkWorker::~MarkWorker() {
@@ -275,12 +282,16 @@ bool MarkWorker::considerCandidate(WindowOffset Candidate,
   ++Stats.ObjectsMarked;
   Stats.BytesMarked += Block->ObjectSize;
   ++Stats.MarksByOrigin[static_cast<unsigned>(Origin)];
+  // The sweep pass counts a partly marked block from this tally: its
+  // marked free slots are its pins, and the rest of its marks are its
+  // live objects.
+  bool Allocated = Block->AllocBits.test(static_cast<uint32_t>(Slot));
+  ObjectHeap::tallyMark(*Block, Allocated, Epoch);
   // "for each field q ... mark(q)" — deferred to the mark stack, and
   // skipped entirely for objects declared pointer-free.  A marked free
   // slot (a false reference; the sweep pins it) is never scanned: its
   // bytes are a dead object's, which nothing zeroed.
-  if (!kindIsPointerFree(Block->Kind) &&
-      Block->AllocBits.test(static_cast<uint32_t>(Slot)))
+  if (Allocated && !kindIsPointerFree(Block->Kind))
     push({Base, Block->ObjectSize, Block->LayoutId});
   return true;
 }

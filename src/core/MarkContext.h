@@ -34,20 +34,23 @@
 /// split into:
 ///
 ///   * MarkContext — what the collector's phase pipeline drives:
-///     runRootScan (the RootScan phase: clear marks, mark uncollectable
-///     objects, scan every root span, seeding — not draining — the
-///     objects reached) and runMarkPhase (the Mark phase: drain the
-///     seeds to the full reachability closure).  It holds the heap
-///     views (page map, block table, object heap), the
+///     runRootScan (the RootScan phase: mark uncollectable objects,
+///     scan every root span, seeding — not draining — the objects
+///     reached) and runMarkPhase (the Mark phase: drain the seeds to
+///     the full reachability closure).  Both start from clear marks:
+///     the collector calls ObjectHeap::clearMarks first.  It holds the
+///     heap views (page map, block table, object heap), the
 ///     candidate-resolution policies (interior-pointer rules,
 ///     displacements), the blacklist feed, and the one mark stack.
 ///
 ///   * MarkWorker — the tracer.  It pushes onto and drains the
 ///     context's LIFO mark stack (the paper's mark stack) and sets the
-///     mark table's bits with plain stores.  It buffers near-miss blacklist
-///     candidates in a fixed-size array and flushes it when full and
-///     when its scan or drain ends, timing each flush for the
-///     footnote-3 measurement.
+///     mark table's bits with plain stores.  With each new mark it
+///     keeps the block's tally (ObjectHeap::tallyMark), from which the
+///     sweep pass counts live objects and pins without gathering
+///     marks.  It buffers near-miss blacklist candidates in a
+///     fixed-size array and flushes it when full and when its scan or
+///     drain ends, timing each flush for the footnote-3 measurement.
 ///
 /// There is one marker and no thread: the Mark phase is the paper's
 /// sequential mark loop.  The mark stack keeps its capacity across
@@ -96,9 +99,10 @@ public:
   /// mark.
   void registerDisplacement(uint32_t Displacement);
 
-  /// RootScan phase: clears marks, marks uncollectable objects, scans
-  /// every span of \p Roots, and seeds the mark stack with everything
-  /// reached.  Phase statistics accumulate into \p Stats.
+  /// RootScan phase: marks uncollectable objects, scans every span of
+  /// \p Roots, and seeds the mark stack with everything reached.  The
+  /// marks must be clear (ObjectHeap::clearMarks).  Phase statistics
+  /// accumulate into \p Stats.
   void runRootScan(const RootSet &Roots, CollectionStats &Stats);
 
   /// Mark phase: transitively marks the heap from the seeds left by
@@ -161,10 +165,10 @@ private:
     return Slot;
   }
 
-  /// The RootScan phase's one block-table walk: clears every mark bit,
-  /// then marks each uncollectable block's allocated slots and seeds
-  /// the pointer-bearing ones in slot order.
-  void resetMarks(CollectionStats &Stats);
+  /// The RootScan phase's block-table walk, taken only when the heap
+  /// has an uncollectable block: marks each uncollectable block's
+  /// allocated slots and seeds the pointer-bearing ones in slot order.
+  void markUncollectables(CollectionStats &Stats);
 
   VirtualArena &Arena;
   PageAllocator &Pages;
@@ -239,6 +243,8 @@ private:
   MarkTable &Marks;
   /// The context's mark stack.
   std::vector<MarkWorkItem> &Stack;
+  /// The heap's mark epoch, which each new mark's tally is stamped with.
+  const uint32_t Epoch;
   PageIndex NearMisses[NearMissBatch];
   unsigned NumNearMisses = 0;
   /// Snapshot of FaultInjector::anyArmed() taken at construction: push

@@ -99,7 +99,7 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     if (Found || !kindIsUncollectable(Block.Kind))
       return;
     for (uint32_t Slot = 0; Slot != Block.ObjectCount && !Found; ++Slot) {
-      if (!Block.AllocBits.test(Slot))
+      if (!Heap.slotAllocated(Block, Slot))
         continue;
       ObjectRef Ref{Id, Slot};
       uint64_t Key = keyOf(Ref);
@@ -157,8 +157,9 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
                   static_cast<uint32_t>(Key)};
     const BlockDescriptor &Block =
         Heap.blockTable().get(Ref.Block);
-    // Like the marker, reach a free slot but never trace through it.
-    if (kindIsPointerFree(Block.Kind) || !Block.AllocBits.test(Ref.Slot))
+    // Like the marker, reach a free slot but never trace through it: a
+    // dead object of a pending block is a free slot too.
+    if (kindIsPointerFree(Block.Kind) || !Heap.slotAllocated(Block, Ref.Slot))
       continue;
     WindowOffset Base = Heap.baseOffset(Ref);
     const unsigned char *P =

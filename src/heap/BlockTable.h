@@ -31,9 +31,9 @@ namespace cgc {
 
 struct BlockDescriptor {
   // The fields the mark loop's validity test reads come first and fill
-  // the first 32 bytes, with AllocBits' word pointer (read only under
-  // PreciseFreeSlotDetection) right after, so a candidate's descriptor
-  // probe rarely spans two cache lines.
+  // the first 32 bytes, then the mark tally, then AllocBits' word
+  // pointer, so a candidate's descriptor probe rarely spans two cache
+  // lines.
   PageIndex StartPage = 0;
   /// Slot size for small blocks; exact requested size for large blocks.
   uint32_t ObjectSize = 0;
@@ -66,6 +66,23 @@ struct BlockDescriptor {
   /// and is refolded from the bitmap when ownership ends.  Written only
   /// under the heap lock.
   bool Owned = false;
+  /// The marker's tally for the sweep pass: MarkedFree counts the free
+  /// slots the marker marked in this block during mark epoch MarkEpoch
+  /// (ObjectHeap::markEpoch).  Only a tally of the current epoch counts;
+  /// a take or a free between the mark and the pass resets MarkEpoch to
+  /// 0, and the pass then counts the block from its gathered marks.
+  /// Kept beside the fields the mark loop already reads, since it
+  /// updates them with every new mark.
+  uint32_t MarkEpoch = 0;
+  uint16_t MarkedFree = 0;
+  /// Set by a collection's sweep pass on a small block it kept without
+  /// sweeping.  AllocatedCount and PinnedCount already hold the swept
+  /// values, but AllocBits still includes the dead objects and
+  /// PinnedBits the previous pins: until the block is swept, a slot is
+  /// allocated only if its alloc bit and its mark bit are both set.
+  /// The first mutation of the block sweeps it
+  /// (ObjectHeap::sweepPendingBlock).  Written only under the heap lock.
+  bool Pending = false;
   /// One bit per slot: the slot holds a client-allocated object.  Kept
   /// off-heap so the allocator never writes link words into client
   /// memory — the collector must not manufacture stale heap pointers

@@ -153,6 +153,8 @@ HeapVerifyReport HeapVerifier::run() {
   uint64_t BytesSeen = 0;
   uint64_t MarksInBlocks = 0;
   uint64_t BlockOwnedPages = 0;
+  uint64_t PendingSeen = 0;
+  uint64_t UncollectableSeen = 0;
   Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (Block.NumPages == 0 || Block.ObjectCount == 0) {
       R.notefAt(K::BlockGeometry, Id, Block.StartPage,
@@ -192,17 +194,37 @@ HeapVerifyReport HeapVerifier::run() {
       }
     }
     // An owned block's counter keeps its checkout value until the owner
-    // returns it; only its bitmap is current.
-    if (!Block.Owned && Block.AllocBits.count() != Block.AllocatedCount)
+    // returns it; only its bitmap is current.  A pending block's counts
+    // are already the swept ones: its live slots are the allocated
+    // marked ones, and its pins the marked free ones.
+    uint64_t AllocSeen = Block.AllocBits.count();
+    uint64_t PinnedSeen = Block.PinnedBits.count();
+    if (Block.Pending) {
+      ++PendingSeen;
+      if (Block.IsLarge || Block.Owned || kindIsUncollectable(Block.Kind))
+        R.notefAt(K::CounterMismatch, Id, Block.StartPage,
+                  "block %u: pending, but not a small collectable block "
+                  "the heap owns",
+                  Id);
+      uint64_t Mark[MarkTable::MaxSlotWords];
+      Heap.Marks.gather(Block, Mark);
+      const uint64_t *Alloc = Block.AllocBits.words();
+      AllocSeen = PinnedSeen = 0;
+      for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
+        uint64_t Mask = Block.slotWordMask(W);
+        AllocSeen += static_cast<uint64_t>(std::popcount(Alloc[W] & Mark[W]));
+        PinnedSeen +=
+            static_cast<uint64_t>(std::popcount(Mark[W] & ~Alloc[W] & Mask));
+      }
+    }
+    if (!Block.Owned && AllocSeen != Block.AllocatedCount)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: alloc bitmap has %llu bits set, counter says %u",
-                Id, (unsigned long long)Block.AllocBits.count(),
-                Block.AllocatedCount);
-    if (Block.PinnedBits.count() != Block.PinnedCount)
+                Id, (unsigned long long)AllocSeen, Block.AllocatedCount);
+    if (PinnedSeen != Block.PinnedCount)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: pinned bitmap has %llu bits set, counter says %u",
-                Id, (unsigned long long)Block.PinnedBits.count(),
-                Block.PinnedCount);
+                Id, (unsigned long long)PinnedSeen, Block.PinnedCount);
     if (Block.AllocatedCount + Block.PinnedCount > Block.ObjectCount)
       R.notefAt(K::CounterMismatch, Id, Block.StartPage,
                 "block %u: %u allocated + %u pinned exceed %u slots", Id,
@@ -238,7 +260,8 @@ HeapVerifyReport HeapVerifier::run() {
                 "(%u slots, %u allocated)",
                 Id, Block.ObjectCount, Block.AllocatedCount);
     // Every small block with usable space must be reachable by the
-    // allocator: listed on its class list.  Owned blocks are their
+    // allocator: listed on its class list, pending or not (a pending
+    // block's counts are the swept ones).  Owned blocks are their
     // owner's to allocate from, never listed.
     if (!Block.IsLarge && !Block.Owned && Block.usableFreeCount() > 0 &&
         Heap.classListFor(Block).count(Block.StartPage) == 0)
@@ -253,7 +276,7 @@ HeapVerifyReport HeapVerifier::run() {
     if (Heap.Config.Guards && Block.LayoutId == 0) {
       const GuardLayer *Guards = Heap.Config.Guards;
       for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-        if (!Block.AllocBits.test(Slot))
+        if (!Heap.slotAllocated(Block, Slot))
           continue;
         WindowOffset Base = Block.slotOffset(Slot);
         if (Guards->isQuarantined(Base))
@@ -274,6 +297,7 @@ HeapVerifyReport HeapVerifier::run() {
     }
     BytesSeen += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
     BlockOwnedPages += Block.NumPages;
+    UncollectableSeen += kindIsUncollectable(Block.Kind);
   });
   // No mark bit is set on a page that no live block covers: every set
   // bit of the committed range was counted inside some block above.
@@ -298,6 +322,16 @@ HeapVerifyReport HeapVerifier::run() {
               "says %llu",
               (unsigned long long)BytesSeen,
               (unsigned long long)Heap.AllocatedBytes);
+  if (PendingSeen != Heap.PendingBlocks)
+    R.notefAt(K::Accounting, InvalidBlockId, 0,
+              "pending blocks: %llu flagged, counter says %llu",
+              (unsigned long long)PendingSeen,
+              (unsigned long long)Heap.PendingBlocks);
+  if (UncollectableSeen != Heap.UncollectableBlocks)
+    R.notefAt(K::Accounting, InvalidBlockId, 0,
+              "uncollectable blocks: %llu live, counter says %llu",
+              (unsigned long long)UncollectableSeen,
+              (unsigned long long)Heap.UncollectableBlocks);
 
   // --- Class lists point at live blocks of their own lane. ---
   for (unsigned Lane = 0; Lane != Heap.ClassLists.size(); ++Lane) {
@@ -376,6 +410,20 @@ HeapVerifyReport HeapVerifier::run() {
   return R;
 }
 
+HeapVerifyReport HeapVerifier::checkMarksClear() {
+  HeapVerifyReport R;
+  if (countCommittedMarks(Heap.Marks, Heap.Pages) == 0)
+    return R;
+  PageIndex First = Heap.Pages.arenaBasePage();
+  while (!pageHasMarks(Heap.Marks, First))
+    ++First;
+  R.notefAt(VerifyFindingKind::CounterMismatch, Heap.Map.blockAt(First),
+            First,
+            "mark table: bits set before the root scan (first at page %llu)",
+            (unsigned long long)First);
+  return R;
+}
+
 //===----------------------------------------------------------------------===//
 // Repair
 //===----------------------------------------------------------------------===//
@@ -387,6 +435,9 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
     return Pre;
   }
 
+  // The repairs below resync counts from bitmaps, so the bitmaps must
+  // hold the swept state first.
+  Heap.finishPendingSweeps();
   PageAllocator &Pages = Heap.Pages;
   PageMap &Map = Heap.Map;
   std::vector<BlockId> QuarantinedBlocks;
@@ -558,13 +609,17 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
     Pages.rebuildFreeRuns(Runs);
   }
 
-  // (f) Recompute the heap-wide allocated-bytes counter.
+  // (f) Recompute the heap-wide allocated-bytes and uncollectable-block
+  // counters: quarantine destroyed blocks without releasing them.
   {
     uint64_t Bytes = 0;
+    size_t Uncollectable = 0;
     Heap.Blocks.forEach([&](BlockId, BlockDescriptor &B) {
       Bytes += uint64_t(B.AllocatedCount) * B.ObjectSize;
+      Uncollectable += kindIsUncollectable(B.Kind);
     });
     Heap.AllocatedBytes = Bytes;
+    Heap.UncollectableBlocks = Uncollectable;
   }
 
   // Annotate the pre-repair findings with what happened to them.

@@ -162,6 +162,10 @@ public:
   /// Runs every check and \returns the accumulated report.
   HeapVerifyReport run();
 
+  /// Checks only that no mark bit is set on a committed heap page: the
+  /// state a root scan must begin from.
+  HeapVerifyReport checkMarksClear();
+
   /// Verifies, then repairs what metadata redundancy allows: counters
   /// resynced from bitmaps, page map re-derived from the block table,
   /// class lists and free runs rebuilt, irreparable blocks quarantined

@@ -8,8 +8,9 @@
 /// \file
 /// The heap's only record of marks: one bit per 8-byte granule over the
 /// heap arena's page range, indexed by address alone.  A bit is set only
-/// at the base of a slot of a live block that the current cycle marked.
-/// That invariant lets the mark loop answer Figure 2's "if p is marked
+/// at the base of a slot of a live block that the last mark marked, and
+/// ObjectHeap::clearMarks clears every bit before a mark begins.  That
+/// invariant lets the mark loop answer Figure 2's "if p is marked
 /// return" before any validity test: a granule-aligned candidate whose
 /// bit is set is a marked object's base, which every interior-pointer
 /// policy accepts, so one load settles it with no page-map probe and no

@@ -5,9 +5,17 @@
 #include "support/MathExtras.h"
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstring>
 
 using namespace cgc;
+
+static uint64_t nowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 ObjectHeap::ObjectHeap(VirtualArena &Arena, PageAllocator &Pages,
                        PageMap &Map, BlockTable &Blocks,
@@ -55,8 +63,23 @@ PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
   CGC_UNREACHABLE("bad object kind");
 }
 
+BlockId ObjectHeap::pickAllocationBlock(unsigned Lane) {
+  ClassList &List = ClassLists[Lane];
+  while (!List.empty()) {
+    BlockId Id = List.begin()->second;
+    BlockDescriptor &Block = Blocks.get(Id);
+    if (!Block.Pending)
+      return Id;
+    sweepPendingBlock(Block, /*AtHandOut=*/true);
+    if (Block.usableFreeCount() != 0)
+      return Id;
+    List.erase(List.begin());
+  }
+  return InvalidBlockId;
+}
+
 void *ObjectHeap::allocateFromExisting(unsigned Lane, size_t Bytes) {
-  BlockId Id = pickAllocationBlock(ClassLists[Lane]);
+  BlockId Id = pickAllocationBlock(Lane);
   if (Id == InvalidBlockId)
     return nullptr;
   Stats.BytesRequested += std::max<size_t>(Bytes, 1);
@@ -64,11 +87,12 @@ void *ObjectHeap::allocateFromExisting(unsigned Lane, size_t Bytes) {
 }
 
 BlockId ObjectHeap::checkoutBlock(unsigned Lane) {
-  ClassList &List = ClassLists[Lane];
-  BlockId Id = pickAllocationBlock(List);
+  BlockId Id = pickAllocationBlock(Lane);
   if (Id != InvalidBlockId) {
-    List.erase(List.begin());
-    Blocks.get(Id).Owned = true;
+    ClassLists[Lane].erase(ClassLists[Lane].begin());
+    BlockDescriptor &Block = Blocks.get(Id);
+    Block.Owned = true;
+    Block.MarkEpoch = 0;
     ++OwnedBlocks;
   }
   return Id;
@@ -83,6 +107,7 @@ uint32_t ObjectHeap::returnBlock(BlockId Id) {
                    uint64_t(Block.AllocatedCount) * Block.ObjectSize;
   Block.AllocatedCount = Live;
   Block.Owned = false;
+  Block.MarkEpoch = 0;
   --OwnedBlocks;
   uint32_t Free = Block.usableFreeCount();
   if (Free != 0)
@@ -101,7 +126,7 @@ void ObjectHeap::markAllocatedObjectLive(const void *Ptr) {
   if (!Ref.valid())
     return;
   BlockDescriptor &Block = Blocks.get(Ref.Block);
-  CGC_CHECK(Block.AllocBits.test(Ref.Slot), "pin of an unallocated slot");
+  CGC_CHECK(slotAllocated(Block, Ref.Slot), "pin of an unallocated slot");
   Marks.set(Block.slotOffset(Ref.Slot));
 }
 
@@ -122,6 +147,7 @@ void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
   std::memset(Result, 0, Block.ObjectSize);
   Block.AllocBits.set(Slot);
   ++Block.AllocatedCount;
+  Block.MarkEpoch = 0;
   AllocatedBytes += Block.ObjectSize;
   ++Stats.ObjectsAllocated;
   if (Block.usableFreeCount() == 0)
@@ -137,7 +163,10 @@ bool ObjectHeap::addBlock(unsigned Lane) {
   size_t SlotSize = SizeClasses.classSize(
       Layout != 0 ? SizeClasses.classForSize(layout(Layout).SizeBytes)
                   : Lane % SizeClasses.numClasses());
-  auto Run = Pages.allocateRun(1, constraintFor(Kind, /*Large=*/false));
+  // No page zeroing: every slot is zeroed when it is handed out, and
+  // nothing reads the rest of the page.
+  auto Run = Pages.allocateRun(1, constraintFor(Kind, /*Large=*/false),
+                               /*Zeroed=*/false);
   if (!Run)
     return false;
 
@@ -159,6 +188,7 @@ bool ObjectHeap::addBlock(unsigned Lane) {
   Block.PinnedBits.resize(Count);
   Map.assignRun(*Run, 1, Id);
   addToClassList(Block, Id);
+  UncollectableBlocks += kindIsUncollectable(Kind);
   ++Stats.SmallBlocksCreated;
   return true;
 }
@@ -211,6 +241,7 @@ void *ObjectHeap::allocateLarge(size_t Bytes, ObjectKind Kind,
   Block.AllocatedCount = 1;
   Map.assignRun(*Run, NumPages, Id);
   AllocatedBytes += Bytes;
+  UncollectableBlocks += kindIsUncollectable(Kind);
   ++Stats.ObjectsAllocated;
   Stats.BytesRequested += Bytes;
   ++Stats.LargeBlocksCreated;
@@ -258,9 +289,14 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
     releaseBlock(Ref.Block);
     return true;
   }
+  // Swept first: a free slot left marked in a pending block would be
+  // pinned by its sweep.
+  if (Block.Pending)
+    sweepPendingBlock(Block, /*AtHandOut=*/true);
   bool WasFull = Block.usableFreeCount() == 0;
   Block.AllocBits.reset(Ref.Slot);
   --Block.AllocatedCount;
+  Block.MarkEpoch = 0;
   if (WasFull)
     addToClassList(Block, Ref.Block);
   return true;
@@ -286,8 +322,22 @@ size_t ObjectHeap::objectSize(ObjectRef Ref) const {
 }
 
 void ObjectHeap::clearMarks() {
-  Blocks.forEach(
-      [&](BlockId, BlockDescriptor &Block) { Marks.clearBlock(Block); });
+  Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
+    if (Block.Pending)
+      sweepPendingBlock(Block, /*AtHandOut=*/false);
+    Marks.clearBlock(Block);
+  });
+  if (++MarkEpoch == 0)
+    MarkEpoch = 1;
+}
+
+void ObjectHeap::finishPendingSweeps() {
+  if (PendingBlocks == 0)
+    return;
+  Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
+    if (Block.Pending)
+      sweepPendingBlock(Block, /*AtHandOut=*/false);
+  });
 }
 
 void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
@@ -330,17 +380,12 @@ void ObjectHeap::pinMarkedFreeSlots(BlockDescriptor &Block,
   Block.PinnedCount = PinnedCount;
 }
 
-void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
-  BlockDescriptor &Block = Blocks.get(Id);
-  CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind),
-             "sweepSmallBlock on wrong block kind");
-  validateGuardedBlock(Block, Result);
+uint32_t ObjectHeap::sweepSlots(BlockDescriptor &Block,
+                                const uint64_t *Mark) {
   // A word of slots at a time: free unmarked allocated slots and pin
   // marked free slots.  Freed slots keep their bytes; the marker never
   // scans a free slot, and the allocator zeroes a slot when it hands
   // it out.
-  uint64_t Mark[MarkTable::MaxSlotWords];
-  Marks.gather(Block, Mark);
   pinMarkedFreeSlots(Block, Mark);
   uint64_t *Alloc = Block.AllocBits.words();
   uint32_t Freed = 0;
@@ -348,6 +393,75 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
     uint64_t Free = Alloc[W] & ~Mark[W] & Block.slotWordMask(W);
     Alloc[W] &= ~Free;
     Freed += static_cast<uint32_t>(std::popcount(Free));
+  }
+  return Freed;
+}
+
+void ObjectHeap::sweepPendingBlock(BlockDescriptor &Block, bool AtHandOut) {
+  uint64_t Start = nowNanos();
+  uint64_t Mark[MarkTable::MaxSlotWords];
+  Marks.gather(Block, Mark);
+  sweepSlots(Block, Mark);
+  Block.Pending = false;
+  Block.MarkEpoch = 0;
+  --PendingBlocks;
+  uint64_t Nanos = nowNanos() - Start;
+  if (AtHandOut) {
+    ++Stats.HandOutSweeps;
+    Stats.HandOutSweepNanos += Nanos;
+  } else {
+    ++Stats.CycleStartSweeps;
+    Stats.CycleStartSweepNanos += Nanos;
+  }
+}
+
+void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
+  BlockDescriptor &Block = Blocks.get(Id);
+  CGC_ASSERT(!Block.IsLarge && !kindIsUncollectable(Block.Kind) &&
+                 !Block.Owned && !Block.Pending,
+             "sweepSmallBlock on wrong block kind");
+  validateGuardedBlock(Block, Result);
+  const bool WasListed = Block.usableFreeCount() > 0;
+  // Marks sit only at slot bases, so the line's population is the
+  // number of marked slots.
+  const uint64_t *Line = Marks.pageWords(Block.StartPage);
+  uint32_t Marked = 0;
+  for (size_t W = 0; W != MarkTable::WordsPerPage; ++W)
+    Marked += static_cast<uint32_t>(std::popcount(Line[W]));
+  const size_t NumWords = Block.AllocBits.numWords();
+  uint32_t Freed = 0;
+  bool Defer = Marked != 0 && Marked != Block.ObjectCount;
+  if (!Defer) {
+    // No slot marked, or every one: the slot-indexed marks need no
+    // gather, and the sweep is a few word operations.
+    uint64_t Mark[MarkTable::MaxSlotWords];
+    for (size_t W = 0; W != NumWords; ++W)
+      Mark[W] = Marked != 0 ? Block.slotWordMask(W) : 0;
+    Freed = sweepSlots(Block, Mark);
+  } else {
+    // Partly marked: the block is swept when a mutator first reaches
+    // it.  Its counts are charged now, from the marker's tally of the
+    // free slots it marked, without touching its bitmaps; a block the
+    // tally does not cover is counted from its gathered marks instead.
+    uint32_t Pinned = Block.MarkedFree;
+    uint32_t Live = Marked - Pinned;
+    if (Block.MarkEpoch == MarkEpoch && Pinned <= Marked &&
+        Live <= Block.AllocatedCount) {
+      Freed = Block.AllocatedCount - Live;
+    } else {
+      const uint64_t *Alloc = Block.AllocBits.words();
+      uint64_t Mark[MarkTable::MaxSlotWords];
+      Marks.gather(Block, Mark);
+      Pinned = 0;
+      for (size_t W = 0; W != NumWords; ++W) {
+        uint64_t Mask = Block.slotWordMask(W);
+        Freed +=
+            static_cast<uint32_t>(std::popcount(Alloc[W] & ~Mark[W] & Mask));
+        Pinned +=
+            static_cast<uint32_t>(std::popcount(Mark[W] & ~Alloc[W] & Mask));
+      }
+    }
+    Block.PinnedCount = Pinned;
   }
   uint64_t BytesFreed = uint64_t(Freed) * Block.ObjectSize;
   Block.AllocatedCount -= Freed;
@@ -362,11 +476,19 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
     releaseBlock(Id);
     return;
   }
-  relistAfterSweep(Block, Id);
+  if (Defer) {
+    Block.Pending = true;
+    ++PendingBlocks;
+  }
+  relistAfterSweep(Block, Id, WasListed);
 }
 
-void ObjectHeap::relistAfterSweep(BlockDescriptor &Block, BlockId Id) {
-  if (Block.usableFreeCount() > 0)
+void ObjectHeap::relistAfterSweep(BlockDescriptor &Block, BlockId Id,
+                                  bool WasListed) {
+  bool Usable = Block.usableFreeCount() > 0;
+  if (Usable == WasListed)
+    return;
+  if (Usable)
     addToClassList(Block, Id);
   else
     removeFromClassList(Block);
@@ -374,20 +496,24 @@ void ObjectHeap::relistAfterSweep(BlockDescriptor &Block, BlockId Id) {
 
 SweepResult ObjectHeap::sweep() {
   SweepResult Result;
+  // Only a caller that runs the pass twice over one mark finds pending
+  // blocks here.
+  finishPendingSweeps();
 
-  // Uncollectable and large blocks are handled in the walk (word-wise
-  // pin scans).  Small collectable blocks are swept after it, in
-  // block-id order, and unmarked large blocks are released after those:
-  // releasing inside the walk would mutate the table being walked, and
-  // this release order fixes the free-page runs.
-  // The class lists are not emptied: each swept block is relisted or
-  // delisted in place, so a block that stays listed costs no map node.
-  SmallToSweep.clear();
+  // One walk in block-id order.  Uncollectable blocks get word-wise
+  // pin scans, and small collectable blocks go through sweepSmallBlock,
+  // which may release the block being visited (forEach allows that).
+  // Unmarked large blocks are released after the walk: this release
+  // order, small blocks in id order and then large ones, fixes the
+  // free-page runs.  The class lists are not emptied: a block's listing
+  // changes only when its usable slots appear or run out, so a block
+  // that stays listed costs no map operation.
   LargeToRelease.clear();
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
       // Never reclaimed; free slots may still be pinned by marks.
+      const bool WasListed = !Block.IsLarge && Block.usableFreeCount() > 0;
       uint64_t Mark[MarkTable::MaxSlotWords];
       Marks.gather(Block, Mark);
       pinMarkedFreeSlots(Block, Mark);
@@ -395,7 +521,7 @@ SweepResult ObjectHeap::sweep() {
       Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
       Result.SlotsPinned += Block.PinnedCount;
       if (!Block.IsLarge)
-        relistAfterSweep(Block, Id);
+        relistAfterSweep(Block, Id, WasListed);
       return;
     }
 
@@ -425,11 +551,9 @@ SweepResult ObjectHeap::sweep() {
       Result.BytesLive += Live * Block.ObjectSize;
       return;
     }
-    SmallToSweep.push_back(Id);
+    sweepSmallBlock(Id, Result);
   });
 
-  for (BlockId Id : SmallToSweep)
-    sweepSmallBlock(Id, Result);
   for (BlockId Id : LargeToRelease)
     releaseBlock(Id);
   Stats.PinnedSlots = Result.SlotsPinned;
@@ -437,6 +561,10 @@ SweepResult ObjectHeap::sweep() {
 }
 
 HeapVerifyReport ObjectHeap::verify() { return HeapVerifier(*this).run(); }
+
+HeapVerifyReport ObjectHeap::verifyMarksClear() {
+  return HeapVerifier(*this).checkMarksClear();
+}
 
 HeapVerifyReport ObjectHeap::verifyAndRepair(HeapRepairStats &Stats) {
   return HeapVerifier(*this).verifyAndRepair(Stats);
@@ -533,6 +661,8 @@ void ObjectHeap::releaseBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
   if (!Block.IsLarge)
     removeFromClassList(Block);
+  CGC_ASSERT(!Block.Pending, "releasing a pending block");
+  UncollectableBlocks -= kindIsUncollectable(Block.Kind);
   // A stale bit would let the mark loop's first test accept a base on
   // a free page, skipping that page's near-miss note.
   Marks.clearBlock(Block);

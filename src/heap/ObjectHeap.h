@@ -26,8 +26,14 @@
 ///   * Per-class block selection is address-ordered (lowest block
 ///     first), the fragmentation-reducing discipline the paper's
 ///     conclusions recommend.
-///   * Sweeping is eager: each collection sweeps every block no thread
-///     owns, a word of the off-heap bitmaps at a time.  It writes no
+///   * Sweeping is lazy, as in the paper's collector: with the world
+///     stopped, a collection only releases the blocks its mark left
+///     empty (one 64-byte mark-table test per block) and counts the
+///     rest from the marker's tallies.  A partly marked block is left
+///     *pending*, listed with its marks, and swept a word of the
+///     off-heap bitmaps at a time when a mutator first takes a slot
+///     from it, checks it out or frees into it; a block no mutator
+///     reaches is swept when the next mark begins.  No sweep writes
 ///     slot memory, and neither does an explicit free: a slot is zeroed
 ///     once, when it is handed out, and the marker never scans a free
 ///     slot, so the bytes a dead object leaves behind retain nothing.
@@ -64,8 +70,9 @@ struct ObjectHeapConfig {
   /// debug header + redzone that sweep and verify re-check through this
   /// layer.  Owned by the Collector; const reads only from here.  The
   /// collector guarantees the quarantine is empty whenever a sweep
-  /// runs (every collection flushes it first), so sweep validates all
-  /// allocated untyped slots unconditionally.
+  /// pass runs (every collection flushes it first), so the pass
+  /// validates all allocated untyped slots unconditionally, pending
+  /// blocks included.
   const GuardLayer *Guards = nullptr;
 };
 
@@ -78,6 +85,14 @@ struct ObjectHeapStats {
   uint64_t ExplicitFrees = 0;
   /// Slots found pinned by the most recent sweep.
   uint64_t PinnedSlots = 0;
+  /// Pending blocks swept when a mutator first reached them (a locked
+  /// take, a checkout or a locked free), and the time those sweeps took.
+  uint64_t HandOutSweeps = 0;
+  uint64_t HandOutSweepNanos = 0;
+  /// Pending blocks no mutator reached, swept when the next mark began,
+  /// and the time those sweeps took.
+  uint64_t CycleStartSweeps = 0;
+  uint64_t CycleStartSweepNanos = 0;
 };
 
 struct SweepResult {
@@ -180,6 +195,10 @@ public:
   /// Blocks currently checked out to thread caches.
   size_t ownedBlockCount() const { return OwnedBlocks; }
 
+  /// Live blocks of an uncollectable kind: the root scan marks them
+  /// whole, and skips its walk for them when there are none.
+  size_t uncollectableBlockCount() const { return UncollectableBlocks; }
+
   /// Sets the mark bit on an allocated object (small or large): pins an
   /// object allocated from a mid-collection callback so the cycle's own
   /// sweep cannot reclaim it before the callback returns.
@@ -231,8 +250,9 @@ public:
     NonHeap,
     /// Inside the heap but not an object base (interior or slop).
     NotObjectBase,
-    /// A valid slot base that is not currently allocated (double free
-    /// or a pointer into a swept block).
+    /// A valid slot base that is not currently allocated (double free,
+    /// a pointer into a swept block, or a dead object of a pending
+    /// block).
     NotAllocated,
   };
   FreeClass classifyExplicitFree(const void *Ptr) const;
@@ -257,9 +277,21 @@ public:
   /// \returns the client-visible size of the object.
   size_t objectSize(ObjectRef Ref) const;
 
-  /// Atomic read: the block may be owned by a running mutator.
+  /// Whether \p Ref holds an object.  The alloc bit is read atomically:
+  /// the block may be owned by a running mutator (an owned block is
+  /// never pending).
   bool isAllocated(ObjectRef Ref) const {
-    return Blocks.get(Ref.Block).AllocBits.testAtomic(Ref.Slot);
+    const BlockDescriptor &Block = Blocks.get(Ref.Block);
+    return Block.AllocBits.testAtomic(Ref.Slot) &&
+           (!Block.Pending || Marks.isMarked(Block, Ref.Slot));
+  }
+
+  /// Whether slot \p Slot of \p Block holds an object: its alloc bit is
+  /// set and, while the block is pending, its mark bit too.  For readers
+  /// that hold the heap lock or run with the world stopped.
+  bool slotAllocated(const BlockDescriptor &Block, uint32_t Slot) const {
+    return Block.AllocBits.test(Slot) &&
+           (!Block.Pending || Marks.isMarked(Block, Slot));
   }
 
   /// Whether the last mark set \p Ref's mark bit.
@@ -271,26 +303,62 @@ public:
   MarkTable &markTable() { return Marks; }
   const MarkTable &markTable() const { return Marks; }
 
-  /// Clears every mark bit.  The collector clears marks in its own
-  /// root-scan walk (MarkContext::resetMarks); this is for callers that
-  /// drive the heap without one.
+  /// The state a mark starts from: sweeps every pending block (their
+  /// marks are the only record of which of their objects are live),
+  /// clears every mark bit, and starts a new mark epoch.  A collection
+  /// calls it before anything reads the heap; marks otherwise stay set
+  /// from one mark to the next, so wasMarkedLive-style queries answer
+  /// for the last mark.
   void clearMarks();
 
-  /// Reclaims unmarked objects, pins marked-free slots, releases empty
-  /// blocks.  Uncollectable blocks are exempt from reclamation.
+  /// The current mark epoch: the marker stamps each block it marks in
+  /// with it (tallyMark), and clearMarks starts a new one.
+  uint32_t markEpoch() const { return MarkEpoch; }
+
+  /// The marker's per-block tally, kept as it sets the mark of slot
+  /// base in \p Block during epoch \p Epoch: the sweep pass takes a
+  /// partly marked block's pin count from it instead of gathering the
+  /// block's marks.
+  static void tallyMark(BlockDescriptor &Block, bool Allocated,
+                        uint32_t Epoch) {
+    if (Block.MarkEpoch != Epoch) {
+      Block.MarkEpoch = Epoch;
+      Block.MarkedFree = 0;
+    }
+    if (!Allocated)
+      ++Block.MarkedFree;
+  }
+
+  /// The stopped-world sweep pass, against the current marks: releases
+  /// empty blocks, pins marked-free slots and counts the cycle.
+  /// Uncollectable blocks are exempt from reclamation.
   ///
-  /// One sequential pass in block-id order: uncollectable and large
-  /// blocks are handled first, then each small collectable block goes
-  /// through sweepSmallBlock, and unmarked large blocks are released
-  /// last, after the small-block loop.  Every small block it visits is
-  /// relisted or delisted in place; the class lists are never emptied.
+  /// One sequential pass in block-id order: each small collectable
+  /// block no thread owns goes through sweepSmallBlock, and unmarked
+  /// large blocks are released last, after the walk.  A small block
+  /// whose mark line is empty or full is swept in the pass, with no
+  /// gather; any other one is counted from the marker's tally and left
+  /// pending.  Every small block it visits is relisted or delisted in
+  /// place; the class lists are never emptied.  The SweepResult is the
+  /// one an eager sweep of every block would return.
   SweepResult sweep();
+
+  /// Sweeps every pending block now.  clearMarks does this; so may a
+  /// caller that reads the bitmaps directly.
+  void finishPendingSweeps();
+
+  /// Blocks the last sweep pass left pending and no one has swept since.
+  size_t pendingBlockCount() const { return PendingBlocks; }
 
   /// Runs the deep heap verifier (heap/HeapVerifier.h): block table ↔
   /// page map ↔ free runs ↔ class lists ↔ bitmaps/byte accounting.
   /// Accumulates a diagnostic report instead of aborting.  O(heap);
   /// intended for tests and debugging sessions.
   HeapVerifyReport verify();
+
+  /// Checks that no mark bit is set on any committed heap page: the
+  /// state clearMarks leaves and a root scan must begin from.
+  HeapVerifyReport verifyMarksClear();
 
   /// verify(), with the historical abort semantics: prints the full
   /// report and fatals on any inconsistency.
@@ -336,11 +404,11 @@ private:
 
   /// Hands out \p Block's lowest usable slot, zeroed.
   void *takeSlot(BlockDescriptor &Block);
-  /// The block the next slot of \p List comes from, its lowest-address
-  /// one; InvalidBlockId when the lane needs a fresh block.
-  static BlockId pickAllocationBlock(const ClassList &List) {
-    return List.empty() ? InvalidBlockId : List.begin()->second;
-  }
+  /// The block the next slot of \p Lane comes from, its lowest-address
+  /// listed one, swept if it was pending; InvalidBlockId when the lane
+  /// needs a fresh block.  A block its sweep leaves with no usable slot
+  /// is delisted and the next one is tried.
+  BlockId pickAllocationBlock(unsigned Lane);
   /// The lane small block \p Block belongs to.
   unsigned laneOf(const BlockDescriptor &Block) const {
     return Block.LayoutId != 0 ? typedLane(Block.LayoutId)
@@ -351,19 +419,32 @@ private:
   /// \p Result.  Pure reads of the block's pages and bitmaps.
   void validateGuardedBlock(const BlockDescriptor &Block,
                             SweepResult &Result);
-  /// Sweeps one small block against its current mark bits, a 64-slot
-  /// word at a time: frees unmarked slots, pins marked-free slots,
-  /// accumulates counters into \p Result, then releases the block if
-  /// empty or relists it (relistAfterSweep).
+  /// The sweep pass over one small block no thread owns.  An empty or
+  /// full mark line makes every slot's mark the same, so the block is
+  /// swept here (sweepSlots) with no gather; otherwise its counts come
+  /// from the marker's tally and it is left pending.  Either way the
+  /// counters in \p Result and the block's counts are the swept ones,
+  /// and the block is released if empty or relisted (relistAfterSweep).
   void sweepSmallBlock(BlockId Id, SweepResult &Result);
+  /// Frees \p Block's allocated slots that \p Mark leaves unmarked, a
+  /// 64-slot word at a time, and rebuilds its pins.  \returns the number
+  /// of slots freed; AllocatedCount and the heap's byte count are the
+  /// caller's to charge.
+  static uint32_t sweepSlots(BlockDescriptor &Block, const uint64_t *Mark);
+  /// Sweeps pending \p Block against its marks: the bitmaps catch up
+  /// with the counts the pass already charged.  Neither its marks nor
+  /// its list membership change.  Timed into the hand-out or the
+  /// cycle-start stats by \p AtHandOut.
+  void sweepPendingBlock(BlockDescriptor &Block, bool AtHandOut);
   /// Rebuilds \p Block's PinnedBits and PinnedCount word-wise from its
   /// gathered slot marks \p Mark: a slot is pinned when it is marked
   /// but not allocated.
   static void pinMarkedFreeSlots(BlockDescriptor &Block,
                                  const uint64_t *Mark);
   /// Keeps a swept small block on its class list when it has a usable
-  /// slot and takes it off otherwise.
-  void relistAfterSweep(BlockDescriptor &Block, BlockId Id);
+  /// slot and takes it off otherwise.  \p WasListed says whether it had
+  /// one before, and so is listed: only a change touches the list.
+  void relistAfterSweep(BlockDescriptor &Block, BlockId Id, bool WasListed);
   void releaseBlock(BlockId Id);
   void removeFromClassList(const BlockDescriptor &Block);
   void addToClassList(BlockDescriptor &Block, BlockId Id);
@@ -377,8 +458,8 @@ private:
   PageMap &Map;
   BlockTable &Blocks;
   /// One mark bit per granule of the heap arena: the only record of
-  /// marks.  The root scan clears each live block's bits and
-  /// releaseBlock clears a released block's.
+  /// marks.  clearMarks clears each live block's bits and releaseBlock
+  /// a released block's.
   MarkTable Marks;
   ObjectHeapConfig Config;
   SizeClassTable SizeClasses;
@@ -389,10 +470,13 @@ private:
   ObjectHeapStats Stats;
   uint64_t AllocatedBytes = 0;
   size_t OwnedBlocks = 0;
+  size_t PendingBlocks = 0;
+  size_t UncollectableBlocks = 0;
+  /// Never 0, so a descriptor's default MarkEpoch is never current.
+  uint32_t MarkEpoch = 1;
   bool EmergencyRelaxation = false;
-  /// sweep()'s scratch lists, cleared each cycle and kept at capacity
-  /// so that a warmed sweep does not allocate them again.
-  std::vector<BlockId> SmallToSweep;
+  /// sweep()'s scratch list, cleared each cycle and kept at capacity so
+  /// that a warmed sweep does not allocate it again.
   std::vector<BlockId> LargeToRelease;
 };
 

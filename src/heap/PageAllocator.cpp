@@ -27,19 +27,22 @@ PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
 }
 
 std::optional<PageIndex>
-PageAllocator::allocateRun(uint32_t NumPages, PageConstraint Constraint) {
+PageAllocator::allocateRun(uint32_t NumPages, PageConstraint Constraint,
+                           bool Zeroed) {
   CGC_CHECK(NumPages > 0, "allocating an empty page run");
   while (true) {
     if (auto Start = findInFreeRuns(NumPages, Constraint)) {
       carveFromFreeRun(*Start, NumPages);
       Stats.AllocatedPages += NumPages;
       // A page whose decommit is still pending holds its old contents;
-      // zero it here, as the OS would have on the refault.
+      // zero it here, as the OS would have on the refault, unless the
+      // caller zeroes what it hands out.
       for (PageIndex P = *Start; P != *Start + NumPages; ++P)
         if (Resident.test(P - BasePage)) {
           Resident.reset(P - BasePage);
           Aged.reset(P - BasePage);
-          std::memset(Arena.pointerTo(offsetOfPage(P)), 0, PageSize);
+          if (Zeroed)
+            std::memset(Arena.pointerTo(offsetOfPage(P)), 0, PageSize);
         }
       return Start;
     }

@@ -90,9 +90,13 @@ public:
 
   /// Allocates \p NumPages contiguous pages honoring \p Constraint.
   /// Grows the committed heap if needed.  \returns the starting page, or
-  /// std::nullopt if the arena limit is reached.
+  /// std::nullopt if the arena limit is reached.  The run reads as zero
+  /// unless \p Zeroed is false: then a page whose decommit is still
+  /// pending keeps its old bytes, for a caller that zeroes what it hands
+  /// out (a small block zeroes each slot at hand-out).
   std::optional<PageIndex> allocateRun(uint32_t NumPages,
-                                       PageConstraint Constraint);
+                                       PageConstraint Constraint,
+                                       bool Zeroed = true);
 
   /// Returns a run to the free pool; it merges with free neighbors.
   void freeRun(PageIndex Start, uint32_t NumPages);

@@ -130,8 +130,9 @@ TEST(GcObserver, EveryCollectionEmitsEveryPhase) {
   // Collection indices are consecutive.
   uint64_t Expected = 0;
   for (const Event &E : Observer.Events)
-    if (E.Kind == 'B')
+    if (E.Kind == 'B') {
       EXPECT_EQ(E.Collection, Expected++);
+    }
 }
 
 TEST(GcObserver, UnregisterInsideCallbackIsSafe) {

@@ -607,6 +607,33 @@ TEST_F(ObjectHeapFixture, EveryHandOutPathZeroesTheSlot) {
   EXPECT_TRUE(allBytesAre(B, Size, 0)) << "cached take after a remote free";
   Cache.releaseAll([&](BlockId Owned) { Heap->returnBlock(Owned); });
   EXPECT_TRUE(Heap->verify().clean());
+
+  // A page a sweep released stays resident, old bytes and all, until
+  // its decommit ages out.  A small block placed on it zeroes each slot
+  // it hands out, not the page; a large object's run is zeroed whole.
+  const PageIndex First = Block.StartPage;
+  auto *Page =
+      static_cast<unsigned char *>(Arena.pointerTo(offsetOfPage(First)));
+  Heap->clearMarks();
+  ASSERT_EQ(Heap->sweep().PagesReleased, 1u);
+  dirty(Page, PageSize);
+  void *C = allocSmall(Size);
+  ASSERT_EQ(pageOfOffset(Arena.offsetOf(reinterpret_cast<Address>(C))),
+            First);
+  EXPECT_TRUE(allBytesAre(C, Size, 0)) << "small block on a resident page";
+  EXPECT_TRUE(allBytesAre(Page + PageSize - 8, 8, 0xAB))
+      << "a small block does not zero its page";
+  Heap->deallocateExplicit(C);
+  Heap->clearMarks();
+  ASSERT_EQ(Heap->sweep().PagesReleased, 1u);
+  dirty(Page, PageSize);
+  const size_t Big = PageSize - 64;
+  void *L = Heap->allocateLarge(Big, ObjectKind::Normal);
+  ASSERT_EQ(pageOfOffset(Arena.offsetOf(reinterpret_cast<Address>(L))),
+            First);
+  EXPECT_TRUE(allBytesAre(L, Big, 0)) << "large object on a resident page";
+  Heap->deallocateExplicit(L);
+  EXPECT_TRUE(Heap->verify().clean());
 }
 
 TEST_F(ObjectHeapFixture, LargeObjectLifecycle) {
@@ -861,6 +888,22 @@ void checkSweepAgainstModel(SweepHarness &H,
     EXPECT_EQ(H.Blocks.liveCount(), 0u);
     return;
   }
+
+  // A partly marked collectable block is left pending: its counts above
+  // are already the swept ones, each slot reads as the model says, and
+  // its bitmaps catch up when it is swept.
+  uint32_t NumMarked = 0;
+  for (const SlotState &S : States)
+    NumMarked += S.Marked;
+  EXPECT_EQ(Block.Pending, Collectable && NumMarked != 0 && NumMarked != Count);
+  EXPECT_EQ(Block.AllocatedCount, NumLive);
+  EXPECT_EQ(Block.PinnedCount, NumPinned);
+  for (uint32_t Slot = 0; Slot != Count; ++Slot)
+    EXPECT_EQ(H.Heap->slotAllocated(Block, Slot), bool(WantAlloc[Slot]))
+        << Slot;
+  EXPECT_TRUE(H.Heap->verify().clean()) << H.Heap->verify().str();
+  H.Heap->finishPendingSweeps();
+  EXPECT_FALSE(Block.Pending);
 
   for (uint32_t Slot = 0; Slot != Count; ++Slot) {
     EXPECT_EQ(Block.AllocBits.test(Slot), bool(WantAlloc[Slot])) << Slot;

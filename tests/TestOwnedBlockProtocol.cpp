@@ -6,21 +6,29 @@
 // ("Automated Verification of Practical Garbage Collectors"), scaled
 // down to an exhaustive enumeration with no solver.
 //
-// The model is one slot of one block: its AllocWords bit, which
-// object's bytes it holds, the block's Owned flag, and the ledger.  Each
-// actor's operation is a list of atomic steps, written as one step
-// function.  No free and no sweep writes the slot; both takes zero it
-// before its bit is set.  The test runs every interleaving of every
-// sequence of two or three operations from four starting states (a
-// free slot starts dirty) and checks, on each:
+// The model is one slot of one block: its AllocWords bit, its mark and
+// pin bits, which object's bytes it holds, the block's Owned and Pending
+// flags, and the ledger.  Each actor's operation is a list of atomic
+// steps, written as one step function.  No free and no sweep writes the
+// slot; both takes zero it before its bit is set.  A collection sweeps
+// the block it left pending last time, marks the slot when a client
+// holds its object, and leaves a block no thread owns pending: counted
+// as swept, bitmaps unswept.  A checkout, a locked take and a locked
+// free sweep a pending block first.  The test runs every interleaving
+// of every sequence of two or three operations from six starting
+// states (a free slot starts dirty; a dropped object is garbage) and
+// checks, on each:
 //
 //   * a contested free has exactly one winner, and every other free of
 //     the same object reports DoubleFree (none aborts);
 //   * no slot is zeroed while it holds an object, except by a free of
 //     that object;
 //   * no slot is handed out dirty;
-//   * the counts balance: allocations minus frees is the bit, and a
-//     block no thread owns has the bit's AllocatedCount;
+//   * no slot is pinned: nothing in the model is a false reference;
+//   * no thread owns a pending block;
+//   * the counts balance: allocations minus frees and sweeps is the
+//     bit as a swept block would hold it, and a block no thread owns
+//     has that bit's AllocatedCount;
 //
 // and, after every step, that an allocated slot never holds an earlier
 // object's bytes: the marker scans allocated slots only, so this is
@@ -28,9 +36,10 @@
 //
 // Rule sets that break the protocol run through the same checker and
 // must each be caught: a take that skips its zeroing, an owner take
-// that sets its bit before zeroing, and a remote free that wrote the
-// slot and then CHECKed the bit (it aborted when the owner won the
-// race).
+// that sets its bit before zeroing, a remote free that wrote the slot
+// and then CHECKed the bit (it aborted when the owner won the race), a
+// checkout that hands out a pending block unswept, and a locked free
+// that clears the bit of a pending block without sweeping it.
 //
 // The client is assumed not to free a pointer after its slot has been
 // handed out again: such a free is indistinguishable from a free of the
@@ -58,6 +67,10 @@ enum class Rules {
   /// The remote free zeroed the slot, then CHECKed that its atomic clear
   /// found the bit set.
   RemoteFreeWritesSlot,
+  /// A checkout took a pending block without sweeping it.
+  CheckoutSkipsSweep,
+  /// A locked free into a pending block cleared the bit unswept.
+  FreeSkipsSweep,
 };
 
 enum class OpKind {
@@ -65,12 +78,14 @@ enum class OpKind {
   OwnerFree,  // Lock-free: test the bit, then clear it.
   RemoteFree, // Locked: classify, then clear the bit of an owned block.
   Return,     // Locked, owner parked: end ownership.
-  Sweep,      // Locked, owner parked: skips owned blocks.
-  LockedTake, // Locked: zero and take a slot of a listed block.
+  Collect,    // Locked, owner parked: leaves unowned blocks pending.
+  Checkout,   // Locked, the owner's refill: sweep if pending, then own.
+  LockedTake, // Locked: sweep if pending, zero and take a listed slot.
 };
-constexpr OpKind AllOps[] = {OpKind::OwnerTake, OpKind::OwnerFree,
+constexpr OpKind AllOps[] = {OpKind::OwnerTake,  OpKind::OwnerFree,
                              OpKind::RemoteFree, OpKind::Return,
-                             OpKind::Sweep,      OpKind::LockedTake};
+                             OpKind::Collect,    OpKind::Checkout,
+                             OpKind::LockedTake};
 
 const char *opName(OpKind K) {
   switch (K) {
@@ -82,8 +97,10 @@ const char *opName(OpKind K) {
     return "remote-free";
   case OpKind::Return:
     return "return";
-  case OpKind::Sweep:
-    return "sweep";
+  case OpKind::Collect:
+    return "collect";
+  case OpKind::Checkout:
+    return "checkout";
   case OpKind::LockedTake:
     return "locked-take";
   }
@@ -97,7 +114,8 @@ bool isFree(OpKind K) {
   return K == OpKind::OwnerFree || K == OpKind::RemoteFree;
 }
 bool isOwners(OpKind K) {
-  return K == OpKind::OwnerTake || K == OpKind::OwnerFree;
+  return K == OpKind::OwnerTake || K == OpKind::OwnerFree ||
+         K == OpKind::Checkout;
 }
 
 enum class Outcome { Pending, Won, DoubleFree, Aborted, NoOp };
@@ -117,6 +135,11 @@ struct Op {
 struct State {
   bool Alloc = false;
   bool Owned = false;
+  /// The last collection's mark, and the pin its sweep derived from it.
+  bool Marked = false;
+  bool Pinned = false;
+  /// Counted as swept by the last collection; the bitmaps are not yet.
+  bool Pending = false;
   /// The latest object (0: none), made when a take sets the bit; a
   /// client holds it from its handout until its free.
   int Gen = 0;
@@ -136,6 +159,21 @@ struct State {
 };
 
 void violate(State &S, const std::string &What) { S.Violations.insert(What); }
+
+/// The bit as a swept block would hold it: a pending block's unmarked
+/// object is already dead.
+bool liveBit(const State &S) { return S.Alloc && (!S.Pending || S.Marked); }
+
+/// Sweeps a pending block: the bitmaps catch up with its counts.
+void sweepPending(State &S) {
+  if (!S.Pending)
+    return;
+  S.Alloc = S.Alloc && S.Marked;
+  S.Pinned = S.Marked && !S.Alloc;
+  if (S.Pinned)
+    violate(S, "a slot was pinned with no false reference");
+  S.Pending = false;
+}
 
 /// A write of zeroes to the slot by \p By (a free names its target).
 void zeroSlot(State &S, const Op &By) {
@@ -174,9 +212,11 @@ void finish(Op &O, Outcome Result) {
 
 /// A free through the locked path into a block no thread owns: classify
 /// and deallocateExplicit under one hold of the lock.
-void lockedFree(State &S, Op &O) {
-  if (!S.Alloc)
+void lockedFree(State &S, Op &O, Rules R) {
+  if (!liveBit(S))
     return finish(O, Outcome::DoubleFree);
+  if (R != Rules::FreeSkipsSweep)
+    sweepPending(S);
   S.Alloc = false;
   --S.Count;
   won(S, O);
@@ -198,16 +238,19 @@ bool locksNext(const State &S, const Op &O) {
 
 /// Runs \p O's next atomic step.
 void step(State &S, Op &O, Rules R) {
+  // A free begins on the latest object the client had: one it dropped
+  // is garbage it can no longer name, so that free frees nothing.
   auto Begin = [&] {
     O.Target = S.Gen;
     O.TargetHeld = S.Held;
+    return !(S.Alloc && !S.Held);
   };
   switch (O.Kind) {
   case OpKind::OwnerTake:
     if (O.Pc == 0) {
-      // Not owned: the owner's lane has no block, and a refill is
-      // outside this model.  Bit set: the block is dry.
-      if (!S.Owned || S.Alloc)
+      // Not owned: the owner's lane has no block (a refill is the
+      // checkout operation).  Bit set or pinned: the block is dry.
+      if (!S.Owned || S.Alloc || S.Pinned)
         return finish(O, Outcome::NoOp);
       if (R == Rules::OwnerTakePublishesFirst)
         claim(S);
@@ -225,9 +268,10 @@ void step(State &S, Op &O, Rules R) {
     break;
   case OpKind::OwnerFree:
     if (O.Pc == 0) {
-      Begin();
+      if (!Begin())
+        return finish(O, Outcome::NoOp);
       if (!S.Owned)
-        return lockedFree(S, O); // release() fails over to the lock.
+        return lockedFree(S, O, R); // release() fails over to the lock.
       if (!S.Alloc)
         return finish(O, Outcome::DoubleFree);
     } else {
@@ -239,11 +283,12 @@ void step(State &S, Op &O, Rules R) {
     break;
   case OpKind::RemoteFree:
     if (O.Pc == 0) {
-      Begin();
-      if (!S.Alloc) // classifyExplicitFree: NotAllocated.
+      if (!Begin())
+        return finish(O, Outcome::NoOp);
+      if (!liveBit(S)) // classifyExplicitFree: NotAllocated.
         return finish(O, Outcome::DoubleFree);
       if (!S.Owned)
-        return lockedFree(S, O);
+        return lockedFree(S, O, R);
     } else if (R == Rules::RemoteFreeWritesSlot && O.Pc == 1) {
       zeroSlot(S, O);
     } else {
@@ -261,16 +306,32 @@ void step(State &S, Op &O, Rules R) {
       S.Owned = false;
     }
     return finish(O, Outcome::NoOp);
-  case OpKind::Sweep:
-    // An allocated slot no client holds is unmarked garbage.
-    if (!S.Owned && S.Alloc && !S.Held) {
-      S.Alloc = false;
-      --S.Count;
-      ++S.Swept;
+  case OpKind::Collect:
+    // The last collection's pending block is swept before the marks
+    // are cleared; then a held object is marked, and an unowned block
+    // is counted as swept and left pending (the rest of its slots keep
+    // its mark line nonempty).  An owned block is skipped.
+    sweepPending(S);
+    S.Marked = S.Alloc && S.Held;
+    if (!S.Owned) {
+      if (S.Alloc && !S.Marked) {
+        --S.Count;
+        ++S.Swept;
+      }
+      S.Pending = true;
+    }
+    return finish(O, Outcome::NoOp);
+  case OpKind::Checkout:
+    if (!S.Owned) {
+      if (R != Rules::CheckoutSkipsSweep)
+        sweepPending(S);
+      S.Owned = true;
     }
     return finish(O, Outcome::NoOp);
   case OpKind::LockedTake:
-    if (!S.Owned && !S.Alloc) {
+    if (!S.Owned)
+      sweepPending(S);
+    if (!S.Owned && !S.Alloc && !S.Pinned) {
       if (R != Rules::LockedTakeSkipsZeroing)
         zeroSlot(S, O);
       claim(S);
@@ -282,10 +343,12 @@ void step(State &S, Op &O, Rules R) {
   ++O.Pc;
 }
 
-/// The invariant checked after every step.
+/// The invariants checked after every step.
 void checkStep(State &S) {
   if (S.Alloc && S.Bytes != 0 && S.Bytes != S.Gen)
     violate(S, "an allocated slot holds an earlier object's bytes");
+  if (S.Owned && S.Pending)
+    violate(S, "a thread owns a pending block");
 }
 
 bool enabled(const State &S, const std::vector<Op> &Ops, size_t I) {
@@ -305,7 +368,7 @@ bool enabled(const State &S, const std::vector<Op> &Ops, size_t I) {
     if (Other.Kind == OpKind::RemoteFree && locksNext(S, O))
       return false;
     // The owner is parked only between its operations.
-    if ((O.Kind == OpKind::Return || O.Kind == OpKind::Sweep) &&
+    if ((O.Kind == OpKind::Return || O.Kind == OpKind::Collect) &&
         isOwners(Other.Kind))
       return false;
     // No free of a pointer whose slot is being handed out again.
@@ -319,23 +382,24 @@ bool enabled(const State &S, const std::vector<Op> &Ops, size_t I) {
 /// Checks a finished run.
 void checkEnd(State &S, const std::vector<Op> &Ops) {
   for (const Op &O : Ops) {
-    if (!isFree(O.Kind))
+    if (!isFree(O.Kind) || O.Result == Outcome::NoOp)
       continue;
     if (O.Result == Outcome::Aborted)
       violate(S, "the losing free aborted instead of reporting DoubleFree");
     int Wins = 0;
     bool Held = false;
     for (const Op &Same : Ops)
-      if (isFree(Same.Kind) && Same.Target == O.Target) {
+      if (isFree(Same.Kind) && Same.Result != Outcome::NoOp &&
+          Same.Target == O.Target) {
         Wins += Same.Result == Outcome::Won;
         Held = Held || Same.TargetHeld;
       }
     if (Wins != (Held ? 1 : 0))
       violate(S, "a free of a held object did not have exactly one winner");
   }
-  if (int(S.InitialAlloc) + S.Allocs - S.Frees - S.Swept != int(S.Alloc))
+  if (int(S.InitialAlloc) + S.Allocs - S.Frees - S.Swept != int(liveBit(S)))
     violate(S, "allocations minus frees do not match the bit");
-  if (!S.Owned && S.Count != int(S.Alloc))
+  if (!S.Owned && S.Count != int(liveBit(S)))
     violate(S, "an unowned block's AllocatedCount does not match the bit");
 }
 
@@ -386,7 +450,9 @@ void explore(State S, std::vector<Op> Ops, Rules R, std::string Trace,
 Result checkProtocol(Rules R) {
   std::vector<State> Starts;
   for (bool Owned : {true, false})
-    for (bool Alloc : {true, false}) {
+    for (int Slot : {0, 1, 2}) {
+      // 0: free; 1: an object the client holds; 2: one it dropped.
+      bool Alloc = Slot != 0;
       State S;
       S.Owned = Owned;
       S.InitialAlloc = Alloc;
@@ -394,7 +460,7 @@ Result checkProtocol(Rules R) {
       // A free slot keeps the bytes of the object freed from it.
       claim(S);
       S.Alloc = Alloc;
-      S.Held = Alloc;
+      S.Held = Slot == 1;
       S.Bytes = S.Gen;
       Starts.push_back(S);
     }
@@ -442,6 +508,20 @@ TEST(OwnedBlockProtocol, CatchesOwnerTakeThatPublishesBeforeZeroing) {
   EXPECT_TRUE(broke(Out, "an allocated slot holds an earlier object's bytes"))
       << Out.str();
   EXPECT_FALSE(broke(Out, "a slot was handed out dirty")) << Out.str();
+}
+
+TEST(OwnedBlockProtocol, CatchesCheckoutThatSkipsTheSweep) {
+  Result Out = checkProtocol(Rules::CheckoutSkipsSweep);
+  EXPECT_TRUE(broke(Out, "a thread owns a pending block")) << Out.str();
+  EXPECT_TRUE(
+      broke(Out, "an unowned block's AllocatedCount does not match the bit"))
+      << Out.str();
+}
+
+TEST(OwnedBlockProtocol, CatchesFreeThatSkipsTheSweep) {
+  Result Out = checkProtocol(Rules::FreeSkipsSweep);
+  EXPECT_TRUE(broke(Out, "a slot was pinned with no false reference"))
+      << Out.str();
 }
 
 TEST(OwnedBlockProtocol, CatchesRemoteFreeThatWritesTheSlot) {

@@ -338,6 +338,70 @@ TEST(SignalSuspend, SuspendedThreadCacheIsPinnedNotFlushed) {
   EXPECT_TRUE(GC.verifyHeapReport().clean());
 }
 
+// A block its suspended owner keeps through a collection is neither
+// swept nor left pending, but the mark loop set marks in it.  The next
+// root scan must still begin from clear marks: a stale mark would settle
+// its object as already traced, and an object only it reaches would be
+// swept while live.
+TEST(SignalSuspend, KeptBlockLeavesNoStaleMark) {
+  struct MarkCheck : GcObserver {
+    Collector *GC = nullptr;
+    unsigned Checked = 0, Dirty = 0;
+    void onPhaseBegin(GcPhase Phase) override {
+      if (Phase != GcPhase::RootScan)
+        return;
+      ++Checked;
+      if (!GC->objectHeap().verifyMarksClear().clean())
+        ++Dirty;
+    }
+  } Check;
+  GcConfig Config = testConfig();
+  Config.HandshakeDeadlineMs = 400; // Signal rung at 200 ms.
+  Collector GC(Config);
+  Check.GC = &GC;
+  GcObserverId CheckId = GC.addObserver(&Check);
+  uint64_t Root = 0;
+  GC.addRootRange(&Root, &Root + 1, RootEncoding::Native64,
+                  RootSource::Client, "parent");
+  std::atomic<bool> Wedged{false}, Resume{false}, Quit{false};
+  std::atomic<uintptr_t> HiddenChild{0};
+  std::thread Worker([&] {
+    GcThreadScope Scope(GC);
+    ASSERT_TRUE(Scope.registered());
+    // Both objects come from the block this thread checks out and
+    // still owns when the suspend signal lands.
+    auto *Parent = static_cast<void **>(GC.allocate(48));
+    ASSERT_NE(Parent, nullptr);
+    Parent[0] = GC.allocate(48);
+    HiddenChild.store(~reinterpret_cast<uintptr_t>(Parent[0]));
+    Root = reinterpret_cast<uint64_t>(Parent);
+    Wedged.store(true, std::memory_order_release);
+    while (!Resume.load(std::memory_order_acquire)) {
+    }
+    while (!Quit.load(std::memory_order_acquire))
+      GC.safepoint();
+  });
+  while (!Wedged.load(std::memory_order_acquire))
+    std::this_thread::yield();
+  void *Parent = reinterpret_cast<void *>(Root);
+  CollectionStats Kept = GC.collect("wedged-cache");
+  EXPECT_EQ(Kept.CacheBlocksKept, 1u);
+  EXPECT_TRUE(GC.wasMarkedLive(Parent));
+  EXPECT_EQ(GC.objectHeap().pendingBlockCount(), 0u)
+      << "a kept block is never left pending";
+  Resume.store(true, std::memory_order_release);
+  CollectionStats After = GC.collect("cooperative-after");
+  EXPECT_EQ(After.CacheBlocksKept, 0u);
+  EXPECT_EQ(Check.Checked, 2u);
+  EXPECT_EQ(Check.Dirty, 0u) << "a mark outlived its cycle";
+  EXPECT_TRUE(GC.isAllocated(reinterpret_cast<void *>(~HiddenChild.load())))
+      << "an object reached through a kept block was swept";
+  Quit.store(true, std::memory_order_release);
+  Worker.join();
+  EXPECT_TRUE(GC.verifyHeapReport().clean()) << GC.verifyHeapReport().str();
+  GC.removeObserver(CheckId);
+}
+
 // The heap-lock fast path and the notify-only-when-stopping blocked
 // path must never lose a wakeup: four threads hammer locked paths
 // (uncached allocations, foreign-pointer frees, locked frees) while

@@ -440,7 +440,8 @@ TEST(ThreadCache, RacingOwnerAndRemoteFreesReportOneDoubleFree) {
       Posted.store(R, std::memory_order_release);
       // A delay that varies by round sweeps the owner's free across the
       // locked path's classify-then-clear window.
-      for (volatile unsigned Spin = 0; Spin != (R * 37) % 2048; ++Spin) {
+      for (volatile unsigned Spin = 0; Spin != (R * 37) % 2048;) {
+        Spin = Spin + 1;
       }
       GC.deallocate(P);
       while (RemoteDone.load(std::memory_order_acquire) != R) {

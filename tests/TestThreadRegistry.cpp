@@ -132,9 +132,10 @@ TEST(ThreadRegistry, HandshakeStopsConcurrentAllocators) {
         ASSERT_NE(Obj, nullptr);
         *Obj = Tag | (I & 0xffffffff);
         uint64_t *Old = Keep[I % 16];
-        if (Old)
+        if (Old) {
           EXPECT_EQ(*Old & ~uint64_t(0xffffffff), Tag)
               << "a rooted object was reclaimed or clobbered";
+        }
         Keep[I % 16] = Obj;
         GC.safepoint();
       }
