@@ -98,14 +98,6 @@ Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
   if (Guards && Config.Interior == InteriorPolicy::BaseOnly)
     Marking->registerDisplacement(GuardLayer::HeaderBytes);
 
-  // GcStats consumes the observer layer like any other client: the
-  // timing sink is the first registered observer, so later observers
-  // see phase timings already folded into the cycle record.  The
-  // verifier sink comes second: by the time it aborts on a corrupted
-  // phase, the phase's timing is already recorded.
-  Observers.add(&TimingSink);
-  Observers.add(&VerifierSink);
-
   // Crash visibility: mirror this collector's identity into the
   // process-global registry the signal-handler dump walks.  A full
   // registry (> MaxTrackedCollectors live collectors) just means this
@@ -217,10 +209,7 @@ void Collector::forkChildOne() {
         ThreadRegistry::current(),
         [this](MutatorThread &Thread) { retireCache(Thread); });
   }
-  CrashInfo.RegisteredThreads.store(Registry.registeredCount(),
-                                    std::memory_order_relaxed);
-  CrashInfo.OwnedBlocks.store(Heap->ownedBlockCount(),
-                              std::memory_order_relaxed);
+  publishCrashState();
   // The heap lock cannot simply be released here: recursive-mutex
   // ownership is bound to the locking thread's kernel TID, and the
   // forking thread has a new one in the child, so unlock() would fail
@@ -247,17 +236,6 @@ void Collector::stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
             "the handshake deadline's warning rung"
           : "cgc: stop-the-world stalled; mutator thread is slow to park";
   GC->warn(WarnEvent::HandshakeStall, Message, ThreadId);
-}
-
-void Collector::publishHandshakeCrashState() {
-  CrashInfo.Handshakes.store(Registry.handshakes(),
-                             std::memory_order_relaxed);
-  CrashInfo.SignalSuspensions.store(Registry.signalSuspensions(),
-                                    std::memory_order_relaxed);
-  CrashInfo.HandshakeTimeouts.store(Registry.handshakeTimeouts(),
-                                    std::memory_order_relaxed);
-  CrashInfo.MaxStopNanos.store(Registry.maxStopNanos(),
-                               std::memory_order_relaxed);
 }
 
 bool Collector::refuseReentrantCollection() {
@@ -310,15 +288,14 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
     Abandoned = true;
     ++GC.Resilience.HandshakeTimeouts;
     ++GC.Resilience.AbandonedCollections;
-    GC.publishHandshakeCrashState();
     GcIncident Incident;
     Incident.Cause = GcIncidentCause::HandshakeTimeout;
     Incident.CollectionIndex = GC.Lifetime.Collections;
     Incident.HandshakeTrace = std::move(Handshake.Trace);
-    GC.Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-    GC.warn(WarnEvent::HandshakeStall,
-            "cgc: stop-the-world handshake timed out; abandoning collection",
-            Handshake.Nanos);
+    GC.raiseIncident(
+        Incident, WarnEvent::HandshakeStall,
+        "cgc: stop-the-world handshake timed out; abandoning collection",
+        Handshake.Nanos);
     if (GC.Config.HandshakeFatal)
       fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
     resume();
@@ -328,13 +305,7 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
   // with exact counts.
   if (FlushCaches)
     CacheFlush = GC.flushThreadCaches();
-  GC.publishHandshakeCrashState();
-  if (FlushCaches)
-    GC.CrashInfo.OwnedBlocks.store(GC.Heap->ownedBlockCount(),
-                                   std::memory_order_relaxed);
-  GC.Observers.dispatch([&](GcObserver &O) {
-    O.onStopTheWorld(Handshake.MutatorsStopped, Handshake.Nanos);
-  });
+  GC.emit({.Kind = GcEventKind::StopTheWorld, .Payload = &Handshake});
 }
 
 Collector::StoppedWorld::~StoppedWorld() {
@@ -427,17 +398,14 @@ void Collector::StoppedWorld::resume() {
 }
 
 void Collector::configureSentinel(const SentinelPolicy &Policy) {
-  if (SentinelImpl) {
+  HeapLockGuard Guard(*this);
+  if (SentinelImpl)
     SentinelImpl->standDown();
-    Observers.remove(SentinelObserverId);
-    SentinelImpl.reset();
-    SentinelObserverId = 0;
-  }
+  SentinelImpl.reset();
   Config.Sentinel = Policy;
-  if (!Policy.Enabled)
-    return;
-  SentinelImpl = std::make_unique<GcSentinel>(*this, Policy);
-  SentinelObserverId = Observers.add(SentinelImpl.get());
+  if (Policy.Enabled)
+    SentinelImpl = std::make_unique<GcSentinel>(*this, Policy);
+  publishCrashState();
 }
 
 void Collector::maybeStartupCollect() {
@@ -552,8 +520,7 @@ bool Collector::registerMutatorThread(const void *StackBaseHint) {
   if (Config.ThreadCaches && !Guards)
     Thread->Cache = std::make_unique<ThreadCache>();
   ThreadedMode.store(true, std::memory_order_release);
-  CrashInfo.RegisteredThreads.store(Registry.registeredCount(),
-                                    std::memory_order_relaxed);
+  publishCrashState();
   return true;
 }
 
@@ -567,10 +534,7 @@ void Collector::unregisterMutatorThread() {
     retireCache(*Self);
   }
   Registry.unregisterThread(Self);
-  CrashInfo.RegisteredThreads.store(Registry.registeredCount(),
-                                    std::memory_order_relaxed);
-  CrashInfo.OwnedBlocks.store(Heap->ownedBlockCount(),
-                              std::memory_order_relaxed);
+  publishCrashState();
   unlockHeap();
 }
 
@@ -629,11 +593,8 @@ bool Collector::checkoutToCache(MutatorThread *Self,
   }
   if (Taken == 0)
     return false;
-  CrashInfo.OwnedBlocks.store(Heap->ownedBlockCount(),
-                              std::memory_order_relaxed);
-  unsigned Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onThreadCacheRefill(Class, Slots); });
+  uint64_t Class = Heap->sizeClassFor(Req.Bytes == 0 ? 1 : Req.Bytes);
+  emit({.Kind = GcEventKind::ThreadCacheRefill, .Value = Class << 32 | Slots});
   return true;
 }
 
@@ -815,8 +776,6 @@ void *Collector::runExhaustionLadder(const AllocRequest &Req) {
     return nullptr;
   // Rung 1: a full collection.
   ++Resilience.HeapExhaustedCollections;
-  CrashInfo.HeapExhaustedCollections.store(
-      Resilience.HeapExhaustedCollections, std::memory_order_relaxed);
   noteLadderCollection(collect("heap-exhausted"));
   if (void *Result = Retry())
     return Result;
@@ -826,11 +785,7 @@ void *Collector::runExhaustionLadder(const AllocRequest &Req) {
   // pages — survival over blacklist hygiene, right before reporting
   // out of memory.
   ++Resilience.EmergencyCollections;
-  CrashInfo.EmergencyCollections.store(Resilience.EmergencyCollections,
-                                       std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::EmergencyCollection, /*Phase=*/-1, Bytes);
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onEmergencyCollection(Bytes); });
+  emit({.Kind = GcEventKind::EmergencyCollection, .Value = Bytes});
   InteriorPolicy SavedInterior = Config.Interior;
   if (SavedInterior == InteriorPolicy::All)
     Config.Interior = InteriorPolicy::FirstPage;
@@ -844,13 +799,8 @@ void *Collector::runExhaustionLadder(const AllocRequest &Req) {
 
 void *Collector::reportOutOfMemory(uint64_t Bytes) {
   ++Resilience.OomEvents;
-  CrashInfo.OomEvents.store(Resilience.OomEvents,
-                            std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::OutOfMemory, /*Phase=*/-1, Bytes);
-  bool HasHandler = Config.OomHandler != nullptr;
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onOutOfMemory(Bytes, HasHandler); });
-  if (!HasHandler)
+  emit({.Kind = GcEventKind::OutOfMemory, .Value = Bytes});
+  if (!Config.OomHandler)
     return nullptr;
   ++Resilience.OomHandlerInvocations;
   return Config.OomHandler(Bytes, Config.OomHandlerData);
@@ -873,12 +823,7 @@ void Collector::warn(WarnEvent Event, const char *Message, uint64_t Value) {
     return;
   }
   ++Resilience.WarningsIssued;
-  CrashInfo.WarningsIssued.store(Resilience.WarningsIssued,
-                                 std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::Warning, /*Phase=*/-1, Value);
-  if (Config.WarnProc)
-    Config.WarnProc(Message, Value, Config.WarnProcData);
-  Observers.dispatch([&](GcObserver &O) { O.onWarning(Message, Value); });
+  emit({.Kind = GcEventKind::Warning, .Value = Value, .Payload = Message});
 }
 
 void Collector::deallocate(void *Ptr) {
@@ -936,7 +881,6 @@ void Collector::deallocate(void *Ptr) {
 
 void Collector::raiseClientIncident(GcIncidentCause Cause, uint64_t Addr,
                                     const char *Detail) {
-  noteCrashEvent(GcEventKind::Incident, /*Phase=*/-1, Addr);
   GcIncident Incident;
   Incident.Cause = Cause;
   Incident.CollectionIndex = Lifetime.Collections;
@@ -944,8 +888,13 @@ void Collector::raiseClientIncident(GcIncidentCause Cause, uint64_t Addr,
   // Deliberately does NOT set LastGuardIncidentInfo/HasGuardIncident:
   // the latch is the guarded heap's test surface and client misuse in
   // unguarded mode must not masquerade as a guard violation.
-  Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-  warn(WarnEvent::InvalidFree, Detail, Addr);
+  raiseIncident(Incident, WarnEvent::InvalidFree, Detail, Addr);
+}
+
+void Collector::raiseIncident(const GcIncident &Incident, WarnEvent Event,
+                              const char *Detail, uint64_t Value) {
+  emit({.Kind = GcEventKind::Incident, .Value = Value, .Payload = &Incident});
+  warn(Event, Detail, Value);
 }
 
 Collector::GuardedRef Collector::guardedRefFor(const void *Ptr) const {
@@ -974,21 +923,27 @@ Collector::GuardedRef Collector::guardedRefFor(const void *Ptr) const {
 
 void Collector::reportGuardViolation(const GuardViolation &V, uint64_t Addr,
                                      const char *Detail) {
+  GcIncident Incident;
   switch (V.Kind) {
   case GuardViolationKind::HeaderSmash:
     ++Guards->Stats.HeaderSmashes;
+    Incident.Cause = GcIncidentCause::GuardHeaderSmash;
     break;
   case GuardViolationKind::RedzoneSmash:
     ++Guards->Stats.RedzoneSmashes;
+    Incident.Cause = GcIncidentCause::GuardRedzoneSmash;
     break;
   case GuardViolationKind::DoubleFree:
     ++Guards->Stats.DoubleFrees;
+    Incident.Cause = GcIncidentCause::DoubleFree;
     break;
   case GuardViolationKind::InvalidFree:
     ++Guards->Stats.InvalidFrees;
+    Incident.Cause = GcIncidentCause::InvalidFree;
     break;
   case GuardViolationKind::QuarantineUseAfterFree:
     ++Guards->Stats.UseAfterFreeWrites;
+    Incident.Cause = GcIncidentCause::QuarantineUseAfterFree;
     break;
   }
   const char *Site = Guards->siteName(V.Site);
@@ -997,26 +952,6 @@ void Collector::reportGuardViolation(const GuardViolation &V, uint64_t Addr,
   CrashInfo.LastGuardKind.store(guardViolationKindName(V.Kind),
                                 std::memory_order_relaxed);
   CrashInfo.LastGuardSite.store(Site, std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::Incident, /*Phase=*/-1, Addr);
-
-  GcIncident Incident;
-  switch (V.Kind) {
-  case GuardViolationKind::HeaderSmash:
-    Incident.Cause = GcIncidentCause::GuardHeaderSmash;
-    break;
-  case GuardViolationKind::RedzoneSmash:
-    Incident.Cause = GcIncidentCause::GuardRedzoneSmash;
-    break;
-  case GuardViolationKind::DoubleFree:
-    Incident.Cause = GcIncidentCause::DoubleFree;
-    break;
-  case GuardViolationKind::InvalidFree:
-    Incident.Cause = GcIncidentCause::InvalidFree;
-    break;
-  case GuardViolationKind::QuarantineUseAfterFree:
-    Incident.Cause = GcIncidentCause::QuarantineUseAfterFree;
-    break;
-  }
   Incident.CollectionIndex = Lifetime.Collections;
   Incident.GuardSite = Site;
   Incident.GuardSeqno = V.Seqno;
@@ -1024,8 +959,7 @@ void Collector::reportGuardViolation(const GuardViolation &V, uint64_t Addr,
   Incident.GuardAddress = Addr;
   LastGuardIncidentInfo = Incident;
   HasGuardIncident = true;
-  Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-  warn(WarnEvent::GuardViolation, Detail, Addr);
+  raiseIncident(Incident, WarnEvent::GuardViolation, Detail, Addr);
 
   if (Config.GuardFatal) {
     char Message[256];
@@ -1106,8 +1040,7 @@ void Collector::deallocateGuarded(void *Ptr) {
       GuardLayer::QuarantineEntry Evicted;
       if (Guards->quarantine(SlotPtr, SlotOff, SlotBytes, Info, Evicted))
         releaseQuarantined(Evicted);
-      CrashInfo.QuarantineDepth.store(Guards->quarantineDepth(),
-                                      std::memory_order_relaxed);
+      publishCrashState();
       return;
     }
   }
@@ -1140,7 +1073,7 @@ void Collector::flushQuarantine() {
   GuardLayer::QuarantineEntry E;
   while (Guards->popOldest(E))
     releaseQuarantined(E);
-  CrashInfo.QuarantineDepth.store(0, std::memory_order_relaxed);
+  publishCrashState();
 }
 
 GcLeakReport Collector::findLeaks() {
@@ -1220,20 +1153,129 @@ bool Collector::shouldCollectBeforeGrowth() const {
   return static_cast<double>(BytesSinceGc) >= Threshold;
 }
 
+void Collector::emit(const GcEvent &E) {
+  // Views of the payload; each is meaningful only for its kinds.
+  auto Phase = static_cast<GcPhase>(E.Phase);
+  const auto *Text = static_cast<const char *>(E.Payload);
+  const auto *Stats = static_cast<const CollectionStats *>(E.Payload);
+  const auto *Incident = static_cast<const GcIncident *>(E.Payload);
+  const auto *Handshake =
+      static_cast<const ThreadRegistry::HandshakeResult *>(E.Payload);
+  const auto *Block = static_cast<const BlockDescriptor *>(E.Payload);
+
+  if (E.Kind == GcEventKind::CollectionBegin)
+    CrashInfo.CollectionIndex.store(Lifetime.Collections,
+                                    std::memory_order_relaxed);
+  // A collection's end carries phase -1: no phase is running.
+  if (E.Kind == GcEventKind::PhaseBegin ||
+      E.Kind == GcEventKind::CollectionEnd)
+    CrashInfo.Phase.store(E.Phase, std::memory_order_relaxed);
+  if (E.Kind == GcEventKind::Incident &&
+      Incident->Cause == GcIncidentCause::RetentionStorm)
+    CrashInfo.SentinelIncidents.fetch_add(1, std::memory_order_relaxed);
+  uint64_t Index = CrashInfo.CollectionIndex.load(std::memory_order_relaxed);
+  if (eventRingRecords(E.Kind))
+    CrashInfo.Events.push(E.Kind, E.Phase, Index, E.Value);
+  // Phase and per-object events change no mirror.  At CollectionEnd the
+  // mirrors show this cycle's numbers before any observer runs.
+  if (E.Kind != GcEventKind::PhaseBegin && E.Kind != GcEventKind::PhaseEnd &&
+      E.Kind != GcEventKind::ObjectRetained)
+    publishCrashState();
+  if (E.Kind == GcEventKind::Warning && Config.WarnProc)
+    Config.WarnProc(Text, E.Value, Config.WarnProcData);
+  Observers.dispatch([&](GcObserver &O) {
+    switch (E.Kind) {
+    case GcEventKind::CollectionBegin:
+      O.onCollectionBegin(Index, Text);
+      break;
+    case GcEventKind::PhaseBegin:
+      O.onPhaseBegin(Phase);
+      break;
+    case GcEventKind::PhaseEnd:
+      O.onPhaseEnd(Phase, E.Value, *Stats);
+      break;
+    case GcEventKind::CollectionEnd:
+      O.onCollectionEnd(Index, *Stats);
+      break;
+    case GcEventKind::EmergencyCollection:
+      O.onEmergencyCollection(E.Value);
+      break;
+    case GcEventKind::OutOfMemory:
+      O.onOutOfMemory(E.Value, Config.OomHandler != nullptr);
+      break;
+    case GcEventKind::Warning:
+      O.onWarning(Text, E.Value);
+      break;
+    case GcEventKind::HeapVerified:
+      O.onHeapVerified(E.Value == 0, E.Value);
+      break;
+    case GcEventKind::SentinelEscalation:
+      break; // Ring only.
+    case GcEventKind::Incident:
+      O.onIncident(*Incident);
+      break;
+    case GcEventKind::StopTheWorld:
+      O.onStopTheWorld(Handshake->MutatorsStopped, Handshake->Nanos);
+      break;
+    case GcEventKind::ThreadCacheRefill:
+      O.onThreadCacheRefill(static_cast<unsigned>(E.Value >> 32),
+                            static_cast<unsigned>(E.Value));
+      break;
+    case GcEventKind::ObjectRetained:
+      if (O.wantsRetainedObjects())
+        O.onObjectRetained(reinterpret_cast<void *>(E.Value),
+                           Block->ObjectSize, Block->Kind);
+      break;
+    }
+  });
+}
+
+void Collector::publishCrashState() {
+  auto Mirror = [](std::atomic<uint64_t> &To, uint64_t From) {
+    To.store(From, std::memory_order_relaxed);
+  };
+  Mirror(CrashInfo.HeapExhaustedCollections,
+         Resilience.HeapExhaustedCollections);
+  Mirror(CrashInfo.EmergencyCollections, Resilience.EmergencyCollections);
+  Mirror(CrashInfo.OomEvents, Resilience.OomEvents);
+  Mirror(CrashInfo.WarningsIssued, Resilience.WarningsIssued);
+  Mirror(CrashInfo.SentinelLevel,
+         SentinelImpl ? SentinelImpl->currentLevel() : 0);
+  Mirror(CrashInfo.QuarantineDepth, Guards ? Guards->quarantineDepth() : 0);
+  Mirror(CrashInfo.RegisteredThreads, Registry.registeredCount());
+  Mirror(CrashInfo.OwnedBlocks, Heap->ownedBlockCount());
+  Mirror(CrashInfo.Handshakes, Registry.handshakes());
+  Mirror(CrashInfo.SignalSuspensions, Registry.signalSuspensions());
+  Mirror(CrashInfo.HandshakeTimeouts, Registry.handshakeTimeouts());
+  Mirror(CrashInfo.MaxStopNanos, Registry.maxStopNanos());
+  Mirror(CrashInfo.LiveBytes, LastCycle.BytesLive);
+  Mirror(CrashInfo.CommittedBytes, committedHeapBytes());
+  Mirror(CrashInfo.BlacklistedPages, LastCycle.BlacklistedPages);
+  static_assert(NumDescriptorClasses == 3,
+                "GcCrashState's scan-mix arrays are sized 3");
+  for (unsigned I = 0; I != NumDescriptorClasses; ++I) {
+    Mirror(CrashInfo.ScanWordsByClass[I], LastCycle.ScanWordsByClass[I]);
+    Mirror(CrashInfo.ScanCandidatesByClass[I],
+           LastCycle.ScanCandidatesByClass[I]);
+  }
+}
+
+template <typename BodyT>
 void Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
-                         const std::function<void()> &Body) {
-  CrashInfo.Phase.store(static_cast<int32_t>(Phase),
-                        std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::PhaseBegin, static_cast<int>(Phase), 0);
-  Observers.dispatch([&](GcObserver &O) { O.onPhaseBegin(Phase); });
+                         BodyT &&Body) {
+  if (Config.VerifyEveryCollection && Phase == GcPhase::RootScan)
+    verifyMarksClearBeforeRootScan();
+  emit({.Kind = GcEventKind::PhaseBegin, .Phase = static_cast<int>(Phase)});
   uint64_t Start = nowNanos();
   Body();
   uint64_t Nanos = nowNanos() - Start;
-  // The timing sink (always registered first) records Nanos into
-  // Cycle.PhaseNanos before any client observer sees the event.
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onPhaseEnd(Phase, Nanos, Cycle); });
-  noteCrashEvent(GcEventKind::PhaseEnd, static_cast<int>(Phase), Nanos);
+  Cycle.PhaseNanos[static_cast<unsigned>(Phase)] += Nanos;
+  if (Config.VerifyEveryCollection)
+    verifyAfterPhase(Phase);
+  emit({.Kind = GcEventKind::PhaseEnd,
+        .Phase = static_cast<int>(Phase),
+        .Value = Nanos,
+        .Payload = &Cycle});
 }
 
 void Collector::emitRetainedObjects() {
@@ -1244,11 +1286,10 @@ void Collector::emitRetainedObjects() {
     for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
       if (!Heap->slotAllocated(Block, Slot) || !Marks.isMarked(Block, Slot))
         continue;
-      void *Ptr = Arena->pointerTo(Block.slotOffset(Slot));
-      Observers.dispatch([&](GcObserver &O) {
-        if (O.wantsRetainedObjects())
-          O.onObjectRetained(Ptr, Block.ObjectSize, Block.Kind);
-      });
+      emit({.Kind = GcEventKind::ObjectRetained,
+            .Value = reinterpret_cast<uint64_t>(
+                Arena->pointerTo(Block.slotOffset(Slot))),
+            .Payload = &Block});
     }
   });
 }
@@ -1278,18 +1319,15 @@ CollectionStats Collector::collect(const char *Reason) {
   for (const auto &Hook : PreCollectionHooks)
     Hook();
 
-  CollectionStats Cycle;
-  Cycle.MutatorsStopped = World.Handshake.MutatorsStopped;
-  Cycle.HandshakeNanos = World.Handshake.Nanos;
-  Cycle.CacheSlotsFlushed = World.CacheFlush.SlotsFlushed;
-  Cycle.CacheBlocksKept = Heap->ownedBlockCount();
-  TimingSink.attach(&Cycle);
+  // What the handshake measured; a repair retry starts from it again.
+  CollectionStats Start;
+  Start.MutatorsStopped = World.Handshake.MutatorsStopped;
+  Start.HandshakeNanos = World.Handshake.Nanos;
+  Start.CacheSlotsFlushed = World.CacheFlush.SlotsFlushed;
+  Start.CacheBlocksKept = Heap->ownedBlockCount();
+  CollectionStats Cycle = Start;
   uint64_t CollectionIndex = Lifetime.Collections;
-  CrashInfo.CollectionIndex.store(CollectionIndex,
-                                  std::memory_order_relaxed);
-  noteCrashEvent(GcEventKind::CollectionBegin, /*Phase=*/-1, 0);
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onCollectionBegin(CollectionIndex, Reason); });
+  emit({.Kind = GcEventKind::CollectionBegin, .Payload = Reason});
 
   // The last cycle's pending blocks are swept and every mark cleared
   // before anything reads the heap.  This is pause time, so it runs
@@ -1314,7 +1352,7 @@ CollectionStats Collector::collect(const char *Reason) {
   World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
 
   // The phase pipeline, transactional under the repair ladder: the
-  // verify sink (VerifyEveryCollection, !RepairFatal) sets
+  // verifier (VerifyEveryCollection, !RepairFatal) sets
   // RepairPending at the first corrupted phase boundary, after which
   // the remaining phases are skipped — no sweep may run over metadata
   // that failed verification.
@@ -1416,12 +1454,7 @@ CollectionStats Collector::collect(const char *Reason) {
     ++RepairStatsInfo.CollectionsRetried;
     repairHeapLocked();
     Heap->clearMarks();
-    CollectionStats Retry;
-    Retry.MutatorsStopped = Cycle.MutatorsStopped;
-    Retry.HandshakeNanos = Cycle.HandshakeNanos;
-    Retry.CacheSlotsFlushed = Cycle.CacheSlotsFlushed;
-    Retry.CacheBlocksKept = Cycle.CacheBlocksKept;
-    Cycle = Retry; // Same address: the timing sink stays attached.
+    Cycle = Start;
     RunPipeline(Cycle);
     if (RepairPending) {
       RepairPending = false;
@@ -1448,26 +1481,13 @@ CollectionStats Collector::collect(const char *Reason) {
   LastCycle = Cycle;
   Lifetime.accumulate(Cycle);
   BytesSinceGc = 0;
-  // Refresh the crash-visible heap summary before dispatching: if an
-  // observer callback crashes, the report shows this cycle's numbers.
-  CrashInfo.Phase.store(-1, std::memory_order_relaxed);
-  CrashInfo.LiveBytes.store(Cycle.BytesLive, std::memory_order_relaxed);
-  CrashInfo.CommittedBytes.store(committedHeapBytes(),
-                                 std::memory_order_relaxed);
-  CrashInfo.BlacklistedPages.store(Cycle.BlacklistedPages,
-                                   std::memory_order_relaxed);
-  static_assert(NumDescriptorClasses == 3,
-                "GcCrashState's scan-mix arrays are sized 3");
-  for (unsigned I = 0; I != NumDescriptorClasses; ++I) {
-    CrashInfo.ScanWordsByClass[I].store(Cycle.ScanWordsByClass[I],
-                                        std::memory_order_relaxed);
-    CrashInfo.ScanCandidatesByClass[I].store(
-        Cycle.ScanCandidatesByClass[I], std::memory_order_relaxed);
-  }
-  noteCrashEvent(GcEventKind::CollectionEnd, /*Phase=*/-1, Cycle.BytesLive);
-  Observers.dispatch(
-      [&](GcObserver &O) { O.onCollectionEnd(CollectionIndex, Cycle); });
-  TimingSink.attach(nullptr);
+  // The sentinel reads the finished cycle before any client does, so a
+  // client's onCollectionEnd sees its escalation already applied.
+  if (SentinelImpl)
+    SentinelImpl->collectionEnded(CollectionIndex, Cycle);
+  emit({.Kind = GcEventKind::CollectionEnd,
+        .Value = Cycle.BytesLive,
+        .Payload = &Cycle});
   World.resume();
   // Decommit the pages free since before the previous cycle, after the
   // resume so the madvise calls stay out of the pause.
@@ -1569,13 +1589,8 @@ void Collector::verifyHeap() {
   fatalError("heap verification failed", __FILE__, __LINE__);
 }
 
-void Collector::VerifySink::onPhaseBegin(GcPhase Phase) {
-  // The root scan begins from clear marks: a mark left set would settle
-  // its object as already traced, and the objects only it reaches would
-  // be swept while live.
-  if (!GC.Config.VerifyEveryCollection || Phase != GcPhase::RootScan)
-    return;
-  HeapVerifyReport Report = GC.Heap->verifyMarksClear();
+void Collector::verifyMarksClearBeforeRootScan() {
+  HeapVerifyReport Report = Heap->verifyMarksClear();
   if (Report.clean())
     return;
   std::fprintf(stderr, "cgc heap verification failed before the root "
@@ -1584,19 +1599,14 @@ void Collector::VerifySink::onPhaseBegin(GcPhase Phase) {
   fatalError("mark bits set when the root scan began", __FILE__, __LINE__);
 }
 
-void Collector::VerifySink::onPhaseEnd(GcPhase Phase, uint64_t,
-                                       const CollectionStats &) {
-  if (!GC.Config.VerifyEveryCollection)
-    return;
-  HeapVerifyReport Report = GC.verifyHeapReport();
-  GC.noteCrashEvent(GcEventKind::HeapVerified, static_cast<int>(Phase),
-                    Report.Issues.size());
-  GC.Observers.dispatch([&](GcObserver &O) {
-    O.onHeapVerified(Report.clean(), Report.Issues.size());
-  });
+void Collector::verifyAfterPhase(GcPhase Phase) {
+  HeapVerifyReport Report = verifyHeapReport();
+  emit({.Kind = GcEventKind::HeapVerified,
+        .Phase = static_cast<int>(Phase),
+        .Value = Report.Issues.size()});
   if (Report.clean())
     return;
-  if (!GC.Config.RepairFatal && GC.InCollection) {
+  if (!Config.RepairFatal) {
     // Guard smashes are damage to *client* memory that the sweep
     // reports through the guard-violation path; metadata repair cannot
     // resolve them, so they never spin the abandon-repair-retry
@@ -1609,11 +1619,11 @@ void Collector::VerifySink::onPhaseEnd(GcPhase Phase, uint64_t,
       return;
     // Abandon the cycle: collect() skips the remaining phases, repairs
     // under the still-stopped world, and retries once.
-    GC.RepairPending = true;
-    GC.warn(WarnEvent::MetadataRepair,
-            "cgc: heap verification failed mid-collection; abandoning "
-            "the cycle for repair",
-            Report.Issues.size());
+    RepairPending = true;
+    warn(WarnEvent::MetadataRepair,
+         "cgc: heap verification failed mid-collection; abandoning "
+         "the cycle for repair",
+         Report.Issues.size());
     return;
   }
   std::fprintf(stderr,
@@ -1688,11 +1698,10 @@ void Collector::serviceMetadataWildWrites() {
       Incident.MetadataRegion = "metadata";
     }
     ++RepairStatsInfo.MetadataWildWrites;
-    noteCrashEvent(GcEventKind::Incident, /*Phase=*/-1, Writes[I].Address);
-    Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
-    warn(WarnEvent::MetadataRepair,
-         "cgc: wild write to sealed GC metadata caught and contained",
-         Writes[I].Address);
+    raiseIncident(Incident, WarnEvent::MetadataRepair,
+                  "cgc: wild write to sealed GC metadata caught and "
+                  "contained",
+                  Writes[I].Address);
   }
   // The faulting stores landed (the handler unprotected their pages so
   // the writers could retry): whatever they hit is suspect — verify

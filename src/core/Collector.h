@@ -416,38 +416,6 @@ public:
   RootSet &roots() { return Roots; }
 
 private:
-  /// Feeds the observer layer's phase-end events back into the current
-  /// cycle's CollectionStats: GcStats is itself an observer consumer,
-  /// so per-phase timing has exactly one source of truth.
-  class PhaseTimingSink final : public GcObserver {
-  public:
-    void attach(CollectionStats *Cycle) { Current = Cycle; }
-    void onPhaseEnd(GcPhase Phase, uint64_t Nanos,
-                    const CollectionStats &) override {
-      if (Current)
-        Current->PhaseNanos[static_cast<unsigned>(Phase)] += Nanos;
-    }
-
-  private:
-    CollectionStats *Current = nullptr;
-  };
-
-  /// Runs the deep verifier after every pipeline phase when
-  /// GcConfig::VerifyEveryCollection is on; aborts with the report on
-  /// any inconsistency so fuzz runs fail at the phase that corrupted
-  /// the heap, not collections later.  Before the root scan it checks
-  /// that no mark bit is set.
-  class VerifySink final : public GcObserver {
-  public:
-    explicit VerifySink(Collector &GC) : GC(GC) {}
-    void onPhaseBegin(GcPhase Phase) override;
-    void onPhaseEnd(GcPhase Phase, uint64_t Nanos,
-                    const CollectionStats &SoFar) override;
-
-  private:
-    Collector &GC;
-  };
-
   friend class GcSentinel;
 
   /// Rate-limited warning kinds (one backoff counter each).
@@ -463,6 +431,35 @@ private:
     MidCyclePinOverflow = 8,
   };
   static constexpr unsigned NumWarnEvents = 9;
+
+  /// One collector event, built on the stack and handed to emit().
+  /// Phase is the GcPhase index for phase events and HeapVerified, else
+  /// -1.  Value is the ring record's value (phase nanos, request bytes,
+  /// live bytes, issue count, ladder level, ...); it is size class << 32
+  /// | slots for ThreadCacheRefill and the object for ObjectRetained.
+  /// Payload is the reason (CollectionBegin), the CollectionStats
+  /// (PhaseEnd, CollectionEnd), the message (Warning), the GcIncident,
+  /// the HandshakeResult (StopTheWorld) or the block (ObjectRetained).
+  struct GcEvent {
+    GcEventKind Kind;
+    int Phase = -1;
+    uint64_t Value = 0;
+    const void *Payload = nullptr;
+  };
+  /// The one emit path, in this order: the crash-visible phase and
+  /// collection index, the crash ring (for the kinds it records), the
+  /// crash mirrors (but for phase and per-object events), the warn proc
+  /// (for a warning), and the observers.
+  void emit(const GcEvent &E);
+  /// Writes every GcCrashState mirror from its source: the resilience
+  /// counters, the registry's thread and handshake counters, the owned
+  /// blocks, the quarantine depth, the sentinel level, and the heap
+  /// summary (the last cycle's numbers and the committed bytes).
+  void publishCrashState();
+  /// An incident's one order: ring record and crash counters (value
+  /// \p Value), onIncident, then the rate-limited warning \p Detail.
+  void raiseIncident(const GcIncident &Incident, WarnEvent Event,
+                     const char *Detail, uint64_t Value);
 
   /// One allocation request: \p Bytes of \p Kind from block list
   /// \p Lane (ObjectHeap::NoLane for a large object).  \p IgnoreOffPage
@@ -528,8 +525,8 @@ private:
     GuardLayer::Decoded Info;
   };
   GuardedRef guardedRefFor(const void *Ptr) const;
-  /// Updates counters/crash state, raises the GcIncident (observers +
-  /// rate-limited warn), and fatals when GuardFatal.  \p Detail is a
+  /// Updates the guard counters and crash state, raises the GcIncident
+  /// (raiseIncident), and fatals when GuardFatal.  \p Detail is a
   /// static string naming the violation for the warn proc and the
   /// fatal message.
   void reportGuardViolation(const GuardViolation &V, uint64_t Addr,
@@ -611,8 +608,8 @@ private:
   /// mutators still run free, stops the world, and then either abandons
   /// it — the watchdog's final rung: a HandshakeTimeout incident, fatal
   /// under GcConfig::HandshakeFatal, else an immediate resume — or
-  /// returns every thread-owned block (with \p FlushCaches), publishes
-  /// the handshake counters, and dispatches onStopTheWorld.
+  /// returns every thread-owned block (with \p FlushCaches) and emits
+  /// StopTheWorld.
   class StoppedWorld {
   public:
     StoppedWorld(Collector &GC, bool FlushCaches);
@@ -657,9 +654,6 @@ private:
   /// (WarnEvent::HandshakeStall), naming the thread and its state.
   static void stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
                              uint64_t StalledNanos);
-  /// Publishes the registry's lifetime handshake counters into the
-  /// crash-visible state after every stop-the-world.
-  void publishHandshakeCrashState();
   /// Refuses a collection or census requested from a callback while
   /// one is in flight (warns; the caller returns an empty cycle).
   bool refuseReentrantCollection();
@@ -696,10 +690,21 @@ private:
   /// to occurrences 1, 2, 4, 8, ... per event kind.
   void warn(WarnEvent Event, const char *Message, uint64_t Value);
   void reportLeaks();
-  /// Runs one pipeline phase: phase-begin event, \p Body, timing,
-  /// phase-end event (which the timing sink folds into \p Cycle).
-  void runPhase(GcPhase Phase, CollectionStats &Cycle,
-                const std::function<void()> &Body);
+  /// Runs one pipeline phase: phase-begin event, \p Body, the phase's
+  /// time added into \p Cycle, phase-end event.  \p Body is a template
+  /// callable, so no closure is heap-allocated while the world is
+  /// stopped.  With GcConfig::VerifyEveryCollection the two checks
+  /// below run around it.
+  template <typename BodyT>
+  void runPhase(GcPhase Phase, CollectionStats &Cycle, BodyT &&Body);
+  /// Before the root scan: fatal if any mark bit is set (it would
+  /// settle its object as traced, and what only it reaches be swept).
+  void verifyMarksClearBeforeRootScan();
+  /// After \p Phase, before its end event: the deep verifier, then
+  /// HeapVerified.  An inconsistency abandons the cycle for repair
+  /// (RepairPending) or, under RepairFatal, fatals with the report, so
+  /// fuzz runs fail at the phase that corrupted the heap.
+  void verifyAfterPhase(GcPhase Phase);
   void emitRetainedObjects();
 
   /// Lazily unseals the metadata arena on entry to a metadata-mutating
@@ -737,13 +742,6 @@ private:
   /// RepairStatsInfo; callers hold the heap lock (and, mid-collection,
   /// the stopped world).  \returns the annotated pre-repair report.
   HeapVerifyReport repairHeapLocked();
-
-  /// Records an event in the crash-visible ring (see CrashInfo).
-  void noteCrashEvent(GcEventKind Kind, int Phase, uint64_t Value) {
-    CrashInfo.Events.push(
-        Kind, Phase, CrashInfo.CollectionIndex.load(std::memory_order_relaxed),
-        Value);
-  }
 
   GcConfig Config;
   std::unique_ptr<VirtualArena> Arena;
@@ -788,10 +786,7 @@ private:
   std::vector<std::function<void()>> StackClearHooks;
   std::vector<std::function<void()>> PreCollectionHooks;
   GcObserverRegistry Observers;
-  PhaseTimingSink TimingSink;
-  VerifySink VerifierSink{*this};
   std::unique_ptr<GcSentinel> SentinelImpl;
-  GcObserverId SentinelObserverId = 0;
   GcCrashState CrashInfo;
   bool CrashRegistered = false;
 
@@ -804,7 +799,7 @@ private:
   /// Corruption-containment counters; seal traffic is read from the
   /// arena at snapshot time (repairStats()).
   GcRepairStats RepairStatsInfo;
-  /// Set by the verify sink when a mid-collection verification failed
+  /// Set by verifyAfterPhase when a mid-collection verification failed
   /// under !RepairFatal: the remaining phases are skipped, the cycle
   /// abandoned, the heap repaired, and the pipeline retried once.
   bool RepairPending = false;

@@ -20,8 +20,13 @@
 /// heap-exhausted, the startup collection) emit exactly the same
 /// sequence, so consecutive collections never interleave events.
 ///
-/// GcStats' per-phase timing and the collector report both consume
-/// this layer; clients register their own observers through
+/// Every event reaches the observers through the collector's one emit
+/// path (Collector::emit), which also feeds the crash ring
+/// (support/EventRing.h), the crash-visible counters and the warn
+/// proc, so the ring and the observers see the same events in the same
+/// order.  The collector's own consumers (per-phase timing, the
+/// per-phase verifier, the retention sentinel) are direct calls, not
+/// observers.  Clients register observers through
 /// Collector::addObserver or the C API.
 ///
 /// Re-entrancy rules: callbacks may register and unregister observers
@@ -118,9 +123,10 @@ public:
     (void)Value;
   }
 
-  /// The per-phase verifier sink (GcConfig::VerifyEveryCollection) ran
-  /// the deep heap verifier.  \p Clean is true when no inconsistencies
-  /// were found; \p IssueCount is the report size.  Explicit
+  /// The per-phase verifier (GcConfig::VerifyEveryCollection) ran the
+  /// deep heap verifier; this precedes the phase's onPhaseEnd.
+  /// \p Clean is true when no inconsistencies were found;
+  /// \p IssueCount is the report size.  Explicit
   /// Collector::verifyHeapReport calls do not dispatch this event.
   virtual void onHeapVerified(bool Clean, size_t IssueCount) {
     (void)Clean;
@@ -144,10 +150,12 @@ public:
     (void)Slots;
   }
 
-  /// The retention-storm sentinel exhausted its escalation ladder and
-  /// raised a structured incident (core/GcIncident.h).  \p Incident is
-  /// valid only for the duration of the callback.  Dispatched from
-  /// onCollectionEnd context, so the usual no-alloc/no-collect rules
+  /// A structured incident was raised (core/GcIncident.h): a retention
+  /// storm, a guard violation, a bad client free, a handshake timeout
+  /// or a wild write to sealed metadata.  The rate-limited onWarning
+  /// naming it follows.  \p Incident is valid only for the duration of
+  /// the callback.  A retention storm is raised at collection end,
+  /// before onCollectionEnd, so the usual no-alloc/no-collect rules
   /// apply.
   virtual void onIncident(const GcIncident &Incident) { (void)Incident; }
 };

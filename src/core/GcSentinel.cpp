@@ -45,7 +45,7 @@ bool GcSentinel::windowIsStorm(uint64_t &GrowthOut) const {
   return true;
 }
 
-void GcSentinel::onCollectionEnd(uint64_t CollectionIndex,
+void GcSentinel::collectionEnded(uint64_t CollectionIndex,
                                  const CollectionStats &Stats) {
   SentinelSample Sample;
   Sample.CollectionIndex = CollectionIndex;
@@ -60,20 +60,16 @@ void GcSentinel::onCollectionEnd(uint64_t CollectionIndex,
 
   // Level-3 tightening expires on its own, independent of calm: the
   // override is a probe, not a permanent policy change.
-  if (TightenActive && CollectionIndex >= TightenUntil) {
-    TightenActive = false;
-    if (SavedInterior) {
-      GC.Config.Interior = *SavedInterior;
-      SavedInterior.reset();
-    }
+  if (SavedInterior && CollectionIndex >= TightenUntil) {
+    GC.Config.Interior = *SavedInterior;
+    SavedInterior.reset();
   }
 
   CalmStreak = Grew ? 0 : CalmStreak + 1;
   if (this->Stats.CurrentLevel > 0 && CalmStreak >= Policy.CalmCollections) {
     standDown();
     ++this->Stats.Deescalations;
-    GC.noteCrashEvent(GcEventKind::SentinelEscalation, /*Phase=*/-1,
-                      /*Value=*/0);
+    GC.emit({.Kind = GcEventKind::SentinelEscalation, .Value = 0});
     return;
   }
 
@@ -97,8 +93,7 @@ void GcSentinel::escalate(uint64_t CollectionIndex, uint64_t GrowthBytes) {
   EverEscalated = true;
   LastEscalationIndex = CollectionIndex;
   unsigned Level = ++Stats.CurrentLevel;
-  GC.CrashInfo.SentinelLevel.store(Level, std::memory_order_relaxed);
-  GC.noteCrashEvent(GcEventKind::SentinelEscalation, /*Phase=*/-1, Level);
+  GC.emit({.Kind = GcEventKind::SentinelEscalation, .Value = Level});
 
   switch (Level) {
   case 1:
@@ -125,18 +120,17 @@ void GcSentinel::escalate(uint64_t CollectionIndex, uint64_t GrowthBytes) {
       SavedInterior = GC.Config.Interior;
     if (GC.Config.Interior == InteriorPolicy::All)
       GC.Config.Interior = InteriorPolicy::FirstPage;
-    TightenActive = true;
     TightenUntil = CollectionIndex + Policy.TightenCycles;
     ++Stats.InteriorTightenings;
     break;
   default:
-    raiseIncident(CollectionIndex, GrowthBytes);
+    raiseStormIncident(CollectionIndex, GrowthBytes);
     break;
   }
 }
 
-void GcSentinel::raiseIncident(uint64_t CollectionIndex,
-                               uint64_t GrowthBytes) {
+void GcSentinel::raiseStormIncident(uint64_t CollectionIndex,
+                                    uint64_t GrowthBytes) {
   GcIncident Incident;
   Incident.Cause = GcIncidentCause::RetentionStorm;
   Incident.CollectionIndex = CollectionIndex;
@@ -181,15 +175,11 @@ void GcSentinel::raiseIncident(uint64_t CollectionIndex,
                const GcIncidentRootSummary &B) { return A.Bytes > B.Bytes; });
 
   ++Stats.IncidentsRaised;
-  GC.CrashInfo.SentinelIncidents.fetch_add(1, std::memory_order_relaxed);
-  GC.noteCrashEvent(GcEventKind::Incident, /*Phase=*/-1, GrowthBytes);
-  LastIncident = Incident;
-
-  GC.warn(Collector::WarnEvent::SentinelIncident,
-          "cgc: retention storm: live bytes kept growing through every "
-          "sentinel escalation",
-          GrowthBytes);
-  GC.Observers.dispatch([&](GcObserver &O) { O.onIncident(Incident); });
+  LastIncident = std::move(Incident);
+  GC.raiseIncident(*LastIncident, Collector::WarnEvent::SentinelIncident,
+                   "cgc: retention storm: live bytes kept growing through "
+                   "every sentinel escalation",
+                   GrowthBytes);
 }
 
 void GcSentinel::standDown() {
@@ -201,7 +191,5 @@ void GcSentinel::standDown() {
     GC.Config.Interior = *SavedInterior;
     SavedInterior.reset();
   }
-  TightenActive = false;
   Stats.CurrentLevel = 0;
-  GC.CrashInfo.SentinelLevel.store(0, std::memory_order_relaxed);
 }

@@ -8,7 +8,8 @@
 /// \file
 /// The runtime defense against the paper's §2 failure mode: conservative
 /// misidentification silently retaining garbage until the heap grows
-/// without bound.  The sentinel is a GcObserver that watches the
+/// without bound.  The collector calls the sentinel at the end of every
+/// collection, before any observer's onCollectionEnd.  It watches the
 /// live-bytes trajectory across a sliding window of collections
 /// (GcConfig::SentinelPolicy) and, when sustained growth exceeds the
 /// configured slope/floor, climbs a four-level escalation ladder of the
@@ -22,7 +23,7 @@
 ///            TightenCycles collections (observation 7's remedy)
 ///   level 4  emit a structured GcIncident — cause, trajectory window,
 ///            top retained-bytes-by-root-source sampled through
-///            RetentionTracer — via GcWarnProc and onIncident
+///            RetentionTracer — via onIncident, then GcWarnProc
 ///
 /// CalmCollections consecutive non-growing collections stand the
 /// sentinel down: every overridden configuration knob is restored and
@@ -37,13 +38,13 @@
 
 #include "core/GcConfig.h"
 #include "core/GcIncident.h"
-#include "core/GcObserver.h"
 #include <optional>
 #include <vector>
 
 namespace cgc {
 
 class Collector;
+struct CollectionStats;
 
 struct GcSentinelStats {
   /// Windows that met the storm criteria (counted even while the
@@ -58,12 +59,14 @@ struct GcSentinelStats {
   unsigned CurrentLevel = 0;
 };
 
-class GcSentinel final : public GcObserver {
+class GcSentinel {
 public:
   GcSentinel(Collector &GC, const SentinelPolicy &Policy);
 
-  void onCollectionEnd(uint64_t CollectionIndex,
-                       const CollectionStats &Stats) override;
+  /// Samples the finished collection \p CollectionIndex and climbs,
+  /// holds or stands down the ladder.
+  void collectionEnded(uint64_t CollectionIndex,
+                       const CollectionStats &Stats);
 
   const GcSentinelStats &stats() const { return Stats; }
   unsigned currentLevel() const { return Stats.CurrentLevel; }
@@ -83,7 +86,7 @@ public:
 private:
   bool windowIsStorm(uint64_t &GrowthOut) const;
   void escalate(uint64_t CollectionIndex, uint64_t GrowthBytes);
-  void raiseIncident(uint64_t CollectionIndex, uint64_t GrowthBytes);
+  void raiseStormIncident(uint64_t CollectionIndex, uint64_t GrowthBytes);
 
   Collector &GC;
   SentinelPolicy Policy;
@@ -94,9 +97,9 @@ private:
   /// Saved knobs to restore on stand-down.
   std::optional<StackClearMode> SavedStackClearing;
   std::optional<InteriorPolicy> SavedInterior;
-  /// Collection index at which the level-3 tightening expires.
+  /// Collection index at which the level-3 tightening (active while
+  /// SavedInterior is set) expires.
   uint64_t TightenUntil = 0;
-  bool TightenActive = false;
 
   /// Collection index of the last escalation, for the cooldown.
   uint64_t LastEscalationIndex = 0;

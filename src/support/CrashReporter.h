@@ -10,10 +10,15 @@
 /// still tell you what the collector was doing.  Every collector keeps
 /// a GcCrashState — a POD of relaxed-atomic mirrors of its phase, heap
 /// summary, resilience counters, and an EventRing of its last events —
-/// registered in a process-global lock-free table.  The dump walks the
-/// table and formats each state with hand-rolled integer formatters
-/// into a stack buffer, emitting only write(2) calls: no malloc, no
-/// stdio, no locks, no unbounded recursion.
+/// registered in a process-global lock-free table.  The collector
+/// writes it from its emit path (Collector::emit): collection and phase
+/// boundaries set the phase and collection index, the ring records
+/// every event but the frequent observer-only kinds (stop-the-world,
+/// cache refill, object retained), and every event but the phase and
+/// per-object ones republishes the counter mirrors from their sources.
+/// The dump walks the table and formats each state with hand-rolled
+/// integer formatters into a stack buffer, emitting only write(2)
+/// calls: no malloc, no stdio, no locks, no unbounded recursion.
 ///
 /// Three entry points:
 ///   * crash::install()   — sigaction handlers for SIGSEGV and SIGABRT
@@ -34,8 +39,10 @@
 
 namespace cgc {
 
-/// Per-collector crash-visible state.  Writers are the collector's
-/// ordinary (non-signal) code paths; the only reader that matters is
+/// Per-collector crash-visible state.  The writer is the collector's
+/// emit path; outside it, only a guard violation's last-violation
+/// fields and the thread and quarantine bookkeeping (which republish
+/// the counter mirrors) write here.  The only reader that matters is
 /// the signal handler, so every field is a relaxed atomic and the
 /// struct owns no heap memory.
 struct GcCrashState {
@@ -44,7 +51,8 @@ struct GcCrashState {
   /// Current pipeline phase as int(GcPhase), or -1 outside collection.
   std::atomic<int32_t> Phase{-1};
   std::atomic<uint64_t> CollectionIndex{0};
-  /// Heap summary, refreshed at every collection boundary.
+  /// Heap summary: the last collection's live bytes, blacklist and scan
+  /// mix, and the committed bytes, republished with the counters.
   std::atomic<uint64_t> LiveBytes{0};
   std::atomic<uint64_t> CommittedBytes{0};
   std::atomic<uint64_t> BlacklistedPages{0};

@@ -26,10 +26,12 @@
 
 namespace cgc {
 
-/// Event kinds recorded in the ring.  A superset of the observer
-/// layer's events: the ring also records sentinel escalations and
-/// incidents so a crash dump shows the defensive actions that preceded
-/// it.
+/// Every event the collector emits (Collector::emit).  The ring records
+/// the kinds before StopTheWorld; those after it are observer-only,
+/// because they are frequent and say nothing a post-mortem needs.  One
+/// kind has no GcObserver callback: SentinelEscalation (value: the new
+/// level, 0 on stand-down), so a crash dump shows the defensive actions
+/// that preceded it.
 enum class GcEventKind : unsigned char {
   CollectionBegin = 0,
   PhaseBegin = 1,
@@ -41,9 +43,17 @@ enum class GcEventKind : unsigned char {
   HeapVerified = 7,
   SentinelEscalation = 8,
   Incident = 9,
+  StopTheWorld = 10,
+  ThreadCacheRefill = 11,
+  ObjectRetained = 12,
 };
 
-constexpr unsigned NumGcEventKinds = 10;
+constexpr unsigned NumGcEventKinds = 13;
+
+/// Whether the crash ring records events of \p Kind.
+constexpr bool eventRingRecords(GcEventKind Kind) {
+  return Kind < GcEventKind::StopTheWorld;
+}
 
 /// Stable, async-signal-safe (string-literal) name for \p Kind.
 constexpr const char *gcEventKindName(GcEventKind Kind) {
@@ -68,6 +78,12 @@ constexpr const char *gcEventKindName(GcEventKind Kind) {
     return "sentinel-escalation";
   case GcEventKind::Incident:
     return "incident";
+  case GcEventKind::StopTheWorld:
+    return "stop-the-world";
+  case GcEventKind::ThreadCacheRefill:
+    return "cache-refill";
+  case GcEventKind::ObjectRetained:
+    return "object-retained";
   }
   return "?";
 }

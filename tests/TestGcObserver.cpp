@@ -14,6 +14,7 @@
 
 #include "capi/cgc.h"
 #include "core/Collector.h"
+#include <algorithm>
 #include <gtest/gtest.h>
 #include <string>
 #include <vector>
@@ -284,4 +285,119 @@ TEST(GcObserver, CApiObserverBridge) {
   EXPECT_EQ(Log.Events.size(), EventsBefore)
       << "removed observer receives nothing";
   cgc_destroy(GC);
+}
+
+namespace {
+
+/// One event as the crash ring and the observers both see it.
+struct Seen {
+  GcEventKind Kind;
+  uint64_t Collection;
+  bool operator==(const Seen &O) const = default;
+};
+
+/// Records every observer event of a kind the crash ring also records,
+/// tagged the way the ring tags it: with the index of the latest
+/// collection to begin.
+class RingMirror final : public GcObserver {
+public:
+  void onCollectionBegin(uint64_t Index, const char *) override {
+    Current = Index;
+    add(GcEventKind::CollectionBegin);
+  }
+  void onCollectionEnd(uint64_t Index, const CollectionStats &) override {
+    EXPECT_EQ(Index, Current);
+    add(GcEventKind::CollectionEnd);
+  }
+  void onPhaseBegin(GcPhase) override { add(GcEventKind::PhaseBegin); }
+  void onPhaseEnd(GcPhase, uint64_t, const CollectionStats &) override {
+    add(GcEventKind::PhaseEnd);
+  }
+  void onEmergencyCollection(uint64_t) override {
+    add(GcEventKind::EmergencyCollection);
+  }
+  void onOutOfMemory(uint64_t, bool) override {
+    add(GcEventKind::OutOfMemory);
+  }
+  void onWarning(const char *, uint64_t) override {
+    add(GcEventKind::Warning);
+  }
+  void onHeapVerified(bool, size_t) override {
+    add(GcEventKind::HeapVerified);
+  }
+  void onIncident(const GcIncident &) override {
+    add(GcEventKind::Incident);
+  }
+
+  std::vector<Seen> Log;
+
+private:
+  void add(GcEventKind Kind) { Log.push_back({Kind, Current}); }
+  uint64_t Current = 0;
+};
+
+/// Copies the ring's records pushed since the last drain.
+struct RingLog {
+  void drain(const Collector &GC) {
+    const EventRing &Ring = GC.crashState().Events;
+    uint64_t Pushed = Ring.pushed();
+    ASSERT_LE(Pushed - Drained, EventRing::Capacity)
+        << "the ring wrapped between drains";
+    GcEventRecord Records[EventRing::Capacity];
+    unsigned Count =
+        Ring.snapshot(Records, static_cast<unsigned>(Pushed - Drained));
+    for (unsigned I = 0; I != Count; ++I)
+      Log.push_back({Records[I].kind(), Records[I].collectionIndex()});
+    Drained = Pushed;
+  }
+
+  std::vector<Seen> Log;
+  uint64_t Drained = 0;
+};
+
+} // namespace
+
+TEST(GcObserver, RingAndObserversRecordTheSameEvents) {
+  // Every event reaches the crash ring and the observers through one
+  // emit path, so the two streams agree event for event.
+  void *Roots[64] = {};
+  GcConfig Config = observerConfig();
+  Config.MaxHeapBytes = 4 << 20;
+  Config.VerifyEveryCollection = true;
+  Collector GC(Config);
+  GC.addRootRange(Roots, Roots + 64, RootEncoding::Native64,
+                  RootSource::Client, "roots");
+  RingMirror Observer;
+  GC.addObserver(&Observer);
+  RingLog Ring;
+
+  Roots[0] = GC.allocate(64);
+  (void)GC.collect("first");
+  Ring.drain(GC);
+  // A client incident, then its warning.
+  int NotHeap = 0;
+  GC.deallocate(&NotHeap);
+  Ring.drain(GC);
+  // Rooted large objects fill the heap until the ladder gives up: a
+  // heap-exhausted collection, an emergency collection, the warnings
+  // that neither reclaimed anything, and an OOM.
+  size_t I = 1;
+  for (; I != 64; ++I) {
+    Roots[I] = GC.allocate(256 << 10);
+    Ring.drain(GC);
+    if (!Roots[I])
+      break;
+  }
+  ASSERT_LT(I, 64u) << "the heap never ran out";
+
+  for (GcEventKind Kind :
+       {GcEventKind::CollectionBegin, GcEventKind::PhaseBegin,
+        GcEventKind::PhaseEnd, GcEventKind::CollectionEnd,
+        GcEventKind::EmergencyCollection, GcEventKind::OutOfMemory,
+        GcEventKind::Warning, GcEventKind::HeapVerified,
+        GcEventKind::Incident})
+    EXPECT_TRUE(std::any_of(Ring.Log.begin(), Ring.Log.end(),
+                            [&](const Seen &S) { return S.Kind == Kind; }))
+        << "the run produced no " << gcEventKindName(Kind) << " event";
+  EXPECT_EQ(Ring.Log, Observer.Log);
 }

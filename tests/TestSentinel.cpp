@@ -282,3 +282,56 @@ TEST(Sentinel, ReconfigureAndDisableRestoresState) {
   // And collections keep working without the observer.
   GC.collect("test");
 }
+
+TEST(Sentinel, StormIncidentPrecedesItsWarning) {
+  // Every incident runs in one order: onIncident, then the rate-limited
+  // warning that names it.
+  GcConfig Config = sentinelConfig();
+  Config.Sentinel = stormPolicy();
+  Collector GC(Config);
+  RootSlots Roots(GC);
+
+  class OrderRecorder final : public GcObserver {
+  public:
+    void onIncident(const GcIncident &) override { Order.push_back('I'); }
+    void onWarning(const char *, uint64_t) override { Order.push_back('W'); }
+    std::vector<char> Order;
+  } Recorder;
+  GC.addObserver(&Recorder);
+
+  for (unsigned I = 0; I != 24 && GC.sentinel()->stats().IncidentsRaised == 0;
+       ++I) {
+    Roots.Slots[I] = reinterpret_cast<uint64_t>(GC.allocate(32 << 10));
+    GC.collect("test");
+  }
+  ASSERT_EQ(GC.sentinel()->stats().IncidentsRaised, 1u);
+  EXPECT_EQ(Recorder.Order, (std::vector<char>{'I', 'W'}));
+}
+
+TEST(Sentinel, RunsBeforeAnEarlierClientsCollectionEnd) {
+  // A client registered before the sentinel was enabled still sees each
+  // collection's sentinel step done when its onCollectionEnd runs.
+  Collector GC(sentinelConfig());
+  RootSlots Roots(GC);
+
+  class LevelReader final : public GcObserver {
+  public:
+    explicit LevelReader(Collector &GC) : GC(GC) {}
+    void onCollectionEnd(uint64_t, const CollectionStats &) override {
+      Levels.push_back(GC.sentinel() ? GC.sentinel()->currentLevel() : 0);
+    }
+    Collector &GC;
+    std::vector<unsigned> Levels;
+  } Reader(GC);
+  GC.addObserver(&Reader);
+  GC.configureSentinel(stormPolicy());
+
+  std::vector<unsigned> After;
+  for (unsigned I = 0; I != 24 && GC.sentinel()->currentLevel() < 2; ++I) {
+    Roots.Slots[I] = reinterpret_cast<uint64_t>(GC.allocate(32 << 10));
+    GC.collect("test");
+    After.push_back(GC.sentinel()->currentLevel());
+  }
+  ASSERT_EQ(GC.sentinel()->currentLevel(), 2u);
+  EXPECT_EQ(Reader.Levels, After);
+}

@@ -71,6 +71,19 @@ public:
   std::vector<std::string> Warnings;
 };
 
+/// Incident records in \p GC's crash ring.
+unsigned ringIncidents(const Collector &GC) {
+  GcEventRecord Records[EventRing::Capacity];
+  unsigned Count = GC.crashState().Events.snapshot(Records,
+                                                   EventRing::Capacity);
+  EXPECT_LT(GC.crashState().Events.pushed(), EventRing::Capacity)
+      << "the ring wrapped; older incidents may be gone";
+  unsigned Incidents = 0;
+  for (unsigned I = 0; I != Count; ++I)
+    Incidents += Records[I].kind() == GcEventKind::Incident;
+  return Incidents;
+}
+
 } // namespace
 
 // Arming the watchdog must be invisible on the cooperative path: a
@@ -474,6 +487,8 @@ TEST(StopWorld, FinalTimeoutRaisesIncidentAndDegrades) {
   EXPECT_EQ(R.HandshakeTimeouts, 1u);
   EXPECT_EQ(R.AbandonedCollections, 1u);
   EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 1u);
+  // The crash ring records the incident too.
+  EXPECT_EQ(ringIncidents(GC), 1u);
 
   // The world was resumed and the collector still serves allocations.
   void *P = GC.allocate(128);
@@ -489,6 +504,7 @@ TEST(StopWorld, FinalTimeoutRaisesIncidentAndDegrades) {
   EXPECT_EQ(GC.resilienceStats().HandshakeTimeouts, 2u);
   EXPECT_EQ(GC.resilienceStats().AbandonedCollections, 2u);
   EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 2u);
+  EXPECT_EQ(ringIncidents(GC), 2u);
   EXPECT_NE(GC.allocate(128), nullptr);
 
   Resume.store(true, std::memory_order_release);
