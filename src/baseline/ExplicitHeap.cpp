@@ -199,6 +199,6 @@ void ExplicitHeap::verifyHeap() const {
     return;
   std::fprintf(stderr,
                "explicit heap verification failed (%zu issues):\n%s",
-               Report.Issues.size(), Report.str().c_str());
+               Report.Findings.size(), Report.str().c_str());
   fatalError("explicit heap verification failed", __FILE__, __LINE__);
 }

@@ -407,7 +407,7 @@ size_t cgc_verify_heap(cgc_collector *GC, char *Report,
     std::memcpy(Report, Text.data(), Len);
     Report[Len] = '\0';
   }
-  return Result.Issues.size();
+  return Result.Findings.size();
 }
 
 // The C mirrors must track the C++ enums value-for-value; a drift here

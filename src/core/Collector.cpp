@@ -342,44 +342,33 @@ void Collector::StoppedWorld::addRoots(std::jmp_buf &MachineRegisters,
     return reinterpret_cast<const void *>(
         reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
   };
+  // Labels here must fit the small-string buffer: these ranges are
+  // registered while the world is stopped, when a heap-allocating
+  // std::string could deadlock against a signal-suspended thread's
+  // malloc arena lock.
+  auto AddRegisters = [&](const auto &Buffer) {
+    RootIds.push_back(GC.Roots.addRange(&Buffer, &Buffer + 1,
+                                        RootEncoding::Native64,
+                                        RootSource::Registers,
+                                        "mutator-regs"));
+  };
   GC.Registry.forEachThread([&](MutatorThread &Thread) {
     bool IsSelf = &Thread == Self;
     const void *Top = AlignDownToPointer(
         IsSelf ? Probe : Thread.StackTop.load(std::memory_order_acquire));
-    const void *RegsBegin;
-    const void *RegsEnd;
-    if (IsSelf) {
-      RegsBegin = static_cast<const void *>(&SelfRegisters);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(&SelfRegisters) +
-          sizeof(std::jmp_buf));
-    } else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire)) {
-      // Preemptively suspended: the cooperative jmp_buf is stale; the
-      // handler's sigsetjmp capture is the live register snapshot.
-      RegsBegin = static_cast<const void *>(&Thread.Suspend.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(
-              &Thread.Suspend.Registers) +
-          sizeof(sigjmp_buf));
-    } else {
-      RegsBegin = static_cast<const void *>(&Thread.Registers);
-      RegsEnd = static_cast<const void *>(
-          reinterpret_cast<const unsigned char *>(&Thread.Registers) +
-          sizeof(std::jmp_buf));
-    }
     if (Top != nullptr && Thread.StackBase != nullptr &&
         Top < Thread.StackBase)
       RootIds.push_back(GC.Roots.addRange(Top, Thread.StackBase,
                                           RootEncoding::Native64,
                                           RootSource::Stack, "mutator-stack"));
-    // Labels here must fit the small-string buffer: these ranges are
-    // registered while the world is stopped, when a heap-allocating
-    // std::string could deadlock against a signal-suspended thread's
-    // malloc arena lock.
-    RootIds.push_back(GC.Roots.addRange(RegsBegin, RegsEnd,
-                                        RootEncoding::Native64,
-                                        RootSource::Registers,
-                                        "mutator-regs"));
+    if (IsSelf)
+      AddRegisters(SelfRegisters);
+    else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire))
+      // Preemptively suspended: the cooperative jmp_buf is stale; the
+      // handler's sigsetjmp capture is the live register snapshot.
+      AddRegisters(Thread.Suspend.Registers);
+    else
+      AddRegisters(Thread.Registers);
   });
 }
 
@@ -447,13 +436,9 @@ void *Collector::allocateRequest(const AllocRequest &Req) {
   ObjectKind Kind;
   {
     HeapLockGuard Guard(*this);
-    if (Req.Layout == 0) {
-      // Guarded mode has no thread caches, so Owner is null here.
-      if (Guards)
-        return allocateGuarded(Req.Bytes, Req.Kind, /*Site=*/0,
-                               /*IgnoreOffPage=*/false);
-      return allocateLocked(Req, Owner);
-    }
+    // Guarded mode has no thread caches, so Owner is null there.
+    if (Req.Layout == 0)
+      return Guards ? allocateGuarded(Req) : allocateLocked(Req, Owner);
     MetadataScope MetaScope(*this);
     Bytes = Heap->layout(Req.Layout).SizeBytes;
     // The all-conservative ablation ignores descriptors outright.
@@ -477,10 +462,19 @@ void *Collector::allocate(size_t Bytes, ObjectKind Kind) {
 }
 
 void *Collector::allocateTyped(LayoutId Layout) {
-  AllocRequest Req;
-  Req.Lane = Heap->typedLane(Layout);
-  Req.Layout = Layout;
-  return allocateRequest(Req);
+  return allocateRequest(
+      {.Lane = Heap->typedLane(Layout), .Layout = Layout});
+}
+
+void *Collector::allocateTagged(size_t Bytes, const char *Site,
+                                ObjectKind Kind) {
+  return allocateRequest(
+      untypedRequest(Bytes, Kind, /*IgnoreOffPage=*/false, Site));
+}
+
+void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
+  return allocateRequest(
+      untypedRequest(Bytes, Kind, /*IgnoreOffPage=*/true));
 }
 
 //===----------------------------------------------------------------------===//
@@ -657,25 +651,15 @@ bool Collector::anyMutatorSignalSuspended() const {
   return Any;
 }
 
-void *Collector::allocateTagged(size_t Bytes, const char *Site,
-                                ObjectKind Kind) {
-  if (!Guards)
-    return allocate(Bytes, Kind); // Tags only exist in guarded mode.
-  safepoint();
-  HeapLockGuard Guard(*this);
-  return allocateGuarded(Bytes, Kind, Guards->internSite(Site),
-                         /*IgnoreOffPage=*/false);
-}
-
-void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
-                                 GuardSiteId Site, bool IgnoreOffPage) {
-  if (Bytes == 0)
-    Bytes = 1;
+void *Collector::allocateGuarded(const AllocRequest &Req) {
+  size_t Bytes = Req.Bytes == 0 ? 1 : Req.Bytes;
   CGC_CHECK(Bytes <= GuardLayer::MaxUserBytes,
             "guarded allocation too large");
+  GuardSiteId Site = Guards->internSite(Req.Site);
   size_t Padded = static_cast<size_t>(GuardLayer::paddedSize(Bytes));
-  void *Slot = allocateLocked(untypedRequest(Padded, Kind, IgnoreOffPage),
-                              /*Owner=*/nullptr);
+  void *Slot =
+      allocateLocked(untypedRequest(Padded, Req.Kind, Req.IgnoreOffPage),
+                     /*Owner=*/nullptr);
   if (!Slot)
     return nullptr;
   // An installed OOM handler's result is returned verbatim; it is not
@@ -686,8 +670,7 @@ void *Collector::allocateGuarded(size_t Bytes, ObjectKind Kind,
   CGC_ASSERT(Ref.valid(), "guarded slot must be an object base");
   // Arm against the slot's full capacity (the size class may round the
   // padded request up), so the redzone covers the slop bytes too.
-  uint64_t Seqno = Guards->arm(Slot, Heap->objectSize(Ref), Bytes, Site);
-  (void)Seqno;
+  Guards->arm(Slot, Heap->objectSize(Ref), Bytes, Site);
   return GuardLayer::userPointer(Slot);
 }
 
@@ -897,28 +880,62 @@ void Collector::raiseIncident(const GcIncident &Incident, WarnEvent Event,
   warn(Event, Detail, Value);
 }
 
-Collector::GuardedRef Collector::guardedRefFor(const void *Ptr) const {
-  GuardedRef G;
+Collector::ClientObject Collector::clientView(const BlockDescriptor &Block,
+                                              uint32_t Slot) const {
+  WindowOffset Base = Block.slotOffset(Slot);
+  ClientObject C{.Ptr = Arena->pointerTo(Base),
+                 .Bytes = Block.ObjectSize,
+                 .Kind = Block.Kind};
+  // Only a guarded untyped object has a header; a free slot has none.
+  if (!Guards || Block.LayoutId != 0 || !Heap->slotAllocated(Block, Slot))
+    return C;
+  if (Guards->isQuarantined(Base))
+    return {};
+  C.Guarded = true;
+  C.Header = GuardLayer::inspect(C.Ptr, Block.ObjectSize);
+  C.Ptr = GuardLayer::userPointer(C.Ptr);
+  if (C.Header.HeaderIntact)
+    C.Bytes = static_cast<size_t>(C.Header.UserBytes);
+  return C;
+}
+
+Collector::ClientObject Collector::clientObjectAt(const void *Ptr) const {
   Address Addr = reinterpret_cast<Address>(Ptr);
   if (!Arena->contains(Addr))
-    return G;
-  WindowOffset UserOff = Arena->offsetOf(Addr);
-  if (UserOff < GuardLayer::HeaderBytes)
-    return G;
-  WindowOffset SlotOff = UserOff - GuardLayer::HeaderBytes;
-  ObjectRef Ref = Heap->refForBase(SlotOff);
-  if (!Ref.valid() || !Heap->isAllocated(Ref) ||
-      Blocks->get(Ref.Block).LayoutId != 0 || Guards->isQuarantined(SlotOff))
-    return G;
-  GuardLayer::Decoded Info =
-      GuardLayer::inspect(Arena->pointerTo(SlotOff), Heap->objectSize(Ref));
-  if (!Info.HeaderIntact)
-    return G;
-  G.Valid = true;
-  G.Ref = Ref;
-  G.SlotBase = SlotOff;
-  G.Info = Info;
-  return G;
+    return {};
+  WindowOffset Offset = Arena->offsetOf(Addr);
+  if (Guards && Offset >= GuardLayer::HeaderBytes) {
+    ObjectRef Ref = Heap->refForBase(Offset - GuardLayer::HeaderBytes);
+    if (Ref.valid()) {
+      ClientObject C = clientView(Blocks->get(Ref.Block), Ref.Slot);
+      if (C.Ptr == Ptr) {
+        C.Ref = Ref;
+        return C;
+      }
+    }
+  }
+  ObjectRef Ref = Heap->refForBase(Offset);
+  if (!Ref.valid())
+    return {};
+  const BlockDescriptor &Block = Blocks->get(Ref.Block);
+  return {.Ref = Ref,
+          .Ptr = const_cast<void *>(Ptr),
+          .Bytes = Block.ObjectSize,
+          .Kind = Block.Kind};
+}
+
+template <typename FnT>
+void Collector::forEachClientObject(bool Marked, FnT Fn) {
+  const MarkTable &Marks = Heap->markTable();
+  Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
+    Heap->forEachAllocatedSlot(Block, [&](uint32_t Slot) {
+      if (Marks.isMarked(Block, Slot) != Marked)
+        return;
+      ClientObject O = clientView(Block, Slot);
+      if (O.Ptr)
+        Fn(O);
+    });
+  });
 }
 
 void Collector::reportGuardViolation(const GuardViolation &V, uint64_t Addr,
@@ -974,77 +991,63 @@ void Collector::reportGuardViolation(const GuardViolation &V, uint64_t Addr,
 
 void Collector::deallocateGuarded(void *Ptr) {
   Address Addr = reinterpret_cast<Address>(Ptr);
-  GuardViolation V;
-  if (!Arena->contains(Addr)) {
-    V.Kind = GuardViolationKind::InvalidFree;
-    reportGuardViolation(V, Addr, "free of a non-heap pointer");
-    return;
-  }
-  WindowOffset UserOff = Arena->offsetOf(Addr);
-
-  // Typed (precisely scanned) objects carry no guard metadata even in
-  // guarded mode; their base pointers free through the raw path.
-  ObjectRef RawRef = Heap->refForBase(UserOff);
-  if (RawRef.valid() && Heap->isAllocated(RawRef) &&
-      Blocks->get(RawRef.Block).LayoutId != 0) {
-    Finalizers.unregister(UserOff);
-    Heap->deallocateExplicit(Ptr);
-    return;
-  }
-
-  if (UserOff >= GuardLayer::HeaderBytes) {
-    WindowOffset SlotOff = UserOff - GuardLayer::HeaderBytes;
-    ObjectRef Ref = Heap->refForBase(SlotOff);
-    if (Ref.valid() && Blocks->get(Ref.Block).LayoutId == 0) {
-      if (!Heap->isAllocated(Ref)) {
-        // Valid slot base, already swept or flushed: a late double free.
-        V.Kind = GuardViolationKind::DoubleFree;
-        V.Base = SlotOff;
-        reportGuardViolation(V, Addr, "double free");
-        return;
-      }
-      if (Guards->isQuarantined(SlotOff)) {
-        // Still parked from the first free; the ring entry remembers
-        // the original allocation's identity.
-        V.Kind = GuardViolationKind::DoubleFree;
-        V.Base = SlotOff;
-        if (const GuardLayer::QuarantineEntry *E =
-                Guards->findQuarantined(SlotOff)) {
-          V.Seqno = E->Seqno;
-          V.Site = E->Site;
-          V.UserBytes = E->UserBytes;
-        }
-        reportGuardViolation(V, Addr, "double free");
-        return;
-      }
-      uint64_t SlotBytes = Heap->objectSize(Ref);
-      void *SlotPtr = Arena->pointerTo(SlotOff);
-      GuardLayer::Decoded Info = GuardLayer::inspect(SlotPtr, SlotBytes);
-      V.Base = SlotOff;
-      V.Seqno = Info.Seqno;
-      V.Site = Info.Site;
-      V.UserBytes = Info.UserBytes;
-      if (!Info.HeaderIntact) {
-        V.Kind = GuardViolationKind::HeaderSmash;
-        reportGuardViolation(V, Addr, "guard header smash");
-        return;
-      }
-      if (!Info.RedzoneIntact) {
-        V.Kind = GuardViolationKind::RedzoneSmash;
-        reportGuardViolation(V, Addr, "guard redzone smash");
-        return;
-      }
-      // A fully validated guarded free: poison, park, maybe release
-      // the ring's oldest entry.
-      Finalizers.unregister(SlotOff);
+  ClientObject C = clientObjectAt(Ptr);
+  if (C.Guarded) {
+    WindowOffset Base = Heap->baseOffset(C.Ref);
+    if (C.Header.HeaderIntact && C.Header.RedzoneIntact) {
+      // A fully validated guarded free: poison, park, maybe release the
+      // ring's oldest entry.
+      Finalizers.unregister(Base);
       GuardLayer::QuarantineEntry Evicted;
-      if (Guards->quarantine(SlotPtr, SlotOff, SlotBytes, Info, Evicted))
+      if (Guards->quarantine(Arena->pointerTo(Base), Base,
+                             Heap->objectSize(C.Ref), C.Header, Evicted))
         releaseQuarantined(Evicted);
       publishCrashState();
       return;
     }
+    GuardViolation V{.Kind = C.Header.HeaderIntact
+                                 ? GuardViolationKind::RedzoneSmash
+                                 : GuardViolationKind::HeaderSmash,
+                     .Base = Base,
+                     .Seqno = C.Header.Seqno,
+                     .Site = C.Header.Site,
+                     .UserBytes = C.Header.UserBytes};
+    reportGuardViolation(V, Addr, guardViolationKindName(V.Kind));
+    return;
   }
-  V.Kind = GuardViolationKind::InvalidFree;
+  // Typed (precisely scanned) objects carry no guard metadata even in
+  // guarded mode; their base pointers free through the raw path.
+  if (C.Ref.valid() && Heap->isAllocated(C.Ref) &&
+      Blocks->get(C.Ref.Block).LayoutId != 0) {
+    Finalizers.unregister(Heap->baseOffset(C.Ref));
+    Heap->deallocateExplicit(Ptr);
+    return;
+  }
+  GuardViolation V{.Kind = GuardViolationKind::InvalidFree};
+  if (!Arena->contains(Addr)) {
+    reportGuardViolation(V, Addr, "free of a non-heap pointer");
+    return;
+  }
+  // The user pointer of a guarded slot that is parked in the quarantine
+  // or already swept: a double free.  A parked slot's ring entry
+  // remembers the original allocation's identity.
+  WindowOffset Offset = Arena->offsetOf(Addr);
+  if (Offset >= GuardLayer::HeaderBytes) {
+    WindowOffset SlotOff = Offset - GuardLayer::HeaderBytes;
+    ObjectRef Ref = Heap->refForBase(SlotOff);
+    if (Ref.valid() && Blocks->get(Ref.Block).LayoutId == 0) {
+      V.Kind = GuardViolationKind::DoubleFree;
+      V.Base = SlotOff;
+      if (const GuardLayer::QuarantineEntry *E =
+              Guards->findQuarantined(SlotOff)) {
+        V.Seqno = E->Seqno;
+        V.Site = E->Site;
+        V.UserBytes = E->UserBytes;
+      }
+      reportGuardViolation(V, Addr, "double free");
+      return;
+    }
+  }
   reportGuardViolation(V, Addr, "free of a non-object pointer");
 }
 
@@ -1085,24 +1088,17 @@ GcLeakReport Collector::findLeaks() {
   // guarded objects are unreachable, and the heap is left unchanged.
   measureLiveness();
   std::vector<GcLeakSite> BySite(Guards->siteCount());
-  const MarkTable &Marks = Heap->markTable();
-  Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
-    if (Block.LayoutId != 0)
-      return;
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Heap->slotAllocated(Block, Slot) || Marks.isMarked(Block, Slot))
-        continue;
-      WindowOffset Base = Block.slotOffset(Slot);
-      GuardLayer::Decoded Info =
-          GuardLayer::inspect(Arena->pointerTo(Base), Block.ObjectSize);
-      GuardSiteId Site =
-          Info.HeaderIntact && Info.Site < BySite.size() ? Info.Site : 0;
-      GcLeakSite &Bucket = BySite[Site];
-      if (Bucket.Objects == 0 || Info.Seqno < Bucket.FirstSeqno)
-        Bucket.FirstSeqno = Info.Seqno;
-      ++Bucket.Objects;
-      Bucket.Bytes += Info.HeaderIntact ? Info.UserBytes : Block.ObjectSize;
-    }
+  forEachClientObject(/*Marked=*/false, [&](const ClientObject &O) {
+    if (!O.Guarded)
+      return; // Typed objects have no header to name their site.
+    const GuardLayer::Decoded &Info = O.Header;
+    GuardSiteId Site =
+        Info.HeaderIntact && Info.Site < BySite.size() ? Info.Site : 0;
+    GcLeakSite &Bucket = BySite[Site];
+    if (Bucket.Objects == 0 || Info.Seqno < Bucket.FirstSeqno)
+      Bucket.FirstSeqno = Info.Seqno;
+    ++Bucket.Objects;
+    Bucket.Bytes += O.Bytes;
   });
   for (GuardSiteId Site = 0; Site != BySite.size(); ++Site) {
     if (BySite[Site].Objects == 0)
@@ -1123,15 +1119,6 @@ Collector::registerObjectLayout(const std::vector<bool> &PointerWords,
   HeapLockGuard Guard(*this);
   MetadataScope MetaScope(*this);
   return Heap->registerLayout(PointerWords, SizeBytes);
-}
-
-void *Collector::allocateIgnoreOffPage(size_t Bytes, ObjectKind Kind) {
-  safepoint();
-  HeapLockGuard Guard(*this);
-  if (Guards)
-    return allocateGuarded(Bytes, Kind, /*Site=*/0, /*IgnoreOffPage=*/true);
-  return allocateLocked(untypedRequest(Bytes, Kind, /*IgnoreOffPage=*/true),
-                        /*Owner=*/nullptr);
 }
 
 void Collector::registerDisplacement(uint32_t Displacement) {
@@ -1161,7 +1148,7 @@ void Collector::emit(const GcEvent &E) {
   const auto *Incident = static_cast<const GcIncident *>(E.Payload);
   const auto *Handshake =
       static_cast<const ThreadRegistry::HandshakeResult *>(E.Payload);
-  const auto *Block = static_cast<const BlockDescriptor *>(E.Payload);
+  const auto *Object = static_cast<const ClientObject *>(E.Payload);
 
   if (E.Kind == GcEventKind::CollectionBegin)
     CrashInfo.CollectionIndex.store(Lifetime.Collections,
@@ -1223,8 +1210,7 @@ void Collector::emit(const GcEvent &E) {
       break;
     case GcEventKind::ObjectRetained:
       if (O.wantsRetainedObjects())
-        O.onObjectRetained(reinterpret_cast<void *>(E.Value),
-                           Block->ObjectSize, Block->Kind);
+        O.onObjectRetained(Object->Ptr, Object->Bytes, Object->Kind);
       break;
     }
   });
@@ -1261,7 +1247,7 @@ void Collector::publishCrashState() {
 }
 
 template <typename BodyT>
-void Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
+bool Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
                          BodyT &&Body) {
   if (Config.VerifyEveryCollection && Phase == GcPhase::RootScan)
     verifyMarksClearBeforeRootScan();
@@ -1270,28 +1256,12 @@ void Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
   Body();
   uint64_t Nanos = nowNanos() - Start;
   Cycle.PhaseNanos[static_cast<unsigned>(Phase)] += Nanos;
-  if (Config.VerifyEveryCollection)
-    verifyAfterPhase(Phase);
+  bool Consistent = !Config.VerifyEveryCollection || verifyAfterPhase(Phase);
   emit({.Kind = GcEventKind::PhaseEnd,
         .Phase = static_cast<int>(Phase),
         .Value = Nanos,
         .Payload = &Cycle});
-}
-
-void Collector::emitRetainedObjects() {
-  if (!Observers.anyWantsRetainedObjects())
-    return;
-  const MarkTable &Marks = Heap->markTable();
-  Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Heap->slotAllocated(Block, Slot) || !Marks.isMarked(Block, Slot))
-        continue;
-      emit({.Kind = GcEventKind::ObjectRetained,
-            .Value = reinterpret_cast<uint64_t>(
-                Arena->pointerTo(Block.slotOffset(Slot))),
-            .Payload = &Block});
-    }
-  });
+  return Consistent;
 }
 
 CollectionStats Collector::collect(const char *Reason) {
@@ -1351,113 +1321,108 @@ CollectionStats Collector::collect(const char *Reason) {
     setjmp(SelfRegisters);
   World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
 
-  // The phase pipeline, transactional under the repair ladder: the
-  // verifier (VerifyEveryCollection, !RepairFatal) sets
-  // RepairPending at the first corrupted phase boundary, after which
-  // the remaining phases are skipped — no sweep may run over metadata
-  // that failed verification.
-  RepairPending = false;
+  // The phase pipeline, transactional under the repair ladder: when
+  // the verifier (VerifyEveryCollection, !RepairFatal) abandons the
+  // cycle at a phase boundary, runPhase returns false and the pipeline
+  // returns there — no later step runs or emits anything, and no sweep
+  // runs over metadata that failed verification.  \returns whether the
+  // cycle completed.
   auto RunPipeline = [&](CollectionStats &C) {
-    if (!RepairPending)
-      runPhase(GcPhase::RootScan, C, [&] {
-        // beginCycle is reset-safe: an abandoned attempt re-begins
-        // without an intervening endCycle.
-        BlacklistImpl->beginCycle();
-        Marking->runRootScan(Roots, C);
-      });
+    if (!runPhase(GcPhase::RootScan, C, [&] {
+          // beginCycle is reset-safe: an abandoned attempt re-begins
+          // without an intervening endCycle.
+          BlacklistImpl->beginCycle();
+          Marking->runRootScan(Roots, C);
+        }))
+      return false;
 
-    if (!RepairPending)
-      runPhase(GcPhase::Mark, C, [&] {
-        Marking->runMarkPhase(C);
-        // Finalizer detection resurrects unreachable objects (marking
-        // work), staging them for the Finalize phase.
-        Finalizers.processUnreachable(*Marking, *Heap, C);
-      });
+    if (!runPhase(GcPhase::Mark, C, [&] {
+          Marking->runMarkPhase(C);
+          // Finalizer detection resurrects unreachable objects (marking
+          // work), staging them for the Finalize phase.
+          Finalizers.processUnreachable(*Marking, *Heap, C);
+        }))
+      return false;
 
     // Begin-observer allocations were pinned before the Mark phase
     // reset every mark bit; re-pin the whole mid-cycle list so the
     // sweep keeps them (idempotent for post-Mark allocations).
-    if (!RepairPending)
-      for (void *Pinned : MidCyclePins)
-        Heap->markAllocatedObjectLive(Pinned);
+    for (void *Pinned : MidCyclePins)
+      Heap->markAllocatedObjectLive(Pinned);
 
-    if (!RepairPending)
-      runPhase(GcPhase::BlacklistPromote, C, [&] {
-        BlacklistImpl->endCycle();
-        // Nothing later in the cycle changes the blacklist, so this is
-        // also the count at cycle end.
-        C.BlacklistedPages = BlacklistImpl->entryCount();
-      });
+    if (!runPhase(GcPhase::BlacklistPromote, C, [&] {
+          BlacklistImpl->endCycle();
+          // Nothing later in the cycle changes the blacklist, so this
+          // is also the count at cycle end.
+          C.BlacklistedPages = BlacklistImpl->entryCount();
+        }))
+      return false;
 
     // A pin that overflowed the pre-reserved buffer was never recorded,
     // so Mark's bit reset erased it: reclaiming anything now could
     // sweep a live mid-cycle allocation.  Degrade to a no-reclaim
     // cycle (the allocation ladder reads it as "reclaimed nothing" and
     // grows the heap) rather than ever freeing an unpinned object.
-    if (!RepairPending && MidCyclePinOverflow)
+    if (MidCyclePinOverflow)
       warn(WarnEvent::MidCyclePinOverflow,
            "cgc: mid-cycle pin list overflowed while a mutator was "
            "signal-suspended; skipping reclamation this cycle",
            Lifetime.Collections);
-
-    if (!RepairPending && OnLeak && !MidCyclePinOverflow)
-      reportLeaks();
-
-    if (!RepairPending && !MidCyclePinOverflow)
-      runPhase(GcPhase::Sweep, C, [&] {
-        SweepResult Swept = Heap->sweep();
-        if (Guards && !Swept.GuardViolations.empty()) {
-          // The sweep finds violations in block order; report them in
-          // allocation order instead — seqno, with base as tiebreaker
-          // for unreadable headers — so the first report, and the
-          // aborting violation under GuardFatal, is the oldest smash.
-          std::sort(Swept.GuardViolations.begin(),
-                    Swept.GuardViolations.end(),
-                    [](const GuardViolation &A, const GuardViolation &B) {
-                      return A.Seqno != B.Seqno ? A.Seqno < B.Seqno
-                                                : A.Base < B.Base;
-                    });
-          for (const GuardViolation &V : Swept.GuardViolations)
-            reportGuardViolation(
-                V,
-                reinterpret_cast<uint64_t>(Arena->pointerTo(V.Base)) +
-                    GuardLayer::HeaderBytes,
-                V.Kind == GuardViolationKind::HeaderSmash
-                    ? "guard header smash"
-                    : "guard redzone smash");
-        }
-        C.ObjectsSweptFree = Swept.ObjectsSweptFree;
-        C.BytesSweptFree = Swept.BytesSweptFree;
-        C.ObjectsLive = Swept.ObjectsLive;
-        C.BytesLive = Swept.BytesLive;
-        C.SlotsPinned = Swept.SlotsPinned;
-        C.PagesReleased = Swept.PagesReleased;
+    else if (OnLeak)
+      forEachClientObject(/*Marked=*/false, [&](const ClientObject &O) {
+        OnLeak(O.Ptr, O.Bytes, O.Kind);
       });
 
-    if (!RepairPending)
-      runPhase(GcPhase::Finalize, C, [&] {
-        Finalizers.publishStaged();
-        emitRetainedObjects();
-      });
+    if (!MidCyclePinOverflow && !runPhase(GcPhase::Sweep, C, [&] {
+          SweepResult Swept = Heap->sweep();
+          if (Guards && !Swept.GuardViolations.empty()) {
+            // The sweep finds violations in block order; report them in
+            // allocation order instead — seqno, with base as tiebreaker
+            // for unreadable headers — so the first report, and the
+            // aborting violation under GuardFatal, is the oldest smash.
+            std::sort(Swept.GuardViolations.begin(),
+                      Swept.GuardViolations.end(),
+                      [](const GuardViolation &A, const GuardViolation &B) {
+                        return A.Seqno != B.Seqno ? A.Seqno < B.Seqno
+                                                  : A.Base < B.Base;
+                      });
+            for (const GuardViolation &V : Swept.GuardViolations)
+              reportGuardViolation(
+                  V,
+                  reinterpret_cast<uint64_t>(Arena->pointerTo(V.Base)) +
+                      GuardLayer::HeaderBytes,
+                  guardViolationKindName(V.Kind));
+          }
+          C.ObjectsSweptFree = Swept.ObjectsSweptFree;
+          C.BytesSweptFree = Swept.BytesSweptFree;
+          C.ObjectsLive = Swept.ObjectsLive;
+          C.BytesLive = Swept.BytesLive;
+          C.SlotsPinned = Swept.SlotsPinned;
+          C.PagesReleased = Swept.PagesReleased;
+        }))
+      return false;
+
+    return runPhase(GcPhase::Finalize, C, [&] {
+      Finalizers.publishStaged();
+      if (Observers.anyWantsRetainedObjects())
+        forEachClientObject(/*Marked=*/true, [&](const ClientObject &O) {
+          emit({.Kind = GcEventKind::ObjectRetained, .Payload = &O});
+        });
+    });
   };
 
-  RunPipeline(Cycle);
-
   // Transactional retry: a mid-phase verification failure abandoned
-  // the pipeline above.  Repair in place — world still stopped, heap
-  // lock held — clear the partial mark state, and retry the cycle once
+  // the pipeline.  Repair in place — world still stopped, heap lock
+  // held — clear the partial mark state, and retry the cycle once
   // under the already-paid handshake.  A second failure parks the
   // collector in degraded mode rather than ever sweeping over metadata
   // that cannot be made consistent.
-  if (RepairPending) {
-    RepairPending = false;
+  if (!RunPipeline(Cycle)) {
     ++RepairStatsInfo.CollectionsRetried;
     repairHeapLocked();
     Heap->clearMarks();
     Cycle = Start;
-    RunPipeline(Cycle);
-    if (RepairPending) {
-      RepairPending = false;
+    if (!RunPipeline(Cycle)) {
       repairHeapLocked();
       RepairStatsInfo.DegradedMode = true;
       // The abandoned retry may never have reached BlacklistPromote.
@@ -1585,7 +1550,7 @@ void Collector::verifyHeap() {
   if (Report.clean())
     return;
   std::fprintf(stderr, "cgc heap verification failed (%zu issues):\n%s",
-               Report.Issues.size(), Report.str().c_str());
+               Report.Findings.size(), Report.str().c_str());
   fatalError("heap verification failed", __FILE__, __LINE__);
 }
 
@@ -1599,37 +1564,35 @@ void Collector::verifyMarksClearBeforeRootScan() {
   fatalError("mark bits set when the root scan began", __FILE__, __LINE__);
 }
 
-void Collector::verifyAfterPhase(GcPhase Phase) {
+bool Collector::verifyAfterPhase(GcPhase Phase) {
   HeapVerifyReport Report = verifyHeapReport();
   emit({.Kind = GcEventKind::HeapVerified,
         .Phase = static_cast<int>(Phase),
-        .Value = Report.Issues.size()});
+        .Value = Report.Findings.size()});
   if (Report.clean())
-    return;
+    return true;
   if (!Config.RepairFatal) {
     // Guard smashes are damage to *client* memory that the sweep
     // reports through the guard-violation path; metadata repair cannot
     // resolve them, so they never spin the abandon-repair-retry
     // ladder.
-    bool OnlyGuardSmashes = !Report.Findings.empty();
-    for (const VerifyFinding &F : Report.Findings)
-      if (F.Kind != VerifyFindingKind::GuardSmash)
-        OnlyGuardSmashes = false;
-    if (OnlyGuardSmashes)
-      return;
+    if (std::all_of(Report.Findings.begin(), Report.Findings.end(),
+                    [](const VerifyFinding &F) {
+                      return F.Kind == VerifyFindingKind::GuardSmash;
+                    }))
+      return true;
     // Abandon the cycle: collect() skips the remaining phases, repairs
     // under the still-stopped world, and retries once.
-    RepairPending = true;
     warn(WarnEvent::MetadataRepair,
          "cgc: heap verification failed mid-collection; abandoning "
          "the cycle for repair",
-         Report.Issues.size());
-    return;
+         Report.Findings.size());
+    return false;
   }
   std::fprintf(stderr,
                "cgc heap verification failed after phase %s "
                "(%zu issues):\n%s",
-               gcPhaseName(Phase), Report.Issues.size(),
+               gcPhaseName(Phase), Report.Findings.size(),
                Report.str().c_str());
   fatalError("heap verification failed during collection", __FILE__,
              __LINE__);
@@ -1650,7 +1613,7 @@ HeapVerifyReport Collector::repairHeapLocked() {
          Report.RepairedClean
              ? "cgc: metadata corruption repaired in place"
              : "cgc: metadata corruption only partially repaired",
-         Report.Issues.size());
+         Report.Findings.size());
   return Report;
 }
 
@@ -1709,29 +1672,6 @@ void Collector::serviceMetadataWildWrites() {
   repairHeapLocked();
 }
 
-void Collector::reportLeaks() {
-  const MarkTable &Marks = Heap->markTable();
-  Blocks->forEach([&](BlockId, BlockDescriptor &Block) {
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-      if (!Heap->slotAllocated(Block, Slot) || Marks.isMarked(Block, Slot))
-        continue;
-      void *Base = Arena->pointerTo(Block.slotOffset(Slot));
-      if (Guards && Block.LayoutId == 0) {
-        // Quarantine was flushed at collection start, so every slot
-        // here is an armed object; report its client-visible identity.
-        GuardLayer::Decoded Info =
-            GuardLayer::inspect(Base, Block.ObjectSize);
-        OnLeak(GuardLayer::userPointer(Base),
-               Info.HeaderIntact ? static_cast<size_t>(Info.UserBytes)
-                                 : Block.ObjectSize,
-               Block.Kind);
-        continue;
-      }
-      OnLeak(Base, Block.ObjectSize, Block.Kind);
-    }
-  });
-}
-
 RootId Collector::addRootRange(const void *Begin, const void *End,
                                RootEncoding Encoding, RootSource Source,
                                std::string Label) {
@@ -1766,52 +1706,21 @@ void *Collector::objectBase(const void *Ptr) const {
       Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
   if (!Ref.valid())
     return nullptr;
-  void *Base = Arena->pointerTo(Heap->baseOffset(Ref));
-  // Guarded untyped objects: the client-visible base is past the header.
-  if (Guards && Blocks->get(Ref.Block).LayoutId == 0 &&
-      Heap->isAllocated(Ref) &&
-      !Guards->isQuarantined(Heap->baseOffset(Ref)))
-    return GuardLayer::userPointer(Base);
-  return Base;
+  return clientView(Blocks->get(Ref.Block), Ref.Slot).Ptr;
 }
 
 size_t Collector::objectSizeOf(const void *Ptr) const {
-  if (!isHeapPointer(Ptr))
-    return 0;
-  if (Guards) {
-    GuardedRef G = guardedRefFor(Ptr);
-    if (G.Valid)
-      return static_cast<size_t>(G.Info.UserBytes);
-  }
-  ObjectRef Ref =
-      Heap->refForBase(Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
-  return Ref.valid() ? Heap->objectSize(Ref) : 0;
+  return clientObjectAt(Ptr).Bytes;
 }
 
 bool Collector::isAllocated(const void *Ptr) const {
-  if (!isHeapPointer(Ptr))
-    return false;
-  if (Guards && guardedRefFor(Ptr).Valid)
-    return true;
-  ObjectRef Ref =
-      Heap->refForBase(Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
+  ObjectRef Ref = clientObjectAt(Ptr).Ref;
   return Ref.valid() && Heap->isAllocated(Ref);
 }
 
 bool Collector::wasMarkedLive(const void *Ptr) const {
-  if (!isHeapPointer(Ptr))
-    return false;
-  ObjectRef Ref;
-  if (Guards) {
-    GuardedRef G = guardedRefFor(Ptr);
-    if (G.Valid)
-      Ref = G.Ref;
-  }
-  if (!Ref.valid())
-    Ref = Heap->refForBase(Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
-  if (!Ref.valid())
-    return false;
-  return Heap->isMarked(Ref);
+  ObjectRef Ref = clientObjectAt(Ptr).Ref;
+  return Ref.valid() && Heap->isMarked(Ref);
 }
 
 WindowOffset Collector::windowOffsetOf(const void *Ptr) const {
@@ -1825,30 +1734,22 @@ void *Collector::pointerAtOffset(WindowOffset Offset) const {
 void Collector::registerFinalizer(void *Ptr,
                                   std::function<void(void *)> Fn) {
   HeapLockGuard Guard(*this);
-  CGC_CHECK(isAllocated(Ptr), "finalizer on a non-object");
-  if (Guards) {
-    GuardedRef G = guardedRefFor(Ptr);
-    if (G.Valid) {
-      // Key on the slot base (the offset the queue can resolve) and
-      // hand the finalizer the user pointer it expects.
-      Finalizers.registerFinalizer(G.SlotBase,
-                                   [Fn = std::move(Fn)](void *SlotPtr) {
-                                     Fn(GuardLayer::userPointer(SlotPtr));
-                                   });
-      return;
-    }
-  }
-  Finalizers.registerFinalizer(windowOffsetOf(Ptr), std::move(Fn));
+  ClientObject C = clientObjectAt(Ptr);
+  CGC_CHECK(C.Ref.valid() && Heap->isAllocated(C.Ref),
+            "finalizer on a non-object");
+  // The queue keys on the slot base and runs the finalizer on the slot;
+  // a guarded object's finalizer expects its user pointer.
+  if (C.Guarded)
+    Fn = [Inner = std::move(Fn)](void *SlotPtr) {
+      Inner(GuardLayer::userPointer(SlotPtr));
+    };
+  Finalizers.registerFinalizer(Heap->baseOffset(C.Ref), std::move(Fn));
 }
 
 bool Collector::unregisterFinalizer(void *Ptr) {
   HeapLockGuard Guard(*this);
-  if (Guards) {
-    GuardedRef G = guardedRefFor(Ptr);
-    if (G.Valid)
-      return Finalizers.unregister(G.SlotBase);
-  }
-  return Finalizers.unregister(windowOffsetOf(Ptr));
+  ObjectRef Ref = clientObjectAt(Ptr).Ref;
+  return Ref.valid() && Finalizers.unregister(Heap->baseOffset(Ref));
 }
 
 size_t Collector::runFinalizers() {
@@ -2033,27 +1934,12 @@ void Collector::forEachObject(
             [](const BlockDescriptor *A, const BlockDescriptor *B) {
               return A->StartPage < B->StartPage;
             });
-  for (const BlockDescriptor *Block : Sorted) {
-    for (uint32_t Slot = 0; Slot != Block->ObjectCount; ++Slot) {
-      if (!Heap->slotAllocated(*Block, Slot))
-        continue;
-      WindowOffset Base = Block->slotOffset(Slot);
-      if (Guards && Block->LayoutId == 0) {
-        // Quarantined slots are freed from the client's point of view;
-        // everything else reports its user pointer and requested size.
-        if (Guards->isQuarantined(Base))
-          continue;
-        GuardLayer::Decoded Info =
-            GuardLayer::inspect(Arena->pointerTo(Base), Block->ObjectSize);
-        Fn(GuardLayer::userPointer(Arena->pointerTo(Base)),
-           Info.HeaderIntact ? static_cast<size_t>(Info.UserBytes)
-                             : Block->ObjectSize,
-           Block->Kind);
-        continue;
-      }
-      Fn(Arena->pointerTo(Base), Block->ObjectSize, Block->Kind);
-    }
-  }
+  for (const BlockDescriptor *Block : Sorted)
+    Heap->forEachAllocatedSlot(*Block, [&](uint32_t Slot) {
+      ClientObject C = clientView(*Block, Slot);
+      if (C.Ptr)
+        Fn(C.Ptr, C.Bytes, C.Kind);
+    });
 }
 
 void Collector::maybeRunStackClearHooks() {

@@ -98,7 +98,9 @@ public:
   /// allocate(), tagged with an allocation-site string (interned by
   /// value; typically a "file:line" literal).  Guarded mode records the
   /// site in the object's debug header so violation and leak reports
-  /// name it; without DebugGuards the tag is ignored.
+  /// name it; without DebugGuards the tag is ignored.  Like
+  /// allocateIgnoreOffPage, a tagged request never takes a slot from a
+  /// thread cache.
   void *allocateTagged(size_t Bytes, const char *Site,
                        ObjectKind Kind = ObjectKind::Normal);
 
@@ -213,7 +215,10 @@ public:
   bool isHeapPointer(const void *Ptr) const;
 
   /// \returns the object base for \p Ptr under the configured
-  /// interior-pointer policy, or nullptr if \p Ptr resolves to nothing.
+  /// interior-pointer policy, or nullptr if \p Ptr resolves to nothing
+  /// or to an object the client has freed.  Every query and walk below
+  /// shows an object the same way: the pointer allocate() returned and
+  /// the size asked for under DebugGuards, else the slot base and size.
   void *objectBase(const void *Ptr) const;
 
   /// \returns the allocation size of the object at base \p Ptr, or 0.
@@ -435,11 +440,11 @@ private:
   /// One collector event, built on the stack and handed to emit().
   /// Phase is the GcPhase index for phase events and HeapVerified, else
   /// -1.  Value is the ring record's value (phase nanos, request bytes,
-  /// live bytes, issue count, ladder level, ...); it is size class << 32
-  /// | slots for ThreadCacheRefill and the object for ObjectRetained.
-  /// Payload is the reason (CollectionBegin), the CollectionStats
-  /// (PhaseEnd, CollectionEnd), the message (Warning), the GcIncident,
-  /// the HandshakeResult (StopTheWorld) or the block (ObjectRetained).
+  /// live bytes, finding count, ladder level, ...); it is size class
+  /// << 32 | slots for ThreadCacheRefill.  Payload is the reason
+  /// (CollectionBegin), the CollectionStats (PhaseEnd, CollectionEnd),
+  /// the message (Warning), the GcIncident, the HandshakeResult
+  /// (StopTheWorld) or the ClientObject (ObjectRetained).
   struct GcEvent {
     GcEventKind Kind;
     int Phase = -1;
@@ -467,33 +472,38 @@ private:
   /// A typed request starts with only its \p Layout and that layout's
   /// own lane, which is all the lock-free take needs; allocateRequest
   /// fills in the rest from the descriptor under the heap lock.
+  /// \p Site is allocateTagged's allocation-site tag.
   struct AllocRequest {
     size_t Bytes = 0;
     ObjectKind Kind = ObjectKind::Normal;
     unsigned Lane = ObjectHeap::NoLane;
     bool IgnoreOffPage = false;
     LayoutId Layout = 0;
-    /// Whether a thread cache serves the lane: Normal-kind small lanes,
-    /// typed ones included.
+    const char *Site = nullptr;
+    /// Whether a thread cache serves the request: Normal-kind small
+    /// lanes, typed ones included, but neither an ignore-off-page nor a
+    /// tagged request.
     bool cacheable() const {
-      return Kind == ObjectKind::Normal && Lane != ObjectHeap::NoLane;
+      return Kind == ObjectKind::Normal && Lane != ObjectHeap::NoLane &&
+             !IgnoreOffPage && Site == nullptr;
     }
   };
   /// An untyped request for \p Bytes of \p Kind.
   AllocRequest untypedRequest(size_t Bytes, ObjectKind Kind,
-                              bool IgnoreOffPage = false) const {
-    return {Bytes, Kind, Heap->laneFor(Bytes, Kind), IgnoreOffPage};
+                              bool IgnoreOffPage = false,
+                              const char *Site = nullptr) const {
+    return {Bytes, Kind, Heap->laneFor(Bytes, Kind), IgnoreOffPage, 0, Site};
   }
-  /// The front end of allocate and allocateTyped: the allocation-time
-  /// safepoint, the owner's lock-free take from the request's lane, and
-  /// otherwise the locked path (guarded for untyped requests when
-  /// DebugGuards is on).  A typed request is resolved under the lock; a
+  /// The one front end of every allocation entry point: the
+  /// allocation-time safepoint, then one of three paths — the owner's
+  /// lock-free take from the request's lane (cacheable requests), the
+  /// guarded path (untyped requests when DebugGuards is on), or the
+  /// locked path.  A typed request is resolved under the lock; a
   /// degenerate or demoted descriptor then goes through allocate() as
   /// the untyped request it stands for.
   void *allocateRequest(const AllocRequest &Req);
-  /// The locked allocation tail every unguarded request ends in (the
-  /// public entry points route through the guard layer first when
-  /// DebugGuards is on): startup collection, stack-clear tick, then —
+  /// The locked allocation tail every request ends in (a guarded one
+  /// for its padded slot): startup collection, stack-clear tick, then —
   /// with an \p Owner thread — a block checkout into its cache.  When
   /// that finds no block, or without an owner, one object comes from
   /// an existing block or the slow path; it is charged to the trigger,
@@ -508,23 +518,42 @@ private:
   void *takeFresh(const AllocRequest &Req);
   /// Threshold collect, grow, then the exhaustion ladder.
   void *allocateSlow(const AllocRequest &Req);
-  /// Guarded allocation: pads the request for header + redzone, takes a
-  /// raw slot, arms the guard metadata, and returns the interior user
-  /// pointer (slot base + GuardLayer::HeaderBytes).
-  void *allocateGuarded(size_t Bytes, ObjectKind Kind, GuardSiteId Site,
-                        bool IgnoreOffPage);
+  /// Guarded allocation: interns the request's site, pads the request
+  /// for header + redzone, takes a raw slot, arms the guard metadata,
+  /// and returns the interior user pointer (slot base +
+  /// GuardLayer::HeaderBytes).
+  void *allocateGuarded(const AllocRequest &Req);
   /// Guarded free-path validation ladder; every bad class raises a
   /// structured incident instead of undefined behavior.
   void deallocateGuarded(void *Ptr);
-  /// Resolution of a client pointer to a guarded object (user pointer =
-  /// slot base + HeaderBytes with an intact, unquarantined header).
-  struct GuardedRef {
-    bool Valid = false;
-    ObjectRef Ref;
-    WindowOffset SlotBase = 0;
-    GuardLayer::Decoded Info;
+  /// One heap object as the client sees it.  A guarded untyped object
+  /// (DebugGuards) shows its user pointer, slot base + HeaderBytes, and
+  /// the size its header records, or the slot size when the header is
+  /// smashed; every other object shows its slot base and slot size.
+  struct ClientObject {
+    /// The slot; set only by clientObjectAt, and invalid when the
+    /// pointer names no slot.
+    ObjectRef Ref{};
+    /// The client pointer; null for a quarantined slot, which the
+    /// client has freed.
+    void *Ptr = nullptr;
+    size_t Bytes = 0;
+    ObjectKind Kind = ObjectKind::Normal;
+    /// A guarded object: Ptr is its user pointer, Header its header.
+    bool Guarded = false;
+    GuardLayer::Decoded Header{};
   };
-  GuardedRef guardedRefFor(const void *Ptr) const;
+  /// The client's view of slot \p Slot of \p Block.  A free slot holds
+  /// no guarded object and shows its base.
+  ClientObject clientView(const BlockDescriptor &Block, uint32_t Slot) const;
+  /// The object the client pointer \p Ptr names: the live, unquarantined
+  /// guarded object whose user pointer it is, or else the slot it is the
+  /// base of, shown as that base and the slot size.
+  ClientObject clientObjectAt(const void *Ptr) const;
+  /// Calls \p Fn(ClientObject) for every object the last mark left
+  /// marked (\p Marked) or unmarked, in block-id and slot order: the
+  /// walk behind the leak callback, findLeaks and onObjectRetained.
+  template <typename FnT> void forEachClientObject(bool Marked, FnT Fn);
   /// Updates the guard counters and crash state, raises the GcIncident
   /// (raiseIncident), and fatals when GuardFatal.  \p Detail is a
   /// static string naming the violation for the warn proc and the
@@ -689,23 +718,22 @@ private:
   /// Issues \p Message through the warn proc and observers, suppressed
   /// to occurrences 1, 2, 4, 8, ... per event kind.
   void warn(WarnEvent Event, const char *Message, uint64_t Value);
-  void reportLeaks();
   /// Runs one pipeline phase: phase-begin event, \p Body, the phase's
   /// time added into \p Cycle, phase-end event.  \p Body is a template
   /// callable, so no closure is heap-allocated while the world is
   /// stopped.  With GcConfig::VerifyEveryCollection the two checks
-  /// below run around it.
+  /// below run around it.  \returns false when the verifier abandoned
+  /// the cycle for repair: the pipeline then stops after this phase.
   template <typename BodyT>
-  void runPhase(GcPhase Phase, CollectionStats &Cycle, BodyT &&Body);
+  bool runPhase(GcPhase Phase, CollectionStats &Cycle, BodyT &&Body);
   /// Before the root scan: fatal if any mark bit is set (it would
   /// settle its object as traced, and what only it reaches be swept).
   void verifyMarksClearBeforeRootScan();
   /// After \p Phase, before its end event: the deep verifier, then
   /// HeapVerified.  An inconsistency abandons the cycle for repair
-  /// (RepairPending) or, under RepairFatal, fatals with the report, so
+  /// (\returns false) or, under RepairFatal, fatals with the report, so
   /// fuzz runs fail at the phase that corrupted the heap.
-  void verifyAfterPhase(GcPhase Phase);
-  void emitRetainedObjects();
+  bool verifyAfterPhase(GcPhase Phase);
 
   /// Lazily unseals the metadata arena on entry to a metadata-mutating
   /// path and re-seals at the outermost scope's exit once a collection
@@ -799,10 +827,6 @@ private:
   /// Corruption-containment counters; seal traffic is read from the
   /// arena at snapshot time (repairStats()).
   GcRepairStats RepairStatsInfo;
-  /// Set by verifyAfterPhase when a mid-collection verification failed
-  /// under !RepairFatal: the remaining phases are skipped, the cycle
-  /// abandoned, the heap repaired, and the pipeline retried once.
-  bool RepairPending = false;
   /// Depth of nested MetadataScope frames (heap lock serializes).
   unsigned MetadataDepth = 0;
   /// A collection finished inside a nested scope; seal on unwind.

@@ -93,8 +93,10 @@ public:
   /// enumerating survivors costs a full heap walk per collection.
   virtual bool wantsRetainedObjects() const { return false; }
 
-  /// The collection retained (marked) the allocated object at \p Ptr.
-  /// Emitted during the Finalize phase, in block order.
+  /// The collection retained (marked) the allocated object at \p Ptr,
+  /// shown as forEachObject shows it (under DebugGuards, the user
+  /// pointer and requested size).  Emitted during the Finalize phase,
+  /// in block order.
   virtual void onObjectRetained(void *Ptr, size_t Bytes, ObjectKind Kind) {
     (void)Ptr;
     (void)Bytes;

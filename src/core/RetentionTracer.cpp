@@ -98,13 +98,11 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   Heap.forEachBlock([&](BlockId Id, BlockDescriptor &Block) {
     if (Found || !kindIsUncollectable(Block.Kind))
       return;
-    for (uint32_t Slot = 0; Slot != Block.ObjectCount && !Found; ++Slot) {
-      if (!Heap.slotAllocated(Block, Slot))
-        continue;
+    Heap.forEachAllocatedSlot(Block, [&](uint32_t Slot) {
       ObjectRef Ref{Id, Slot};
       uint64_t Key = keyOf(Ref);
-      if (Visited.count(Key))
-        continue;
+      if (Found || Visited.count(Key))
+        return;
       Provenance P;
       P.ParentKey = 0;
       P.RootIndex = ~0u; // Sentinel: uncollectable root.
@@ -112,7 +110,7 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
       Visited.emplace(Key, P);
       Queue.push_back(Key);
       Found = Key == TargetKey;
-    }
+    });
   });
 
   // Registered root ranges, honoring exclusions, encodings, alignment.

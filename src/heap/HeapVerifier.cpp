@@ -110,9 +110,8 @@ void HeapVerifyReport::record(VerifyFindingKind Kind, BlockId Block,
   F.Kind = Kind;
   F.Block = Block;
   F.Page = Page;
-  F.Message = Message;
+  F.Message = std::move(Message);
   Findings.push_back(std::move(F));
-  Issues.push_back(std::move(Message));
 }
 
 void HeapVerifyReport::notef(const char *Fmt, ...) {
@@ -136,8 +135,8 @@ void HeapVerifyReport::notefAt(VerifyFindingKind Kind, BlockId Block,
 
 std::string HeapVerifyReport::str() const {
   std::string Out;
-  for (const std::string &Issue : Issues) {
-    Out += Issue;
+  for (const VerifyFinding &F : Findings) {
+    Out += F.Message;
     Out += '\n';
   }
   return Out;
@@ -275,12 +274,10 @@ HeapVerifyReport HeapVerifier::run() {
     // here: a verifier pass must stay side-effect free).
     if (Heap.Config.Guards && Block.LayoutId == 0) {
       const GuardLayer *Guards = Heap.Config.Guards;
-      for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-        if (!Heap.slotAllocated(Block, Slot))
-          continue;
+      Heap.forEachAllocatedSlot(Block, [&](uint32_t Slot) {
         WindowOffset Base = Block.slotOffset(Slot);
         if (Guards->isQuarantined(Base))
-          continue;
+          return;
         GuardLayer::Decoded Info = GuardLayer::inspect(
             Heap.Arena.pointerTo(Base), Block.ObjectSize);
         if (!Info.HeaderIntact)
@@ -293,7 +290,7 @@ HeapVerifyReport HeapVerifier::run() {
                     "offset 0x%llx)",
                     Id, Slot, (unsigned long long)Info.Seqno,
                     (unsigned long long)Base);
-      }
+      });
     }
     BytesSeen += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
     BlockOwnedPages += Block.NumPages;

@@ -14,8 +14,8 @@
 /// "Automated Verification of Practical Garbage Collectors" argues a
 /// collector's own invariants deserve first-class treatment.
 ///
-/// Findings are typed ((kind, block, page) plus the legacy message
-/// string), deduplicated per (kind, page), and capped, so a massively
+/// Findings are typed ((kind, block, page) plus a message line),
+/// deduplicated per (kind, page), and capped, so a massively
 /// corrupted heap produces a bounded, readable report instead of a
 /// million lines.  verifyAndRepair() goes one step further: free lists
 /// are rebuilt from the alloc/pin bitmaps, page-map entries re-derived
@@ -28,8 +28,8 @@
 /// (baseline/ExplicitHeap.h), so GC and malloc/free diagnostics read
 /// the same.  Abort semantics are preserved by thin wrappers
 /// (ObjectHeap::verifyHeap, Collector::verifyHeap) that fatal out when
-/// a report is non-clean; GcConfig::VerifyEveryCollection runs the
-/// verifier after every pipeline phase through an observer.
+/// a report is non-clean; GcConfig::VerifyEveryCollection has the
+/// collector's runPhase call the verifier after every pipeline phase.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,8 +46,8 @@ namespace cgc {
 class ObjectHeap;
 
 /// What kind of invariant a finding violated.  Generic findings are
-/// collector-level cross-checks recorded through the legacy string
-/// interface; they carry no block/page and are never deduplicated.
+/// collector-level cross-checks recorded through note/notef; they
+/// carry no block/page and are never deduplicated.
 enum class VerifyFindingKind : unsigned char {
   Generic = 0,
   /// Block descriptor geometry is garbage (page range, slot overflow,
@@ -85,7 +85,7 @@ enum class VerifyRepairOutcome : unsigned char {
   Quarantined,
 };
 
-/// One typed verifier finding.  Message matches the legacy Issues line.
+/// One typed verifier finding and its one-line message.
 struct VerifyFinding {
   VerifyFindingKind Kind = VerifyFindingKind::Generic;
   /// Offending block id, or InvalidBlockId when not block-specific.
@@ -98,10 +98,7 @@ struct VerifyFinding {
 
 /// Accumulated verifier diagnostics.  Empty = heap consistent.
 struct HeapVerifyReport {
-  /// Legacy view: one formatted line per recorded finding, in the same
-  /// order as Findings (existing tests and the C API index into this).
-  std::vector<std::string> Issues;
-  /// Typed view of the same findings.
+  /// The recorded findings, in the order they were found.
   std::vector<VerifyFinding> Findings;
   /// Findings dropped because an identical (kind, page) was already
   /// recorded.  Generic findings are exempt — they are heterogeneous
@@ -117,14 +114,14 @@ struct HeapVerifyReport {
   /// entries still yields a readable report.
   static constexpr size_t MaxFindings = 256;
 
-  bool clean() const { return Issues.empty(); }
+  bool clean() const { return Findings.empty(); }
 
-  /// Appends a fully formed Generic issue line.
+  /// Appends a fully formed Generic finding line.
   void note(std::string Issue) {
     record(VerifyFindingKind::Generic, InvalidBlockId, 0, std::move(Issue));
   }
 
-  /// Appends a printf-formatted Generic issue line.
+  /// Appends a printf-formatted Generic finding line.
   void notef(const char *Fmt, ...) __attribute__((format(printf, 2, 3)));
 
   /// Appends a printf-formatted typed finding.
@@ -135,8 +132,8 @@ struct HeapVerifyReport {
   void record(VerifyFindingKind Kind, BlockId Block, uint64_t Page,
               std::string Message);
 
-  /// All issues joined with newlines (trailing newline included when
-  /// non-empty) — the form the abort wrappers print.
+  /// Every finding's message joined with newlines (trailing newline
+  /// included when non-empty) — the form the abort wrappers print.
   std::string str() const;
 };
 

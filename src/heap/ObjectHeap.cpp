@@ -347,15 +347,14 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
   // The collector flushes the quarantine before any sweep, so every
   // allocated untyped slot here carries an armed header.  Validate all
   // of them — including garbage about to be freed — so a smash is
-  // caught even when the smashed object is already unreachable.
-  for (uint32_t Slot = 0; Slot != Block.ObjectCount; ++Slot) {
-    if (!Block.AllocBits.test(Slot))
-      continue;
+  // caught even when the smashed object is already unreachable.  The
+  // pass never validates a pending block.
+  forEachAllocatedSlot(Block, [&](uint32_t Slot) {
     WindowOffset Base = Block.slotOffset(Slot);
     GuardLayer::Decoded Info =
         GuardLayer::inspect(Arena.pointerTo(Base), Block.ObjectSize);
     if (Info.HeaderIntact && Info.RedzoneIntact)
-      continue;
+      return;
     GuardViolation V;
     V.Kind = Info.HeaderIntact ? GuardViolationKind::RedzoneSmash
                                : GuardViolationKind::HeaderSmash;
@@ -364,7 +363,7 @@ void ObjectHeap::validateGuardedBlock(const BlockDescriptor &Block,
     V.Site = Info.Site;
     V.UserBytes = Info.UserBytes;
     Result.GuardViolations.push_back(V);
-  }
+  });
 }
 
 void ObjectHeap::pinMarkedFreeSlots(BlockDescriptor &Block,
@@ -653,7 +652,7 @@ void ObjectHeap::verifyHeap() {
   if (Report.clean())
     return;
   std::fprintf(stderr, "cgc heap verification failed (%zu issues):\n%s",
-               Report.Issues.size(), Report.str().c_str());
+               Report.Findings.size(), Report.str().c_str());
   fatalError("heap verification failed", __FILE__, __LINE__);
 }
 

@@ -54,6 +54,7 @@
 #include "heap/SizeClassTable.h"
 #include "heap/TypeDescriptor.h"
 #include "heap/VirtualArena.h"
+#include <bit>
 #include <map>
 #include <vector>
 
@@ -292,6 +293,26 @@ public:
   bool slotAllocated(const BlockDescriptor &Block, uint32_t Slot) const {
     return Block.AllocBits.test(Slot) &&
            (!Block.Pending || Marks.isMarked(Block, Slot));
+  }
+
+  /// Calls \p Fn(Slot) for every slot of \p Block that slotAllocated
+  /// accepts, in slot order, a bitmap word at a time: the alloc word,
+  /// and the gathered marks with it while the block is pending.  For
+  /// the same readers as slotAllocated.
+  template <typename FnT>
+  void forEachAllocatedSlot(const BlockDescriptor &Block, FnT Fn) const {
+    const bool Pending = Block.Pending;
+    uint64_t Mark[MarkTable::MaxSlotWords];
+    if (Pending)
+      Marks.gather(Block, Mark);
+    const uint64_t *Alloc = Block.AllocBits.words();
+    for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
+      uint64_t Bits = Alloc[W] & Block.slotWordMask(W);
+      if (Pending)
+        Bits &= Mark[W];
+      for (; Bits != 0; Bits &= Bits - 1)
+        Fn(static_cast<uint32_t>(W * 64 + std::countr_zero(Bits)));
+    }
   }
 
   /// Whether the last mark set \p Ref's mark bit.

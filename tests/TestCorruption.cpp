@@ -184,8 +184,6 @@ TEST(Corruption, VerifierReportDeduplicatesPerKindAndPage) {
   EXPECT_EQ(Report.Findings.size(), 3u);
   EXPECT_EQ(Report.Deduplicated, 1u);
   EXPECT_EQ(Report.Truncated, 0u);
-  // The legacy string view stays in lockstep with the typed view.
-  EXPECT_EQ(Report.Issues.size(), Report.Findings.size());
 
   // Generic findings are heterogeneous collector-level notes; they all
   // share (Generic, 0) and must never dedup against each other.

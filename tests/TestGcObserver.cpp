@@ -244,6 +244,36 @@ TEST(GcObserver, RetainedObjectEventsEnumerateSurvivors) {
   }
 }
 
+// Under DebugGuards a survivor is reported the way allocate() handed it
+// out: the user pointer past the debug header and the requested size.
+TEST(GcObserver, RetainedObjectsReportClientPointersUnderGuards) {
+  GcConfig Config = observerConfig();
+  Config.DebugGuards = true;
+  Collector GC(Config);
+
+  class Census : public GcObserver {
+  public:
+    bool wantsRetainedObjects() const override { return true; }
+    void onObjectRetained(void *Ptr, size_t Bytes, ObjectKind) override {
+      Survivors.emplace_back(Ptr, Bytes);
+    }
+    std::vector<std::pair<void *, size_t>> Survivors;
+  };
+
+  void *Live = GC.allocate(40);
+  (void)GC.allocate(40); // Garbage.
+  uint64_t Root = reinterpret_cast<uint64_t>(Live);
+  GC.addRootRange(&Root, &Root + 1, RootEncoding::Native64,
+                  RootSource::Client, "root");
+  Census Counter;
+  GC.addObserver(&Counter);
+  GC.collect("census");
+  ASSERT_EQ(Counter.Survivors.size(), 1u);
+  EXPECT_EQ(Counter.Survivors[0].first, Live);
+  EXPECT_EQ(Counter.Survivors[0].second, 40u);
+  EXPECT_EQ(Counter.Survivors[0].second, GC.objectSizeOf(Live));
+}
+
 TEST(GcObserver, CApiObserverBridge) {
   cgc_config Config;
   cgc_config_init(&Config);

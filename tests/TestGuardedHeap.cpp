@@ -11,8 +11,10 @@
 #include "capi/cgc.h"
 #include "core/Collector.h"
 #include "support/CrashReporter.h"
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
+#include <map>
 #include <string>
 #include <unistd.h>
 #include <vector>
@@ -45,7 +47,7 @@ TEST(GuardedHeap, AllocationIsZeroedSizedAndUsable) {
          "padded slot";
   EXPECT_TRUE(GC.isAllocated(P));
   std::memset(P, 0x5A, 40); // The full requested range is writable.
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u)
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u)
       << "writing the requested range must not touch guard metadata";
   EXPECT_EQ(GC.guardStats().GuardedAllocations, 1u);
   EXPECT_GE(GC.guardStats().GuardSlopBytes,
@@ -64,7 +66,7 @@ TEST(GuardedHeap, RootedObjectsSurviveCollection) {
   EXPECT_EQ(Cycle.ObjectsLive, 2u);
   EXPECT_TRUE(GC.isAllocated(reinterpret_cast<void *>(Window[0])));
   EXPECT_TRUE(GC.wasMarkedLive(reinterpret_cast<void *>(Window[0])));
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(GuardedHeap, ObjectBaseResolvesToUserPointer) {
@@ -109,7 +111,7 @@ TEST(GuardedHeap, QuarantineIsBoundedAndFlushable) {
   EXPECT_EQ(GC.guardStats().QuarantineDepth, 0u);
   EXPECT_EQ(GC.guardStats().QuarantineFlushes, 20u);
   EXPECT_EQ(GC.guardStats().UseAfterFreeWrites, 0u);
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(GuardedHeap, CollectionFlushesQuarantineFirst) {
@@ -277,7 +279,7 @@ TEST(GuardedHeap, UnguardedBadFreesWarnAndNoOp) {
   EXPECT_EQ(GC.allocatedBytes(), 0u)
       << "the valid free must have happened; the bad ones must not "
          "have corrupted anything";
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(GuardedHeap, UnguardedBadFreesRaiseStructuredIncidents) {
@@ -445,10 +447,119 @@ TEST(GuardedHeap, VerifierFlagsSmashWithoutCollecting) {
   auto *P = static_cast<char *>(GC.allocate(32));
   P[32] = 7;
   HeapVerifyReport Report = GC.verifyHeapReport();
-  ASSERT_EQ(Report.Issues.size(), 1u);
-  EXPECT_NE(Report.Issues[0].find("guard redzone smashed"),
+  ASSERT_EQ(Report.Findings.size(), 1u);
+  EXPECT_NE(Report.Findings[0].Message.find("guard redzone smashed"),
             std::string::npos);
   // The verifier is read-only: no incident, no counter movement.
   EXPECT_EQ(GC.lastGuardIncident(), nullptr);
   EXPECT_EQ(GC.guardStats().RedzoneSmashes, 0u);
+}
+
+// One client view: every query, walk and callback shows an object as
+// allocate() handed it out — a guarded untyped object by its user
+// pointer and requested size, a typed object (no header) by its base
+// and slot size — and a quarantined object or an interior pointer as
+// no object at all.
+TEST(GuardedHeap, EveryQueryAgreesOnTheClientView) {
+  Collector GC(guardedConfig(/*Fatal=*/false));
+  LayoutId Layout = GC.registerObjectLayout({true, false, true, false}, 32);
+  auto *Small = static_cast<char *>(GC.allocateTagged(40, "small"));
+  void *Typed = GC.allocateTyped(Layout);
+  void *Large = GC.allocateTagged(3 * PageSize, "large");
+  void *Parked = GC.allocateTagged(48, "parked");
+  GC.deallocate(Parked);
+  const ObjectHeap &Heap = GC.objectHeap();
+  size_t TypedBytes = Heap.sizeClassBytes(Heap.sizeClassFor(32));
+
+  struct Row {
+    const char *Name;
+    void *Query;
+    void *Base;   // objectBase(Query)
+    size_t Bytes; // 0 when Query names no object
+  };
+  const Row Rows[] = {
+      {"guarded", Small, Small, 40},
+      {"typed", Typed, Typed, TypedBytes},
+      {"large", Large, Large, 3 * PageSize},
+      {"quarantined", Parked, nullptr, 0},
+      {"interior", Small + 8, Small, 0},
+  };
+  auto Listed = [](const std::map<void *, size_t> &Seen, void *P) {
+    auto It = Seen.find(P);
+    return It == Seen.end() ? size_t(0) : It->second;
+  };
+
+  std::vector<uint64_t> Roots;
+  for (const Row &R : Rows)
+    if (R.Bytes != 0)
+      Roots.push_back(reinterpret_cast<uint64_t>(R.Query));
+  GC.addRootRange(Roots.data(), Roots.data() + Roots.size(),
+                  RootEncoding::Native64, RootSource::Client, "roots");
+  // A census, not a collection: the parked object stays quarantined.
+  GC.measureLiveness();
+  std::map<void *, size_t> Walked;
+  GC.forEachObject([&](void *P, size_t Bytes, ObjectKind) {
+    Walked[P] = Bytes;
+  });
+  EXPECT_EQ(Walked.size(), 3u);
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(R.Name);
+    bool Object = R.Bytes != 0;
+    EXPECT_EQ(GC.objectBase(R.Query), R.Base);
+    EXPECT_EQ(GC.objectSizeOf(R.Query), R.Bytes);
+    EXPECT_EQ(GC.isAllocated(R.Query), Object);
+    EXPECT_EQ(GC.wasMarkedLive(R.Query), Object);
+    EXPECT_EQ(Listed(Walked, R.Query), R.Bytes);
+    if (Object)
+      GC.registerFinalizer(R.Query, [](void *) {});
+    EXPECT_EQ(GC.unregisterFinalizer(R.Query), Object);
+  }
+
+  // A finalizer registered through the client pointer runs on it.
+  std::map<void *, size_t> Finalized;
+  for (const Row &R : Rows)
+    if (R.Bytes != 0)
+      GC.registerFinalizer(R.Query, [&Finalized, Bytes = R.Bytes](void *P) {
+        Finalized[P] = Bytes;
+      });
+  std::fill(Roots.begin(), Roots.end(), 0);
+  GC.collect("finalize");
+  GC.runFinalizers();
+  for (const Row &R : Rows)
+    EXPECT_EQ(Listed(Finalized, R.Query), R.Bytes) << R.Name;
+
+  // findLeaks reports the guarded objects by site and requested size.
+  GcLeakReport Leaks = GC.findLeaks();
+  std::map<std::string, uint64_t> LeakedBySite;
+  for (const GcLeakSite &Site : Leaks.Sites)
+    LeakedBySite[Site.Site] = Site.Bytes;
+  EXPECT_EQ(LeakedBySite, (std::map<std::string, uint64_t>{
+                              {"small", 40}, {"large", 3 * PageSize}}));
+
+  std::map<void *, size_t> Leaked;
+  GC.setLeakCallback([&](void *P, size_t Bytes, ObjectKind) {
+    Leaked[P] = Bytes;
+  });
+  GC.collect("leaks");
+  EXPECT_EQ(Leaked.size(), 3u);
+  for (const Row &R : Rows)
+    EXPECT_EQ(Listed(Leaked, R.Query), R.Bytes) << R.Name;
+
+  // Tagged and ignore-off-page requests never go through a thread
+  // cache, guarded or not; only a plain request refills one.
+  struct RefillCounter : GcObserver {
+    void onThreadCacheRefill(unsigned, unsigned) override { ++Refills; }
+    unsigned Refills = 0;
+  } Counter;
+  GcConfig Plain = guardedConfig();
+  Plain.DebugGuards = false;
+  Collector Threaded(Plain);
+  Threaded.addObserver(&Counter);
+  GcThreadScope Scope(Threaded);
+  ASSERT_TRUE(Scope.registered());
+  EXPECT_NE(Threaded.allocateTagged(40, "tagged"), nullptr);
+  EXPECT_NE(Threaded.allocateIgnoreOffPage(40), nullptr);
+  EXPECT_EQ(Counter.Refills, 0u);
+  EXPECT_NE(Threaded.allocate(40), nullptr);
+  EXPECT_EQ(Counter.Refills, 1u);
 }

@@ -471,7 +471,7 @@ TEST(Resilience, CallbacksMayAllocateDuringCollection) {
   for (char *Ptr : Observer.FromEnd)
     for (int I = 0; I != 128; ++I)
       ASSERT_EQ(Ptr[I], static_cast<char>('e' + I));
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
@@ -513,7 +513,7 @@ TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
       ASSERT_EQ(Observer.Storm[N][I],
                 static_cast<char>(N & 0xff))
           << "storm object " << N << " byte " << I;
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(Resilience, WarnProcMayAllocateAndFree) {
@@ -541,7 +541,7 @@ TEST(Resilience, WarnProcMayAllocateAndFree) {
   int Local = 0;
   GC.deallocate(&Local);
   EXPECT_GE(State.Calls, 1u);
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 TEST(Resilience, ReentrantCollectIsRefusedGracefully) {
@@ -591,7 +591,7 @@ TEST(Resilience, ReentrantCollectIsRefusedGracefully) {
   // The collector is fully functional afterwards.
   EXPECT_NE(GC.allocate(64), nullptr);
   GC.collect("after");
-  EXPECT_EQ(GC.verifyHeapReport().Issues.size(), 0u);
+  EXPECT_EQ(GC.verifyHeapReport().Findings.size(), 0u);
 }
 
 } // namespace
