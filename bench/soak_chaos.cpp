@@ -13,7 +13,10 @@
 //
 //   SOAK FAILURE: <what failed>
 //     at step 117 of 300, seed 42
-//     replay: soak_chaos --seed 42 --steps 300
+//     replay: soak_chaos --seed 42 --steps 300  (RelWithDebInfo build)
+//
+// A digest replays only in the build type that printed it: optimization
+// changes the stack words the collector scans conservatively.
 //
 // The run folds its schedule and every deterministic observable (eval
 // results, live-object counts, retained-list counts, tolerated
@@ -209,7 +212,7 @@ private:
                 Opts.Redirect ? " --redirect" : "");
     if (Opts.MutatorThreads != 0)
       std::printf(" --mutator-threads %u", Opts.MutatorThreads);
-    std::printf("\n");
+    std::printf("  (%s build)\n", CGC_BUILD_TYPE);
     std::fflush(stdout);
     std::exit(1);
   }
@@ -1298,10 +1301,11 @@ int main(int Argc, char **Argv) {
   // Crashes mid-soak should leave a post-mortem trail, not just a core.
   crash::install();
 
-  std::printf("seed %" PRIu64 ", %u steps, fault hooks %s, guards %s\n",
+  std::printf("seed %" PRIu64 ", %u steps, fault hooks %s, guards %s, "
+              "%s build\n",
               Opts.Seed, Opts.Steps,
               FaultInjectionCompiled ? "compiled in" : "compiled out",
-              Opts.Guarded ? "on" : "off");
+              Opts.Guarded ? "on" : "off", CGC_BUILD_TYPE);
 
   SoakOutcome First = SoakRun(Opts).run();
   std::printf("digest %016" PRIx64 "\n", First.Digest);
@@ -1385,6 +1389,7 @@ int main(int Argc, char **Argv) {
                                                            : "soak chaos");
     Report.set("seed", Opts.Seed);
     Report.set("steps", uint64_t(Opts.Steps));
+    Report.set("build_type", std::string(CGC_BUILD_TYPE));
     Report.set("digest", std::string(Digest));
     Report.set("fault_hooks_compiled", uint64_t(FaultInjectionCompiled));
     Report.set("collections", First.Collections);

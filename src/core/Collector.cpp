@@ -286,8 +286,6 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
     // degrades to heap growth.
     GC.StopInitiator.store(nullptr, std::memory_order_release);
     Abandoned = true;
-    ++GC.Resilience.HandshakeTimeouts;
-    ++GC.Resilience.AbandonedCollections;
     GcIncident Incident;
     Incident.Cause = GcIncidentCause::HandshakeTimeout;
     Incident.CollectionIndex = GC.Lifetime.Collections;
@@ -1704,7 +1702,9 @@ void *Collector::objectBase(const void *Ptr) const {
     return nullptr;
   ObjectRef Ref = Marking->resolveCandidate(
       Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
-  if (!Ref.valid())
+  // Without PreciseFreeSlotDetection a pointer into a free slot still
+  // resolves to that slot.
+  if (!Ref.valid() || !Heap->isAllocated(Ref))
     return nullptr;
   return clientView(Blocks->get(Ref.Block), Ref.Slot).Ptr;
 }

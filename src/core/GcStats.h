@@ -137,14 +137,6 @@ struct GcResilienceStats {
   uint64_t WarningsIssued = 0;
   /// Warnings swallowed by the exponential-backoff rate limiter.
   uint64_t WarningsSuppressed = 0;
-  /// Stop-the-world handshakes that exhausted the watchdog deadline.
-  /// Each one abandoned a collection attempt (HandshakeTimeout
-  /// incident raised; allocation degraded to heap growth).
-  uint64_t HandshakeTimeouts = 0;
-  /// Collection attempts abandoned before any phase ran (today always
-  /// equal to HandshakeTimeouts; split out so future abandon causes
-  /// keep their own accounting).
-  uint64_t AbandonedCollections = 0;
 };
 
 /// Lifetime counters for the corruption-containment layer: what the
@@ -202,7 +194,9 @@ struct GcHandshakeStats {
   uint64_t WarnRungs = 0;
   /// Handshakes that climbed to the signal rung (deadline/2).
   uint64_t SignalRungs = 0;
-  /// Handshakes that exhausted the full deadline.
+  /// Handshakes that exhausted the full deadline.  Each one abandoned
+  /// a collection attempt (HandshakeTimeout incident raised; allocation
+  /// degraded to heap growth).
   uint64_t HandshakeTimeouts = 0;
 };
 

@@ -4,9 +4,7 @@
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
 #include <algorithm>
-#include <bit>
 #include <chrono>
-#include <cstring>
 
 using namespace cgc;
 
@@ -17,35 +15,6 @@ uint64_t nowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-uint64_t load64(const unsigned char *P) {
-  uint64_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
-  return Value;
-}
-
-// Root spans are scanned whole: a thread stack's dead slots and the
-// compiler's redzones between live locals are exactly what a
-// conservative collector must read.  Root loads therefore opt out of
-// AddressSanitizer, as bdwgc's GC_ATTR_NO_SANITIZE_ADDR does; heap
-// scans keep their checks.  __builtin_memcpy keeps each load inline
-// rather than a call into the sanitizer's checked memcpy.
-#define CGC_NO_SANITIZE_ADDRESS __attribute__((no_sanitize("address")))
-
-CGC_NO_SANITIZE_ADDRESS uint32_t loadRoot32(const unsigned char *P,
-                                            bool BigEndian) {
-  uint32_t Value;
-  __builtin_memcpy(&Value, P, sizeof(Value));
-  if (BigEndian)
-    Value = __builtin_bswap32(Value);
-  return Value;
-}
-
-CGC_NO_SANITIZE_ADDRESS uint64_t loadRoot64(const unsigned char *P) {
-  uint64_t Value;
-  __builtin_memcpy(&Value, P, sizeof(Value));
-  return Value;
 }
 
 ScanOrigin originOf(RootSource Source) {
@@ -107,23 +76,17 @@ void MarkContext::markUncollectables(CollectionStats &Stats) {
   Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
     if (!kindIsUncollectable(Block.Kind))
       return;
-    const uint64_t *Alloc = Block.AllocBits.words();
     // Pointer-free uncollectable payloads are live by definition but
     // hold no pointers: nothing to trace through them.
     bool Trace = !kindIsPointerFree(Block.Kind);
-    for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W) {
-      uint64_t Live = Alloc[W] & Block.slotWordMask(W);
-      unsigned Count = static_cast<unsigned>(std::popcount(Live));
-      Stats.ObjectsMarked += Count;
-      Stats.BytesMarked += uint64_t(Count) * Block.ObjectSize;
-      for (; Live != 0; Live &= Live - 1) {
-        uint32_t Slot = static_cast<uint32_t>(W * 64 + std::countr_zero(Live));
-        WindowOffset Base = Block.slotOffset(Slot);
-        Marks.set(Base);
-        if (Trace)
-          Seeds.push_back({Base, Block.ObjectSize, Block.LayoutId});
-      }
-    }
+    Heap.forEachAllocatedSlot(Block, [&](uint32_t Slot) {
+      WindowOffset Base = Block.slotOffset(Slot);
+      Marks.set(Base);
+      ++Stats.ObjectsMarked;
+      Stats.BytesMarked += Block.ObjectSize;
+      if (Trace)
+        Seeds.push_back({Base, Block.ObjectSize, Block.LayoutId});
+    });
   });
 }
 
@@ -131,8 +94,11 @@ void MarkContext::runRootScan(const RootSet &Roots, CollectionStats &Stats) {
   Seeds.clear();
   markUncollectables(Stats);
   MarkWorker Scanner(*this, Stats);
-  for (const RootScanSpan &Span : Roots.scannableSpans())
-    Scanner.scanRootSpan(*Span.Range, Span.Begin, Span.End);
+  Roots.forEachScannableSpan(
+      [&](const RootRange &Range, const unsigned char *Begin,
+          const unsigned char *End) {
+        Scanner.scanRootSpan(Range, Begin, End);
+      });
   Scanner.flushNearMisses();
 }
 
@@ -167,6 +133,7 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
   // This is the classic overflow recovery; it converges even while the
   // fault stays armed, because a pass that marks nothing new also
   // pushes (and therefore drops) nothing.
+  const MarkTable &Marks = Heap.markTable();
   uint64_t Before;
   do {
     Overflowed = false;
@@ -174,17 +141,11 @@ void MarkContext::recoverFromOverflow(CollectionStats &Stats) {
     Blocks.forEach([&](BlockId, BlockDescriptor &Block) {
       if (kindIsPointerFree(Block.Kind))
         return;
-      uint64_t Mark[MarkTable::MaxSlotWords];
-      Heap.markTable().gather(Block, Mark);
-      const uint64_t *Alloc = Block.AllocBits.words();
-      for (size_t W = 0, E = Block.AllocBits.numWords(); W != E; ++W)
-        for (uint64_t Bits = Mark[W] & Alloc[W]; Bits != 0;
-             Bits &= Bits - 1) {
-          uint32_t Slot =
-              static_cast<uint32_t>(W * 64 + std::countr_zero(Bits));
+      Heap.forEachAllocatedSlot(Block, [&](uint32_t Slot) {
+        if (Marks.isMarked(Block, Slot))
           Seeds.push_back({Block.slotOffset(Slot), Block.ObjectSize,
                            Block.LayoutId});
-        }
+      });
     });
     MarkWorker Worker(*this, Stats);
     Worker.drain();
@@ -296,105 +257,44 @@ bool MarkWorker::considerCandidate(WindowOffset Candidate,
   return true;
 }
 
-// The scan loops keep their counters and the arena bounds in locals and
-// fold the counters into Stats once per object (or span): a store
-// through Stats per word would also force the bounds to be reloaded on
-// every iteration.
+// The scans keep their counters in locals and fold them into Stats
+// once per object (or span): a store through Stats per word would also
+// force the arena bounds to be reloaded on every iteration.
 
-void MarkWorker::scanTypedObject(WindowOffset Begin, uint32_t Bytes,
-                                 uint32_t LayoutId) {
-  const TypeDescriptor &D = Ctx.Heap.layout(LayoutId);
-  const unsigned char *Base = HeapBase + Begin;
-  const Address ArenaBase = Ctx.Arena.base();
-  const uint64_t ArenaSize = Ctx.Arena.size();
-  // The slot can be larger than the type (size-class rounding); the
-  // tail past the descriptor is never traced.
-  uint32_t Words = std::min<uint32_t>(
-      D.NumWords, Bytes / static_cast<uint32_t>(sizeof(uint64_t)));
-  uint64_t Scanned = 0, Candidates = 0;
-  D.forEachPointerWord(Words, [&](uint32_t Word) {
-    ++Scanned;
-    WindowOffset Offset = load64(Base + Word * sizeof(uint64_t)) - ArenaBase;
-    if (Offset >= ArenaSize)
-      return true;
-    ++Candidates;
-    considerCandidate(Offset, ScanOrigin::Heap, /*PreciseWord=*/true);
-    return true;
-  });
-  constexpr unsigned Precise =
-      static_cast<unsigned>(DescriptorClass::Precise);
-  Stats.HeapWordsScanned += Scanned;
-  Stats.ScanWordsByClass[Precise] += Scanned;
-  Stats.ScanCandidatesByClass[Precise] += Candidates;
-}
-
-void MarkWorker::scanHeapRange(WindowOffset Begin, uint32_t Bytes) {
-  if (Bytes < sizeof(uint64_t))
-    return;
-  unsigned Stride = Ctx.Config.HeapScanAlignment;
-  CGC_CHECK(Stride >= 1 && Stride <= 8, "bad heap scan alignment");
-  const unsigned char *P = HeapBase + Begin;
-  const unsigned char *Last = P + (Bytes - sizeof(uint64_t));
-  const Address ArenaBase = Ctx.Arena.base();
-  const uint64_t ArenaSize = Ctx.Arena.size();
-  uint64_t Candidates = 0;
-  for (; P <= Last; P += Stride) {
-    WindowOffset Offset = load64(P) - ArenaBase;
-    if (Offset >= ArenaSize)
-      continue;
-    ++Candidates;
-    considerCandidate(Offset, ScanOrigin::Heap);
-  }
-  constexpr unsigned Cons =
-      static_cast<unsigned>(DescriptorClass::Conservative);
-  uint64_t Scanned = (Bytes - sizeof(uint64_t)) / Stride + 1;
-  Stats.HeapWordsScanned += Scanned;
-  Stats.ScanWordsByClass[Cons] += Scanned;
-  Stats.ScanCandidatesByClass[Cons] += Candidates;
-}
-
-CGC_NO_SANITIZE_ADDRESS void
-MarkWorker::scanRootSpan(const RootRange &Range, const unsigned char *Begin,
-                         const unsigned char *End) {
+void MarkWorker::scanRootSpan(const RootRange &Range,
+                              const unsigned char *Begin,
+                              const unsigned char *End) {
   Stats.RootBytesScanned += static_cast<uint64_t>(End - Begin);
-  unsigned Stride = Ctx.Config.RootScanAlignment;
-  CGC_CHECK(Stride >= 1 && Stride <= 8, "bad root scan alignment");
   ScanOrigin Origin = originOf(Range.Source);
-  uint64_t Examined = 0, Hits = 0;
-
-  if (Range.Encoding == RootEncoding::Native64) {
-    const Address ArenaBase = Ctx.Arena.base();
-    const uint64_t ArenaSize = Ctx.Arena.size();
-    for (const unsigned char *P = Begin;
-         End - P >= static_cast<ptrdiff_t>(sizeof(uint64_t)); P += Stride) {
-      ++Examined;
-      WindowOffset Offset = loadRoot64(P) - ArenaBase;
-      if (Offset >= ArenaSize)
-        continue;
-      Hits += considerCandidate(Offset, Origin);
-    }
-  } else {
-    // Window32: every 32-bit value is an offset into the window, exactly
-    // as every 32-bit integer was an address on the paper's machines.
-    bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
-    for (const unsigned char *P = Begin;
-         End - P >= static_cast<ptrdiff_t>(sizeof(uint32_t)); P += Stride) {
-      ++Examined;
-      WindowOffset Offset = loadRoot32(P, BigEndian);
-      if (!Ctx.Arena.containsOffset(Offset))
-        continue;
-      Hits += considerCandidate(Offset, Origin);
-    }
-  }
-  Stats.RootCandidatesExamined += Examined;
+  uint64_t Hits = 0;
+  Stats.RootCandidatesExamined += Ctx.forEachRootCandidate(
+      Range.Encoding, Begin, End,
+      [&](WindowOffset Candidate, const unsigned char *) {
+        Hits += considerCandidate(Candidate, Origin);
+      });
   Stats.RootHits += Hits;
 }
 
 void MarkWorker::scanObject(const MarkWorkItem &Item) {
-  if (Item.LayoutId != 0)
-    scanTypedObject(Item.Begin, Item.Bytes, Item.LayoutId);
-  else
-    scanHeapRange(Item.Begin, Item.Bytes);
+  uint64_t Candidates = 0, Scanned = 0;
+  DescriptorClass Class = DescriptorClass::Conservative;
+  if (Item.LayoutId != 0) {
+    Class = DescriptorClass::Precise;
+    Scanned = Ctx.forEachTypedCandidate(
+        Item.Begin, Item.Bytes, Item.LayoutId, [&](WindowOffset Candidate) {
+          ++Candidates;
+          considerCandidate(Candidate, ScanOrigin::Heap, /*PreciseWord=*/true);
+        });
+  } else {
+    Scanned = Ctx.forEachHeapCandidate(
+        Item.Begin, Item.Bytes, [&](WindowOffset Candidate) {
+          ++Candidates;
+          considerCandidate(Candidate, ScanOrigin::Heap);
+        });
+  }
+  Stats.HeapWordsScanned += Scanned;
+  Stats.ScanWordsByClass[static_cast<unsigned>(Class)] += Scanned;
+  Stats.ScanCandidatesByClass[static_cast<unsigned>(Class)] += Candidates;
 }
 
 void MarkWorker::drain() {

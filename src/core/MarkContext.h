@@ -42,6 +42,13 @@
 ///     heap views (page map, block table, object heap), the
 ///     candidate-resolution policies (interior-pointer rules,
 ///     displacements), the blacklist feed, and the one mark stack.
+///     It also owns the candidate scans: one loop per root encoding
+///     (forEachRootCandidate) and per object layout
+///     (forEachHeapCandidate, forEachTypedCandidate), each calling back
+///     with every word that lands in the window.  The marker and the
+///     retention tracer (core/RetentionTracer.h) read the same
+///     candidate stream from them, so "why is this live?" is answered
+///     from the words the marker reads.
 ///
 ///   * MarkWorker — the tracer.  It pushes onto and drains the
 ///     context's LIFO mark stack (the paper's mark stack) and sets the
@@ -53,9 +60,10 @@
 ///     drain ends, timing each flush for the footnote-3 measurement.
 ///
 /// There is one marker and no thread: the Mark phase is the paper's
-/// sequential mark loop.  The mark stack keeps its capacity across
-/// cycles, so a stopped world allocates for it only when a cycle needs
-/// more entries than any before.
+/// sequential mark loop.  The root scan walks the root set's ranges in
+/// place (RootSet::forEachScannableSpan), and the mark stack keeps its
+/// capacity across cycles, so a stopped world allocates for marking
+/// only when a cycle needs more mark-stack entries than any before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,7 +76,15 @@
 #include "heap/ObjectHeap.h"
 #include "roots/RootSet.h"
 #include <algorithm>
+#include <cstring>
 #include <vector>
+
+// Root spans are scanned whole: a thread stack's dead slots and the
+// compiler's redzones between live locals are exactly what a
+// conservative collector must read.  Root loads therefore opt out of
+// AddressSanitizer, as bdwgc's GC_ATTR_NO_SANITIZE_ADDR does; heap
+// scans keep their checks.
+#define CGC_NO_SANITIZE_ADDRESS __attribute__((no_sanitize("address")))
 
 namespace cgc {
 
@@ -92,6 +108,100 @@ public:
   /// marking.  Exposed for the misidentification-rate experiments.
   /// Read-only.
   ObjectRef resolveCandidate(WindowOffset Candidate) const;
+
+  //===--------------------------------------------------------------===//
+  // Candidate scans
+  //
+  // Each calls \p Fn with every word of its range that lands in the
+  // window, as a window offset and before any validity test, and
+  // returns the number of words it examined.  The arena bounds stay in
+  // locals, so inlined into MarkWorker these are the mark loop itself.
+  //===--------------------------------------------------------------===//
+
+  /// Scans [Begin, End) under \p Encoding at RootScanAlignment, calling
+  /// \p Fn(Candidate, Word), where Word is the root word's address.
+  template <typename FnT>
+  CGC_NO_SANITIZE_ADDRESS uint64_t
+  forEachRootCandidate(RootEncoding Encoding, const unsigned char *Begin,
+                       const unsigned char *End, FnT Fn) const {
+    const unsigned Stride = Config.RootScanAlignment;
+    CGC_CHECK(Stride >= 1 && Stride <= 8, "bad root scan alignment");
+    const Address ArenaBase = Arena.base();
+    const uint64_t ArenaSize = Arena.size();
+    uint64_t Examined = 0;
+    if (Encoding == RootEncoding::Native64) {
+      for (const unsigned char *P = Begin;
+           End - P >= static_cast<ptrdiff_t>(sizeof(uint64_t)); P += Stride) {
+        ++Examined;
+        WindowOffset Offset = loadRoot64(P) - ArenaBase;
+        if (Offset >= ArenaSize)
+          continue;
+        Fn(Offset, P);
+      }
+      return Examined;
+    }
+    // Window32: every 32-bit value is an offset into the window, exactly
+    // as every 32-bit integer was an address on the paper's machines.
+    const bool BigEndian = Encoding == RootEncoding::Window32BE;
+    for (const unsigned char *P = Begin;
+         End - P >= static_cast<ptrdiff_t>(sizeof(uint32_t)); P += Stride) {
+      ++Examined;
+      WindowOffset Offset = loadRoot32(P, BigEndian);
+      if (Offset >= ArenaSize)
+        continue;
+      Fn(Offset, P);
+    }
+    return Examined;
+  }
+
+  /// Scans a conservative object's \p Bytes at window offset \p Begin
+  /// at HeapScanAlignment, calling \p Fn(Candidate).
+  template <typename FnT>
+  uint64_t forEachHeapCandidate(WindowOffset Begin, uint32_t Bytes,
+                                FnT Fn) const {
+    if (Bytes < sizeof(uint64_t))
+      return 0;
+    const unsigned Stride = Config.HeapScanAlignment;
+    CGC_CHECK(Stride >= 1 && Stride <= 8, "bad heap scan alignment");
+    const Address ArenaBase = Arena.base();
+    const uint64_t ArenaSize = Arena.size();
+    const unsigned char *P =
+        reinterpret_cast<const unsigned char *>(ArenaBase) + Begin;
+    const unsigned char *Last = P + (Bytes - sizeof(uint64_t));
+    for (; P <= Last; P += Stride) {
+      WindowOffset Offset = loadWord(P) - ArenaBase;
+      if (Offset >= ArenaSize)
+        continue;
+      Fn(Offset);
+    }
+    return (Bytes - sizeof(uint64_t)) / Stride + 1;
+  }
+
+  /// Scans exactly the pointer words that layout \p LayoutId declares
+  /// in the object of \p Bytes at \p Begin, calling \p Fn(Candidate).
+  template <typename FnT>
+  uint64_t forEachTypedCandidate(WindowOffset Begin, uint32_t Bytes,
+                                 uint32_t LayoutId, FnT Fn) const {
+    const TypeDescriptor &D = Heap.layout(LayoutId);
+    const Address ArenaBase = Arena.base();
+    const uint64_t ArenaSize = Arena.size();
+    const unsigned char *Base =
+        reinterpret_cast<const unsigned char *>(ArenaBase) + Begin;
+    // The slot can be larger than the type (size-class rounding); the
+    // tail past the descriptor is never traced.
+    uint32_t Words = std::min<uint32_t>(
+        D.NumWords, Bytes / static_cast<uint32_t>(sizeof(uint64_t)));
+    uint64_t Scanned = 0;
+    D.forEachPointerWord(Words, [&](uint32_t Word) {
+      ++Scanned;
+      WindowOffset Offset = loadWord(Base + Word * sizeof(uint64_t)) -
+                            ArenaBase;
+      if (Offset < ArenaSize)
+        Fn(Offset);
+      return true;
+    });
+    return Scanned;
+  }
 
   /// Registers an additional valid interior displacement for the
   /// BaseOnly policy (tagged-pointer language implementations store
@@ -130,6 +240,27 @@ public:
 
 private:
   friend class MarkWorker;
+
+  static uint64_t loadWord(const unsigned char *P) {
+    uint64_t Value;
+    std::memcpy(&Value, P, sizeof(Value));
+    return Value;
+  }
+
+  // __builtin_memcpy keeps each root load inline rather than a call
+  // into the sanitizer's checked memcpy.
+  CGC_NO_SANITIZE_ADDRESS static uint64_t loadRoot64(const unsigned char *P) {
+    uint64_t Value;
+    __builtin_memcpy(&Value, P, sizeof(Value));
+    return Value;
+  }
+
+  CGC_NO_SANITIZE_ADDRESS static uint32_t loadRoot32(const unsigned char *P,
+                                                     bool BigEndian) {
+    uint32_t Value;
+    __builtin_memcpy(&Value, P, sizeof(Value));
+    return BigEndian ? __builtin_bswap32(Value) : Value;
+  }
 
   /// The validity test proper, on the block the page map already
   /// named: \returns the slot of \p Block that \p Candidate validly
@@ -207,8 +338,8 @@ public:
   bool considerCandidate(WindowOffset Candidate, ScanOrigin Origin,
                          bool PreciseWord = false);
 
-  /// Scans one root span for candidate words, honoring the range's
-  /// encoding and the configured scan alignment.
+  /// Scans one root span (MarkContext::forEachRootCandidate) and
+  /// considers every candidate it yields.
   void scanRootSpan(const RootRange &Range, const unsigned char *Begin,
                     const unsigned char *End);
 
@@ -230,9 +361,6 @@ private:
 
   void noteNearMiss(PageIndex Page, ScanOrigin Origin);
   void scanObject(const MarkWorkItem &Item);
-  void scanHeapRange(WindowOffset Begin, uint32_t Bytes);
-  void scanTypedObject(WindowOffset Begin, uint32_t Bytes,
-                       uint32_t LayoutId);
   void push(const MarkWorkItem &Item);
 
   MarkContext &Ctx;

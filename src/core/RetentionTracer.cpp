@@ -2,7 +2,7 @@
 
 #include "core/RetentionTracer.h"
 #include "support/Assert.h"
-#include <cstring>
+#include <cstdio>
 #include <deque>
 #include <unordered_map>
 
@@ -14,25 +14,12 @@ uint64_t keyOf(ObjectRef Ref) {
   return (uint64_t(Ref.Block) << 32) | Ref.Slot;
 }
 
-uint32_t load32At(const unsigned char *P, bool BigEndian) {
-  uint32_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
-  if (BigEndian)
-    Value = __builtin_bswap32(Value);
-  return Value;
-}
-
-uint64_t load64At(const unsigned char *P) {
-  uint64_t Value;
-  std::memcpy(&Value, P, sizeof(Value));
-  return Value;
-}
-
 struct Provenance {
   /// Key of the parent object, or 0 for root-reached.
   uint64_t ParentKey = 0;
-  /// For root-reached objects: which root range and word.
-  uint32_t RootIndex = 0;
+  /// For root-reached objects: the root range and word, or a null
+  /// range for an uncollectable root.
+  const RootRange *Range = nullptr;
   const void *RootWord = nullptr;
   /// The candidate value used to reach this object.
   WindowOffset ReachedThrough = 0;
@@ -58,93 +45,55 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
   if (!GC.isHeapPointer(Target))
     return Result;
   MarkContext &M = GC.marker();
-  VirtualArena &Arena = GC.arena();
   ObjectHeap &Heap = GC.objectHeap();
-  const GcConfig &Config = GC.config();
 
-  ObjectRef TargetRef = M.resolveCandidate(
-      Arena.offsetOf(reinterpret_cast<Address>(Target)));
+  ObjectRef TargetRef = M.resolveCandidate(GC.windowOffsetOf(Target));
   if (!TargetRef.valid())
     return Result;
   uint64_t TargetKey = keyOf(TargetRef);
 
   std::unordered_map<uint64_t, Provenance> Visited;
   std::deque<uint64_t> Queue;
-  std::vector<const RootRange *> RootRanges;
+  // Set at the target's first visit, the one its provenance records;
+  // the scan that found it may run on to the end of its object or span.
+  bool Found = false;
 
   auto visit = [&](WindowOffset Candidate, uint64_t ParentKey,
-                   uint32_t RootIndex, const void *RootWord) -> bool {
+                   const RootRange *Range, const void *RootWord) {
     ObjectRef Ref = M.resolveCandidate(Candidate);
     if (!Ref.valid())
-      return false;
+      return;
     uint64_t Key = keyOf(Ref);
-    if (Visited.count(Key))
-      return false;
-    Provenance P;
-    P.ParentKey = ParentKey;
-    P.RootIndex = RootIndex;
-    P.RootWord = RootWord;
-    P.ReachedThrough = Candidate;
-    Visited.emplace(Key, P);
+    if (!Visited.emplace(Key, Provenance{ParentKey, Range, RootWord,
+                                         Candidate})
+             .second)
+      return;
     Queue.push_back(Key);
-    return Key == TargetKey;
+    Found |= Key == TargetKey;
   };
-
-  bool Found = false;
 
   // Uncollectable objects are roots (including the pointer-free
   // variety: live by definition, even though nothing traces through
   // them).
-  Heap.forEachBlock([&](BlockId Id, BlockDescriptor &Block) {
+  Heap.forEachBlock([&](BlockId, BlockDescriptor &Block) {
     if (Found || !kindIsUncollectable(Block.Kind))
       return;
     Heap.forEachAllocatedSlot(Block, [&](uint32_t Slot) {
-      ObjectRef Ref{Id, Slot};
-      uint64_t Key = keyOf(Ref);
-      if (Found || Visited.count(Key))
-        return;
-      Provenance P;
-      P.ParentKey = 0;
-      P.RootIndex = ~0u; // Sentinel: uncollectable root.
-      P.ReachedThrough = Heap.baseOffset(Ref);
-      Visited.emplace(Key, P);
-      Queue.push_back(Key);
-      Found = Key == TargetKey;
+      visit(Block.slotOffset(Slot), 0, nullptr, nullptr);
     });
   });
 
-  // Registered root ranges, honoring exclusions, encodings, alignment.
-  RootSet &Roots = GC.roots();
-  Roots.forEach([&](const RootRange &Range) {
+  // The root spans, through the marker's own candidate scan.
+  GC.roots().forEachScannableSpan([&](const RootRange &Range,
+                                      const unsigned char *Begin,
+                                      const unsigned char *End) {
     if (Found)
       return;
-    RootRanges.push_back(&Range);
-    uint32_t RootIndex = static_cast<uint32_t>(RootRanges.size() - 1);
-    Roots.forEachScannableSubrange(
-        Range.Begin, Range.End,
-        [&](const unsigned char *Begin, const unsigned char *End) {
-          if (Found)
-            return;
-          unsigned Stride = Config.RootScanAlignment;
-          if (Range.Encoding == RootEncoding::Native64) {
-            for (const unsigned char *P = Begin;
-                 !Found && P + sizeof(uint64_t) <= End; P += Stride) {
-              Address Addr = static_cast<Address>(load64At(P));
-              if (!Arena.contains(Addr))
-                continue;
-              Found |= visit(Arena.offsetOf(Addr), 0, RootIndex, P);
-            }
-            return;
-          }
-          bool BigEndian = Range.Encoding == RootEncoding::Window32BE;
-          for (const unsigned char *P = Begin;
-               !Found && P + sizeof(uint32_t) <= End; P += Stride) {
-            WindowOffset Offset = load32At(P, BigEndian);
-            if (!Arena.containsOffset(Offset))
-              continue;
-            Found |= visit(Offset, 0, RootIndex, P);
-          }
-        });
+    M.forEachRootCandidate(Range.Encoding, Begin, End,
+                           [&](WindowOffset Candidate,
+                               const unsigned char *Word) {
+                             visit(Candidate, 0, &Range, Word);
+                           });
   });
 
   // Breadth-first over the heap so the reported chain is shortest.
@@ -153,39 +102,20 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     Queue.pop_front();
     ObjectRef Ref{static_cast<BlockId>(Key >> 32),
                   static_cast<uint32_t>(Key)};
-    const BlockDescriptor &Block =
-        Heap.blockTable().get(Ref.Block);
+    const BlockDescriptor &Block = Heap.blockTable().get(Ref.Block);
     // Like the marker, reach a free slot but never trace through it: a
     // dead object of a pending block is a free slot too.
     if (kindIsPointerFree(Block.Kind) || !Heap.slotAllocated(Block, Ref.Slot))
       continue;
-    WindowOffset Base = Heap.baseOffset(Ref);
-    const unsigned char *P =
-        static_cast<const unsigned char *>(Arena.pointerTo(Base));
-    uint32_t Bytes = Block.ObjectSize;
-
-    if (Block.LayoutId != 0) {
-      // Mirror of MarkWorker::scanTypedObject: stride over exactly the
-      // descriptor's pointer-bearing words.
-      const TypeDescriptor &D = Heap.layout(Block.LayoutId);
-      uint32_t Words = std::min<uint32_t>(
-          D.NumWords, Bytes / static_cast<uint32_t>(sizeof(uint64_t)));
-      D.forEachPointerWord(Words, [&](uint32_t Word) {
-        Address Addr =
-            static_cast<Address>(load64At(P + Word * sizeof(uint64_t)));
-        if (Arena.contains(Addr))
-          Found |= visit(Arena.offsetOf(Addr), Key, 0, nullptr);
-        return !Found;
-      });
-      continue;
-    }
-    unsigned Stride = Config.HeapScanAlignment;
-    for (uint32_t I = 0; !Found && I + sizeof(uint64_t) <= Bytes;
-         I += Stride) {
-      Address Addr = static_cast<Address>(load64At(P + I));
-      if (Arena.contains(Addr))
-        Found |= visit(Arena.offsetOf(Addr), Key, 0, nullptr);
-    }
+    WindowOffset Base = Block.slotOffset(Ref.Slot);
+    auto FromObject = [&](WindowOffset Candidate) {
+      visit(Candidate, Key, nullptr, nullptr);
+    };
+    if (Block.LayoutId != 0)
+      M.forEachTypedCandidate(Base, Block.ObjectSize, Block.LayoutId,
+                              FromObject);
+    else
+      M.forEachHeapCandidate(Base, Block.ObjectSize, FromObject);
   }
 
   if (!Visited.count(TargetKey))
@@ -205,14 +135,13 @@ RetentionTrace RetentionTracer::explain(const void *Target) {
     Step.ReachedThrough = P.ReachedThrough;
     Reversed.push_back(Step);
     if (P.ParentKey == 0) {
-      if (P.RootIndex == ~0u) {
+      if (P.Range) {
+        Result.RootLabel = P.Range->Label;
+        Result.Source = P.Range->Source;
+        Result.RootWord = P.RootWord;
+      } else {
         Result.RootLabel = "(uncollectable object)";
         Result.Source = RootSource::Client;
-      } else {
-        const RootRange *Range = RootRanges[P.RootIndex];
-        Result.RootLabel = Range->Label;
-        Result.Source = Range->Source;
-        Result.RootWord = P.RootWord;
       }
       break;
     }

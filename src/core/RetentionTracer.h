@@ -20,7 +20,13 @@
 /// starting at an integer table or a dead stack slot is a
 /// misidentification; a chain starting at a client root is a real leak.
 ///
-/// The pass uses its own visited set and does not disturb mark bits.
+/// The pass reads the marker's own candidate scans
+/// (MarkContext::forEachRootCandidate, forEachHeapCandidate,
+/// forEachTypedCandidate) and resolves each candidate under the
+/// marker's policies, so it reaches exactly what a mark marks; only
+/// its order (breadth-first, so the reported chain is shortest) and
+/// its provenance are its own.  It uses its own visited set and does
+/// not disturb mark bits.
 ///
 //===----------------------------------------------------------------------===//
 

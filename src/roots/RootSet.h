@@ -50,18 +50,6 @@ enum class RootSource : unsigned char {
 
 using RootId = uint32_t;
 
-struct RootRange;
-
-/// One batch of root-scanning work: a contiguous, exclusion-free span
-/// of a registered range.  The RootScan phase scans a flat list of
-/// these rather than nesting range/exclusion loops, so each span is an
-/// independent unit whose candidates seed the mark work queues.
-struct RootScanSpan {
-  const RootRange *Range = nullptr;
-  const unsigned char *Begin = nullptr;
-  const unsigned char *End = nullptr;
-};
-
 struct RootRange {
   RootId Id = 0;
   const unsigned char *Begin = nullptr;
@@ -135,20 +123,17 @@ public:
       Fn(Range);
   }
 
-  /// Flattens every registered range into its scannable spans, in
-  /// registration order with exclusions already carved out.  Span
-  /// Range pointers stay valid while no range is added or removed —
-  /// i.e. for the duration of one collection phase.
-  std::vector<RootScanSpan> scannableSpans() const {
-    std::vector<RootScanSpan> Spans;
-    Spans.reserve(Ranges.size());
+  /// Calls \p Fn(Range, Begin, End) for each scannable span of every
+  /// registered range, in registration order with exclusions carved
+  /// out.  Walks the ranges in place: a stopped world scans its roots
+  /// without allocating.
+  template <typename FnT> void forEachScannableSpan(FnT Fn) const {
     for (const RootRange &Range : Ranges)
       forEachScannableSubrange(
           Range.Begin, Range.End,
           [&](const unsigned char *Begin, const unsigned char *End) {
-            Spans.push_back({&Range, Begin, End});
+            Fn(Range, Begin, End);
           });
-    return Spans;
   }
 
   /// Excludes [Begin, End) from all root scanning.  The paper: "it is

@@ -238,6 +238,26 @@ TEST(Collector, ObjectQueries) {
   EXPECT_TRUE(GC.isAllocated(Obj));
   void *P = GC.pointerAtOffset(GC.windowOffsetOf(Obj));
   EXPECT_EQ(P, Obj);
+
+  // A freed object has no base, with guards or without, also once a
+  // collection has kept its block for a live neighbour.
+  for (bool Guarded : {false, true}) {
+    SCOPED_TRACE(Guarded ? "guarded" : "unguarded");
+    GcConfig Config = testConfig();
+    Config.DebugGuards = Guarded;
+    Collector G(Config);
+    auto *Live = static_cast<char *>(G.allocate(40));
+    auto *Freed = static_cast<char *>(G.allocate(40));
+    uint64_t Root = reinterpret_cast<uint64_t>(Live);
+    G.addRootRange(&Root, &Root + 1, RootEncoding::Native64,
+                   RootSource::Client, "live");
+    G.deallocate(Freed);
+    G.collect();
+    EXPECT_EQ(G.objectBase(Live), Live);
+    EXPECT_FALSE(G.isAllocated(Freed));
+    EXPECT_EQ(G.objectBase(Freed), nullptr);
+    EXPECT_EQ(G.objectBase(Freed + 8), nullptr);
+  }
 }
 
 TEST(Collector, AllocationZeroed) {

@@ -357,7 +357,7 @@ TEST(PendingSweep, ReadersSeeTheSweptHeap) {
     EXPECT_EQ(Lazy.Objects.size(), Roots.size());
     EXPECT_FALSE(Lazy.TargetReached);
     EXPECT_EQ(Lazy.LiveChain, 1u);
-    EXPECT_EQ(Lazy.DeadBase == nullptr, Precise);
+    EXPECT_EQ(Lazy.DeadBase, nullptr);
   }
 }
 

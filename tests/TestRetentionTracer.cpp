@@ -3,6 +3,8 @@
 #include "core/RetentionTracer.h"
 #include "structures/FalseRef.h"
 #include "support/FaultInjection.h"
+#include "support/Random.h"
+#include <cstring>
 #include <gtest/gtest.h>
 
 using namespace cgc;
@@ -235,4 +237,110 @@ TEST(FreeSlotRetention, TracerNeverTracesThroughAFreeSlot) {
       << "the false reference reaches the free slot, as the marker does";
   EXPECT_FALSE(Tracer.explain(Scene.X).Reached) << Tracer.explain(Scene.X)
                                                        .describe();
+}
+
+// The tracer reads the marker's own candidate scans, so it must call
+// reachable exactly the objects a mark marks: over random heaps of
+// conservative, interior-referenced, typed, uncollectable, pointer-free
+// and large objects, some explicitly freed, reached from Native64 and
+// Window32 roots, under every interior policy and scan alignment.
+TEST(RetentionTracer, AgreesWithTheMarker) {
+  constexpr InteriorPolicy Policies[] = {
+      InteriorPolicy::All, InteriorPolicy::BaseOnly, InteriorPolicy::FirstPage};
+  size_t Checked = 0, Live = 0;
+  for (uint64_t Seed = 1; Seed <= 40; ++Seed) {
+    Rng R(Seed);
+    GcConfig Config = tracerConfig();
+    Config.Interior = Policies[Seed % 3];
+    Config.RootScanAlignment = 1u << R.nextBelow(4);
+    Config.HeapScanAlignment = 1u << R.nextBelow(4);
+    Config.PreciseFreeSlotDetection = R.nextBool(0.5);
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    Collector GC(Config);
+    LayoutId Layout =
+        GC.registerObjectLayout({true, false, true, false}, 4 * 8);
+
+    std::vector<char *> Objs;
+    for (int I = 0; I != 800; ++I) {
+      uint64_t Pick = R.nextBelow(20);
+      void *P;
+      if (Pick < 12)
+        P = GC.allocate(8 + 8 * R.nextBelow(16));
+      else if (Pick < 14)
+        P = GC.allocate(8 + 8 * R.nextBelow(8), ObjectKind::PointerFree);
+      else if (Pick == 14)
+        P = GC.allocate(24, R.nextBool(0.5)
+                                ? ObjectKind::Uncollectable
+                                : ObjectKind::PointerFreeUncollectable);
+      else if (Pick < 19)
+        P = GC.allocateTyped(Layout);
+      else if (R.nextBool(0.5))
+        P = GC.allocate(3 * PageSize + 8 * R.nextBelow(64));
+      else
+        P = GC.allocateIgnoreOffPage(3 * PageSize);
+      ASSERT_NE(P, nullptr);
+      Objs.push_back(static_cast<char *>(P));
+    }
+    // A base or interior address of a random object.
+    auto RandomRef = [&] {
+      char *Obj = Objs[R.nextBelow(Objs.size())];
+      size_t Displacement =
+          R.nextBool(0.5) ? 0 : R.nextBelow(GC.objectSizeOf(Obj));
+      return reinterpret_cast<uint64_t>(Obj + Displacement);
+    };
+    // Sparse edges, some at unaligned offsets.
+    for (char *Obj : Objs) {
+      size_t Bytes = GC.objectSizeOf(Obj);
+      for (size_t Off = 0; Off + 8 <= Bytes; Off += 8) {
+        if (!R.nextBool(0.08))
+          continue;
+        uint64_t Word = RandomRef();
+        size_t At = std::min(Off + R.nextBelow(8), Bytes - 8);
+        std::memcpy(Obj + At, &Word, sizeof(Word));
+      }
+    }
+    // Explicit frees leave their pointers in the dead bytes.
+    std::vector<bool> Freed(Objs.size());
+    for (size_t I = 0; I != Objs.size(); ++I)
+      if (R.nextBool(0.1)) {
+        GC.deallocate(Objs[I]);
+        Freed[I] = true;
+      }
+
+    std::vector<uint64_t> Native(12);
+    for (uint64_t &Word : Native)
+      Word = R.nextBool(0.7) ? RandomRef() : R.next64();
+    GC.addRootRange(Native.data(), Native.data() + Native.size(),
+                    RootEncoding::Native64, RootSource::StaticData, "native");
+    // The last native word is excluded from scanning.
+    GC.addRootExclusion(&Native.back(), Native.data() + Native.size());
+    unsigned char Window[2][48] = {};
+    for (int Big = 0; Big != 2; ++Big) {
+      for (int I = 0; I != 4; ++I) {
+        uint32_t Offset = static_cast<uint32_t>(
+            GC.windowOffsetOf(reinterpret_cast<void *>(RandomRef())));
+        if (Big)
+          Offset = __builtin_bswap32(Offset);
+        std::memcpy(Window[Big] + R.nextBelow(sizeof(Window[Big]) - 4),
+                    &Offset, sizeof(Offset));
+      }
+      GC.addRootRange(Window[Big], Window[Big] + sizeof(Window[Big]),
+                      Big ? RootEncoding::Window32BE : RootEncoding::Window32LE,
+                      RootSource::Client, Big ? "window-be" : "window-le");
+    }
+
+    GC.measureLiveness();
+    RetentionTracer Tracer(GC);
+    for (size_t I = 0; I != Objs.size(); ++I) {
+      if (Freed[I])
+        continue;
+      bool Marked = GC.wasMarkedLive(Objs[I]);
+      EXPECT_EQ(Tracer.explain(Objs[I]).Reached, Marked) << "object " << I;
+      ++Checked;
+      Live += Marked;
+    }
+  }
+  // Both answers occur often enough for the comparison to mean something.
+  EXPECT_GT(Live, Checked / 5) << Live << " of " << Checked << " marked";
+  EXPECT_LT(Live, Checked - Checked / 5) << Live << " of " << Checked;
 }
