@@ -98,7 +98,10 @@ RunResult gcAllocLoop(BlacklistMode Mode, bool Polluted, size_t Allocs,
   uint64_t Elapsed = nowNanos() - Start;
 
   const GcLifetimeStats &Life = GC.lifetimeStats();
-  uint64_t GcNanos = Life.TotalMarkNanos + Life.TotalSweepNanos;
+  uint64_t GcNanos = 0;
+  for (GcPhase Phase : {GcPhase::RootScan, GcPhase::Mark,
+                        GcPhase::BlacklistPromote, GcPhase::Sweep})
+    GcNanos += Life.TotalPhaseNanos[static_cast<unsigned>(Phase)];
   RunResult Result;
   Result.NanosPerOp = double(Elapsed) / double(Allocs);
   Result.Collections = Life.Collections;

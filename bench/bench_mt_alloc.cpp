@@ -16,6 +16,9 @@
 // lifetime allocation and free counters must equal exactly what the
 // threads did.
 //
+// Each cell is the median over the reps, with the interquartile range
+// of the rep times beside it in the JSON.
+//
 // Usage: bench_mt_alloc [--json] [allocs-per-thread] [reps]
 //   (default 100000 3; --json writes BENCH_mt_alloc.json)
 //
@@ -23,7 +26,6 @@
 
 #include "BenchUtil.h"
 #include "core/Collector.h"
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +34,7 @@
 #include <vector>
 
 using namespace cgc;
+using cgcbench::percentile;
 
 namespace {
 
@@ -167,7 +170,7 @@ int main(int Argc, char **Argv) {
       "n/a (threading extension; Immix-style block handoff)");
 
   unsigned Cores = std::thread::hardware_concurrency();
-  std::printf("%zu allocations per thread, best of %u reps, hardware "
+  std::printf("%zu allocations per thread, median of %u reps, hardware "
               "threads %u\n",
               PerThread, Reps, Cores);
   std::printf("%-8s %14s %14s %14s %8s %8s %8s\n", "threads", "uncached",
@@ -181,22 +184,25 @@ int main(int Argc, char **Argv) {
 
   double CachedBase = 0, ChurnBase = 0;
   for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    uint64_t BestUncached = ~uint64_t(0), BestCached = ~uint64_t(0),
-             BestChurn = ~uint64_t(0);
+    std::vector<double> Uncached, Cached, Churn;
     for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-      BestUncached =
-          std::min(BestUncached,
-                   runOnce(Threads, /*ThreadCaches=*/false, PerThread, false));
-      BestCached =
-          std::min(BestCached,
-                   runOnce(Threads, /*ThreadCaches=*/true, PerThread, false));
-      BestChurn = std::min(
-          BestChurn, runOnce(Threads, /*ThreadCaches=*/true, PerThread, true));
+      Uncached.push_back(double(
+          runOnce(Threads, /*ThreadCaches=*/false, PerThread, false)));
+      Cached.push_back(double(
+          runOnce(Threads, /*ThreadCaches=*/true, PerThread, false)));
+      Churn.push_back(double(
+          runOnce(Threads, /*ThreadCaches=*/true, PerThread, true)));
     }
+    auto Iqr = [](const std::vector<double> &Nanos) {
+      return percentile(Nanos, 0.75) - percentile(Nanos, 0.25);
+    };
+    double UncachedNs = percentile(Uncached, 0.50);
+    double CachedNs = percentile(Cached, 0.50);
+    double ChurnNs = percentile(Churn, 0.50);
     double Total = double(Threads) * double(PerThread);
-    double UncachedRate = Total / (double(BestUncached) / 1e9);
-    double CachedRate = Total / (double(BestCached) / 1e9);
-    double ChurnRate = Total / (double(BestChurn) / 1e9);
+    double UncachedRate = Total / (UncachedNs / 1e9);
+    double CachedRate = Total / (CachedNs / 1e9);
+    double ChurnRate = Total / (ChurnNs / 1e9);
     double Ratio = UncachedRate > 0 ? CachedRate / UncachedRate : 0;
     if (Threads == 1) {
       CachedBase = CachedRate;
@@ -213,9 +219,12 @@ int main(int Argc, char **Argv) {
     Report.rowSet("uncached_allocs_per_sec", UncachedRate);
     Report.rowSet("cached_allocs_per_sec", CachedRate);
     Report.rowSet("churn_allocs_per_sec", ChurnRate);
-    Report.rowSet("uncached_best_ns", BestUncached);
-    Report.rowSet("cached_best_ns", BestCached);
-    Report.rowSet("churn_best_ns", BestChurn);
+    Report.rowSet("uncached_median_ns", UncachedNs);
+    Report.rowSet("uncached_iqr_ns", Iqr(Uncached));
+    Report.rowSet("cached_median_ns", CachedNs);
+    Report.rowSet("cached_iqr_ns", Iqr(Cached));
+    Report.rowSet("churn_median_ns", ChurnNs);
+    Report.rowSet("churn_iqr_ns", Iqr(Churn));
     Report.rowSet("cached_vs_uncached", Ratio);
     Report.rowSet("cached_scaling_vs_1t", Scaling);
     Report.rowSet("churn_scaling_vs_1t", ChurnScaling);

@@ -92,8 +92,13 @@ int main() {
   std::printf("blacklisted pages: %llu (near-miss candidates seen: %llu)\n",
               (unsigned long long)GC.blacklistedPageCount(),
               (unsigned long long)GC.blacklistStats().CandidatesNoted);
+  // The mark time is the RootScan, Mark and BlacklistPromote phases.
+  const cgc::GcLifetimeStats &Life = GC.lifetimeStats();
+  uint64_t MarkNanos = 0;
+  for (cgc::GcPhase Phase : {cgc::GcPhase::RootScan, cgc::GcPhase::Mark,
+                             cgc::GcPhase::BlacklistPromote})
+    MarkNanos += Life.TotalPhaseNanos[static_cast<unsigned>(Phase)];
   std::printf("collections: %llu, total mark time %.2f ms\n",
-              (unsigned long long)GC.lifetimeStats().Collections,
-              GC.lifetimeStats().TotalMarkNanos / 1e6);
+              (unsigned long long)Life.Collections, MarkNanos / 1e6);
   return 0;
 }

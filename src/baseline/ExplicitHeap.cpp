@@ -197,8 +197,6 @@ void ExplicitHeap::verifyHeap() const {
   HeapVerifyReport Report = verify();
   if (Report.clean())
     return;
-  std::fprintf(stderr,
-               "explicit heap verification failed (%zu issues):\n%s",
-               Report.Findings.size(), Report.str().c_str());
-  fatalError("explicit heap verification failed", __FILE__, __LINE__);
+  Report.fatal("explicit heap verification failed",
+               "explicit heap verification failed");
 }

@@ -93,7 +93,6 @@ static SentinelPolicy convertSentinelPolicy(const cgc_sentinel_policy *C) {
     Policy.GrowthFloorBytes = C->growth_floor_bytes;
   if (C->growth_slope_fraction > 0)
     Policy.GrowthSlopeFraction = C->growth_slope_fraction;
-  Policy.MinGrowingDeltas = C->min_growing_deltas;
   if (C->escalation_cooldown)
     Policy.EscalationCooldown = C->escalation_cooldown;
   if (C->tighten_cycles)
@@ -160,12 +159,8 @@ static GcConfig convertConfig(const cgc_config *C) {
   if (C->root_scan_alignment == 1 || C->root_scan_alignment == 2 ||
       C->root_scan_alignment == 4 || C->root_scan_alignment == 8)
     Config.RootScanAlignment = C->root_scan_alignment;
-  if (C->heap_scan_alignment == 1 || C->heap_scan_alignment == 2 ||
-      C->heap_scan_alignment == 4 || C->heap_scan_alignment == 8)
-    Config.HeapScanAlignment = C->heap_scan_alignment;
   if (C->mutator_threads)
     Config.MutatorThreads = C->mutator_threads;
-  Config.PreciseFreeSlotDetection = C->precise_free_slot_detection != 0;
   if (C->collect_before_growth_ratio > 0)
     Config.CollectBeforeGrowthRatio = C->collect_before_growth_ratio;
   if (C->min_heap_bytes_before_gc)
@@ -173,8 +168,6 @@ static GcConfig convertConfig(const cgc_config *C) {
   Config.StackClearing = C->stack_clearing == CGC_STACK_CLEAR_CHEAP
                              ? StackClearMode::Cheap
                              : StackClearMode::Off;
-  if (C->stack_clear_chunk_bytes)
-    Config.StackClearChunkBytes = C->stack_clear_chunk_bytes;
   if (C->stack_clear_every_n_allocs)
     Config.StackClearEveryNAllocs = C->stack_clear_every_n_allocs;
   Config.AvoidTrailingZeroAddresses = C->avoid_trailing_zero_addresses != 0;
@@ -186,7 +179,6 @@ static GcConfig convertConfig(const cgc_config *C) {
   // guarded objects immediately); cgc_config_init seeds the default.
   Config.QuarantineSlots = C->quarantine_slots;
   Config.HandshakeDeadlineMs = C->handshake_deadline_ms;
-  Config.HandshakeFatal = C->handshake_fatal != 0;
   // 0 (default signal) and negative (rung disabled) are both
   // meaningful; copy verbatim.
   Config.SuspendSignal = C->suspend_signal;
@@ -247,15 +239,12 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->hashed_blacklist_bits_log2 = In.HashedBlacklistBitsLog2;
   Out->gc_at_startup = In.GcAtStartup ? 1 : 0;
   Out->root_scan_alignment = In.RootScanAlignment;
-  Out->heap_scan_alignment = In.HeapScanAlignment;
   Out->mutator_threads = In.MutatorThreads;
-  Out->precise_free_slot_detection = In.PreciseFreeSlotDetection ? 1 : 0;
   Out->collect_before_growth_ratio = In.CollectBeforeGrowthRatio;
   Out->min_heap_bytes_before_gc = In.MinHeapBytesBeforeGc;
   Out->stack_clearing = In.StackClearing == StackClearMode::Cheap
                             ? CGC_STACK_CLEAR_CHEAP
                             : CGC_STACK_CLEAR_OFF;
-  Out->stack_clear_chunk_bytes = In.StackClearChunkBytes;
   Out->stack_clear_every_n_allocs = In.StackClearEveryNAllocs;
   Out->avoid_trailing_zero_addresses =
       In.AvoidTrailingZeroAddresses ? 1 : 0;
@@ -264,7 +253,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->sentinel.window_collections = In.Sentinel.WindowCollections;
   Out->sentinel.growth_floor_bytes = In.Sentinel.GrowthFloorBytes;
   Out->sentinel.growth_slope_fraction = In.Sentinel.GrowthSlopeFraction;
-  Out->sentinel.min_growing_deltas = In.Sentinel.MinGrowingDeltas;
   Out->sentinel.escalation_cooldown = In.Sentinel.EscalationCooldown;
   Out->sentinel.tighten_cycles = In.Sentinel.TightenCycles;
   Out->sentinel.calm_collections = In.Sentinel.CalmCollections;
@@ -272,7 +260,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->guard_fatal = In.GuardFatal ? 1 : 0;
   Out->quarantine_slots = In.QuarantineSlots;
   Out->handshake_deadline_ms = In.HandshakeDeadlineMs;
-  Out->handshake_fatal = In.HandshakeFatal ? 1 : 0;
   Out->suspend_signal = In.SuspendSignal;
   Out->seal_metadata = In.SealMetadata ? 1 : 0;
   Out->repair_fatal = In.RepairFatal ? 1 : 0;
@@ -643,7 +630,6 @@ void cgc_sentinel_policy_init(cgc_sentinel_policy *Policy) {
   Policy->window_collections = Defaults.WindowCollections;
   Policy->growth_floor_bytes = Defaults.GrowthFloorBytes;
   Policy->growth_slope_fraction = Defaults.GrowthSlopeFraction;
-  Policy->min_growing_deltas = Defaults.MinGrowingDeltas;
   Policy->escalation_cooldown = Defaults.EscalationCooldown;
   Policy->tighten_cycles = Defaults.TightenCycles;
   Policy->calm_collections = Defaults.CalmCollections;

@@ -78,13 +78,13 @@ enum {
 /* Plain-C mirror of GcConfig::SentinelPolicy — the retention-storm
  * sentinel watching the live-bytes trajectory across a window of
  * collections (see core/GcSentinel.h).  Zero numeric fields keep the
- * library defaults. */
+ * library defaults.  A storm also needs growth on 3/4 of the window's
+ * per-collection deltas. */
 typedef struct cgc_sentinel_policy {
   int enabled;                             /* boolean; default off     */
   unsigned window_collections;             /* 0 = default (8)          */
   unsigned long long growth_floor_bytes;   /* 0 = default (1 MiB)      */
   double growth_slope_fraction;            /* <= 0 = default (0.05)    */
-  unsigned min_growing_deltas;             /* 0 = 3/4 of the window    */
   unsigned escalation_cooldown;            /* 0 = default (2)          */
   unsigned tighten_cycles;                 /* 0 = default (8)          */
   unsigned calm_collections;               /* 0 = default (4)          */
@@ -101,7 +101,7 @@ typedef struct cgc_config {
   int blacklist_mode;                    /* CGC_BLACKLIST_*            */
   int blacklist_aging;                   /* boolean                    */
   int gc_at_startup;                     /* boolean                    */
-  unsigned root_scan_alignment;          /* 1, 2, 4, or 8              */
+  unsigned root_scan_alignment;          /* 1, 2, 4, or 8 (heap words: 8) */
   /* Maximum registered mutator threads (cgc_register_thread); 0 =
    * default (64).  A collector with no registered threads runs the
    * paper's sequential single-mutator protocol bit-identically.
@@ -111,13 +111,10 @@ typedef struct cgc_config {
    * stop-the-world handshake. */
   unsigned mutator_threads;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
-  unsigned heap_scan_alignment;          /* 1, 2, 4, or 8; 0 = default */
   unsigned hashed_blacklist_bits_log2;   /* 0 = default (16)           */
-  int precise_free_slot_detection;       /* boolean                    */
   double collect_before_growth_ratio;    /* <= 0 = default (0.5)       */
   unsigned long long min_heap_bytes_before_gc; /* 0 = default (1 MiB)  */
-  int stack_clearing;                    /* CGC_STACK_CLEAR_*          */
-  unsigned stack_clear_chunk_bytes;      /* 0 = default (4096)         */
+  int stack_clearing;                    /* CGC_STACK_CLEAR_*; 4 KiB/step */
   unsigned stack_clear_every_n_allocs;   /* 0 = default (64)           */
   int avoid_trailing_zero_addresses;     /* boolean                    */
   /* Run the deep heap verifier after every collection phase and abort
@@ -153,10 +150,6 @@ typedef struct cgc_config {
    * TIMEOUT incident after which the collection attempt is abandoned
    * and allocation degrades to heap growth. */
   unsigned long long handshake_deadline_ms;
-  /* Abort (through the fatal-error path, crash report included)
-   * instead of abandoning the collection when the handshake deadline
-   * expires.  Boolean; default off. */
-  int handshake_fatal;
   /* The reserved suspend signal for the watchdog's preemptive rung;
    * the resume signal is always suspend+1 and both are reserved
    * process-wide while any watchdog is armed.  0 (default) =

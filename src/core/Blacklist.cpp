@@ -6,13 +6,13 @@
 
 using namespace cgc;
 
-BitmapBlacklist BitmapBlacklist::hashed(unsigned BitsLog2, bool Aging) {
+Blacklist Blacklist::hashed(unsigned BitsLog2, bool Aging) {
   CGC_CHECK(BitsLog2 >= 4 && BitsLog2 <= 28,
             "hashed blacklist size out of range");
-  return BitmapBlacklist(size_t(1) << BitsLog2, BitsLog2, Aging);
+  return Blacklist(size_t(1) << BitsLog2, BitsLog2, Aging);
 }
 
-void BitmapBlacklist::noteCandidate(PageIndex Page) {
+void Blacklist::noteCandidate(PageIndex Page) {
   ++Stats.CandidatesNoted;
   size_t Bit = bitFor(Page);
   if (Bit == NoBit)
@@ -27,7 +27,7 @@ void BitmapBlacklist::noteCandidate(PageIndex Page) {
   }
 }
 
-void BitmapBlacklist::beginCycle() {
+void Blacklist::beginCycle() {
   // Only the words the last cycle wrote can hold a set bit.
   std::fill(SeenThisCycle.words() + SeenWords.Lo,
             SeenThisCycle.words() + SeenWords.Hi, 0);
@@ -36,7 +36,7 @@ void BitmapBlacklist::beginCycle() {
   InCycle = true;
 }
 
-void BitmapBlacklist::adoptSeenSet() {
+void Blacklist::adoptSeenSet() {
   uint64_t *Live = Current.words();
   const uint64_t *Seen = SeenThisCycle.words();
   std::fill(Live + CurrentWords.Lo, Live + CurrentWords.Hi, 0);
@@ -45,7 +45,7 @@ void BitmapBlacklist::adoptSeenSet() {
   CurrentCount = SeenCount;
 }
 
-void BitmapBlacklist::endCycle() {
+void Blacklist::endCycle() {
   ++Stats.Cycles;
   InCycle = false;
   // Entries the just-finished collection did not re-observe are dropped:
@@ -54,7 +54,7 @@ void BitmapBlacklist::endCycle() {
     adoptSeenSet();
 }
 
-void BitmapBlacklist::refresh() {
+void Blacklist::refresh() {
   // SeenThisCycle is a subset of Current (noteCandidate sets both), so
   // the intersection the sentinel wants is the seen set itself.  Only
   // meaningful between cycles; mid-cycle the seen set is still filling.
@@ -68,13 +68,12 @@ std::unique_ptr<Blacklist> cgc::createBlacklist(BlacklistMode Mode,
                                                 bool Aging) {
   switch (Mode) {
   case BlacklistMode::Off:
-    return std::make_unique<NullBlacklist>();
+    return std::make_unique<Blacklist>(Blacklist::flat(0, Aging));
   case BlacklistMode::FlatBitmap:
-    return std::make_unique<BitmapBlacklist>(
-        BitmapBlacklist::flat(NumPages, Aging));
+    return std::make_unique<Blacklist>(Blacklist::flat(NumPages, Aging));
   case BlacklistMode::Hashed:
-    return std::make_unique<BitmapBlacklist>(
-        BitmapBlacklist::hashed(HashedBitsLog2, Aging));
+    return std::make_unique<Blacklist>(
+        Blacklist::hashed(HashedBitsLog2, Aging));
   }
   CGC_UNREACHABLE("bad blacklist mode");
 }

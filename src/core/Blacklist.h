@@ -13,13 +13,15 @@
 /// blacklist addresses that correspond to long-lived data values before
 /// these values become false references."
 ///
-/// Two representations, both page-granular as in the paper, and both
-/// one BitmapBlacklist that differs only in how a page maps to a bit:
+/// One class, Blacklist, a bitmap that is page-granular as in the
+/// paper; the representations differ only in how a page maps to a bit:
 ///   * flat — a bit array indexed by page number.
 ///   * hashed — a hash table with one bit per entry; a false reference
 ///     to any page in a hash class blacklists the whole class.  "Since
 ///     collisions can easily be made rare, this does not result in much
 ///     lost precision."
+///   * off — a flat array over zero pages: notes are counted and
+///     dropped, and no page is ever blacklisted.
 ///
 /// Aging implements "blacklisted values that are no longer found by a
 /// later collection may be removed from the list": each collection
@@ -46,78 +48,51 @@ struct BlacklistStats {
   uint64_t Cycles = 0;
 };
 
-class Blacklist {
-public:
-  virtual ~Blacklist() = default;
-
-  /// Records that marking saw a near-miss candidate on \p Page.
-  virtual void noteCandidate(PageIndex Page) = 0;
-
-  /// \returns true if allocation on \p Page should be avoided.
-  virtual bool isBlacklisted(PageIndex Page) const = 0;
-
-  /// Called at the start of a collection cycle.
-  virtual void beginCycle() = 0;
-
-  /// Called at the end of a collection cycle; applies aging.
-  virtual void endCycle() = 0;
-
-  /// One-shot aging on demand: drops every entry the most recent
-  /// collection did not re-observe, even when aging is off.  The
-  /// retention-storm sentinel's level-2 response — stale entries
-  /// squeeze allocation onto fewer pages.  No-op by default.
-  virtual void refresh() {}
-
-  /// Number of pages currently blacklisted (hash mode: an upper-bound
-  /// estimate of pages per set bit is not attempted; reports set bits).
-  virtual uint64_t entryCount() const = 0;
-
-  const BlacklistStats &stats() const { return Stats; }
-
-protected:
-  BlacklistStats Stats;
-};
-
-/// No-op blacklist used when blacklisting is disabled.
-class NullBlacklist final : public Blacklist {
-public:
-  void noteCandidate(PageIndex) override { ++Stats.CandidatesNoted; }
-  bool isBlacklisted(PageIndex) const override { return false; }
-  void beginCycle() override {}
-  void endCycle() override { ++Stats.Cycles; }
-  uint64_t entryCount() const override { return 0; }
-};
-
-/// Bit-array blacklist.  Flat mode keeps one bit per window page;
+/// The page blacklist.  Flat mode keeps one bit per window page;
 /// hashed mode one bit per multiplicative hash class of pages, so a
 /// note on any page of a class blacklists the whole class.  The number
 /// of set bits is kept as a running count, so entryCount() is O(1), and
 /// each bitmap keeps the word range its set bits lie in, so a cycle
 /// clears and copies only the words it set, not the whole window.
-class BitmapBlacklist final : public Blacklist {
+class Blacklist {
 public:
   /// One bit per page of a \p NumPages window; later pages are ignored.
-  static BitmapBlacklist flat(PageIndex NumPages, bool Aging) {
-    return BitmapBlacklist(NumPages, /*HashBitsLog2=*/0, Aging);
+  static Blacklist flat(PageIndex NumPages, bool Aging) {
+    return Blacklist(NumPages, /*HashBitsLog2=*/0, Aging);
   }
   /// A table of 2^\p BitsLog2 hash-class bits.
-  static BitmapBlacklist hashed(unsigned BitsLog2, bool Aging);
+  static Blacklist hashed(unsigned BitsLog2, bool Aging);
 
-  void noteCandidate(PageIndex Page) override;
-  bool isBlacklisted(PageIndex Page) const override {
+  /// Records that marking saw a near-miss candidate on \p Page.
+  void noteCandidate(PageIndex Page);
+
+  /// \returns true if allocation on \p Page should be avoided.
+  bool isBlacklisted(PageIndex Page) const {
     size_t Bit = bitFor(Page);
     return Bit != NoBit && Current.test(Bit);
   }
-  void beginCycle() override;
-  void endCycle() override;
-  void refresh() override;
+
+  /// Called at the start of a collection cycle.
+  void beginCycle();
+
+  /// Called at the end of a collection cycle; applies aging.
+  void endCycle();
+
+  /// One-shot aging on demand: drops every entry the most recent
+  /// collection did not re-observe, even when aging is off.  The
+  /// retention-storm sentinel's level-2 response — stale entries
+  /// squeeze allocation onto fewer pages.
+  void refresh();
+
   /// Set bits: pages in flat mode, hash classes in hashed mode.
-  uint64_t entryCount() const override { return CurrentCount; }
+  uint64_t entryCount() const { return CurrentCount; }
   /// The live bitmap, for cross-checks against the running count.
   const BitVector &bits() const { return Current; }
 
+  const BlacklistStats &stats() const { return Stats; }
+
 private:
-  BitmapBlacklist(size_t NumBits, unsigned HashBitsLog2, bool Aging)
+  Blacklist(size_t NumBits, unsigned HashBitsLog2, bool Aging)
       : HashBitsLog2(HashBitsLog2), Current(NumBits), SeenThisCycle(NumBits),
         Aging(Aging) {}
 
@@ -163,11 +138,13 @@ private:
   uint64_t SeenCount = 0;
   bool Aging;
   bool InCycle = false;
+  BlacklistStats Stats;
 };
 
 enum class BlacklistMode : unsigned char;
 
-/// Factory used by the collector.
+/// Factory used by the collector; BlacklistMode::Off is a flat
+/// blacklist over zero pages.
 std::unique_ptr<Blacklist> createBlacklist(BlacklistMode Mode,
                                            PageIndex NumPages,
                                            unsigned HashedBitsLog2,

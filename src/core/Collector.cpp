@@ -3,11 +3,11 @@
 #include "core/Collector.h"
 #include "core/GcSentinel.h"
 #include "heap/ThreadCache.h"
+#include "support/Clock.h"
 #include "support/MathExtras.h"
 #include "support/SignalSuspend.h"
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -20,13 +20,6 @@ namespace {
 
 /// Pages committed per heap growth step ("heap expansion increment").
 constexpr uint32_t GrowthIncrementPages = 256;
-
-uint64_t nowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Live collectors in construction order, for the process-wide
 /// pthread_atfork handlers.  Function-local statics so a collector
@@ -294,8 +287,6 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
         Incident, WarnEvent::HandshakeStall,
         "cgc: stop-the-world handshake timed out; abandoning collection",
         Handshake.Nanos);
-    if (GC.Config.HandshakeFatal)
-      fatalError("stop-the-world handshake timed out", __FILE__, __LINE__);
     resume();
     return;
   }
@@ -1250,9 +1241,9 @@ bool Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
   if (Config.VerifyEveryCollection && Phase == GcPhase::RootScan)
     verifyMarksClearBeforeRootScan();
   emit({.Kind = GcEventKind::PhaseBegin, .Phase = static_cast<int>(Phase)});
-  uint64_t Start = nowNanos();
+  uint64_t Start = monotonicNanos();
   Body();
-  uint64_t Nanos = nowNanos() - Start;
+  uint64_t Nanos = monotonicNanos() - Start;
   Cycle.PhaseNanos[static_cast<unsigned>(Phase)] += Nanos;
   bool Consistent = !Config.VerifyEveryCollection || verifyAfterPhase(Phase);
   emit({.Kind = GcEventKind::PhaseEnd,
@@ -1432,13 +1423,6 @@ CollectionStats Collector::collect(const char *Reason) {
     }
   }
 
-  // Aggregate views of the pipeline timings (see GcStats.h).
-  Cycle.MarkNanos =
-      Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::RootScan)] +
-      Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::Mark)] +
-      Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::BlacklistPromote)];
-  Cycle.SweepNanos = Cycle.PhaseNanos[static_cast<unsigned>(GcPhase::Sweep)];
-
   World.removeRoots();
 
   LastCycle = Cycle;
@@ -1547,19 +1531,15 @@ void Collector::verifyHeap() {
   HeapVerifyReport Report = verifyHeapReport();
   if (Report.clean())
     return;
-  std::fprintf(stderr, "cgc heap verification failed (%zu issues):\n%s",
-               Report.Findings.size(), Report.str().c_str());
-  fatalError("heap verification failed", __FILE__, __LINE__);
+  Report.fatal("heap verification failed", "cgc heap verification failed");
 }
 
 void Collector::verifyMarksClearBeforeRootScan() {
   HeapVerifyReport Report = Heap->verifyMarksClear();
   if (Report.clean())
     return;
-  std::fprintf(stderr, "cgc heap verification failed before the root "
-                       "scan:\n%s",
-               Report.str().c_str());
-  fatalError("mark bits set when the root scan began", __FILE__, __LINE__);
+  Report.fatal("mark bits set when the root scan began",
+               "cgc heap verification failed before the root scan");
 }
 
 bool Collector::verifyAfterPhase(GcPhase Phase) {
@@ -1587,25 +1567,14 @@ bool Collector::verifyAfterPhase(GcPhase Phase) {
          Report.Findings.size());
     return false;
   }
-  std::fprintf(stderr,
-               "cgc heap verification failed after phase %s "
-               "(%zu issues):\n%s",
-               gcPhaseName(Phase), Report.Findings.size(),
-               Report.str().c_str());
-  fatalError("heap verification failed during collection", __FILE__,
-             __LINE__);
+  Report.fatal("heap verification failed during collection",
+               "cgc heap verification failed after phase %s",
+               gcPhaseName(Phase));
 }
 
 HeapVerifyReport Collector::repairHeapLocked() {
-  HeapRepairStats Stats;
-  HeapVerifyReport Report = Heap->verifyAndRepair(Stats);
+  HeapVerifyReport Report = Heap->verifyAndRepair(RepairStatsInfo);
   ++RepairStatsInfo.VerifyRepairsRun;
-  RepairStatsInfo.FindingsRepaired += Stats.FindingsRepaired;
-  RepairStatsInfo.BlocksQuarantined += Stats.BlocksQuarantined;
-  RepairStatsInfo.PagesQuarantined += Stats.PagesQuarantined;
-  RepairStatsInfo.FreeListRebuilds += Stats.FreeListRebuilds;
-  RepairStatsInfo.PageMapRederivations += Stats.PageMapRederivations;
-  RepairStatsInfo.CountersResynced += Stats.CountersResynced;
   if (!Report.clean())
     warn(WarnEvent::MetadataRepair,
          Report.RepairedClean
@@ -1702,8 +1671,8 @@ void *Collector::objectBase(const void *Ptr) const {
     return nullptr;
   ObjectRef Ref = Marking->resolveCandidate(
       Arena->offsetOf(reinterpret_cast<Address>(Ptr)));
-  // Without PreciseFreeSlotDetection a pointer into a free slot still
-  // resolves to that slot.
+  // A pointer into a free slot still resolves to that slot: the
+  // marker cannot tell a free slot from an allocated one.
   if (!Ref.valid() || !Heap->isAllocated(Ref))
     return nullptr;
   return clientView(Blocks->get(Ref.Block), Ref.Slot).Ptr;
@@ -1782,12 +1751,20 @@ void Collector::printReport(std::FILE *Out) const {
                (unsigned long long)Heap->stats().ObjectsAllocated,
                (unsigned long long)Heap->stats().ExplicitFrees);
   const ObjectHeapStats &HS = Heap->stats();
+  // "mark" is the historical mark phase: RootScan + Mark +
+  // BlacklistPromote.
+  const uint64_t *PhaseNanos = Lifetime.TotalPhaseNanos;
+  const uint64_t MarkNanos =
+      PhaseNanos[static_cast<unsigned>(GcPhase::RootScan)] +
+      PhaseNanos[static_cast<unsigned>(GcPhase::Mark)] +
+      PhaseNanos[static_cast<unsigned>(GcPhase::BlacklistPromote)];
+  const uint64_t SweepNanos =
+      PhaseNanos[static_cast<unsigned>(GcPhase::Sweep)];
   std::fprintf(Out, "collections     : %llu (mark %.2f ms, sweep %.2f "
                     "ms total); blocks swept at hand-out %llu (%.2f ms), "
                     "at cycle start %llu (%.2f ms)\n",
                (unsigned long long)Lifetime.Collections,
-               Lifetime.TotalMarkNanos / 1e6,
-               Lifetime.TotalSweepNanos / 1e6,
+               MarkNanos / 1e6, SweepNanos / 1e6,
                (unsigned long long)HS.HandOutSweeps,
                HS.HandOutSweepNanos / 1e6,
                (unsigned long long)HS.CycleStartSweeps,
@@ -1838,11 +1815,10 @@ void Collector::printReport(std::FILE *Out) const {
                     "noted, %.3f%% of GC time\n",
                (unsigned long long)BlacklistImpl->entryCount(),
                (unsigned long long)BlacklistImpl->stats().CandidatesNoted,
-               (Lifetime.TotalMarkNanos + Lifetime.TotalSweepNanos) == 0
+               MarkNanos + SweepNanos == 0
                    ? 0.0
                    : 100.0 * Lifetime.TotalBlacklistNanos /
-                         (Lifetime.TotalMarkNanos +
-                          Lifetime.TotalSweepNanos));
+                         (MarkNanos + SweepNanos));
   std::fprintf(Out, "pages skipped   : %llu during blacklist-aware "
                     "placement, %llu grow events\n",
                (unsigned long long)Pages->stats().BlacklistSkippedPages,
@@ -1951,5 +1927,5 @@ void Collector::maybeRunStackClearHooks() {
   for (const auto &Hook : StackClearHooks)
     Hook();
   if (MachineStackScanner)
-    MachineStackScanner->clearDeadStack(Config.StackClearChunkBytes);
+    MachineStackScanner->clearDeadStack(StackClearBytes);
 }

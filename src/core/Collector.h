@@ -635,10 +635,9 @@ private:
   /// sequential cycle.  Otherwise the constructor reserves what the
   /// stopped window appends to (root ranges, mid-cycle pins) while the
   /// mutators still run free, stops the world, and then either abandons
-  /// it — the watchdog's final rung: a HandshakeTimeout incident, fatal
-  /// under GcConfig::HandshakeFatal, else an immediate resume — or
-  /// returns every thread-owned block (with \p FlushCaches) and emits
-  /// StopTheWorld.
+  /// it — the watchdog's final rung: a HandshakeTimeout incident and
+  /// an immediate resume — or returns every thread-owned block (with
+  /// \p FlushCaches) and emits StopTheWorld.
   class StoppedWorld {
   public:
     StoppedWorld(Collector &GC, bool FlushCaches);

@@ -73,6 +73,9 @@ enum class StackClearMode : unsigned char {
   Cheap,
 };
 
+/// Bytes cleared per stack-clearing step.
+inline constexpr uint32_t StackClearBytes = 4096;
+
 /// Called when the allocation slow-path ladder is exhausted (collect,
 /// grow, heap-exhausted collect, emergency collect all failed).  \p Bytes is
 /// the requested size.  Whatever the handler returns is returned to the
@@ -102,12 +105,10 @@ struct SentinelPolicy {
   /// A storm requires net window growth of at least this many bytes...
   uint64_t GrowthFloorBytes = uint64_t(1) << 20;
   /// ...and at least this fraction of the live bytes at window start.
+  /// It also requires growth on at least 3/4 of the window's
+  /// per-collection deltas, which filters sawtooth workloads whose net
+  /// drift is incidental.
   double GrowthSlopeFraction = 0.05;
-
-  /// Minimum per-collection growth steps (positive deltas) within the
-  /// window; filters sawtooth workloads whose net drift is incidental.
-  /// 0 means "3/4 of the window's deltas".
-  unsigned MinGrowingDeltas = 0;
 
   /// Collections to wait between escalation steps, so one response can
   /// take effect before the next is judged necessary.
@@ -136,10 +137,8 @@ struct GcConfig {
   /// Byte stride between candidate loads when scanning roots.  4 models
   /// word-aligned 32-bit platforms; 2 or 1 model platforms that must
   /// honor unaligned pointers (the Figure-1 hazard).
+  /// Heap objects are always scanned one native 8-byte word at a time.
   unsigned RootScanAlignment = 4;
-  /// Byte stride when scanning heap objects for pointers (native
-  /// 8-byte words; normally 8).
-  unsigned HeapScanAlignment = 8;
 
   BlacklistMode Blacklist = BlacklistMode::FlatBitmap;
   /// Drop blacklist entries that a later collection no longer sees.
@@ -179,13 +178,6 @@ struct GcConfig {
   /// heap growth.
   uint64_t HandshakeDeadlineMs = 0;
 
-  /// Abort (via the fatal-error path, so the crash reporter fires)
-  /// instead of abandoning the collection when the handshake watchdog
-  /// reaches its final timeout.  For deployments where a wedged
-  /// mutator is unrecoverable and a loud crash beats silent heap
-  /// growth.
-  bool HandshakeFatal = false;
-
   /// Signal number reserved for preemptive mutator suspension (rung 2
   /// of the watchdog ladder).  0 — the default — picks SIGRTMIN+6, or
   /// the CGC_SUSPEND_SIGNAL environment variable when set.  The
@@ -211,15 +203,7 @@ struct GcConfig {
   /// this equivalence.
   bool AllConservativeDescriptors = false;
 
-  /// When the collector cannot tell a free slot from an allocated one
-  /// (the paper's collectors could not), a false reference to a free
-  /// slot pins it.  Setting this to true lets the collector reject such
-  /// candidates instead (modern ablation).
-  bool PreciseFreeSlotDetection = false;
-
   StackClearMode StackClearing = StackClearMode::Off;
-  /// Bytes cleared per stack-clearing step.
-  uint32_t StackClearChunkBytes = 4096;
   /// Run the stack-clearing hooks every N allocations.
   uint32_t StackClearEveryNAllocs = 64;
 

@@ -32,9 +32,7 @@ bool GcSentinel::windowIsStorm(uint64_t &GrowthOut) const {
   // sawtooth has 2 of 3 deltas growing, and floor(3*3/4) = 2 would let
   // it through.
   unsigned Deltas = static_cast<unsigned>(Window.size()) - 1;
-  unsigned Needed = Policy.MinGrowingDeltas != 0
-                        ? Policy.MinGrowingDeltas
-                        : (Deltas * 3 + 3) / 4;
+  unsigned Needed = (Deltas * 3 + 3) / 4;
   unsigned Growing = 0;
   for (size_t I = 0; I + 1 < Window.size(); ++I)
     if (Window[I + 1].BytesLive > Window[I].BytesLive)

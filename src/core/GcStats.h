@@ -16,6 +16,7 @@
 #define CGC_CORE_GCSTATS_H
 
 #include "core/GcPhase.h"
+#include "heap/HeapVerifier.h"
 #include "heap/TypeDescriptor.h"
 #include <cstdint>
 
@@ -95,13 +96,9 @@ struct CollectionStats {
   uint64_t CacheBlocksKept = 0;
   /// Nanoseconds spent in each pipeline phase (indexed by GcPhase).
   uint64_t PhaseNanos[NumGcPhases] = {};
-  /// Aggregate nanoseconds: MarkNanos covers RootScan + Mark +
-  /// BlacklistPromote (the historical "mark phase"), SweepNanos the
-  /// Sweep phase.  Kept so pre-pipeline consumers read the same totals.
-  uint64_t MarkNanos = 0;
-  uint64_t SweepNanos = 0;
-  /// Nanoseconds of MarkNanos spent on blacklist bookkeeping (the
-  /// paper's footnote-3 "0.2% of its time" measurement).
+  /// Nanoseconds of the RootScan and Mark phases spent on blacklist
+  /// bookkeeping (the paper's footnote-3 "0.2% of its time"
+  /// measurement).
   uint64_t BlacklistNanos = 0;
   /// Valid-object marks and near misses, broken down by where the
   /// candidate word was found (indexed by ScanOrigin).
@@ -140,27 +137,14 @@ struct GcResilienceStats {
 };
 
 /// Lifetime counters for the corruption-containment layer: what the
-/// self-healing verifier rebuilt, what it had to quarantine
-/// (deliberately leak), how often a collection was abandoned and
-/// retried after repair, and the sealed-metadata traffic.
-struct GcRepairStats {
+/// self-healing verifier rebuilt and had to quarantine (deliberately
+/// leak), summed over every verifyAndRepair pass (HeapRepairStats),
+/// how often a collection was abandoned and retried after repair, and
+/// the sealed-metadata traffic.
+struct GcRepairStats : HeapRepairStats {
   /// verifyAndRepair passes executed (verifier-triggered or wild-write
   /// triggered).
   uint64_t VerifyRepairsRun = 0;
-  /// Findings the repair pass resolved in place (counters resynced,
-  /// page-map entries re-derived, lists rebuilt).
-  uint64_t FindingsRepaired = 0;
-  /// Blocks with irreparable geometry dropped from the block table;
-  /// their pages are quarantined, not returned to the free lists.
-  uint64_t BlocksQuarantined = 0;
-  /// Pages deliberately leaked to quarantine (never reallocated).
-  uint64_t PagesQuarantined = 0;
-  /// Class free lists rebuilt from the alloc bitmaps.
-  uint64_t FreeListRebuilds = 0;
-  /// Page-map entry arrays re-derived from the block table.
-  uint64_t PageMapRederivations = 0;
-  /// Alloc/pinned counters resynced to their bitmaps.
-  uint64_t CountersResynced = 0;
   /// Collections abandoned mid-pipeline and retried after repair.
   uint64_t CollectionsRetried = 0;
   /// Wild writes to sealed metadata pages caught by the SIGSEGV
@@ -203,8 +187,6 @@ struct GcHandshakeStats {
 /// Lifetime totals across collections.
 struct GcLifetimeStats {
   uint64_t Collections = 0;
-  uint64_t TotalMarkNanos = 0;
-  uint64_t TotalSweepNanos = 0;
   uint64_t TotalBlacklistNanos = 0;
   uint64_t TotalBytesSweptFree = 0;
   uint64_t TotalNearMisses = 0;
@@ -216,8 +198,6 @@ struct GcLifetimeStats {
 
   void accumulate(const CollectionStats &Cycle) {
     ++Collections;
-    TotalMarkNanos += Cycle.MarkNanos;
-    TotalSweepNanos += Cycle.SweepNanos;
     TotalBlacklistNanos += Cycle.BlacklistNanos;
     TotalBytesSweptFree += Cycle.BytesSweptFree;
     TotalNearMisses += Cycle.NearMisses;

@@ -1,21 +1,14 @@
 //===- core/MarkContext.cpp - Conservative marking ------------------------===//
 
 #include "core/MarkContext.h"
+#include "support/Clock.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
 #include <algorithm>
-#include <chrono>
 
 using namespace cgc;
 
 namespace {
-
-uint64_t nowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 ScanOrigin originOf(RootSource Source) {
   switch (Source) {
@@ -50,11 +43,6 @@ ObjectRef MarkContext::resolveCandidate(WindowOffset Candidate) const {
   const BlockDescriptor &Block = Blocks.get(Id);
   int32_t Slot = slotFor(Block, Candidate);
   if (Slot < 0)
-    return {};
-  // Outside a mark a block may be pending, and then a dead object's
-  // alloc bit is still set: slotFor's bitmap test alone would accept it.
-  if (Config.PreciseFreeSlotDetection &&
-      !Heap.slotAllocated(Block, static_cast<uint32_t>(Slot)))
     return {};
   return {Id, static_cast<uint32_t>(Slot)};
 }
@@ -197,10 +185,10 @@ void MarkWorker::flushNearMisses() {
     return;
   // Blacklisting is idempotent per page, so replaying a batch later
   // yields the same blacklist.
-  uint64_t Start = nowNanos();
+  uint64_t Start = monotonicNanos();
   for (unsigned I = 0; I != NumNearMisses; ++I)
     Ctx.BlacklistImpl.noteCandidate(NearMisses[I]);
-  Stats.BlacklistNanos += nowNanos() - Start;
+  Stats.BlacklistNanos += monotonicNanos() - Start;
   NumNearMisses = 0;
 }
 

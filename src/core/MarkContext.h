@@ -155,26 +155,23 @@ public:
   }
 
   /// Scans a conservative object's \p Bytes at window offset \p Begin
-  /// at HeapScanAlignment, calling \p Fn(Candidate).
+  /// one 8-byte word at a time (the paper's pointer alignment), calling
+  /// \p Fn(Candidate).
   template <typename FnT>
   uint64_t forEachHeapCandidate(WindowOffset Begin, uint32_t Bytes,
                                 FnT Fn) const {
-    if (Bytes < sizeof(uint64_t))
-      return 0;
-    const unsigned Stride = Config.HeapScanAlignment;
-    CGC_CHECK(Stride >= 1 && Stride <= 8, "bad heap scan alignment");
     const Address ArenaBase = Arena.base();
     const uint64_t ArenaSize = Arena.size();
     const unsigned char *P =
         reinterpret_cast<const unsigned char *>(ArenaBase) + Begin;
-    const unsigned char *Last = P + (Bytes - sizeof(uint64_t));
-    for (; P <= Last; P += Stride) {
+    const uint64_t Words = Bytes / sizeof(uint64_t);
+    for (uint64_t I = 0; I != Words; ++I, P += sizeof(uint64_t)) {
       WindowOffset Offset = loadWord(P) - ArenaBase;
       if (Offset >= ArenaSize)
         continue;
       Fn(Offset);
     }
-    return (Bytes - sizeof(uint64_t)) / Stride + 1;
+    return Words;
   }
 
   /// Scans exactly the pointer words that layout \p LayoutId declares
@@ -265,7 +262,9 @@ private:
   /// The validity test proper, on the block the page map already
   /// named: \returns the slot of \p Block that \p Candidate validly
   /// references under the configured policies (interior-pointer rule,
-  /// IgnoreOffPage, displacements, PreciseFreeSlotDetection), or -1.
+  /// IgnoreOffPage, displacements), or -1.  Like the paper's collector
+  /// it cannot tell a free slot from an allocated one: a free slot is
+  /// a valid target, and the sweep pins it when marked.
   int32_t slotFor(const BlockDescriptor &Block,
                   WindowOffset Candidate) const {
     int32_t Slot = Block.slotContaining(Candidate);
@@ -291,8 +290,6 @@ private:
         return -1;
       break;
     }
-    if (Config.PreciseFreeSlotDetection && !Block.AllocBits.test(SlotIdx))
-      return -1;
     return Slot;
   }
 

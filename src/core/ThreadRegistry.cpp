@@ -7,6 +7,7 @@
 
 #include "core/ThreadRegistry.h"
 #include "heap/ThreadCache.h"
+#include "support/Clock.h"
 #include "support/FaultInjection.h"
 #include <algorithm>
 #include <chrono>
@@ -38,13 +39,6 @@ namespace {
 #endif
 
 thread_local MutatorThread *CurrentMutator CGC_CORE_TLS = nullptr;
-
-uint64_t nowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 } // namespace
 
@@ -183,7 +177,7 @@ void ThreadRegistry::endBlocked(MutatorThread *Self) {
 ThreadRegistry::HandshakeResult
 ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
   HandshakeResult Result;
-  const uint64_t Begin = nowNanos();
+  const uint64_t Begin = monotonicNanos();
   std::unique_lock<std::mutex> Guard(Lock);
   // Preallocate the timeout trace now, while every mutator is still
   // running free: once the signal rung has suspended a thread at an
@@ -220,7 +214,7 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
     // so re-sends against a blocked delivery back off.
     uint64_t PollNanos = 1000 * 1000;
     while (!AllParked()) {
-      uint64_t Now = nowNanos();
+      uint64_t Now = monotonicNanos();
       if (Now >= FinalAt)
         break;
       uint64_t WakeAt;
@@ -236,7 +230,7 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
                              AllParked);
       if (AllParked())
         break;
-      Now = nowNanos();
+      Now = monotonicNanos();
       if (!Warned && Now >= WarnAt) {
         Warned = true;
         Result.Rung = std::max(Result.Rung, 1u);
@@ -301,7 +295,7 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
     if (State == MutatorState::SignalSuspended)
       ++Result.SignalSuspended;
   }
-  Result.Nanos = nowNanos() - Begin;
+  Result.Nanos = monotonicNanos() - Begin;
   if (Result.SignalSuspended != 0)
     SignalSuspensions.fetch_add(Result.SignalSuspended,
                                 std::memory_order_relaxed);

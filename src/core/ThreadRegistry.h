@@ -62,8 +62,7 @@
 ///      Sends are retried with backoff; a fourth stopped state,
 ///      SignalSuspended, satisfies the same wait predicate;
 ///   3. at the full deadline, the handshake reports TimedOut with a
-///      per-thread trace; the collector abandons the collection (or
-///      aborts under GcConfig::HandshakeFatal).
+///      per-thread trace; the collector abandons the collection.
 ///
 /// With a zero deadline (the default) the wait is unbounded and the
 /// protocol is exactly the pre-watchdog cooperative handshake.

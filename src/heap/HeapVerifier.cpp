@@ -7,6 +7,7 @@
 
 #include "heap/HeapVerifier.h"
 #include "heap/ObjectHeap.h"
+#include "support/Assert.h"
 #include <algorithm>
 #include <bit>
 #include <cstdio>
@@ -140,6 +141,16 @@ std::string HeapVerifyReport::str() const {
     Out += '\n';
   }
   return Out;
+}
+
+void HeapVerifyReport::fatal(const char *Reason, const char *HeadlineFmt,
+                             ...) const {
+  va_list Args;
+  va_start(Args, HeadlineFmt);
+  std::vfprintf(stderr, HeadlineFmt, Args);
+  va_end(Args);
+  std::fprintf(stderr, " (%zu issues):\n%s", Findings.size(), str().c_str());
+  fatalError(Reason, __FILE__, __LINE__);
 }
 
 HeapVerifyReport HeapVerifier::run() {

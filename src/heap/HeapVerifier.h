@@ -133,18 +133,32 @@ struct HeapVerifyReport {
               std::string Message);
 
   /// Every finding's message joined with newlines (trailing newline
-  /// included when non-empty) — the form the abort wrappers print.
+  /// included when non-empty).
   std::string str() const;
+
+  /// The verifier abort: prints the printf-formatted headline, the
+  /// finding count and every finding to stderr, then ends the process
+  /// through fatalError with \p Reason.
+  [[noreturn]] void fatal(const char *Reason, const char *HeadlineFmt,
+                          ...) const __attribute__((format(printf, 3, 4)));
 };
 
-/// Heap-level counters produced by verifyAndRepair; the collector folds
-/// them into its GcRepairStats.
+/// Heap-level counters that verifyAndRepair adds to; the collector's
+/// lifetime GcRepairStats extends them.
 struct HeapRepairStats {
+  /// Findings the repair pass resolved in place (counters resynced,
+  /// page-map entries re-derived, lists rebuilt).
   uint64_t FindingsRepaired = 0;
+  /// Blocks with irreparable geometry dropped from the block table;
+  /// their pages are quarantined, not returned to the free lists.
   uint64_t BlocksQuarantined = 0;
+  /// Pages deliberately leaked to quarantine (never reallocated).
   uint64_t PagesQuarantined = 0;
+  /// Class free lists rebuilt from the alloc bitmaps.
   uint64_t FreeListRebuilds = 0;
+  /// Page-map entry arrays re-derived from the block table.
   uint64_t PageMapRederivations = 0;
+  /// Alloc/pinned counters resynced to their bitmaps.
   uint64_t CountersResynced = 0;
 };
 

@@ -1,21 +1,14 @@
 //===- heap/ObjectHeap.cpp - Object-level allocator -----------------------===//
 
 #include "heap/ObjectHeap.h"
+#include "support/Clock.h"
 #include "support/FaultInjection.h"
 #include "support/MathExtras.h"
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cstring>
 
 using namespace cgc;
-
-static uint64_t nowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 ObjectHeap::ObjectHeap(VirtualArena &Arena, PageAllocator &Pages,
                        PageMap &Map, BlockTable &Blocks,
@@ -397,14 +390,14 @@ uint32_t ObjectHeap::sweepSlots(BlockDescriptor &Block,
 }
 
 void ObjectHeap::sweepPendingBlock(BlockDescriptor &Block, bool AtHandOut) {
-  uint64_t Start = nowNanos();
+  uint64_t Start = monotonicNanos();
   uint64_t Mark[MarkTable::MaxSlotWords];
   Marks.gather(Block, Mark);
   sweepSlots(Block, Mark);
   Block.Pending = false;
   Block.MarkEpoch = 0;
   --PendingBlocks;
-  uint64_t Nanos = nowNanos() - Start;
+  uint64_t Nanos = monotonicNanos() - Start;
   if (AtHandOut) {
     ++Stats.HandOutSweeps;
     Stats.HandOutSweepNanos += Nanos;
@@ -555,7 +548,6 @@ SweepResult ObjectHeap::sweep() {
 
   for (BlockId Id : LargeToRelease)
     releaseBlock(Id);
-  Stats.PinnedSlots = Result.SlotsPinned;
   return Result;
 }
 
@@ -651,9 +643,7 @@ void ObjectHeap::verifyHeap() {
   HeapVerifyReport Report = verify();
   if (Report.clean())
     return;
-  std::fprintf(stderr, "cgc heap verification failed (%zu issues):\n%s",
-               Report.Findings.size(), Report.str().c_str());
-  fatalError("heap verification failed", __FILE__, __LINE__);
+  Report.fatal("heap verification failed", "cgc heap verification failed");
 }
 
 void ObjectHeap::releaseBlock(BlockId Id) {

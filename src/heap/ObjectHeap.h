@@ -84,8 +84,6 @@ struct ObjectHeapStats {
   uint64_t LargeBlocksCreated = 0;
   uint64_t BlocksReleased = 0;
   uint64_t ExplicitFrees = 0;
-  /// Slots found pinned by the most recent sweep.
-  uint64_t PinnedSlots = 0;
   /// Pending blocks swept when a mutator first reached them (a locked
   /// take, a checkout or a locked free), and the time those sweeps took.
   uint64_t HandOutSweeps = 0;

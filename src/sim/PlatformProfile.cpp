@@ -152,8 +152,7 @@ SimEnvironment::SimEnvironment(Collector &GC, const PlatformSpec &Spec,
   attachRoots();
   GC.addPreCollectionHook([this] { onPreCollection(); });
   GC.addStackClearHook([this] {
-    MutatorStack.clearBeyondTop(
-        this->GC.config().StackClearChunkBytes / sizeof(uint64_t));
+    MutatorStack.clearBeyondTop(StackClearBytes / sizeof(uint64_t));
   });
 }
 

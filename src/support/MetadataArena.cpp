@@ -7,9 +7,9 @@
 
 #include "support/MetadataArena.h"
 #include "support/Assert.h"
+#include "support/Clock.h"
 #include <csignal>
 #include <cstring>
-#include <ctime>
 #include <mutex>
 #include <sys/mman.h>
 
@@ -18,13 +18,6 @@ using namespace cgc;
 namespace {
 
 constexpr size_t HostPageSize = 4096;
-
-uint64_t monotonicNanos() {
-  struct timespec Ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &Ts);
-  return static_cast<uint64_t>(Ts.tv_sec) * 1000000000ull +
-         static_cast<uint64_t>(Ts.tv_nsec);
-}
 
 size_t roundUpToPages(size_t Bytes) {
   return (Bytes + HostPageSize - 1) & ~(HostPageSize - 1);

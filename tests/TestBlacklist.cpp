@@ -9,11 +9,11 @@
 using namespace cgc;
 
 //===----------------------------------------------------------------------===//
-// BitmapBlacklist, flat mode
+// Blacklist, flat mode
 //===----------------------------------------------------------------------===//
 
 TEST(FlatBitmapBlacklist, BasicNoteAndQuery) {
-  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/false);
+  auto BL = Blacklist::flat(1024, /*Aging=*/false);
   EXPECT_FALSE(BL.isBlacklisted(5));
   BL.noteCandidate(5);
   EXPECT_TRUE(BL.isBlacklisted(5));
@@ -26,7 +26,7 @@ TEST(FlatBitmapBlacklist, BasicNoteAndQuery) {
 }
 
 TEST(FlatBitmapBlacklist, WithoutAgingMonotonic) {
-  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/false);
+  auto BL = Blacklist::flat(1024, /*Aging=*/false);
   BL.beginCycle();
   BL.noteCandidate(1);
   BL.endCycle();
@@ -39,7 +39,7 @@ TEST(FlatBitmapBlacklist, WithoutAgingMonotonic) {
 }
 
 TEST(FlatBitmapBlacklist, AgingDropsUnseenEntries) {
-  auto BL = BitmapBlacklist::flat(1024, /*Aging=*/true);
+  auto BL = Blacklist::flat(1024, /*Aging=*/true);
   BL.beginCycle();
   BL.noteCandidate(1);
   BL.noteCandidate(2);
@@ -54,7 +54,7 @@ TEST(FlatBitmapBlacklist, AgingDropsUnseenEntries) {
 }
 
 TEST(FlatBitmapBlacklist, MidCycleNotesVisibleImmediately) {
-  auto BL = BitmapBlacklist::flat(1024, true);
+  auto BL = Blacklist::flat(1024, true);
   BL.beginCycle();
   BL.noteCandidate(7);
   // Allocation decisions during the same collection already see it.
@@ -64,11 +64,11 @@ TEST(FlatBitmapBlacklist, MidCycleNotesVisibleImmediately) {
 }
 
 //===----------------------------------------------------------------------===//
-// BitmapBlacklist, hashed mode
+// Blacklist, hashed mode
 //===----------------------------------------------------------------------===//
 
 TEST(HashedBlacklist, NoteAndQuery) {
-  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/12, /*Aging=*/false);
+  auto BL = Blacklist::hashed(/*BitsLog2=*/12, /*Aging=*/false);
   BL.noteCandidate(123);
   EXPECT_TRUE(BL.isBlacklisted(123));
   EXPECT_EQ(BL.entryCount(), 1u);
@@ -78,7 +78,7 @@ TEST(HashedBlacklist, CollisionsBlacklistHashClass) {
   // With a tiny table, distinct pages collide: "If a false reference is
   // seen to any of the pages with a given hash address, all of them are
   // effectively blacklisted."
-  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/4, /*Aging=*/false);
+  auto BL = Blacklist::hashed(/*BitsLog2=*/4, /*Aging=*/false);
   for (PageIndex P = 0; P != 64; ++P)
     BL.noteCandidate(P);
   // All 16 buckets are set, so every page everywhere reads blacklisted.
@@ -87,7 +87,7 @@ TEST(HashedBlacklist, CollisionsBlacklistHashClass) {
 }
 
 TEST(HashedBlacklist, LargeTableRarelyCollides) {
-  auto BL = BitmapBlacklist::hashed(/*BitsLog2=*/20, /*Aging=*/false);
+  auto BL = Blacklist::hashed(/*BitsLog2=*/20, /*Aging=*/false);
   for (PageIndex P = 0; P != 1000; ++P)
     BL.noteCandidate(P * 7);
   // ~1000 distinct buckets out of a million: collisions are rare.
@@ -100,7 +100,7 @@ TEST(HashedBlacklist, LargeTableRarelyCollides) {
 }
 
 TEST(HashedBlacklist, AgingWorks) {
-  auto BL = BitmapBlacklist::hashed(12, /*Aging=*/true);
+  auto BL = Blacklist::hashed(12, /*Aging=*/true);
   BL.beginCycle();
   BL.noteCandidate(50);
   BL.endCycle();
@@ -117,8 +117,8 @@ TEST(BitmapBlacklist, RunningCountMatchesPopcount) {
     for (bool Aging : {false, true}) {
       SCOPED_TRACE(std::string(Hashed ? "hashed" : "flat") +
                    (Aging ? ", aging" : ", no aging"));
-      auto BL = Hashed ? BitmapBlacklist::hashed(/*BitsLog2=*/6, Aging)
-                       : BitmapBlacklist::flat(/*NumPages=*/96, Aging);
+      auto BL = Hashed ? Blacklist::hashed(/*BitsLog2=*/6, Aging)
+                       : Blacklist::flat(/*NumPages=*/96, Aging);
       Rng Random(0x5eed + 2 * Hashed + Aging);
       for (int Step = 0; Step != 2000; ++Step) {
         uint64_t Op = Random.nextBelow(100);
@@ -140,7 +140,7 @@ namespace {
 
 /// The blacklist cycle as a plain model: every cycle clears and copies
 /// whole bitmaps, with no word ranges.  The page-to-bit mapping repeats
-/// BitmapBlacklist's.
+/// Blacklist's.
 struct WholeBitmapModel {
   WholeBitmapModel(size_t NumBits, unsigned HashBitsLog2, bool Aging)
       : Current(NumBits), Seen(NumBits), HashBitsLog2(HashBitsLog2),
@@ -193,8 +193,8 @@ TEST(BitmapBlacklist, WordRangesMatchWholeBitmapModel) {
     for (bool Aging : {false, true}) {
       SCOPED_TRACE(std::string(Hashed ? "hashed" : "flat") +
                    (Aging ? ", aging" : ", no aging"));
-      auto BL = Hashed ? BitmapBlacklist::hashed(HashLog2, Aging)
-                       : BitmapBlacklist::flat(FlatPages, Aging);
+      auto BL = Hashed ? Blacklist::hashed(HashLog2, Aging)
+                       : Blacklist::flat(FlatPages, Aging);
       WholeBitmapModel Model(Hashed ? size_t(1) << HashLog2 : FlatPages,
                              Hashed ? HashLog2 : 0, Aging);
       // Pages standing for the first and the last bit.
@@ -243,15 +243,22 @@ TEST(BitmapBlacklist, WordRangesMatchWholeBitmapModel) {
 }
 
 //===----------------------------------------------------------------------===//
-// NullBlacklist and factory
+// Blacklisting off, and the factory
 //===----------------------------------------------------------------------===//
 
 TEST(Blacklist, NullNeverBlacklists) {
-  NullBlacklist BL;
-  BL.noteCandidate(1);
-  EXPECT_FALSE(BL.isBlacklisted(1));
-  EXPECT_EQ(BL.entryCount(), 0u);
-  EXPECT_EQ(BL.stats().CandidatesNoted, 1u) << "still counts for stats";
+  // Off is a flat blacklist over zero pages.
+  auto BL = createBlacklist(BlacklistMode::Off, 100, 10, true);
+  BL->beginCycle();
+  BL->noteCandidate(1);
+  EXPECT_FALSE(BL->isBlacklisted(1));
+  EXPECT_EQ(BL->entryCount(), 0u);
+  EXPECT_EQ(BL->stats().CandidatesNoted, 1u) << "still counts for stats";
+  BL->endCycle();
+  BL->refresh();
+  EXPECT_FALSE(BL->isBlacklisted(1));
+  EXPECT_EQ(BL->entryCount(), 0u);
+  EXPECT_EQ(BL->stats().Cycles, 1u);
 }
 
 TEST(Blacklist, FactoryDispatch) {

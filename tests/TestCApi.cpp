@@ -58,15 +58,11 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.hashed_blacklist_bits_log2, D.HashedBlacklistBitsLog2);
   EXPECT_EQ(C.gc_at_startup, D.GcAtStartup ? 1 : 0);
   EXPECT_EQ(C.root_scan_alignment, D.RootScanAlignment);
-  EXPECT_EQ(C.heap_scan_alignment, D.HeapScanAlignment);
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
-  EXPECT_EQ(C.precise_free_slot_detection,
-            D.PreciseFreeSlotDetection ? 1 : 0);
   EXPECT_DOUBLE_EQ(C.collect_before_growth_ratio,
                    D.CollectBeforeGrowthRatio);
   EXPECT_EQ(C.min_heap_bytes_before_gc, D.MinHeapBytesBeforeGc);
   EXPECT_EQ(C.stack_clearing, CGC_STACK_CLEAR_OFF);
-  EXPECT_EQ(C.stack_clear_chunk_bytes, D.StackClearChunkBytes);
   EXPECT_EQ(C.stack_clear_every_n_allocs, D.StackClearEveryNAllocs);
   EXPECT_EQ(C.avoid_trailing_zero_addresses,
             D.AvoidTrailingZeroAddresses ? 1 : 0);
@@ -76,7 +72,6 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.sentinel.growth_floor_bytes, D.Sentinel.GrowthFloorBytes);
   EXPECT_DOUBLE_EQ(C.sentinel.growth_slope_fraction,
                    D.Sentinel.GrowthSlopeFraction);
-  EXPECT_EQ(C.sentinel.min_growing_deltas, D.Sentinel.MinGrowingDeltas);
   EXPECT_EQ(C.sentinel.escalation_cooldown, D.Sentinel.EscalationCooldown);
   EXPECT_EQ(C.sentinel.tighten_cycles, D.Sentinel.TightenCycles);
   EXPECT_EQ(C.sentinel.calm_collections, D.Sentinel.CalmCollections);
@@ -99,13 +94,10 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.hashed_blacklist_bits_log2 = 12;
   In.gc_at_startup = 0;
   In.root_scan_alignment = 8;
-  In.heap_scan_alignment = 4;
   In.mutator_threads = 7;
-  In.precise_free_slot_detection = 1;
   In.collect_before_growth_ratio = 0.75;
   In.min_heap_bytes_before_gc = 2ULL << 20;
   In.stack_clearing = CGC_STACK_CLEAR_CHEAP;
-  In.stack_clear_chunk_bytes = 8192;
   In.stack_clear_every_n_allocs = 32;
   In.avoid_trailing_zero_addresses = 0;
   In.verify_every_collection = 1;
@@ -113,7 +105,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.sentinel.window_collections = 6;
   In.sentinel.growth_floor_bytes = 2ULL << 20;
   In.sentinel.growth_slope_fraction = 0.125;
-  In.sentinel.min_growing_deltas = 4;
   In.sentinel.escalation_cooldown = 3;
   In.sentinel.tighten_cycles = 12;
   In.sentinel.calm_collections = 7;
@@ -135,14 +126,11 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.hashed_blacklist_bits_log2, In.hashed_blacklist_bits_log2);
   EXPECT_EQ(Out.gc_at_startup, In.gc_at_startup);
   EXPECT_EQ(Out.root_scan_alignment, In.root_scan_alignment);
-  EXPECT_EQ(Out.heap_scan_alignment, In.heap_scan_alignment);
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
-  EXPECT_EQ(Out.precise_free_slot_detection, In.precise_free_slot_detection);
   EXPECT_DOUBLE_EQ(Out.collect_before_growth_ratio,
                    In.collect_before_growth_ratio);
   EXPECT_EQ(Out.min_heap_bytes_before_gc, In.min_heap_bytes_before_gc);
   EXPECT_EQ(Out.stack_clearing, In.stack_clearing);
-  EXPECT_EQ(Out.stack_clear_chunk_bytes, In.stack_clear_chunk_bytes);
   EXPECT_EQ(Out.stack_clear_every_n_allocs, In.stack_clear_every_n_allocs);
   EXPECT_EQ(Out.avoid_trailing_zero_addresses,
             In.avoid_trailing_zero_addresses);
@@ -152,7 +140,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.sentinel.growth_floor_bytes, In.sentinel.growth_floor_bytes);
   EXPECT_DOUBLE_EQ(Out.sentinel.growth_slope_fraction,
                    In.sentinel.growth_slope_fraction);
-  EXPECT_EQ(Out.sentinel.min_growing_deltas, In.sentinel.min_growing_deltas);
   EXPECT_EQ(Out.sentinel.escalation_cooldown, In.sentinel.escalation_cooldown);
   EXPECT_EQ(Out.sentinel.tighten_cycles, In.sentinel.tighten_cycles);
   EXPECT_EQ(Out.sentinel.calm_collections, In.sentinel.calm_collections);

@@ -3,7 +3,8 @@
 // Negative-path coverage for the corruption-containment ladder: every
 // injectable metadata-corruption class must be detected by the
 // mid-collection verifier, the cycle abandoned and retried after an
-// in-place repair, and the retained set preserved.  Also covers the
+// in-place repair, and the retained set preserved; under the default
+// RepairFatal the same detection aborts instead.  Also covers the
 // verifier's finding cap/dedup policy, sealed-metadata digest identity
 // against the unsealed collector, and SIGSEGV wild-write containment.
 //
@@ -169,6 +170,31 @@ TEST(Corruption, StalePageMapEntryDetectedAndRepaired) {
 TEST(Corruption, AllocBitDisagreementDetectedAndRepaired) {
   runInjectedCorruption(FaultSite::MetadataAllocBitFlip,
                         &GcRepairStats::CountersResynced);
+}
+
+// Under the default RepairFatal the per-phase verifier does not repair:
+// it prints its report and aborts.
+TEST(CorruptionDeath, PerPhaseVerifierAbortsUnderRepairFatal) {
+  if (!FaultInjectionCompiled)
+    GTEST_SKIP() << "built without CGC_FAULT_INJECTION";
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  FaultGuard Guard;
+  EXPECT_DEATH(
+      {
+        GcConfig Config = containedConfig();
+        Config.RepairFatal = true;
+        Collector GC(Config);
+        std::vector<uint64_t> Window(1, 0);
+        GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                        RootEncoding::Native64, RootSource::Client,
+                        "window");
+        buildRootedList(GC, Window, 0, 64);
+        GC.collect("baseline");
+        FaultInjector::instance().arm(FaultSite::MetadataHeaderFlip, 0, 1);
+        GC.collect("corrupt");
+      },
+      "cgc heap verification failed after phase [a-z-]+ \\([0-9]+ "
+      "issues\\):");
 }
 
 //===----------------------------------------------------------------------===//

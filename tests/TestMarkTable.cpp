@@ -158,59 +158,54 @@ TEST(MarkTableInvariant, EverySetBitResolvesToAMarkedBase) {
   for (InteriorPolicy Policy :
        {InteriorPolicy::All, InteriorPolicy::BaseOnly,
         InteriorPolicy::FirstPage}) {
-    for (bool Precise : {false, true}) {
-      SCOPED_TRACE(testing::Message()
-                   << "policy " << static_cast<int>(Policy) << ", precise "
-                   << Precise);
-      GcConfig Config = tableConfig();
-      Config.Interior = Policy;
-      Config.PreciseFreeSlotDetection = Precise;
-      Collector GC(Config);
-      GC.registerDisplacement(8);
+    SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(Policy));
+    GcConfig Config = tableConfig();
+    Config.Interior = Policy;
+    Collector GC(Config);
+    GC.registerDisplacement(8);
 
-      // Roots by base, by a registered displacement, by an arbitrary
-      // interior offset, into a free slot past a live one, and into an
-      // ignore-off-page large object's first page and a later page.
-      auto *A = static_cast<char *>(GC.allocate(48));
-      auto *B = static_cast<char *>(GC.allocate(48));
-      auto *C = static_cast<char *>(GC.allocate(200));
-      auto *D = static_cast<char *>(GC.allocate(24));
-      auto *Big = static_cast<char *>(GC.allocateIgnoreOffPage(5 * PageSize));
-      auto *Plain = static_cast<char *>(GC.allocate(3 * PageSize));
-      // A linked chain, so the heap scan marks through interior links.
-      auto **Chain = static_cast<char **>(GC.allocate(64));
-      Chain[0] = A + 8;
-      Chain[1] = Plain + 100;
-      void *Held = GC.allocate(16, ObjectKind::Uncollectable);
-      static_cast<char **>(Held)[0] = reinterpret_cast<char *>(Chain);
-      uint64_t Roots[] = {
-          reinterpret_cast<uint64_t>(B),
-          reinterpret_cast<uint64_t>(C + 8),
-          reinterpret_cast<uint64_t>(C + 77),
-          reinterpret_cast<uint64_t>(D + 24),
-          reinterpret_cast<uint64_t>(Big + 8),
-          reinterpret_cast<uint64_t>(Big + 2 * PageSize),
-      };
-      GC.addRootRange(Roots, Roots + std::size(Roots), RootEncoding::Native64,
-                      RootSource::Client, "roots");
-      CollectionStats Stats = GC.measureLiveness();
-      ASSERT_GT(Stats.ObjectsMarked, 2u);
+    // Roots by base, by a registered displacement, by an arbitrary
+    // interior offset, into a free slot past a live one, and into an
+    // ignore-off-page large object's first page and a later page.
+    auto *A = static_cast<char *>(GC.allocate(48));
+    auto *B = static_cast<char *>(GC.allocate(48));
+    auto *C = static_cast<char *>(GC.allocate(200));
+    auto *D = static_cast<char *>(GC.allocate(24));
+    auto *Big = static_cast<char *>(GC.allocateIgnoreOffPage(5 * PageSize));
+    auto *Plain = static_cast<char *>(GC.allocate(3 * PageSize));
+    // A linked chain, so the heap scan marks through interior links.
+    auto **Chain = static_cast<char **>(GC.allocate(64));
+    Chain[0] = A + 8;
+    Chain[1] = Plain + 100;
+    void *Held = GC.allocate(16, ObjectKind::Uncollectable);
+    static_cast<char **>(Held)[0] = reinterpret_cast<char *>(Chain);
+    uint64_t Roots[] = {
+        reinterpret_cast<uint64_t>(B),
+        reinterpret_cast<uint64_t>(C + 8),
+        reinterpret_cast<uint64_t>(C + 77),
+        reinterpret_cast<uint64_t>(D + 24),
+        reinterpret_cast<uint64_t>(Big + 8),
+        reinterpret_cast<uint64_t>(Big + 2 * PageSize),
+    };
+    GC.addRootRange(Roots, Roots + std::size(Roots), RootEncoding::Native64,
+                    RootSource::Client, "roots");
+    CollectionStats Stats = GC.measureLiveness();
+    ASSERT_GT(Stats.ObjectsMarked, 2u);
 
-      MarkContext &M = GC.marker();
-      ObjectHeap &Heap = GC.objectHeap();
-      std::vector<WindowOffset> Bits = setBits(GC);
-      for (WindowOffset Offset : Bits) {
-        ObjectRef Ref = M.resolveCandidate(Offset);
-        ASSERT_TRUE(Ref.valid()) << "bit at 0x" << std::hex << Offset;
-        EXPECT_EQ(Heap.baseOffset(Ref), Offset);
-        EXPECT_TRUE(Heap.isMarked(Ref));
-      }
-      EXPECT_EQ(Bits.size(), Stats.ObjectsMarked)
-          << "one bit per marked object";
-      EXPECT_TRUE(GC.wasMarkedLive(B));
-      EXPECT_TRUE(GC.wasMarkedLive(Big)) << "first-page pointer retains";
-      EXPECT_TRUE(GC.objectHeap().verify().clean());
+    MarkContext &M = GC.marker();
+    ObjectHeap &Heap = GC.objectHeap();
+    std::vector<WindowOffset> Bits = setBits(GC);
+    for (WindowOffset Offset : Bits) {
+      ObjectRef Ref = M.resolveCandidate(Offset);
+      ASSERT_TRUE(Ref.valid()) << "bit at 0x" << std::hex << Offset;
+      EXPECT_EQ(Heap.baseOffset(Ref), Offset);
+      EXPECT_TRUE(Heap.isMarked(Ref));
     }
+    EXPECT_EQ(Bits.size(), Stats.ObjectsMarked)
+        << "one bit per marked object";
+    EXPECT_TRUE(GC.wasMarkedLive(B));
+    EXPECT_TRUE(GC.wasMarkedLive(Big)) << "first-page pointer retains";
+    EXPECT_TRUE(GC.objectHeap().verify().clean());
   }
 }
 

@@ -50,17 +50,6 @@ TEST(Marker, ResolveCandidateSmallObjects) {
   EXPECT_FALSE(M.resolveCandidate(Base + 64 * PageSize).valid());
 }
 
-TEST(Marker, ResolveCandidatePreciseFreeSlots) {
-  GcConfig Config = markerConfig();
-  Config.PreciseFreeSlotDetection = true;
-  Collector GC(Config);
-  auto *A = static_cast<char *>(GC.allocate(32));
-  WindowOffset Base = GC.windowOffsetOf(A);
-  EXPECT_TRUE(GC.marker().resolveCandidate(Base).valid());
-  EXPECT_FALSE(GC.marker().resolveCandidate(Base + 32).valid())
-      << "precise mode rejects free slots";
-}
-
 TEST(Marker, NearMissCountingAndBlacklistFeed) {
   Collector GC(markerConfig());
   (void)GC.allocate(8); // Commit some heap.
@@ -225,25 +214,18 @@ TEST(Marker, UncollectableObjectsMarkedWholeEveryCycle) {
 }
 
 TEST(Marker, HeapScanAlignmentControlsInHeapPointers) {
-  // A pointer stored at a non-word offset inside a heap object is seen
-  // only when HeapScanAlignment is fine enough.
-  for (unsigned Alignment : {8u, 4u}) {
-    GcConfig Config = markerConfig();
-    Config.HeapScanAlignment = Alignment;
-    Collector GC(Config);
-    auto *Holder = static_cast<char *>(GC.allocate(64));
-    void *Target = GC.allocate(16);
-    std::memcpy(Holder + 12, &Target, sizeof(Target)); // 4-aligned.
-    uint64_t Root = reinterpret_cast<uint64_t>(Holder);
-    GC.addRootRange(&Root, &Root + 1, RootEncoding::Native64,
-                    RootSource::Client, "root");
-    CollectionStats Cycle = GC.collect();
-    if (Alignment == 8)
-      EXPECT_EQ(Cycle.ObjectsLive, 1u)
-          << "word-aligned scan misses the 4-aligned pointer";
-    else
-      EXPECT_EQ(Cycle.ObjectsLive, 2u);
-  }
+  // Heap objects are scanned one 8-byte word at a time, so a pointer
+  // stored at a non-word offset inside a heap object is not seen.
+  Collector GC(markerConfig());
+  auto *Holder = static_cast<char *>(GC.allocate(64));
+  void *Target = GC.allocate(16);
+  std::memcpy(Holder + 12, &Target, sizeof(Target)); // 4-aligned.
+  uint64_t Root = reinterpret_cast<uint64_t>(Holder);
+  GC.addRootRange(&Root, &Root + 1, RootEncoding::Native64,
+                  RootSource::Client, "root");
+  CollectionStats Cycle = GC.collect();
+  EXPECT_EQ(Cycle.ObjectsLive, 1u)
+      << "word-aligned scan misses the 4-aligned pointer";
 }
 
 TEST(Marker, PointerToLargeObjectInterior) {

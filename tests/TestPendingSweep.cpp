@@ -301,64 +301,59 @@ TEST(PendingSweep, ExplicitFreeIntoPendingBlockPinsNothing) {
 // Each reader answers over a pending block as it does once the block is
 // swept: the eager state stays observable.
 TEST(PendingSweep, ReadersSeeTheSweptHeap) {
-  for (bool Precise : {false, true}) {
-    SCOPED_TRACE(Precise ? "precise free-slot detection" : "default");
-    GcConfig Config = pendingConfig();
-    Config.PreciseFreeSlotDetection = Precise;
-    Collector GC(Config);
-    struct Node {
-      Node *Next;
-      uint64_t Pad[5];
-    };
-    std::vector<Node *> Objs;
-    for (int I = 0; I != 40; ++I)
-      Objs.push_back(static_cast<Node *>(GC.allocate(sizeof(Node))));
-    std::vector<uint64_t> Roots(Objs.size() / 2, 0);
-    for (size_t I = 0; I != Roots.size(); ++I)
-      Roots[I] = reinterpret_cast<uint64_t>(Objs[2 * I]);
-    // Two dead objects, the first pointing at the second.
-    Node *Dead = Objs[1], *Target = Objs[3];
-    Dead->Next = Target;
-    GC.addRootRange(Roots.data(), Roots.data() + Roots.size(),
-                    RootEncoding::Native64, RootSource::Client, "roots");
-    GC.collect("pend");
-    ASSERT_GT(GC.objectHeap().pendingBlockCount(), 0u);
-    // A dangling root word to the dead object: a freed slot is reached
-    // but never traced through.
-    uint64_t Dangling = reinterpret_cast<uint64_t>(Dead);
-    GC.addRootRange(&Dangling, &Dangling + 1, RootEncoding::Native64,
-                    RootSource::Client, "dangling");
+  Collector GC(pendingConfig());
+  struct Node {
+    Node *Next;
+    uint64_t Pad[5];
+  };
+  std::vector<Node *> Objs;
+  for (int I = 0; I != 40; ++I)
+    Objs.push_back(static_cast<Node *>(GC.allocate(sizeof(Node))));
+  std::vector<uint64_t> Roots(Objs.size() / 2, 0);
+  for (size_t I = 0; I != Roots.size(); ++I)
+    Roots[I] = reinterpret_cast<uint64_t>(Objs[2 * I]);
+  // Two dead objects, the first pointing at the second.
+  Node *Dead = Objs[1], *Target = Objs[3];
+  Dead->Next = Target;
+  GC.addRootRange(Roots.data(), Roots.data() + Roots.size(),
+                  RootEncoding::Native64, RootSource::Client, "roots");
+  GC.collect("pend");
+  ASSERT_GT(GC.objectHeap().pendingBlockCount(), 0u);
+  // A dangling root word to the dead object: a freed slot is reached
+  // but never traced through.
+  uint64_t Dangling = reinterpret_cast<uint64_t>(Dead);
+  GC.addRootRange(&Dangling, &Dangling + 1, RootEncoding::Native64,
+                  RootSource::Client, "dangling");
 
-    struct View {
-      std::vector<void *> Objects;
-      std::vector<bool> Allocated;
-      bool TargetReached = false;
-      size_t LiveChain = 0;
-      void *DeadBase = nullptr;
-      bool operator==(const View &) const = default;
-    };
-    auto Read = [&] {
-      View V;
-      GC.forEachObject([&](void *P, size_t, ObjectKind) {
-        V.Objects.push_back(P);
-      });
-      for (Node *P : Objs)
-        V.Allocated.push_back(GC.isAllocated(P));
-      RetentionTracer Tracer(GC);
-      V.TargetReached = Tracer.explain(Target).Reached;
-      V.LiveChain = Tracer.explain(Objs[4]).Chain.size();
-      V.DeadBase = GC.objectBase(Dead);
-      return V;
-    };
-    View Lazy = Read();
-    GC.objectHeap().finishPendingSweeps();
-    View Eager = Read();
-    EXPECT_TRUE(Lazy == Eager);
-    EXPECT_EQ(Lazy.Objects.size(), Roots.size());
-    EXPECT_FALSE(Lazy.TargetReached);
-    EXPECT_EQ(Lazy.LiveChain, 1u);
-    EXPECT_EQ(Lazy.DeadBase, nullptr);
-  }
+  struct View {
+    std::vector<void *> Objects;
+    std::vector<bool> Allocated;
+    bool TargetReached = false;
+    size_t LiveChain = 0;
+    void *DeadBase = nullptr;
+    bool operator==(const View &) const = default;
+  };
+  auto Read = [&] {
+    View V;
+    GC.forEachObject([&](void *P, size_t, ObjectKind) {
+      V.Objects.push_back(P);
+    });
+    for (Node *P : Objs)
+      V.Allocated.push_back(GC.isAllocated(P));
+    RetentionTracer Tracer(GC);
+    V.TargetReached = Tracer.explain(Target).Reached;
+    V.LiveChain = Tracer.explain(Objs[4]).Chain.size();
+    V.DeadBase = GC.objectBase(Dead);
+    return V;
+  };
+  View Lazy = Read();
+  GC.objectHeap().finishPendingSweeps();
+  View Eager = Read();
+  EXPECT_TRUE(Lazy == Eager);
+  EXPECT_EQ(Lazy.Objects.size(), Roots.size());
+  EXPECT_FALSE(Lazy.TargetReached);
+  EXPECT_EQ(Lazy.LiveChain, 1u);
+  EXPECT_EQ(Lazy.DeadBase, nullptr);
 }
 
 // findLeaks marks without sweeping; the marks it overwrites must not be

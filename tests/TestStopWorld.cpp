@@ -4,9 +4,8 @@
 // handshakes stay bit-identical with the watchdog armed, a wedged
 // mutator is stopped preemptively by the suspend signal, the
 // final-timeout rung raises a structured incident and degrades instead
-// of hanging, HandshakeFatal aborts, the crash handlers mask the
-// reserved signal, and a forked child can rebuild the registry and
-// collect.
+// of hanging, the crash handlers mask the reserved signal, and a forked
+// child can rebuild the registry and collect.
 //
 //===----------------------------------------------------------------------===//
 
@@ -508,33 +507,6 @@ TEST(StopWorld, FinalTimeoutRaisesIncidentAndDegrades) {
   CollectionStats Healthy = GC.collect("recovered");
   EXPECT_EQ(Healthy.MutatorsStopped, 0u);
   EXPECT_EQ(GC.handshakeStats().HandshakeTimeouts, 2u);
-}
-
-// Under HandshakeFatal the final rung aborts instead of degrading.
-TEST(StopWorldDeath, HandshakeFatalAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        GcConfig Config = testConfig();
-        Config.HandshakeDeadlineMs = 80;
-        Config.SuspendSignal = -1;
-        Config.HandshakeFatal = true;
-        Collector GC(Config);
-        std::atomic<bool> Wedged{false};
-        std::atomic<bool> Resume{false};
-        std::thread Worker([&] {
-          GcThreadScope Scope(GC);
-          Wedged.store(true, std::memory_order_release);
-          while (!Resume.load(std::memory_order_acquire)) {
-          }
-        });
-        while (!Wedged.load(std::memory_order_acquire))
-          std::this_thread::yield();
-        GC.collect("doomed");
-        Resume.store(true, std::memory_order_release);
-        Worker.join();
-      },
-      "handshake timed out");
 }
 
 // The crash handlers must run with the reserved suspend/resume signals

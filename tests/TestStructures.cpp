@@ -320,7 +320,6 @@ TEST(ListReversal, ApparentLiveOrdering) {
     GcConfig Config = testConfig();
     Config.StackClearing = Clearing;
     Config.StackClearEveryNAllocs = 16;
-    Config.StackClearChunkBytes = 2048;
     Collector GC(Config);
     sim::SimStack Stack(1 << 16);
     Stack.attachTo(GC);
