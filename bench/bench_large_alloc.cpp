@@ -32,8 +32,8 @@ struct ProbeResult {
   /// Largest gap between blacklisted pages within the committed heap —
   /// the cap on AllPagesClean objects that avoid heap growth.
   uint64_t LargestCleanGapBytes = 0;
-  /// Largest object the allocator placed without growing the heap
-  /// beyond its pre-probe committed size + one increment.
+  /// Largest object the allocator placed without an emergency
+  /// collection, whose page runs may cover blacklisted pages.
   uint64_t LargestPlacedBytes = 0;
 };
 
@@ -73,17 +73,19 @@ ProbeResult probe(InteriorPolicy Interior, double TableScale,
   Result.LargestCleanGapBytes = Best * PageSize;
 
   // Binary-search (in pages) the largest object the allocator will
-  // place.  Lo is known-good, Hi known-bad.
+  // place within the blacklist constraint.  Lo is known-good, Hi
+  // known-bad.  A request that only the exhaustion ladder's emergency
+  // rung satisfied (it accepts blacklisted pages) was not placed.
   uint64_t LoPages = 0, HiPages = Config.MaxHeapBytes / PageSize;
   while (LoPages + 1 < HiPages) {
     uint64_t MidPages = (LoPages + HiPages) / 2;
+    uint64_t Emergencies = GC.resilienceStats().EmergencyCollections;
     void *P = GC.allocate(MidPages * PageSize - 64);
-    if (P) {
+    bool Placed =
+        P && GC.resilienceStats().EmergencyCollections == Emergencies;
+    if (P)
       GC.deallocate(P);
-      LoPages = MidPages;
-    } else {
-      HiPages = MidPages;
-    }
+    (Placed ? LoPages : HiPages) = MidPages;
   }
   Result.LargestPlacedBytes = LoPages * PageSize;
   return Result;

@@ -674,7 +674,7 @@ void SoakRun::runMutatorPhase() {
     Outcome.MutatorCollections += Locals[T].Collections;
   }
   Outcome.Collections += Outcome.MutatorCollections;
-  Outcome.MutatorHandshakes = GC.threadRegistry().handshakes();
+  Outcome.MutatorHandshakes = GC.handshakeStats().Handshakes;
   if (GC.threadRegistry().registeredCount() != 0)
     fail("mutator threads left registry records behind");
   fold(GC.threadRegistry().lifetimeRegistrations());
@@ -801,11 +801,10 @@ void SoakRun::runWedgePhase() {
     while (!WedgedUp.load(std::memory_order_acquire) ||
            !CoopUp.load(std::memory_order_acquire))
       std::this_thread::yield();
-    uint64_t SuspendsBefore = GC.threadRegistry().signalSuspensions();
+    uint64_t SuspendsBefore = GC.handshakeStats().SignalSuspensions;
     GC.collect("soak-wedge");
     ++Outcome.Collections;
-    uint64_t Delta =
-        GC.threadRegistry().signalSuspensions() - SuspendsBefore;
+    uint64_t Delta = GC.handshakeStats().SignalSuspensions - SuspendsBefore;
     Resume.store(true, std::memory_order_release);
     Wedger.join();
     Cooperative.join();

@@ -91,12 +91,6 @@ static SentinelPolicy convertSentinelPolicy(const cgc_sentinel_policy *C) {
     Policy.WindowCollections = C->window_collections;
   if (C->growth_floor_bytes)
     Policy.GrowthFloorBytes = C->growth_floor_bytes;
-  if (C->growth_slope_fraction > 0)
-    Policy.GrowthSlopeFraction = C->growth_slope_fraction;
-  if (C->escalation_cooldown)
-    Policy.EscalationCooldown = C->escalation_cooldown;
-  if (C->tighten_cycles)
-    Policy.TightenCycles = C->tighten_cycles;
   if (C->calm_collections)
     Policy.CalmCollections = C->calm_collections;
   return Policy;
@@ -252,9 +246,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->sentinel.enabled = In.Sentinel.Enabled ? 1 : 0;
   Out->sentinel.window_collections = In.Sentinel.WindowCollections;
   Out->sentinel.growth_floor_bytes = In.Sentinel.GrowthFloorBytes;
-  Out->sentinel.growth_slope_fraction = In.Sentinel.GrowthSlopeFraction;
-  Out->sentinel.escalation_cooldown = In.Sentinel.EscalationCooldown;
-  Out->sentinel.tighten_cycles = In.Sentinel.TightenCycles;
   Out->sentinel.calm_collections = In.Sentinel.CalmCollections;
   Out->debug_guards = In.DebugGuards ? 1 : 0;
   Out->guard_fatal = In.GuardFatal ? 1 : 0;
@@ -629,9 +620,6 @@ void cgc_sentinel_policy_init(cgc_sentinel_policy *Policy) {
   Policy->enabled = Defaults.Enabled ? 1 : 0;
   Policy->window_collections = Defaults.WindowCollections;
   Policy->growth_floor_bytes = Defaults.GrowthFloorBytes;
-  Policy->growth_slope_fraction = Defaults.GrowthSlopeFraction;
-  Policy->escalation_cooldown = Defaults.EscalationCooldown;
-  Policy->tighten_cycles = Defaults.TightenCycles;
   Policy->calm_collections = Defaults.CalmCollections;
 }
 

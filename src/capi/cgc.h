@@ -78,15 +78,14 @@ enum {
 /* Plain-C mirror of GcConfig::SentinelPolicy — the retention-storm
  * sentinel watching the live-bytes trajectory across a window of
  * collections (see core/GcSentinel.h).  Zero numeric fields keep the
- * library defaults.  A storm also needs growth on 3/4 of the window's
- * per-collection deltas. */
+ * library defaults.  A storm also needs net growth of 5% of the live
+ * bytes at window start and growth on 3/4 of the window's
+ * per-collection deltas; escalations are at least two collections
+ * apart, and the interior tightening lasts eight. */
 typedef struct cgc_sentinel_policy {
   int enabled;                             /* boolean; default off     */
   unsigned window_collections;             /* 0 = default (8)          */
   unsigned long long growth_floor_bytes;   /* 0 = default (1 MiB)      */
-  double growth_slope_fraction;            /* <= 0 = default (0.05)    */
-  unsigned escalation_cooldown;            /* 0 = default (2)          */
-  unsigned tighten_cycles;                 /* 0 = default (8)          */
   unsigned calm_collections;               /* 0 = default (4)          */
 } cgc_sentinel_policy;
 

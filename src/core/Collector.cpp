@@ -36,7 +36,8 @@ std::vector<Collector *> &forkCollectors() {
 
 } // namespace
 
-Collector::Collector(const GcConfig &Cfg) : Config(Cfg) {
+Collector::Collector(const GcConfig &Cfg)
+    : Config(Cfg), ConfiguredInterior(Cfg.Interior) {
   static std::atomic<uint64_t> NextUniqueId{1};
   UniqueId = NextUniqueId.fetch_add(1);
   // CI's verifier lane flips this on for unmodified test binaries.
@@ -217,42 +218,55 @@ void Collector::forkChildOne() {
 // Stop-the-world hardening
 //===----------------------------------------------------------------------===//
 
-void Collector::stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
-                               uint64_t StalledNanos) {
-  (void)StalledNanos;
-  Collector *GC = static_cast<Collector *>(Ctx);
-  // One static message per observable state so the warn proc contract
-  // (static strings) holds; the stalled thread's id rides in Value.
-  const char *Message =
-      State == static_cast<uint32_t>(MutatorState::Running)
-          ? "cgc: stop-the-world stalled; mutator thread is running past "
-            "the handshake deadline's warning rung"
-          : "cgc: stop-the-world stalled; mutator thread is slow to park";
-  GC->warn(WarnEvent::HandshakeStall, Message, ThreadId);
+void Collector::stallWarnThunk(void *Ctx, uint64_t ThreadId) {
+  // A static message, as the warn proc contract requires; the stalled
+  // thread's id rides in Value.
+  static_cast<Collector *>(Ctx)->warn(
+      WarnEvent::HandshakeStall,
+      "cgc: stop-the-world stalled; mutator thread is running past the "
+      "handshake deadline's warning rung",
+      ThreadId);
 }
 
-bool Collector::refuseReentrantCollection() {
+Collector::StoppedWorld::StoppedWorld(Collector &GC, bool Reclaim)
+    : GC(GC), HeapGuard(GC) {
   // A callback collecting mid-collection (observer, warn proc, OOM
   // handler) gets a refused empty cycle, not an abort: the documented
   // contract is "must not collect", and the robust reading of a
   // violation is a no-op.
-  if (!InCollection)
-    return false;
-  warn(WarnEvent::ReentrantCollection,
-       "cgc: refused re-entrant collection from a callback",
-       Lifetime.Collections);
-  return true;
+  if (GC.InCollection) {
+    GC.warn(WarnEvent::ReentrantCollection,
+            "cgc: refused re-entrant collection from a callback",
+            GC.Lifetime.Collections);
+    return;
+  }
+  // Degraded mode: repeated post-repair verification failures mean the
+  // metadata cannot be trusted to survive a pipeline.  Every further
+  // cycle is refused (an empty cycle reads as "reclaimed nothing"), so
+  // the allocation ladder degrades to fresh-page growth.
+  if (Reclaim && GC.RepairStatsInfo.DegradedMode)
+    return;
+  MetaScope.emplace(GC);
+  if (!stop(Reclaim))
+    return;
+  // Guarded mode: release every quarantined slot (poison-checked)
+  // before any phase runs, so the sweep only ever sees armed headers
+  // and use-after-free writes are detected at a deterministic point.
+  if (Reclaim)
+    GC.flushQuarantine();
+  Began = GC.InCollection = true;
+  for (const auto &Hook : GC.PreCollectionHooks)
+    Hook();
 }
 
-Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
-    : GC(GC) {
+bool Collector::StoppedWorld::stop(bool Reclaim) {
   // Threaded mode: rendezvous every registered mutator at a safepoint
   // before any phase touches shared heap state.  With zero registered
   // threads this whole block is dead and the cycle is bit-identical to
   // sequential mode.
   if (!GC.ThreadedMode.load(std::memory_order_relaxed) ||
       GC.Registry.registeredCount() == 0)
-    return;
+    return true;
   Self = ThreadRegistry::current();
   // Reserve every vector the stopped-world window appends to before
   // any mutator can be frozen: the watchdog's signal rung may park a
@@ -270,15 +284,12 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
     GC.MidCyclePins.reserve(MidCyclePinReserve);
   Handshake = GC.Registry.stopTheWorld(Self);
   Stopped = true;
-  GC.StopInitiator.store(Self, std::memory_order_release);
   if (Handshake.TimedOut) {
     // Watchdog final rung: some mutator could not be stopped.  Raise
     // the structured incident and abandon the attempt — no phase may
     // run against a world that is still mutating.  The allocation
     // ladder treats the empty cycle as "reclaimed nothing" and
     // degrades to heap growth.
-    GC.StopInitiator.store(nullptr, std::memory_order_release);
-    Abandoned = true;
     GcIncident Incident;
     Incident.Cause = GcIncidentCause::HandshakeTimeout;
     Incident.CollectionIndex = GC.Lifetime.Collections;
@@ -288,18 +299,25 @@ Collector::StoppedWorld::StoppedWorld(Collector &GC, bool FlushCaches)
         "cgc: stop-the-world handshake timed out; abandoning collection",
         Handshake.Nanos);
     resume();
-    return;
+    return false;
   }
+  GC.StopInitiator.store(Self, std::memory_order_release);
   // Return every thread-owned block so mark/sweep see ordinary blocks
   // with exact counts.
-  if (FlushCaches)
-    CacheFlush = GC.flushThreadCaches();
+  if (Reclaim)
+    CacheSlotsFlushed = GC.flushThreadCaches();
   GC.emit({.Kind = GcEventKind::StopTheWorld, .Payload = &Handshake});
+  return true;
 }
 
 Collector::StoppedWorld::~StoppedWorld() {
   removeRoots();
   resume();
+  if (!Began)
+    return;
+  GC.InCollection = false;
+  GC.MidCyclePins.clear();
+  GC.MidCyclePinOverflow = false;
 }
 
 void Collector::StoppedWorld::addRoots(std::jmp_buf &MachineRegisters,
@@ -525,15 +543,15 @@ void Collector::retireCache(MutatorThread &Thread) {
   if (!Thread.Cache)
     return;
   drainCache(*Thread.Cache);
-  CacheAllocsRetired += Thread.Cache->allocs();
-  CacheFreesRetired += Thread.Cache->frees();
+  CacheRetired.Allocs += Thread.Cache->allocs();
+  CacheRetired.Frees += Thread.Cache->frees();
 }
 
 void Collector::foldCacheCounts(ThreadCache &Cache) {
   ThreadCache::Counts Delta = Cache.takePending();
   Heap->foldOwnerCounts(Delta.Allocs, Delta.Bytes, Delta.Frees);
-  CacheAllocsFolded += Delta.Allocs;
-  CacheFreesFolded += Delta.Frees;
+  CacheFolded.Allocs += Delta.Allocs;
+  CacheFolded.Frees += Delta.Frees;
   BytesSinceGc += Delta.Bytes;
 }
 
@@ -581,10 +599,20 @@ bool Collector::checkoutToCache(MutatorThread *Self,
   return true;
 }
 
-Collector::CacheFlushOutcome Collector::flushThreadCaches() {
-  CacheFlushOutcome Outcome;
-  uint64_t Allocs = CacheAllocsRetired;
-  uint64_t Frees = CacheFreesRetired;
+Collector::CacheLedger Collector::threadCacheTotals() {
+  CacheLedger Made = CacheRetired;
+  Registry.forEachThread([&](MutatorThread &Thread) {
+    if (Thread.Cache) {
+      Made.Allocs += Thread.Cache->allocs();
+      Made.Frees += Thread.Cache->frees();
+    }
+  });
+  return Made;
+}
+
+uint64_t Collector::flushThreadCaches() {
+  uint64_t SlotsFlushed = 0;
+  bool Skipped = false;
   Registry.forEachThread([&](MutatorThread &Thread) {
     if (!Thread.Cache)
       return;
@@ -594,25 +622,22 @@ Collector::CacheFlushOutcome Collector::flushThreadCaches() {
     // counting it.  Returning its blocks would hand slots it is
     // about to use to other threads, so its cache is left alone; the
     // sweep skips its still-owned blocks this cycle.
-    if (Thread.state() == MutatorState::SignalSuspended) {
-      ++Outcome.CachesSkipped;
-      return;
-    }
-    Outcome.SlotsFlushed += drainCache(*Thread.Cache);
-    Allocs += Thread.Cache->allocs();
-    Frees += Thread.Cache->frees();
+    if (Thread.state() == MutatorState::SignalSuspended)
+      Skipped = true;
+    else
+      SlotsFlushed += drainCache(*Thread.Cache);
   });
   // With every cache drained no block is owned, and the counts folded
   // into the heap are exactly what the threads did on the lock-free
   // paths.  A skipped cache still has unfolded counts, so the check
   // resumes at the next fully drained handshake.
-  if (Outcome.CachesSkipped == 0) {
+  if (!Skipped) {
     CGC_CHECK(Heap->ownedBlockCount() == 0,
               "a block is still owned after every cache drained");
-    CGC_CHECK(Allocs == CacheAllocsFolded && Frees == CacheFreesFolded,
+    CGC_CHECK(threadCacheTotals() == CacheFolded,
               "thread-cache counts do not reconcile with the heap");
   }
-  return Outcome;
+  return SlotsFlushed;
 }
 
 void Collector::pinMidCycleAllocation(void *Ptr) {
@@ -624,7 +649,7 @@ void Collector::pinMidCycleAllocation(void *Ptr) {
     // no-malloc-between-suspend-and-resume rule collect() reserves
     // around).  Record the overflow instead: the pipeline skips leak
     // reporting and the sweep for this cycle, so the pin that could
-    // not be re-pinned after Mark's bit reset is never reclaimed.
+    // not be re-pinned after clearMarks' reset is never reclaimed.
     MidCyclePinOverflow = true;
     return;
   }
@@ -758,15 +783,23 @@ void *Collector::runExhaustionLadder(const AllocRequest &Req) {
   // out of memory.
   ++Resilience.EmergencyCollections;
   emit({.Kind = GcEventKind::EmergencyCollection, .Value = Bytes});
-  InteriorPolicy SavedInterior = Config.Interior;
-  if (SavedInterior == InteriorPolicy::All)
-    Config.Interior = InteriorPolicy::FirstPage;
+  requestInteriorTightening(InteriorTightening::Emergency, true);
   Heap->setEmergencyPageRelaxation(true);
   noteLadderCollection(collect("emergency"));
   void *Result = Retry();
   Heap->setEmergencyPageRelaxation(false);
-  Config.Interior = SavedInterior;
+  requestInteriorTightening(InteriorTightening::Emergency, false);
   return Result;
+}
+
+void Collector::requestInteriorTightening(InteriorTightening Who, bool On) {
+  const unsigned Bit = static_cast<unsigned>(Who);
+  InteriorTightenings = On ? InteriorTightenings | Bit
+                           : InteriorTightenings & ~Bit;
+  Config.Interior =
+      InteriorTightenings != 0 && ConfiguredInterior == InteriorPolicy::All
+          ? InteriorPolicy::FirstPage
+          : ConfiguredInterior;
 }
 
 void *Collector::reportOutOfMemory(uint64_t Bytes) {
@@ -1219,10 +1252,11 @@ void Collector::publishCrashState() {
   Mirror(CrashInfo.QuarantineDepth, Guards ? Guards->quarantineDepth() : 0);
   Mirror(CrashInfo.RegisteredThreads, Registry.registeredCount());
   Mirror(CrashInfo.OwnedBlocks, Heap->ownedBlockCount());
-  Mirror(CrashInfo.Handshakes, Registry.handshakes());
-  Mirror(CrashInfo.SignalSuspensions, Registry.signalSuspensions());
-  Mirror(CrashInfo.HandshakeTimeouts, Registry.handshakeTimeouts());
-  Mirror(CrashInfo.MaxStopNanos, Registry.maxStopNanos());
+  GcHandshakeStats Stop = Registry.handshakeStats();
+  Mirror(CrashInfo.Handshakes, Stop.Handshakes);
+  Mirror(CrashInfo.SignalSuspensions, Stop.SignalSuspensions);
+  Mirror(CrashInfo.HandshakeTimeouts, Stop.HandshakeTimeouts);
+  Mirror(CrashInfo.MaxStopNanos, Stop.MaxStopNanos);
   Mirror(CrashInfo.LiveBytes, LastCycle.BytesLive);
   Mirror(CrashInfo.CommittedBytes, committedHeapBytes());
   Mirror(CrashInfo.BlacklistedPages, LastCycle.BlacklistedPages);
@@ -1254,35 +1288,15 @@ bool Collector::runPhase(GcPhase Phase, CollectionStats &Cycle,
 }
 
 CollectionStats Collector::collect(const char *Reason) {
-  HeapLockGuard HeapGuard(*this);
-  if (refuseReentrantCollection())
-    return CollectionStats();
-  // Degraded mode: repeated post-repair verification failures mean the
-  // metadata cannot be trusted to survive a pipeline.  Every further
-  // cycle is refused (an empty cycle reads as "reclaimed nothing"), so
-  // the allocation ladder degrades to fresh-page growth.
-  if (RepairStatsInfo.DegradedMode)
-    return CollectionStats();
-  MetadataScope MetaScope(*this);
-
-  StoppedWorld World(*this, /*FlushCaches=*/true);
+  StoppedWorld World(*this, /*Reclaim=*/true);
   if (World.abandoned())
     return CollectionStats();
-
-  // Guarded mode: release every quarantined slot (poison-checked)
-  // before any phase runs, so the sweep only ever sees armed headers
-  // and use-after-free writes are detected at a deterministic point.
-  flushQuarantine();
-  InCollection = true;
-
-  for (const auto &Hook : PreCollectionHooks)
-    Hook();
 
   // What the handshake measured; a repair retry starts from it again.
   CollectionStats Start;
   Start.MutatorsStopped = World.Handshake.MutatorsStopped;
   Start.HandshakeNanos = World.Handshake.Nanos;
-  Start.CacheSlotsFlushed = World.CacheFlush.SlotsFlushed;
+  Start.CacheSlotsFlushed = World.CacheSlotsFlushed;
   Start.CacheBlocksKept = Heap->ownedBlockCount();
   CollectionStats Cycle = Start;
   uint64_t CollectionIndex = Lifetime.Collections;
@@ -1333,9 +1347,10 @@ CollectionStats Collector::collect(const char *Reason) {
         }))
       return false;
 
-    // Begin-observer allocations were pinned before the Mark phase
-    // reset every mark bit; re-pin the whole mid-cycle list so the
-    // sweep keeps them (idempotent for post-Mark allocations).
+    // Begin-observer allocations were pinned before clearMarks reset
+    // every mark bit ahead of the root scan (and again before a repair
+    // retry); re-pin the whole mid-cycle list so the sweep keeps them
+    // (idempotent for later allocations).
     for (void *Pinned : MidCyclePins)
       Heap->markAllocatedObjectLive(Pinned);
 
@@ -1348,7 +1363,7 @@ CollectionStats Collector::collect(const char *Reason) {
       return false;
 
     // A pin that overflowed the pre-reserved buffer was never recorded,
-    // so Mark's bit reset erased it: reclaiming anything now could
+    // so clearMarks' reset erased it: reclaiming anything now could
     // sweep a live mid-cycle allocation.  Degrade to a no-reclaim
     // cycle (the allocation ladder reads it as "reclaimed nothing" and
     // grows the heap) rather than ever freeing an unpinned object.
@@ -1439,9 +1454,6 @@ CollectionStats Collector::collect(const char *Reason) {
   // Decommit the pages free since before the previous cycle, after the
   // resume so the madvise calls stay out of the pause.
   Pages->ageDeferredDecommits();
-  InCollection = false;
-  MidCyclePins.clear();
-  MidCyclePinOverflow = false;
   // Request re-sealing: it happens when the outermost MetadataScope
   // unwinds, so an allocation slow path that triggered this collection
   // finishes on writable metadata first.
@@ -1450,35 +1462,23 @@ CollectionStats Collector::collect(const char *Reason) {
 }
 
 CollectionStats Collector::measureLiveness() {
-  HeapLockGuard HeapGuard(*this);
-  if (refuseReentrantCollection())
-    return CollectionStats();
-  MetadataScope MetaScope(*this);
+  // A census flushes no cache: it must not perturb the caches it is
+  // measuring, and slots an owned block has not handed out are clear
+  // in its bitmap anyway.
+  StoppedWorld World(*this, /*Reclaim=*/false);
   CollectionStats Cycle;
-  {
-    // Same rendezvous as collect(), minus the cache flush: a liveness
-    // census must not perturb the caches it is measuring, and slots an
-    // owned block has not handed out are clear in its bitmap anyway.
-    StoppedWorld World(*this, /*FlushCaches=*/false);
-    if (World.abandoned())
-      return Cycle;
-    InCollection = true;
-    for (const auto &Hook : PreCollectionHooks)
-      Hook();
-    std::jmp_buf MachineRegisters;
-    std::jmp_buf SelfRegisters;
-    volatile char SelfProbe = 0;
-    if (World.self())
-      setjmp(SelfRegisters);
-    World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
-    // Pending blocks are swept first, with the marks they were left
-    // with, so a census never leaves a block pending.
-    Heap->clearMarks();
-    Marking->runMark(Roots, Cycle);
-  } // Removes the root ranges and resumes the world.
-  InCollection = false;
-  MidCyclePins.clear();
-  MidCyclePinOverflow = false;
+  if (World.abandoned())
+    return Cycle;
+  std::jmp_buf MachineRegisters;
+  std::jmp_buf SelfRegisters;
+  volatile char SelfProbe = 0;
+  if (World.self())
+    setjmp(SelfRegisters);
+  World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
+  // Pending blocks are swept first, with the marks they were left
+  // with, so a census never leaves a block pending.
+  Heap->clearMarks();
+  Marking->runMark(Roots, Cycle);
   return Cycle;
 }
 
@@ -1493,19 +1493,14 @@ HeapVerifyReport Collector::verifyHeapReport() {
   // at known-quiet points.
   if (ThreadedMode.load(std::memory_order_relaxed) &&
       Heap->ownedBlockCount() == 0) {
-    uint64_t Allocs = CacheAllocsRetired, Frees = CacheFreesRetired;
-    Registry.forEachThread([&](MutatorThread &Thread) {
-      if (Thread.Cache) {
-        Allocs += Thread.Cache->allocs();
-        Frees += Thread.Cache->frees();
-      }
-    });
-    if (Allocs != CacheAllocsFolded || Frees != CacheFreesFolded)
+    CacheLedger Made = threadCacheTotals();
+    if (Made != CacheFolded)
       Report.notef("thread caches: heap folded %llu allocations / %llu "
                    "frees, threads made %llu / %llu",
-                   (unsigned long long)CacheAllocsFolded,
-                   (unsigned long long)CacheFreesFolded,
-                   (unsigned long long)Allocs, (unsigned long long)Frees);
+                   (unsigned long long)CacheFolded.Allocs,
+                   (unsigned long long)CacheFolded.Frees,
+                   (unsigned long long)Made.Allocs,
+                   (unsigned long long)Made.Frees);
   }
   // Collector-level cross-check: every flat-bitmap blacklist entry must
   // lie inside the potential heap — Figure 2 only notes candidates in
@@ -1776,25 +1771,25 @@ void Collector::printReport(std::FILE *Out) const {
                  Lifetime.TotalPhaseNanos[I] / 1e6,
                  I + 1 == NumGcPhases ? "\n" : ",");
   if (Registry.lifetimeRegistrations() != 0) {
+    GcHandshakeStats Stop = Registry.handshakeStats();
     std::fprintf(Out, "mutators        : %llu registered now, %llu over "
                       "lifetime; %llu handshakes, %llu safepoint parks\n",
                  (unsigned long long)Registry.registeredCount(),
                  (unsigned long long)Registry.lifetimeRegistrations(),
-                 (unsigned long long)Registry.handshakes(),
+                 (unsigned long long)Stop.Handshakes,
                  (unsigned long long)Registry.safepointParks());
-    uint64_t Handshakes = Registry.handshakes();
     std::fprintf(Out, "stop-the-world  : %.2f us mean, %.2f us max to "
                       "stop; %llu warn rungs, %llu signal rungs, %llu "
                       "suspensions, %llu send retries, %llu timeouts\n",
-                 Handshakes == 0
+                 Stop.Handshakes == 0
                      ? 0.0
-                     : Registry.totalStopNanos() / 1e3 / Handshakes,
-                 Registry.maxStopNanos() / 1e3,
-                 (unsigned long long)Registry.warnRungs(),
-                 (unsigned long long)Registry.signalRungs(),
-                 (unsigned long long)Registry.signalSuspensions(),
-                 (unsigned long long)Registry.signalSendRetries(),
-                 (unsigned long long)Registry.handshakeTimeouts());
+                     : Stop.TotalStopNanos / 1e3 / Stop.Handshakes,
+                 Stop.MaxStopNanos / 1e3,
+                 (unsigned long long)Stop.WarnRungs,
+                 (unsigned long long)Stop.SignalRungs,
+                 (unsigned long long)Stop.SignalSuspensions,
+                 (unsigned long long)Stop.SignalSendRetries,
+                 (unsigned long long)Stop.HandshakeTimeouts);
   }
   std::fprintf(Out, "last cycle      : %llu live objects (%llu KiB), "
                     "%llu freed, %llu pinned slots\n",

@@ -194,18 +194,7 @@ public:
   /// time-to-stop (max/total over completed rendezvous), signal
   /// suspensions and send retries, and watchdog rung counts.  All
   /// zeros until the first threaded collection.
-  GcHandshakeStats handshakeStats() const {
-    GcHandshakeStats Snapshot;
-    Snapshot.Handshakes = Registry.handshakes();
-    Snapshot.MaxStopNanos = Registry.maxStopNanos();
-    Snapshot.TotalStopNanos = Registry.totalStopNanos();
-    Snapshot.SignalSuspensions = Registry.signalSuspensions();
-    Snapshot.SignalSendRetries = Registry.signalSendRetries();
-    Snapshot.WarnRungs = Registry.warnRungs();
-    Snapshot.SignalRungs = Registry.signalRungs();
-    Snapshot.HandshakeTimeouts = Registry.handshakeTimeouts();
-    return Snapshot;
-  }
+  GcHandshakeStats handshakeStats() const { return Registry.handshakeStats(); }
 
   //===--------------------------------------------------------------===//
   // Queries
@@ -604,87 +593,38 @@ private:
   /// drainCache at the end of a thread's registration (unregister, or
   /// a thread lost to fork), retiring its lifetime totals.
   void retireCache(MutatorThread &Thread);
-  /// What flushThreadCaches did: free slots in the blocks returned to
-  /// the heap, and caches it had to leave alone because their owner is
-  /// frozen by the watchdog's suspend signal.
-  struct CacheFlushOutcome {
-    uint64_t SlotsFlushed = 0;
-    uint64_t CachesSkipped = 0;
+  /// Objects allocated and freed on the lock-free cache paths.
+  struct CacheLedger {
+    uint64_t Allocs = 0;
+    uint64_t Frees = 0;
+    bool operator==(const CacheLedger &) const = default;
   };
+  /// The thread side of the block ledger: what the retired threads and
+  /// every live cache made.  With no block owned it equals CacheFolded.
+  CacheLedger threadCacheTotals();
   /// Returns every registered thread's owned blocks (world stopped)
   /// and, when every cache drained, checks the block ledger: no block
   /// owned, and the heap's folded counts equal the threads' totals.
   /// Caches of signal-suspended threads are left alone: the owner may
   /// be frozen inside a lock-free take() or release(), so its blocks
-  /// stay owned and the sweep skips them this cycle.
-  CacheFlushOutcome flushThreadCaches();
+  /// stay owned and the sweep skips them this cycle.  \returns the
+  /// free slots in the blocks returned to the heap.
+  uint64_t flushThreadCaches();
 
   /// Pins an object allocated while a collection is in flight (an
   /// observer or warn callback allocating mid-cycle): marks it live
-  /// now and records it for the post-Mark re-pin, since the Mark
-  /// phase's bit reset would otherwise erase a pre-Mark pin.
+  /// now and records it for the post-Mark re-pin, since clearMarks
+  /// before the root scan would otherwise erase a pin made earlier.
   void pinMidCycleAllocation(void *Ptr);
   /// Whether any registered mutator is currently parked by the
   /// watchdog's suspend signal (frozen at an arbitrary instruction,
   /// possibly inside libc malloc with an arena lock held).
   bool anyMutatorSignalSuspended() const;
 
-  /// One stop-the-world window, shared by collect() and
-  /// measureLiveness().  With no registered mutator nothing stops, and
-  /// only the machine-stack roots of addRoots() remain: the paper's
-  /// sequential cycle.  Otherwise the constructor reserves what the
-  /// stopped window appends to (root ranges, mid-cycle pins) while the
-  /// mutators still run free, stops the world, and then either abandons
-  /// it — the watchdog's final rung: a HandshakeTimeout incident and
-  /// an immediate resume — or returns every thread-owned block (with
-  /// \p FlushCaches) and emits StopTheWorld.
-  class StoppedWorld {
-  public:
-    StoppedWorld(Collector &GC, bool FlushCaches);
-    /// removeRoots() and resume(), where the caller has not.
-    ~StoppedWorld();
-    StoppedWorld(const StoppedWorld &) = delete;
-    StoppedWorld &operator=(const StoppedWorld &) = delete;
-
-    /// The handshake timed out and the world has already resumed: the
-    /// caller returns an empty cycle.
-    bool abandoned() const { return Abandoned; }
-    /// The collecting thread's registry record; null when unregistered.
-    MutatorThread *self() const { return Self; }
-    /// Adds the stack and register roots: the machine stack (captured
-    /// into \p MachineRegisters) when scanning is on and the collecting
-    /// thread is unregistered, then [StackTop, StackBase) plus the
-    /// register snapshot of every registered thread, in registration
-    /// order.  The collecting thread's bounds are \p Probe and
-    /// \p SelfRegisters (filled by setjmp when self() is set): both
-    /// live in the caller's frame, so its scanned stack starts there.
-    void addRoots(std::jmp_buf &MachineRegisters,
-                  const std::jmp_buf &SelfRegisters,
-                  const volatile char *Probe);
-    /// Removes the ranges addRoots() added.
-    void removeRoots();
-    /// Ends the window: clears the stop initiator and resumes.
-    void resume();
-
-    ThreadRegistry::HandshakeResult Handshake;
-    CacheFlushOutcome CacheFlush;
-
-  private:
-    Collector &GC;
-    MutatorThread *Self = nullptr;
-    bool Stopped = false;
-    bool Abandoned = false;
-    std::vector<RootId> RootIds;
-  };
-
   /// ThreadRegistry::StallWarnFn target: routes a watchdog stall report
   /// for one still-running mutator through the rate-limited warn path
-  /// (WarnEvent::HandshakeStall), naming the thread and its state.
-  static void stallWarnThunk(void *Ctx, uint64_t ThreadId, uint32_t State,
-                             uint64_t StalledNanos);
-  /// Refuses a collection or census requested from a callback while
-  /// one is in flight (warns; the caller returns an empty cycle).
-  bool refuseReentrantCollection();
+  /// (WarnEvent::HandshakeStall), naming the thread.
+  static void stallWarnThunk(void *Ctx, uint64_t ThreadId);
   /// pthread_atfork handlers (process-wide, covering every live
   /// Collector in construction order): prepare takes each collector's
   /// heap and registry locks in rank order; parent unwinds; the child
@@ -708,6 +648,15 @@ private:
   /// \returns the allocation or nullptr with the ladder exhausted (the
   /// OOM handler is the caller's last step, via reportOutOfMemory).
   void *runExhaustionLadder(const AllocRequest &Req);
+  /// The two temporary tightenings of interior-pointer recognition from
+  /// All to FirstPage: the exhaustion ladder's emergency collection and
+  /// the sentinel's level 3.  Each raises and drops only its own
+  /// request, so neither restores a policy over the other's.
+  enum class InteriorTightening : unsigned { Emergency = 1, Sentinel = 2 };
+  /// Raises (\p On) or drops \p Who's request, then derives
+  /// Config.Interior: FirstPage while any request is raised over a
+  /// configured All, the configured policy otherwise.
+  void requestInteriorTightening(InteriorTightening Who, bool On);
   /// Emits the out-of-memory observer event and invokes the installed
   /// handler (once); \returns the handler's result verbatim.
   void *reportOutOfMemory(uint64_t Bytes);
@@ -760,6 +709,72 @@ private:
     MetadataScope &operator=(const MetadataScope &) = delete;
     Collector &GC;
   };
+
+  /// One stop-the-world session, shared by collect() (\p Reclaim) and
+  /// measureLiveness().  The constructor takes the heap lock and
+  /// refuses a request from a callback while a collection is in flight
+  /// (and, for a reclaiming session, any request in degraded mode).
+  /// Otherwise it unseals the metadata and stops the world: with no
+  /// registered mutator nothing stops, and only the machine-stack
+  /// roots of addRoots() remain, the paper's sequential cycle.  It
+  /// reserves what the stopped window appends to (root ranges,
+  /// mid-cycle pins) while the mutators still run free, then either
+  /// abandons the session (the watchdog's final rung: a
+  /// HandshakeTimeout incident and an immediate resume) or emits
+  /// StopTheWorld, sets InCollection and runs the pre-collection hooks.
+  /// A reclaiming session first returns every thread-owned block and
+  /// flushes the guarded quarantine; a census leaves both alone, so it
+  /// does not perturb what it measures.  The destructor removes the
+  /// roots, resumes the world and ends InCollection (clearing the
+  /// mid-cycle pins) before the metadata scope and the heap lock
+  /// unwind.
+  class StoppedWorld {
+  public:
+    StoppedWorld(Collector &GC, bool Reclaim);
+    ~StoppedWorld();
+    StoppedWorld(const StoppedWorld &) = delete;
+    StoppedWorld &operator=(const StoppedWorld &) = delete;
+
+    /// The session was refused, or the handshake timed out and the
+    /// world has already resumed: the caller returns an empty cycle.
+    bool abandoned() const { return !Began; }
+    /// The collecting thread's registry record; null when unregistered.
+    MutatorThread *self() const { return Self; }
+    /// Adds the stack and register roots: the machine stack (captured
+    /// into \p MachineRegisters) when scanning is on and the collecting
+    /// thread is unregistered, then [StackTop, StackBase) plus the
+    /// register snapshot of every registered thread, in registration
+    /// order.  The collecting thread's bounds are \p Probe and
+    /// \p SelfRegisters (filled by setjmp when self() is set): both
+    /// live in the caller's frame, so its scanned stack starts there.
+    void addRoots(std::jmp_buf &MachineRegisters,
+                  const std::jmp_buf &SelfRegisters,
+                  const volatile char *Probe);
+    /// Removes the ranges addRoots() added.
+    void removeRoots();
+    /// Ends the window: clears the stop initiator and resumes.
+    void resume();
+
+    ThreadRegistry::HandshakeResult Handshake;
+    /// Free slots in the thread-owned blocks a reclaiming session
+    /// returned to the heap.
+    uint64_t CacheSlotsFlushed = 0;
+
+  private:
+    /// Stops the world (a no-op with no registered mutator), flushing
+    /// the caches when \p Reclaim.  \returns false when the handshake
+    /// timed out and the world has resumed.
+    bool stop(bool Reclaim);
+
+    Collector &GC;
+    HeapLockGuard HeapGuard;
+    std::optional<MetadataScope> MetaScope;
+    MutatorThread *Self = nullptr;
+    bool Stopped = false;
+    /// This session set the collector's InCollection.
+    bool Began = false;
+    std::vector<RootId> RootIds;
+  };
   /// Drains the sealed arena's wild-write ring: attributes each caught
   /// store to the structure it hit (block table, page map, free lists),
   /// raises GcIncident{MetadataWildWrite}, and runs one repair pass.
@@ -771,6 +786,12 @@ private:
   HeapVerifyReport repairHeapLocked();
 
   GcConfig Config;
+  /// The interior-pointer policy the client configured.  Config.Interior
+  /// is derived from it and the tightening requests
+  /// (requestInteriorTightening), and written nowhere else.
+  const InteriorPolicy ConfiguredInterior;
+  /// The InteriorTightening bits of the requests now raised.
+  unsigned InteriorTightenings = 0;
   std::unique_ptr<VirtualArena> Arena;
   /// Dedicated mmap arena for GC metadata when GcConfig::SealMetadata
   /// is on; its pages flip PROT_READ between collections.  Declared
@@ -804,10 +825,8 @@ private:
   /// paths, as folded into the heap's stats, and the totals of threads
   /// that have since unregistered.  After a fully drained flush the
   /// folded counts equal the retired plus the live threads' totals.
-  uint64_t CacheAllocsFolded = 0;
-  uint64_t CacheFreesFolded = 0;
-  uint64_t CacheAllocsRetired = 0;
-  uint64_t CacheFreesRetired = 0;
+  CacheLedger CacheFolded;
+  CacheLedger CacheRetired;
 
   LeakCallback OnLeak;
   std::vector<std::function<void()>> StackClearHooks;
@@ -837,9 +856,10 @@ private:
   bool InCollection = false;
   /// Objects handed out while InCollection (observer/warn callbacks
   /// allocating mid-cycle).  Each is mark-bit pinned at allocation
-  /// time, but a begin-observer allocation precedes the Mark phase's
-  /// bit reset — so the pipeline re-pins this list after Mark, before
-  /// leak reporting and the sweep.  Cleared when the cycle ends.
+  /// time, but a begin-observer allocation precedes the clearMarks that
+  /// runs before the root scan — so the pipeline re-pins this list
+  /// after Mark, before leak reporting and the sweep.  Cleared when the
+  /// cycle ends.
   /// Capacity is reserved before stopTheWorld (MidCyclePinReserve) so
   /// appending never calls libc malloc inside the stopped window; see
   /// pinMidCycleAllocation for the overflow degrade.

@@ -102,20 +102,10 @@ struct SentinelPolicy {
   /// Collections per trajectory window; detection needs a full window.
   unsigned WindowCollections = 8;
 
-  /// A storm requires net window growth of at least this many bytes...
+  /// A storm requires net window growth of at least this many bytes
+  /// (and GcSentinel::GrowthSlopeFraction of the live bytes at window
+  /// start, with growth on 3/4 of the window's per-collection deltas).
   uint64_t GrowthFloorBytes = uint64_t(1) << 20;
-  /// ...and at least this fraction of the live bytes at window start.
-  /// It also requires growth on at least 3/4 of the window's
-  /// per-collection deltas, which filters sawtooth workloads whose net
-  /// drift is incidental.
-  double GrowthSlopeFraction = 0.05;
-
-  /// Collections to wait between escalation steps, so one response can
-  /// take effect before the next is judged necessary.
-  unsigned EscalationCooldown = 2;
-
-  /// Collections the level-3 interior-pointer tightening stays active.
-  unsigned TightenCycles = 8;
 
   /// Consecutive non-growing collections before the sentinel stands
   /// down and restores every overridden configuration knob.

@@ -25,7 +25,7 @@ bool GcSentinel::windowIsStorm(uint64_t &GrowthOut) const {
   if (Growth < Policy.GrowthFloorBytes)
     return false;
   if (static_cast<double>(Growth) <
-      Policy.GrowthSlopeFraction * static_cast<double>(First))
+      GrowthSlopeFraction * static_cast<double>(First))
     return false;
   // Most deltas must point up, or a sawtooth whose net drift happens to
   // clear the floor would flap the ladder.  Ceiling division: a 4-sample
@@ -58,9 +58,10 @@ void GcSentinel::collectionEnded(uint64_t CollectionIndex,
 
   // Level-3 tightening expires on its own, independent of calm: the
   // override is a probe, not a permanent policy change.
-  if (SavedInterior && CollectionIndex >= TightenUntil) {
-    GC.Config.Interior = *SavedInterior;
-    SavedInterior.reset();
+  if (TightenUntil && CollectionIndex >= *TightenUntil) {
+    GC.requestInteriorTightening(Collector::InteriorTightening::Sentinel,
+                                 false);
+    TightenUntil.reset();
   }
 
   CalmStreak = Grew ? 0 : CalmStreak + 1;
@@ -81,7 +82,7 @@ void GcSentinel::collectionEnded(uint64_t CollectionIndex,
   if (this->Stats.CurrentLevel >= 4)
     return;
   if (EverEscalated &&
-      CollectionIndex - LastEscalationIndex < Policy.EscalationCooldown)
+      CollectionIndex - LastEscalationIndex < EscalationCooldown)
     return;
 
   escalate(CollectionIndex, Growth);
@@ -114,11 +115,9 @@ void GcSentinel::escalate(uint64_t CollectionIndex, uint64_t GrowthBytes) {
     // pinning the growth, requiring first-page references for
     // TightenCycles collections lets the next cycles reclaim objects
     // held only by deep interior misidentifications.
-    if (!SavedInterior)
-      SavedInterior = GC.Config.Interior;
-    if (GC.Config.Interior == InteriorPolicy::All)
-      GC.Config.Interior = InteriorPolicy::FirstPage;
-    TightenUntil = CollectionIndex + Policy.TightenCycles;
+    GC.requestInteriorTightening(Collector::InteriorTightening::Sentinel,
+                                 true);
+    TightenUntil = CollectionIndex + TightenCycles;
     ++Stats.InteriorTightenings;
     break;
   default:
@@ -185,9 +184,10 @@ void GcSentinel::standDown() {
     GC.Config.StackClearing = *SavedStackClearing;
     SavedStackClearing.reset();
   }
-  if (SavedInterior) {
-    GC.Config.Interior = *SavedInterior;
-    SavedInterior.reset();
+  if (TightenUntil) {
+    GC.requestInteriorTightening(Collector::InteriorTightening::Sentinel,
+                                 false);
+    TightenUntil.reset();
   }
   Stats.CurrentLevel = 0;
 }

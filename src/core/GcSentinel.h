@@ -19,17 +19,20 @@
 ///            Appendix B's dominant leak source)
 ///   level 2  refresh the blacklist (drop entries the last collection
 ///            no longer observed, even with aging off)
-///   level 3  tighten interior-pointer recognition All -> FirstPage for
-///            TightenCycles collections (observation 7's remedy)
+///   level 3  request that interior-pointer recognition tighten from
+///            All to FirstPage for TightenCycles collections
+///            (observation 7's remedy); the collector owns the policy
+///            and keeps this request apart from the exhaustion
+///            ladder's own
 ///   level 4  emit a structured GcIncident — cause, trajectory window,
 ///            top retained-bytes-by-root-source sampled through
 ///            RetentionTracer — via onIncident, then GcWarnProc
 ///
 /// CalmCollections consecutive non-growing collections stand the
-/// sentinel down: every overridden configuration knob is restored and
-/// the level returns to 0.  Detection requires a full window with most
-/// deltas positive, so sawtooth workloads (grow, drop, grow, drop) do
-/// not flap the ladder.
+/// sentinel down: the stack-clearing mode is restored, the tightening
+/// request dropped, and the level returns to 0.  Detection requires a
+/// full window with most deltas positive, so sawtooth workloads (grow,
+/// drop, grow, drop) do not flap the ladder.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +64,15 @@ struct GcSentinelStats {
 
 class GcSentinel {
 public:
+  /// A storm's window growth must also be at least this fraction of
+  /// the live bytes at window start.
+  static constexpr double GrowthSlopeFraction = 0.05;
+  /// Collections to wait between escalation steps, so one response can
+  /// take effect before the next is judged necessary.
+  static constexpr unsigned EscalationCooldown = 2;
+  /// Collections the level-3 interior-pointer tightening stays active.
+  static constexpr unsigned TightenCycles = 8;
+
   GcSentinel(Collector &GC, const SentinelPolicy &Policy);
 
   /// Samples the finished collection \p CollectionIndex and climbs,
@@ -78,9 +90,9 @@ public:
     return LastIncident;
   }
 
-  /// Restores every configuration knob the ladder overrode and returns
-  /// to level 0.  Called on de-escalation and before the sentinel is
-  /// torn down.
+  /// Restores the stack-clearing mode, drops the tightening request
+  /// and returns to level 0.  Called on de-escalation and before the
+  /// sentinel is torn down.
   void standDown();
 
 private:
@@ -94,12 +106,11 @@ private:
   std::vector<SentinelSample> Window;
   std::optional<GcIncident> LastIncident;
 
-  /// Saved knobs to restore on stand-down.
+  /// Stack-clearing mode to restore on stand-down.
   std::optional<StackClearMode> SavedStackClearing;
-  std::optional<InteriorPolicy> SavedInterior;
-  /// Collection index at which the level-3 tightening (active while
-  /// SavedInterior is set) expires.
-  uint64_t TightenUntil = 0;
+  /// Collection index at which the level-3 tightening expires; empty
+  /// while none is requested.
+  std::optional<uint64_t> TightenUntil;
 
   /// Collection index of the last escalation, for the cooldown.
   uint64_t LastEscalationIndex = 0;

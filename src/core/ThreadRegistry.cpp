@@ -128,13 +128,11 @@ void ThreadRegistry::parkAtSafepoint(MutatorThread *Self) {
   // suspend handler parks any Running thread it interrupts, and a
   // thread parked in sigsuspend while holding this lock would wedge
   // the watchdog itself.  In a stopped state the handler only acks.
-  Self->State.store(static_cast<uint32_t>(MutatorState::AtSafepoint),
-                    std::memory_order_release);
+  Self->setState(MutatorState::AtSafepoint);
   std::unique_lock<std::mutex> Guard(Lock);
   if (!StopFlag.load(std::memory_order_acquire)) {
     // Raced with resume; never parked.
-    Self->State.store(static_cast<uint32_t>(MutatorState::Running),
-                      std::memory_order_release);
+    Self->setState(MutatorState::Running);
     return;
   }
   Self->SafepointsTaken.fetch_add(1, std::memory_order_relaxed);
@@ -147,8 +145,7 @@ void ThreadRegistry::parkAtSafepoint(MutatorThread *Self) {
   WorldResumed.wait(Guard,
                     [&] { return !StopFlag.load(std::memory_order_acquire); });
   Self->Parked = false;
-  Self->State.store(static_cast<uint32_t>(MutatorState::Running),
-                    std::memory_order_release);
+  Self->setState(MutatorState::Running);
 }
 
 void ThreadRegistry::beginBlocked(MutatorThread *Self) {
@@ -158,8 +155,7 @@ void ThreadRegistry::beginBlocked(MutatorThread *Self) {
   // that only needs an ack, never one to park while holding the lock.
   // The seq_cst store/load pair against stopTheWorld's makes skipping
   // the notify safe when no stop is pending (see the header).
-  Self->State.store(static_cast<uint32_t>(MutatorState::BlockedOnHeap),
-                    std::memory_order_seq_cst);
+  Self->setState(MutatorState::BlockedOnHeap, std::memory_order_seq_cst);
   if (!StopFlag.load(std::memory_order_seq_cst))
     return;
   std::lock_guard<std::mutex> Guard(Lock);
@@ -170,8 +166,7 @@ void ThreadRegistry::endBlocked(MutatorThread *Self) {
   // The caller acquired the heap lock, and StopRequested is only ever
   // raised while that lock is held — so no stop is in flight and the
   // transition back to Running cannot be misread as a missed park.
-  Self->State.store(static_cast<uint32_t>(MutatorState::Running),
-                    std::memory_order_release);
+  Self->setState(MutatorState::Running);
 }
 
 ThreadRegistry::HandshakeResult
@@ -193,112 +188,104 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
     for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
       if (Thread.get() == Self)
         continue;
-      uint32_t State = Thread->State.load(std::memory_order_seq_cst);
-      if (State == static_cast<uint32_t>(MutatorState::Running) ||
-          (State == static_cast<uint32_t>(MutatorState::AtSafepoint) &&
-           !Thread->Parked))
+      MutatorState State = Thread->state(std::memory_order_seq_cst);
+      if (State == MutatorState::Running ||
+          (State == MutatorState::AtSafepoint && !Thread->Parked))
         return false;
     }
     return true;
   };
-  if (WatchdogDeadlineNanos == 0) {
-    // No watchdog: the pre-hardening unbounded cooperative wait,
-    // bit-identically.
-    MutatorParked.wait(Guard, AllParked);
-  } else {
-    const uint64_t WarnAt = Begin + WatchdogDeadlineNanos / 4;
-    const uint64_t SignalAt = Begin + WatchdogDeadlineNanos / 2;
-    const uint64_t FinalAt = Begin + WatchdogDeadlineNanos;
-    bool Warned = false;
-    // Poll interval once the signal rung is live; doubles up to 16 ms
-    // so re-sends against a blocked delivery back off.
-    uint64_t PollNanos = 1000 * 1000;
-    while (!AllParked()) {
-      uint64_t Now = monotonicNanos();
-      if (Now >= FinalAt)
-        break;
-      uint64_t WakeAt;
-      if (Now < WarnAt)
-        WakeAt = WarnAt;
-      else if (Now < SignalAt)
-        WakeAt = SignalAt;
-      else
-        WakeAt = std::min(FinalAt, Now + PollNanos);
-      // wait_for releases the registry lock, so cooperative threads
-      // keep parking (and handlers never need the lock at all).
-      MutatorParked.wait_for(Guard, std::chrono::nanoseconds(WakeAt - Now),
-                             AllParked);
-      if (AllParked())
-        break;
-      Now = monotonicNanos();
-      if (!Warned && Now >= WarnAt) {
-        Warned = true;
-        Result.Rung = std::max(Result.Rung, 1u);
-        WarnRungs.fetch_add(1, std::memory_order_relaxed);
-        if (StallWarn)
-          for (const std::unique_ptr<MutatorThread> &Thread : Threads)
-            if (Thread.get() != Self &&
-                Thread->state() == MutatorState::Running)
-              StallWarn(StallWarnCtx, Thread->Id,
-                        Thread->State.load(std::memory_order_acquire),
-                        Now - Begin);
-      }
-      if (Now >= SignalAt && WatchdogSignal >= 0) {
-        if (Result.Rung < 2) {
-          Result.Rung = 2;
-          SignalRungs.fetch_add(1, std::memory_order_relaxed);
-        }
-        // Consume handler acks (the semaphore side of the protocol);
-        // the states themselves are re-read below and by AllParked.
-        suspend::drainAcks();
-        for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
-          if (Thread.get() == Self ||
-              Thread->state() != MutatorState::Running)
-            continue;
-          if (Thread->Suspend.Pending.load(std::memory_order_acquire)) {
-            // A previous send has not been answered: retry.
-            ++Result.SignalSendRetries;
-            SignalSendRetries.fetch_add(1, std::memory_order_relaxed);
-          }
-          suspend::sendSuspend(Thread->Suspend, WatchdogSignal);
-        }
-        if (PollNanos < 16u * 1000 * 1000)
-          PollNanos *= 2;
-      }
+  // With no watchdog every rung is Never: the loop's wait has no
+  // timeout and returns only once the last thread has parked.  Each
+  // wait tests AllParked before it sleeps, so the loop needs no test
+  // of its own.
+  constexpr uint64_t Never = UINT64_MAX;
+  const uint64_t Deadline = WatchdogDeadlineNanos;
+  const uint64_t WarnAt = Deadline ? Begin + Deadline / 4 : Never;
+  const uint64_t SignalAt = Deadline ? Begin + Deadline / 2 : Never;
+  const uint64_t FinalAt = Deadline ? Begin + Deadline : Never;
+  bool Warned = false;
+  bool Signaled = false;
+  // Poll interval once the signal rung is live; doubles up to 16 ms so
+  // re-sends against a blocked delivery back off.
+  uint64_t PollNanos = 1000 * 1000;
+  bool AllStopped = false;
+  while (!AllStopped) {
+    uint64_t Now = monotonicNanos();
+    if (Now >= FinalAt)
+      break;
+    uint64_t WakeAt;
+    if (Now < WarnAt)
+      WakeAt = WarnAt;
+    else if (Now < SignalAt)
+      WakeAt = SignalAt;
+    else
+      WakeAt = std::min(FinalAt, Now + PollNanos);
+    // Both waits release the registry lock, so cooperative threads
+    // keep parking (and handlers never need the lock at all).
+    if (WakeAt == Never) {
+      MutatorParked.wait(Guard, AllParked);
+      AllStopped = true;
+    } else {
+      AllStopped = MutatorParked.wait_for(
+          Guard, std::chrono::nanoseconds(WakeAt - Now), AllParked);
     }
-    if (!AllParked()) {
-      Result.TimedOut = true;
-      Result.Rung = 3;
-      for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
-        if (Thread.get() == Self)
-          continue;
-        GcHandshakeTraceEntry Entry;
-        Entry.ThreadId = Thread->Id;
-        Entry.State = Thread->State.load(std::memory_order_acquire);
-        Entry.SafepointsTaken =
-            Thread->SafepointsTaken.load(std::memory_order_relaxed);
-        Entry.SignalAttempts =
-            Thread->Suspend.SignalAttempts.load(std::memory_order_relaxed);
-        Entry.SignalSuspended =
-            Entry.State ==
-            static_cast<uint32_t>(MutatorState::SignalSuspended);
-        Result.Trace.push_back(Entry);
+    if (AllStopped)
+      break;
+    Now = monotonicNanos();
+    if (!Warned && Now >= WarnAt) {
+      Warned = true;
+      WarnRungs.fetch_add(1, std::memory_order_relaxed);
+      if (StallWarn)
+        for (const std::unique_ptr<MutatorThread> &Thread : Threads)
+          if (Thread.get() != Self && Thread->state() == MutatorState::Running)
+            StallWarn(StallWarnCtx, Thread->Id);
+    }
+    if (Now >= SignalAt && WatchdogSignal >= 0) {
+      if (!Signaled) {
+        Signaled = true;
+        SignalRungs.fetch_add(1, std::memory_order_relaxed);
       }
+      // Consume handler acks (the semaphore side of the protocol); the
+      // states themselves are re-read below and by AllParked.
+      suspend::drainAcks();
+      for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
+        if (Thread.get() == Self || Thread->state() != MutatorState::Running)
+          continue;
+        // A previous send has not been answered: this one is a retry.
+        if (Thread->Suspend.Pending.load(std::memory_order_acquire))
+          SignalSendRetries.fetch_add(1, std::memory_order_relaxed);
+        suspend::sendSuspend(Thread->Suspend, WatchdogSignal);
+      }
+      if (PollNanos < 16u * 1000 * 1000)
+        PollNanos *= 2;
     }
   }
+  Result.TimedOut = !AllStopped && !AllParked();
+  uint64_t Suspended = 0;
   for (const std::unique_ptr<MutatorThread> &Thread : Threads) {
     if (Thread.get() == Self)
       continue;
     const MutatorState State = Thread->state();
+    const bool SignalSuspended = State == MutatorState::SignalSuspended;
     if (!Result.TimedOut || State != MutatorState::Running)
       ++Result.MutatorsStopped;
-    if (State == MutatorState::SignalSuspended)
-      ++Result.SignalSuspended;
+    Suspended += SignalSuspended;
+    if (Result.TimedOut) {
+      GcHandshakeTraceEntry Entry;
+      Entry.ThreadId = Thread->Id;
+      Entry.State = static_cast<uint32_t>(State);
+      Entry.SafepointsTaken =
+          Thread->SafepointsTaken.load(std::memory_order_relaxed);
+      Entry.SignalAttempts =
+          Thread->Suspend.SignalAttempts.load(std::memory_order_relaxed);
+      Entry.SignalSuspended = SignalSuspended;
+      Result.Trace.push_back(Entry);
+    }
   }
   Result.Nanos = monotonicNanos() - Begin;
-  if (Result.SignalSuspended != 0)
-    SignalSuspensions.fetch_add(Result.SignalSuspended,
-                                std::memory_order_relaxed);
+  if (Suspended != 0)
+    SignalSuspensions.fetch_add(Suspended, std::memory_order_relaxed);
   if (Result.TimedOut) {
     HandshakeTimeouts.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -310,6 +297,19 @@ ThreadRegistry::stopTheWorld(const MutatorThread *Self) {
       MaxStopNanos.store(Result.Nanos, std::memory_order_relaxed);
   }
   return Result;
+}
+
+GcHandshakeStats ThreadRegistry::handshakeStats() const {
+  GcHandshakeStats Stats;
+  Stats.Handshakes = Handshakes.load(std::memory_order_relaxed);
+  Stats.MaxStopNanos = MaxStopNanos.load(std::memory_order_relaxed);
+  Stats.TotalStopNanos = TotalStopNanos.load(std::memory_order_relaxed);
+  Stats.SignalSuspensions = SignalSuspensions.load(std::memory_order_relaxed);
+  Stats.SignalSendRetries = SignalSendRetries.load(std::memory_order_relaxed);
+  Stats.WarnRungs = WarnRungs.load(std::memory_order_relaxed);
+  Stats.SignalRungs = SignalRungs.load(std::memory_order_relaxed);
+  Stats.HandshakeTimeouts = HandshakeTimeouts.load(std::memory_order_relaxed);
+  return Stats;
 }
 
 void ThreadRegistry::resumeTheWorld() {
@@ -363,8 +363,7 @@ void ThreadRegistry::rebuildAfterFork(
       Thread->Suspend.Pending.store(false, std::memory_order_relaxed);
       Thread->Suspend.SignalAttempts.store(0, std::memory_order_relaxed);
       Thread->Parked = false;
-      Thread->State.store(static_cast<uint32_t>(MutatorState::Running),
-                          std::memory_order_release);
+      Thread->setState(MutatorState::Running);
       Kept.push_back(std::move(Thread));
     } else if (OnDrop) {
       OnDrop(*Thread);

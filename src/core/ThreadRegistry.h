@@ -64,8 +64,10 @@
 ///   3. at the full deadline, the handshake reports TimedOut with a
 ///      per-thread trace; the collector abandons the collection.
 ///
-/// With a zero deadline (the default) the wait is unbounded and the
-/// protocol is exactly the pre-watchdog cooperative handshake.
+/// One wait loop serves both cases.  With a zero deadline (the
+/// default) no rung is ever due, so the loop sleeps on the condition
+/// variable with no timeout until the last thread parks: the plain
+/// cooperative handshake, with no polling.
 ///
 /// With zero registered threads none of this machinery is reachable:
 /// the collector takes no lock, requests no stop, and reproduces the
@@ -77,6 +79,7 @@
 #define CGC_CORE_THREADREGISTRY_H
 
 #include "core/GcIncident.h"
+#include "core/GcStats.h"
 #include "support/Assert.h"
 #include "support/SignalSuspend.h"
 #include <atomic>
@@ -146,8 +149,13 @@ struct MutatorThread {
   /// the scannable register snapshot instead of Registers.
   suspend::SuspendSlot Suspend;
 
-  MutatorState state() const {
-    return static_cast<MutatorState>(State.load(std::memory_order_acquire));
+  MutatorState
+  state(std::memory_order Order = std::memory_order_acquire) const {
+    return static_cast<MutatorState>(State.load(Order));
+  }
+  void setState(MutatorState To,
+                std::memory_order Order = std::memory_order_release) {
+    State.store(static_cast<uint32_t>(To), Order);
   }
 };
 
@@ -218,20 +226,13 @@ public:
   /// registered thread other than \p Self has stopped (AtSafepoint,
   /// BlockedOnHeap, or SignalSuspended).  Caller must hold the heap
   /// lock for the entire stop..resume window.  With a watchdog
-  /// configured the wait is bounded and the result records how far up
-  /// the escalation ladder the handshake climbed; TimedOut means some
-  /// thread could not be stopped and the collection must be abandoned
-  /// (StopRequested stays raised until resumeTheWorld).
+  /// configured the wait is bounded and each rung it climbs is counted
+  /// in handshakeStats(); TimedOut means some thread could not be
+  /// stopped and the collection must be abandoned (StopRequested stays
+  /// raised until resumeTheWorld).
   struct HandshakeResult {
     uint64_t MutatorsStopped = 0;
     uint64_t Nanos = 0;
-    /// Threads that ended the handshake preemptively suspended.
-    uint64_t SignalSuspended = 0;
-    /// Suspend-signal re-sends beyond each thread's first.
-    uint64_t SignalSendRetries = 0;
-    /// Highest ladder rung climbed: 0 cooperative, 1 warned,
-    /// 2 signaled, 3 timed out.
-    uint32_t Rung = 0;
     bool TimedOut = false;
     /// Per-thread state at the final-timeout rung (TimedOut only).
     std::vector<GcHandshakeTraceEntry> Trace;
@@ -247,8 +248,7 @@ public:
   /// invoked, with the registry lock held, once per still-running
   /// thread when the handshake crosses deadline/4.  Must not call back
   /// into the registry.
-  using StallWarnFn = void (*)(void *Ctx, uint64_t ThreadId,
-                               uint32_t State, uint64_t StalledNanos);
+  using StallWarnFn = void (*)(void *Ctx, uint64_t ThreadId);
 
   /// Arms (or with \p DeadlineNanos == 0 disarms) the handshake
   /// watchdog.  \p SuspendSignal is the resolved, installed suspend
@@ -284,38 +284,15 @@ public:
       Fn(*Thread);
   }
 
-  /// Stop-the-world handshakes completed (lifetime).
-  uint64_t handshakes() const {
-    return Handshakes.load(std::memory_order_relaxed);
-  }
-
   /// Safepoint parks taken across all threads (lifetime).
   uint64_t safepointParks() const {
     return SafepointParks.load(std::memory_order_relaxed);
   }
 
-  /// Lifetime handshake-hardening counters (all relaxed atomics).
-  uint64_t maxStopNanos() const {
-    return MaxStopNanos.load(std::memory_order_relaxed);
-  }
-  uint64_t totalStopNanos() const {
-    return TotalStopNanos.load(std::memory_order_relaxed);
-  }
-  uint64_t signalSuspensions() const {
-    return SignalSuspensions.load(std::memory_order_relaxed);
-  }
-  uint64_t signalSendRetries() const {
-    return SignalSendRetries.load(std::memory_order_relaxed);
-  }
-  uint64_t warnRungs() const {
-    return WarnRungs.load(std::memory_order_relaxed);
-  }
-  uint64_t signalRungs() const {
-    return SignalRungs.load(std::memory_order_relaxed);
-  }
-  uint64_t handshakeTimeouts() const {
-    return HandshakeTimeouts.load(std::memory_order_relaxed);
-  }
+  /// The lifetime handshake counters, read one by one without the
+  /// registry lock (the stall-warning rung reports through the crash
+  /// state while stopTheWorld holds it).
+  GcHandshakeStats handshakeStats() const;
 
   /// Child-side fork cleanup: drops every record except \p Survivor
   /// (the forking thread's record; null when the forking thread was
@@ -349,7 +326,6 @@ private:
   std::atomic<bool> StopFlag{false};
   uint64_t NextId = 1;
   std::atomic<uint64_t> LifetimeRegistrations{0};
-  std::atomic<uint64_t> Handshakes{0};
   std::atomic<uint64_t> SafepointParks{0};
 
   /// Watchdog configuration (written once at collector construction).
@@ -358,7 +334,8 @@ private:
   StallWarnFn StallWarn = nullptr;
   void *StallWarnCtx = nullptr;
 
-  /// Lifetime handshake-hardening counters.
+  /// Lifetime handshake counters (GcHandshakeStats, field for field).
+  std::atomic<uint64_t> Handshakes{0};
   std::atomic<uint64_t> MaxStopNanos{0};
   std::atomic<uint64_t> TotalStopNanos{0};
   std::atomic<uint64_t> SignalSuspensions{0};

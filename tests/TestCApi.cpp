@@ -70,10 +70,6 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.sentinel.enabled, D.Sentinel.Enabled ? 1 : 0);
   EXPECT_EQ(C.sentinel.window_collections, D.Sentinel.WindowCollections);
   EXPECT_EQ(C.sentinel.growth_floor_bytes, D.Sentinel.GrowthFloorBytes);
-  EXPECT_DOUBLE_EQ(C.sentinel.growth_slope_fraction,
-                   D.Sentinel.GrowthSlopeFraction);
-  EXPECT_EQ(C.sentinel.escalation_cooldown, D.Sentinel.EscalationCooldown);
-  EXPECT_EQ(C.sentinel.tighten_cycles, D.Sentinel.TightenCycles);
   EXPECT_EQ(C.sentinel.calm_collections, D.Sentinel.CalmCollections);
   EXPECT_EQ(C.seal_metadata, D.SealMetadata ? 1 : 0);
   EXPECT_EQ(C.repair_fatal, D.RepairFatal ? 1 : 0);
@@ -104,9 +100,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.sentinel.enabled = 1;
   In.sentinel.window_collections = 6;
   In.sentinel.growth_floor_bytes = 2ULL << 20;
-  In.sentinel.growth_slope_fraction = 0.125;
-  In.sentinel.escalation_cooldown = 3;
-  In.sentinel.tighten_cycles = 12;
   In.sentinel.calm_collections = 7;
   In.seal_metadata = 1;
   In.repair_fatal = 0;
@@ -138,10 +131,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.sentinel.enabled, In.sentinel.enabled);
   EXPECT_EQ(Out.sentinel.window_collections, In.sentinel.window_collections);
   EXPECT_EQ(Out.sentinel.growth_floor_bytes, In.sentinel.growth_floor_bytes);
-  EXPECT_DOUBLE_EQ(Out.sentinel.growth_slope_fraction,
-                   In.sentinel.growth_slope_fraction);
-  EXPECT_EQ(Out.sentinel.escalation_cooldown, In.sentinel.escalation_cooldown);
-  EXPECT_EQ(Out.sentinel.tighten_cycles, In.sentinel.tighten_cycles);
   EXPECT_EQ(Out.sentinel.calm_collections, In.sentinel.calm_collections);
   EXPECT_EQ(Out.seal_metadata, In.seal_metadata);
   EXPECT_EQ(Out.repair_fatal, In.repair_fatal);
@@ -527,9 +516,6 @@ TEST(CApi, SentinelConfigureStatsAndIncidentCallback) {
   Policy.enabled = 1;
   Policy.window_collections = 4;
   Policy.growth_floor_bytes = 4 << 10;
-  Policy.growth_slope_fraction = 0.001;
-  Policy.escalation_cooldown = 1;
-  Policy.tighten_cycles = 100;
   Policy.calm_collections = 100;
   cgc_sentinel_configure(GC, &Policy);
   EXPECT_EQ(cgc_sentinel_get_stats(GC, &Stats), 1);

@@ -30,15 +30,14 @@ GcConfig sentinelConfig() {
   return Config;
 }
 
-/// An aggressive policy so tests escalate in a handful of collections.
+/// An aggressive policy so tests escalate in a handful of collections:
+/// with the fixed two-collection cooldown, steady growth climbs a rung
+/// every other collection from the fourth on.
 SentinelPolicy stormPolicy() {
   SentinelPolicy Policy;
   Policy.Enabled = true;
   Policy.WindowCollections = 4;
   Policy.GrowthFloorBytes = 4 << 10;
-  Policy.GrowthSlopeFraction = 0.001;
-  Policy.EscalationCooldown = 1;
-  Policy.TightenCycles = 100;  // Keep the override in place for the test.
   Policy.CalmCollections = 100; // No stand-down mid-test.
   return Policy;
 }
@@ -334,4 +333,46 @@ TEST(Sentinel, RunsBeforeAnEarlierClientsCollectionEnd) {
   }
   ASSERT_EQ(GC.sentinel()->currentLevel(), 2u);
   EXPECT_EQ(Reader.Levels, After);
+}
+
+TEST(Sentinel, TighteningOnAnEmergencyCollectionOutlivesTheLadder) {
+  // The collector owns the interior policy: the sentinel's level-3
+  // request and the exhaustion ladder's emergency request are kept
+  // apart, so the ladder dropping its own request cannot end the
+  // sentinel's tightening, and the tightening's expiry restores the
+  // configured policy rather than the ladder's temporary one.
+  GcConfig Config = sentinelConfig();
+  Config.MaxHeapBytes = uint64_t(4) << 20;
+  Config.Interior = InteriorPolicy::All;
+  Config.Sentinel = stormPolicy();
+  Config.Sentinel.WindowCollections = 8;
+  Collector GC(Config);
+  RootSlots Roots(GC);
+
+  // Steady growth: level 1 at collection 7, level 2 at collection 9.
+  unsigned Slot = 0;
+  for (; Slot != 10; ++Slot) {
+    Roots.Slots[Slot] = reinterpret_cast<uint64_t>(GC.allocate(32 << 10));
+    GC.collect("test");
+  }
+  ASSERT_EQ(GC.sentinel()->currentLevel(), 2u);
+
+  // Fill the heap.  The failing request runs the ladder: collection 10
+  // (heap-exhausted, still cooling down) and collection 11 (emergency),
+  // where the storm climbs to level 3.
+  while (void *P = GC.allocate(32 << 10)) {
+    ASSERT_LT(Slot, RootSlots::MaxSlots);
+    Roots.Slots[Slot++] = reinterpret_cast<uint64_t>(P);
+  }
+  ASSERT_EQ(GC.resilienceStats().EmergencyCollections, 1u);
+  ASSERT_EQ(GC.sentinel()->stats().InteriorTightenings, 1u);
+  EXPECT_EQ(GC.config().Interior, InteriorPolicy::FirstPage)
+      << "the ladder's end dropped the sentinel's tightening";
+
+  // The tightening lasts GcSentinel::TightenCycles collections, then
+  // the configured policy comes back.
+  for (unsigned I = 0; I != GcSentinel::TightenCycles; ++I)
+    GC.collect("test");
+  EXPECT_EQ(GC.config().Interior, InteriorPolicy::All)
+      << "the tightening's expiry must restore the configured policy";
 }

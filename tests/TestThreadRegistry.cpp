@@ -153,7 +153,7 @@ TEST(ThreadRegistry, HandshakeStopsConcurrentAllocators) {
   for (std::thread &W : Workers)
     W.join();
   EXPECT_EQ(StoppedTotal, uint64_t(10 * NumWorkers));
-  EXPECT_GE(GC.threadRegistry().handshakes(), 10u);
+  EXPECT_GE(GC.handshakeStats().Handshakes, 10u);
   GC.verifyHeap();
 }
 
