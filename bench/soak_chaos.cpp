@@ -866,7 +866,7 @@ void SoakRun::runCorruptPhase() {
 
   // Seed survivors across several size classes, then collect once
   // clean: every later round has live blocks to flip headers in and
-  // partial class lists to smash links out of.
+  // listed partial blocks to delist.
   for (size_t Slot = 0; Slot != Slots.size(); ++Slot)
     Slots[Slot] = reinterpret_cast<uint64_t>(
         GC.allocate(Schedule.nextInRange(16, 512)));

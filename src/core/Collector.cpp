@@ -313,6 +313,11 @@ bool Collector::StoppedWorld::stop(bool Reclaim) {
 Collector::StoppedWorld::~StoppedWorld() {
   removeRoots();
   resume();
+  // Request re-sealing: it happens when the outermost MetadataScope
+  // unwinds, so an allocation slow path that triggered this session
+  // finishes on writable metadata first.
+  if (MetaScope)
+    GC.SealPending = true;
   if (!Began)
     return;
   GC.InCollection = false;
@@ -1454,10 +1459,6 @@ CollectionStats Collector::collect(const char *Reason) {
   // Decommit the pages free since before the previous cycle, after the
   // resume so the madvise calls stay out of the pause.
   Pages->ageDeferredDecommits();
-  // Request re-sealing: it happens when the outermost MetadataScope
-  // unwinds, so an allocation slow path that triggered this collection
-  // finishes on writable metadata first.
-  SealPending = true;
   return Cycle;
 }
 

@@ -389,7 +389,7 @@ public:
 
   /// Runs the verifier's self-healing pass under the heap lock:
   /// counters resynced from their bitmaps, the page map re-derived from
-  /// the block table, class free lists and free page runs rebuilt, and
+  /// the block table, lanes relisted and free page runs rebuilt, and
   /// blocks with untrustworthy geometry quarantined (their pages
   /// deliberately leaked).  \returns the pre-repair report with each
   /// finding's Outcome filled in and RepairedClean reflecting the
@@ -684,10 +684,11 @@ private:
   bool verifyAfterPhase(GcPhase Phase);
 
   /// Lazily unseals the metadata arena on entry to a metadata-mutating
-  /// path and re-seals at the outermost scope's exit once a collection
-  /// has requested it (SealPending) — so sealed-mode traffic stays at
-  /// two mprotect transitions per collection no matter how deeply
-  /// collect() nests inside allocation slow paths.  No-op without
+  /// path and re-seals at the outermost scope's exit once a
+  /// stop-the-world session (a collection or a census) has requested it
+  /// (SealPending) — so sealed-mode traffic stays at two mprotect
+  /// transitions per session no matter how deeply collect() nests
+  /// inside allocation slow paths.  No-op without
   /// GcConfig::SealMetadata.
   struct MetadataScope {
     explicit MetadataScope(Collector &GC) : GC(GC) {
@@ -725,9 +726,9 @@ private:
   /// A reclaiming session first returns every thread-owned block and
   /// flushes the guarded quarantine; a census leaves both alone, so it
   /// does not perturb what it measures.  The destructor removes the
-  /// roots, resumes the world and ends InCollection (clearing the
-  /// mid-cycle pins) before the metadata scope and the heap lock
-  /// unwind.
+  /// roots, resumes the world, requests re-sealing when it unsealed,
+  /// and ends InCollection (clearing the mid-cycle pins) before the
+  /// metadata scope and the heap lock unwind.
   class StoppedWorld {
   public:
     StoppedWorld(Collector &GC, bool Reclaim);

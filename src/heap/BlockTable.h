@@ -60,7 +60,7 @@ struct BlockDescriptor {
   bool IgnoreOffPage = false;
   bool IsLarge = false;
   /// Checked out to one mutator thread's ThreadCache (heap/ThreadCache.h):
-  /// off every class list, allocated from and freed into by the owner
+  /// off its lane, allocated from and freed into by the owner
   /// without the heap lock.  While set, AllocBits is the only live
   /// record of slot state; AllocatedCount keeps its checkout-time value
   /// and is refolded from the bitmap when ownership ends.  Written only

@@ -165,6 +165,7 @@ HeapVerifyReport HeapVerifier::run() {
   uint64_t BlockOwnedPages = 0;
   uint64_t PendingSeen = 0;
   uint64_t UncollectableSeen = 0;
+  uint64_t ListedSeen = 0;
   Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (Block.NumPages == 0 || Block.ObjectCount == 0) {
       R.notefAt(K::BlockGeometry, Id, Block.StartPage,
@@ -269,16 +270,18 @@ HeapVerifyReport HeapVerifier::run() {
                 "block %u: large block must hold exactly one object "
                 "(%u slots, %u allocated)",
                 Id, Block.ObjectCount, Block.AllocatedCount);
-    // Every small block with usable space must be reachable by the
-    // allocator: listed on its class list, pending or not (a pending
-    // block's counts are the swept ones).  Owned blocks are their
-    // owner's to allocate from, never listed.
-    if (!Block.IsLarge && !Block.Owned && Block.usableFreeCount() > 0 &&
-        Heap.classListFor(Block).count(Block.StartPage) == 0)
-      R.notefAt(K::FreeListBroken, Id, Block.StartPage,
-                "block %u: has %u usable free slots but is invisible to "
-                "the allocator",
-                Id, Block.usableFreeCount());
+    // A small block is listed on its lane exactly when the listing
+    // rule says so, pending or not (a pending block's counts are the
+    // swept ones).
+    if (!Block.IsLarge) {
+      bool Listed = Heap.Lanes[Heap.laneOf(Block)].contains(Block.StartPage);
+      ListedSeen += Listed;
+      if (Listed != ObjectHeap::listable(Block))
+        R.notefAt(K::FreeListBroken, Id, Block.StartPage,
+                  "block %u: %s its lane with %u usable free slots%s", Id,
+                  Listed ? "listed on" : "missing from",
+                  Block.usableFreeCount(), Block.Owned ? ", owned" : "");
+    }
     // Guarded mode: every allocated untyped slot must carry an intact
     // header and redzone — unless it is parked in the quarantine, where
     // the whole slot is poison instead (checked at flush time, not
@@ -341,36 +344,16 @@ HeapVerifyReport HeapVerifier::run() {
               (unsigned long long)UncollectableSeen,
               (unsigned long long)Heap.UncollectableBlocks);
 
-  // --- Class lists point at live blocks of their own lane. ---
-  for (unsigned Lane = 0; Lane != Heap.ClassLists.size(); ++Lane) {
-    for (const auto &[StartPage, Id] : Heap.ClassLists[Lane]) {
-      if (!Heap.Blocks.isLive(Id)) {
-        R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "lane %u class list: entry for page %llu names dead "
-                  "block %u",
-                  Lane, (unsigned long long)StartPage, Id);
-        continue;
-      }
-      const BlockDescriptor &Block = Heap.Blocks.get(Id);
-      if (Block.StartPage != StartPage)
-        R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "lane %u class list: key page %llu but block %u starts "
-                  "at %llu",
-                  Lane, (unsigned long long)StartPage, Id,
-                  (unsigned long long)Block.StartPage);
-      if (Block.IsLarge)
-        R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "lane %u class list: large block %u listed", Lane, Id);
-      else if (Heap.laneOf(Block) != Lane)
-        R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "lane %u class list: block %u belongs to lane %u", Lane,
-                  Id, Heap.laneOf(Block));
-      if (Block.usableFreeCount() == 0)
-        R.notefAt(K::FreeListBroken, Id, StartPage,
-                  "lane %u class list: block %u listed with no usable slot",
-                  Lane, Id);
-    }
-  }
+  // Every listed page starts a block of that lane: the walk above saw
+  // each listed block, so a surplus is a stray bit.
+  uint64_t ListedPages = 0;
+  for (const PageSet &Listed : Heap.Lanes)
+    ListedPages += Listed.count();
+  if (ListedPages != ListedSeen)
+    R.notefAt(K::FreeListBroken, InvalidBlockId, 0,
+              "lanes: %llu pages listed, but %llu listed blocks start them",
+              (unsigned long long)ListedPages,
+              (unsigned long long)ListedSeen);
 
   // --- Free runs ↔ page map ↔ committed-page partition.  The runs
   // come from the free-page bitmap, so they are nonempty, disjoint and
@@ -576,15 +559,12 @@ HeapVerifyReport HeapVerifier::verifyAndRepair(HeapRepairStats &Stats) {
         Heap.Marks.clearPages(P, 1);
   }
 
-  // (d) Rebuild the class lists from scratch: every small block with a
-  // usable slot gets re-listed.
+  // (d) Rebuild the lanes from scratch: every block is relisted.
   {
-    for (ObjectHeap::ClassList &List : Heap.ClassLists)
-      List.clear();
-    Heap.Blocks.forEach([&](BlockId Id, BlockDescriptor &B) {
-      if (!B.IsLarge && !B.Owned && B.usableFreeCount() > 0)
-        Heap.addToClassList(B, Id);
-    });
+    for (PageSet &Listed : Heap.Lanes)
+      Listed.clear();
+    Heap.Blocks.forEach(
+        [&](BlockId, BlockDescriptor &B) { Heap.relist(B); });
     ++Stats.FreeListRebuilds;
   }
 

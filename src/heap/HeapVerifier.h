@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Full cross-check of the heap's metadata: block table ↔ page map ↔
-/// free page runs ↔ class lists ↔ bitmaps/byte accounting.  Unlike the
+/// free page runs ↔ lane listing ↔ bitmaps/byte accounting.  Unlike the
 /// old abort-on-first-error verifyHeap, the verifier *accumulates* a
 /// diagnostic report, so a corrupted heap yields every violated
 /// invariant at once instead of one fatal message — the direction
@@ -17,8 +17,8 @@
 /// Findings are typed ((kind, block, page) plus a message line),
 /// deduplicated per (kind, page), and capped, so a massively
 /// corrupted heap produces a bounded, readable report instead of a
-/// million lines.  verifyAndRepair() goes one step further: free lists
-/// are rebuilt from the alloc/pin bitmaps, page-map entries re-derived
+/// million lines.  verifyAndRepair() goes one step further: lanes are
+/// relisted from the alloc/pin counts, page-map entries re-derived
 /// from the block table, counters resynced from their bitmaps, and
 /// blocks whose geometry cannot be trusted are *quarantined* — their
 /// pages deliberately leaked, because a contained leak always beats a
@@ -58,8 +58,10 @@ enum class VerifyFindingKind : unsigned char {
   /// A counter disagrees with its bitmap (alloc/pinned/mark), or the
   /// slot reciprocal with the slot size: resynced from its source.
   CounterMismatch,
-  /// A class (free) list entry is dead, mismatched, or a block with
-  /// usable slots is invisible to the allocator: lists rebuilt.
+  /// A block's lane listing disagrees with the listing rule (a block
+  /// with usable slots is invisible to the allocator, or a full or
+  /// owned one is listed), or a lane lists a page that starts no listed
+  /// block: lanes relisted.
   FreeListBroken,
   /// A free page run is malformed or collides with owned pages:
   /// free runs rebuilt from the page-map complement.
@@ -154,7 +156,7 @@ struct HeapRepairStats {
   uint64_t BlocksQuarantined = 0;
   /// Pages deliberately leaked to quarantine (never reallocated).
   uint64_t PagesQuarantined = 0;
-  /// Class free lists rebuilt from the alloc bitmaps.
+  /// Lanes relisted from the listing rule.
   uint64_t FreeListRebuilds = 0;
   /// Page-map entry arrays re-derived from the block table.
   uint64_t PageMapRederivations = 0;
@@ -179,7 +181,7 @@ public:
 
   /// Verifies, then repairs what metadata redundancy allows: counters
   /// resynced from bitmaps, page map re-derived from the block table,
-  /// class lists and free runs rebuilt, irreparable blocks quarantined
+  /// lanes relisted and free runs rebuilt, irreparable blocks quarantined
   /// (deliberately leaked).  \returns the pre-repair report with each
   /// finding's Outcome filled in and RepairedClean reflecting the
   /// post-repair re-verification.

@@ -15,7 +15,7 @@ ObjectHeap::ObjectHeap(VirtualArena &Arena, PageAllocator &Pages,
                        const ObjectHeapConfig &Config)
     : Arena(Arena), Pages(Pages), Map(Map), Blocks(Blocks),
       Marks(Pages.arenaBasePage(), Pages.arenaLimitPage()), Config(Config) {
-  ClassLists.resize(typedLane(0));
+  Lanes.resize(typedLane(0), PageSet(Pages.arenaBasePage()));
 }
 
 unsigned ObjectHeap::laneFor(LayoutId Id) const {
@@ -57,16 +57,14 @@ PageConstraint ObjectHeap::constraintFor(ObjectKind Kind, bool Large) const {
 }
 
 BlockId ObjectHeap::pickAllocationBlock(unsigned Lane) {
-  ClassList &List = ClassLists[Lane];
-  while (!List.empty()) {
-    BlockId Id = List.begin()->second;
+  for (PageIndex Page; (Page = Lanes[Lane].lowest()) != PageSet::NoPage;) {
+    BlockId Id = Map.blockAt(Page);
     BlockDescriptor &Block = Blocks.get(Id);
     if (!Block.Pending)
       return Id;
     sweepPendingBlock(Block, /*AtHandOut=*/true);
-    if (Block.usableFreeCount() != 0)
+    if (listable(Block))
       return Id;
-    List.erase(List.begin());
   }
   return InvalidBlockId;
 }
@@ -82,11 +80,11 @@ void *ObjectHeap::allocateFromExisting(unsigned Lane, size_t Bytes) {
 BlockId ObjectHeap::checkoutBlock(unsigned Lane) {
   BlockId Id = pickAllocationBlock(Lane);
   if (Id != InvalidBlockId) {
-    ClassLists[Lane].erase(ClassLists[Lane].begin());
     BlockDescriptor &Block = Blocks.get(Id);
     Block.Owned = true;
     Block.MarkEpoch = 0;
     ++OwnedBlocks;
+    relist(Block);
   }
   return Id;
 }
@@ -102,10 +100,8 @@ uint32_t ObjectHeap::returnBlock(BlockId Id) {
   Block.Owned = false;
   Block.MarkEpoch = 0;
   --OwnedBlocks;
-  uint32_t Free = Block.usableFreeCount();
-  if (Free != 0)
-    addToClassList(Block, Id);
-  return Free;
+  relist(Block);
+  return Block.usableFreeCount();
 }
 
 void ObjectHeap::markAllocatedObjectLive(const void *Ptr) {
@@ -143,8 +139,7 @@ void *ObjectHeap::takeSlot(BlockDescriptor &Block) {
   Block.MarkEpoch = 0;
   AllocatedBytes += Block.ObjectSize;
   ++Stats.ObjectsAllocated;
-  if (Block.usableFreeCount() == 0)
-    removeFromClassList(Block);
+  relist(Block);
   return Result;
 }
 
@@ -180,7 +175,8 @@ bool ObjectHeap::addBlock(unsigned Lane) {
   Block.AllocBits.resize(Count);
   Block.PinnedBits.resize(Count);
   Map.assignRun(*Run, 1, Id);
-  addToClassList(Block, Id);
+  Lanes[Lane].reserve(Pages.committedLimitPage());
+  relist(Block);
   UncollectableBlocks += kindIsUncollectable(Kind);
   ++Stats.SmallBlocksCreated;
   return true;
@@ -199,7 +195,8 @@ LayoutId ObjectHeap::registerLayout(const std::vector<bool> &PointerWords,
   LayoutId Id = Descriptors.intern(PointerWords, Aligned);
   // Every id gets a lane, so lanes stay indexed by id; only a Precise
   // descriptor's lane is ever used.
-  ClassLists.resize(typedLane(LayoutId(Descriptors.size())) + 1);
+  Lanes.resize(typedLane(LayoutId(Descriptors.size())) + 1,
+               PageSet(Pages.arenaBasePage()));
   return Id;
 }
 
@@ -286,12 +283,10 @@ bool ObjectHeap::deallocateExplicit(void *Ptr) {
   // pinned by its sweep.
   if (Block.Pending)
     sweepPendingBlock(Block, /*AtHandOut=*/true);
-  bool WasFull = Block.usableFreeCount() == 0;
   Block.AllocBits.reset(Ref.Slot);
   --Block.AllocatedCount;
   Block.MarkEpoch = 0;
-  if (WasFull)
-    addToClassList(Block, Ref.Block);
+  relist(Block);
   return true;
 }
 
@@ -397,6 +392,7 @@ void ObjectHeap::sweepPendingBlock(BlockDescriptor &Block, bool AtHandOut) {
   Block.Pending = false;
   Block.MarkEpoch = 0;
   --PendingBlocks;
+  relist(Block);
   uint64_t Nanos = monotonicNanos() - Start;
   if (AtHandOut) {
     ++Stats.HandOutSweeps;
@@ -413,7 +409,6 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
                  !Block.Owned && !Block.Pending,
              "sweepSmallBlock on wrong block kind");
   validateGuardedBlock(Block, Result);
-  const bool WasListed = Block.usableFreeCount() > 0;
   // Marks sit only at slot bases, so the line's population is the
   // number of marked slots.
   const uint64_t *Line = Marks.pageWords(Block.StartPage);
@@ -472,18 +467,7 @@ void ObjectHeap::sweepSmallBlock(BlockId Id, SweepResult &Result) {
     Block.Pending = true;
     ++PendingBlocks;
   }
-  relistAfterSweep(Block, Id, WasListed);
-}
-
-void ObjectHeap::relistAfterSweep(BlockDescriptor &Block, BlockId Id,
-                                  bool WasListed) {
-  bool Usable = Block.usableFreeCount() > 0;
-  if (Usable == WasListed)
-    return;
-  if (Usable)
-    addToClassList(Block, Id);
-  else
-    removeFromClassList(Block);
+  relist(Block);
 }
 
 SweepResult ObjectHeap::sweep() {
@@ -497,23 +481,21 @@ SweepResult ObjectHeap::sweep() {
   // which may release the block being visited (forEach allows that).
   // Unmarked large blocks are released after the walk: this release
   // order, small blocks in id order and then large ones, fixes the
-  // free-page runs.  The class lists are not emptied: a block's listing
-  // changes only when its usable slots appear or run out, so a block
-  // that stays listed costs no map operation.
+  // free-page runs.  The lanes are not emptied: each visited block is
+  // relisted in place, and a block that stays listed costs one bit
+  // store.
   LargeToRelease.clear();
   Blocks.forEach([&](BlockId Id, BlockDescriptor &Block) {
     if (kindIsUncollectable(Block.Kind)) {
       validateGuardedBlock(Block, Result);
       // Never reclaimed; free slots may still be pinned by marks.
-      const bool WasListed = !Block.IsLarge && Block.usableFreeCount() > 0;
       uint64_t Mark[MarkTable::MaxSlotWords];
       Marks.gather(Block, Mark);
       pinMarkedFreeSlots(Block, Mark);
       Result.ObjectsLive += Block.AllocatedCount;
       Result.BytesLive += uint64_t(Block.AllocatedCount) * Block.ObjectSize;
       Result.SlotsPinned += Block.PinnedCount;
-      if (!Block.IsLarge)
-        relistAfterSweep(Block, Id, WasListed);
+      relist(Block);
       return;
     }
 
@@ -593,11 +575,11 @@ void ObjectHeap::injectMetadataFaults() {
   }
 
   if (CGC_INJECT_FAULT(MetadataFreeListSmash)) {
-    // Erase the first partial-list entry found: a block with usable
-    // slots goes invisible to the allocator.
-    for (ClassList &List : ClassLists)
-      if (!List.empty()) {
-        List.erase(List.begin());
+    // Delist the lowest block of the first nonempty lane: a block with
+    // usable slots goes invisible to the allocator.
+    for (PageSet &Listed : Lanes)
+      if (PageIndex Page = Listed.lowest(); Page != PageSet::NoPage) {
+        Listed.erase(Page);
         break;
       }
   }
@@ -648,9 +630,10 @@ void ObjectHeap::verifyHeap() {
 
 void ObjectHeap::releaseBlock(BlockId Id) {
   BlockDescriptor &Block = Blocks.get(Id);
-  if (!Block.IsLarge)
-    removeFromClassList(Block);
   CGC_ASSERT(!Block.Pending, "releasing a pending block");
+  // A released block has no slots, so it leaves its lane.
+  Block.ObjectCount = 0;
+  relist(Block);
   UncollectableBlocks -= kindIsUncollectable(Block.Kind);
   // A stale bit would let the mark loop's first test accept a base on
   // a free page, skipping that page's near-miss note.
@@ -661,10 +644,12 @@ void ObjectHeap::releaseBlock(BlockId Id) {
   Blocks.destroy(Id);
 }
 
-void ObjectHeap::addToClassList(BlockDescriptor &Block, BlockId Id) {
-  classListFor(Block).try_emplace(Block.StartPage, Id);
-}
-
-void ObjectHeap::removeFromClassList(const BlockDescriptor &Block) {
-  classListFor(Block).erase(Block.StartPage);
+void ObjectHeap::relist(const BlockDescriptor &Block) {
+  if (Block.IsLarge)
+    return;
+  PageSet &Listed = Lanes[laneOf(Block)];
+  if (listable(Block))
+    Listed.insert(Block.StartPage);
+  else
+    Listed.erase(Block.StartPage);
 }

@@ -25,7 +25,9 @@
 ///     (the Figure-1 integer-concatenation hazard).
 ///   * Per-class block selection is address-ordered (lowest block
 ///     first), the fragmentation-reducing discipline the paper's
-///     conclusions recommend.
+///     conclusions recommend.  Each lane lists its blocks in a page set
+///     of their start pages (heap/PageSet.h), and one rule, relist,
+///     decides which blocks are listed.
 ///   * Sweeping is lazy, as in the paper's collector: with the world
 ///     stopped, a collection only releases the blocks its mark left
 ///     empty (one 64-byte mark-table test per block) and counts the
@@ -51,11 +53,11 @@
 #include "heap/ObjectKind.h"
 #include "heap/PageAllocator.h"
 #include "heap/PageMap.h"
+#include "heap/PageSet.h"
 #include "heap/SizeClassTable.h"
 #include "heap/TypeDescriptor.h"
 #include "heap/VirtualArena.h"
 #include <bit>
-#include <map>
 #include <vector>
 
 namespace cgc {
@@ -119,7 +121,7 @@ public:
              BlockTable &Blocks, const ObjectHeapConfig &Config);
 
   //===--------------------------------------------------------------===//
-  // Lanes.  Every small block sits on one block list, its lane: one per
+  // Lanes.  Every small block belongs to one lane: one per
   // (kind, size class) of untyped blocks, numbered
   // Kind * NumClasses + Class, then one per Precise descriptor,
   // numbered NumObjectKinds * NumClasses + LayoutId.  Allocation,
@@ -174,8 +176,8 @@ public:
   //===--------------------------------------------------------------===//
 
   /// Checks out the block the next slot of \p Lane would come from: its
-  /// lowest-address listed block.  InvalidBlockId when the lane needs a
-  /// new block.
+  /// lowest-address listed block, which leaves the lane.  InvalidBlockId
+  /// when the lane needs a new block.
   BlockId checkoutBlock(unsigned Lane);
 
   /// Ends ownership of \p Id: AllocatedCount and the heap's allocated
@@ -357,9 +359,10 @@ public:
   /// large blocks are released last, after the walk.  A small block
   /// whose mark line is empty or full is swept in the pass, with no
   /// gather; any other one is counted from the marker's tally and left
-  /// pending.  Every small block it visits is relisted or delisted in
-  /// place; the class lists are never emptied.  The SweepResult is the
-  /// one an eager sweep of every block would return.
+  /// pending.  Every small block it visits is relisted in place: a
+  /// block that stays listed costs one bit store, and no lane is
+  /// emptied.  The SweepResult is the one an eager sweep of every block
+  /// would return.
   SweepResult sweep();
 
   /// Sweeps every pending block now.  clearMarks does this; so may a
@@ -370,7 +373,7 @@ public:
   size_t pendingBlockCount() const { return PendingBlocks; }
 
   /// Runs the deep heap verifier (heap/HeapVerifier.h): block table ↔
-  /// page map ↔ free runs ↔ class lists ↔ bitmaps/byte accounting.
+  /// page map ↔ free runs ↔ lane listing ↔ bitmaps/byte accounting.
   /// Accumulates a diagnostic report instead of aborting.  O(heap);
   /// intended for tests and debugging sessions.
   HeapVerifyReport verify();
@@ -384,7 +387,7 @@ public:
   void verifyHeap();
 
   /// The verifier's self-healing pass (HeapVerifier::verifyAndRepair):
-  /// counters resynced from bitmaps, page map re-derived, class lists
+  /// counters resynced from bitmaps, page map re-derived, lanes relisted
   /// and free runs rebuilt, irreparable blocks quarantined.  Callers
   /// must hold the heap lock with the world stopped.
   HeapVerifyReport verifyAndRepair(HeapRepairStats &Stats);
@@ -417,16 +420,13 @@ public:
 
 private:
   friend class HeapVerifier;
-  /// A lane's blocks with at least one usable slot, keyed by start
-  /// page: begin() is the lowest-address block.
-  using ClassList = std::map<PageIndex, BlockId>;
 
   /// Hands out \p Block's lowest usable slot, zeroed.
   void *takeSlot(BlockDescriptor &Block);
   /// The block the next slot of \p Lane comes from, its lowest-address
   /// listed one, swept if it was pending; InvalidBlockId when the lane
   /// needs a fresh block.  A block its sweep leaves with no usable slot
-  /// is delisted and the next one is tried.
+  /// leaves the lane and the next one is tried.
   BlockId pickAllocationBlock(unsigned Lane);
   /// The lane small block \p Block belongs to.
   unsigned laneOf(const BlockDescriptor &Block) const {
@@ -443,33 +443,34 @@ private:
   /// swept here (sweepSlots) with no gather; otherwise its counts come
   /// from the marker's tally and it is left pending.  Either way the
   /// counters in \p Result and the block's counts are the swept ones,
-  /// and the block is released if empty or relisted (relistAfterSweep).
+  /// and the block is released if empty or relisted.
   void sweepSmallBlock(BlockId Id, SweepResult &Result);
   /// Frees \p Block's allocated slots that \p Mark leaves unmarked, a
   /// 64-slot word at a time, and rebuilds its pins.  \returns the number
   /// of slots freed; AllocatedCount and the heap's byte count are the
   /// caller's to charge.
   static uint32_t sweepSlots(BlockDescriptor &Block, const uint64_t *Mark);
-  /// Sweeps pending \p Block against its marks: the bitmaps catch up
-  /// with the counts the pass already charged.  Neither its marks nor
-  /// its list membership change.  Timed into the hand-out or the
-  /// cycle-start stats by \p AtHandOut.
+  /// Sweeps pending \p Block against its marks and relists it: the
+  /// bitmaps catch up with the counts the pass already charged, and its
+  /// marks do not change.  Timed into the hand-out or the cycle-start
+  /// stats by \p AtHandOut.
   void sweepPendingBlock(BlockDescriptor &Block, bool AtHandOut);
   /// Rebuilds \p Block's PinnedBits and PinnedCount word-wise from its
   /// gathered slot marks \p Mark: a slot is pinned when it is marked
   /// but not allocated.
   static void pinMarkedFreeSlots(BlockDescriptor &Block,
                                  const uint64_t *Mark);
-  /// Keeps a swept small block on its class list when it has a usable
-  /// slot and takes it off otherwise.  \p WasListed says whether it had
-  /// one before, and so is listed: only a change touches the list.
-  void relistAfterSweep(BlockDescriptor &Block, BlockId Id, bool WasListed);
-  void releaseBlock(BlockId Id);
-  void removeFromClassList(const BlockDescriptor &Block);
-  void addToClassList(BlockDescriptor &Block, BlockId Id);
-  ClassList &classListFor(const BlockDescriptor &Block) {
-    return ClassLists[laneOf(Block)];
+  /// The listing rule: a small block is listed on its lane exactly when
+  /// no thread owns it and it has a usable slot.  A large block has no
+  /// lane.
+  static bool listable(const BlockDescriptor &Block) {
+    return !Block.IsLarge && !Block.Owned && Block.usableFreeCount() != 0;
   }
+  /// Sets \p Block's bit in its lane to listable(Block).  The only
+  /// writer of lane membership, called wherever a block's state
+  /// changes.
+  void relist(const BlockDescriptor &Block);
+  void releaseBlock(BlockId Id);
   PageConstraint constraintFor(ObjectKind Kind, bool Large) const;
 
   VirtualArena &Arena;
@@ -482,9 +483,13 @@ private:
   MarkTable Marks;
   ObjectHeapConfig Config;
   SizeClassTable SizeClasses;
-  /// One class list per lane, so untyped lists come first and typed
-  /// lists follow in descriptor-id order.  registerLayout grows it.
-  std::vector<ClassList> ClassLists;
+  /// Per lane, the start pages of its listed blocks; the block on a
+  /// page is Map.blockAt(page), and first fit is lowest().  Untyped
+  /// lanes come first and typed ones follow in descriptor-id order;
+  /// registerLayout adds lanes.  A set starts empty, and only addBlock
+  /// grows it, to the committed range, so neither the sweep nor the
+  /// cache flush allocates to relist.
+  std::vector<PageSet> Lanes;
   TypeDescriptorTable Descriptors;
   ObjectHeapStats Stats;
   uint64_t AllocatedBytes = 0;

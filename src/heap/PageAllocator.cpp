@@ -13,17 +13,12 @@ PageAllocator::PageAllocator(VirtualArena &Arena, PageIndex BasePage,
                              MetadataArena *MetaArena)
     : Arena(Arena), BasePage(BasePage), MaxPages(MaxPages),
       GrowthPages(GrowthPages), CommitLimit(BasePage),
-      Free(MetadataAllocator<uint64_t>(MetaArena)),
-      FirstFree(MaxPages),
-      Quarantined(RunMap::key_compare(),
-                  MetadataAllocator<std::pair<const PageIndex, uint32_t>>(
-                      MetaArena)) {
+      Free(BasePage, MaxPages, MetadataAllocator<uint64_t>(MetaArena)),
+      Quarantined(BasePage, MaxPages, MetadataAllocator<uint64_t>(MetaArena)),
+      Resident(BasePage, MaxPages), Aged(BasePage, MaxPages) {
   CGC_CHECK(GrowthPages > 0, "growth increment must be positive");
   CGC_CHECK(uint64_t(BasePage) + MaxPages <= Arena.numPages(),
             "heap arena exceeds the window");
-  Free.resize(MaxPages);
-  Resident.resize(MaxPages);
-  Aged.resize(MaxPages);
 }
 
 std::optional<PageIndex>
@@ -37,13 +32,15 @@ PageAllocator::allocateRun(uint32_t NumPages, PageConstraint Constraint,
       // A page whose decommit is still pending holds its old contents;
       // zero it here, as the OS would have on the refault, unless the
       // caller zeroes what it hands out.
-      for (PageIndex P = *Start; P != *Start + NumPages; ++P)
-        if (Resident.test(P - BasePage)) {
-          Resident.reset(P - BasePage);
-          Aged.reset(P - BasePage);
-          if (Zeroed)
-            std::memset(Arena.pointerTo(offsetOfPage(P)), 0, PageSize);
-        }
+      Resident.forEachRun(*Start, *Start + NumPages,
+                          [&](PageIndex Run, uint32_t Length) {
+                            Resident.erase(Run, Length);
+                            Aged.erase(Run, Length);
+                            if (Zeroed)
+                              std::memset(Arena.pointerTo(offsetOfPage(Run)),
+                                          0, Length * PageSize);
+                            return true;
+                          });
       return Start;
     }
     ++Stats.GrowEvents;
@@ -61,17 +58,16 @@ PageAllocator::findInFreeRuns(uint32_t NumPages, PageConstraint Constraint) {
   if (CGC_INJECT_FAULT(PageRunSearch))
     return std::nullopt;
   // Address-ordered first fit.  No page at or past the commit limit is
-  // free, so the walk stops there, and none below FirstFree is, so it
-  // starts there; the bound moves up to the lowest free page.
-  size_t Limit = CommitLimit - BasePage;
-  FirstFree = std::min(Free.findFirstSet(FirstFree, Limit), Limit);
+  // free, so the walk stops there, and it starts at the lowest free
+  // page.
   std::optional<PageIndex> Found;
-  walkFreeRuns(FirstFree, Limit,
-               [&](PageIndex RunStart, uint32_t RunLen) {
-                 if (RunLen >= NumPages)
-                   Found = findInRun(RunStart, RunLen, NumPages, Constraint);
-                 return !Found;
-               });
+  Free.forEachRun(Free.lowest(), CommitLimit,
+                  [&](PageIndex RunStart, uint32_t RunLen) {
+                    if (RunLen >= NumPages)
+                      Found =
+                          findInRun(RunStart, RunLen, NumPages, Constraint);
+                    return !Found;
+                  });
   return Found;
 }
 
@@ -135,40 +131,31 @@ void PageAllocator::freeRun(PageIndex Start, uint32_t NumPages) {
                 uint64_t(Start) + NumPages <= arenaLimitPage(),
             "freeing pages outside the heap arena");
 
-  size_t Begin = Start - BasePage, End = Begin + NumPages;
-  CGC_CHECK(!Free.anyInRange(Begin, End), "double free of a page run");
+  CGC_CHECK(!Free.containsAny(Start, NumPages), "double free of a page run");
   // The decommit itself waits for ageDeferredDecommits.
   if (Start < CommitLimit)
-    Resident.setRange(Begin, End);
-  Free.setRange(Begin, End);
-  FirstFree = std::min(FirstFree, Begin);
+    Resident.insert(Start, NumPages);
+  Free.insert(Start, NumPages);
 }
 
 void PageAllocator::ageDeferredDecommits() {
   // Pages resident at the previous call and still resident now have
-  // gone a whole cycle unused: return them, coalescing neighbors.
-  size_t Limit = CommitLimit - BasePage;
-  for (size_t I = 0; I != Limit;) {
-    if (!Aged.test(I) || !Resident.test(I)) {
-      ++I;
-      continue;
-    }
-    size_t Begin = I;
-    while (I != Limit && Aged.test(I) && Resident.test(I))
-      ++I;
-    Resident.resetRange(Begin, I);
-    Arena.decommit(offsetOfPage(BasePage + static_cast<PageIndex>(Begin)),
-                   uint64_t(I - Begin) * PageSize);
-  }
+  // gone a whole cycle unused: return them a maximal run at a time.
+  Aged.intersect(Resident);
+  Aged.forEachRun(BasePage, CommitLimit, [&](PageIndex Start, uint32_t Length) {
+    Resident.erase(Start, Length);
+    Arena.decommit(offsetOfPage(Start), uint64_t(Length) * PageSize);
+    return true;
+  });
   Aged = Resident;
 }
 
 void PageAllocator::carveFromFreeRun(PageIndex Start, uint32_t NumPages) {
-  size_t Begin = Start - BasePage, End = Begin + NumPages;
-  CGC_CHECK(Start >= BasePage && End <= MaxPages &&
-                Free.findFirstUnset(Begin, End) == Free.Npos,
+  CGC_CHECK(Start >= BasePage &&
+                uint64_t(Start) + NumPages <= arenaLimitPage() &&
+                Free.containsAll(Start, NumPages),
             "carve range not inside a free run");
-  Free.resetRange(Begin, End);
+  Free.erase(Start, NumPages);
 }
 
 void PageAllocator::quarantineRun(PageIndex Start, uint32_t NumPages) {
@@ -176,40 +163,13 @@ void PageAllocator::quarantineRun(PageIndex Start, uint32_t NumPages) {
   CGC_CHECK(Start >= BasePage &&
                 uint64_t(Start) + NumPages <= arenaLimitPage(),
             "quarantining pages outside the heap arena");
-  PageIndex End = Start + NumPages;
-
-  // Coalesce with neighbors, so repeated repairs of adjacent blocks do
-  // not fragment the quarantine map.
-  auto After = Quarantined.lower_bound(Start);
-  if (After != Quarantined.end() && After->first == End) {
-    NumPages += After->second;
-    Quarantined.erase(After);
-  }
-  auto Before = Quarantined.lower_bound(Start);
-  if (Before != Quarantined.begin()) {
-    --Before;
-    if (Before->first + Before->second == Start) {
-      Before->second += NumPages;
-      Stats.QuarantinedPages += End - Start;
-      return;
-    }
-  }
-  Quarantined.emplace(Start, NumPages);
-  Stats.QuarantinedPages += End - Start;
-}
-
-bool PageAllocator::pageQuarantined(PageIndex Page) const {
-  auto It = Quarantined.upper_bound(Page);
-  if (It == Quarantined.begin())
-    return false;
-  --It;
-  return Page >= It->first && Page < It->first + It->second;
+  Quarantined.insert(Start, NumPages);
+  Stats.QuarantinedPages += NumPages;
 }
 
 void PageAllocator::rebuildFreeRuns(
     const std::vector<std::pair<PageIndex, uint32_t>> &Runs) {
-  Free.clearAll();
-  FirstFree = MaxPages;
+  Free.clear();
   for (const auto &[Start, Length] : Runs)
     freeRun(Start, Length);
 }

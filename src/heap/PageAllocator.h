@@ -19,11 +19,11 @@
 ///     pointers force whole-object retention, refuse runs that *span*
 ///     blacklisted pages.  Pointer-free allocations ignore the
 ///     blacklist, reclaiming those pages at near-zero risk.
-///   * *Address-ordered first fit*: free pages are one bit each in a
-///     free-page bitmap, and a request takes the lowest feasible start,
+///   * *Address-ordered first fit*: free pages are a page set
+///     (heap/PageSet.h), and a request takes the lowest feasible start,
 ///     which the paper notes is cheap for a collector and reduces
 ///     fragmentation versus LIFO reuse.  A free run is a maximal run of
-///     set bits, so freeing coalesces by construction, and freeing or
+///     members, so freeing coalesces by construction, and freeing or
 ///     carving a run sets or clears a range of bits without allocating.
 ///
 //===----------------------------------------------------------------------===//
@@ -32,13 +32,12 @@
 #define CGC_HEAP_PAGEALLOCATOR_H
 
 #include "heap/HeapUnits.h"
+#include "heap/PageSet.h"
 #include "heap/VirtualArena.h"
-#include "support/BitVector.h"
 #include "support/MetadataArena.h"
-#include <algorithm>
 #include <functional>
-#include <map>
 #include <optional>
+#include <vector>
 
 namespace cgc {
 
@@ -74,8 +73,8 @@ public:
   /// \param BasePage     first page of the heap arena within the window.
   /// \param MaxPages     arena capacity; the heap never extends past it.
   /// \param GrowthPages  commit increment when the heap grows.
-  /// \param MetaArena    optional sealable arena for the free-page
-  ///                     bitmap and the quarantined-run nodes.
+  /// \param MetaArena    optional sealable arena for the free and the
+  ///                     quarantined page sets.
   ///
   /// Freed pages go back to the OS once they have stayed free for a
   /// whole collection cycle (see ageDeferredDecommits) and read as zero
@@ -132,27 +131,29 @@ public:
   /// Walks the whole arena, so the verifier also sees a stray bit past
   /// the committed limit.
   template <typename FnT> void forEachFreeRun(FnT Fn) const {
-    walkFreeRuns(0, MaxPages, [&](PageIndex Start, uint32_t Length) {
-      Fn(Start, Length);
-      return true;
-    });
+    Free.forEachRun(BasePage, arenaLimitPage(),
+                    [&](PageIndex Start, uint32_t Length) {
+                      Fn(Start, Length);
+                      return true;
+                    });
   }
 
   /// Withdraws [Start, Start+NumPages) from circulation permanently:
-  /// the run is recorded as quarantined and will never be handed out
+  /// the pages join the quarantined set and are never handed out
   /// again.  Repair quarantines pages whose metadata cannot be
   /// reconstructed — a deliberate leak beats a dangling reuse.  The
   /// caller is responsible for removing the run from the free pool
   /// (rebuildFreeRuns does this wholesale).
   void quarantineRun(PageIndex Start, uint32_t NumPages);
 
-  /// True when \p Page lies in a quarantined run.
-  bool pageQuarantined(PageIndex Page) const;
-
-  /// Calls \p Fn(Start, Length) for each quarantined run.
+  /// Calls \p Fn(Start, Length) for each maximal run of quarantined
+  /// pages, lowest first.
   template <typename FnT> void forEachQuarantinedRun(FnT Fn) const {
-    for (const auto &[Start, Length] : Quarantined)
-      Fn(Start, Length);
+    Quarantined.forEachRun(BasePage, arenaLimitPage(),
+                           [&](PageIndex Start, uint32_t Length) {
+                             Fn(Start, Length);
+                             return true;
+                           });
   }
 
   /// Repair entry point: discards the (possibly corrupt) free-page set
@@ -163,20 +164,6 @@ public:
       const std::vector<std::pair<PageIndex, uint32_t>> &Runs);
 
 private:
-  /// Calls \p Fn(Start, Length) for each maximal run of free pages
-  /// in [BasePage + \p From, BasePage + \p Limit), lowest first, a
-  /// bitmap word at a time, until Fn returns false.
-  template <typename FnT>
-  void walkFreeRuns(size_t From, size_t Limit, FnT Fn) const {
-    for (size_t Begin = Free.findFirstSet(From, Limit); Begin != Free.Npos;) {
-      size_t End = std::min(Free.findFirstUnset(Begin, Limit), Limit);
-      if (!Fn(BasePage + static_cast<PageIndex>(Begin),
-              static_cast<uint32_t>(End - Begin)))
-        return;
-      Begin = Free.findFirstSet(End, Limit);
-    }
-  }
-
   /// Searches the committed free runs, lowest first, for a feasible
   /// start.
   std::optional<PageIndex> findInFreeRuns(uint32_t NumPages,
@@ -204,29 +191,25 @@ private:
   PageIndex MaxPages;
   uint32_t GrowthPages;
   PageIndex CommitLimit; ///< One past the last committed page.
-  /// Free[P - BasePage] is set when page P is free.  Only committed
-  /// pages are ever free.  The bitmap and the quarantined runs live in
-  /// the sealable arena (when one is configured): they are exactly the
-  /// metadata a wild store corrupts.
-  BasicBitVector<MetadataAllocator<uint64_t>> Free;
-  /// No page below BasePage + FirstFree is free: freeRun lowers the
-  /// bound and first fit raises it to the lowest free page, so a heap
-  /// filling up from the bottom does not rescan its full prefix on
-  /// every request.
-  size_t FirstFree;
-  using RunMap =
-      std::map<PageIndex, uint32_t, std::less<PageIndex>,
-               MetadataAllocator<std::pair<const PageIndex, uint32_t>>>;
-  /// Withdrawn runs (quarantineRun); rare, so a map.
-  RunMap Quarantined;
+  using MetadataPageSet = BasicPageSet<MetadataAllocator<uint64_t>>;
+  /// The free pages; only committed pages are ever free.  First fit
+  /// takes its lowest() as the search start, and a freed run lowers the
+  /// set's bound, so a heap filling up from the bottom does not rescan
+  /// its full prefix on every request.  The free and the quarantined
+  /// sets are sized at construction and live in the sealable arena
+  /// (when one is configured): they are exactly the metadata a wild
+  /// store corrupts.
+  MetadataPageSet Free;
+  /// The pages quarantineRun withdrew for good.
+  MetadataPageSet Quarantined;
   std::function<bool(PageIndex)> IsBlacklisted;
   PageAllocatorStats Stats;
-  /// Resident[P - BasePage] marks a free page that
-  /// still holds its old contents, Aged the pages already resident at
-  /// the last ageDeferredDecommits call.  Sized at construction, so the
-  /// sweep's frees never allocate while the world is stopped.
-  BitVector Resident;
-  BitVector Aged;
+  /// Resident holds the free pages that still hold their old contents,
+  /// Aged the pages already resident at the last ageDeferredDecommits
+  /// call.  Sized at construction, so the sweep's frees never allocate
+  /// while the world is stopped.
+  PageSet Resident;
+  PageSet Aged;
 };
 
 } // namespace cgc

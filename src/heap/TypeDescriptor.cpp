@@ -31,10 +31,15 @@ LayoutId TypeDescriptorTable::intern(const std::vector<bool> &PointerWords,
     ++SetCount;
   }
 
-  auto Key = std::make_pair(SizeBytes, Bits);
-  auto Found = Ids.find(Key);
-  if (Found != Ids.end())
-    return Found->second;
+  // Registration is rare (callers cache the id), so interning searches
+  // the table itself.
+  for (size_t I = 0; I != Table.size(); ++I) {
+    const TypeDescriptor &D = Table[I];
+    if (D.SizeBytes == SizeBytes &&
+        (D.usesInlineBitmap() ? D.InlineBits == Bits[0]
+                              : D.OutOfLineBits == Bits))
+      return static_cast<LayoutId>(I + 1);
+  }
 
   TypeDescriptor D;
   D.SizeBytes = SizeBytes;
@@ -50,7 +55,5 @@ LayoutId TypeDescriptorTable::intern(const std::vector<bool> &PointerWords,
   else
     D.OutOfLineBits = Bits;
   Table.push_back(std::move(D));
-  LayoutId Id = static_cast<LayoutId>(Table.size());
-  Ids.emplace(std::move(Key), Id);
-  return Id;
+  return static_cast<LayoutId>(Table.size());
 }

@@ -45,8 +45,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 namespace cgc {
@@ -155,9 +153,8 @@ public:
   size_t size() const { return Table.size(); }
 
 private:
+  /// Descriptor Id lives at Table[Id - 1].
   std::vector<TypeDescriptor> Table;
-  /// Intern key: {size, normalized bitmap} -> id.
-  std::map<std::pair<uint32_t, std::vector<uint64_t>>, LayoutId> Ids;
 };
 
 } // namespace cgc

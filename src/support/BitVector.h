@@ -11,9 +11,9 @@
 /// class provides the scan primitives those clients need: population
 /// count, find-first-set/unset in a range, and whole-range clear.
 /// The word array takes an allocator, so metadata that must live in a
-/// sealable MetadataArena (the page allocator's free-page bitmap) can
-/// use the same class; everything else uses BitVector, the
-/// std::allocator instance.
+/// sealable MetadataArena (the page allocator's free and quarantined
+/// page sets, heap/PageSet.h) can use the same class; everything else
+/// uses BitVector, the std::allocator instance.
 ///
 //===----------------------------------------------------------------------===//
 

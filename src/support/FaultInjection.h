@@ -72,8 +72,8 @@ enum class FaultSite : unsigned {
   /// AllocatedCount has its low bit flipped, so counter and alloc
   /// bitmap disagree.
   MetadataHeaderFlip = 5,
-  /// Free-list link smash: the chosen class list's first partial-block
-  /// entry is erased, leaving a block with free slots invisible to the
+  /// Free-list link smash: the first nonempty lane's lowest block is
+  /// delisted, leaving a block with free slots invisible to the
   /// allocator.
   MetadataFreeListSmash = 6,
   /// Page-map entry clobber: the chosen live block's start-page entry

@@ -6,7 +6,8 @@
 // in-place repair, and the retained set preserved; under the default
 // RepairFatal the same detection aborts instead.  Also covers the
 // verifier's finding cap/dedup policy, sealed-metadata digest identity
-// against the unsealed collector, and SIGSEGV wild-write containment.
+// against the unsealed collector, resealing after a census, and SIGSEGV
+// wild-write containment.
 //
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +57,8 @@ GcConfig containedConfig() {
 
 /// Builds a rooted linked list of \p Count three-word nodes holding
 /// 0..Count-1 in their value slots; Window[Root] anchors the head.
-/// Two size classes (alternating 3- and 6-word nodes) so multiple
-/// partial class lists exist for the free-list faults to smash.
+/// Two size classes (alternating 3- and 6-word nodes) so several lanes
+/// list partial blocks for the free-list faults to smash.
 void buildRootedList(Collector &GC, std::vector<uint64_t> &Window,
                      size_t Root, size_t Count) {
   void *Prev = nullptr;
@@ -110,8 +111,8 @@ void runInjectedCorruption(FaultSite Site,
   buildRootedList(GC, Window, 1, 64);
   const uint64_t ExpectedSum = 64 * 63 / 2;
 
-  // Baseline: a clean collection populates the partial class lists the
-  // free-list faults need and proves the workload verifies.
+  // Baseline: a clean collection lists the partial blocks the free-list
+  // faults need and proves the workload verifies.
   GC.collect("baseline");
   ASSERT_EQ(GC.repairStats().CollectionsRetried, 0u);
   ASSERT_TRUE(GC.verifyHeapReport().clean());
@@ -309,6 +310,24 @@ TEST(Corruption, SealedModeCountsTransitionsOnly) {
   EXPECT_EQ(Stats.CollectionsRetried, 0u);
   EXPECT_EQ(Stats.VerifyRepairsRun, 0u);
   EXPECT_TRUE(GC.verifyHeapReport().clean());
+}
+
+// A census unseals the metadata as a collection does, and seals it
+// again when its session ends: two transitions, not one that leaves
+// wild writes uncaught until the next collection.
+TEST(Corruption, CensusResealsMetadata) {
+  GcConfig Config = containedConfig();
+  Config.SealMetadata = true;
+  Collector GC(Config);
+  std::vector<uint64_t> Window(2, 0);
+  GC.addRootRange(Window.data(), Window.data() + Window.size(),
+                  RootEncoding::Native64, RootSource::Client, "window");
+  buildRootedList(GC, Window, 0, 32);
+  GC.collect("sealed");
+  uint64_t Sealed = GC.repairStats().SealTransitions;
+  EXPECT_GE(GC.measureLiveness().ObjectsMarked, 32u);
+  EXPECT_EQ(GC.repairStats().SealTransitions, Sealed + 2)
+      << "the census left the metadata unsealed";
 }
 
 namespace {

@@ -5,11 +5,13 @@
 // thread makes in the pause can deadlock.  These tests replace the
 // global operator new and delete (both, so sanitizer builds see matched
 // malloc/free) and count the operator new calls the collecting thread
-// makes between onPhaseBegin and onPhaseEnd of every phase but Sweep,
-// whose class-list nodes are the known remaining caller.  Two warm-up
-// collections first grow every buffer that keeps its capacity (the
-// mark stack, the root set's reservations); the third must allocate
-// nothing.
+// makes from onCollectionBegin to onCollectionEnd: in each phase, and
+// between phases, where the marks are cleared, the roots added and the
+// pipeline run.  Two warm-up collections first grow every buffer that
+// keeps its capacity (the mark stack, the root set's reservations); the
+// third must allocate nothing.  The live set stays the same across the
+// three, so the mark stack needs no more room, and the counted sweep
+// must relist blocks that filled up after the warm-ups.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,10 +27,14 @@ using namespace cgc;
 
 namespace {
 
-/// The phase the calling thread is counting for, or -1.
+/// Where the counted collection's time outside every phase goes.
+constexpr int BetweenPhases = NumGcPhases;
+/// The phase (or BetweenPhases) the calling thread is counting for, or
+/// -1.
 thread_local int CountingPhase = -1;
-/// operator new calls per phase; written only by the counting thread.
-uint64_t NewCalls[NumGcPhases] = {};
+/// operator new calls per phase, then between phases; written only by
+/// the counting thread.
+uint64_t NewCalls[NumGcPhases + 1] = {};
 
 void *countedNew(std::size_t Size) {
   if (CountingPhase >= 0)
@@ -98,12 +104,19 @@ public:
   }
   void disarm() { Armed = false; }
 
+  void onCollectionBegin(uint64_t, const char *) override {
+    if (Armed && std::this_thread::get_id() == Owner)
+      CountingPhase = BetweenPhases;
+  }
   void onPhaseBegin(GcPhase Phase) override {
-    if (Armed && Phase != GcPhase::Sweep &&
-        std::this_thread::get_id() == Owner)
+    if (CountingPhase >= 0)
       CountingPhase = static_cast<int>(Phase);
   }
   void onPhaseEnd(GcPhase, uint64_t, const CollectionStats &) override {
+    if (CountingPhase >= 0)
+      CountingPhase = BetweenPhases;
+  }
+  void onCollectionEnd(uint64_t, const CollectionStats &) override {
     CountingPhase = -1;
   }
 
@@ -112,12 +125,16 @@ private:
   std::thread::id Owner;
 };
 
-/// A small live heap: a rooted chain, garbage beside it, and an
+constexpr size_t ObjectBytes = 48;
+
+/// A live heap of 48-byte objects: 2000 allocated, every other one
+/// rooted through \p Roots, whose storage is reserved up front, and an
 /// uncollectable anchor, so every phase has work.
 void buildHeap(Collector &GC, std::vector<uint64_t> &Roots) {
-  for (int I = 0; I != 200; ++I) {
-    void *P = GC.allocate(16 + 16 * (I % 4));
-    if (I % 3 == 0)
+  Roots.reserve(1000);
+  for (int I = 0; I != 2000; ++I) {
+    void *P = GC.allocate(ObjectBytes);
+    if (I % 2 == 0)
       Roots.push_back(reinterpret_cast<uint64_t>(P));
   }
   GC.allocate(32, ObjectKind::Uncollectable);
@@ -125,13 +142,16 @@ void buildHeap(Collector &GC, std::vector<uint64_t> &Roots) {
                   RootEncoding::Native64, RootSource::Client, "roots");
 }
 
-/// Runs the two warm-up collections and the counted one; \returns the
-/// counted one's statistics.
+/// Runs the two warm-up collections, fills the holes they left with
+/// 1000 unrooted objects, and runs the counted collection; \returns its
+/// statistics.
 CollectionStats expectQuietPause(Collector &GC) {
   PauseAllocationCounter Counter;
   GcObserverId Id = GC.addObserver(&Counter);
   GC.collect("warm-up");
   GC.collect("warm-up");
+  for (int I = 0; I != 1000; ++I)
+    GC.allocate(ObjectBytes);
   Counter.arm();
   CollectionStats Counted = GC.collect("counted");
   Counter.disarm();
@@ -139,19 +159,20 @@ CollectionStats expectQuietPause(Collector &GC) {
   for (unsigned Phase = 0; Phase != NumGcPhases; ++Phase)
     EXPECT_EQ(NewCalls[Phase], 0u)
         << "operator new in " << gcPhaseName(static_cast<GcPhase>(Phase));
+  EXPECT_EQ(NewCalls[BetweenPhases], 0u) << "operator new between phases";
   return Counted;
 }
 
 } // namespace
 
-TEST(PauseAllocation, SingleThreadedPauseAllocatesNothingOutsideSweep) {
+TEST(PauseAllocation, SingleThreadedPauseAllocatesNothing) {
   Collector GC(pauseConfig());
   std::vector<uint64_t> Roots;
   buildHeap(GC, Roots);
   EXPECT_GT(expectQuietPause(GC).ObjectsMarked, 0u);
 }
 
-TEST(PauseAllocation, TwoRegisteredThreadsPauseAllocatesNothingOutsideSweep) {
+TEST(PauseAllocation, TwoRegisteredThreadsPauseAllocatesNothing) {
   Collector GC(pauseConfig());
   std::vector<uint64_t> Roots;
   buildHeap(GC, Roots);
