@@ -58,7 +58,6 @@ GcConfig steadyStateConfig(BlacklistMode Mode) {
   // Collect automatically and often, so the loop measures
   // allocate+collect amortized, as in the paper's footnote.
   Config.MinHeapBytesBeforeGc = 1 << 20;
-  Config.CollectBeforeGrowthRatio = 0.5;
   return Config;
 }
 

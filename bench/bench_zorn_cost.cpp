@@ -90,7 +90,6 @@ RunResult runCollected(const TraceConfig &Trace, bool LeakFreeStyle) {
   GcConfig Config;
   Config.MaxHeapBytes = uint64_t(512) << 20;
   Config.MinHeapBytesBeforeGc = 4 << 20;
-  Config.CollectBeforeGrowthRatio = 0.5;
   Collector GC(Config);
   Rng R(Trace.Seed);
   // The slot table is the program's data: a scanned root.

@@ -155,8 +155,6 @@ static GcConfig convertConfig(const cgc_config *C) {
     Config.RootScanAlignment = C->root_scan_alignment;
   if (C->mutator_threads)
     Config.MutatorThreads = C->mutator_threads;
-  if (C->collect_before_growth_ratio > 0)
-    Config.CollectBeforeGrowthRatio = C->collect_before_growth_ratio;
   if (C->min_heap_bytes_before_gc)
     Config.MinHeapBytesBeforeGc = C->min_heap_bytes_before_gc;
   Config.StackClearing = C->stack_clearing == CGC_STACK_CLEAR_CHEAP
@@ -234,7 +232,6 @@ static void fillCConfig(cgc_config *Out, const GcConfig &In) {
   Out->gc_at_startup = In.GcAtStartup ? 1 : 0;
   Out->root_scan_alignment = In.RootScanAlignment;
   Out->mutator_threads = In.MutatorThreads;
-  Out->collect_before_growth_ratio = In.CollectBeforeGrowthRatio;
   Out->min_heap_bytes_before_gc = In.MinHeapBytesBeforeGc;
   Out->stack_clearing = In.StackClearing == StackClearMode::Cheap
                             ? CGC_STACK_CLEAR_CHEAP

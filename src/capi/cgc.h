@@ -111,7 +111,6 @@ typedef struct cgc_config {
   unsigned mutator_threads;
   int heap_placement;                    /* CGC_PLACEMENT_*            */
   unsigned hashed_blacklist_bits_log2;   /* 0 = default (16)           */
-  double collect_before_growth_ratio;    /* <= 0 = default (0.5)       */
   unsigned long long min_heap_bytes_before_gc; /* 0 = default (1 MiB)  */
   int stack_clearing;                    /* CGC_STACK_CLEAR_*; 4 KiB/step */
   unsigned stack_clear_every_n_allocs;   /* 0 = default (64)           */
@@ -572,7 +571,9 @@ unsigned cgc_add_roots(cgc_collector *gc, const void *lo, const void *hi);
 int cgc_remove_roots(cgc_collector *gc, unsigned handle);
 /* Excludes [lo, hi) from all root scanning (IO buffers etc.). */
 void cgc_exclude_roots(cgc_collector *gc, const void *lo, const void *hi);
-/* Scans the calling thread's stack and registers during collections. */
+/* Scans the calling thread's stack and registers during the collections
+ * it runs.  Any other thread that collects must call
+ * cgc_register_thread first. */
 void cgc_enable_stack_scanning(cgc_collector *gc);
 /* Registers a valid interior displacement for BASE_ONLY policy. */
 void cgc_register_displacement(cgc_collector *gc, unsigned displacement);

@@ -131,6 +131,7 @@ Collector::Collector(const GcConfig &Cfg)
   });
 
   configureSentinel(Config.Sentinel);
+  MidCyclePins.reserve(MidCyclePinReserve);
 
   // Seal immediately: the window until the first allocation unseals is
   // already one where a buggy client could scribble on fresh metadata.
@@ -273,15 +274,11 @@ bool Collector::StoppedWorld::stop(bool Reclaim) {
   // thread inside libc malloc with an arena lock held, after which a
   // collector-side system allocation can deadlock (the bdwgc
   // no-malloc-between-suspend-and-resume rule).  Two ranges per thread
-  // (stack + registers), plus two for the machine-stack pair an
-  // unregistered collecting thread adds.
+  // (stack + registers), plus two for an unregistered collecting
+  // thread that enabled machine-stack scanning.
   const size_t RangeBudget = 2 * GC.Registry.registeredCount() + 2;
   RootIds.reserve(RangeBudget);
   GC.Roots.reserveAdditional(RangeBudget);
-  // Mid-cycle callback allocations append to MidCyclePins while the
-  // world is stopped; pre-grow it here for the same reason.
-  if (GC.MidCyclePins.capacity() < MidCyclePinReserve)
-    GC.MidCyclePins.reserve(MidCyclePinReserve);
   Handshake = GC.Registry.stopTheWorld(Self);
   Stopped = true;
   if (Handshake.TimedOut) {
@@ -325,62 +322,53 @@ Collector::StoppedWorld::~StoppedWorld() {
   GC.MidCyclePinOverflow = false;
 }
 
-void Collector::StoppedWorld::addRoots(std::jmp_buf &MachineRegisters,
-                                       const std::jmp_buf &SelfRegisters,
+void Collector::StoppedWorld::addRoots(const std::jmp_buf &Registers,
                                        const volatile char *Probe) {
-  // If real-stack scanning is on, snapshot the stack and registers and
-  // expose them as temporary root ranges.  A registered collecting
-  // thread is covered by the mutator root ranges below instead — the
-  // MachineStack base belongs to whichever thread enabled scanning,
-  // which need not be this one.
-  if (GC.MachineStackScanner && Self == nullptr) {
-    MachineStack::Snapshot Snap =
-        GC.MachineStackScanner->capture(MachineRegisters);
-    RootIds.push_back(GC.Roots.addRange(Snap.HotEnd, Snap.Base,
-                                        RootEncoding::Native64,
-                                        RootSource::Stack, "machine-stack"));
-    RootIds.push_back(GC.Roots.addRange(
-        Snap.RegistersBegin, Snap.RegistersEnd, RootEncoding::Native64,
-        RootSource::Registers, "machine-regs"));
-  }
-  if (!Stopped)
-    return;
-  // Stopped mutators published their stack top and registers at the
-  // safepoint.  Published tops are probe-local addresses with no
-  // particular alignment; round them down to pointer alignment so the
-  // strided root scan lands exactly on the frame's pointer slots.  The
-  // extra few bytes below the probe are dead stack — harmless to scan.
-  auto AlignDownToPointer = [](const volatile void *P) {
-    return reinterpret_cast<const void *>(
-        reinterpret_cast<uintptr_t>(P) & ~uintptr_t(sizeof(void *) - 1));
-  };
-  // Labels here must fit the small-string buffer: these ranges are
-  // registered while the world is stopped, when a heap-allocating
-  // std::string could deadlock against a signal-suspended thread's
-  // malloc arena lock.
-  auto AddRegisters = [&](const auto &Buffer) {
-    RootIds.push_back(GC.Roots.addRange(&Buffer, &Buffer + 1,
+  // Published tops are probe-local addresses with no particular
+  // alignment; round them down to pointer alignment so the strided root
+  // scan lands exactly on the frame's pointer slots.  The extra few
+  // bytes below the probe are dead stack — harmless to scan.  Labels
+  // must fit the small-string buffer: these ranges are registered while
+  // the world is stopped, when a heap-allocating std::string could
+  // deadlock against a signal-suspended thread's malloc arena lock.
+  auto AddThread = [&](const volatile void *Top, const void *Base,
+                       const auto &Regs) {
+    const void *Low = reinterpret_cast<const void *>(
+        reinterpret_cast<uintptr_t>(Top) & ~uintptr_t(sizeof(void *) - 1));
+    if (Low != nullptr && Base != nullptr && Low < Base)
+      RootIds.push_back(GC.Roots.addRange(Low, Base, RootEncoding::Native64,
+                                          RootSource::Stack, "mutator-stack"));
+    RootIds.push_back(GC.Roots.addRange(&Regs, &Regs + 1,
                                         RootEncoding::Native64,
                                         RootSource::Registers,
                                         "mutator-regs"));
   };
+  // An unregistered collecting thread is scanned only when it is the
+  // one whose stack base enableMachineStackScanning recorded: any
+  // other thread's probe lies in a different stack, and the range up
+  // to that base would span unmapped memory.
+  if (Self == nullptr && GC.MachineStackScanner) {
+    CGC_CHECK(GC.MachineStackScanner->ownedByCaller(),
+              "machine-stack scanning covers only the thread that enabled "
+              "it; call registerMutatorThread on any other thread that "
+              "collects");
+    GC.MachineStackScanner->noteDepth(Probe);
+    AddThread(Probe, GC.MachineStackScanner->base(), Registers);
+  }
+  if (!Stopped)
+    return;
+  // Stopped mutators published their stack top and registers at the
+  // safepoint.
   GC.Registry.forEachThread([&](MutatorThread &Thread) {
-    bool IsSelf = &Thread == Self;
-    const void *Top = AlignDownToPointer(
-        IsSelf ? Probe : Thread.StackTop.load(std::memory_order_acquire));
-    if (Top != nullptr && Thread.StackBase != nullptr &&
-        Top < Thread.StackBase)
-      RootIds.push_back(GC.Roots.addRange(Top, Thread.StackBase,
-                                          RootEncoding::Native64,
-                                          RootSource::Stack, "mutator-stack"));
-    if (IsSelf)
-      AddRegisters(SelfRegisters);
+    const void *Top = Thread.StackTop.load(std::memory_order_acquire);
+    if (&Thread == Self)
+      AddThread(Probe, Thread.StackBase, Registers);
     else if (Thread.Suspend.UseRegisters.load(std::memory_order_acquire))
       // Preemptively suspended: the cooperative jmp_buf is stale; the
       // handler's sigsetjmp capture is the live register snapshot.
-      AddRegisters(Thread.Suspend.Registers);
+      AddThread(Top, Thread.StackBase, Thread.Suspend.Registers);
     else
-      AddRegisters(Thread.Registers);
+      AddThread(Top, Thread.StackBase, Thread.Registers);
   });
 }
 
@@ -421,16 +409,11 @@ void Collector::maybeStartupCollect() {
 }
 
 void *Collector::allocateRequest(const AllocRequest &Req) {
-  MutatorThread *Self = nullptr;
-  if (ThreadedMode.load(std::memory_order_relaxed)) {
-    Self = ThreadRegistry::current();
-    // Mid-collection re-entrant allocation (callback context): no
-    // safepoint (self-park) and no cache refill (a refilled slot would
-    // be allocated-but-uncharted under the already-flushed caches);
-    // take the locked slow path, which pins the object.
-    if (Self == StopInitiator.load(std::memory_order_relaxed))
-      Self = nullptr;
-  }
+  // A mid-collection re-entrant allocation (callback context) takes no
+  // safepoint and no cache refill (a refilled slot would be
+  // allocated-but-uncharted under the already-flushed caches): the
+  // locked slow path pins the object.
+  MutatorThread *Self = parkableSelf();
   MutatorThread *Owner = nullptr;
   if (Self != nullptr) {
     // The allocation-time safepoint: the flag check is the documented
@@ -568,13 +551,7 @@ uint64_t Collector::drainCache(ThreadCache &Cache) {
 }
 
 void Collector::safepoint() {
-  if (!ThreadedMode.load(std::memory_order_relaxed))
-    return;
-  MutatorThread *Self = ThreadRegistry::current();
-  // The stop initiator polling its own stop request (an observer or
-  // warn callback allocating mid-collection) must not park: the resume
-  // it would wait for is the one it has not issued yet.
-  if (Self && Self != StopInitiator.load(std::memory_order_relaxed))
+  if (MutatorThread *Self = parkableSelf())
     Registry.safepoint(Self);
 }
 
@@ -647,27 +624,16 @@ uint64_t Collector::flushThreadCaches() {
 
 void Collector::pinMidCycleAllocation(void *Ptr) {
   Heap->markAllocatedObjectLive(Ptr);
-  if (MidCyclePins.size() == MidCyclePins.capacity() &&
-      anyMutatorSignalSuspended()) {
-    // Growing the vector calls libc malloc, and a signal-suspended
-    // mutator may be frozen inside libc with an arena lock held (the
-    // no-malloc-between-suspend-and-resume rule collect() reserves
-    // around).  Record the overflow instead: the pipeline skips leak
-    // reporting and the sweep for this cycle, so the pin that could
-    // not be re-pinned after clearMarks' reset is never reclaimed.
+  if (MidCyclePins.size() == MidCyclePinReserve) {
+    // Growing the buffer would call libc malloc in the pause, where a
+    // stopped mutator may hold a malloc arena lock.  Record the
+    // overflow instead: the pipeline skips leak reporting and the
+    // sweep for this cycle, so the pin that could not be re-pinned
+    // after clearMarks' reset is never reclaimed.
     MidCyclePinOverflow = true;
     return;
   }
   MidCyclePins.push_back(Ptr);
-}
-
-bool Collector::anyMutatorSignalSuspended() const {
-  bool Any = false;
-  Registry.forEachThread([&](MutatorThread &Thread) {
-    if (Thread.state() == MutatorState::SignalSuspended)
-      Any = true;
-  });
-  return Any;
 }
 
 void *Collector::allocateGuarded(const AllocRequest &Req) {
@@ -837,21 +803,18 @@ void Collector::warn(WarnEvent Event, const char *Message, uint64_t Value) {
 }
 
 void Collector::deallocate(void *Ptr) {
-  if (ThreadedMode.load(std::memory_order_relaxed)) {
-    MutatorThread *Self = ThreadRegistry::current();
-    // Lock-free owner free: a live object base in one of the caller's
-    // owned blocks.  A registered finalizer must be unregistered under
-    // the lock, so any registration at all sends frees there.
-    if (Self && Self->Cache && !Finalizers.anyRegistered()) {
-      if (Self != StopInitiator.load(std::memory_order_relaxed))
-        Registry.safepoint(Self);
-      Address Addr = reinterpret_cast<Address>(Ptr);
-      BlockId Id = InvalidBlockId;
-      if (Arena->contains(Addr))
-        Id = Map->blockAtRelaxed(pageOfOffset(Arena->offsetOf(Addr)));
-      if (Self->Cache->release(Ptr, Id))
-        return;
-    }
+  // Lock-free owner free: a live object base in one of the caller's
+  // owned blocks.  A registered finalizer must be unregistered under
+  // the lock, so any registration at all sends frees there.
+  MutatorThread *Self = parkableSelf();
+  if (Self && Self->Cache && !Finalizers.anyRegistered()) {
+    Registry.safepoint(Self);
+    Address Addr = reinterpret_cast<Address>(Ptr);
+    BlockId Id = InvalidBlockId;
+    if (Arena->contains(Addr))
+      Id = Map->blockAtRelaxed(pageOfOffset(Arena->offsetOf(Addr)));
+    if (Self->Cache->release(Ptr, Id))
+      return;
   }
   HeapLockGuard Guard(*this);
   MetadataScope MetaScope(*this);
@@ -1163,7 +1126,7 @@ bool Collector::shouldCollectBeforeGrowth() const {
   if (Committed < Config.MinHeapBytesBeforeGc)
     return false;
   double Threshold =
-      static_cast<double>(Committed) * Config.CollectBeforeGrowthRatio;
+      static_cast<double>(Committed) * CollectBeforeGrowthRatio;
   return static_cast<double>(BytesSinceGc) >= Threshold;
 }
 
@@ -1317,17 +1280,16 @@ CollectionStats Collector::collect(const char *Reason) {
   // runs replay bit-for-bit.  No-op without armed sites.
   Heap->injectMetadataFaults();
 
-  // The probe and both jmp_bufs are function-scope so the root ranges
-  // stay valid through every phase; deeper collector frames sit below
-  // the probe and are (correctly) excluded.  setjmp runs in this frame
-  // too: in a callee it would snapshot the callee's registers and leave
-  // values it spilled in its own frame, below the probe, unscanned.
-  std::jmp_buf MachineRegisters;
+  // The collecting thread's probe and jmp_buf are function-scope so
+  // the root ranges stay valid through every phase; deeper collector
+  // frames sit below the probe and are (correctly) excluded.  setjmp
+  // runs in this frame too: in a callee it would snapshot the callee's
+  // registers and leave values it spilled in its own frame, below the
+  // probe, unscanned.
   std::jmp_buf SelfRegisters;
   volatile char SelfProbe = 0;
-  if (World.self())
-    setjmp(SelfRegisters);
-  World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
+  setjmp(SelfRegisters);
+  World.addRoots(SelfRegisters, &SelfProbe);
 
   // The phase pipeline, transactional under the repair ladder: when
   // the verifier (VerifyEveryCollection, !RepairFatal) abandons the
@@ -1374,8 +1336,8 @@ CollectionStats Collector::collect(const char *Reason) {
     // grows the heap) rather than ever freeing an unpinned object.
     if (MidCyclePinOverflow)
       warn(WarnEvent::MidCyclePinOverflow,
-           "cgc: mid-cycle pin list overflowed while a mutator was "
-           "signal-suspended; skipping reclamation this cycle",
+           "cgc: callbacks allocated more objects mid-collection than the "
+           "pin buffer holds; skipping reclamation this cycle",
            Lifetime.Collections);
     else if (OnLeak)
       forEachClientObject(/*Marked=*/false, [&](const ClientObject &O) {
@@ -1470,12 +1432,11 @@ CollectionStats Collector::measureLiveness() {
   CollectionStats Cycle;
   if (World.abandoned())
     return Cycle;
-  std::jmp_buf MachineRegisters;
+  // The collecting thread's roots, as in collect().
   std::jmp_buf SelfRegisters;
   volatile char SelfProbe = 0;
-  if (World.self())
-    setjmp(SelfRegisters);
-  World.addRoots(MachineRegisters, SelfRegisters, &SelfProbe);
+  setjmp(SelfRegisters);
+  World.addRoots(SelfRegisters, &SelfProbe);
   // Pending blocks are swept first, with the marks they were left
   // with, so a census never leaves a block pending.
   Heap->clearMarks();
@@ -1655,7 +1616,7 @@ bool Collector::updateRootRange(RootId Id, const void *Begin,
 
 void Collector::enableMachineStackScanning() {
   if (!MachineStackScanner)
-    MachineStackScanner.emplace();
+    MachineStackScanner.emplace(ThreadRegistry::currentStackBase());
 }
 
 bool Collector::isHeapPointer(const void *Ptr) const {
@@ -1922,6 +1883,6 @@ void Collector::maybeRunStackClearHooks() {
   AllocsSinceClear = 0;
   for (const auto &Hook : StackClearHooks)
     Hook();
-  if (MachineStackScanner)
+  if (MachineStackScanner && MachineStackScanner->ownedByCaller())
     MachineStackScanner->clearDeadStack(StackClearBytes);
 }

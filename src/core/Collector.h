@@ -155,7 +155,11 @@ public:
   bool updateRootRange(RootId Id, const void *Begin, const void *End);
 
   /// Enables conservative scanning of the calling thread's real stack
-  /// and registers during collections.  Call from near main().
+  /// and registers during the collections and censuses it runs while
+  /// unregistered.  Call from near main().  Scanning covers this
+  /// thread only: any other thread that collects must be a registered
+  /// mutator (registerMutatorThread), and a collection from another
+  /// unregistered thread fails a check.
   void enableMachineStackScanning();
 
   //===--------------------------------------------------------------===//
@@ -616,10 +620,19 @@ private:
   /// now and records it for the post-Mark re-pin, since clearMarks
   /// before the root scan would otherwise erase a pin made earlier.
   void pinMidCycleAllocation(void *Ptr);
-  /// Whether any registered mutator is currently parked by the
-  /// watchdog's suspend signal (frozen at an arbitrary instruction,
-  /// possibly inside libc malloc with an arena lock held).
-  bool anyMutatorSignalSuspended() const;
+  /// The calling thread's registry record when it is a registered
+  /// mutator that may park at a safepoint and use its thread cache;
+  /// null when it is unregistered, or when it initiated the current
+  /// stop (its callbacks run mid-collection, and parking would wait
+  /// for a resume it has not issued yet).  Inline: the allocation and
+  /// free entry points call it on every request.
+  MutatorThread *parkableSelf() const {
+    if (!ThreadedMode.load(std::memory_order_relaxed))
+      return nullptr;
+    MutatorThread *Self = ThreadRegistry::current();
+    return Self == StopInitiator.load(std::memory_order_relaxed) ? nullptr
+                                                                 : Self;
+  }
 
   /// ThreadRegistry::StallWarnFn target: routes a watchdog stall report
   /// for one still-running mutator through the rate-limited warn path
@@ -716,10 +729,13 @@ private:
   /// refuses a request from a callback while a collection is in flight
   /// (and, for a reclaiming session, any request in degraded mode).
   /// Otherwise it unseals the metadata and stops the world: with no
-  /// registered mutator nothing stops, and only the machine-stack
-  /// roots of addRoots() remain, the paper's sequential cycle.  It
-  /// reserves what the stopped window appends to (root ranges,
-  /// mid-cycle pins) while the mutators still run free, then either
+  /// registered mutator nothing stops, and the only stack roots are
+  /// those of the thread that enabled machine-stack scanning, when it
+  /// collects: the paper's sequential cycle.  Every other collecting
+  /// thread must be a registered mutator to have its stack scanned.
+  /// It reserves the root ranges the stopped window appends to while
+  /// the mutators still run free (the mid-cycle pin buffer is fixed
+  /// at construction), then either
   /// abandons the session (the watchdog's final rung: a
   /// HandshakeTimeout incident and an immediate resume) or emits
   /// StopTheWorld, sets InCollection and runs the pre-collection hooks.
@@ -739,18 +755,15 @@ private:
     /// The session was refused, or the handshake timed out and the
     /// world has already resumed: the caller returns an empty cycle.
     bool abandoned() const { return !Began; }
-    /// The collecting thread's registry record; null when unregistered.
-    MutatorThread *self() const { return Self; }
-    /// Adds the stack and register roots: the machine stack (captured
-    /// into \p MachineRegisters) when scanning is on and the collecting
-    /// thread is unregistered, then [StackTop, StackBase) plus the
-    /// register snapshot of every registered thread, in registration
-    /// order.  The collecting thread's bounds are \p Probe and
-    /// \p SelfRegisters (filled by setjmp when self() is set): both
-    /// live in the caller's frame, so its scanned stack starts there.
-    void addRoots(std::jmp_buf &MachineRegisters,
-                  const std::jmp_buf &SelfRegisters,
-                  const volatile char *Probe);
+    /// Adds the stack and register roots: [StackTop, StackBase) plus
+    /// the register snapshot of every registered thread, in
+    /// registration order.  The collecting thread contributes
+    /// [\p Probe, its stack base) and \p Registers, which setjmp filled
+    /// in the caller's frame; it is either registered or the thread
+    /// that enabled machine-stack scanning, whose range comes first.
+    /// Any other unregistered collecting thread contributes nothing
+    /// without machine-stack scanning, and fails a check with it.
+    void addRoots(const std::jmp_buf &Registers, const volatile char *Probe);
     /// Removes the ranges addRoots() added.
     void removeRoots();
     /// Ends the window: clears the stop initiator and resumes.
@@ -861,27 +874,23 @@ private:
   /// runs before the root scan — so the pipeline re-pins this list
   /// after Mark, before leak reporting and the sweep.  Cleared when the
   /// cycle ends.
-  /// Capacity is reserved before stopTheWorld (MidCyclePinReserve) so
-  /// appending never calls libc malloc inside the stopped window; see
-  /// pinMidCycleAllocation for the overflow degrade.
+  /// Its MidCyclePinReserve entries are reserved at construction and
+  /// it never grows, so recording a pin never calls libc malloc inside
+  /// the pause; see pinMidCycleAllocation for the overflow degrade.
   std::vector<void *> MidCyclePins;
-  /// Entries MidCyclePins reserves before the world stops.  Growth
-  /// past it is allowed only when no mutator is signal-suspended
-  /// (handshake-parked threads sit in the safepoint poll, not inside
-  /// libc, so malloc is safe then).
+  /// The fixed capacity of MidCyclePins.
   static constexpr size_t MidCyclePinReserve = 1024;
-  /// A mid-cycle pin could not be recorded without allocating while a
-  /// mutator was frozen inside libc: leak reporting and the sweep are
-  /// skipped for the rest of the cycle (including a repair retry) so
-  /// the unrecorded object can never be reclaimed.  Reset with
-  /// MidCyclePins at cycle end.
+  /// A mid-cycle pin found MidCyclePins full and was not recorded:
+  /// leak reporting and the sweep are skipped for the rest of the
+  /// cycle (including a repair retry) so the unrecorded object can
+  /// never be reclaimed.  Reset with MidCyclePins at cycle end.
   bool MidCyclePinOverflow = false;
   /// The registered thread that initiated the current stop-the-world
   /// window (nullptr outside a stop, or when the initiator is
   /// unregistered).  Observer callbacks run on this thread while every
-  /// other mutator is parked; its safepoint polls must not park it
-  /// against its own stop request, so a callback that allocates cannot
-  /// self-deadlock (see DESIGN.md "Callback re-entrancy").
+  /// other mutator is parked; parkableSelf() treats it as unregistered,
+  /// so a callback that allocates cannot park against its own stop
+  /// request and self-deadlock (see DESIGN.md "Callback re-entrancy").
   std::atomic<MutatorThread *> StopInitiator{nullptr};
 };
 

@@ -76,6 +76,10 @@ enum class StackClearMode : unsigned char {
 /// Bytes cleared per stack-clearing step.
 inline constexpr uint32_t StackClearBytes = 4096;
 
+/// Collect before growing the heap once allocation since the last
+/// collection reaches this fraction of the committed heap.
+inline constexpr double CollectBeforeGrowthRatio = 0.5;
+
 /// Called when the allocation slow-path ladder is exhausted (collect,
 /// grow, heap-exhausted collect, emergency collect all failed).  \p Bytes is
 /// the requested size.  Whatever the handler returns is returned to the
@@ -177,9 +181,6 @@ struct GcConfig {
   /// from the warning rung straight to the final timeout).
   int SuspendSignal = 0;
 
-  /// Collect before growing the heap once allocation since the last
-  /// collection exceeds this fraction of the committed heap.
-  double CollectBeforeGrowthRatio = 0.5;
   /// Never collect-before-grow below this committed size.
   uint64_t MinHeapBytesBeforeGc = uint64_t(1) << 20;
 

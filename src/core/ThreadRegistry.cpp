@@ -106,9 +106,9 @@ void ThreadRegistry::unregisterThread(MutatorThread *Thread) {
 
 void ThreadRegistry::publishScanState(MutatorThread *Self) {
   // Flush callee-saved registers into the record's jmp_buf (the classic
-  // uncooperative-environment technique; see MachineStack) and publish
-  // an address within the current frame as the conservative low bound
-  // of the live stack.  The park/blocked frames sit below every mutator
+  // uncooperative-environment technique, as in Collector::collect) and
+  // publish an address within the current frame as the conservative
+  // low bound of the live stack.  The park/blocked frames sit below every mutator
   // frame, so [StackTop, StackBase) covers all live locals.
   setjmp(Self->Registers);
   volatile char Probe = 0;

@@ -1,59 +1,13 @@
 //===- roots/MachineStack.cpp - Real machine-stack scanning ---------------===//
 
 #include "roots/MachineStack.h"
-#include "support/Assert.h"
 #include <cstring>
-#include <pthread.h>
 
 using namespace cgc;
 
-namespace {
-
-/// \returns the current stack pointer, approximated by the address of a
-/// local variable.  noinline so the frame is the caller's callee.
-__attribute__((noinline)) const void *currentStackPointer() {
-  // The frame address of this noinline function is strictly below every
-  // live byte of the caller's stack, which is what scanning needs.
-  const void *Sp = __builtin_frame_address(0);
-  __asm__ volatile("" ::"r"(Sp) : "memory");
-  return Sp;
-}
-
-} // namespace
-
-MachineStack::MachineStack() {
-  pthread_attr_t Attr;
-  CGC_CHECK(pthread_getattr_np(pthread_self(), &Attr) == 0,
-            "cannot query thread stack bounds");
-  void *StackLow = nullptr;
-  size_t StackSize = 0;
-  CGC_CHECK(pthread_attr_getstack(&Attr, &StackLow, &StackSize) == 0,
-            "cannot query thread stack bounds");
-  pthread_attr_destroy(&Attr);
-  // Stacks grow downward on every supported platform: the scanning base
-  // is the high end.
-  Base = static_cast<const char *>(StackLow) + StackSize;
-  DeepestSeen = Base;
-}
-
-MachineStack::Snapshot MachineStack::capture(std::jmp_buf &Registers) const {
-  Snapshot Result;
-  // setjmp spills callee-saved registers (the ones that may hold the
-  // only copy of a pointer across the call into the collector) into the
-  // jmp_buf, making them scannable memory.
-  (void)setjmp(Registers);
-  Result.RegistersBegin = &Registers;
-  Result.RegistersEnd = reinterpret_cast<const char *>(&Registers) +
-                        sizeof(std::jmp_buf);
-  Result.HotEnd = currentStackPointer();
-  Result.Base = Base;
-  if (Result.HotEnd < DeepestSeen)
-    DeepestSeen = Result.HotEnd;
-  return Result;
-}
-
 void MachineStack::clearDeadStack(uint32_t ChunkBytes) {
-  const char *Sp = static_cast<const char *>(currentStackPointer());
+  // Every live byte of the callers lies above this function's frame.
+  const char *Sp = static_cast<const char *>(__builtin_frame_address(0));
   // Leave a guard region below the current frame untouched: the calls
   // we are about to make (memset) need headroom, and a signal handler
   // could in principle run there.

@@ -6,56 +6,54 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Support for treating the *real* calling thread's stack and registers
-/// as conservative roots, so the examples run as genuine
-/// garbage-collected C++ programs.  The experiments use the simulated
-/// stack instead (deterministic); this module exists to show the
-/// collector is a real collector.
+/// The *real* stack of the thread that enabled machine-stack scanning,
+/// so the examples run as genuine garbage-collected C++ programs.  The
+/// experiments use the simulated stack instead (deterministic); this
+/// module exists to show the collector is a real collector.
 ///
-/// Register contents are flushed to the stack with setjmp before
-/// scanning, the classic uncooperative-environment technique.
+/// The collector scans this stack when its owner collects without
+/// being a registered mutator: from a probe byte in the collecting
+/// frame up to base(), plus the registers setjmp flushed in that frame
+/// (see Collector::StoppedWorld::addRoots).  This class keeps what the
+/// §3.1 stack clearing needs between collections.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CGC_ROOTS_MACHINESTACK_H
 #define CGC_ROOTS_MACHINESTACK_H
 
-#include "heap/HeapUnits.h"
-#include <csetjmp>
+#include <cstdint>
+#include <thread>
 
 namespace cgc {
 
 class MachineStack {
 public:
-  /// Captures the calling thread's stack bounds.  Call once from (or
-  /// near) main before allocating.
-  MachineStack();
+  /// The calling thread's stack, whose high end is \p Base.
+  explicit MachineStack(const void *Base)
+      : Base(Base), DeepestSeen(Base), Owner(std::this_thread::get_id()) {}
 
-  /// \returns the hot end of the live stack at the caller's frame and
-  /// flushes callee-saved registers into \p RegisterBuffer so they are
-  /// scanned too.  Must not be inlined into the collector's caller.
-  struct Snapshot {
-    /// Current stack pointer (low end on a downward-growing stack).
-    const void *HotEnd = nullptr;
-    /// Base captured at construction (high end).
-    const void *Base = nullptr;
-    /// Register contents flushed via setjmp.
-    const void *RegistersBegin = nullptr;
-    const void *RegistersEnd = nullptr;
-  };
+  /// Whether the calling thread is the one whose stack this is.
+  bool ownedByCaller() const { return std::this_thread::get_id() == Owner; }
 
-  Snapshot capture(std::jmp_buf &RegisterBuffer) const;
+  const void *base() const { return Base; }
+
+  /// Records that the stack reached \p Probe, a byte in a live frame.
+  void noteDepth(const volatile void *Probe) {
+    if (Probe < DeepestSeen)
+      DeepestSeen = const_cast<const void *>(Probe);
+  }
 
   /// §3.1 stack clearing on the real stack: zeroes up to \p ChunkBytes
   /// of the dead region just beyond the current frame, bounded by the
   /// deepest stack extent seen so far.  Mirrors bdwgc's GC_clear_stack.
+  /// Call only from the owning thread.
   void clearDeadStack(uint32_t ChunkBytes);
 
-  const void *base() const { return Base; }
-
 private:
-  const void *Base = nullptr;        ///< High end of the stack.
-  mutable const void *DeepestSeen = nullptr; ///< Low-water mark.
+  const void *Base;        ///< High end of the stack.
+  const void *DeepestSeen; ///< Low-water mark.
+  std::thread::id Owner;
 };
 
 } // namespace cgc

@@ -59,8 +59,6 @@ TEST(CApi, ConfigDefaultsMatchGcConfig) {
   EXPECT_EQ(C.gc_at_startup, D.GcAtStartup ? 1 : 0);
   EXPECT_EQ(C.root_scan_alignment, D.RootScanAlignment);
   EXPECT_EQ(C.mutator_threads, D.MutatorThreads);
-  EXPECT_DOUBLE_EQ(C.collect_before_growth_ratio,
-                   D.CollectBeforeGrowthRatio);
   EXPECT_EQ(C.min_heap_bytes_before_gc, D.MinHeapBytesBeforeGc);
   EXPECT_EQ(C.stack_clearing, CGC_STACK_CLEAR_OFF);
   EXPECT_EQ(C.stack_clear_every_n_allocs, D.StackClearEveryNAllocs);
@@ -91,7 +89,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   In.gc_at_startup = 0;
   In.root_scan_alignment = 8;
   In.mutator_threads = 7;
-  In.collect_before_growth_ratio = 0.75;
   In.min_heap_bytes_before_gc = 2ULL << 20;
   In.stack_clearing = CGC_STACK_CLEAR_CHEAP;
   In.stack_clear_every_n_allocs = 32;
@@ -120,8 +117,6 @@ TEST(CApi, ConfigRoundTripsThroughCollector) {
   EXPECT_EQ(Out.gc_at_startup, In.gc_at_startup);
   EXPECT_EQ(Out.root_scan_alignment, In.root_scan_alignment);
   EXPECT_EQ(Out.mutator_threads, In.mutator_threads);
-  EXPECT_DOUBLE_EQ(Out.collect_before_growth_ratio,
-                   In.collect_before_growth_ratio);
   EXPECT_EQ(Out.min_heap_bytes_before_gc, In.min_heap_bytes_before_gc);
   EXPECT_EQ(Out.stack_clearing, In.stack_clearing);
   EXPECT_EQ(Out.stack_clear_every_n_allocs, In.stack_clear_every_n_allocs);

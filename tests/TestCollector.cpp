@@ -5,6 +5,7 @@
 #include "structures/FalseRef.h"
 #include <cstring>
 #include <gtest/gtest.h>
+#include <thread>
 
 using namespace cgc;
 
@@ -455,7 +456,6 @@ TEST(Collector, StartupCollectionSeedsBlacklist) {
 TEST(Collector, AutomaticCollectionTriggers) {
   GcConfig Config = testConfig();
   Config.MinHeapBytesBeforeGc = 1 << 20;
-  Config.CollectBeforeGrowthRatio = 0.5;
   Collector GC(Config);
   // Allocate far more garbage than the threshold; automatic collections
   // must keep the heap bounded.
@@ -512,6 +512,48 @@ TEST(Collector, MachineStackScanningKeepsLocalsAlive) {
   CollectionStats Cycle = GC.collect();
   EXPECT_GE(Cycle.ObjectsLive, 50u);
   EXPECT_TRUE(GC.wasMarkedLive(Head));
+}
+
+TEST(Collector, MachineStackScanningKeepsLocalsAliveInACensus) {
+  Collector GC(testConfig());
+  GC.enableMachineStackScanning();
+  Node *Head = buildChain(GC, 50);
+  __asm__ volatile("" ::"r"(Head) : "memory");
+  CollectionStats Census = GC.measureLiveness();
+  EXPECT_GE(Census.ObjectsMarked, 50u);
+  EXPECT_TRUE(GC.wasMarkedLive(Head));
+}
+
+TEST(Collector, MachineStackScanningKeepsLocalsAliveInAnAllocation) {
+  GcConfig Config = testConfig();
+  Config.MinHeapBytesBeforeGc = 0;
+  Collector GC(Config);
+  GC.enableMachineStackScanning();
+  Node *Head = buildChain(GC, 50);
+  __asm__ volatile("" ::"r"(Head) : "memory");
+  // Garbage until an allocation collects before growing the heap.
+  uint64_t Before = GC.lifetimeStats().Collections;
+  while (GC.lifetimeStats().Collections == Before)
+    ASSERT_NE(GC.allocate(64), nullptr);
+  EXPECT_TRUE(GC.wasMarkedLive(Head));
+  uint64_t Expected = 49;
+  for (Node *N = Head; N; N = N->Next)
+    EXPECT_EQ(N->Value, Expected--);
+}
+
+// Scanning covers the enabling thread's stack only: a collection from
+// another unregistered thread must fail a named check, not scan from
+// its own stack pointer up to the enabling thread's stack base.
+TEST(MachineStackDeath, UnregisteredOtherThreadCollectingAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Collector GC(testConfig());
+  GC.enableMachineStackScanning();
+  EXPECT_DEATH(
+      {
+        std::thread Other([&] { GC.collect("other-thread"); });
+        Other.join();
+      },
+      "registerMutatorThread");
 }
 
 TEST(Collector, StackClearHooksInvoked) {

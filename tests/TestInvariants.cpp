@@ -23,7 +23,6 @@ GcConfig fuzzConfig(bool VerifyEvery = false, bool Guarded = false) {
   Config.MaxHeapBytes = 64 << 20;
   Config.GcAtStartup = true;
   Config.MinHeapBytesBeforeGc = 1 << 20;
-  Config.CollectBeforeGrowthRatio = 0.5;
   Config.VerifyEveryCollection = VerifyEvery;
   Config.DebugGuards = Guarded;
   return Config;

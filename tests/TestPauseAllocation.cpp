@@ -142,12 +142,32 @@ void buildHeap(Collector &GC, std::vector<uint64_t> &Roots) {
                   RootEncoding::Native64, RootSource::Client, "roots");
 }
 
+/// Allocates from onCollectionBegin of the counted collection only, so
+/// no warm-up grows a buffer the counted allocations use.  Registered
+/// after the counter, it runs once counting has begun.
+class BeginAllocator : public GcObserver {
+public:
+  explicit BeginAllocator(Collector &GC) : GC(GC) {}
+  void onCollectionBegin(uint64_t, const char *) override {
+    if (CountingPhase < 0)
+      return;
+    for (int I = 0; I != 16; ++I)
+      EXPECT_NE(GC.allocate(ObjectBytes), nullptr);
+  }
+
+private:
+  Collector &GC;
+};
+
 /// Runs the two warm-up collections, fills the holes they left with
-/// 1000 unrooted objects, and runs the counted collection; \returns its
+/// 1000 unrooted objects, and runs the counted collection, with
+/// \p Callback (when given) observing after the counter; \returns its
 /// statistics.
-CollectionStats expectQuietPause(Collector &GC) {
+CollectionStats expectQuietPause(Collector &GC,
+                                 GcObserver *Callback = nullptr) {
   PauseAllocationCounter Counter;
   GcObserverId Id = GC.addObserver(&Counter);
+  GcObserverId CallbackId = Callback ? GC.addObserver(Callback) : 0;
   GC.collect("warm-up");
   GC.collect("warm-up");
   for (int I = 0; I != 1000; ++I)
@@ -156,6 +176,8 @@ CollectionStats expectQuietPause(Collector &GC) {
   CollectionStats Counted = GC.collect("counted");
   Counter.disarm();
   GC.removeObserver(Id);
+  if (Callback)
+    GC.removeObserver(CallbackId);
   for (unsigned Phase = 0; Phase != NumGcPhases; ++Phase)
     EXPECT_EQ(NewCalls[Phase], 0u)
         << "operator new in " << gcPhaseName(static_cast<GcPhase>(Phase));
@@ -170,6 +192,16 @@ TEST(PauseAllocation, SingleThreadedPauseAllocatesNothing) {
   std::vector<uint64_t> Roots;
   buildHeap(GC, Roots);
   EXPECT_GT(expectQuietPause(GC).ObjectsMarked, 0u);
+}
+
+// Objects a callback allocates mid-collection are pinned in a buffer
+// whose capacity is fixed when the collector is built.
+TEST(PauseAllocation, BeginCallbackAllocationsAllocateNothing) {
+  Collector GC(pauseConfig());
+  std::vector<uint64_t> Roots;
+  buildHeap(GC, Roots);
+  BeginAllocator Allocator(GC);
+  EXPECT_GT(expectQuietPause(GC, &Allocator).ObjectsMarked, 0u);
 }
 
 TEST(PauseAllocation, TwoRegisteredThreadsPauseAllocatesNothing) {

@@ -475,14 +475,19 @@ TEST(Resilience, CallbacksMayAllocateDuringCollection) {
 }
 
 TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
-  // More begin-callback allocations than the mid-cycle pin list's
-  // pre-reserved capacity (Collector::MidCyclePinReserve): the list
-  // must grow past the reservation — legal here, no mutator is
-  // signal-suspended — and every pin must still be re-pinned after
-  // Mark's bit reset so the sweep keeps all of them.
+  // More begin-callback allocations than the mid-cycle pin buffer holds
+  // (Collector::MidCyclePinReserve): the buffer never grows, so the
+  // pins past its end go unrecorded, and the cycle must warn once and
+  // skip reclamation rather than sweep an object whose pin Mark's bit
+  // reset erased.
   struct StormObserver final : GcObserver {
     Collector *GC = nullptr;
     std::vector<char *> Storm;
+    unsigned OverflowWarnings = 0;
+    void onWarning(const char *Message, uint64_t) override {
+      if (std::strstr(Message, "pin buffer"))
+        ++OverflowWarnings;
+    }
     void onCollectionBegin(uint64_t, const char *) override {
       if (!Storm.empty())
         return; // only the first observed cycle storms
@@ -501,9 +506,12 @@ TEST(Resilience, BeginObserverAllocationStormSurvivesTheSweep) {
   for (int I = 0; I != 200; ++I)
     ASSERT_NE(GC.allocate(64), nullptr);
   GcObserverId Id = GC.addObserver(&Observer);
-  GC.collect("pin-storm");
+  CollectionStats Storm = GC.collect("pin-storm");
   GC.removeObserver(Id);
   ASSERT_EQ(Observer.Storm.size(), 2000u);
+  EXPECT_EQ(Observer.OverflowWarnings, 1u);
+  // The 200 unrooted objects are garbage, yet nothing was swept.
+  EXPECT_EQ(Storm.BytesSweptFree, 0u);
 
   // Churn to surface any reclaimed-and-reused slot, then verify.
   for (int I = 0; I != 500; ++I)
